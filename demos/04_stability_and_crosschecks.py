@@ -3,7 +3,7 @@
 
 Three entirely different routes to the same field: the two-sided monotone
 iteration, the eps-regularized Newton continuation, and (at tiny scale)
-dense-LU Newton on the raw nonlinear system.  The demo shows their
+dense-Cholesky Newton on the raw nonlinear system.  The demo shows their
 agreement, then certifies linearized stability: the smallest eigenvalue
 mu_1 of -lap + alpha d^(-beta) u^(-(1+alpha)) sits above lambda_1 > 0.
 """

@@ -199,8 +199,9 @@ def build_supersolution(
     A0 = assemble_laplacian(grid)
     w_beta = power_weight(grid, beta)
     if t == 1.0:
-        # modest tolerance: fine grids push the CG round-off floor, and the
-        # exactness loop below repairs any residual-level slack anyway
+        # modest tolerance: relative residuals bottom out near eps*cond(A)
+        # for any solver on fine grids, and the exactness loop below repairs
+        # any residual-level slack anyway
         psi, _ = solve_spd(A0, power_weight(grid, alpha + beta), tol=1e-9)
         C = float(np.max(grid.d / psi) ** (alpha / (1.0 + alpha))) * (1.0 + margin)
         base = psi

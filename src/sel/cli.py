@@ -41,17 +41,28 @@ from .analysis import (
     regularity_report,
     sobolev_integral,
 )
-from .barriers import build_barrier_pair
+from .barriers import BarrierConstructionError, HopfViolationError, build_barrier_pair
 from .grid import Grid, assemble_laplacian, interval, rectangle
-from .monotone import residual, solve_monotone, uniqueness_gap
+from .linear_core import SolverStagnationError
+from .monotone import OrderingViolationError, residual, solve_monotone, uniqueness_gap
 from .oracle import DENSE_N_CAP, dense_newton_solve
 from .problem import ProblemSpec, SolveConfig
 from .regularized import NewtonStagnationError, solve_regularized
-from .spectral import linearized_smallest_eigenvalue, principal_eigenpair
+from .spectral import EigenNonConvergenceError, linearized_smallest_eigenvalue, principal_eigenpair
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_NO_CONVERGENCE = 2
+
+# Solver and certificate failures on valid input: numerical non-convergence.
+NO_CONVERGENCE_ERRORS = (
+    SolverStagnationError,
+    BarrierConstructionError,
+    HopfViolationError,
+    OrderingViolationError,
+    EigenNonConvergenceError,
+    NewtonStagnationError,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -205,12 +216,7 @@ def cmd_solve(args) -> int:
         config=SolveConfig(tol=args.tol, max_iter=args.max_iter),
     )
     grid = spec.make_grid()
-    try:
-        u, pair, solve_block, converged, eig = _solve_single(spec, grid, args.method, args.eps)
-    except NewtonStagnationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-
+    u, pair, solve_block, converged, eig = _solve_single(spec, grid, args.method, args.eps)
     mu = linearized_smallest_eigenvalue(grid, u, args.alpha, args.beta, tol=1e-10)
     t_fit, sigma_fit = _fit_exponents_best_effort(grid, u)
     report = {
@@ -488,6 +494,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except NO_CONVERGENCE_ERRORS as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
 
 
 if __name__ == "__main__":

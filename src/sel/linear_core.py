@@ -3,9 +3,11 @@
 The shift only adds a positive diagonal, so the operator keeps the M-matrix
 structure of the Laplacian: solutions of systems with nonnegative right-hand
 sides are nonnegative (discrete comparison principle), which is checked after
-every solve.  Systems are solved by diagonally preconditioned conjugate
-gradients; the singular shift makes the diagonal dominate near the boundary,
-which is exactly where plain CG would struggle.
+every solve.  SPDFactor prepares an operator once for all the right-hand
+sides it will see: interval operators are tridiagonal and get a banded
+Cholesky factor with extended-precision iterative refinement; rectangle
+operators are solved by diagonally preconditioned conjugate gradients,
+where the singular shift makes the diagonal dominate near the boundary.
 """
 
 from __future__ import annotations
@@ -14,13 +16,14 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from .grid import Grid, assemble_laplacian, power_weight
 
 
 class SolverStagnationError(RuntimeError):
-    """CG failed to reach the requested residual within the iteration cap."""
+    """A solve failed to reach the requested relative residual."""
 
 
 class ComparisonPrincipleViolationError(RuntimeError):
@@ -68,6 +71,130 @@ def assemble_shifted(grid: Grid, shift: ShiftSpec) -> sp.csr_matrix:
     return (a + sp.diags_array(shift.M * power_weight(grid, shift.gamma))).tocsr()
 
 
+MAX_REFINEMENTS = 3  # refinement steps after the first banded solve
+
+
+class SPDFactor:
+    """An SPD M-matrix prepared once for many solves.
+
+    A tridiagonal matrix (every interval grid) is factored by banded
+    Cholesky (LAPACK pbtrf).  Each solve then runs the triangular sweeps and
+    at most MAX_REFINEMENTS steps of iterative refinement against the
+    residual f - A x evaluated in extended precision (np.longdouble), so the
+    relative residual drops to the level set by rounding x itself rather
+    than by the round-off of the residual.  Any other pattern (rectangles)
+    is solved by Jacobi-preconditioned CG.
+    """
+
+    def __init__(self, A: sp.spmatrix):
+        self.A = A
+        coo = A.tocoo()
+        if np.all(np.abs(coo.row - coo.col) <= 1):
+            # Bands in extended precision, for the refinement residual.
+            self._bands = tuple(A.diagonal(k).astype(np.longdouble) for k in (0, 1, -1))
+            upper = np.zeros((2, A.shape[0]))
+            upper[0, 1:] = A.diagonal(1)
+            upper[1] = A.diagonal(0)
+            try:
+                self._chol = scipy.linalg.cholesky_banded(upper, lower=False)
+            except np.linalg.LinAlgError as exc:
+                raise SolverStagnationError("matrix is not positive definite") from exc
+        else:
+            self._chol = None
+            self._inv_diag = 1.0 / A.diagonal()
+
+    def _residual(self, f: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """f - A x; in extended precision before rounding when A is banded."""
+        if self._chol is None:
+            return f - self.A @ x
+        diag, upper, lower = self._bands
+        xl = x.astype(np.longdouble)
+        r = f - diag * xl
+        r[:-1] -= upper * xl[1:]
+        r[1:] -= lower * xl[:-1]
+        return r.astype(float)
+
+    def solve(
+        self,
+        f: np.ndarray,
+        tol: float = 1e-12,
+        x0: np.ndarray | None = None,
+        max_iter: int | None = None,
+    ) -> tuple[np.ndarray, SolveStats]:
+        """x with ||f - A x||_2 <= tol ||f||_2, else SolverStagnationError.
+
+        x0 is the starting iterate (refinement starts from it on the banded
+        path); max_iter caps the CG iterations (default 20 m).  If f >= 0
+        nodewise, the result is checked against the discrete comparison
+        principle.  SolveStats.iterations counts banded solves or CG steps.
+        """
+        if tol <= 0:
+            raise ValueError("tol must be positive")
+        f = np.asarray(f, dtype=float)
+        m = f.shape[0]
+        t_start = time.perf_counter()
+        norm_f = float(np.linalg.norm(f))
+        if norm_f == 0.0:
+            return np.zeros(m), SolveStats(0, 0.0, time.perf_counter() - t_start)
+        x = np.zeros(m) if x0 is None else np.array(x0, dtype=float)
+        target = tol * norm_f
+        if self._chol is None:
+            iters = self._cg(f, x, target, 20 * m if max_iter is None else max_iter)
+            r = self._residual(f, x)
+        else:
+            iters = 0
+            r = self._residual(f, x)
+            while np.linalg.norm(r) > target and iters <= MAX_REFINEMENTS:
+                x += scipy.linalg.cho_solve_banded((self._chol, False), r, check_finite=False)
+                iters += 1
+                r = self._residual(f, x)
+
+        rel = float(np.linalg.norm(r)) / norm_f
+        if not rel <= tol:
+            raise SolverStagnationError(
+                f"solve stagnated: residual {rel:.3e} > tol {tol:.3e} after {iters} iterations"
+            )
+        if np.all(f >= 0.0):
+            floor = -tol * float(np.max(np.abs(x), initial=0.0))
+            if float(x.min(initial=0.0)) < floor:
+                raise ComparisonPrincipleViolationError(
+                    f"f >= 0 but min(u) = {x.min():.3e} < {floor:.3e}"
+                )
+        return x, SolveStats(iters, rel, time.perf_counter() - t_start)
+
+    def _cg(self, f: np.ndarray, x: np.ndarray, target: float, max_iter: int) -> int:
+        # Jacobi-preconditioned CG on x in place; the true residual is
+        # recomputed on exit and the solve restarts from the current iterate
+        # if round-off drift in the recurrences left it above the target.
+        A, inv_diag = self.A, self._inv_diag
+        total_iters = 0
+        for _restart in range(4):
+            r = f - A @ x
+            if np.linalg.norm(r) <= target:
+                break
+            z = inv_diag * r
+            p = z.copy()
+            rz = float(r @ z)
+            while total_iters < max_iter:
+                Ap = A @ p
+                pAp = float(p @ Ap)
+                if pAp <= 0.0:
+                    raise SolverStagnationError("matrix is not positive definite")
+                alpha = rz / pAp
+                x += alpha * p
+                r -= alpha * Ap
+                total_iters += 1
+                if np.linalg.norm(r) <= target:
+                    break
+                z = inv_diag * r
+                rz_new = float(r @ z)
+                p = z + (rz_new / rz) * p
+                rz = rz_new
+            else:
+                break
+        return total_iters
+
+
 def solve_spd(
     A: sp.spmatrix,
     f: np.ndarray,
@@ -75,66 +202,8 @@ def solve_spd(
     x0: np.ndarray | None = None,
     max_iter: int | None = None,
 ) -> tuple[np.ndarray, SolveStats]:
-    """Jacobi-preconditioned CG down to ||f - A u||_2 <= tol ||f||_2.
-
-    The true residual is recomputed on exit and the solve restarts from the
-    current iterate if round-off drift in the CG recurrences left it above
-    the target.  If f >= 0 nodewise, the result is checked against the
-    discrete comparison principle.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    f = np.asarray(f, dtype=float)
-    m = f.shape[0]
-    if max_iter is None:
-        max_iter = 20 * m
-    t_start = time.perf_counter()
-    norm_f = float(np.linalg.norm(f))
-    if norm_f == 0.0:
-        return np.zeros(m), SolveStats(0, 0.0, time.perf_counter() - t_start)
-
-    inv_diag = 1.0 / A.diagonal()
-    x = np.zeros(m) if x0 is None else np.array(x0, dtype=float)
-    target = tol * norm_f
-    total_iters = 0
-
-    for _restart in range(4):
-        r = f - A @ x
-        if np.linalg.norm(r) <= target:
-            break
-        z = inv_diag * r
-        p = z.copy()
-        rz = float(r @ z)
-        while total_iters < max_iter:
-            Ap = A @ p
-            pAp = float(p @ Ap)
-            if pAp <= 0.0:
-                raise SolverStagnationError("matrix is not positive definite")
-            alpha = rz / pAp
-            x += alpha * p
-            r -= alpha * Ap
-            total_iters += 1
-            if np.linalg.norm(r) <= target:
-                break
-            z = inv_diag * r
-            rz_new = float(r @ z)
-            p = z + (rz_new / rz) * p
-            rz = rz_new
-        else:
-            break
-
-    rel = float(np.linalg.norm(f - A @ x)) / norm_f
-    if rel > tol:
-        raise SolverStagnationError(
-            f"CG stagnated: residual {rel:.3e} > tol {tol:.3e} after {total_iters} iterations"
-        )
-    if np.all(f >= 0.0):
-        floor = -tol * float(np.max(np.abs(x), initial=0.0))
-        if float(x.min(initial=0.0)) < floor:
-            raise ComparisonPrincipleViolationError(
-                f"f >= 0 but min(u) = {x.min():.3e} < {floor:.3e}"
-            )
-    return x, SolveStats(total_iters, rel, time.perf_counter() - t_start)
+    """One solve of A x = f through a fresh SPDFactor; see SPDFactor.solve."""
+    return SPDFactor(A).solve(f, tol, x0=x0, max_iter=max_iter)
 
 
 def weighted_norm(u: np.ndarray, grid: Grid, gamma: float) -> float:

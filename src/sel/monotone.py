@@ -26,7 +26,7 @@ import scipy.sparse as sp
 
 from .barriers import BarrierPair, resolve_regime, verify_barrier
 from .grid import Grid, assemble_laplacian, power_weight
-from .linear_core import solve_spd, weighted_norm
+from .linear_core import SPDFactor, weighted_norm
 from .problem import ProblemSpec, SolveConfig
 
 __all__ = [
@@ -69,7 +69,7 @@ class SolveReport:
 
 def iterate_step(
     grid: Grid,
-    A_M: sp.spmatrix,
+    A_M: SPDFactor | sp.spmatrix,
     prev: np.ndarray,
     alpha: float,
     beta: float,
@@ -82,13 +82,16 @@ def iterate_step(
     Solved in correction form, A_M delta = rhs - A_M prev with
     u = prev + delta: identical mathematics, but the inner relative
     tolerance then applies to the increment, whose scale shrinks with the
-    iteration, so round-off cannot smear the monotone ordering.
+    iteration, so round-off cannot smear the monotone ordering.  A_M is the
+    shifted operator or, to reuse one factorization across steps, its
+    SPDFactor.
     """
+    factor = A_M if isinstance(A_M, SPDFactor) else SPDFactor(A_M)
     prev = grid.check_field(prev)
     if prev.min() <= 0.0:
         raise ValueError("iterate must be positive nodewise")
     rhs = power_weight(grid, beta) * prev ** (-alpha) + M * power_weight(grid, gamma) * prev
-    delta, _ = solve_spd(A_M, rhs - A_M @ prev, tol=inner_tol)
+    delta, _ = factor.solve(rhs - factor.A @ prev, tol=inner_tol)
     u = prev + delta
     if u.min() <= 0.0:
         raise OrderingViolationError("iterate lost positivity; inner tolerance too loose")
@@ -123,7 +126,7 @@ def solve_monotone(
     alpha, beta = spec.alpha, spec.beta
     A0 = assemble_laplacian(grid)
     b_gamma = power_weight(grid, gamma)
-    A_M = (A0 + sp.diags_array(M * b_gamma)).tocsr() if M > 0 else A0
+    factor = SPDFactor((A0 + sp.diags_array(M * b_gamma)).tocsr() if M > 0 else A0)
     cellvol = grid.cell_volume
 
     lower = pair.sub.copy()
@@ -136,8 +139,8 @@ def solve_monotone(
     iterations = 0
 
     for iterations in range(1, config.max_iter + 1):
-        new_lower = iterate_step(grid, A_M, lower, alpha, beta, M, gamma, config.inner_tol)
-        new_upper = iterate_step(grid, A_M, upper, alpha, beta, M, gamma, config.inner_tol)
+        new_lower = iterate_step(grid, factor, lower, alpha, beta, M, gamma, config.inner_tol)
+        new_upper = iterate_step(grid, factor, upper, alpha, beta, M, gamma, config.inner_tol)
         violation = max(
             float(np.max(pair.sub - new_lower)),
             float(np.max(lower - new_lower)),

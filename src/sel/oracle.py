@@ -1,8 +1,9 @@
 """Independent ground truth: dense Newton solves, manufactured cases, orders.
 
 dense_newton_solve shares no machinery with the monotone path beyond grid
-assembly: it factorizes the full Jacobian directly, so agreement between the
-two is a genuine cross-method check rather than a self-consistency one.
+assembly: it factorizes the full dense Jacobian by Cholesky, never through
+linear_core, so agreement between the two is a genuine cross-method check
+rather than a self-consistency one.
 """
 
 from __future__ import annotations
@@ -17,12 +18,9 @@ from .barriers import build_barrier_pair, resolve_regime
 from .grid import Grid, assemble_laplacian, power_weight
 from .linear_core import ShiftSpec, assemble_shifted, solve_spd
 from .problem import ProblemSpec
+from .regularized import NewtonStagnationError
 
 DENSE_N_CAP = 64
-
-
-class NewtonStagnationError(RuntimeError):
-    pass
 
 
 @dataclass
@@ -60,20 +58,20 @@ def newton_solve(
     beta: float,
     init: np.ndarray,
     tol: float = 1e-12,
-    dense: bool | None = None,
+    dense: bool = False,
 ) -> np.ndarray:
     """Safeguarded Newton on the unregularized system -lap_h u = d^(-beta) u^(-alpha).
 
     Step halving keeps every iterate above 0.1 times the current minimum
     (the u^(-alpha) barrier repels iterates from zero, the floor prevents
-    overshoot past it).  Linear solves are dense LU on small grids, CG
-    otherwise.  Terminates on the d^(beta + t alpha)-weighted defect.
+    overshoot past it).  Each step solves its Jacobian once through a
+    fresh SPDFactor (banded Cholesky on intervals, CG on rectangles), or by
+    dense Cholesky with dense=True, the independent oracle path.  Terminates
+    on the d^(beta + t alpha)-weighted defect.
     """
     init = grid.check_field(init)
     if init.min() <= 0.0:
         raise ValueError("initial field must be positive nodewise")
-    if dense is None:
-        dense = grid.num_interior <= 4096
     t = resolve_regime(alpha, beta).t
     weight = grid.d ** (beta + t * alpha)
     A0 = assemble_laplacian(grid)
@@ -105,7 +103,7 @@ def newton_solve(
 
 
 def dense_newton_solve(spec: ProblemSpec, tol: float = 1e-12) -> np.ndarray:
-    """Tiny-scale oracle: dense-LU Newton from the supersolution barrier.
+    """Tiny-scale oracle: dense-Cholesky Newton from the supersolution barrier.
 
     Restricted to spec.n <= 64 where dense factorization is trivially
     feasible; the monotone solver must agree with this limit.

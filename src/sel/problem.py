@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .grid import DomainShape, Grid, build_grid, interval
@@ -14,7 +15,9 @@ class SolveConfig:
 
     tol is the relative two-sided gap in the weighted L2(Omega, b) norm;
     inner_tol is the relative-residual tolerance of the inner SPD solves
-    and must not exceed tol/10 (default: well below, capped at 1e-12).
+    and must not exceed tol/10 (default tol/100).  Relative residuals below
+    about eps*cond(A) are out of reach of any solver, factored or iterative,
+    so an inner_tol below that floor ends in SolverStagnationError.
     """
 
     tol: float = 1e-8
@@ -22,14 +25,14 @@ class SolveConfig:
     inner_tol: float | None = None
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.inner_tol is None:
-            # relative CG residuals below eps*cond(A) are unattainable, so
-            # the default stays two orders under tol rather than chasing 0
             object.__setattr__(self, "inner_tol", self.tol * 1e-2)
+        if not (math.isfinite(self.inner_tol) and self.inner_tol > 0):
+            raise ValueError(f"inner_tol must be positive and finite, got {self.inner_tol}")
         if self.inner_tol > self.tol / 10.0:
             raise ValueError("inner_tol must be <= tol/10")
 
@@ -50,10 +53,10 @@ class ProblemSpec:
     shift: ShiftSpec | None = None
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
-        if not 0 <= self.beta < 2:
-            raise ValueError("beta must satisfy 0 <= beta < 2")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if not (math.isfinite(self.beta) and 0 <= self.beta < 2):
+            raise ValueError(f"beta must satisfy 0 <= beta < 2, got {self.beta}")
 
     def make_grid(self) -> Grid:
         return build_grid(self.shape, self.n)

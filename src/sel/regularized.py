@@ -22,7 +22,8 @@ from .problem import ProblemSpec
 
 
 class NewtonStagnationError(RuntimeError):
-    """Damped Newton could not make progress (50 step halvings exhausted)."""
+    """A Newton solve (regularized or oracle) stalled: step halvings ran out
+    or the iteration cap was reached."""
 
 
 @dataclass

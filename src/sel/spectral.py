@@ -1,7 +1,8 @@
 """Principal Dirichlet eigenpair and the linearized smallest eigenvalue.
 
-Inverse power iteration with the preconditioned CG of linear_core as inner
-solver.  Only the smallest eigenvalue is ever needed here, the operators are
+Inverse power iteration, every inner solve through one SPDFactor of the
+operator (banded Cholesky on intervals, preconditioned CG on rectangles).
+Only the smallest eigenvalue is ever needed here, the operators are
 SPD M-matrices, and the principal eigenvector is positive (discrete
 Perron-Frobenius), so Lanczos or deflation would be overkill.
 """
@@ -14,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .grid import Grid, assemble_laplacian, power_weight
-from .linear_core import SolverStagnationError, solve_spd
+from .linear_core import SolverStagnationError, SPDFactor
 
 # The 2-norm eigen-residual of a sup-normalized eigenvector bottoms out at
 # the inner solver's round-off floor (eps * cond(A)), not at zero; this is
@@ -45,15 +46,15 @@ def principal_eigenpair(A: sp.spmatrix, tol: float = 1e-10, max_iter: int = 500)
     Convergence is declared on relative eigenvalue increments <= tol, with a
     residual back-check ||A phi - lambda phi||_2 / ||phi||_2 <= tol * lambda.
     """
-    m = A.shape[0]
-    x = np.ones(m)
+    factor = SPDFactor(A)
+    x = np.ones(A.shape[0])
     lam = float(x @ (A @ x)) / float(x @ x)
     # Inner accuracy is not precious: the Rayleigh quotient squares the
     # eigenvector error.  Loosen on round-off stagnation instead of failing.
     inner_tol = max(tol * 1e-2, 1e-11)
     for _ in range(max_iter):
         try:
-            y, _ = solve_spd(A, x, tol=inner_tol, x0=x / lam)
+            y, _ = factor.solve(x, tol=inner_tol, x0=x / lam)
         except SolverStagnationError:
             inner_tol *= 100.0
             if inner_tol > 1e-4:

@@ -6,7 +6,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from sel.cli import main
+from sel import cli
+from sel.cli import NO_CONVERGENCE_ERRORS, main
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "docs" / "report_schema.json").read_text())
 
@@ -90,6 +91,39 @@ def test_invalid_inputs_exit_one(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--alpha", "nan"], ["--alpha", "inf"], ["--alpha", "2", "--tol", "nan"]],
+)
+def test_non_finite_inputs_exit_one(tmp_path, capsys, flags):
+    assert main(["solve", *flags, "--n", "32", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--alpha", "2", "--n", "256", "--tol", "1e-15"],  # inner_tol 1e-17 is unreachable
+        ["--alpha", "10", "--n", "64"],
+        ["--alpha", "2", "--beta", "1.9", "--n", "64"],
+        ["--alpha", "0.5", "--n", "16", "--method", "dense", "--tol", "1e-30"],
+    ],
+)
+def test_solver_failures_exit_two(tmp_path, capsys, flags):
+    assert main(["solve", *flags, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("error", NO_CONVERGENCE_ERRORS, ids=lambda e: e.__name__)
+def test_every_solver_failure_maps_to_exit_two(tmp_path, capsys, monkeypatch, error):
+    def fail(*_args):
+        raise error("injected")
+
+    monkeypatch.setattr(cli, "_solve_single", fail)
+    assert main(["solve", "--alpha", "0.5", "--n", "16", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {error.__name__}: injected\n"
 
 
 def test_non_convergence_exits_two(tmp_path):

@@ -8,6 +8,7 @@ from sel.linear_core import (
     ComparisonPrincipleViolationError,
     ShiftSpec,
     SolverStagnationError,
+    SPDFactor,
     assemble_shifted,
     solve_spd,
     weighted_norm,
@@ -123,9 +124,42 @@ def test_stagnation_below_roundoff_floor():
         solve_spd(a, f, tol=1e-16)
 
 
+def test_reused_factor_matches_fresh_factors(rng):
+    g = build_grid(interval(1.0), 128)
+    a = assemble_shifted(g, ShiftSpec(M=3.0, gamma=2.0))
+    factor = SPDFactor(a)
+    for _ in range(20):
+        f = rng.standard_normal(g.num_interior)
+        reused, _ = factor.solve(f, tol=1e-10)
+        fresh, _ = SPDFactor(a).solve(f, tol=1e-10)
+        np.testing.assert_array_equal(reused, fresh)
+
+
+def test_extended_precision_refinement_reaches_tight_tolerance():
+    # One banded solve leaves a relative residual of a few 1e-12 here; the
+    # refinement against an extended-precision residual closes the rest.
+    g = build_grid(interval(1.0), 512)
+    a = assemble_laplacian(g)
+    f = np.ones(g.num_interior)
+    u, stats = SPDFactor(a).solve(f, tol=1e-13)
+    assert stats.iterations >= 2
+    assert stats.relative_residual <= 1e-13
+    assert np.linalg.norm(f - a @ u) <= 1e-13 * np.linalg.norm(f)
+
+
+def test_rectangle_operator_keeps_cg():
+    g = build_grid(rectangle(1.0, 1.0), 16)
+    a = assemble_shifted(g, ShiftSpec(M=1.0, gamma=2.0))
+    f = np.ones(g.num_interior)
+    u, stats = SPDFactor(a).solve(f, tol=1e-12)
+    assert stats.iterations > 4  # CG steps, not banded solves
+    assert np.linalg.norm(f - a @ u) <= 1e-12 * np.linalg.norm(f)
+
+
 def test_comparison_principle_check_flags_non_m_matrix():
     # SPD but with positive off-diagonal entries: f >= 0 can produce a
     # genuinely negative component, which must be reported as an assembly bug.
+    # The matrix is tridiagonal, so this runs the banded-Cholesky path.
     a = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
     with pytest.raises(ComparisonPrincipleViolationError):
         solve_spd(a, np.array([1.0, 0.0]), tol=1e-14)

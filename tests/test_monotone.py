@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from sel.grid import assemble_laplacian, interval, power_weight
-from sel.linear_core import ShiftSpec, solve_spd
+from sel.linear_core import ShiftSpec, SPDFactor, solve_spd
 from sel.monotone import (
     OrderingViolationError,
     iterate_step,
@@ -104,6 +104,23 @@ def test_residual_properties(lab):
     # an exact discrete fixed point has a round-off-level weighted defect
     grid64, u_exact = lab.newton(2.0, 0.0, 64, tol=1e-12)
     assert residual(grid64, u_exact, 2.0, 0.0) <= 1e-11
+
+
+def test_interval_iteration_count_and_ordering(lab):
+    _, _, report = lab.solved(2.0, 0.5, 1024, tol=1e-8)
+    assert report.converged
+    assert report.iterations == 92
+    assert report.ordering_violation == 0.0
+
+
+def test_step_accepts_factor_or_matrix(lab):
+    grid = lab.grid(128)
+    pair = lab.pair(2.0, 0.0, 128)
+    a = shifted(grid, pair.M, pair.gamma)
+    args = (pair.super, 2.0, 0.0, pair.M, pair.gamma, 1e-12)
+    np.testing.assert_array_equal(
+        iterate_step(grid, SPDFactor(a), *args), iterate_step(grid, a, *args)
+    )
 
 
 def test_too_small_shift_breaks_ordering(lab):
