@@ -9,14 +9,13 @@ gradient blows up with sigma = (1 - alpha - beta)/(1 + alpha) = t - 1.
 """
 
 from sel import (
-    ProblemSpec,
     SolveConfig,
     asymptotic_window,
-    build_barrier_pair,
     fit_boundary_exponent,
     fit_gradient_exponent,
-    resolve_regime,
-    solve_monotone,
+    interval,
+    solve_ladder,
+    theory_exponents,
 )
 
 N = 2048
@@ -25,19 +24,15 @@ CASES = [(0.5, 0.0), (2.0, 0.0), (2.0, 1.0), (2.5, 0.5)]
 print(f"{'alpha':>5} {'beta':>5} | {'t theory':>8} {'t fit':>8} | {'sigma theory':>12} {'sigma fit':>9}")
 print("-" * 60)
 for alpha, beta in CASES:
-    spec = ProblemSpec(alpha=alpha, beta=beta, n=N,
-                       config=SolveConfig(tol=1e-7, max_iter=3000))
-    grid = spec.make_grid()
-    pair = build_barrier_pair(grid, alpha, beta)
-    report = solve_monotone(spec, pair)
-    assert report.converged
+    (level,) = solve_ladder(alpha, beta, interval(), [N], SolveConfig(tol=1e-7, max_iter=3000))
+    assert level.report.converged
 
+    grid = level.grid
     window = asymptotic_window(grid)
-    t_fit, _ = fit_boundary_exponent(grid, report.upper, window)
-    sigma_fit = fit_gradient_exponent(grid, report.upper, window)
+    t_fit, _ = fit_boundary_exponent(grid, level.report.upper, window)
+    sigma_fit = fit_gradient_exponent(grid, level.report.upper, window)
 
-    t_theory = resolve_regime(alpha, beta).t
-    sigma_theory = (1 - alpha - beta) / (1 + alpha) if alpha + beta > 1 else 0.0
+    t_theory, sigma_theory = theory_exponents(alpha, beta)
     print(f"{alpha:5.1f} {beta:5.1f} | {t_theory:8.4f} {t_fit:8.4f} "
           f"| {sigma_theory:12.4f} {sigma_fit:9.4f}")
 

@@ -12,26 +12,23 @@ stops where H^1 does.
 """
 
 from sel import (
-    ProblemSpec,
     SolveConfig,
     asymptotic_window,
     build_barrier_pair,
+    build_grid,
     estimate_critical_q,
     h1_membership,
+    interval,
     newton_solve,
     q_bar_theory,
     sobolev_integral,
-    solve_monotone,
+    solve_ladder,
 )
 
 ALPHA, BETA = 2.0, 0.0
 print(f"--- q_bar for alpha={ALPHA}, beta={BETA}")
-levels = []
-for n in (1024, 2048):
-    spec = ProblemSpec(alpha=ALPHA, beta=BETA, n=n, config=SolveConfig(tol=1e-7, max_iter=2000))
-    grid = spec.make_grid()
-    report = solve_monotone(spec, build_barrier_pair(grid, ALPHA, BETA))
-    levels.append((grid, report.upper))
+ladder = solve_ladder(ALPHA, BETA, interval(), (1024, 2048), SolveConfig(tol=1e-7, max_iter=2000))
+levels = [(level.grid, level.report.upper) for level in ladder]
 
 q_est = estimate_critical_q(levels, asymptotic_window(levels[-1][0]))
 print(f"q_bar estimate = {q_est:.3f}   theory (1+alpha)/(alpha+beta-1) = {q_bar_theory(ALPHA, BETA):.3f}")
@@ -47,16 +44,16 @@ for q in (1.5, 2.0, 2.5, 3.5, 4.0):
 
 print("\n--- H^1 membership across alpha = 3 (beta = 0), levels n = 256..1024")
 for alpha in (2.5, 3.5):
-    ladder = []
-    for n in (256, 512, 1024):
-        spec = ProblemSpec(alpha=alpha, beta=0.0, n=n, config=SolveConfig(tol=1e-7, max_iter=3000))
-        grid = spec.make_grid()
-        pair = build_barrier_pair(grid, alpha, 0.0)
-        if alpha < 3:
-            u = solve_monotone(spec, pair).upper
-        else:
-            u = newton_solve(grid, alpha, 0.0, pair.super, tol=1e-9)
-        ladder.append((grid, u))
+    if alpha < 3:
+        config = SolveConfig(tol=1e-7, max_iter=3000)
+        ladder = [(lv.grid, lv.report.upper)
+                  for lv in solve_ladder(alpha, 0.0, interval(), (256, 512, 1024), config)]
+    else:
+        ladder = []
+        for n in (256, 512, 1024):
+            grid = build_grid(interval(), n)
+            pair = build_barrier_pair(grid, alpha, 0.0)
+            ladder.append((grid, newton_solve(grid, alpha, 0.0, pair.super, tol=1e-9)))
     verdict = h1_membership(ladder)
     ratios = ", ".join(f"{r:.4f}" for r in verdict.ratios)
     print(f"  alpha = {alpha}: Dirichlet-energy ratios [{ratios}] -> {verdict.verdict}")

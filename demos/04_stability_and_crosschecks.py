@@ -13,20 +13,19 @@ import numpy as np
 from sel import (
     ProblemSpec,
     SolveConfig,
-    assemble_laplacian,
     build_barrier_pair,
     dense_newton_solve,
     epsilon_continuation,
+    interval,
     linearized_smallest_eigenvalue,
-    principal_eigenpair,
+    solve_ladder,
     solve_monotone,
 )
 
 ALPHA, BETA = 0.5, 0.0
 
 print(f"--- cross-method agreement at n=32, alpha={ALPHA}")
-spec32 = ProblemSpec(alpha=ALPHA, beta=BETA, n=32,
-                     config=SolveConfig(tol=1e-11, max_iter=2000, inner_tol=1e-13))
+spec32 = ProblemSpec(alpha=ALPHA, beta=BETA, n=32, config=SolveConfig(tol=1e-11, max_iter=2000))
 grid32 = spec32.make_grid()
 pair32 = build_barrier_pair(grid32, ALPHA, BETA)
 u_monotone = solve_monotone(spec32, pair32).upper
@@ -46,13 +45,11 @@ print(f"u_eps <= u at every node and every rung: "
       f"{all(np.all(f <= u_ref + 1e-12) for f in cont.fields)}")
 
 print("\n--- linearized stability across resolutions")
-for n in (64, 128, 256):
-    spec_n = ProblemSpec(alpha=ALPHA, beta=BETA, n=n, config=SolveConfig(tol=1e-9, max_iter=1000))
-    grid_n = spec_n.make_grid()
-    eig = principal_eigenpair(assemble_laplacian(grid_n), tol=1e-12)
-    u = solve_monotone(spec_n, build_barrier_pair(grid_n, ALPHA, BETA, eig)).upper
-    mu = linearized_smallest_eigenvalue(grid_n, u, ALPHA, BETA, tol=1e-10)
-    print(f"  n = {n:4d}: lambda_1 = {eig.value:.6f}   mu_1 = {mu.value:.6f}   "
+config = SolveConfig(tol=1e-9, max_iter=1000)
+for level in solve_ladder(ALPHA, BETA, interval(), (64, 128, 256), config):
+    assert level.report.converged
+    mu = linearized_smallest_eigenvalue(level.grid, level.report.upper, ALPHA, BETA, tol=1e-10)
+    print(f"  n = {level.grid.n:4d}: lambda_1 = {level.eig.value:.6f}   mu_1 = {mu.value:.6f}   "
           f"stable (mu_1 > 0): {mu.value > 0}")
 print(f"(lambda_1 climbs toward pi^2 = {np.pi**2:.6f}; mu_1 >= lambda_1 since the "
       "linearization adds a nonnegative potential)")

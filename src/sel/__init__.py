@@ -2,7 +2,7 @@
 
 Solves -lap(u) = d(x)^(-beta) u^(-alpha) with zero Dirichlet data on
 intervals and rectangles by a certified two-sided monotone iteration,
-cross-checks the result against damped-Newton paths, and extracts the
+cross-checks the result against a globalized Newton path, and extracts the
 boundary exponent, gradient blow-up rate, critical Sobolev threshold, and
 linearized stability of the computed solutions.
 """
@@ -23,9 +23,11 @@ from .analysis import (
     gradient_field,
     h1_membership,
     local_gradient_probe,
+    q_bar_from_sigma,
     q_bar_theory,
     regularity_report,
     sobolev_integral,
+    theory_exponents,
     uniqueness_identity,
 )
 from .barriers import (
@@ -61,27 +63,25 @@ from .linear_core import (
     weighted_norm,
 )
 from .monotone import (
+    LadderLevel,
     OrderingViolationError,
     SolveReport,
     iterate_step,
     residual,
+    solve_ladder,
     solve_monotone,
     uniqueness_gap,
 )
 from .oracle import (
     ManufacturedCase,
+    NewtonStagnationError,
     dense_newton_solve,
     manufactured_linear_case,
     newton_solve,
     observed_order,
 )
 from .problem import ProblemSpec, SolveConfig
-from .regularized import (
-    ContinuationReport,
-    NewtonStagnationError,
-    epsilon_continuation,
-    solve_regularized,
-)
+from .regularized import ContinuationReport, epsilon_continuation, solve_regularized
 from .spectral import (
     EigenPair,
     EigenNonConvergenceError,

@@ -151,6 +151,22 @@ def q_bar_theory(alpha: float, beta: float) -> float:
     return (1.0 + alpha) / (alpha + beta - 1.0)
 
 
+def q_bar_from_sigma(sigma_fit: float) -> float:
+    """Slope-based threshold -1/sigma_fit; +inf when the gradient exponent is
+    too close to 0 (sigma_fit >= -0.01) to predict a threshold."""
+    return -1.0 / sigma_fit if sigma_fit < -0.01 else math.inf
+
+
+def theory_exponents(alpha: float, beta: float) -> tuple[float, float | None]:
+    """(t, sigma) the theory predicts: ((2-beta)/(1+alpha), t-1) above the
+    regime split, (1, 0) below it, and (1, None) on alpha+beta = 1, where no
+    gradient law is known."""
+    s = alpha + beta
+    if s > 1:
+        return (2.0 - beta) / (1.0 + alpha), (1.0 - alpha - beta) / (1.0 + alpha)
+    return 1.0, (0.0 if s < 1 else None)
+
+
 # A q is classified divergent when the finest refinement ratio of its
 # Sobolev integral stays at least this far above 1.  Reliable only for q
 # at least 20% away from the critical threshold, which is why the
@@ -368,21 +384,15 @@ def regularity_report(
         except InconsistentClassificationError:
             # coarse ladders routinely trip the divergence classifier; keep
             # the slope-based estimate and flag it instead of failing
-            q_est = -1.0 / sigma_fit if sigma_fit < -0.01 else math.inf
+            q_est = q_bar_from_sigma(sigma_fit)
             verdicts["q_bar_consistency"] = False
     else:
-        q_est = -1.0 / sigma_fit if sigma_fit < -0.01 else math.inf
+        q_est = q_bar_from_sigma(sigma_fit)
     h1_norms = [math.sqrt(sobolev_integral(g, f, 2.0)) for g, f in levels]
 
-    s = alpha + beta
-    if s > 1:
-        t_theory: float | None = (2.0 - beta) / (1.0 + alpha)
-        sigma_theory: float | None = (1.0 - alpha - beta) / (1.0 + alpha)
+    t_theory, sigma_theory = theory_exponents(alpha, beta)
+    if alpha + beta > 1:
         verdicts["exponent_consistency"] = bool(abs(t_fit - 1.0 - sigma_fit) <= 0.05)
-    elif s < 1:
-        t_theory, sigma_theory = 1.0, 0.0
-    else:
-        t_theory, sigma_theory = 1.0, None
     if len(levels) >= 3:
         h1 = h1_membership(levels)
         verdicts["h1"] = h1.verdict

@@ -37,17 +37,18 @@ from .analysis import (
     fit_boundary_exponent,
     fit_gradient_exponent,
     gradient_field,
+    q_bar_from_sigma,
     q_bar_theory,
     regularity_report,
     sobolev_integral,
+    theory_exponents,
 )
 from .barriers import BarrierConstructionError, HopfViolationError, build_barrier_pair
 from .grid import Grid, assemble_laplacian, interval, rectangle
 from .linear_core import SolverStagnationError
-from .monotone import OrderingViolationError, residual, solve_monotone, uniqueness_gap
-from .oracle import DENSE_N_CAP, dense_newton_solve
+from .monotone import OrderingViolationError, residual, solve_ladder, uniqueness_gap
+from .oracle import DENSE_N_CAP, NewtonStagnationError, dense_newton_solve, newton_solve
 from .problem import ProblemSpec, SolveConfig
-from .regularized import NewtonStagnationError, solve_regularized
 from .spectral import EigenNonConvergenceError, linearized_smallest_eigenvalue, principal_eigenpair
 
 EXIT_OK = 0
@@ -163,34 +164,15 @@ def _spec_echo(args, method: str | None = None) -> dict:
     return echo
 
 
-def _solve_single(spec: ProblemSpec, grid: Grid, method: str, eps: float):
-    """Returns (u, pair, solve_block, converged)."""
-    eig = principal_eigenpair(assemble_laplacian(grid), tol=1e-12)
-    pair = build_barrier_pair(grid, spec.alpha, spec.beta, eig)
-    if method == "monotone":
-        report = solve_monotone(spec, pair)
-        block = {
-            "method": method,
-            "iterations": report.iterations,
-            "gap_history": report.gap_history,
-            "converged": report.converged,
-            "ordering_violation": report.ordering_violation,
-            "uniqueness_gap": uniqueness_gap(report) if report.converged else None,
-        }
-        return report.upper, pair, block, report.converged, eig
-    if method == "regularized":
-        u = solve_regularized(spec, eps, pair.super, tol=spec.config.tol)
-        block = {
-            "method": method,
-            "eps": eps,
-            "iterations": None,
-            "gap_history": [],
-            "converged": True,
-        }
-        return u, pair, block, True, eig
-    u = dense_newton_solve(spec, tol=min(spec.config.tol, 1e-12))
-    block = {"method": method, "iterations": None, "gap_history": [], "converged": True}
-    return u, pair, block, True, eig
+def _ladder(args, ns):
+    """solve_ladder over ns for the common flags; None, after an error line,
+    when a level does not converge."""
+    config = SolveConfig(tol=args.tol, max_iter=args.max_iter)
+    levels = solve_ladder(args.alpha, args.beta, _domain(args.domain), ns, config)
+    if levels and not levels[-1].report.converged:
+        print(f"error: no convergence at n={levels[-1].grid.n}", file=sys.stderr)
+        return None
+    return levels
 
 
 def cmd_solve(args) -> int:
@@ -205,18 +187,42 @@ def cmd_solve(args) -> int:
     if args.method == "dense" and args.n > DENSE_N_CAP:
         print(f"error: --method dense requires --n <= {DENSE_N_CAP}", file=sys.stderr)
         return EXIT_INVALID
+    if args.method == "regularized" and not (math.isfinite(args.eps) and args.eps > 0):
+        print(f"error: --eps must be positive and finite, got {args.eps}", file=sys.stderr)
+        return EXIT_INVALID
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    spec = ProblemSpec(
-        alpha=args.alpha,
-        beta=args.beta,
-        shape=_domain(args.domain),
-        n=args.n,
-        config=SolveConfig(tol=args.tol, max_iter=args.max_iter),
-    )
-    grid = spec.make_grid()
-    u, pair, solve_block, converged, eig = _solve_single(spec, grid, args.method, args.eps)
+    config = SolveConfig(tol=args.tol, max_iter=args.max_iter)
+    if args.method == "monotone":
+        (level,) = solve_ladder(args.alpha, args.beta, _domain(args.domain), [args.n], config)
+        grid, eig, pair, rep = level.grid, level.eig, level.pair, level.report
+        u, converged = rep.upper, rep.converged
+        solve_block = {
+            "method": args.method,
+            "iterations": rep.iterations,
+            "gap_history": rep.gap_history,
+            "converged": converged,
+            "ordering_violation": rep.ordering_violation,
+            "uniqueness_gap": uniqueness_gap(rep) if converged else None,
+        }
+    else:
+        spec = ProblemSpec(args.alpha, args.beta, _domain(args.domain), args.n, config)
+        grid = spec.make_grid()
+        eig = principal_eigenpair(assemble_laplacian(grid), tol=1e-12)
+        pair = build_barrier_pair(grid, args.alpha, args.beta, eig)
+        converged = True
+        solve_block = {
+            "method": args.method,
+            "iterations": None,
+            "gap_history": [],
+            "converged": True,
+        }
+        if args.method == "regularized":
+            u = newton_solve(grid, args.alpha, args.beta, pair.super, tol=args.tol, eps=args.eps)
+            solve_block["eps"] = args.eps
+        else:
+            u = dense_newton_solve(spec, tol=min(args.tol, 1e-12))
     mu = linearized_smallest_eigenvalue(grid, u, args.alpha, args.beta, tol=1e-10)
     t_fit, sigma_fit = _fit_exponents_best_effort(grid, u)
     report = {
@@ -236,11 +242,7 @@ def cmd_solve(args) -> int:
         "regularity": {
             "t_fit": t_fit,
             "sigma_fit": sigma_fit,
-            "q_bar_est": (
-                None
-                if sigma_fit is None
-                else (-1.0 / sigma_fit) if sigma_fit < -0.01 else math.inf
-            ),
+            "q_bar_est": None if sigma_fit is None else q_bar_from_sigma(sigma_fit),
             "q_bar_theory": q_bar_theory(args.alpha, args.beta),
             "h1_verdict": "needs >= 3 levels",
         },
@@ -281,28 +283,14 @@ def _sweep_cell(cell) -> dict:
         return row
     # theory columns never need a solve
     row["q_bar_theory"] = q_bar_theory(alpha, beta)
-    if alpha + beta > 1:
-        row["t_theory"] = (2.0 - beta) / (1.0 + alpha)
-        row["sigma_theory"] = (1.0 - alpha - beta) / (1.0 + alpha)
-    else:
-        row["t_theory"], row["sigma_theory"] = 1.0, 0.0
+    row["t_theory"], row["sigma_theory"] = theory_exponents(alpha, beta)
     try:
-        levels = []
-        for level_n in (n // 4, n // 2, n):
-            spec = ProblemSpec(
-                alpha=alpha,
-                beta=beta,
-                shape=_domain(domain),
-                n=level_n,
-                config=SolveConfig(tol=tol, max_iter=5000),
-            )
-            grid = spec.make_grid()
-            pair = build_barrier_pair(grid, alpha, beta)
-            rep = solve_monotone(spec, pair)
-            if not rep.converged:
-                row["h1_verdict"] = f"skipped: no convergence at n={level_n}"
-                return row
-            levels.append((grid, rep.upper))
+        config = SolveConfig(tol=tol, max_iter=5000)
+        ladder = solve_ladder(alpha, beta, _domain(domain), (n // 4, n // 2, n), config)
+        if not ladder[-1].report.converged:
+            row["h1_verdict"] = f"skipped: no convergence at n={ladder[-1].grid.n}"
+            return row
+        levels = [(level.grid, level.report.upper) for level in ladder]
         reg = regularity_report(levels, alpha, beta)
         row.update(
             t_fit=reg.t_fit,
@@ -364,25 +352,15 @@ def cmd_spectrum(args) -> int:
     if not ok:
         print("error: alpha+beta=1 is the excluded borderline regime", file=sys.stderr)
         return EXIT_INVALID
-    levels = [int(v) for v in args.levels.split(",") if v]
+    levels = _ladder(args, [int(v) for v in args.levels.split(",") if v])
+    if levels is None:
+        return EXIT_NO_CONVERGENCE
     rows = []
-    for n in levels:
-        spec = ProblemSpec(
-            alpha=args.alpha,
-            beta=args.beta,
-            shape=_domain(args.domain),
-            n=n,
-            config=SolveConfig(tol=args.tol, max_iter=args.max_iter),
+    for level in levels:
+        mu = linearized_smallest_eigenvalue(
+            level.grid, level.report.upper, args.alpha, args.beta, tol=1e-10
         )
-        grid = spec.make_grid()
-        eig = principal_eigenpair(assemble_laplacian(grid), tol=1e-12)
-        pair = build_barrier_pair(grid, args.alpha, args.beta, eig)
-        rep = solve_monotone(spec, pair)
-        if not rep.converged:
-            print(f"error: no convergence at n={n}", file=sys.stderr)
-            return EXIT_NO_CONVERGENCE
-        mu = linearized_smallest_eigenvalue(grid, rep.upper, args.alpha, args.beta, tol=1e-10)
-        rows.append({"n": n, "lambda1": eig.value, "mu1": mu.value})
+        rows.append({"n": level.grid.n, "lambda1": level.eig.value, "mu1": mu.value})
     payload = {
         "spec": _spec_echo(args),
         "warnings": warn,
@@ -408,22 +386,10 @@ def cmd_regularity(args) -> int:
         return EXIT_INVALID
     q_grid = [float(q) for q in args.q_grid.split(",") if q] if args.q_grid else None
 
-    levels = []
-    for n in level_ns:
-        spec = ProblemSpec(
-            alpha=args.alpha,
-            beta=args.beta,
-            shape=_domain(args.domain),
-            n=n,
-            config=SolveConfig(tol=args.tol, max_iter=args.max_iter),
-        )
-        grid = spec.make_grid()
-        pair = build_barrier_pair(grid, args.alpha, args.beta)
-        rep = solve_monotone(spec, pair)
-        if not rep.converged:
-            print(f"error: no convergence at n={n}", file=sys.stderr)
-            return EXIT_NO_CONVERGENCE
-        levels.append((grid, rep.upper))
+    ladder = _ladder(args, level_ns)
+    if ladder is None:
+        return EXIT_NO_CONVERGENCE
+    levels = [(level.grid, level.report.upper) for level in ladder]
 
     reg = regularity_report(levels, args.alpha, args.beta, q_grid=q_grid)
     out_dir = Path(args.out)
@@ -435,9 +401,9 @@ def cmd_regularity(args) -> int:
     with open(out_dir / "sobolev.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "q", "integral"])
-        for n, (grid, u) in zip(level_ns, levels):
+        for grid, u in levels:
             for q in qs:
-                writer.writerow([n, _fmt(float(q)), _fmt(sobolev_integral(grid, u, q))])
+                writer.writerow([grid.n, _fmt(float(q)), _fmt(sobolev_integral(grid, u, q))])
     _write_manifest(out_dir, payload["spec"], ["regularity.json", "sobolev.csv"])
     return EXIT_OK
 

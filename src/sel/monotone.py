@@ -24,22 +24,30 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .barriers import BarrierPair, resolve_regime, verify_barrier
-from .grid import Grid, assemble_laplacian, power_weight
+from .barriers import BarrierPair, build_barrier_pair, resolve_regime, verify_barrier
+from .grid import DomainShape, Grid, assemble_laplacian, power_weight
 from .linear_core import SPDFactor, weighted_norm
 from .problem import ProblemSpec, SolveConfig
+from .spectral import EigenPair, principal_eigenpair
 
 __all__ = [
     "SolveConfig",
     "SolveReport",
+    "LadderLevel",
     "OrderingViolationError",
     "iterate_step",
     "solve_monotone",
+    "solve_ladder",
     "residual",
     "uniqueness_gap",
 ]
 
 CHAIN_TOL = 1e-12  # ordering slack, relative to ||super||_inf
+# Relative residual of each inner solve, applied to the increment (correction
+# form).  It is fixed rather than tied to the outer tol, which measures only
+# the two-sided gap: a smaller inner tolerance buys nothing once a solve is
+# exact to rounding, and below the round-off floor it cannot be met.
+INNER_TOL = 1e-10
 
 
 class OrderingViolationError(RuntimeError):
@@ -75,23 +83,22 @@ def iterate_step(
     beta: float,
     M: float,
     gamma: float,
-    inner_tol: float,
 ) -> np.ndarray:
     """One shifted linear solve of the scheme.
 
     Solved in correction form, A_M delta = rhs - A_M prev with
     u = prev + delta: identical mathematics, but the inner relative
-    tolerance then applies to the increment, whose scale shrinks with the
-    iteration, so round-off cannot smear the monotone ordering.  A_M is the
-    shifted operator or, to reuse one factorization across steps, its
-    SPDFactor.
+    tolerance INNER_TOL then applies to the increment, whose scale shrinks
+    with the iteration, so round-off cannot smear the monotone ordering.
+    A_M is the shifted operator or, to reuse one factorization across
+    steps, its SPDFactor.
     """
     factor = A_M if isinstance(A_M, SPDFactor) else SPDFactor(A_M)
     prev = grid.check_field(prev)
     if prev.min() <= 0.0:
         raise ValueError("iterate must be positive nodewise")
     rhs = power_weight(grid, beta) * prev ** (-alpha) + M * power_weight(grid, gamma) * prev
-    delta, _ = factor.solve(rhs - factor.A @ prev, tol=inner_tol)
+    delta, _ = factor.solve(rhs - factor.A @ prev, tol=INNER_TOL)
     u = prev + delta
     if u.min() <= 0.0:
         raise OrderingViolationError("iterate lost positivity; inner tolerance too loose")
@@ -139,8 +146,8 @@ def solve_monotone(
     iterations = 0
 
     for iterations in range(1, config.max_iter + 1):
-        new_lower = iterate_step(grid, factor, lower, alpha, beta, M, gamma, config.inner_tol)
-        new_upper = iterate_step(grid, factor, upper, alpha, beta, M, gamma, config.inner_tol)
+        new_lower = iterate_step(grid, factor, lower, alpha, beta, M, gamma)
+        new_upper = iterate_step(grid, factor, upper, alpha, beta, M, gamma)
         violation = max(
             float(np.max(pair.sub - new_lower)),
             float(np.max(lower - new_lower)),
@@ -173,6 +180,39 @@ def solve_monotone(
         h1_history=h1_history,
         warnings=pair.warnings,
     )
+
+
+@dataclass
+class LadderLevel:
+    """One refinement level of solve_ladder: its grid, principal eigenpair,
+    certified barrier pair and monotone solve."""
+
+    grid: Grid
+    eig: EigenPair
+    pair: BarrierPair
+    report: SolveReport
+
+
+def solve_ladder(
+    alpha: float, beta: float, shape: DomainShape, ns, config: SolveConfig
+) -> list[LadderLevel]:
+    """Monotone solves over the refinement levels ns, coarse to fine.
+
+    Each level builds its grid, the principal eigenpair of -lap_h, the
+    barrier pair from it, and runs solve_monotone.  The ladder stops at the
+    first level that does not converge; that level is the last entry, so
+    callers check levels[-1].report.converged.
+    """
+    levels: list[LadderLevel] = []
+    for n in ns:
+        spec = ProblemSpec(alpha=alpha, beta=beta, shape=shape, n=n, config=config)
+        grid = spec.make_grid()
+        eig = principal_eigenpair(assemble_laplacian(grid), tol=1e-12)
+        pair = build_barrier_pair(grid, alpha, beta, eig)
+        levels.append(LadderLevel(grid, eig, pair, solve_monotone(spec, pair)))
+        if not levels[-1].report.converged:
+            break
+    return levels
 
 
 def residual(grid: Grid, u: np.ndarray, alpha: float, beta: float) -> float:

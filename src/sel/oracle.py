@@ -1,13 +1,16 @@
-"""Independent ground truth: dense Newton solves, manufactured cases, orders.
+"""Independent ground truth: the Newton path, manufactured cases, orders.
 
-dense_newton_solve shares no machinery with the monotone path beyond grid
-assembly: it factorizes the full dense Jacobian by Cholesky, never through
-linear_core, so agreement between the two is a genuine cross-method check
-rather than a self-consistency one.
+newton_solve is the laboratory's one Newton, for the singular problem and,
+with eps > 0, for its regularization.  dense_newton_solve shares no
+machinery with the monotone path beyond grid assembly: it factorizes the
+full dense Jacobian by Cholesky, never through linear_core, so agreement
+between the two is a genuine cross-method check rather than a
+self-consistency one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +21,13 @@ from .barriers import build_barrier_pair, resolve_regime
 from .grid import Grid, assemble_laplacian, power_weight
 from .linear_core import ShiftSpec, assemble_shifted, solve_spd
 from .problem import ProblemSpec
-from .regularized import NewtonStagnationError
 
 DENSE_N_CAP = 64
+
+
+class NewtonStagnationError(RuntimeError):
+    """A Newton solve stalled: step halvings ran out or the iteration cap
+    was reached."""
 
 
 @dataclass
@@ -59,47 +66,61 @@ def newton_solve(
     init: np.ndarray,
     tol: float = 1e-12,
     dense: bool = False,
+    eps: float = 0.0,
 ) -> np.ndarray:
-    """Safeguarded Newton on the unregularized system -lap_h u = d^(-beta) u^(-alpha).
+    """Globalized Newton for -lap_h u = d^(-beta) (u+eps)^(-alpha), eps >= 0.
 
-    Step halving keeps every iterate above 0.1 times the current minimum
-    (the u^(-alpha) barrier repels iterates from zero, the floor prevents
-    overshoot past it).  Each step solves its Jacobian once through a
-    fresh SPDFactor (banded Cholesky on intervals, CG on rectangles), or by
-    dense Cholesky with dense=True, the independent oracle path.  Terminates
-    on the d^(beta + t alpha)-weighted defect.
+    eps = 0 is the singular problem itself, eps > 0 its regularization
+    along the continuation path.  Each step is halved until u+eps stays
+    above 0.1 times its current minimum (the floor keeps iterates off the
+    singularity) and the d^(beta + t alpha)-weighted sup defect decreases or
+    meets tol; that weighted defect is also the stopping test.  Each step
+    solves its Jacobian once through a fresh SPDFactor (banded Cholesky on
+    intervals, CG on rectangles), or by dense Cholesky with dense=True, the
+    independent oracle path.  Raises NewtonStagnationError when the
+    halvings or the 200-step cap run out.
     """
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise ValueError(f"eps must be finite and >= 0, got {eps}")
     init = grid.check_field(init)
-    if init.min() <= 0.0:
-        raise ValueError("initial field must be positive nodewise")
-    t = resolve_regime(alpha, beta).t
-    weight = grid.d ** (beta + t * alpha)
+    if (init + eps).min() <= 0.0:
+        raise ValueError("initial field must satisfy init + eps > 0 nodewise")
+    weight = grid.d ** (beta + resolve_regime(alpha, beta).t * alpha)
     A0 = assemble_laplacian(grid)
     A0_dense = A0.toarray() if dense else None
     w_beta = power_weight(grid, beta)
 
+    def defect_norm(u):
+        defect = A0 @ u - w_beta * (u + eps) ** (-alpha)
+        return defect, float(np.max(np.abs(defect * weight)))
+
     u = init.copy()
+    defect, res = defect_norm(u)
     for _ in range(200):
-        defect = A0 @ u - w_beta * u ** (-alpha)
-        if float(np.max(np.abs(defect * weight))) <= tol:
+        if res <= tol:
             return u
-        jac_diag = alpha * w_beta * u ** (-(1.0 + alpha))
+        jac_diag = alpha * w_beta * (u + eps) ** (-(1.0 + alpha))
         if dense:
             jac = A0_dense + np.diag(jac_diag)
             delta = scipy.linalg.solve(jac, -defect, assume_a="pos")
         else:
             jac = (A0 + sp.diags_array(jac_diag)).tocsr()
             delta, _ = solve_spd(jac, -defect, tol=1e-10)
-        floor = 0.1 * float(u.min())
+        floor = 0.1 * float((u + eps).min())
         step = 1.0
         for _halving in range(50):
-            if float((u + step * delta).min()) >= floor:
-                break
+            candidate = u + step * delta
+            if float((candidate + eps).min()) >= floor:
+                new_defect, new_res = defect_norm(candidate)
+                if new_res < res or new_res <= tol:
+                    u, defect, res = candidate, new_defect, new_res
+                    break
             step *= 0.5
         else:
-            raise NewtonStagnationError("positivity floor unreachable after 50 halvings")
-        u = u + step * delta
-    raise NewtonStagnationError("Newton did not converge in 200 iterations")
+            raise NewtonStagnationError(
+                f"no admissible step after 50 halvings at weighted defect {res:.3e}"
+            )
+    raise NewtonStagnationError(f"Newton did not reach tol={tol:.1e}, stuck at {res:.3e}")
 
 
 def dense_newton_solve(spec: ProblemSpec, tol: float = 1e-12) -> np.ndarray:

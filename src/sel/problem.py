@@ -14,27 +14,17 @@ class SolveConfig:
     """Stopping control for the two-sided monotone iteration.
 
     tol is the relative two-sided gap in the weighted L2(Omega, b) norm;
-    inner_tol is the relative-residual tolerance of the inner SPD solves
-    and must not exceed tol/10 (default tol/100).  Relative residuals below
-    about eps*cond(A) are out of reach of any solver, factored or iterative,
-    so an inner_tol below that floor ends in SolverStagnationError.
+    max_iter caps the outer iterations.
     """
 
     tol: float = 1e-8
     max_iter: int = 500
-    inner_tol: float | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.inner_tol is None:
-            object.__setattr__(self, "inner_tol", self.tol * 1e-2)
-        if not (math.isfinite(self.inner_tol) and self.inner_tol > 0):
-            raise ValueError(f"inner_tol must be positive and finite, got {self.inner_tol}")
-        if self.inner_tol > self.tol / 10.0:
-            raise ValueError("inner_tol must be <= tol/10")
 
 
 @dataclass(frozen=True)

@@ -1,29 +1,24 @@
-"""Independent cross-check path: damped Newton on the regularized problem.
+"""Independent cross-check path: Newton continuation in the regularization.
 
 Replacing u^(-alpha) by (u+eps)^(-alpha) removes the singularity, so plain
 Newton applies; driving eps -> 0 along a geometric ladder with warm starts
 recovers the singular solution from a completely different direction than
 the monotone iteration.  Agreement of the two paths is the strongest
-end-to-end check the laboratory has.
+end-to-end check the laboratory has.  Each rung is one oracle.newton_solve
+with eps > 0.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .barriers import build_barrier_pair, resolve_regime
-from .grid import Grid, assemble_laplacian, power_weight
-from .linear_core import solve_spd
+from .barriers import build_barrier_pair
+from .oracle import newton_solve
 from .problem import ProblemSpec
-
-
-class NewtonStagnationError(RuntimeError):
-    """A Newton solve (regularized or oracle) stalled: step halvings ran out
-    or the iteration cap was reached."""
 
 
 @dataclass
@@ -41,52 +36,14 @@ class ContinuationReport:
     deltas_monotone: bool
 
 
-def _weighted_defect_norm(grid: Grid, defect: np.ndarray, alpha: float, beta: float) -> float:
-    t = resolve_regime(alpha, beta).t
-    return float(np.max(np.abs(defect * grid.d ** (beta + t * alpha))))
-
-
 def solve_regularized(
     spec: ProblemSpec, eps: float, init: np.ndarray, tol: float = 1e-10
 ) -> np.ndarray:
-    """Damped Newton for -lap_h u = d^(-beta) (u+eps)^(-alpha).
-
-    Steps are halved until u + eps stays positive and the weighted defect
-    norm decreases; termination on weighted defect <= tol.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    grid = spec.make_grid()
-    init = grid.check_field(init)
-    if init.min() < 0:
-        raise ValueError("initial field must be nonnegative")
-    alpha, beta = spec.alpha, spec.beta
-    A0 = assemble_laplacian(grid)
-    w_beta = power_weight(grid, beta)
-
-    u = init.copy()
-    defect = A0 @ u - w_beta * (u + eps) ** (-alpha)
-    res = _weighted_defect_norm(grid, defect, alpha, beta)
-    for _ in range(200):
-        if res <= tol:
-            return u
-        J = (A0 + sp.diags_array(alpha * w_beta * (u + eps) ** (-(1.0 + alpha)))).tocsr()
-        delta, _ = solve_spd(J, -defect, tol=1e-10)
-        step = 1.0
-        for _halving in range(50):
-            candidate = u + step * delta
-            if candidate.min() + eps > 0.0:
-                new_defect = A0 @ candidate - w_beta * (candidate + eps) ** (-alpha)
-                new_res = _weighted_defect_norm(grid, new_defect, alpha, beta)
-                if new_res < res or new_res <= tol:
-                    u, defect, res = candidate, new_defect, new_res
-                    break
-            step *= 0.5
-        else:
-            raise NewtonStagnationError(
-                f"no descent after 50 halvings at weighted residual {res:.3e}"
-            )
-    raise NewtonStagnationError(f"Newton did not reach tol={tol:.1e}, stuck at {res:.3e}")
+    """One rung: newton_solve for -lap_h u = d^(-beta) (u+eps)^(-alpha) on
+    spec's grid, with eps required positive and finite."""
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+    return newton_solve(spec.make_grid(), spec.alpha, spec.beta, init, tol=tol, eps=eps)
 
 
 def epsilon_continuation(

@@ -37,7 +37,7 @@ class Lab:
         grid = self.grid(n)
         return build_barrier_pair(grid, alpha, beta, self.eig(n))
 
-    def solved(self, alpha, beta, n, tol=1e-8, max_iter=2000, inner_tol=None):
+    def solved(self, alpha, beta, n, tol=1e-8, max_iter=2000):
         """(grid, pair, report) for a converged monotone run."""
         key = (alpha, beta, n, tol)
         if key not in self._solves:
@@ -46,7 +46,7 @@ class Lab:
                 beta=beta,
                 shape=interval(1.0),
                 n=n,
-                config=SolveConfig(tol=tol, max_iter=max_iter, inner_tol=inner_tol),
+                config=SolveConfig(tol=tol, max_iter=max_iter),
             )
             grid = self.grid(n)
             pair = self.pair(alpha, beta, n)

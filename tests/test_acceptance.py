@@ -68,7 +68,7 @@ def test_criterion_3_uniqueness(lab, alpha):
 
 @pytest.mark.parametrize("alpha,beta", [(0.5, 0.0), (0.5, 0.5), (2.0, 0.0), (2.0, 0.5)])
 def test_criterion_4_oracle_equivalence(lab, alpha, beta):
-    _, _, report = lab.solved(alpha, beta, 32, tol=1e-11, inner_tol=1e-13)
+    _, _, report = lab.solved(alpha, beta, 32, tol=1e-11)
     oracle = dense_newton_solve(ProblemSpec(alpha=alpha, beta=beta, n=32))
     rel = np.max(np.abs(report.upper - oracle)) / np.max(np.abs(oracle))
     assert rel <= 1e-8

@@ -105,10 +105,10 @@ def test_non_finite_inputs_exit_one(tmp_path, capsys, flags):
 @pytest.mark.parametrize(
     "flags",
     [
-        ["--alpha", "2", "--n", "256", "--tol", "1e-15"],  # inner_tol 1e-17 is unreachable
         ["--alpha", "10", "--n", "64"],
         ["--alpha", "2", "--beta", "1.9", "--n", "64"],
         ["--alpha", "0.5", "--n", "16", "--method", "dense", "--tol", "1e-30"],
+        ["--alpha", "0.5", "--n", "16", "--method", "regularized", "--tol", "1e-30"],
     ],
 )
 def test_solver_failures_exit_two(tmp_path, capsys, flags):
@@ -116,12 +116,35 @@ def test_solver_failures_exit_two(tmp_path, capsys, flags):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--alpha", "2", "--n", "256", "--tol", "1e-15"],
+        ["--alpha", "0.5", "--n", "4096", "--tol", "1e-9"],
+    ],
+)
+def test_tight_outer_tolerance_certifies(tmp_path, flags):
+    # the inner solves run at a fixed tolerance, so a tight outer tol is
+    # not turned into an unreachable inner residual
+    assert main(["solve", *flags, "--out", str(tmp_path)]) == 0
+    solve = read_report(tmp_path)["solve"]
+    assert solve["converged"]
+    assert solve["gap_history"][-1] <= float(flags[-1])
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "0", "-1"])
+def test_regularized_rejects_bad_eps(tmp_path, capsys, eps):
+    argv = ["solve", "--alpha", "0.5", "--n", "16", "--method", "regularized", "--eps", eps]
+    assert main([*argv, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: --eps")
+
+
 @pytest.mark.parametrize("error", NO_CONVERGENCE_ERRORS, ids=lambda e: e.__name__)
 def test_every_solver_failure_maps_to_exit_two(tmp_path, capsys, monkeypatch, error):
     def fail(*_args):
         raise error("injected")
 
-    monkeypatch.setattr(cli, "_solve_single", fail)
+    monkeypatch.setattr(cli, "solve_ladder", fail)
     assert main(["solve", "--alpha", "0.5", "--n", "16", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"error: {error.__name__}: injected\n"
 

@@ -8,6 +8,7 @@ from sel.monotone import (
     OrderingViolationError,
     iterate_step,
     residual,
+    solve_ladder,
     solve_monotone,
     uniqueness_gap,
 )
@@ -34,7 +35,7 @@ def test_alpha_zero_converges_in_one_iteration(lab):
 def test_step_fixes_the_fixed_point(lab):
     grid, pair, report = lab.solved(0.5, 0.0, 128, tol=1e-10)
     a = shifted(grid, pair.M, pair.gamma)
-    out = iterate_step(grid, a, report.upper, 0.5, 0.0, pair.M, pair.gamma, 1e-12)
+    out = iterate_step(grid, a, report.upper, 0.5, 0.0, pair.M, pair.gamma)
     np.testing.assert_allclose(out, report.upper, atol=1e-9 * report.upper.max())
 
 
@@ -42,7 +43,7 @@ def test_single_step_descends_from_supersolution(lab):
     grid = lab.grid(128)
     pair = lab.pair(0.5, 0.0, 128)
     a = shifted(grid, pair.M, pair.gamma)
-    out = iterate_step(grid, a, pair.super, 0.5, 0.0, pair.M, pair.gamma, 1e-12)
+    out = iterate_step(grid, a, pair.super, 0.5, 0.0, pair.M, pair.gamma)
     assert np.all(out <= pair.super)
     assert np.all(out > 0)
 
@@ -54,7 +55,7 @@ def test_step_rejects_nonpositive_iterate(lab):
     bad = pair.sub.copy()
     bad[3] = 0.0
     with pytest.raises(ValueError):
-        iterate_step(grid, a, bad, 0.5, 0.0, pair.M, pair.gamma, 1e-10)
+        iterate_step(grid, a, bad, 0.5, 0.0, pair.M, pair.gamma)
 
 
 def test_chain_and_gap_history(lab):
@@ -117,7 +118,7 @@ def test_step_accepts_factor_or_matrix(lab):
     grid = lab.grid(128)
     pair = lab.pair(2.0, 0.0, 128)
     a = shifted(grid, pair.M, pair.gamma)
-    args = (pair.super, 2.0, 0.0, pair.M, pair.gamma, 1e-12)
+    args = (pair.super, 2.0, 0.0, pair.M, pair.gamma)
     np.testing.assert_array_equal(
         iterate_step(grid, SPDFactor(a), *args), iterate_step(grid, a, *args)
     )
@@ -151,3 +152,18 @@ def test_borderline_solves_through_t1_path(lab):
     assert report.converged
     assert report.warnings
     assert uniqueness_gap(report) <= 1e-7
+
+
+def test_ladder_stops_at_first_unconverged_level(lab):
+    # at tol 1e-8, alpha=2 takes 49 / 57 / 64 iterations at n = 16 / 32 / 64
+    config = SolveConfig(tol=1e-8, max_iter=50)
+    levels = solve_ladder(2.0, 0.0, interval(1.0), (16, 32, 64), config)
+    assert [level.grid.n for level in levels] == [16, 32]
+    assert levels[0].report.converged
+    assert not levels[1].report.converged
+    assert levels[1].report.iterations == 50
+    # each level is the grid -> eigenpair -> barriers -> monotone pipeline
+    _, pair, report = lab.solved(2.0, 0.0, 16)
+    assert levels[0].eig.value == lab.eig(16).value
+    np.testing.assert_array_equal(levels[0].pair.super, pair.super)
+    np.testing.assert_array_equal(levels[0].report.upper, report.upper)

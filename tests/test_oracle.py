@@ -53,13 +53,13 @@ def test_newton_requires_positive_init(lab):
 
 
 def test_oracle_equivalence_small(lab):
-    _, _, report = lab.solved(2.0, 0.0, 32, tol=1e-11, inner_tol=1e-13)
+    _, _, report = lab.solved(2.0, 0.0, 32, tol=1e-11)
     u = dense_newton_solve(ProblemSpec(alpha=2.0, beta=0.0, n=32))
     assert np.max(np.abs(u - report.upper)) <= 1e-8 * np.max(np.abs(u))
 
 
 def test_newton_jacobian_smallest_eigenvalue_matches_mu1(lab):
-    grid, _, report = lab.solved(0.5, 0.0, 32, tol=1e-11, inner_tol=1e-13)
+    grid, _, report = lab.solved(0.5, 0.0, 32, tol=1e-11)
     jac = assemble_laplacian(grid).toarray() + np.diag(
         0.5 * power_weight(grid, 0.0) * report.upper ** (-1.5)
     )

@@ -3,48 +3,55 @@ import pytest
 
 from sel.grid import assemble_laplacian, power_weight
 from sel.linear_core import solve_spd
-from sel.problem import ProblemSpec, SolveConfig
-from sel.regularized import (
-    NewtonStagnationError,
-    epsilon_continuation,
-    solve_regularized,
-)
+from sel.oracle import NewtonStagnationError, newton_solve
+from sel.problem import ProblemSpec
+from sel.regularized import epsilon_continuation, solve_regularized
 
 
 def test_alpha_zero_is_exact_linear_solve(lab):
     grid = lab.grid(64)
-    spec = ProblemSpec(alpha=0.0, beta=0.5, n=64)
     for eps in (1.0, 1e-4):
-        u = solve_regularized(spec, eps, np.zeros(grid.num_interior), tol=1e-11)
+        u = newton_solve(grid, 0.0, 0.5, np.zeros(grid.num_interior), tol=1e-11, eps=eps)
         u_lin, _ = solve_spd(assemble_laplacian(grid), power_weight(grid, 0.5), tol=1e-12)
         np.testing.assert_allclose(u, u_lin, atol=1e-9)
 
 
 def test_huge_eps_reduces_to_scaled_linear_problem(lab):
     grid = lab.grid(64)
-    spec = ProblemSpec(alpha=1.0, beta=0.0, n=64)
     eps = 1e3
-    u = solve_regularized(spec, eps, np.zeros(grid.num_interior), tol=1e-12)
+    u = newton_solve(grid, 1.0, 0.0, np.zeros(grid.num_interior), tol=1e-12, eps=eps)
     u_lin, _ = solve_spd(assemble_laplacian(grid), np.ones(grid.num_interior) / eps, tol=1e-13)
     np.testing.assert_allclose(u, u_lin, rtol=1e-5)
 
 
 def test_agrees_with_monotone_path_at_small_eps(lab):
     grid, pair, report = lab.solved(0.5, 0.0, 256)
-    spec = ProblemSpec(alpha=0.5, beta=0.0, n=256)
-    u_eps = solve_regularized(spec, 1e-3, pair.super, tol=1e-10)
+    u_eps = newton_solve(grid, 0.5, 0.0, pair.super, tol=1e-10, eps=1e-3)
     scale = report.upper.max()
     assert np.max(np.abs(u_eps - report.upper)) <= 2e-3 * scale
     assert np.max(u_eps - report.upper) <= 1e-10 * scale
 
 
+@pytest.mark.parametrize("eps", [-1e-3, np.nan, np.inf])
+def test_eps_must_be_finite_and_nonnegative(lab, eps):
+    grid = lab.grid(32)
+    with pytest.raises(ValueError):
+        newton_solve(grid, 0.5, 0.0, lab.pair(0.5, 0.0, 32).super, eps=eps)
+
+
 def test_input_validation(lab):
     grid = lab.grid(32)
     spec = ProblemSpec(alpha=0.5, beta=0.0, n=32)
+    # init + eps must be positive nodewise
     with pytest.raises(ValueError):
-        solve_regularized(spec, 0.0, np.zeros(grid.num_interior))
+        newton_solve(grid, 0.5, 0.0, np.zeros(grid.num_interior), eps=0.0)
     with pytest.raises(ValueError):
-        solve_regularized(spec, 1e-3, -np.ones(grid.num_interior))
+        newton_solve(grid, 0.5, 0.0, -np.ones(grid.num_interior), eps=1e-3)
+    # a continuation rung needs eps > 0
+    with pytest.raises(ValueError):
+        solve_regularized(spec, 0.0, np.ones(grid.num_interior))
+    with pytest.raises(ValueError):
+        epsilon_continuation(spec, 0.0, 0.1, 3, np.zeros(grid.num_interior))
     with pytest.raises(ValueError):
         epsilon_continuation(spec, 0.1, 1.5, 3, np.zeros(grid.num_interior))
     with pytest.raises(ValueError):
@@ -52,10 +59,10 @@ def test_input_validation(lab):
 
 
 def test_unreachable_tolerance_stagnates(lab):
-    spec = ProblemSpec(alpha=0.5, beta=0.0, n=32)
+    grid = lab.grid(32)
     init = lab.pair(0.5, 0.0, 32).super
     with pytest.raises(NewtonStagnationError):
-        solve_regularized(spec, 1e-3, init, tol=1e-30)
+        newton_solve(grid, 0.5, 0.0, init, tol=1e-30, eps=1e-3)
 
 
 def test_continuation_deltas_shrink_and_stay_below(lab):
