@@ -38,7 +38,6 @@ from .barriers import (
     build_barrier_pair,
     build_subsolution,
     build_supersolution,
-    choose_M,
     resolve_regime,
     verify_barrier,
 )
@@ -86,6 +85,7 @@ from .spectral import (
     EigenPair,
     EigenNonConvergenceError,
     InvalidLinearizationPointError,
+    dirichlet_eigenpair,
     linearized_smallest_eigenvalue,
     principal_eigenpair,
 )

@@ -8,13 +8,19 @@ Two regimes, split by s = alpha + beta:
 * s > 1 (high): both barriers are multiples of phi_1^t with boundary
   exponent t = (2-beta)/(1+alpha), and gamma = 2.
 
-The constants come from the closed-form sufficient conditions below,
-evaluated on the grid.  Because the discrete operator carries truncation
-error that the continuum identities do not see, each constructed field is
-then nudged (c down, C up, by round-off-sized relative amounts) until its
-discrete inequality holds exactly at every node.  The monotone iteration
-relies on that exactness: it is what keeps the two-sided chain ordered to
-round-off instead of to truncation level.
+Both sides use one exact scaling rule.  The defect of s*base is
+s*lap - d^(-beta) base^(-alpha) s^(-alpha) with lap = -lap_h(base), so
+
+    c = min over {lap > 0} of (d^(-beta) base^(-alpha) / lap)^(1/(1+alpha))
+
+is the largest constant for which the discrete subsolution inequality
+holds at every node, and the same expression with max is the smallest
+supersolution constant C; a nonpositive lap for the supersolution profile
+means no scale works (HopfViolationError).  That exactness, free of
+truncation slack, keeps the two-sided chain of the monotone iteration
+ordered to round-off.  A round-off guard then nudges each constant (c down,
+C up, by ~1e-10 relative at most on fine grids) until the inequality also
+holds in floating point.
 
 The borderline s = 1 is where the regime split degenerates: both exponent
 formulas give t = 1, but no existence theory covers the case and sandwich
@@ -29,9 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, assemble_laplacian, gradient_components, power_weight
+from .grid import Grid, assemble_laplacian, power_weight
 from .linear_core import solve_spd
-from .spectral import EigenPair, principal_eigenpair
+from .spectral import EigenPair, dirichlet_eigenpair
 
 
 class BorderlineRegimeError(ValueError):
@@ -137,86 +143,65 @@ def _defect(A0, w_beta: np.ndarray, field: np.ndarray, alpha: float) -> np.ndarr
     return A0 @ field - w_beta * field ** (-alpha)
 
 
+def _exact_scale(A0, w_beta, base, alpha, side) -> float:
+    # At a node with lap = A0 @ base > 0 the inequality for s*base bounds s
+    # alone; nodes with lap <= 0 never bind a sub and defeat any super.
+    lap = A0 @ base
+    if side == "super" and lap.min() <= 0.0:
+        raise HopfViolationError(
+            "nonpositive -lap_h of the supersolution profile: no boundary slope "
+            "bound at this resolution; refine the grid"
+        )
+    pos = lap > 0.0
+    bound = (w_beta[pos] * base[pos] ** (-alpha) / lap[pos]) ** (1.0 / (1.0 + alpha))
+    scale = float(bound.min() if side == "sub" else bound.max())
+    return _enforce_exact(A0, w_beta, base, scale, alpha, side)
+
+
 def _enforce_exact(A0, w_beta, base, scale, alpha, side) -> float:
-    # Nudge the scale factor until the discrete inequality holds at every
-    # node: down for sub (defect <= 0), up for super (defect >= 0).  The
-    # defect is monotone in the scale, so relative steps doubling from 1e-14
-    # terminate; anything beyond ~1e-3 signals a broken construction.
+    # Round-off guard: A0 @ (scale*base) is not exactly scale*(A0 @ base),
+    # so the binding node can sit ~1e-10 relative on the wrong side.  Nudge
+    # the scale (down for sub, up for super) by relative steps doubling from
+    # 1e-14; the defect is monotone in the scale, and anything beyond ~1e-3
+    # signals a broken construction.
     sign = 1.0 if side == "sub" else -1.0
     delta = 0.0
     while True:
-        factor = 1.0 - sign * delta
-        worst = sign * np.max(sign * _defect(A0, w_beta, scale * factor * base, alpha))
-        if (side == "sub" and worst <= 0.0) or (side == "super" and worst >= 0.0):
-            return scale * factor
+        nudged = scale * (1.0 - sign * delta)
+        worst = np.max(sign * _defect(A0, w_beta, nudged * base, alpha))
+        if worst <= 0.0:
+            return nudged
         delta = 1e-14 if delta == 0.0 else 2.0 * delta
         if delta > 1e-3:
             raise BarrierConstructionError(
-                f"{side}solution inequality cannot be enforced; worst defect {worst:.3e}"
+                f"{side}solution inequality cannot be enforced; worst defect {sign * worst:.3e}"
             )
 
 
 def build_subsolution(
     grid: Grid, alpha: float, beta: float, eig: EigenPair
 ) -> tuple[float, np.ndarray]:
-    """Largest-constant subsolution from the principal eigenpair.
-
-    Low regime (t=1): c phi_1 with c = (lambda_1 max[phi_1^(1+alpha) d^beta])^(-1/(1+alpha)),
-    which makes the discrete inequality hold with equality at the binding node.
-    High regime: c phi_1^t with c from the closed condition
-    t(1-t) max|grad_h phi_1|^2 + lambda_1 t <= 1/c^(1+alpha).
-    """
-    regime = resolve_regime(alpha, beta)
-    t, lam, phi = regime.t, eig.value, eig.field
-    A0 = assemble_laplacian(grid)
-    w_beta = power_weight(grid, beta)
-    if t == 1.0:
-        c = float((lam * np.max(phi ** (1.0 + alpha) * grid.d**beta)) ** (-1.0 / (1.0 + alpha)))
-        base = phi
-    else:
-        gsq = sum(g * g for g in gradient_components(grid, phi, one_sided_boundary=True))
-        c = float((t * (1.0 - t) * np.max(gsq) + lam * t) ** (-1.0 / (1.0 + alpha)))
-        base = phi**t
-    c = _enforce_exact(A0, w_beta, base, c, alpha, "sub")
+    """Largest-constant subsolution c phi_1^t (exact scaling rule)."""
+    base = eig.field ** resolve_regime(alpha, beta).t
+    c = _exact_scale(assemble_laplacian(grid), power_weight(grid, beta), base, alpha, "sub")
     return c, c * base
 
 
 def build_supersolution(
-    grid: Grid, alpha: float, beta: float, eig: EigenPair, margin: float = 0.1
+    grid: Grid, alpha: float, beta: float, eig: EigenPair
 ) -> tuple[float, np.ndarray]:
-    """Smallest-constant supersolution, padded by the given margin.
+    """Smallest-constant supersolution C psi (t = 1) or C phi_1^t (t < 1).
 
-    Low regime: C psi where -lap_h psi = d^(-(alpha+beta)) and
-    C = max[(d/psi)^(alpha/(1+alpha))] (1+margin); the solve makes the
-    inequality exact, so here the margin is pure ordering slack against the
-    subsolution.
-    High regime: C phi_1^t with 1/C^(1+alpha) = min over nodes of
-    (d/phi_1)^beta (t(1-t)|grad_h phi_1|^2 + lambda_1 t phi_1^2), the
-    nodewise condition that subsumes the near-boundary / interior case split.
+    psi solves -lap_h psi = d^(-(alpha+beta)), which behaves like d.
     """
-    regime = resolve_regime(alpha, beta)
-    t, lam, phi = regime.t, eig.value, eig.field
+    t = resolve_regime(alpha, beta).t
     A0 = assemble_laplacian(grid)
-    w_beta = power_weight(grid, beta)
     if t == 1.0:
-        # modest tolerance: relative residuals bottom out near eps*cond(A)
-        # for any solver on fine grids, and the exactness loop below repairs
-        # any residual-level slack anyway
-        psi, _ = solve_spd(A0, power_weight(grid, alpha + beta), tol=1e-9)
-        C = float(np.max(grid.d / psi) ** (alpha / (1.0 + alpha))) * (1.0 + margin)
-        base = psi
+        # psi need not be accurate: C is scaled from A0 @ psi itself
+        base, _ = solve_spd(A0, power_weight(grid, alpha + beta), tol=1e-9)
     else:
-        gsq = sum(g * g for g in gradient_components(grid, phi, one_sided_boundary=True))
-        bracket = (grid.d / phi) ** beta * (t * (1.0 - t) * gsq + lam * t * phi**2)
-        lo = float(bracket.min())
-        if lo <= 0.0:
-            raise HopfViolationError(
-                "nonpositive supersolution bracket: the discrete eigenfunction "
-                "has no boundary slope bound at this resolution; refine the grid"
-            )
-        C = float(lo ** (-1.0 / (1.0 + alpha))) * (1.0 + margin)
-        base = phi**t
-    C = _enforce_exact(A0, w_beta, base, C, alpha, "super")
+        base = eig.field**t
+    C = _exact_scale(A0, power_weight(grid, beta), base, alpha, "super")
     return C, C * base
 
 
@@ -256,43 +241,35 @@ def verify_barrier(
     )
 
 
-def _shift_bound(sub: np.ndarray, grid: Grid, alpha: float, beta: float, gamma: float) -> float:
-    if alpha == 0.0:
-        return 0.0
-    return float(alpha * np.max(grid.d ** (gamma - beta) * sub ** (-(1.0 + alpha))))
-
-
-def choose_M(pair: BarrierPair, grid: Grid, alpha: float, beta: float) -> float:
-    """Smallest shift making the iteration map nondecreasing on [sub, super].
-
-    The map s -> d^(-beta) s^(-alpha) + M d^(-gamma) s has derivative
-    -alpha d^(-beta) s^(-(1+alpha)) + M d^(-gamma), which is most negative at
-    s = sub(x); requiring it nonnegative there at every node gives
-    M = alpha max[d^(gamma-beta) sub^(-(1+alpha))].
-    """
-    return _shift_bound(pair.sub, grid, alpha, beta, pair.gamma)
-
-
 def build_barrier_pair(
     grid: Grid,
     alpha: float,
     beta: float,
     eig: EigenPair | None = None,
-    margin: float = 0.1,
 ) -> BarrierPair:
-    """Construct, order, and certify a full barrier pair for the instance."""
+    """Construct, order, and certify a full barrier pair for the instance.
+
+    eig defaults to the closed-form principal eigenpair of the grid.
+    """
     if eig is None:
-        eig = principal_eigenpair(assemble_laplacian(grid), tol=1e-12)
+        eig = dirichlet_eigenpair(grid)
     regime = resolve_regime(alpha, beta)
     c, sub = build_subsolution(grid, alpha, beta, eig)
-    C, sup = build_supersolution(grid, alpha, beta, eig, margin=margin)
+    C, sup = build_supersolution(grid, alpha, beta, eig)
     ratio = float(np.max(sub / sup))
     if ratio > 1.0:
         # Growing C preserves the supersolution inequality, so ordering can
-        # always be restored by rescaling.
+        # always be restored by rescaling; the comparison principle orders
+        # the exact-scale pair up to round-off.
         bump = ratio * (1.0 + 1e-12)
         C *= bump
         sup = sup * bump
+    # Smallest shift making s -> d^(-beta) s^(-alpha) + M d^(-gamma) s
+    # nondecreasing on [sub, super]: its derivative is most negative at
+    # s = sub(x), so M = alpha max[d^(gamma-beta) sub^(-(1+alpha))].
+    M = 0.0
+    if alpha > 0.0:
+        M = alpha * np.max(grid.d ** (regime.gamma - beta) * sub ** (-(1.0 + alpha)))
     dt = grid.d**regime.t
     return BarrierPair(
         sub=sub,
@@ -302,7 +279,7 @@ def build_barrier_pair(
         t=regime.t,
         c1=float(np.min(sub / dt)),
         c2=float(np.max(sup / dt)),
-        M=_shift_bound(sub, grid, alpha, beta, regime.gamma),
+        M=float(M),
         gamma=regime.gamma,
         warnings=regime.warnings,
     )

@@ -44,12 +44,12 @@ from .analysis import (
     theory_exponents,
 )
 from .barriers import BarrierConstructionError, HopfViolationError, build_barrier_pair
-from .grid import Grid, assemble_laplacian, interval, rectangle
+from .grid import Grid, interval, rectangle
 from .linear_core import SolverStagnationError
 from .monotone import OrderingViolationError, residual, solve_ladder, uniqueness_gap
 from .oracle import DENSE_N_CAP, NewtonStagnationError, dense_newton_solve, newton_solve
 from .problem import ProblemSpec, SolveConfig
-from .spectral import EigenNonConvergenceError, linearized_smallest_eigenvalue, principal_eigenpair
+from .spectral import EigenNonConvergenceError, dirichlet_eigenpair, linearized_smallest_eigenvalue
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -209,7 +209,7 @@ def cmd_solve(args) -> int:
     else:
         spec = ProblemSpec(args.alpha, args.beta, _domain(args.domain), args.n, config)
         grid = spec.make_grid()
-        eig = principal_eigenpair(assemble_laplacian(grid), tol=1e-12)
+        eig = dirichlet_eigenpair(grid)
         pair = build_barrier_pair(grid, args.alpha, args.beta, eig)
         converged = True
         solve_block = {
@@ -352,7 +352,11 @@ def cmd_spectrum(args) -> int:
     if not ok:
         print("error: alpha+beta=1 is the excluded borderline regime", file=sys.stderr)
         return EXIT_INVALID
-    levels = _ladder(args, [int(v) for v in args.levels.split(",") if v])
+    level_ns = [int(v) for v in args.levels.split(",") if v]
+    if not level_ns:
+        print("error: need at least 1 refinement level", file=sys.stderr)
+        return EXIT_INVALID
+    levels = _ladder(args, level_ns)
     if levels is None:
         return EXIT_NO_CONVERGENCE
     rows = []

@@ -164,16 +164,11 @@ def power_weight(grid: Grid, gamma: float) -> np.ndarray:
     return grid.d ** (-float(gamma))
 
 
-def gradient_components(
-    grid: Grid, u: np.ndarray, one_sided_boundary: bool = False
-) -> tuple[np.ndarray, ...]:
-    """Per-axis difference quotients of a field with implicit zero boundary.
+def gradient_components(grid: Grid, u: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per-axis central difference quotients of a field with implicit zero boundary.
 
-    Central differences everywhere by default (the known boundary value 0
-    supplies the missing neighbor, so quadratics are differentiated exactly).
-    With one_sided_boundary=True, nodes adjacent to the boundary use the
-    one-sided quotient toward the wall instead, which is the right stencil
-    when the near-wall slope itself is the quantity of interest.
+    The known boundary value 0 supplies the missing neighbor, so quadratics
+    are differentiated exactly.
     """
     u = grid.check_field(u).reshape(grid.interior_shape)
     out = []
@@ -184,8 +179,5 @@ def gradient_components(
         ext = np.zeros((m + 2,) + padded.shape[1:])
         ext[1:-1] = padded
         g = (ext[2:] - ext[:-2]) / (2.0 * h)
-        if one_sided_boundary:
-            g[0] = padded[0] / h
-            g[-1] = -padded[-1] / h
         out.append(np.moveaxis(g, 0, axis).reshape(-1))
     return tuple(out)

@@ -28,7 +28,7 @@ from .barriers import BarrierPair, build_barrier_pair, resolve_regime, verify_ba
 from .grid import DomainShape, Grid, assemble_laplacian, power_weight
 from .linear_core import SPDFactor, weighted_norm
 from .problem import ProblemSpec, SolveConfig
-from .spectral import EigenPair, principal_eigenpair
+from .spectral import EigenPair, dirichlet_eigenpair
 
 __all__ = [
     "SolveConfig",
@@ -198,16 +198,16 @@ def solve_ladder(
 ) -> list[LadderLevel]:
     """Monotone solves over the refinement levels ns, coarse to fine.
 
-    Each level builds its grid, the principal eigenpair of -lap_h, the
-    barrier pair from it, and runs solve_monotone.  The ladder stops at the
-    first level that does not converge; that level is the last entry, so
-    callers check levels[-1].report.converged.
+    Each level builds its grid, the closed-form principal eigenpair of
+    -lap_h, the barrier pair from it, and runs solve_monotone.  The ladder
+    stops at the first level that does not converge; that level is the last
+    entry, so callers check levels[-1].report.converged.
     """
     levels: list[LadderLevel] = []
     for n in ns:
         spec = ProblemSpec(alpha=alpha, beta=beta, shape=shape, n=n, config=config)
         grid = spec.make_grid()
-        eig = principal_eigenpair(assemble_laplacian(grid), tol=1e-12)
+        eig = dirichlet_eigenpair(grid)
         pair = build_barrier_pair(grid, alpha, beta, eig)
         levels.append(LadderLevel(grid, eig, pair, solve_monotone(spec, pair)))
         if not levels[-1].report.converged:

@@ -1,10 +1,14 @@
 """Principal Dirichlet eigenpair and the linearized smallest eigenvalue.
 
-Inverse power iteration, every inner solve through one SPDFactor of the
-operator (banded Cholesky on intervals, preconditioned CG on rectangles).
-Only the smallest eigenvalue is ever needed here, the operators are
-SPD M-matrices, and the principal eigenvector is positive (discrete
-Perron-Frobenius), so Lanczos or deflation would be overkill.
+On the uniform tensor grid the principal eigenpair of -lap_h is known in
+closed form (dirichlet_eigenpair).  The linearized operator
+-lap_h + alpha d^(-beta) u^(-(1+alpha)) has no closed form; its smallest
+eigenvalue mu_1 comes from inverse power iteration, every inner solve
+through one SPDFactor of the operator (banded Cholesky on intervals,
+preconditioned CG on rectangles).  Only the smallest eigenvalue is ever
+needed, the operators are SPD M-matrices, and the principal eigenvector is
+positive (discrete Perron-Frobenius), so Lanczos or deflation would be
+overkill.
 """
 
 from __future__ import annotations
@@ -41,6 +45,23 @@ class EigenPair:
     value: float
     field: np.ndarray
     residual: float
+
+
+def dirichlet_eigenpair(grid: Grid) -> EigenPair:
+    """Principal eigenpair of -lap_h on the grid, in closed form.
+
+    The operator separates by axis, and sin(pi x/L) sampled at the nodes is
+    an exact eigenvector of each 1D factor: phi = prod sin(pi x_i/L_i)
+    (sup-normalized) and lambda_1 = sum 4/h_i^2 sin^2(pi h_i/(2 L_i)).
+    """
+    extents = grid.shape.extents
+    phi = np.ones(1)
+    for ax, length in zip(grid.axes, extents):
+        phi = np.multiply.outer(phi, np.sin(np.pi * ax / length)).reshape(-1)
+    phi /= phi.max()
+    lam = sum(4.0 / h**2 * np.sin(np.pi * h / (2.0 * L)) ** 2 for h, L in zip(grid.h, extents))
+    resid = np.linalg.norm(assemble_laplacian(grid) @ phi - lam * phi) / np.linalg.norm(phi)
+    return EigenPair(value=float(lam), field=phi, residual=float(resid))
 
 
 def principal_eigenpair(A: sp.spmatrix, tol: float = 1e-10, max_iter: int = 500) -> EigenPair:

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from sel.barriers import build_barrier_pair
-from sel.grid import assemble_laplacian, build_grid, interval
+from sel.grid import build_grid, interval
 from sel.monotone import solve_monotone
 from sel.oracle import newton_solve
 from sel.problem import ProblemSpec, SolveConfig
-from sel.spectral import principal_eigenpair
+from sel.spectral import dirichlet_eigenpair
 
 
 class Lab:
@@ -27,11 +27,10 @@ class Lab:
             self._grids[n] = build_grid(interval(1.0), n)
         return self._grids[n]
 
-    def eig(self, n, tol=1e-12):
-        key = (n, tol)
-        if key not in self._eigs:
-            self._eigs[key] = principal_eigenpair(assemble_laplacian(self.grid(n)), tol=tol)
-        return self._eigs[key]
+    def eig(self, n):
+        if n not in self._eigs:
+            self._eigs[n] = dirichlet_eigenpair(self.grid(n))
+        return self._eigs[n]
 
     def pair(self, alpha, beta, n):
         grid = self.grid(n)

@@ -9,11 +9,12 @@ from sel.barriers import (
     build_barrier_pair,
     build_subsolution,
     build_supersolution,
-    choose_M,
     resolve_regime,
     verify_barrier,
 )
-from sel.grid import assemble_laplacian, gradient_components, power_weight
+from sel.grid import assemble_laplacian, build_grid, interval, power_weight, rectangle
+from sel.monotone import solve_monotone
+from sel.problem import ProblemSpec, SolveConfig
 
 
 def test_boundary_exponent_regimes():
@@ -50,16 +51,45 @@ def test_low_regime_constant_approaches_continuum(lab):
     assert np.all(field > 0)
 
 
-def test_high_regime_constant_matches_closure(lab):
-    grid = lab.grid(256)
-    eig = lab.eig(256)
-    c, _ = build_subsolution(grid, 2.0, 0.0, eig)
-    gsq = sum(
-        g * g for g in gradient_components(grid, eig.field, one_sided_boundary=True)
-    )
-    t = 2.0 / 3.0
-    expected = (t * (1 - t) * gsq.max() + eig.value * t) ** (-1.0 / 3.0)
-    assert c == pytest.approx(expected, rel=1e-6)
+def _closure_constant(grid, eig, alpha, beta):
+    # Reference: the continuum closure t(1-t) max|phi'|^2 + lambda_1 t <= 1/c^(1+alpha)
+    # for c phi^t, with the one-sided slope toward the wall at the first nodes.
+    phi, h = eig.field, grid.h[0]
+    ext = np.concatenate(([0.0], phi, [0.0]))
+    slope = (ext[2:] - ext[:-2]) / (2.0 * h)
+    slope[0], slope[-1] = phi[0] / h, -phi[-1] / h
+    t = resolve_regime(alpha, beta).t
+    return (t * (1 - t) * np.max(slope**2) + eig.value * t) ** (-1.0 / (1.0 + alpha))
+
+
+def test_high_regime_constant_dominates_closure(lab):
+    grid, eig = lab.grid(256), lab.eig(256)
+    a0, w = assemble_laplacian(grid), power_weight(grid, 0.0)
+    for alpha, beta in ((1.5, 0.0), (2.0, 0.0), (2.0, 0.5)):
+        c, _ = build_subsolution(grid, alpha, beta, eig)
+        assert c >= _closure_constant(grid, eig, alpha, beta)
+    # for small t the closure overshoots the exact discrete constant, so
+    # its field is no subsolution: no round-off nudge could repair it
+    c_closure = _closure_constant(grid, eig, 10.0, 0.0)
+    c, _ = build_subsolution(grid, 10.0, 0.0, eig)
+    assert c_closure > c
+    field = c_closure * eig.field ** (2.0 / 11.0)
+    assert np.max(a0 @ field - w * field**-10.0) > 0.0
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.5, 0.0), (2.0, 0.0), (2.0, 0.5), (10.0, 0.0)])
+def test_exact_constants_are_extremal(lab, alpha, beta):
+    grid, eig = lab.grid(256), lab.eig(256)
+    a0, w = assemble_laplacian(grid), power_weight(grid, beta)
+    _, sub = build_subsolution(grid, alpha, beta, eig)
+    _, sup = build_supersolution(grid, alpha, beta, eig)
+    assert np.max(a0 @ sub - w * sub**-alpha) <= 0.0
+    assert np.min(a0 @ sup - w * sup**-alpha) >= 0.0
+    # a relative 1e-8 change of either constant breaks its inequality
+    bigger = sub * (1.0 + 1e-8)
+    assert np.max(a0 @ bigger - w * bigger**-alpha) > 0.0
+    smaller = sup * (1.0 - 1e-8)
+    assert np.min(a0 @ smaller - w * smaller**-alpha) < 0.0
 
 
 def test_constructed_barriers_certify(lab):
@@ -99,7 +129,6 @@ def test_verify_barrier_input_validation(lab):
 def test_choose_M_zero_for_linear_problem(lab):
     pair = lab.pair(0.0, 0.0, 64)
     assert pair.M == 0.0
-    assert choose_M(pair, lab.grid(64), 0.0, 0.0) == 0.0
 
 
 def test_choose_M_stabilizes_under_refinement(lab):
@@ -149,20 +178,9 @@ def test_alpha_zero_supersolution_is_scaled_poisson_profile(lab):
     grid = lab.grid(64)
     C, field = build_supersolution(grid, 0.0, 0.0, lab.eig(64))
     x = grid.axes[0]
-    # psi solves -lap psi = 1 exactly, and the constant reduces to 1+margin
-    assert C == pytest.approx(1.1, rel=1e-9)
-    np.testing.assert_allclose(field, 1.1 * x * (1 - x) / 2, atol=1e-9)
-
-
-def test_supersolution_margin_can_only_help(lab):
-    grid = lab.grid(128)
-    eig = lab.eig(128)
-    for alpha, beta in ((0.5, 0.0), (2.0, 0.0)):
-        big_c, field = build_supersolution(grid, alpha, beta, eig, margin=0.2)
-        cert = verify_barrier(grid, field, alpha, beta, "super")
-        assert cert.passed
-        small_c, _ = build_supersolution(grid, alpha, beta, eig, margin=0.1)
-        assert big_c > small_c
+    # psi solves -lap psi = 1 exactly, so the exact constant is 1
+    assert C == pytest.approx(1.0, rel=1e-9)
+    np.testing.assert_allclose(field, x * (1 - x) / 2, atol=1e-9)
 
 
 def test_borderline_pair_builds_with_warning(lab):
@@ -172,3 +190,16 @@ def test_borderline_pair_builds_with_warning(lab):
     grid = lab.grid(64)
     for side, field in (("sub", pair.sub), ("super", pair.super)):
         assert verify_barrier(grid, field, 0.5, 0.5, side).passed
+
+
+@pytest.mark.parametrize("alpha, beta", [(10.0, 0.0), (2.0, 1.9), (2.0, 1.99), (50.0, 0.0)])
+@pytest.mark.parametrize("shape, n", [(interval(1.0), 64), (rectangle(1.0, 1.0), 16)])
+def test_full_parameter_range_certifies_and_converges(shape, n, alpha, beta):
+    grid = build_grid(shape, n)
+    pair = build_barrier_pair(grid, alpha, beta)
+    for side, field in (("sub", pair.sub), ("super", pair.super)):
+        assert verify_barrier(grid, field, alpha, beta, side).passed, side
+    spec = ProblemSpec(alpha, beta, shape, n, SolveConfig(tol=1e-8, max_iter=5000))
+    report = solve_monotone(spec, pair)
+    assert report.converged
+    assert report.ordering_violation == 0.0

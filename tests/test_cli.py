@@ -105,15 +105,30 @@ def test_non_finite_inputs_exit_one(tmp_path, capsys, flags):
 @pytest.mark.parametrize(
     "flags",
     [
-        ["--alpha", "10", "--n", "64"],
-        ["--alpha", "2", "--beta", "1.9", "--n", "64"],
         ["--alpha", "0.5", "--n", "16", "--method", "dense", "--tol", "1e-30"],
         ["--alpha", "0.5", "--n", "16", "--method", "regularized", "--tol", "1e-30"],
+        ["--alpha", "0.5", "--domain", "rectangle", "--n", "4", "--method", "dense",
+         "--tol", "1e-30"],
+        ["--alpha", "0.5", "--domain", "rectangle", "--n", "8", "--method", "regularized",
+         "--tol", "1e-30"],
     ],
 )
 def test_solver_failures_exit_two(tmp_path, capsys, flags):
     assert main(["solve", *flags, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--alpha", "10"], ["--alpha", "2", "--beta", "1.9"]],
+)
+def test_far_parameter_range_certifies(tmp_path, flags):
+    # the exact barrier scaling covers every alpha >= 0, 0 <= beta < 2
+    assert main(["solve", *flags, "--n", "64", "--out", str(tmp_path)]) == 0
+    solve = read_report(tmp_path)["solve"]
+    assert solve["converged"]
+    assert solve["ordering_violation"] == 0.0
+    assert solve["gap_history"][-1] <= 1e-8
 
 
 @pytest.mark.parametrize(
@@ -224,6 +239,13 @@ def test_sweep_rejects_bad_n(tmp_path):
               "--out", str(tmp_path / "s.csv")])
         == 1
     )
+
+
+def test_spectrum_rejects_empty_levels(tmp_path, capsys):
+    out = tmp_path / "s.json"
+    assert main(["spectrum", "--alpha", "2", "--levels", ",", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
 
 
 def test_spectrum_levels(tmp_path):

@@ -129,11 +129,3 @@ def test_gradient_components_quadratic_exact():
     u = x * (1 - x) / 2
     (gx,) = gradient_components(g, u)
     np.testing.assert_allclose(gx, 0.5 - x, atol=1e-13)
-
-
-def test_gradient_one_sided_near_boundary():
-    g = build_grid(interval(1.0), 8)
-    u = np.sin(np.pi * g.axes[0])
-    (gx,) = gradient_components(g, u, one_sided_boundary=True)
-    assert gx[0] == pytest.approx(u[0] / g.h[0])
-    assert gx[-1] == pytest.approx(-u[-1] / g.h[0])

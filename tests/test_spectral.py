@@ -5,6 +5,7 @@ import scipy.linalg
 from sel.grid import assemble_laplacian, build_grid, interval, rectangle, power_weight
 from sel.spectral import (
     InvalidLinearizationPointError,
+    dirichlet_eigenpair,
     linearized_smallest_eigenvalue,
     principal_eigenpair,
 )
@@ -20,6 +21,25 @@ def test_principal_pair_tiny_grid_closed_form():
     eig = principal_eigenpair(assemble_laplacian(g), tol=1e-12)
     assert eig.value == pytest.approx(discrete_lambda1_interval(4), rel=1e-12)
     np.testing.assert_allclose(eig.field, np.sin(np.pi * g.axes[0]), atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "shape, n",
+    [
+        (interval(1.0), 64),
+        (interval(1.0), 4096),
+        (rectangle(1.0, 1.0), 24),
+        (rectangle(2.0, 0.5), 16),
+    ],
+)
+def test_closed_form_pair_matches_inverse_iteration(shape, n):
+    g = build_grid(shape, n)
+    exact = dirichlet_eigenpair(g)
+    iterated = principal_eigenpair(assemble_laplacian(g), tol=1e-12)
+    assert exact.value == pytest.approx(iterated.value, rel=1e-10)
+    np.testing.assert_allclose(exact.field, iterated.field, rtol=0.0, atol=1e-8)
+    assert exact.field.max() == 1.0
+    assert exact.residual <= iterated.residual
 
 
 def test_lambda1_approaches_pi_squared_monotonically():
