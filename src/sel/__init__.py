@@ -54,10 +54,9 @@ from .grid import (
 )
 from .linear_core import (
     ComparisonPrincipleViolationError,
-    ShiftSpec,
     SolverStagnationError,
     SolveStats,
-    assemble_shifted,
+    extended_residual,
     solve_spd,
     weighted_norm,
 )
@@ -66,6 +65,7 @@ from .monotone import (
     OrderingViolationError,
     SolveReport,
     iterate_step,
+    monotone_shift,
     residual,
     solve_ladder,
     solve_monotone,

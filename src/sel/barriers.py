@@ -1,10 +1,11 @@
-"""Certified sub/supersolution pairs and the monotonizing shift.
+"""Certified sub/supersolution pairs.
 
 Two regimes, split by s = alpha + beta:
 
 * s < 1 (low): the subsolution is c phi_1 and the supersolution is C psi,
   where psi solves -lap_h psi = d^(-(alpha+beta)); both behave like d and
-  the shift weight is gamma = 1 + alpha.
+  the weight of the monotone iteration's gap norm is d^(-gamma) with
+  gamma = 1 + alpha.
 * s > 1 (high): both barriers are multiples of phi_1^t with boundary
   exponent t = (2-beta)/(1+alpha), and gamma = 2.
 
@@ -85,9 +86,7 @@ class BarrierPair:
     """Ordered pair 0 < sub <= super with its certificates.
 
     c and C scale the underlying profiles; c1, c2 are the sandwich constants
-    in c1 d^t <= sub <= super <= c2 d^t; M and gamma define the monotonizing
-    shift M d^(-gamma) under which s -> d^(-beta) s^(-alpha) + M d^(-gamma) s
-    is nondecreasing on [sub(x), super(x)] at every node.
+    in c1 d^t <= sub <= super <= c2 d^t.
     """
 
     sub: np.ndarray
@@ -97,13 +96,11 @@ class BarrierPair:
     t: float
     c1: float
     c2: float
-    M: float
-    gamma: float
     warnings: tuple[str, ...] = ()
 
 
 def resolve_regime(alpha: float, beta: float) -> Regime:
-    """Boundary exponent t and shift weight gamma for (alpha, beta).
+    """Boundary exponent t and gap-norm weight exponent gamma for (alpha, beta).
 
     The borderline alpha+beta = 1 resolves to the common limit t = 1 with
     gamma = 2 and a warning attached; use boundary_exponent for the strict
@@ -264,12 +261,6 @@ def build_barrier_pair(
         bump = ratio * (1.0 + 1e-12)
         C *= bump
         sup = sup * bump
-    # Smallest shift making s -> d^(-beta) s^(-alpha) + M d^(-gamma) s
-    # nondecreasing on [sub, super]: its derivative is most negative at
-    # s = sub(x), so M = alpha max[d^(gamma-beta) sub^(-(1+alpha))].
-    M = 0.0
-    if alpha > 0.0:
-        M = alpha * np.max(grid.d ** (regime.gamma - beta) * sub ** (-(1.0 + alpha)))
     dt = grid.d**regime.t
     return BarrierPair(
         sub=sub,
@@ -279,7 +270,5 @@ def build_barrier_pair(
         t=regime.t,
         c1=float(np.min(sub / dt)),
         c2=float(np.max(sup / dt)),
-        M=float(M),
-        gamma=regime.gamma,
         warnings=regime.warnings,
     )

@@ -43,7 +43,12 @@ from .analysis import (
     sobolev_integral,
     theory_exponents,
 )
-from .barriers import BarrierConstructionError, HopfViolationError, build_barrier_pair
+from .barriers import (
+    BarrierConstructionError,
+    HopfViolationError,
+    build_barrier_pair,
+    resolve_regime,
+)
 from .grid import Grid, interval, rectangle
 from .linear_core import SolverStagnationError
 from .monotone import OrderingViolationError, residual, solve_ladder, uniqueness_gap
@@ -136,17 +141,17 @@ def _fit_exponents_best_effort(grid: Grid, u) -> tuple[float | None, float | Non
     return None, None
 
 
-def _check_borderline(alpha: float, beta: float) -> tuple[bool, list[str]]:
-    """CLI-level borderline policy.
+def _refuses_borderline(alpha: float, beta: float) -> bool:
+    """CLI-level borderline policy, with its error line.
 
     alpha+beta = 1 is refused (exit 1) except the documented alpha=1,
-    beta=0 case, which proceeds through the t=1 limit with a warning.
+    beta=0 case, which proceeds through the t=1 limit with the warning of
+    resolve_regime.
     """
-    if alpha + beta != 1.0:
-        return True, []
-    if alpha == 1.0 and beta == 0.0:
-        return True, ["alpha=1 is outside the existence theorems; t=1 limit used"]
-    return False, []
+    if alpha + beta == 1.0 and (alpha, beta) != (1.0, 0.0):
+        print("error: alpha+beta=1 is the excluded borderline regime", file=sys.stderr)
+        return True
+    return False
 
 
 def _spec_echo(args, method: str | None = None) -> dict:
@@ -176,13 +181,7 @@ def _ladder(args, ns):
 
 
 def cmd_solve(args) -> int:
-    ok, warn = _check_borderline(args.alpha, args.beta)
-    if not ok:
-        print(
-            "error: alpha+beta=1 is the excluded borderline regime "
-            "(no boundary exponent applies)",
-            file=sys.stderr,
-        )
+    if _refuses_borderline(args.alpha, args.beta):
         return EXIT_INVALID
     if args.method == "dense" and args.n > DENSE_N_CAP:
         print(f"error: --method dense requires --n <= {DENSE_N_CAP}", file=sys.stderr)
@@ -227,15 +226,13 @@ def cmd_solve(args) -> int:
     t_fit, sigma_fit = _fit_exponents_best_effort(grid, u)
     report = {
         "spec": _spec_echo(args, args.method),
-        "warnings": warn + list(pair.warnings),
+        "warnings": resolve_regime(args.alpha, args.beta).warnings,
         "barrier": {
             "c": pair.c,
             "C": pair.C,
             "t": pair.t,
             "c1": pair.c1,
             "c2": pair.c2,
-            "M": pair.M,
-            "gamma": pair.gamma,
         },
         "solve": solve_block,
         "spectral": {"lambda1": eig.value, "mu1": mu.value, "stable": mu.value > 0.0},
@@ -262,7 +259,10 @@ def cmd_solve(args) -> int:
                 + [_fmt(float(grid.d[i])), _fmt(float(u[i])), _fmt(float(grad[i]))]
             )
     _write_manifest(out_dir, report["spec"], ["report.json", "solution.csv"])
-    return EXIT_OK if converged else EXIT_NO_CONVERGENCE
+    if not converged:
+        print(f"error: no convergence at n={grid.n}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
+    return EXIT_OK
 
 
 def _sweep_cell(cell) -> dict:
@@ -348,9 +348,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    ok, warn = _check_borderline(args.alpha, args.beta)
-    if not ok:
-        print("error: alpha+beta=1 is the excluded borderline regime", file=sys.stderr)
+    if _refuses_borderline(args.alpha, args.beta):
         return EXIT_INVALID
     level_ns = [int(v) for v in args.levels.split(",") if v]
     if not level_ns:
@@ -367,7 +365,7 @@ def cmd_spectrum(args) -> int:
         rows.append({"n": level.grid.n, "lambda1": level.eig.value, "mu1": mu.value})
     payload = {
         "spec": _spec_echo(args),
-        "warnings": warn,
+        "warnings": resolve_regime(args.alpha, args.beta).warnings,
         "levels": rows,
         "stable": all(r["mu1"] > 0.0 for r in rows),
         "ordered": all(r["mu1"] >= r["lambda1"] for r in rows),
@@ -380,9 +378,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_regularity(args) -> int:
-    ok, warn = _check_borderline(args.alpha, args.beta)
-    if not ok:
-        print("error: alpha+beta=1 is the excluded borderline regime", file=sys.stderr)
+    if _refuses_borderline(args.alpha, args.beta):
         return EXIT_INVALID
     level_ns = [int(v) for v in args.levels.split(",") if v]
     if len(level_ns) < 2:
@@ -398,7 +394,11 @@ def cmd_regularity(args) -> int:
     reg = regularity_report(levels, args.alpha, args.beta, q_grid=q_grid)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {"spec": _spec_echo(args), "warnings": warn, "report": asdict(reg)}
+    payload = {
+        "spec": _spec_echo(args),
+        "warnings": resolve_regime(args.alpha, args.beta).warnings,
+        "report": asdict(reg),
+    }
     _write_json(out_dir / "regularity.json", payload)
 
     qs = q_grid or [1.5, 2.0, 3.0]

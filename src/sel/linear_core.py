@@ -1,13 +1,16 @@
-"""Shifted singular operators -lap_h + M d^(-gamma) and SPD solves.
+"""SPD solves for -lap_h plus a nonnegative diagonal, and extended-precision residuals.
 
-The shift only adds a positive diagonal, so the operator keeps the M-matrix
-structure of the Laplacian: solutions of systems with nonnegative right-hand
-sides are nonnegative (discrete comparison principle), which is checked after
-every solve.  SPDFactor prepares an operator once for all the right-hand
-sides it will see: interval operators are tridiagonal and get a banded
-Cholesky factor with extended-precision iterative refinement; rectangle
-operators are solved by diagonally preconditioned conjugate gradients,
-where the singular shift makes the diagonal dominate near the boundary.
+A nonnegative diagonal keeps the M-matrix structure of the Laplacian:
+solutions of systems with nonnegative right-hand sides are nonnegative
+(discrete comparison principle), which is checked after every solve.
+SPDFactor prepares an operator once for all the right-hand sides it will
+see: interval operators are tridiagonal and get a banded Cholesky factor
+with iterative refinement; rectangle operators are solved by diagonally
+preconditioned conjugate gradients, where the singular shift of the
+monotone iteration makes the diagonal dominate near the boundary.
+extended_residual evaluates f - A x for any sparsity pattern with the
+products and row sums in np.longdouble; the refinement, the final residual
+check and the monotone iteration's defect all use it.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .grid import Grid, assemble_laplacian, power_weight
+from .grid import Grid, power_weight
 
 
 class SolverStagnationError(RuntimeError):
@@ -34,28 +37,6 @@ class ComparisonPrincipleViolationError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class ShiftSpec:
-    """Shift strength M >= 0 and weight exponent gamma of M d^(-gamma).
-
-    gamma = 1+alpha in the low regime (alpha+beta < 1), gamma = 2 in the
-    high regime.  compact_embedding flags gamma < 2, the weighted-space
-    regime where the continuum embedding is compact; assembly itself
-    accepts any gamma.
-    """
-
-    M: float
-    gamma: float
-
-    def __post_init__(self):
-        if self.M < 0:
-            raise ValueError("shift strength M must be >= 0")
-
-    @property
-    def compact_embedding(self) -> bool:
-        return self.gamma < 2
-
-
 @dataclass
 class SolveStats:
     iterations: int
@@ -63,15 +44,20 @@ class SolveStats:
     wall_time: float
 
 
-def assemble_shifted(grid: Grid, shift: ShiftSpec) -> sp.csr_matrix:
-    """-lap_h + M diag(d^(-gamma)); SPD, diagonal only grows with M."""
-    a = assemble_laplacian(grid)
-    if shift.M == 0:
-        return a
-    return (a + sp.diags_array(shift.M * power_weight(grid, shift.gamma))).tocsr()
+def extended_residual(A: sp.csr_matrix, f: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """f - A x with every product and row sum in np.longdouble, rounded once.
+
+    A is CSR and every row stores at least one entry (true of any SPD
+    matrix); f may itself be np.longdouble.  In double, the cancellation in
+    f - A x loses up to cond(A) ulps of the result; the 64-bit mantissa of
+    np.longdouble (x86) loses 2^11 times less.
+    """
+    prod = A.data.astype(np.longdouble) * x.astype(np.longdouble)[A.indices]
+    return (f - np.add.reduceat(prod, A.indptr[:-1])).astype(float)
 
 
 MAX_REFINEMENTS = 3  # refinement steps after the first banded solve
+CG_ITERS_PER_UNKNOWN = 20  # CG iteration cap, per unknown
 
 
 class SPDFactor:
@@ -80,18 +66,15 @@ class SPDFactor:
     A tridiagonal matrix (every interval grid) is factored by banded
     Cholesky (LAPACK pbtrf).  Each solve then runs the triangular sweeps and
     at most MAX_REFINEMENTS steps of iterative refinement against the
-    residual f - A x evaluated in extended precision (np.longdouble), so the
-    relative residual drops to the level set by rounding x itself rather
-    than by the round-off of the residual.  Any other pattern (rectangles)
-    is solved by Jacobi-preconditioned CG.
+    extended_residual, so the relative residual drops to the level set by
+    rounding x itself rather than by the round-off of the residual.  Any
+    other pattern (rectangles) is solved by Jacobi-preconditioned CG.
     """
 
     def __init__(self, A: sp.spmatrix):
-        self.A = A
+        self.A = A = A.tocsr()
         coo = A.tocoo()
         if np.all(np.abs(coo.row - coo.col) <= 1):
-            # Bands in extended precision, for the refinement residual.
-            self._bands = tuple(A.diagonal(k).astype(np.longdouble) for k in (0, 1, -1))
             upper = np.zeros((2, A.shape[0]))
             upper[0, 1:] = A.diagonal(1)
             upper[1] = A.diagonal(0)
@@ -103,28 +86,16 @@ class SPDFactor:
             self._chol = None
             self._inv_diag = 1.0 / A.diagonal()
 
-    def _residual(self, f: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """f - A x; in extended precision before rounding when A is banded."""
-        if self._chol is None:
-            return f - self.A @ x
-        diag, upper, lower = self._bands
-        xl = x.astype(np.longdouble)
-        r = f - diag * xl
-        r[:-1] -= upper * xl[1:]
-        r[1:] -= lower * xl[:-1]
-        return r.astype(float)
-
     def solve(
         self,
         f: np.ndarray,
         tol: float = 1e-12,
         x0: np.ndarray | None = None,
-        max_iter: int | None = None,
     ) -> tuple[np.ndarray, SolveStats]:
         """x with ||f - A x||_2 <= tol ||f||_2, else SolverStagnationError.
 
         x0 is the starting iterate (refinement starts from it on the banded
-        path); max_iter caps the CG iterations (default 20 m).  If f >= 0
+        path); CG stops after CG_ITERS_PER_UNKNOWN * m iterations.  If f >= 0
         nodewise, the result is checked against the discrete comparison
         principle.  SolveStats.iterations counts banded solves or CG steps.
         """
@@ -138,16 +109,12 @@ class SPDFactor:
             return np.zeros(m), SolveStats(0, 0.0, time.perf_counter() - t_start)
         x = np.zeros(m) if x0 is None else np.array(x0, dtype=float)
         target = tol * norm_f
-        if self._chol is None:
-            iters = self._cg(f, x, target, 20 * m if max_iter is None else max_iter)
-            r = self._residual(f, x)
-        else:
-            iters = 0
-            r = self._residual(f, x)
-            while np.linalg.norm(r) > target and iters <= MAX_REFINEMENTS:
-                x += scipy.linalg.cho_solve_banded((self._chol, False), r, check_finite=False)
-                iters += 1
-                r = self._residual(f, x)
+        iters = self._cg(f, x, target) if self._chol is None else 0
+        r = extended_residual(self.A, f, x)
+        while self._chol is not None and np.linalg.norm(r) > target and iters <= MAX_REFINEMENTS:
+            x += scipy.linalg.cho_solve_banded((self._chol, False), r, check_finite=False)
+            iters += 1
+            r = extended_residual(self.A, f, x)
 
         rel = float(np.linalg.norm(r)) / norm_f
         if not rel <= tol:
@@ -162,11 +129,12 @@ class SPDFactor:
                 )
         return x, SolveStats(iters, rel, time.perf_counter() - t_start)
 
-    def _cg(self, f: np.ndarray, x: np.ndarray, target: float, max_iter: int) -> int:
+    def _cg(self, f: np.ndarray, x: np.ndarray, target: float) -> int:
         # Jacobi-preconditioned CG on x in place; the true residual is
         # recomputed on exit and the solve restarts from the current iterate
         # if round-off drift in the recurrences left it above the target.
         A, inv_diag = self.A, self._inv_diag
+        max_iter = CG_ITERS_PER_UNKNOWN * f.shape[0]
         total_iters = 0
         for _restart in range(4):
             r = f - A @ x
@@ -200,10 +168,9 @@ def solve_spd(
     f: np.ndarray,
     tol: float = 1e-12,
     x0: np.ndarray | None = None,
-    max_iter: int | None = None,
 ) -> tuple[np.ndarray, SolveStats]:
     """One solve of A x = f through a fresh SPDFactor; see SPDFactor.solve."""
-    return SPDFactor(A).solve(f, tol, x0=x0, max_iter=max_iter)
+    return SPDFactor(A).solve(f, tol, x0=x0)
 
 
 def weighted_norm(u: np.ndarray, grid: Grid, gamma: float) -> float:

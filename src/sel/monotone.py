@@ -1,20 +1,25 @@
 """Two-sided monotone iteration between certified barriers.
 
-Each outer step solves the shifted linear problem
+Each outer step takes the nodal shift m_k = alpha d^(-beta) lower_k^(-(1+alpha))
+at the current lower iterate and solves the shifted linear problem
 
-    (-lap_h + M d^(-gamma)) u_new = d^(-beta) u^(-alpha) + M d^(-gamma) u
+    (-lap_h + m_k) u_new = d^(-beta) u^(-alpha) + m_k u
 
-once from the current upper iterate and once from the current lower one.
-Because the right-hand side map is nondecreasing on the order interval
-(that is what M buys) and the operator is an M-matrix, the upper sequence
-descends, the lower one ascends, and they pinch the extremal solutions.
-The full chain sub <= lower_k <= lower_{k+1} <= upper_{k+1} <= upper_k <=
-super is asserted at round-off scale on every step; a violation means the
-shift is too small or the inner solves too loose, and aborts the run.
+once from the current upper iterate and once from the current lower one,
+with one operator shared by both sides.  The right-hand side map
+s -> d^(-beta) s^(-alpha) + m_k s is nondecreasing for s >= lower_k, hence
+on the order interval [lower_k, upper_k], and m_k is the smallest shift
+that makes it so (generalized quasilinearization).  With the operator an
+M-matrix, the upper sequence descends, the lower one ascends, and they
+pinch the extremal solutions; since s^(-alpha) is convex, the lower step
+is a Newton step, which is why a handful of steps suffices.  The full
+chain sub <= lower_k <= lower_{k+1} <= upper_{k+1} <= upper_k <= super is
+asserted at round-off scale on every step; a violation means the shift is
+too small or the inner solves too loose, and aborts the run.
 
 Convergence is declared on the relative two-sided gap in the weighted
-L2(Omega, d^(-gamma)) norm, the natural metric of the fixed-point map;
-the sup-norm gap is reported but not used for stopping.
+L2(Omega, d^(-gamma)) norm, gamma from resolve_regime; the sup-norm gap is
+reported but not used for stopping.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import scipy.sparse as sp
 
 from .barriers import BarrierPair, build_barrier_pair, resolve_regime, verify_barrier
 from .grid import DomainShape, Grid, assemble_laplacian, power_weight
-from .linear_core import SPDFactor, weighted_norm
+from .linear_core import SPDFactor, extended_residual, weighted_norm
 from .problem import ProblemSpec, SolveConfig
 from .spectral import EigenPair, dirichlet_eigenpair
 
@@ -36,6 +41,7 @@ __all__ = [
     "LadderLevel",
     "OrderingViolationError",
     "iterate_step",
+    "monotone_shift",
     "solve_monotone",
     "solve_ladder",
     "residual",
@@ -51,7 +57,7 @@ INNER_TOL = 1e-10
 
 
 class OrderingViolationError(RuntimeError):
-    """The monotone chain broke beyond round-off: M too small or solves too loose."""
+    """The monotone chain broke beyond round-off: shift too small or solves too loose."""
 
 
 @dataclass
@@ -67,7 +73,6 @@ class SolveReport:
     upper: np.ndarray
     iterations: int
     gap_history: list[float]
-    M: float
     gamma: float
     converged: bool
     ordering_violation: float
@@ -75,30 +80,39 @@ class SolveReport:
     warnings: tuple[str, ...] = ()
 
 
+def monotone_shift(grid: Grid, lower: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+    """Nodal shift m = alpha d^(-beta) lower^(-(1+alpha)).
+
+    The smallest m for which s -> d^(-beta) s^(-alpha) + m s is
+    nondecreasing for s >= lower at every node.
+    """
+    return alpha * power_weight(grid, beta) * lower ** (-(1.0 + alpha))
+
+
 def iterate_step(
     grid: Grid,
-    A_M: SPDFactor | sp.spmatrix,
+    A0: sp.spmatrix,
+    factor: SPDFactor,
     prev: np.ndarray,
     alpha: float,
     beta: float,
-    M: float,
-    gamma: float,
 ) -> np.ndarray:
-    """One shifted linear solve of the scheme.
+    """One shifted linear solve of the scheme from prev.
 
-    Solved in correction form, A_M delta = rhs - A_M prev with
-    u = prev + delta: identical mathematics, but the inner relative
-    tolerance INNER_TOL then applies to the increment, whose scale shrinks
-    with the iteration, so round-off cannot smear the monotone ordering.
-    A_M is the shifted operator or, to reuse one factorization across
-    steps, its SPDFactor.
+    factor holds -lap_h + m for the step's shift m, and A0 is -lap_h.
+    Solved in correction form, u = prev + delta with
+    (A0 + m) delta = d^(-beta) prev^(-alpha) - A0 prev: the shift cancels
+    from the right-hand side, whose defect is evaluated in extended
+    precision, and the inner relative tolerance INNER_TOL applies to the
+    increment, whose scale shrinks with the iteration, so round-off cannot
+    smear the monotone ordering.
     """
-    factor = A_M if isinstance(A_M, SPDFactor) else SPDFactor(A_M)
     prev = grid.check_field(prev)
     if prev.min() <= 0.0:
         raise ValueError("iterate must be positive nodewise")
-    rhs = power_weight(grid, beta) * prev ** (-alpha) + M * power_weight(grid, gamma) * prev
-    delta, _ = factor.solve(rhs - factor.A @ prev, tol=INNER_TOL)
+    forcing = power_weight(grid, beta) * prev.astype(np.longdouble) ** (-alpha)
+    defect = extended_residual(A0, forcing, prev)
+    delta, _ = factor.solve(defect, tol=INNER_TOL)
     u = prev + delta
     if u.min() <= 0.0:
         raise OrderingViolationError("iterate lost positivity; inner tolerance too loose")
@@ -125,15 +139,9 @@ def solve_monotone(
                 f"{side}solution fails certification: violation {cert.worst_violation:.3e}"
                 f" > threshold {cert.threshold:.3e}"
             )
-    if spec.shift is not None:
-        M, gamma = spec.shift.M, spec.shift.gamma
-    else:
-        M, gamma = pair.M, pair.gamma
-
     alpha, beta = spec.alpha, spec.beta
+    gamma = resolve_regime(alpha, beta).gamma
     A0 = assemble_laplacian(grid)
-    b_gamma = power_weight(grid, gamma)
-    factor = SPDFactor((A0 + sp.diags_array(M * b_gamma)).tocsr() if M > 0 else A0)
     cellvol = grid.cell_volume
 
     lower = pair.sub.copy()
@@ -146,8 +154,9 @@ def solve_monotone(
     iterations = 0
 
     for iterations in range(1, config.max_iter + 1):
-        new_lower = iterate_step(grid, factor, lower, alpha, beta, M, gamma)
-        new_upper = iterate_step(grid, factor, upper, alpha, beta, M, gamma)
+        factor = SPDFactor(A0 + sp.diags_array(monotone_shift(grid, lower, alpha, beta)))
+        new_lower = iterate_step(grid, A0, factor, lower, alpha, beta)
+        new_upper = iterate_step(grid, A0, factor, upper, alpha, beta)
         violation = max(
             float(np.max(pair.sub - new_lower)),
             float(np.max(lower - new_lower)),
@@ -173,7 +182,6 @@ def solve_monotone(
         upper=upper,
         iterations=iterations,
         gap_history=gap_history,
-        M=M,
         gamma=gamma,
         converged=converged,
         ordering_violation=worst_violation,

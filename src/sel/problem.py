@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass, field
 
 from .grid import DomainShape, Grid, build_grid, interval
-from .linear_core import ShiftSpec
 
 
 @dataclass(frozen=True)
@@ -29,18 +28,13 @@ class SolveConfig:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """One instance of -lap(u) = d^(-beta) u^(-alpha), u = 0 on the boundary.
-
-    shift=None lets the barrier machinery pick (M, gamma) for the regime;
-    an explicit ShiftSpec overrides it.
-    """
+    """One instance of -lap(u) = d^(-beta) u^(-alpha), u = 0 on the boundary."""
 
     alpha: float
     beta: float = 0.0
     shape: DomainShape = field(default_factory=interval)
     n: int = 64
     config: SolveConfig = field(default_factory=SolveConfig)
-    shift: ShiftSpec | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha >= 0):

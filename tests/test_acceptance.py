@@ -8,6 +8,7 @@ lab fixture, so the whole suite stays at desk scale.
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from sel.analysis import (
     asymptotic_window,
@@ -17,10 +18,10 @@ from sel.analysis import (
     h1_membership,
     uniqueness_identity,
 )
-from sel.barriers import verify_barrier
-from sel.grid import assemble_laplacian, build_grid, interval, power_weight
+from sel.barriers import build_barrier_pair, verify_barrier
+from sel.grid import assemble_laplacian, build_grid, interval, power_weight, rectangle
 from sel.linear_core import solve_spd
-from sel.monotone import uniqueness_gap
+from sel.monotone import monotone_shift, solve_monotone, uniqueness_gap
 from sel.oracle import dense_newton_solve, observed_order
 from sel.problem import ProblemSpec, SolveConfig
 from sel.regularized import epsilon_continuation
@@ -73,6 +74,19 @@ def test_criterion_4_oracle_equivalence(lab, alpha, beta):
     rel = np.max(np.abs(report.upper - oracle)) / np.max(np.abs(oracle))
     assert rel <= 1e-8
     print(f"[criterion 4] PASS: ({alpha},{beta}) monotone vs dense Newton rel-sup {rel:.2e}")
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.5, 0.0), (0.5, 0.5), (2.0, 0.0), (2.0, 0.5)])
+def test_criterion_4_oracle_equivalence_rectangle(alpha, beta):
+    spec = ProblemSpec(alpha, beta, rectangle(1.0, 1.0), 16, SolveConfig(tol=1e-11, max_iter=2000))
+    grid = spec.make_grid()
+    report = solve_monotone(spec, build_barrier_pair(grid, alpha, beta))
+    assert report.converged
+    assert report.ordering_violation == 0.0
+    oracle = dense_newton_solve(spec)
+    rel = np.max(np.abs(report.upper - oracle)) / np.max(np.abs(oracle))
+    assert rel <= 1e-8
+    print(f"[criterion 4] PASS: rectangle ({alpha},{beta}) n=16 monotone vs dense Newton {rel:.2e}")
 
 
 def test_criterion_5_boundary_exponent(lab):
@@ -194,10 +208,8 @@ def test_criterion_10_smooth_case_convergence():
 
 def test_criterion_11_property_suites(lab, rng):
     # linear_core positivity on 100 random nonnegative loads
-    from sel.linear_core import ShiftSpec, assemble_shifted
-
     g32 = lab.grid(32)
-    a = assemble_shifted(g32, ShiftSpec(M=1.0, gamma=1.5))
+    a = (assemble_laplacian(g32) + sp.diags_array(power_weight(g32, 1.5))).tocsr()
     for _ in range(100):
         f = rng.random(g32.num_interior)
         u, _ = solve_spd(a, f, tol=1e-12)
@@ -205,11 +217,12 @@ def test_criterion_11_property_suites(lab, rng):
     # monotonized barrier map on random nodes and ordered samples
     grid = lab.grid(128)
     pair = lab.pair(2.0, 0.5, 128)
+    shift = monotone_shift(grid, pair.sub, 2.0, 0.5)
     for node in rng.integers(0, grid.num_interior, size=100):
         s1, s2 = np.sort(rng.uniform(pair.sub[node], pair.super[node], size=2))
         d = grid.d[node]
         def val(s):
-            return d**-0.5 * s**-2.0 + pair.M * d**-pair.gamma * s
+            return d**-0.5 * s**-2.0 + shift[node] * s
         assert val(s1) <= val(s2) + 1e-12 * abs(val(s2))
     # synthetic power-law recovery at n=4096
     fine = lab.grid(4096)

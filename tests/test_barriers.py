@@ -13,7 +13,7 @@ from sel.barriers import (
     verify_barrier,
 )
 from sel.grid import assemble_laplacian, build_grid, interval, power_weight, rectangle
-from sel.monotone import solve_monotone
+from sel.monotone import monotone_shift, solve_monotone
 from sel.problem import ProblemSpec, SolveConfig
 
 
@@ -126,20 +126,6 @@ def test_verify_barrier_input_validation(lab):
         verify_barrier(grid, pair.sub, 0.5, 0.0, "above")
 
 
-def test_choose_M_zero_for_linear_problem(lab):
-    pair = lab.pair(0.0, 0.0, 64)
-    assert pair.M == 0.0
-
-
-def test_choose_M_stabilizes_under_refinement(lab):
-    # low regime with beta=0: the bound has a d-uniform factor, finite as n grows
-    m = [lab.pair(0.5, 0.0, n).M for n in (128, 256)]
-    assert m[1] == pytest.approx(m[0], rel=2e-2)
-    # high regime: the distance powers cancel exactly, M is n-independent
-    m = [lab.pair(2.0, 0.0, n).M for n in (128, 256)]
-    assert m[1] == pytest.approx(m[0], rel=1e-2)
-
-
 def test_pair_ordering_across_parameter_sweep(lab):
     for alpha in (0.3, 0.8, 1.5, 2.5):
         for beta in (0.0, 0.5):
@@ -164,13 +150,14 @@ def test_monotonized_map_is_nondecreasing(lab, rng):
     alpha, beta = 2.0, 0.5
     grid = lab.grid(128)
     pair = lab.pair(alpha, beta, 128)
+    shift = monotone_shift(grid, pair.sub, alpha, beta)
     nodes = rng.integers(0, grid.num_interior, size=100)
     for node in nodes:
         lo, hi = pair.sub[node], pair.super[node]
         s = np.sort(rng.uniform(lo, hi, size=2))
         d = grid.d[node]
         def g(v):
-            return d ** (-beta) * v ** (-alpha) + pair.M * d ** (-pair.gamma) * v
+            return d ** (-beta) * v ** (-alpha) + shift[node] * v
         assert g(s[0]) <= g(s[1]) + 1e-12 * abs(g(s[1]))
 
 
@@ -186,7 +173,7 @@ def test_alpha_zero_supersolution_is_scaled_poisson_profile(lab):
 def test_borderline_pair_builds_with_warning(lab):
     pair = lab.pair(0.5, 0.5, 64)
     assert pair.warnings == (BORDERLINE_WARNING,)
-    assert pair.t == 1.0 and pair.gamma == 2.0
+    assert pair.t == 1.0
     grid = lab.grid(64)
     for side, field in (("sub", pair.sub), ("super", pair.super)):
         assert verify_barrier(grid, field, 0.5, 0.5, side).passed

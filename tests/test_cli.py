@@ -7,6 +7,7 @@ import jsonschema
 import pytest
 
 from sel import cli
+from sel.barriers import ALPHA_ONE_WARNING
 from sel.cli import NO_CONVERGENCE_ERRORS, main
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "docs" / "report_schema.json").read_text())
@@ -68,7 +69,10 @@ def test_solve_alpha_one_warns_but_runs(tmp_path):
     code = main(["solve", "--alpha", "1", "--beta", "0", "--n", "64", "--out", str(out)])
     assert code == 0
     report = read_report(out)
-    assert any("alpha=1" in w for w in report["warnings"])
+    assert report["warnings"] == [ALPHA_ONE_WARNING]
+    spectrum = tmp_path / "s.json"
+    assert main(["spectrum", "--alpha", "1", "--levels", "16,32", "--out", str(spectrum)]) == 0
+    assert json.loads(spectrum.read_text())["warnings"] == [ALPHA_ONE_WARNING]
 
 
 def test_solve_borderline_is_invalid_input(tmp_path, capsys):
@@ -144,6 +148,7 @@ def test_tight_outer_tolerance_certifies(tmp_path, flags):
     assert main(["solve", *flags, "--out", str(tmp_path)]) == 0
     solve = read_report(tmp_path)["solve"]
     assert solve["converged"]
+    assert solve["ordering_violation"] == 0.0
     assert solve["gap_history"][-1] <= float(flags[-1])
 
 
@@ -164,13 +169,14 @@ def test_every_solver_failure_maps_to_exit_two(tmp_path, capsys, monkeypatch, er
     assert capsys.readouterr().err == f"error: {error.__name__}: injected\n"
 
 
-def test_non_convergence_exits_two(tmp_path):
+def test_non_convergence_exits_two(tmp_path, capsys):
     out = tmp_path / "short"
     code = main(
         ["solve", "--alpha", "2", "--n", "64", "--tol", "1e-10", "--max-iter", "3", "--out", str(out)]
     )
     assert code == 2
     assert not read_report(out)["solve"]["converged"]
+    assert capsys.readouterr().err == "error: no convergence at n=64\n"
 
 
 def test_solve_method_dense_and_regularized_agree(tmp_path):
@@ -187,6 +193,21 @@ def test_solve_method_dense_and_regularized_agree(tmp_path):
     for method in ("dense", "regularized"):
         diffs = [abs(a - b) for a, b in zip(outs["monotone"], outs[method])]
         assert max(diffs) <= 1e-6 * max(outs["monotone"])
+
+
+def test_rectangle_solve_and_regularity(tmp_path):
+    out = tmp_path / "solve"
+    argv = ["solve", "--domain", "rectangle", "--alpha", "2", "--n", "64", "--out", str(out)]
+    assert main(argv) == 0
+    report = read_report(out)
+    jsonschema.validate(report, SCHEMA)
+    assert report["solve"]["converged"]
+    assert report["solve"]["ordering_violation"] == 0.0
+    out = tmp_path / "reg"
+    argv = ["regularity", "--domain", "rectangle", "--alpha", "2", "--levels", "32,64,128",
+            "--out", str(out)]
+    assert main(argv) == 0
+    assert (out / "regularity.json").exists() and (out / "sobolev.csv").exists()
 
 
 def test_sweep_table(tmp_path, monkeypatch):

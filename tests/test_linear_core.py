@@ -3,42 +3,39 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from sel.grid import assemble_laplacian, build_grid, interval, rectangle
+from sel.grid import assemble_laplacian, build_grid, interval, power_weight, rectangle
 from sel.linear_core import (
     ComparisonPrincipleViolationError,
-    ShiftSpec,
     SolverStagnationError,
     SPDFactor,
-    assemble_shifted,
+    extended_residual,
     solve_spd,
     weighted_norm,
 )
 
 
-def test_shift_spec_validation():
-    with pytest.raises(ValueError):
-        ShiftSpec(M=-1.0, gamma=2.0)
-    assert ShiftSpec(M=0.0, gamma=1.5).compact_embedding
-    assert not ShiftSpec(M=1.0, gamma=2.0).compact_embedding
+def shifted(g, M, gamma):
+    """-lap_h + M d^(-gamma): an SPD M-matrix with a singular diagonal."""
+    return (assemble_laplacian(g) + sp.diags_array(M * power_weight(g, gamma))).tocsr()
 
 
 def test_zero_shift_matches_laplacian():
     g = build_grid(interval(1.0), 16)
     a = assemble_laplacian(g)
-    b = assemble_shifted(g, ShiftSpec(M=0.0, gamma=2.0))
+    b = shifted(g, 0.0, 2.0)
     assert (a != b).nnz == 0
 
 
 def test_shifted_diagonal_example():
     g = build_grid(interval(1.0), 4)
-    a = assemble_shifted(g, ShiftSpec(M=1.0, gamma=2.0))
+    a = shifted(g, 1.0, 2.0)
     np.testing.assert_allclose(a.diagonal(), [48.0, 36.0, 48.0])
 
 
 def test_shift_raises_smallest_eigenvalue():
     g = build_grid(interval(1.0), 16)
     lam0 = scipy.linalg.eigvalsh(assemble_laplacian(g).toarray())[0]
-    lam1 = scipy.linalg.eigvalsh(assemble_shifted(g, ShiftSpec(M=0.5, gamma=1.5)).toarray())[0]
+    lam1 = scipy.linalg.eigvalsh(shifted(g, 0.5, 1.5).toarray())[0]
     assert lam1 > lam0
 
 
@@ -70,7 +67,7 @@ def test_manufactured_forward_apply_roundtrip():
 def test_operator_symmetry(rng):
     for shape, n in ((interval(1.0), 32), (rectangle(1.0, 1.0), 8)):
         g = build_grid(shape, n)
-        a = assemble_shifted(g, ShiftSpec(M=2.0, gamma=1.7))
+        a = shifted(g, 2.0, 1.7)
         v = rng.standard_normal(g.num_interior)
         w = rng.standard_normal(g.num_interior)
         assert (a @ v) @ w == pytest.approx(v @ (a @ w), rel=1e-12)
@@ -78,7 +75,7 @@ def test_operator_symmetry(rng):
 
 def test_positivity_100_random_nonnegative_rhs(rng):
     g = build_grid(interval(1.0), 32)
-    a = assemble_shifted(g, ShiftSpec(M=1.0, gamma=1.5))
+    a = shifted(g, 1.0, 1.5)
     for _ in range(100):
         f = rng.random(g.num_interior)
         u, _ = solve_spd(a, f, tol=1e-12)
@@ -90,7 +87,7 @@ def test_solution_decreases_as_shift_grows(rng):
     f = rng.random(g.num_interior) + 0.1
     prev = None
     for M in (0.0, 1.0, 5.0, 25.0):
-        u, _ = solve_spd(assemble_shifted(g, ShiftSpec(M=M, gamma=1.5)), f, tol=1e-13)
+        u, _ = solve_spd(shifted(g, M, 1.5), f, tol=1e-13)
         if prev is not None:
             assert np.all(u <= prev + 1e-12 * np.abs(prev).max())
         prev = u
@@ -98,7 +95,7 @@ def test_solution_decreases_as_shift_grows(rng):
 
 def test_energy_identity(rng):
     g = build_grid(interval(1.0), 64)
-    a = assemble_shifted(g, ShiftSpec(M=1.0, gamma=2.0))
+    a = shifted(g, 1.0, 2.0)
     f = rng.standard_normal(g.num_interior)
     tol = 1e-12
     u, _ = solve_spd(a, f, tol=tol)
@@ -126,7 +123,7 @@ def test_stagnation_below_roundoff_floor():
 
 def test_reused_factor_matches_fresh_factors(rng):
     g = build_grid(interval(1.0), 128)
-    a = assemble_shifted(g, ShiftSpec(M=3.0, gamma=2.0))
+    a = shifted(g, 3.0, 2.0)
     factor = SPDFactor(a)
     for _ in range(20):
         f = rng.standard_normal(g.num_interior)
@@ -149,7 +146,7 @@ def test_extended_precision_refinement_reaches_tight_tolerance():
 
 def test_rectangle_operator_keeps_cg():
     g = build_grid(rectangle(1.0, 1.0), 16)
-    a = assemble_shifted(g, ShiftSpec(M=1.0, gamma=2.0))
+    a = shifted(g, 1.0, 2.0)
     f = np.ones(g.num_interior)
     u, stats = SPDFactor(a).solve(f, tol=1e-12)
     assert stats.iterations > 4  # CG steps, not banded solves
@@ -171,3 +168,24 @@ def test_weighted_norm_values():
     assert weighted_norm(g.d, g, 2.0) == pytest.approx(np.sqrt(0.75), rel=1e-14)
     fine = build_grid(interval(1.0), 2048)
     assert weighted_norm(np.ones(fine.num_interior), fine, 0.0) == pytest.approx(1.0, rel=1e-3)
+
+
+@pytest.mark.parametrize("shape, n", [(interval(1.0), 512), (rectangle(1.0, 1.0), 32)])
+def test_extended_residual_resolves_cancellation(shape, n):
+    # f = A x evaluated in double: the exact residual f - A x is the
+    # cancellation error of that evaluation, which the same product in
+    # double cannot see (it returns 0) and extended precision resolves.
+    from fractions import Fraction
+
+    g = build_grid(shape, n)
+    a = shifted(g, 1.0, 2.0)
+    x = np.prod(np.sin(np.pi * g.points()), axis=1)
+    f = a @ x
+    exact = np.empty(g.num_interior)
+    for i in range(g.num_interior):
+        row = slice(a.indptr[i], a.indptr[i + 1])
+        ax = sum(Fraction(v) * Fraction(x[j]) for v, j in zip(a.data[row], a.indices[row]))
+        exact[i] = float(Fraction(f[i]) - ax)
+    err_double = np.max(np.abs((f - a @ x) - exact))
+    err_extended = np.max(np.abs(extended_residual(a, f, x) - exact))
+    assert err_extended <= 1e-2 * err_double

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from sel import monotone
 from sel.grid import assemble_laplacian, interval, power_weight
-from sel.linear_core import ShiftSpec, SPDFactor, solve_spd
+from sel.linear_core import SPDFactor, solve_spd
 from sel.monotone import (
     OrderingViolationError,
     iterate_step,
+    monotone_shift,
     residual,
     solve_ladder,
     solve_monotone,
@@ -15,11 +17,11 @@ from sel.monotone import (
 from sel.problem import ProblemSpec, SolveConfig
 
 
-def shifted(grid, M, gamma):
-    a = assemble_laplacian(grid)
-    if M == 0:
-        return a
-    return (a + sp.diags_array(M * power_weight(grid, gamma))).tocsr()
+def step(grid, lower, prev, alpha, beta):
+    """iterate_step from prev with the shift taken at lower."""
+    a0 = assemble_laplacian(grid)
+    factor = SPDFactor(a0 + sp.diags_array(monotone_shift(grid, lower, alpha, beta)))
+    return iterate_step(grid, a0, factor, prev, alpha, beta)
 
 
 def test_alpha_zero_converges_in_one_iteration(lab):
@@ -34,16 +36,14 @@ def test_alpha_zero_converges_in_one_iteration(lab):
 
 def test_step_fixes_the_fixed_point(lab):
     grid, pair, report = lab.solved(0.5, 0.0, 128, tol=1e-10)
-    a = shifted(grid, pair.M, pair.gamma)
-    out = iterate_step(grid, a, report.upper, 0.5, 0.0, pair.M, pair.gamma)
+    out = step(grid, report.lower, report.upper, 0.5, 0.0)
     np.testing.assert_allclose(out, report.upper, atol=1e-9 * report.upper.max())
 
 
 def test_single_step_descends_from_supersolution(lab):
     grid = lab.grid(128)
     pair = lab.pair(0.5, 0.0, 128)
-    a = shifted(grid, pair.M, pair.gamma)
-    out = iterate_step(grid, a, pair.super, 0.5, 0.0, pair.M, pair.gamma)
+    out = step(grid, pair.sub, pair.super, 0.5, 0.0)
     assert np.all(out <= pair.super)
     assert np.all(out > 0)
 
@@ -51,11 +51,10 @@ def test_single_step_descends_from_supersolution(lab):
 def test_step_rejects_nonpositive_iterate(lab):
     grid = lab.grid(32)
     pair = lab.pair(0.5, 0.0, 32)
-    a = shifted(grid, pair.M, pair.gamma)
     bad = pair.sub.copy()
     bad[3] = 0.0
     with pytest.raises(ValueError):
-        iterate_step(grid, a, bad, 0.5, 0.0, pair.M, pair.gamma)
+        step(grid, pair.sub, bad, 0.5, 0.0)
 
 
 def test_chain_and_gap_history(lab):
@@ -110,28 +109,13 @@ def test_residual_properties(lab):
 def test_interval_iteration_count_and_ordering(lab):
     _, _, report = lab.solved(2.0, 0.5, 1024, tol=1e-8)
     assert report.converged
-    assert report.iterations == 40
+    assert report.iterations == 4
     assert report.ordering_violation == 0.0
 
 
-def test_step_accepts_factor_or_matrix(lab):
-    grid = lab.grid(128)
-    pair = lab.pair(2.0, 0.0, 128)
-    a = shifted(grid, pair.M, pair.gamma)
-    args = (pair.super, 2.0, 0.0, pair.M, pair.gamma)
-    np.testing.assert_array_equal(
-        iterate_step(grid, SPDFactor(a), *args), iterate_step(grid, a, *args)
-    )
-
-
-def test_too_small_shift_breaks_ordering(lab):
-    spec = ProblemSpec(
-        alpha=2.0,
-        beta=0.0,
-        n=64,
-        config=SolveConfig(tol=1e-10, max_iter=200),
-        shift=ShiftSpec(M=0.0, gamma=2.0),
-    )
+def test_too_small_shift_breaks_ordering(lab, monkeypatch):
+    monkeypatch.setattr(monotone, "monotone_shift", lambda grid, lower, a, b: 0.0 * lower)
+    spec = ProblemSpec(alpha=2.0, beta=0.0, n=64, config=SolveConfig(tol=1e-10, max_iter=200))
     with pytest.raises(OrderingViolationError):
         solve_monotone(spec, lab.pair(2.0, 0.0, 64))
 
@@ -155,15 +139,15 @@ def test_borderline_solves_through_t1_path(lab):
 
 
 def test_ladder_stops_at_first_unconverged_level(lab):
-    # at tol 1e-8, alpha=2 takes 34 / 41 / 46 iterations at n = 16 / 32 / 64
-    config = SolveConfig(tol=1e-8, max_iter=40)
+    # at tol 1e-9, alpha=2 takes 4 / 5 / 5 iterations at n = 16 / 32 / 64
+    config = SolveConfig(tol=1e-9, max_iter=4)
     levels = solve_ladder(2.0, 0.0, interval(1.0), (16, 32, 64), config)
     assert [level.grid.n for level in levels] == [16, 32]
     assert levels[0].report.converged
     assert not levels[1].report.converged
-    assert levels[1].report.iterations == 40
+    assert levels[1].report.iterations == 4
     # each level is the grid -> eigenpair -> barriers -> monotone pipeline
-    _, pair, report = lab.solved(2.0, 0.0, 16)
+    _, pair, report = lab.solved(2.0, 0.0, 16, tol=1e-9)
     assert levels[0].eig.value == lab.eig(16).value
     np.testing.assert_array_equal(levels[0].pair.super, pair.super)
     np.testing.assert_array_equal(levels[0].report.upper, report.upper)
