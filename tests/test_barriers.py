@@ -126,6 +126,27 @@ def test_verify_barrier_input_validation(lab):
         verify_barrier(grid, pair.sub, 0.5, 0.0, "above")
 
 
+def test_choose_M_zero_for_linear_problem(lab):
+    # the first outer step shifts by the nodal m at the subsolution; alpha=0 needs none
+    grid = lab.grid(64)
+    pair = lab.pair(0.0, 0.0, 64)
+    assert np.all(monotone_shift(grid, pair.sub, 0.0, 0.0) == 0.0)
+
+
+def test_choose_M_stabilizes_under_refinement(lab):
+    # m at the subsolution scales like d^(-gamma), the stopping-norm weight:
+    # its d^gamma-weighted size is a constant that does not grow with n
+    def weighted(alpha, n):
+        grid = lab.grid(n)
+        m = monotone_shift(grid, lab.pair(alpha, 0.0, n).sub, alpha, 0.0)
+        return np.max(m * grid.d ** resolve_regime(alpha, 0.0).gamma)
+
+    m = [weighted(0.5, n) for n in (128, 256)]
+    assert m[1] == pytest.approx(m[0], rel=2e-2)
+    m = [weighted(2.0, n) for n in (128, 256)]
+    assert m[1] == pytest.approx(m[0], rel=1e-2)
+
+
 def test_pair_ordering_across_parameter_sweep(lab):
     for alpha in (0.3, 0.8, 1.5, 2.5):
         for beta in (0.0, 0.5):
