@@ -14,8 +14,8 @@ from sel import (
     fit_boundary_exponent,
     fit_gradient_exponent,
     interval,
+    resolve_regime,
     solve_ladder,
-    theory_exponents,
 )
 
 N = 2048
@@ -32,9 +32,9 @@ for alpha, beta in CASES:
     t_fit, _ = fit_boundary_exponent(grid, level.report.upper, window)
     sigma_fit = fit_gradient_exponent(grid, level.report.upper, window)
 
-    t_theory, sigma_theory = theory_exponents(alpha, beta)
-    print(f"{alpha:5.1f} {beta:5.1f} | {t_theory:8.4f} {t_fit:8.4f} "
-          f"| {sigma_theory:12.4f} {sigma_fit:9.4f}")
+    regime = resolve_regime(alpha, beta)
+    print(f"{alpha:5.1f} {beta:5.1f} | {regime.t:8.4f} {t_fit:8.4f} "
+          f"| {regime.sigma:12.4f} {sigma_fit:9.4f}")
 
 print(f"\nfits over d in [{asymptotic_window(grid).d_min:.4g}, "
       f"{asymptotic_window(grid).d_max:.4g}] at n={N}; the power law carries slowly")

@@ -20,7 +20,7 @@ from sel import (
     h1_membership,
     interval,
     newton_solve,
-    q_bar_theory,
+    resolve_regime,
     sobolev_integral,
     solve_ladder,
 )
@@ -31,7 +31,7 @@ ladder = solve_ladder(ALPHA, BETA, interval(), (1024, 2048), SolveConfig(tol=1e-
 levels = [(level.grid, level.report.upper) for level in ladder]
 
 q_est = estimate_critical_q(levels, asymptotic_window(levels[-1][0]))
-print(f"q_bar estimate = {q_est:.3f}   theory (1+alpha)/(alpha+beta-1) = {q_bar_theory(ALPHA, BETA):.3f}")
+print(f"q_bar estimate = {q_est:.3f}   theory (1+alpha)/(alpha+beta-1) = {resolve_regime(ALPHA, BETA).q_bar:.3f}")
 
 print("\nrefinement ratios of int |grad u|^q (>= 1.05 flags divergence;")
 print("within 20% of q_bar the classification is ill-conditioned and marked *):")

@@ -24,17 +24,14 @@ from .analysis import (
     h1_membership,
     local_gradient_probe,
     q_bar_from_sigma,
-    q_bar_theory,
     regularity_report,
     sobolev_integral,
-    theory_exponents,
     uniqueness_identity,
 )
 from .barriers import (
     BarrierPair,
-    BorderlineRegimeError,
     CertReport,
-    boundary_exponent,
+    Regime,
     build_barrier_pair,
     build_subsolution,
     build_supersolution,

@@ -4,7 +4,8 @@ Boundary exponent t (u ~ d^t), gradient blow-up exponent sigma
 (|grad u| ~ d^sigma), the critical Sobolev threshold q_bar with
 int |grad u|^q < infinity exactly for q < q_bar, H^1 membership by
 refinement ratios, interior gradient probes, and the two-solution
-uniqueness integrand.
+uniqueness integrand.  The values the theory predicts for t, sigma and
+q_bar come from barriers.resolve_regime; this module measures them.
 
 Exponents are log-log regression slopes over a distance band.  On a
 uniform grid the nodes are linearly dense in d, which would overweight the
@@ -22,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .barriers import resolve_regime
 from .grid import Grid, assemble_laplacian, gradient_components, power_weight
 from .linear_core import solve_spd
 
@@ -144,27 +146,10 @@ def sobolev_integral(grid: Grid, u: np.ndarray, q: float) -> float:
     return float(np.sum(gradient_field(grid, u) ** q) * grid.cell_volume)
 
 
-def q_bar_theory(alpha: float, beta: float) -> float:
-    """Critical threshold (1+alpha)/(alpha+beta-1), +inf for alpha+beta <= 1."""
-    if alpha + beta <= 1:
-        return math.inf
-    return (1.0 + alpha) / (alpha + beta - 1.0)
-
-
 def q_bar_from_sigma(sigma_fit: float) -> float:
     """Slope-based threshold -1/sigma_fit; +inf when the gradient exponent is
     too close to 0 (sigma_fit >= -0.01) to predict a threshold."""
     return -1.0 / sigma_fit if sigma_fit < -0.01 else math.inf
-
-
-def theory_exponents(alpha: float, beta: float) -> tuple[float, float | None]:
-    """(t, sigma) the theory predicts: ((2-beta)/(1+alpha), t-1) above the
-    regime split, (1, 0) below it, and (1, None) on alpha+beta = 1, where no
-    gradient law is known."""
-    s = alpha + beta
-    if s > 1:
-        return (2.0 - beta) / (1.0 + alpha), (1.0 - alpha - beta) / (1.0 + alpha)
-    return 1.0, (0.0 if s < 1 else None)
 
 
 # A q is classified divergent when the finest refinement ratio of its
@@ -345,13 +330,14 @@ def uniqueness_identity(
 
 @dataclass
 class RegularityReport:
-    """Fitted exponents, threshold estimates, and per-check verdicts."""
+    """Fitted exponents and threshold estimates beside the Regime's theory
+    values (t_theory, sigma_theory, q_bar_theory), and per-check verdicts."""
 
     t_fit: float
     sigma_fit: float
     q_bar_est: float
     q_bar_theory: float
-    t_theory: float | None
+    t_theory: float
     sigma_theory: float | None
     h1_norms: list[float]
     verdicts: dict[str, object] = field(default_factory=dict)
@@ -375,7 +361,7 @@ def regularity_report(
         window = asymptotic_window(grid)
     t_fit, _ = fit_boundary_exponent(grid, u, window)
     sigma_fit = fit_gradient_exponent(grid, u, window)
-    q_theory = q_bar_theory(alpha, beta)
+    regime = resolve_regime(alpha, beta)
     verdicts: dict[str, object] = {}
     if len(levels) >= 2:
         try:
@@ -390,13 +376,13 @@ def regularity_report(
         q_est = q_bar_from_sigma(sigma_fit)
     h1_norms = [math.sqrt(sobolev_integral(g, f, 2.0)) for g, f in levels]
 
-    t_theory, sigma_theory = theory_exponents(alpha, beta)
-    if alpha + beta > 1:
+    if math.isfinite(regime.q_bar):
+        # q_bar is finite exactly above the regime split
         verdicts["exponent_consistency"] = bool(abs(t_fit - 1.0 - sigma_fit) <= 0.05)
     if len(levels) >= 3:
         h1 = h1_membership(levels)
         verdicts["h1"] = h1.verdict
-        theory_member = 2.0 < q_theory
+        theory_member = 2.0 < regime.q_bar
         verdicts["h1_matches_theory"] = (
             h1.verdict == ("member" if theory_member else "non-member")
         )
@@ -406,9 +392,9 @@ def regularity_report(
         t_fit=t_fit,
         sigma_fit=sigma_fit,
         q_bar_est=q_est,
-        q_bar_theory=q_theory,
-        t_theory=t_theory,
-        sigma_theory=sigma_theory,
+        q_bar_theory=regime.q_bar,
+        t_theory=regime.t,
+        sigma_theory=regime.sigma,
         h1_norms=h1_norms,
         verdicts=verdicts,
     )

@@ -25,13 +25,15 @@ holds in floating point.
 
 The borderline s = 1 is where the regime split degenerates: both exponent
 formulas give t = 1, but no existence theory covers the case and sandwich
-constants may drift under refinement.  boundary_exponent refuses it;
-the builders proceed through the common t = 1 limit and attach a warning,
-so the borderline can still be solved and cross-checked deliberately.
+constants may drift under refinement.  resolve_regime attaches a warning
+there and the builders proceed through the common t = 1 limit, so the
+borderline can still be solved and cross-checked deliberately; the CLI
+refuses it except at alpha = 1, beta = 0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,10 +41,6 @@ import numpy as np
 from .grid import Grid, assemble_laplacian, power_weight
 from .linear_core import solve_spd
 from .spectral import EigenPair, dirichlet_eigenpair
-
-
-class BorderlineRegimeError(ValueError):
-    """alpha + beta = 1: neither regime's hypotheses hold."""
 
 
 class HopfViolationError(RuntimeError):
@@ -65,7 +63,19 @@ ALPHA_ONE_WARNING = (
 
 @dataclass(frozen=True)
 class Regime:
+    """Everything (alpha, beta) fixes through the split at alpha + beta = 1.
+
+    t is the boundary exponent (u ~ d^t) and sigma the gradient exponent
+    (|grad u| ~ d^sigma), None on the borderline, where no gradient law is
+    known.  q_bar is the critical threshold with int |grad u|^q finite
+    exactly for q < q_bar, +inf unless the gradient blows up.  gamma is the
+    weight exponent of the monotone iteration's gap norm.  warnings is
+    nonempty exactly on the borderline.
+    """
+
     t: float
+    sigma: float | None
+    q_bar: float
     gamma: float
     warnings: tuple[str, ...] = ()
 
@@ -96,42 +106,33 @@ class BarrierPair:
     t: float
     c1: float
     c2: float
-    warnings: tuple[str, ...] = ()
 
 
 def resolve_regime(alpha: float, beta: float) -> Regime:
-    """Boundary exponent t and gap-norm weight exponent gamma for (alpha, beta).
+    """The Regime of (alpha, beta); ValueError outside alpha >= 0, 0 <= beta < 2.
 
-    The borderline alpha+beta = 1 resolves to the common limit t = 1 with
-    gamma = 2 and a warning attached; use boundary_exponent for the strict
-    classification that refuses the borderline outright.
+    Below the split: t = 1, sigma = 0 (gradient bounded), gamma = 1 + alpha.
+    Above it: t = (2-beta)/(1+alpha), sigma = t - 1,
+    q_bar = (1+alpha)/(alpha+beta-1), gamma = 2.  The borderline
+    alpha+beta = 1 resolves to the common limit t = 1 with gamma = 2 and a
+    warning attached.
     """
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     if not 0 <= beta < 2:
         raise ValueError(f"beta must satisfy 0 <= beta < 2, got {beta}")
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
     s = alpha + beta
     if s < 1:
-        return Regime(t=1.0, gamma=1.0 + alpha)
+        return Regime(t=1.0, sigma=0.0, q_bar=math.inf, gamma=1.0 + alpha)
     if s > 1:
-        return Regime(t=(2.0 - beta) / (1.0 + alpha), gamma=2.0)
-    warning = ALPHA_ONE_WARNING if alpha == 1 else BORDERLINE_WARNING
-    return Regime(t=1.0, gamma=2.0, warnings=(warning,))
-
-
-def boundary_exponent(alpha: float, beta: float) -> float:
-    """t with u ~ d^t: 1 below the regime split, (2-beta)/(1+alpha) above.
-
-    Refuses alpha+beta = 1 (BorderlineRegimeError): the regimes only meet
-    there in the limit and the sandwich may pick up logarithmic corrections.
-    """
-    regime = resolve_regime(alpha, beta)
-    if regime.warnings:
-        raise BorderlineRegimeError(
-            f"alpha+beta = {alpha + beta} is the excluded borderline; "
-            "both regimes degenerate to t=1 but neither applies"
+        return Regime(
+            t=(2.0 - beta) / (1.0 + alpha),
+            sigma=(1.0 - alpha - beta) / (1.0 + alpha),
+            q_bar=(1.0 + alpha) / (alpha + beta - 1.0),
+            gamma=2.0,
         )
-    return regime.t
+    warning = ALPHA_ONE_WARNING if alpha == 1 else BORDERLINE_WARNING
+    return Regime(t=1.0, sigma=None, q_bar=math.inf, gamma=2.0, warnings=(warning,))
 
 
 def _defect(A0, w_beta: np.ndarray, field: np.ndarray, alpha: float) -> np.ndarray:
@@ -270,5 +271,4 @@ def build_barrier_pair(
         t=regime.t,
         c1=float(np.min(sub / dt)),
         c2=float(np.max(sup / dt)),
-        warnings=regime.warnings,
     )

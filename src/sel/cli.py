@@ -38,14 +38,14 @@ from .analysis import (
     fit_gradient_exponent,
     gradient_field,
     q_bar_from_sigma,
-    q_bar_theory,
     regularity_report,
     sobolev_integral,
-    theory_exponents,
 )
 from .barriers import (
+    BORDERLINE_WARNING,
     BarrierConstructionError,
     HopfViolationError,
+    Regime,
     build_barrier_pair,
     resolve_regime,
 )
@@ -100,11 +100,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return f"{x:.17g}"
-    return str(x)
+    return f"{x:.17g}" if isinstance(x, float) else str(x)
 
 
 def _write_manifest(out_dir: Path, args_echo: dict, outputs: list[str]) -> None:
@@ -141,17 +137,14 @@ def _fit_exponents_best_effort(grid: Grid, u) -> tuple[float | None, float | Non
     return None, None
 
 
-def _refuses_borderline(alpha: float, beta: float) -> bool:
-    """CLI-level borderline policy, with its error line.
-
-    alpha+beta = 1 is refused (exit 1) except the documented alpha=1,
-    beta=0 case, which proceeds through the t=1 limit with the warning of
-    resolve_regime.
-    """
-    if alpha + beta == 1.0 and (alpha, beta) != (1.0, 0.0):
-        print("error: alpha+beta=1 is the excluded borderline regime", file=sys.stderr)
-        return True
-    return False
+def _admitted_regime(alpha: float, beta: float) -> Regime:
+    """resolve_regime under the CLI's borderline policy: alpha+beta = 1 is
+    invalid input (ValueError, exit 1) except the documented alpha=1, beta=0
+    case, which proceeds through the t=1 limit with its warning."""
+    regime = resolve_regime(alpha, beta)
+    if BORDERLINE_WARNING in regime.warnings:
+        raise ValueError("alpha+beta=1 is the excluded borderline regime")
+    return regime
 
 
 def _spec_echo(args, method: str | None = None) -> dict:
@@ -181,8 +174,7 @@ def _ladder(args, ns):
 
 
 def cmd_solve(args) -> int:
-    if _refuses_borderline(args.alpha, args.beta):
-        return EXIT_INVALID
+    regime = _admitted_regime(args.alpha, args.beta)
     if args.method == "dense" and args.n > DENSE_N_CAP:
         print(f"error: --method dense requires --n <= {DENSE_N_CAP}", file=sys.stderr)
         return EXIT_INVALID
@@ -226,7 +218,7 @@ def cmd_solve(args) -> int:
     t_fit, sigma_fit = _fit_exponents_best_effort(grid, u)
     report = {
         "spec": _spec_echo(args, args.method),
-        "warnings": resolve_regime(args.alpha, args.beta).warnings,
+        "warnings": regime.warnings,
         "barrier": {
             "c": pair.c,
             "C": pair.C,
@@ -240,24 +232,24 @@ def cmd_solve(args) -> int:
             "t_fit": t_fit,
             "sigma_fit": sigma_fit,
             "q_bar_est": None if sigma_fit is None else q_bar_from_sigma(sigma_fit),
-            "q_bar_theory": q_bar_theory(args.alpha, args.beta),
+            "q_bar_theory": regime.q_bar,
             "h1_verdict": "needs >= 3 levels",
         },
         "residuals": {"solution": residual(grid, u, args.alpha, args.beta)},
     }
     _write_json(out_dir / "report.json", report)
 
-    grad = gradient_field(grid, u)
-    pts = grid.points()
-    coord_names = ["x"] if grid.dim == 1 else ["x", "y"]
+    header = ("x," if grid.dim == 1 else "x,y,") + "d,u,grad_u"
     with open(out_dir / "solution.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(coord_names + ["d", "u", "grad_u"])
-        for i in range(grid.num_interior):
-            writer.writerow(
-                [_fmt(float(c)) for c in pts[i]]
-                + [_fmt(float(grid.d[i])), _fmt(float(u[i])), _fmt(float(grad[i]))]
-            )
+        np.savetxt(
+            fh,
+            np.column_stack([grid.points(), grid.d, u, gradient_field(grid, u)]),
+            fmt="%.17g",
+            delimiter=",",
+            newline="\r\n",
+            header=header,
+            comments="",
+        )
     _write_manifest(out_dir, report["spec"], ["report.json", "solution.csv"])
     if not converged:
         print(f"error: no convergence at n={grid.n}", file=sys.stderr)
@@ -265,25 +257,19 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+SWEEP_FIELDS = ("alpha", "beta", "t_theory", "t_fit", "sigma_theory", "sigma_fit",
+                "q_bar_theory", "q_bar_est", "h1_verdict")
+
+
 def _sweep_cell(cell) -> dict:
     alpha, beta, domain, n, tol = cell
-    row = {
-        "alpha": alpha,
-        "beta": beta,
-        "t_theory": "",
-        "t_fit": "",
-        "sigma_theory": "",
-        "sigma_fit": "",
-        "q_bar_theory": "",
-        "q_bar_est": "",
-        "h1_verdict": "",
-    }
-    if alpha + beta == 1.0:
+    row = {**dict.fromkeys(SWEEP_FIELDS, ""), "alpha": alpha, "beta": beta}
+    regime = resolve_regime(alpha, beta)
+    if regime.warnings:
         row["h1_verdict"] = "skipped: borderline alpha+beta=1"
         return row
     # theory columns never need a solve
-    row["q_bar_theory"] = q_bar_theory(alpha, beta)
-    row["t_theory"], row["sigma_theory"] = theory_exponents(alpha, beta)
+    row.update(t_theory=regime.t, sigma_theory=regime.sigma, q_bar_theory=regime.q_bar)
     try:
         config = SolveConfig(tol=tol, max_iter=5000)
         ladder = solve_ladder(alpha, beta, _domain(domain), (n // 4, n // 2, n), config)
@@ -317,6 +303,8 @@ def cmd_sweep(args) -> int:
         print("error: sweep needs --n divisible by 4 and >= 16", file=sys.stderr)
         return EXIT_INVALID
     cells = [(a, b, args.domain, args.n, args.tol) for a in alphas for b in betas]
+    for alpha, beta, *_ in cells:
+        resolve_regime(alpha, beta)  # out-of-range input: ValueError, exit 1
     workers = int(os.environ.get("SEL_THREADS", os.cpu_count() or 1))
     workers = max(1, min(workers, len(cells)))
     if workers == 1:
@@ -327,29 +315,17 @@ def cmd_sweep(args) -> int:
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    fields = [
-        "alpha",
-        "beta",
-        "t_theory",
-        "t_fit",
-        "sigma_theory",
-        "sigma_fit",
-        "q_bar_theory",
-        "q_bar_est",
-        "h1_verdict",
-    ]
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(fields)
+        writer.writerow(SWEEP_FIELDS)
         for row in rows:
-            writer.writerow([_fmt(row[f]) if isinstance(row[f], float) else row[f] for f in fields])
+            writer.writerow([_fmt(row[f]) for f in SWEEP_FIELDS])
     _write_manifest(out.parent, {"alphas": alphas, "betas": betas, "n": args.n}, [out.name])
     return EXIT_OK
 
 
 def cmd_spectrum(args) -> int:
-    if _refuses_borderline(args.alpha, args.beta):
-        return EXIT_INVALID
+    regime = _admitted_regime(args.alpha, args.beta)
     level_ns = [int(v) for v in args.levels.split(",") if v]
     if not level_ns:
         print("error: need at least 1 refinement level", file=sys.stderr)
@@ -365,7 +341,7 @@ def cmd_spectrum(args) -> int:
         rows.append({"n": level.grid.n, "lambda1": level.eig.value, "mu1": mu.value})
     payload = {
         "spec": _spec_echo(args),
-        "warnings": resolve_regime(args.alpha, args.beta).warnings,
+        "warnings": regime.warnings,
         "levels": rows,
         "stable": all(r["mu1"] > 0.0 for r in rows),
         "ordered": all(r["mu1"] >= r["lambda1"] for r in rows),
@@ -378,8 +354,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_regularity(args) -> int:
-    if _refuses_borderline(args.alpha, args.beta):
-        return EXIT_INVALID
+    regime = _admitted_regime(args.alpha, args.beta)
     level_ns = [int(v) for v in args.levels.split(",") if v]
     if len(level_ns) < 2:
         print("error: need at least 2 refinement levels", file=sys.stderr)
@@ -396,7 +371,7 @@ def cmd_regularity(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
         "spec": _spec_echo(args),
-        "warnings": resolve_regime(args.alpha, args.beta).warnings,
+        "warnings": regime.warnings,
         "report": asdict(reg),
     }
     _write_json(out_dir / "regularity.json", payload)

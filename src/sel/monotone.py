@@ -77,7 +77,6 @@ class SolveReport:
     converged: bool
     ordering_violation: float
     h1_history: list[float] = field(default_factory=list)
-    warnings: tuple[str, ...] = ()
 
 
 def monotone_shift(grid: Grid, lower: np.ndarray, alpha: float, beta: float) -> np.ndarray:
@@ -119,18 +118,15 @@ def iterate_step(
     return u
 
 
-def solve_monotone(
-    spec: ProblemSpec, pair: BarrierPair, config: SolveConfig | None = None
-) -> SolveReport:
+def solve_monotone(spec: ProblemSpec, pair: BarrierPair) -> SolveReport:
     """Run both monotone sequences to the minimal/maximal solutions.
 
     Returns a converged report once the weighted relative gap drops below
-    config.tol, or an unconverged report (converged=False, final gap in
-    gap_history) when max_iter runs out.  Raises OrderingViolationError if
-    the chain breaks beyond 1e-12 * ||super||_inf.
+    spec.config.tol, or an unconverged report (converged=False, final gap in
+    gap_history) when spec.config.max_iter runs out.  Raises
+    OrderingViolationError if the chain breaks beyond 1e-12 * ||super||_inf.
     """
-    if config is None:
-        config = spec.config
+    config = spec.config
     grid = spec.make_grid()
     for side, fld in (("sub", pair.sub), ("super", pair.super)):
         cert = verify_barrier(grid, fld, spec.alpha, spec.beta, side)
@@ -186,7 +182,6 @@ def solve_monotone(
         converged=converged,
         ordering_violation=worst_violation,
         h1_history=h1_history,
-        warnings=pair.warnings,
     )
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .barriers import resolve_regime
 from .grid import DomainShape, Grid, build_grid, interval
 
 
@@ -37,10 +38,7 @@ class ProblemSpec:
     config: SolveConfig = field(default_factory=SolveConfig)
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha >= 0):
-            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
-        if not (math.isfinite(self.beta) and 0 <= self.beta < 2):
-            raise ValueError(f"beta must satisfy 0 <= beta < 2, got {self.beta}")
+        resolve_regime(self.alpha, self.beta)  # ValueError outside the admitted range
 
     def make_grid(self) -> Grid:
         return build_grid(self.shape, self.n)

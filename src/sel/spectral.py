@@ -28,6 +28,7 @@ RESIDUAL_FLOOR = 1e-7
 # Relative residual of the inner solves.  Inner accuracy is not precious: the
 # Rayleigh quotient squares the eigenvector error.
 INNER_TOL = 1e-9
+MAX_INVERSE_ITERS = 500
 
 
 class EigenNonConvergenceError(RuntimeError):
@@ -64,7 +65,7 @@ def dirichlet_eigenpair(grid: Grid) -> EigenPair:
     return EigenPair(value=float(lam), field=phi, residual=float(resid))
 
 
-def principal_eigenpair(A: sp.spmatrix, tol: float = 1e-10, max_iter: int = 500) -> EigenPair:
+def principal_eigenpair(A: sp.spmatrix, tol: float = 1e-10) -> EigenPair:
     """Smallest eigenvalue and positive eigenvector of an SPD M-matrix.
 
     Convergence is declared on relative eigenvalue increments <= tol, with a
@@ -75,7 +76,7 @@ def principal_eigenpair(A: sp.spmatrix, tol: float = 1e-10, max_iter: int = 500)
     factor = SPDFactor(A)
     x = np.ones(A.shape[0])
     lam = float(x @ (A @ x)) / float(x @ x)
-    for _ in range(max_iter):
+    for _ in range(MAX_INVERSE_ITERS):
         y, _ = factor.solve(x, tol=INNER_TOL, x0=x / lam)
         y /= float(np.max(np.abs(y)))
         lam_new = float(y @ (A @ y)) / float(y @ y)
@@ -89,7 +90,7 @@ def principal_eigenpair(A: sp.spmatrix, tol: float = 1e-10, max_iter: int = 500)
                         "principal eigenvector is not strictly positive"
                     )
                 return EigenPair(value=lam, field=x, residual=resid)
-    raise EigenNonConvergenceError(f"no convergence after {max_iter} inverse iterations")
+    raise EigenNonConvergenceError(f"no convergence after {MAX_INVERSE_ITERS} inverse iterations")
 
 
 def linearized_smallest_eigenvalue(

@@ -27,7 +27,7 @@ from sel.problem import ProblemSpec, SolveConfig
 from sel.regularized import epsilon_continuation
 from sel.spectral import linearized_smallest_eigenvalue
 
-FINE_TOL = 1e-6  # gap tolerance for n >= 512 ladders (CG round-off floor bound)
+FINE_TOL = 1e-9  # gap tolerance for n >= 512 ladders
 
 LOW_CASES = [(0.3, 0.0), (0.5, 0.0), (0.8, 0.0)]
 HIGH_CASES = [(a, b) for a in (1.5, 2.0, 2.5) for b in (0.0, 0.5)]

@@ -17,11 +17,11 @@ from sel.analysis import (
     gradient_field,
     h1_membership,
     local_gradient_probe,
-    q_bar_theory,
     regularity_report,
     sobolev_integral,
     uniqueness_identity,
 )
+from sel.barriers import resolve_regime
 from sel.grid import build_grid, interval, rectangle
 from sel.oracle import observed_order
 
@@ -103,9 +103,10 @@ def test_sobolev_integral_diverges_past_threshold(lab):
 
 
 def test_q_bar_theory_values():
-    assert q_bar_theory(2.0, 0.0) == pytest.approx(3.0)
-    assert q_bar_theory(2.0, 1.0) == pytest.approx(1.5)
-    assert q_bar_theory(0.5, 0.2) == math.inf
+    assert resolve_regime(2.0, 0.0).q_bar == pytest.approx(3.0)
+    assert resolve_regime(2.0, 1.0).q_bar == pytest.approx(1.5)
+    assert resolve_regime(0.5, 0.2).q_bar == math.inf
+    assert resolve_regime(0.5, 0.5).q_bar == math.inf
 
 
 def test_estimate_critical_q_synthetic(lab):

@@ -1,11 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from sel.barriers import (
     ALPHA_ONE_WARNING,
     BORDERLINE_WARNING,
-    BorderlineRegimeError,
-    boundary_exponent,
     build_barrier_pair,
     build_subsolution,
     build_supersolution,
@@ -18,16 +18,37 @@ from sel.problem import ProblemSpec, SolveConfig
 
 
 def test_boundary_exponent_regimes():
-    assert boundary_exponent(0.5, 0.0) == 1.0
-    assert boundary_exponent(2.0, 0.0) == pytest.approx(2.0 / 3.0)
-    assert boundary_exponent(2.0, 1.0) == pytest.approx(1.0 / 3.0)
+    low = resolve_regime(0.5, 0.0)
+    assert (low.t, low.sigma, low.q_bar, low.warnings) == (1.0, 0.0, math.inf, ())
+    assert resolve_regime(2.0, 0.0).t == pytest.approx(2.0 / 3.0)
+    high = resolve_regime(2.0, 1.0)
+    assert high.t == pytest.approx(1.0 / 3.0)
+    assert high.sigma == pytest.approx(-2.0 / 3.0)
+    assert high.warnings == ()
 
 
-def test_boundary_exponent_refuses_borderline():
-    with pytest.raises(BorderlineRegimeError):
-        boundary_exponent(0.5, 0.5)
-    with pytest.raises(BorderlineRegimeError):
-        boundary_exponent(1.0, 0.0)
+@pytest.mark.parametrize(
+    "alpha, beta", [(0.3, 0.0), (0.5, 0.5), (1.0, 0.0), (2.0, 0.0), (2.0, 1.9), (50.0, 1.99)]
+)
+def test_regime_matches_closed_forms_exactly(alpha, beta):
+    # the expressions the regime table must reproduce bit for bit
+    r = resolve_regime(alpha, beta)
+    if alpha + beta > 1:
+        assert r.t == (2.0 - beta) / (1.0 + alpha)
+        assert r.sigma == (1.0 - alpha - beta) / (1.0 + alpha)
+        assert r.q_bar == (1.0 + alpha) / (alpha + beta - 1.0)
+    else:
+        assert r.t == 1.0
+        assert r.sigma == (0.0 if alpha + beta < 1 else None)
+        assert r.q_bar == math.inf
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_resolve_regime_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
+        resolve_regime(bad, 0.0)
+    with pytest.raises(ValueError, match="beta must satisfy 0 <= beta < 2"):
+        resolve_regime(0.5, bad)
 
 
 def test_resolve_regime_borderline_goes_through_t1_with_warning():
@@ -193,7 +214,7 @@ def test_alpha_zero_supersolution_is_scaled_poisson_profile(lab):
 
 def test_borderline_pair_builds_with_warning(lab):
     pair = lab.pair(0.5, 0.5, 64)
-    assert pair.warnings == (BORDERLINE_WARNING,)
+    assert resolve_regime(0.5, 0.5).warnings == (BORDERLINE_WARNING,)
     assert pair.t == 1.0
     grid = lab.grid(64)
     for side, field in (("sub", pair.sub), ("super", pair.super)):

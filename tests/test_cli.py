@@ -4,11 +4,15 @@ import math
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from sel import cli
+from sel.analysis import gradient_field
 from sel.barriers import ALPHA_ONE_WARNING
 from sel.cli import NO_CONVERGENCE_ERRORS, main
+from sel.monotone import solve_ladder
+from sel.problem import SolveConfig
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "docs" / "report_schema.json").read_text())
 
@@ -39,6 +43,20 @@ def test_solve_reports_are_deterministic(tmp_path):
         outs.append(out)
     assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
     assert (outs[0] / "solution.csv").read_bytes() == (outs[1] / "solution.csv").read_bytes()
+
+
+@pytest.mark.parametrize("domain, n", [("interval", 64), ("rectangle", 16)])
+def test_solution_csv_rendering(tmp_path, domain, n):
+    out = tmp_path / domain
+    assert main(["solve", "--domain", domain, "--alpha", "2", "--n", str(n), "--out", str(out)]) == 0
+    (level,) = solve_ladder(2.0, 0.0, cli._domain(domain), [n], SolveConfig())
+    grid, u = level.grid, level.report.upper
+    expected = np.column_stack([grid.points(), grid.d, u, gradient_field(grid, u)])
+    lines = (out / "solution.csv").read_bytes().decode().split("\r\n")
+    assert lines[-1] == "" and not any("\n" in line for line in lines)
+    assert lines[0] == ("x,d,u,grad_u" if domain == "interval" else "x,y,d,u,grad_u")
+    rows = [line.split(",") for line in lines[1:-1]]
+    assert rows == [[f"{float(v):.17g}" for v in row] for row in expected]
 
 
 def test_solve_singular_case_schema_and_spectral(tmp_path):
@@ -103,7 +121,8 @@ def test_invalid_inputs_exit_one(tmp_path):
 )
 def test_non_finite_inputs_exit_one(tmp_path, capsys, flags):
     assert main(["solve", *flags, "--n", "32", "--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err
 
 
 @pytest.mark.parametrize(
@@ -260,6 +279,17 @@ def test_sweep_rejects_bad_n(tmp_path):
               "--out", str(tmp_path / "s.csv")])
         == 1
     )
+
+
+@pytest.mark.parametrize(
+    "alphas, betas", [("-1", "0,2"), ("0.5,nan", "0"), ("inf", "0"), ("0.5", "0,2")]
+)
+def test_sweep_rejects_out_of_range_lists(tmp_path, capsys, alphas, betas):
+    out = tmp_path / "s.csv"
+    argv = ["sweep", "--alpha-list", alphas, "--beta-list", betas, "--n", "64", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
 
 
 def test_spectrum_rejects_empty_levels(tmp_path, capsys):
