@@ -356,12 +356,12 @@ def regularity_report(
     an explicit one is given; H^1 classification needs >= 3 levels and is
     reported as such when fewer are supplied.
     """
+    regime = resolve_regime(alpha, beta)
     grid, u = levels[-1]
     if window is None:
         window = asymptotic_window(grid)
     t_fit, _ = fit_boundary_exponent(grid, u, window)
     sigma_fit = fit_gradient_exponent(grid, u, window)
-    regime = resolve_regime(alpha, beta)
     verdicts: dict[str, object] = {}
     if len(levels) >= 2:
         try:
