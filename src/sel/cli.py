@@ -49,7 +49,7 @@ from .barriers import (
     build_barrier_pair,
     resolve_regime,
 )
-from .grid import Grid, interval, rectangle
+from .grid import Grid, build_grid, interval, rectangle
 from .linear_core import SolverStagnationError
 from .monotone import OrderingViolationError, residual, solve_ladder, uniqueness_gap
 from .oracle import DENSE_N_CAP, NewtonStagnationError, dense_newton_solve, newton_solve
@@ -135,6 +135,15 @@ def _fit_exponents_best_effort(grid: Grid, u) -> tuple[float | None, float | Non
         except (WindowTooThinError, ValueError):
             continue
     return None, None
+
+
+def _check_fit_window(domain: str, n: int) -> None:
+    """ValueError (exit 1) if the n grid cannot host regularity_report's fits."""
+    grid = build_grid(_domain(domain), n)
+    try:
+        fit_boundary_exponent(grid, grid.d, asymptotic_window(grid))
+    except WindowTooThinError as exc:
+        raise ValueError(f"n={n} is too coarse for the boundary fit: {exc}") from exc
 
 
 def _admitted_regime(alpha: float, beta: float) -> Regime:
@@ -299,12 +308,13 @@ def cmd_sweep(args) -> int:
     if not alphas or not betas:
         print("error: empty --alpha-list / --beta-list", file=sys.stderr)
         return EXIT_INVALID
-    if args.n % 4 != 0 or args.n < 16:
-        print("error: sweep needs --n divisible by 4 and >= 16", file=sys.stderr)
+    if args.n % 4 != 0:
+        print("error: sweep needs --n divisible by 4", file=sys.stderr)
         return EXIT_INVALID
     cells = [(a, b, args.domain, args.n, args.tol) for a in alphas for b in betas]
     for alpha, beta, *_ in cells:
         resolve_regime(alpha, beta)  # out-of-range input: ValueError, exit 1
+    _check_fit_window(args.domain, args.n)
     workers = int(os.environ.get("SEL_THREADS", os.cpu_count() or 1))
     workers = max(1, min(workers, len(cells)))
     if workers == 1:
@@ -360,6 +370,9 @@ def cmd_regularity(args) -> int:
         print("error: need at least 2 refinement levels", file=sys.stderr)
         return EXIT_INVALID
     q_grid = [float(q) for q in args.q_grid.split(",") if q] if args.q_grid else None
+    if q_grid is not None and not (q_grid and all(math.isfinite(q) and q >= 1.0 for q in q_grid)):
+        raise ValueError(f"--q-grid needs finite values >= 1, got {args.q_grid!r}")
+    _check_fit_window(args.domain, level_ns[-1])
 
     ladder = _ladder(args, level_ns)
     if ladder is None:

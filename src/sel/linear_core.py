@@ -4,10 +4,10 @@ A nonnegative diagonal keeps the M-matrix structure of the Laplacian:
 solutions of systems with nonnegative right-hand sides are nonnegative
 (discrete comparison principle), which is checked after every solve.
 SPDFactor prepares an operator once for all the right-hand sides it will
-see: interval operators are tridiagonal and get a banded Cholesky factor
-with iterative refinement; rectangle operators are solved by diagonally
-preconditioned conjugate gradients, where the singular shift of the
-monotone iteration makes the diagonal dominate near the boundary.
+see: interval operators are tridiagonal (is_tridiagonal) and get a banded
+Cholesky factor with iterative refinement; rectangle operators are solved
+by diagonally preconditioned conjugate gradients, where the singular shift
+of the monotone iteration makes the diagonal dominate near the boundary.
 extended_residual evaluates f - A x for any sparsity pattern with the
 products and row sums in np.longdouble; the refinement, the final residual
 check and the monotone iteration's defect all use it.
@@ -56,6 +56,12 @@ def extended_residual(A: sp.csr_matrix, f: np.ndarray, x: np.ndarray) -> np.ndar
     return (f - np.add.reduceat(prod, A.indptr[:-1])).astype(float)
 
 
+def is_tridiagonal(A: sp.spmatrix) -> bool:
+    """Every stored entry of A lies on or next to the diagonal (intervals)."""
+    coo = A.tocoo()
+    return bool(np.all(np.abs(coo.row - coo.col) <= 1))
+
+
 MAX_REFINEMENTS = 3  # refinement steps after the first banded solve
 CG_ITERS_PER_UNKNOWN = 20  # CG iteration cap, per unknown
 
@@ -73,8 +79,7 @@ class SPDFactor:
 
     def __init__(self, A: sp.spmatrix):
         self.A = A = A.tocsr()
-        coo = A.tocoo()
-        if np.all(np.abs(coo.row - coo.col) <= 1):
+        if is_tridiagonal(A):
             upper = np.zeros((2, A.shape[0]))
             upper[0, 1:] = A.diagonal(1)
             upper[1] = A.diagonal(0)
@@ -86,16 +91,10 @@ class SPDFactor:
             self._chol = None
             self._inv_diag = 1.0 / A.diagonal()
 
-    def solve(
-        self,
-        f: np.ndarray,
-        tol: float = 1e-12,
-        x0: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, SolveStats]:
+    def solve(self, f: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, SolveStats]:
         """x with ||f - A x||_2 <= tol ||f||_2, else SolverStagnationError.
 
-        x0 is the starting iterate (refinement starts from it on the banded
-        path); CG stops after CG_ITERS_PER_UNKNOWN * m iterations.  If f >= 0
+        CG stops after CG_ITERS_PER_UNKNOWN * m iterations.  If f >= 0
         nodewise, the result is checked against the discrete comparison
         principle.  SolveStats.iterations counts banded solves or CG steps.
         """
@@ -107,9 +106,8 @@ class SPDFactor:
         norm_f = float(np.linalg.norm(f))
         if norm_f == 0.0:
             return np.zeros(m), SolveStats(0, 0.0, time.perf_counter() - t_start)
-        x = np.zeros(m) if x0 is None else np.array(x0, dtype=float)
         target = tol * norm_f
-        iters = self._cg(f, x, target) if self._chol is None else 0
+        x, iters = self._cg(f, target) if self._chol is None else (np.zeros(m), 0)
         r = extended_residual(self.A, f, x)
         while self._chol is not None and np.linalg.norm(r) > target and iters <= MAX_REFINEMENTS:
             x += scipy.linalg.cho_solve_banded((self._chol, False), r, check_finite=False)
@@ -129,48 +127,35 @@ class SPDFactor:
                 )
         return x, SolveStats(iters, rel, time.perf_counter() - t_start)
 
-    def _cg(self, f: np.ndarray, x: np.ndarray, target: float) -> int:
-        # Jacobi-preconditioned CG on x in place; the true residual is
-        # recomputed on exit and the solve restarts from the current iterate
-        # if round-off drift in the recurrences left it above the target.
+    def _cg(self, f: np.ndarray, target: float) -> tuple[np.ndarray, int]:
+        # Jacobi-preconditioned CG from x = 0; the caller checks the true residual.
         A, inv_diag = self.A, self._inv_diag
         max_iter = CG_ITERS_PER_UNKNOWN * f.shape[0]
-        total_iters = 0
-        for _restart in range(4):
-            r = f - A @ x
-            if np.linalg.norm(r) <= target:
-                break
+        x = np.zeros(f.shape[0])
+        r = f.copy()
+        z = inv_diag * r
+        p = z.copy()
+        rz = float(r @ z)
+        iters = 0
+        while np.linalg.norm(r) > target and iters < max_iter:
+            Ap = A @ p
+            pAp = float(p @ Ap)
+            if pAp <= 0.0:
+                raise SolverStagnationError("matrix is not positive definite")
+            alpha = rz / pAp
+            x += alpha * p
+            r -= alpha * Ap
+            iters += 1
             z = inv_diag * r
-            p = z.copy()
-            rz = float(r @ z)
-            while total_iters < max_iter:
-                Ap = A @ p
-                pAp = float(p @ Ap)
-                if pAp <= 0.0:
-                    raise SolverStagnationError("matrix is not positive definite")
-                alpha = rz / pAp
-                x += alpha * p
-                r -= alpha * Ap
-                total_iters += 1
-                if np.linalg.norm(r) <= target:
-                    break
-                z = inv_diag * r
-                rz_new = float(r @ z)
-                p = z + (rz_new / rz) * p
-                rz = rz_new
-            else:
-                break
-        return total_iters
+            rz_new = float(r @ z)
+            p = z + (rz_new / rz) * p
+            rz = rz_new
+        return x, iters
 
 
-def solve_spd(
-    A: sp.spmatrix,
-    f: np.ndarray,
-    tol: float = 1e-12,
-    x0: np.ndarray | None = None,
-) -> tuple[np.ndarray, SolveStats]:
+def solve_spd(A: sp.spmatrix, f: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, SolveStats]:
     """One solve of A x = f through a fresh SPDFactor; see SPDFactor.solve."""
-    return SPDFactor(A).solve(f, tol, x0=x0)
+    return SPDFactor(A).solve(f, tol)
 
 
 def weighted_norm(u: np.ndarray, grid: Grid, gamma: float) -> float:

@@ -3,12 +3,11 @@
 On the uniform tensor grid the principal eigenpair of -lap_h is known in
 closed form (dirichlet_eigenpair).  The linearized operator
 -lap_h + alpha d^(-beta) u^(-(1+alpha)) has no closed form; its smallest
-eigenvalue mu_1 comes from inverse power iteration, every inner solve
-through one SPDFactor of the operator (banded Cholesky on intervals,
-preconditioned CG on rectangles).  Only the smallest eigenvalue is ever
-needed, the operators are SPD M-matrices, and the principal eigenvector is
-positive (discrete Perron-Frobenius), so Lanczos or deflation would be
-overkill.
+eigenvalue mu_1 comes from a library eigensolver chosen by sparsity pattern:
+scipy.linalg.eigh_tridiagonal (LAPACK) on tridiagonal operators (intervals),
+ARPACK Lanczos through scipy.sparse.linalg.eigsh on any other (rectangles).
+The operators are SPD M-matrices, so the principal eigenvector is positive
+(discrete Perron-Frobenius), which is checked.
 """
 
 from __future__ import annotations
@@ -16,23 +15,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 from .grid import Grid, assemble_laplacian, power_weight
-from .linear_core import SPDFactor
+from .linear_core import is_tridiagonal
 
-# The 2-norm eigen-residual of a sup-normalized eigenvector bottoms out at
-# the inner solver's round-off floor (eps * cond(A)), not at zero; this is
-# the absolute level below which the back-check stops being meaningful.
-RESIDUAL_FLOOR = 1e-7
-# Relative residual of the inner solves.  Inner accuracy is not precious: the
-# Rayleigh quotient squares the eigenvector error.
-INNER_TOL = 1e-9
-MAX_INVERSE_ITERS = 500
+# An eigenpair exact to rounding still has a 2-norm residual of a few
+# eps * ||A||_inf (which grows like n^2); the residual check allows this many.
+ROUNDOFF_UNITS = 16
 
 
 class EigenNonConvergenceError(RuntimeError):
-    """Inverse power iteration stagnated."""
+    """The eigensolver did not converge, or its eigenpair failed the residual
+    or positivity check."""
 
 
 class InvalidLinearizationPointError(ValueError):
@@ -68,29 +65,33 @@ def dirichlet_eigenpair(grid: Grid) -> EigenPair:
 def principal_eigenpair(A: sp.spmatrix, tol: float = 1e-10) -> EigenPair:
     """Smallest eigenvalue and positive eigenvector of an SPD M-matrix.
 
-    Convergence is declared on relative eigenvalue increments <= tol, with a
-    residual back-check ||A phi - lambda phi||_2 / ||phi||_2 <= tol * lambda.
-    Every inner solve runs at INNER_TOL; one that cannot reach it raises
-    SolverStagnationError.
+    Tridiagonal A goes to scipy.linalg.eigh_tridiagonal, any other pattern
+    to scipy.sparse.linalg.eigsh at relative accuracy tol, started from the
+    constant vector so that results are deterministic.  The value is the
+    Rayleigh quotient of the sup-normalized eigenvector phi.  Unless
+    ||A phi - lambda phi||_2 / ||phi||_2 <= max(tol * lambda,
+    ROUNDOFF_UNITS * eps * ||A||_inf) and phi > 0: EigenNonConvergenceError.
     """
-    factor = SPDFactor(A)
-    x = np.ones(A.shape[0])
+    if is_tridiagonal(A):
+        d, e = A.diagonal(), A.diagonal(1)
+        _, vecs = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
+    else:
+        try:
+            _, vecs = scipy.sparse.linalg.eigsh(A, k=1, which="SA", v0=np.ones(A.shape[0]), tol=tol)
+        except scipy.sparse.linalg.ArpackNoConvergence as exc:
+            raise EigenNonConvergenceError(f"Lanczos did not converge: {exc}") from exc
+    x = vecs[:, 0] / vecs[np.argmax(np.abs(vecs[:, 0])), 0]
+    # The Rayleigh quotient squares the eigenvector error; bisection alone is
+    # off by up to eps * ||A||, 2.7e-9 relative at interval n=8192.
     lam = float(x @ (A @ x)) / float(x @ x)
-    for _ in range(MAX_INVERSE_ITERS):
-        y, _ = factor.solve(x, tol=INNER_TOL, x0=x / lam)
-        y /= float(np.max(np.abs(y)))
-        lam_new = float(y @ (A @ y)) / float(y @ y)
-        increment_small = abs(lam_new - lam) <= tol * abs(lam_new)
-        x, lam = y, lam_new
-        if increment_small:
-            resid = float(np.linalg.norm(A @ x - lam * x)) / float(np.linalg.norm(x))
-            if resid <= max(tol * lam, RESIDUAL_FLOOR):
-                if x.min() <= 0.0:
-                    raise EigenNonConvergenceError(
-                        "principal eigenvector is not strictly positive"
-                    )
-                return EigenPair(value=lam, field=x, residual=resid)
-    raise EigenNonConvergenceError(f"no convergence after {MAX_INVERSE_ITERS} inverse iterations")
+    resid = float(np.linalg.norm(A @ x - lam * x)) / float(np.linalg.norm(x))
+    floor = ROUNDOFF_UNITS * np.finfo(float).eps * scipy.sparse.linalg.norm(A, np.inf)
+    limit = max(tol * lam, floor)
+    if not resid <= limit:
+        raise EigenNonConvergenceError(f"eigen-residual {resid:.3e} > {limit:.3e}")
+    if x.min() <= 0.0:
+        raise EigenNonConvergenceError("principal eigenvector is not strictly positive")
+    return EigenPair(value=lam, field=x, residual=resid)
 
 
 def linearized_smallest_eigenvalue(

@@ -171,6 +171,15 @@ def test_tight_outer_tolerance_certifies(tmp_path, flags):
     assert solve["gap_history"][-1] <= float(flags[-1])
 
 
+def test_fine_interval_certifies(tmp_path):
+    # mu_1 comes from a direct tridiagonal eigensolver, with no inner
+    # tolerance that the rounding floor of a fine grid could miss
+    assert main(["solve", "--alpha", "2", "--n", "16384", "--out", str(tmp_path)]) == 0
+    report = read_report(tmp_path)
+    assert report["solve"]["ordering_violation"] == 0.0
+    assert report["spectral"]["mu1"] >= report["spectral"]["lambda1"] > 0
+
+
 @pytest.mark.parametrize("eps", ["nan", "inf", "0", "-1"])
 def test_regularized_rejects_bad_eps(tmp_path, capsys, eps):
     argv = ["solve", "--alpha", "0.5", "--n", "16", "--method", "regularized", "--eps", eps]
@@ -281,6 +290,17 @@ def test_sweep_rejects_bad_n(tmp_path):
     )
 
 
+@pytest.mark.parametrize("domain, n", [("interval", 64), ("interval", 88), ("rectangle", 32)])
+def test_sweep_rejects_n_too_coarse_for_fits(tmp_path, capsys, monkeypatch, domain, n):
+    monkeypatch.setattr(cli, "solve_ladder", lambda *_: pytest.fail("solved before the check"))
+    out = tmp_path / "s.csv"
+    argv = ["sweep", "--domain", domain, "--alpha-list", "0.5", "--beta-list", "0",
+            "--n", str(n), "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: n={n} is too coarse for the boundary fit")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "alphas, betas", [("-1", "0,2"), ("0.5,nan", "0"), ("inf", "0"), ("0.5", "0,2")]
 )
@@ -332,3 +352,21 @@ def test_regularity_command(tmp_path):
     rows = list(csv.DictReader(open(out / "sobolev.csv")))
     assert len(rows) == 9
     assert {r["q"] for r in rows} == {"1.5", "2", "4"}
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--levels", "256,512", "--q-grid", "0.5"], "error: --q-grid"),
+        (["--levels", "256,512", "--q-grid", "2,nan"], "error: --q-grid"),
+        (["--levels", "256,512", "--q-grid", ","], "error: --q-grid"),
+        (["--levels", "16,32,64"], "error: n=64 is too coarse"),
+        (["--domain", "rectangle", "--levels", "16,32"], "error: n=32 is too coarse"),
+    ],
+)
+def test_regularity_checks_inputs_before_solving(tmp_path, capsys, monkeypatch, flags, message):
+    monkeypatch.setattr(cli, "solve_ladder", lambda *_: pytest.fail("solved before the check"))
+    out = tmp_path / "reg"
+    assert main(["regularity", "--alpha", "2", *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()

@@ -103,16 +103,6 @@ def test_energy_identity(rng):
     assert abs(energy - f @ u) <= 10 * tol * abs(energy)
 
 
-def test_warm_start_accepted():
-    g = build_grid(interval(1.0), 32)
-    a = assemble_laplacian(g)
-    f = np.ones(g.num_interior)
-    u0, _ = solve_spd(a, f, tol=1e-12)
-    u1, stats = solve_spd(a, f, tol=1e-12, x0=u0)
-    assert stats.iterations <= 1
-    np.testing.assert_allclose(u1, u0, atol=1e-12)
-
-
 def test_stagnation_below_roundoff_floor():
     g = build_grid(interval(1.0), 256)
     a = assemble_laplacian(g)

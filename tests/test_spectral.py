@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 from sel.grid import assemble_laplacian, build_grid, interval, rectangle, power_weight
+from sel.monotone import solve_ladder
+from sel.problem import SolveConfig
 from sel.spectral import (
+    EigenNonConvergenceError,
     InvalidLinearizationPointError,
     dirichlet_eigenpair,
     linearized_smallest_eigenvalue,
@@ -30,16 +34,19 @@ def test_principal_pair_tiny_grid_closed_form():
         (interval(1.0), 4096),
         (rectangle(1.0, 1.0), 24),
         (rectangle(2.0, 0.5), 16),
+        (interval(1.0), 8192),  # bisection alone is off by 2.7e-9 here
     ],
 )
-def test_closed_form_pair_matches_inverse_iteration(shape, n):
+def test_closed_form_pair_matches_library_eigensolver(shape, n):
     g = build_grid(shape, n)
+    a = assemble_laplacian(g)
     exact = dirichlet_eigenpair(g)
-    iterated = principal_eigenpair(assemble_laplacian(g), tol=1e-12)
-    assert exact.value == pytest.approx(iterated.value, rel=1e-10)
-    np.testing.assert_allclose(exact.field, iterated.field, rtol=0.0, atol=1e-8)
+    computed = principal_eigenpair(a, tol=1e-12)
+    assert exact.value == pytest.approx(computed.value, rel=1e-10)
+    np.testing.assert_allclose(exact.field, computed.field, rtol=0.0, atol=1e-8)
     assert exact.field.max() == 1.0
-    assert exact.residual <= iterated.residual
+    # exact up to rounding: the residual is of the order of eps * ||A||_inf
+    assert exact.residual <= np.finfo(float).eps * scipy.sparse.linalg.norm(a, np.inf)
 
 
 def test_lambda1_approaches_pi_squared_monotonically():
@@ -97,11 +104,46 @@ def test_linearized_rejects_nonpositive_point():
         linearized_smallest_eigenvalue(g, np.zeros(g.num_interior), 1.0, 0.0)
 
 
-def test_linearized_matches_dense_eigensolve(lab):
-    grid, _, report = lab.solved(0.5, 0.0, 64, tol=1e-10)
-    mu = linearized_smallest_eigenvalue(grid, report.upper, 0.5, 0.0, tol=1e-10)
-    dense = assemble_laplacian(grid).toarray() + np.diag(
-        0.5 * power_weight(grid, 0.0) * report.upper ** (-1.5)
-    )
-    mu_dense = scipy.linalg.eigvalsh(dense)[0]
-    assert mu.value == pytest.approx(mu_dense, rel=1e-6)
+def test_linearized_matches_dense_eigensolve():
+    cases = [
+        (interval(1.0), 64),
+        (interval(1.0), 2),  # one unknown
+        (interval(1.0), 3),
+        (rectangle(1.0, 1.0), 3),  # four unknowns: the smallest Lanczos case
+        (rectangle(1.0, 1.0), 16),
+    ]
+    for shape, n in cases:
+        (level,) = solve_ladder(0.5, 0.0, shape, [n], SolveConfig(tol=1e-10))
+        grid, u = level.grid, level.report.upper
+        mu = linearized_smallest_eigenvalue(grid, u, 0.5, 0.0, tol=1e-10)
+        potential = np.diag(0.5 * power_weight(grid, 0.0) * u**-1.5)
+        mu_dense = scipy.linalg.eigvalsh(assemble_laplacian(grid).toarray() + potential)[0]
+        assert mu.value == pytest.approx(mu_dense, rel=1e-10), (shape, n)
+        assert mu.field.min() > 0.0 and mu.field.max() == 1.0
+
+
+@pytest.mark.parametrize(
+    "shape, n, solver",
+    [(interval(1.0), 64, (scipy.linalg, "eigh_tridiagonal")),
+     (rectangle(1.0, 1.0), 16, (scipy.sparse.linalg, "eigsh"))],
+)
+def test_residual_check_rejects_perturbed_eigenvector(monkeypatch, shape, n, solver):
+    module, name = solver
+    library = getattr(module, name)
+
+    def perturbed(*args, **kwargs):
+        values, vectors = library(*args, **kwargs)
+        return values, vectors * (1.0 + 1e-3 * np.cos(np.arange(vectors.shape[0])))[:, None]
+
+    monkeypatch.setattr(module, name, perturbed)
+    with pytest.raises(EigenNonConvergenceError, match="eigen-residual"):
+        principal_eigenpair(assemble_laplacian(build_grid(shape, n)), tol=1e-10)
+
+
+def test_lanczos_non_convergence_is_typed(monkeypatch):
+    def stalled(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
+    with pytest.raises(EigenNonConvergenceError, match="Lanczos"):
+        principal_eigenpair(assemble_laplacian(build_grid(rectangle(1.0, 1.0), 8)))
