@@ -179,10 +179,12 @@ def estimate_critical_q(
     * divergence at q <= 0.8 q_bar, or any convergent q above a divergent
       one, contradicts the slope estimate by more than 20% and raises
       InconsistentClassificationError;
-    * no divergence anywhere on the grid means no threshold is detectable:
-      the gradient is effectively bounded (a slowly decaying near-boundary
-      cusp can drag sigma_fit slightly negative on any affordable grid) and
-      the estimate resolves to +inf;
+    * no divergence on a grid that never reaches 1.2 q_bar cannot confirm
+      the threshold either way and raises InconsistentClassificationError;
+    * no divergence on a grid that does reach it means no threshold is
+      detectable: the gradient is effectively bounded (a slowly decaying
+      near-boundary cusp can drag sigma_fit slightly negative on any
+      affordable grid) and the estimate resolves to +inf;
     * otherwise the divergence must start inside (0.8, 1.2) q_bar, which
       confirms q_bar = -1/sigma_fit.
     """
@@ -205,6 +207,11 @@ def estimate_critical_q(
     flags = [_integral_diverges(levels, q) for q in qs]
     divergent = [q for q, f in zip(qs, flags) if f]
     if not divergent:
+        if max(qs, default=0.0) < 1.2 * q_bar:
+            raise InconsistentClassificationError(
+                f"no q of the grid reaches 1.2 q_bar_est={q_bar:.3f}; the grid "
+                "cannot confirm the threshold"
+            )
         return math.inf
     first = divergent[0]
     if first <= 0.8 * q_bar:

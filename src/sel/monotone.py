@@ -31,7 +31,7 @@ import scipy.sparse as sp
 
 from .barriers import BarrierPair, build_barrier_pair, resolve_regime, verify_barrier
 from .grid import DomainShape, Grid, assemble_laplacian, power_weight
-from .linear_core import SPDFactor, extended_residual, weighted_norm
+from .linear_core import SPDFactor, SolveStats, extended_residual, weighted_norm
 from .problem import ProblemSpec, SolveConfig
 from .spectral import EigenPair, dirichlet_eigenpair
 
@@ -66,7 +66,8 @@ class SolveReport:
 
     gap_history is nonincreasing after the first entry (monotone squeeze);
     ordering_violation is the worst chain defect ever observed, at most
-    1e-12 * ||super||_inf on success.
+    1e-12 * ||super||_inf on success.  inner_iterations holds, per outer
+    step, the iteration counts of its (lower, upper) inner solves.
     """
 
     lower: np.ndarray
@@ -77,6 +78,7 @@ class SolveReport:
     converged: bool
     ordering_violation: float
     h1_history: list[float] = field(default_factory=list)
+    inner_iterations: list[tuple[int, int]] = field(default_factory=list)
 
 
 def monotone_shift(grid: Grid, lower: np.ndarray, alpha: float, beta: float) -> np.ndarray:
@@ -95,8 +97,8 @@ def iterate_step(
     prev: np.ndarray,
     alpha: float,
     beta: float,
-) -> np.ndarray:
-    """One shifted linear solve of the scheme from prev.
+) -> tuple[np.ndarray, SolveStats]:
+    """One shifted linear solve of the scheme from prev, and its SolveStats.
 
     factor holds -lap_h + m for the step's shift m, and A0 is -lap_h.
     Solved in correction form, u = prev + delta with
@@ -111,11 +113,11 @@ def iterate_step(
         raise ValueError("iterate must be positive nodewise")
     forcing = power_weight(grid, beta) * prev.astype(np.longdouble) ** (-alpha)
     defect = extended_residual(A0, forcing, prev)
-    delta, _ = factor.solve(defect, tol=INNER_TOL)
+    delta, stats = factor.solve(defect, tol=INNER_TOL)
     u = prev + delta
     if u.min() <= 0.0:
         raise OrderingViolationError("iterate lost positivity; inner tolerance too loose")
-    return u
+    return u, stats
 
 
 def solve_monotone(spec: ProblemSpec, pair: BarrierPair) -> SolveReport:
@@ -146,13 +148,16 @@ def solve_monotone(spec: ProblemSpec, pair: BarrierPair) -> SolveReport:
     worst_violation = 0.0
     gap_history: list[float] = []
     h1_history: list[float] = []
+    inner_iterations: list[tuple[int, int]] = []
     converged = False
     iterations = 0
 
     for iterations in range(1, config.max_iter + 1):
         factor = SPDFactor(A0 + sp.diags_array(monotone_shift(grid, lower, alpha, beta)))
-        new_lower = iterate_step(grid, A0, factor, lower, alpha, beta)
-        new_upper = iterate_step(grid, A0, factor, upper, alpha, beta)
+        new_lower, lower_stats = iterate_step(grid, A0, factor, lower, alpha, beta)
+        new_upper, upper_stats = iterate_step(grid, A0, factor, upper, alpha, beta)
+        inner_iterations.append((lower_stats.iterations, upper_stats.iterations))
+        del factor  # free its multigrid hierarchy before the next step builds one
         violation = max(
             float(np.max(pair.sub - new_lower)),
             float(np.max(lower - new_lower)),
@@ -182,6 +187,7 @@ def solve_monotone(spec: ProblemSpec, pair: BarrierPair) -> SolveReport:
         converged=converged,
         ordering_violation=worst_violation,
         h1_history=h1_history,
+        inner_iterations=inner_iterations,
     )
 
 

@@ -78,9 +78,9 @@ def newton_solve(
     singularity) and the d^(beta + t alpha)-weighted sup defect decreases or
     meets tol; that weighted defect is also the stopping test.  Each step
     solves its Jacobian once through a fresh SPDFactor (banded Cholesky on
-    intervals, CG on rectangles), or by dense Cholesky with dense=True, the
-    independent oracle path.  Raises NewtonStagnationError when the
-    halvings or the 200-step cap run out.
+    intervals, multigrid-preconditioned CG on rectangles), or by dense
+    Cholesky with dense=True, the independent oracle path.  Raises
+    NewtonStagnationError when the halvings or the 200-step cap run out.
     """
     if not (math.isfinite(eps) and eps >= 0.0):
         raise ValueError(f"eps must be finite and >= 0, got {eps}")

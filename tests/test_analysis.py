@@ -227,3 +227,13 @@ def test_regularity_report_synthetic_ladder(lab):
     assert rep.verdicts["exponent_consistency"]
     assert rep.verdicts["h1"] == "member"
     assert len(rep.h1_norms) == 3
+
+
+def test_regularity_report_q_grid_below_the_slope_estimate(lab):
+    # q = 1.5 < 1.2 q_bar converges, which cannot confirm a threshold near
+    # 3: the slope estimate is reported, flagged, rather than q_bar = inf.
+    levels = [(lab.grid(n), 1.3 * lab.grid(n).d ** (2.0 / 3.0)) for n in (512, 1024, 2048)]
+    rep = regularity_report(levels, 2.0, 0.0, q_grid=[1.5])
+    assert rep.q_bar_est == pytest.approx(-1.0 / rep.sigma_fit)
+    assert rep.q_bar_est == pytest.approx(3.0, rel=0.1)
+    assert rep.verdicts["q_bar_consistency"] is False

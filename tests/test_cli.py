@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -236,6 +237,24 @@ def test_rectangle_solve_and_regularity(tmp_path):
             "--out", str(out)]
     assert main(argv) == 0
     assert (out / "regularity.json").exists() and (out / "sobolev.csv").exists()
+
+
+@pytest.mark.parametrize("n", [3, 5, 17, 127])
+def test_rectangle_solve_any_n(tmp_path, capsys, n):
+    # tiny, prime and odd n, on one-level and multi-level hierarchies; LOBPCG
+    # warns on tiny problems, and no warning may reach the user
+    out = tmp_path / f"r{n}"
+    argv = ["solve", "--domain", "rectangle", "--alpha", "2", "--n", str(n), "--out", str(out)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 0
+    assert not caught
+    assert capsys.readouterr().err == ""
+    report = read_report(out)
+    jsonschema.validate(report, SCHEMA)
+    assert report["solve"]["converged"]
+    assert report["solve"]["ordering_violation"] == 0.0
+    assert report["spectral"]["mu1"] >= report["spectral"]["lambda1"] > 0.0
 
 
 def test_sweep_table(tmp_path, monkeypatch):

@@ -3,11 +3,14 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+from sel import linear_core
 from sel.grid import assemble_laplacian, build_grid, interval, power_weight, rectangle
 from sel.linear_core import (
+    COARSEST_N,
     ComparisonPrincipleViolationError,
     SolverStagnationError,
     SPDFactor,
+    _prolongation,
     extended_residual,
     solve_spd,
     weighted_norm,
@@ -134,13 +137,48 @@ def test_extended_precision_refinement_reaches_tight_tolerance():
     assert np.linalg.norm(f - a @ u) <= 1e-13 * np.linalg.norm(f)
 
 
-def test_rectangle_operator_keeps_cg():
-    g = build_grid(rectangle(1.0, 1.0), 16)
+@pytest.mark.parametrize("n", [17, 64, 127, 128])
+def test_rectangle_operator_uses_multigrid_pcg(n):
+    # A V-cycle preconditioner keeps the PCG count bounded independently of
+    # n, odd and prime n included.
+    g = build_grid(rectangle(1.0, 1.0), n)
+    a = shifted(g, 1.0, 2.0)
+    f = np.ones(g.num_interior)
+    u, stats = SPDFactor(a).solve(f, tol=1e-10)
+    assert 2 <= stats.iterations <= 10
+    assert np.linalg.norm(f - a @ u) <= 1e-10 * np.linalg.norm(f)
+
+
+def test_pcg_iteration_cap_is_typed(monkeypatch):
+    monkeypatch.setattr(linear_core, "MAX_PCG_ITERS", 1)
+    g = build_grid(rectangle(1.0, 1.0), 64)
+    with pytest.raises(SolverStagnationError, match="after 1 iterations"):
+        SPDFactor(shifted(g, 1.0, 2.0)).solve(np.ones(g.num_interior), tol=1e-10)
+
+
+@pytest.mark.parametrize("n", [3, 5, 16])
+def test_small_rectangle_is_one_direct_level(n):
+    # At n <= COARSEST_N the hierarchy is the direct coarsest solve alone,
+    # so PCG converges in one step.
+    g = build_grid(rectangle(1.0, 1.0), n)
     a = shifted(g, 1.0, 2.0)
     f = np.ones(g.num_interior)
     u, stats = SPDFactor(a).solve(f, tol=1e-12)
-    assert stats.iterations > 4  # CG steps, not banded solves
+    assert n <= COARSEST_N and stats.iterations == 1
     assert np.linalg.norm(f - a @ u) <= 1e-12 * np.linalg.norm(f)
+
+
+@pytest.mark.parametrize("n", [16, 17, 33])
+def test_prolongation_interpolates_linearly(n):
+    # Linear interpolation from ceil(n/2) subdivisions, nested or not, is off
+    # by at most max|f''| H^2 / 8 per axis; P and P^T are built once per n.
+    P, PT = _prolongation(n)
+    assert _prolongation(n)[0] is P
+    assert (PT != P.T).nnz == 0
+    nc = -(-n // 2)
+    fine = np.sin(np.pi * build_grid(rectangle(1.0, 1.0), n).points()).prod(axis=1)
+    coarse = np.sin(np.pi * build_grid(rectangle(1.0, 1.0), nc).points()).prod(axis=1)
+    assert np.max(np.abs(P @ coarse - fine)) <= 2 * np.pi**2 / (8 * nc**2)
 
 
 def test_comparison_principle_check_flags_non_m_matrix():

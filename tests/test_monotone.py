@@ -4,8 +4,8 @@ import scipy.sparse as sp
 
 from sel import monotone
 from sel.barriers import BORDERLINE_WARNING, resolve_regime
-from sel.grid import assemble_laplacian, interval, power_weight
-from sel.linear_core import SPDFactor, solve_spd
+from sel.grid import assemble_laplacian, interval, power_weight, rectangle
+from sel.linear_core import MAX_REFINEMENTS, SPDFactor, solve_spd
 from sel.monotone import (
     OrderingViolationError,
     iterate_step,
@@ -22,7 +22,8 @@ def step(grid, lower, prev, alpha, beta):
     """iterate_step from prev with the shift taken at lower."""
     a0 = assemble_laplacian(grid)
     factor = SPDFactor(a0 + sp.diags_array(monotone_shift(grid, lower, alpha, beta)))
-    return iterate_step(grid, a0, factor, prev, alpha, beta)
+    u, _ = iterate_step(grid, a0, factor, prev, alpha, beta)
+    return u
 
 
 def test_alpha_zero_converges_in_one_iteration(lab):
@@ -112,6 +113,22 @@ def test_interval_iteration_count_and_ordering(lab):
     assert report.converged
     assert report.iterations == 4
     assert report.ordering_violation == 0.0
+
+
+def test_inner_iterations_recorded_per_outer_step(lab):
+    _, _, report = lab.solved(2.0, 0.0, 64)
+    assert len(report.inner_iterations) == report.iterations
+    # interval steps count banded solves: one, plus any refinement steps
+    assert all(1 <= it <= 1 + MAX_REFINEMENTS for step in report.inner_iterations for it in step)
+
+
+def test_rectangle_inner_solves_take_few_pcg_iterations():
+    # the multigrid V-cycle keeps each inner PCG solve near 7 iterations
+    (level,) = solve_ladder(2.0, 0.0, rectangle(1.0, 1.0), [128], SolveConfig(tol=1e-8))
+    report = level.report
+    assert report.converged
+    assert len(report.inner_iterations) == report.iterations
+    assert max(max(step) for step in report.inner_iterations) <= 10
 
 
 def test_too_small_shift_breaks_ordering(lab, monkeypatch):

@@ -125,7 +125,7 @@ def test_linearized_matches_dense_eigensolve():
 @pytest.mark.parametrize(
     "shape, n, solver",
     [(interval(1.0), 64, (scipy.linalg, "eigh_tridiagonal")),
-     (rectangle(1.0, 1.0), 16, (scipy.sparse.linalg, "eigsh"))],
+     (rectangle(1.0, 1.0), 16, (scipy.sparse.linalg, "lobpcg"))],
 )
 def test_residual_check_rejects_perturbed_eigenvector(monkeypatch, shape, n, solver):
     module, name = solver
@@ -140,10 +140,24 @@ def test_residual_check_rejects_perturbed_eigenvector(monkeypatch, shape, n, sol
         principal_eigenpair(assemble_laplacian(build_grid(shape, n)), tol=1e-10)
 
 
-def test_lanczos_non_convergence_is_typed(monkeypatch):
-    def stalled(*args, **kwargs):
-        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+@pytest.mark.parametrize("n", [8, 32])
+def test_lobpcg_non_convergence_is_typed(monkeypatch, n):
+    # One LOBPCG iteration per run cannot reach the residual gate, and LOBPCG
+    # itself only warns; the stall must surface as the typed error.
+    library = scipy.sparse.linalg.lobpcg
 
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
-    with pytest.raises(EigenNonConvergenceError, match="Lanczos"):
+    def stalled(*args, **kwargs):
+        return library(*args, **{**kwargs, "maxiter": 1})
+
+    monkeypatch.setattr(scipy.sparse.linalg, "lobpcg", stalled)
+    with pytest.raises(EigenNonConvergenceError, match="eigen-residual"):
+        principal_eigenpair(assemble_laplacian(build_grid(rectangle(1.0, 1.0), n)))
+
+
+def test_lobpcg_breakdown_is_typed(monkeypatch):
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("Rayleigh-Ritz Gram matrix is not positive definite")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "lobpcg", broken)
+    with pytest.raises(EigenNonConvergenceError, match="LOBPCG"):
         principal_eigenpair(assemble_laplacian(build_grid(rectangle(1.0, 1.0), 8)))
