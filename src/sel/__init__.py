@@ -48,6 +48,7 @@ from .grid import (
     interval,
     power_weight,
     rectangle,
+    shifted_laplacian,
 )
 from .linear_core import (
     ComparisonPrincipleViolationError,

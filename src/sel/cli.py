@@ -103,6 +103,20 @@ def _fmt(x) -> str:
     return f"{x:.17g}" if isinstance(x, float) else str(x)
 
 
+def _write_solution_csv(path: Path, grid: Grid, table: np.ndarray) -> None:
+    """Header line, then one CRLF row of table per node, each value as %.17g:
+    the bytes of np.savetxt(fmt="%.17g", delimiter=",", newline="\\r\\n").
+    One % over a row template repeated along a grid line replaces savetxt's
+    per-row loop and keeps the strings held at once to one line's worth."""
+    header = ("x," if grid.dim == 1 else "x,y,") + "d,u,grad_u"
+    lines = table.reshape(-1, grid.interior_shape[-1], table.shape[1])
+    template = (",".join(["%.17g"] * table.shape[1]) + "\r\n") * lines.shape[1]
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\r\n")
+        for line in lines:
+            fh.write(template % tuple(line.ravel().tolist()))
+
+
 def _write_manifest(out_dir: Path, args_echo: dict, outputs: list[str]) -> None:
     manifest = {
         "spec": args_echo,
@@ -248,17 +262,11 @@ def cmd_solve(args) -> int:
     }
     _write_json(out_dir / "report.json", report)
 
-    header = ("x," if grid.dim == 1 else "x,y,") + "d,u,grad_u"
-    with open(out_dir / "solution.csv", "w", newline="") as fh:
-        np.savetxt(
-            fh,
-            np.column_stack([grid.points(), grid.d, u, gradient_field(grid, u)]),
-            fmt="%.17g",
-            delimiter=",",
-            newline="\r\n",
-            header=header,
-            comments="",
-        )
+    _write_solution_csv(
+        out_dir / "solution.csv",
+        grid,
+        np.column_stack([grid.points(), grid.d, u, gradient_field(grid, u)]),
+    )
     _write_manifest(out_dir, report["spec"], ["report.json", "solution.csv"])
     if not converged:
         print(f"error: no convergence at n={grid.n}", file=sys.stderr)

@@ -6,10 +6,17 @@ boundary value is implicit.  The distance d(x) to the boundary is evaluated
 by the exact formula of the continuous domain, never by nearest-node search,
 so singular weights d^(-gamma) are well defined at every node where a field
 has a value.
+
+The Dirichlet Laplacian is a fact of the grid: assemble_laplacian builds it
+on the first call for a grid and caches it on that Grid, read-only, so every
+layer working on one grid (eigenpair, barriers, their certificates, the
+monotone iteration, mu_1, the residual) shares one matrix.  Shifted
+operators -lap_h + diag(m) reuse its CSR pattern (shifted_laplacian).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +77,9 @@ class Grid:
         axes: 1D arrays of interior coordinates per axis, each of length n-1.
         d: exact distance to the boundary at each interior node, in
            lexicographic (first-axis-major) order.
+
+    The grid also caches its Laplacian once assembled (assemble_laplacian),
+    so it lives exactly as long as the grid.
     """
 
     shape: DomainShape
@@ -107,6 +117,22 @@ class Grid:
             raise ValueError(f"field has shape {u.shape}, expected ({self.num_interior},)")
         return u
 
+    @functools.cached_property
+    def _laplacian(self) -> sp.csr_array:
+        lap = _assemble(self)
+        for arr in (lap.data, lap.indices, lap.indptr):
+            arr.setflags(write=False)
+        return lap
+
+    @functools.cached_property
+    def _diagonal_positions(self) -> np.ndarray:
+        # index into _laplacian.data of each row's diagonal entry
+        lap = self._laplacian
+        rows = np.repeat(np.arange(lap.shape[0]), np.diff(lap.indptr))
+        pos = np.flatnonzero(lap.indices == rows)
+        pos.setflags(write=False)
+        return pos
+
 
 def _distance(shape: DomainShape, points: np.ndarray) -> np.ndarray:
     if shape.kind == "interval":
@@ -135,20 +161,14 @@ def build_grid(shape: DomainShape, n: int) -> Grid:
     return Grid(shape=shape, n=n, h=h, axes=axes, d=d)
 
 
-def _second_difference(m: int) -> sp.csr_matrix:
+def _second_difference(m: int) -> sp.csr_array:
     # 1D negative second-difference matrix tridiag(-1, 2, -1), unscaled.
     return sp.diags_array(
         [-np.ones(m - 1), 2.0 * np.ones(m), -np.ones(m - 1)], offsets=[-1, 0, 1]
     ).tocsr()
 
 
-def assemble_laplacian(grid: Grid) -> sp.csr_matrix:
-    """Discrete negative Laplacian -lap_h with eliminated Dirichlet rows.
-
-    Standard 3-point (1D) or 5-point (2D) stencil scaled by 1/h^2 per axis.
-    The result is a symmetric positive definite M-matrix, which is what makes
-    the discrete comparison principle available downstream.
-    """
+def _assemble(grid: Grid) -> sp.csr_array:
     ms = grid.interior_shape
     if grid.dim == 1:
         return (_second_difference(ms[0]) / grid.h[0] ** 2).tocsr()
@@ -157,6 +177,32 @@ def assemble_laplacian(grid: Grid) -> sp.csr_matrix:
     ix = sp.identity(ms[0], format="csr")
     iy = sp.identity(ms[1], format="csr")
     return (sp.kron(tx, iy) + sp.kron(ix, ty)).tocsr()
+
+
+def assemble_laplacian(grid: Grid) -> sp.csr_array:
+    """Discrete negative Laplacian -lap_h with eliminated Dirichlet rows.
+
+    Standard 3-point (1D) or 5-point (2D) stencil scaled by 1/h^2 per axis.
+    The result is a symmetric positive definite M-matrix, which is what makes
+    the discrete comparison principle available downstream.  It is assembled
+    on the first call for a grid and cached on the grid: later calls return
+    the same matrix, whose data, indices and indptr are read-only.
+    """
+    return grid._laplacian
+
+
+def shifted_laplacian(grid: Grid, m: np.ndarray) -> sp.csr_array:
+    """-lap_h + diag(m), built on the pattern of the grid's cached Laplacian.
+
+    m is added at the diagonal positions of the Laplacian's CSR data, so the
+    result equals assemble_laplacian(grid) + sp.diags_array(m) entry for
+    entry without a sparse sum.  It shares the read-only indices and indptr
+    of the Laplacian; its data is its own.
+    """
+    lap = grid._laplacian
+    data = lap.data.copy()
+    data[grid._diagonal_positions] += grid.check_field(m)
+    return sp.csr_array((data, lap.indices, lap.indptr), shape=lap.shape)
 
 
 def power_weight(grid: Grid, gamma: float) -> np.ndarray:

@@ -3,8 +3,10 @@
 A nonnegative diagonal keeps the M-matrix structure of the Laplacian:
 solutions of systems with nonnegative right-hand sides are nonnegative
 (discrete comparison principle), which is checked after every solve.
-SPDFactor prepares an operator once for all the right-hand sides it will
-see: interval operators are tridiagonal (is_tridiagonal) and get a banded
+The operators arrive as CSR matrices (grid.shifted_laplacian builds them on
+the pattern of the grid's cached Laplacian), and SPDFactor prepares each
+once for all the right-hand sides it will see: interval operators are
+tridiagonal (is_tridiagonal, read off indptr and indices) and get a banded
 Cholesky factor with iterative refinement; rectangle operators are solved
 by conjugate gradients preconditioned with a geometric multigrid V-cycle
 (Galerkin coarse operators, damped-Jacobi smoothing, a direct solve on the
@@ -60,10 +62,11 @@ def extended_residual(A: sp.csr_matrix, f: np.ndarray, x: np.ndarray) -> np.ndar
     return (f - np.add.reduceat(prod, A.indptr[:-1])).astype(float)
 
 
-def is_tridiagonal(A: sp.spmatrix) -> bool:
-    """Every stored entry of A lies on or next to the diagonal (intervals)."""
-    coo = A.tocoo()
-    return bool(np.all(np.abs(coo.row - coo.col) <= 1))
+def is_tridiagonal(A: sp.csr_array) -> bool:
+    """Every stored entry of the CSR matrix A lies on or next to the diagonal
+    (intervals); read from indptr and indices, without a format conversion."""
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    return bool(np.all(np.abs(A.indices - rows) <= 1))
 
 
 MAX_REFINEMENTS = 3  # refinement steps after the first banded solve

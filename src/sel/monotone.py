@@ -20,6 +20,12 @@ too small or the inner solves too loose, and aborts the run.
 Convergence is declared on the relative two-sided gap in the weighted
 L2(Omega, d^(-gamma)) norm, gamma from resolve_regime; the sup-norm gap is
 reported but not used for stopping.
+
+Every operator of a run comes from the one grid of its ProblemSpec:
+-lap_h is assembled once for that grid (grid.assemble_laplacian) and each
+step's -lap_h + m_k is a diagonal shift on its pattern
+(grid.shifted_laplacian).  solve_ladder builds one grid per level, and the
+eigenpair, the barriers, their certificates and solve_monotone share it.
 """
 
 from __future__ import annotations
@@ -27,10 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .barriers import BarrierPair, build_barrier_pair, resolve_regime, verify_barrier
-from .grid import DomainShape, Grid, assemble_laplacian, power_weight
+from .grid import DomainShape, Grid, assemble_laplacian, power_weight, shifted_laplacian
 from .linear_core import SPDFactor, SolveStats, extended_residual, weighted_norm
 from .problem import ProblemSpec, SolveConfig
 from .spectral import EigenPair, dirichlet_eigenpair
@@ -92,7 +97,6 @@ def monotone_shift(grid: Grid, lower: np.ndarray, alpha: float, beta: float) -> 
 
 def iterate_step(
     grid: Grid,
-    A0: sp.spmatrix,
     factor: SPDFactor,
     prev: np.ndarray,
     alpha: float,
@@ -100,8 +104,8 @@ def iterate_step(
 ) -> tuple[np.ndarray, SolveStats]:
     """One shifted linear solve of the scheme from prev, and its SolveStats.
 
-    factor holds -lap_h + m for the step's shift m, and A0 is -lap_h.
-    Solved in correction form, u = prev + delta with
+    factor holds -lap_h + m for the step's shift m, and A0 = -lap_h is the
+    grid's cached Laplacian.  Solved in correction form, u = prev + delta with
     (A0 + m) delta = d^(-beta) prev^(-alpha) - A0 prev: the shift cancels
     from the right-hand side, whose defect is evaluated in extended
     precision, and the inner relative tolerance INNER_TOL applies to the
@@ -112,7 +116,7 @@ def iterate_step(
     if prev.min() <= 0.0:
         raise ValueError("iterate must be positive nodewise")
     forcing = power_weight(grid, beta) * prev.astype(np.longdouble) ** (-alpha)
-    defect = extended_residual(A0, forcing, prev)
+    defect = extended_residual(assemble_laplacian(grid), forcing, prev)
     delta, stats = factor.solve(defect, tol=INNER_TOL)
     u = prev + delta
     if u.min() <= 0.0:
@@ -153,9 +157,9 @@ def solve_monotone(spec: ProblemSpec, pair: BarrierPair) -> SolveReport:
     iterations = 0
 
     for iterations in range(1, config.max_iter + 1):
-        factor = SPDFactor(A0 + sp.diags_array(monotone_shift(grid, lower, alpha, beta)))
-        new_lower, lower_stats = iterate_step(grid, A0, factor, lower, alpha, beta)
-        new_upper, upper_stats = iterate_step(grid, A0, factor, upper, alpha, beta)
+        factor = SPDFactor(shifted_laplacian(grid, monotone_shift(grid, lower, alpha, beta)))
+        new_lower, lower_stats = iterate_step(grid, factor, lower, alpha, beta)
+        new_upper, upper_stats = iterate_step(grid, factor, upper, alpha, beta)
         inner_iterations.append((lower_stats.iterations, upper_stats.iterations))
         del factor  # free its multigrid hierarchy before the next step builds one
         violation = max(

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from .barriers import build_barrier_pair, resolve_regime
-from .grid import Grid, assemble_laplacian, power_weight
+from .grid import Grid, assemble_laplacian, power_weight, shifted_laplacian
 from .linear_core import solve_spd
 from .problem import ProblemSpec
 
@@ -106,8 +105,7 @@ def newton_solve(
             jac = A0_dense + np.diag(jac_diag)
             delta = scipy.linalg.solve(jac, -defect, assume_a="pos")
         else:
-            jac = (A0 + sp.diags_array(jac_diag)).tocsr()
-            delta, _ = solve_spd(jac, -defect, tol=1e-10)
+            delta, _ = solve_spd(shifted_laplacian(grid, jac_diag), -defect, tol=1e-10)
         floor = 0.1 * float((u + eps).min())
         step = 1.0
         for _halving in range(50):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -41,4 +42,10 @@ class ProblemSpec:
         resolve_regime(self.alpha, self.beta)  # ValueError outside the admitted range
 
     def make_grid(self) -> Grid:
+        """The instance's grid: built on the first call, the same Grid after,
+        so every layer solving this spec shares its cached Laplacian."""
+        return self._grid
+
+    @functools.cached_property
+    def _grid(self) -> Grid:
         return build_grid(self.shape, self.n)

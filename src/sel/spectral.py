@@ -21,7 +21,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from .grid import Grid, assemble_laplacian, power_weight
+from .grid import Grid, assemble_laplacian, power_weight, shifted_laplacian
 from .linear_core import SPDFactor, is_tridiagonal
 
 # An eigenpair exact to rounding still has a 2-norm residual of a few
@@ -79,6 +79,7 @@ def principal_eigenpair(A: sp.spmatrix, tol: float = 1e-10) -> EigenPair:
     ||A phi - lambda phi||_2 / ||phi||_2 <= max(tol * lambda,
     ROUNDOFF_UNITS * eps * ||A||_inf) and phi > 0: EigenNonConvergenceError.
     """
+    A = A.tocsr()
     floor = ROUNDOFF_UNITS * np.finfo(float).eps * scipy.sparse.linalg.norm(A, np.inf)
     if is_tridiagonal(A):
         d, e = A.diagonal(), A.diagonal(1)
@@ -131,5 +132,4 @@ def linearized_smallest_eigenvalue(
     if u.min() <= 0.0:
         raise InvalidLinearizationPointError("linearization point must be positive nodewise")
     potential = alpha * power_weight(grid, beta) * u ** (-(1.0 + alpha))
-    A = (assemble_laplacian(grid) + sp.diags_array(potential)).tocsr()
-    return principal_eigenpair(A, tol=tol)
+    return principal_eigenpair(shifted_laplacian(grid, potential), tol=tol)

@@ -12,6 +12,7 @@ from sel import cli
 from sel.analysis import gradient_field
 from sel.barriers import ALPHA_ONE_WARNING
 from sel.cli import NO_CONVERGENCE_ERRORS, main
+from sel.grid import build_grid, gradient_components, interval, rectangle
 from sel.monotone import solve_ladder
 from sel.problem import SolveConfig
 
@@ -58,6 +59,21 @@ def test_solution_csv_rendering(tmp_path, domain, n):
     assert lines[0] == ("x,d,u,grad_u" if domain == "interval" else "x,y,d,u,grad_u")
     rows = [line.split(",") for line in lines[1:-1]]
     assert rows == [[f"{float(v):.17g}" for v in row] for row in expected]
+
+
+@pytest.mark.parametrize("shape, n", [(interval(1.0), 64), (rectangle(2.0, 0.5), 12)])
+def test_solution_csv_writer_matches_savetxt(tmp_path, shape, n):
+    grid = build_grid(shape, n)
+    u = np.prod(np.sin(np.pi * grid.points() / shape.extents), axis=1) / 3.0
+    # signed first-axis difference quotient: negative on the far half
+    grad = gradient_components(grid, u)[0]
+    assert grad.min() < 0.0 < grad.max()
+    table = np.column_stack([grid.points(), grid.d, u, grad])
+    header = ("x," if grid.dim == 1 else "x,y,") + "d,u,grad_u"
+    with open(tmp_path / "savetxt.csv", "w", newline="") as fh:
+        np.savetxt(fh, table, fmt="%.17g", delimiter=",", newline="\r\n", header=header, comments="")
+    cli._write_solution_csv(tmp_path / "solution.csv", grid, table)
+    assert (tmp_path / "solution.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
 
 
 def test_solve_singular_case_schema_and_spectral(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from sel.grid import (
     DomainShape,
@@ -11,6 +12,7 @@ from sel.grid import (
     interval,
     power_weight,
     rectangle,
+    shifted_laplacian,
 )
 
 
@@ -129,3 +131,34 @@ def test_gradient_components_quadratic_exact():
     u = x * (1 - x) / 2
     (gx,) = gradient_components(g, u)
     np.testing.assert_allclose(gx, 0.5 - x, atol=1e-13)
+
+
+@pytest.mark.parametrize("shape, n", [(interval(1.0), 32), (rectangle(1.0, 1.0), 9), (rectangle(2.0, 0.5), 6)])
+def test_laplacian_is_assembled_once_per_grid(shape, n):
+    g = build_grid(shape, n)
+    assert assemble_laplacian(g) is assemble_laplacian(g)
+    assert assemble_laplacian(build_grid(shape, n)) is not assemble_laplacian(g)
+
+
+def test_cached_laplacian_is_read_only():
+    a = assemble_laplacian(build_grid(rectangle(1.0, 1.0), 8))
+    for arr in (a.data, a.indices, a.indptr):
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+    with pytest.raises(ValueError):
+        a.data *= 2.0
+
+
+@pytest.mark.parametrize("shape, n", [(interval(1.0), 32), (rectangle(1.0, 1.0), 9), (rectangle(2.0, 0.5), 6)])
+@pytest.mark.parametrize("kind", ["zero", "weight"])
+def test_shifted_laplacian_equals_sparse_sum(shape, n, kind):
+    g = build_grid(shape, n)
+    m = np.zeros(g.num_interior) if kind == "zero" else 3.0 * power_weight(g, 1.7)
+    lap_data = assemble_laplacian(g).data.copy()
+    shifted = shifted_laplacian(g, m)
+    expected = (assemble_laplacian(g) + sp.diags_array(m)).tocsr()
+    np.testing.assert_array_equal(shifted.indptr, expected.indptr)
+    np.testing.assert_array_equal(shifted.indices, expected.indices)
+    np.testing.assert_array_equal(shifted.data, expected.data)
+    # the shift owns its data: the cached Laplacian is untouched
+    np.testing.assert_array_equal(assemble_laplacian(g).data, lap_data)

@@ -12,6 +12,7 @@ from sel.linear_core import (
     SPDFactor,
     _prolongation,
     extended_residual,
+    is_tridiagonal,
     solve_spd,
     weighted_norm,
 )
@@ -20,6 +21,15 @@ from sel.linear_core import (
 def shifted(g, M, gamma):
     """-lap_h + M d^(-gamma): an SPD M-matrix with a singular diagonal."""
     return (assemble_laplacian(g) + sp.diags_array(M * power_weight(g, gamma))).tocsr()
+
+
+def test_tridiagonal_pattern_test():
+    assert is_tridiagonal(assemble_laplacian(build_grid(interval(1.0), 16)))
+    assert not is_tridiagonal(assemble_laplacian(build_grid(rectangle(1.0, 1.0), 4)))
+    # unsorted column indices, an empty row, and one entry two off the diagonal
+    a = sp.csr_array(([1.0, 2.0, 3.0], [1, 0, 2], [0, 2, 2, 3]), shape=(3, 3))
+    assert is_tridiagonal(a)
+    assert not is_tridiagonal(sp.csr_array(([1.0], [2], [0, 1, 1, 1]), shape=(3, 3)))
 
 
 def test_zero_shift_matches_laplacian():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from sel import grid as grid_module
 from sel import monotone
 from sel.barriers import BORDERLINE_WARNING, resolve_regime
 from sel.grid import assemble_laplacian, interval, power_weight, rectangle
@@ -16,13 +17,14 @@ from sel.monotone import (
     uniqueness_gap,
 )
 from sel.problem import ProblemSpec, SolveConfig
+from sel.spectral import linearized_smallest_eigenvalue
 
 
 def step(grid, lower, prev, alpha, beta):
     """iterate_step from prev with the shift taken at lower."""
     a0 = assemble_laplacian(grid)
     factor = SPDFactor(a0 + sp.diags_array(monotone_shift(grid, lower, alpha, beta)))
-    u, _ = iterate_step(grid, a0, factor, prev, alpha, beta)
+    u, _ = iterate_step(grid, factor, prev, alpha, beta)
     return u
 
 
@@ -169,3 +171,28 @@ def test_ladder_stops_at_first_unconverged_level(lab):
     assert levels[0].eig.value == lab.eig(16).value
     np.testing.assert_array_equal(levels[0].pair.super, pair.super)
     np.testing.assert_array_equal(levels[0].report.upper, report.upper)
+
+
+@pytest.mark.parametrize("shape, axes", [(interval(1.0), 1), (rectangle(1.0, 1.0), 2)])
+def test_ladder_level_assembles_its_laplacian_once(monkeypatch, shape, axes):
+    # eigenpair residual, both barriers, both certificates, solve_monotone,
+    # mu_1 and the residual all share the level grid's one Laplacian
+    calls = []
+    second_difference = grid_module._second_difference
+    monkeypatch.setattr(
+        grid_module, "_second_difference", lambda m: calls.append(m) or second_difference(m)
+    )
+    levels = solve_ladder(2.0, 0.0, shape, (16, 32), SolveConfig(tol=1e-8))
+    assert all(level.report.converged for level in levels)
+    assert len(calls) == 2 * axes
+    for level in levels:
+        u = level.report.upper
+        linearized_smallest_eigenvalue(level.grid, u, 2.0, 0.0)
+        residual(level.grid, u, 2.0, 0.0)
+    assert len(calls) == 2 * axes
+
+
+def test_spec_grid_is_built_once():
+    spec = ProblemSpec(alpha=2.0, beta=0.0, n=32)
+    assert spec.make_grid() is spec.make_grid()
+    assert ProblemSpec(alpha=2.0, beta=0.0, n=32).make_grid() is not spec.make_grid()
