@@ -52,6 +52,7 @@ from .grid import (
 )
 from .linear_core import (
     ComparisonPrincipleViolationError,
+    SolverFailure,
     SolverStagnationError,
     SolveStats,
     extended_residual,

@@ -31,7 +31,8 @@ Level = tuple[Grid, np.ndarray]
 
 
 class WindowTooThinError(ValueError):
-    """Fewer than 8 usable nodes in the fitting band."""
+    """Fewer than 8 usable nodes, or fewer than 4 distance layers, in the
+    fitting band."""
 
 
 class BallOutsideDomainError(ValueError):
@@ -101,9 +102,14 @@ def _edge_interior_mask(grid: Grid) -> np.ndarray:
 def _fit_loglog(grid: Grid, values: np.ndarray, window: FitWindow) -> tuple[float, float]:
     mask = (grid.d >= window.d_min) & (grid.d <= window.d_max) & (values > 0)
     mask &= _edge_interior_mask(grid)
-    if int(mask.sum()) < 8:
+    # A rectangle's edge layer holds many nodes at one distance, so the node
+    # count alone admits bands too thin in d to regress over.
+    nodes = int(mask.sum())
+    layers = np.unique(np.round(grid.d[mask] / min(grid.h))).size
+    if nodes < 8 or layers < 4:
         raise WindowTooThinError(
-            f"only {int(mask.sum())} usable nodes in d-band [{window.d_min:.3g}, {window.d_max:.3g}]"
+            f"only {nodes} usable nodes on {layers} distance layers in d-band"
+            f" [{window.d_min:.3g}, {window.d_max:.3g}]"
         )
     x = np.log(grid.d[mask])
     y = np.log(values[mask])
@@ -160,8 +166,8 @@ DIVERGENCE_RATIO = 1.05
 
 
 def _integral_diverges(levels: list[Level], q: float) -> bool:
-    vals = [sobolev_integral(grid, u, q) for grid, u in levels]
-    return vals[-1] / vals[-2] >= DIVERGENCE_RATIO
+    coarse, fine = (sobolev_integral(grid, u, q) for grid, u in levels[-2:])
+    return fine / coarse >= DIVERGENCE_RATIO
 
 
 def estimate_critical_q(
@@ -171,7 +177,7 @@ def estimate_critical_q(
 ) -> float:
     """q_bar from the gradient exponent, cross-checked by divergence tests.
 
-    Primary estimate: q_bar = -1/sigma_fit at the finest level.  Cross-check
+    Primary estimate: q_bar_from_sigma at the finest level.  Cross-check
     on a q-grid (default 0.6, 0.8, 1.2, 1.4 times q_bar; direct divergence
     detection is ill-conditioned near q_bar itself, hence the 20% exclusion
     band):
@@ -192,7 +198,8 @@ def estimate_critical_q(
         raise ValueError("need at least 2 refinement levels for the cross-check")
     finest = levels[-1]
     sigma = fit_gradient_exponent(finest[0], finest[1], window)
-    if sigma >= -0.01:
+    q_bar = q_bar_from_sigma(sigma)
+    if math.isinf(q_bar):
         qs = q_grid if q_grid is not None else [2.0, 4.0, 8.0]
         for q in qs:
             if _integral_diverges(levels, q):
@@ -201,7 +208,6 @@ def estimate_critical_q(
                     "integral diverges under refinement"
                 )
         return math.inf
-    q_bar = -1.0 / sigma
     qs = q_grid if q_grid is not None else [f * q_bar for f in (0.6, 0.8, 1.2, 1.4)]
     qs = sorted(q for q in qs if q >= 1.0)
     flags = [_integral_diverges(levels, q) for q in qs]

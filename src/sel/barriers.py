@@ -39,15 +39,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid, assemble_laplacian, power_weight
-from .linear_core import solve_spd
+from .linear_core import SolverFailure, solve_spd
 from .spectral import EigenPair, dirichlet_eigenpair
 
 
-class HopfViolationError(RuntimeError):
+class HopfViolationError(SolverFailure):
     """The discrete eigenfunction lacks the boundary slope bound; refine."""
 
 
-class BarrierConstructionError(RuntimeError):
+class BarrierConstructionError(SolverFailure):
     """A constructed field could not be made to satisfy its inequality."""
 
 

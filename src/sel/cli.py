@@ -6,7 +6,10 @@ Subcommands
     spectrum    lambda_1 / mu_1 per refinement level + stability verdict
     regularity  full regularity report over a refinement ladder
 
-Exit codes: 0 success, 1 invalid input, 2 numerical non-convergence.
+Exit codes: 0 success, 1 invalid input (ValueError), 2 numerical
+non-convergence: an unconverged ladder level or any
+linear_core.SolverFailure (a solver or certificate failed on valid input).
+Stopping defaults (--tol, --max-iter) are SolveConfig's.
 Everything is deterministic: identical flags give byte-identical
 report/CSV files.  A manifest.json with versions and a timestamp is
 written next to each report; the timestamp lives only there.
@@ -41,34 +44,17 @@ from .analysis import (
     regularity_report,
     sobolev_integral,
 )
-from .barriers import (
-    BORDERLINE_WARNING,
-    BarrierConstructionError,
-    HopfViolationError,
-    Regime,
-    build_barrier_pair,
-    resolve_regime,
-)
+from .barriers import BORDERLINE_WARNING, Regime, build_barrier_pair, resolve_regime
 from .grid import Grid, build_grid, interval, rectangle
-from .linear_core import SolverStagnationError
-from .monotone import OrderingViolationError, residual, solve_ladder, uniqueness_gap
-from .oracle import DENSE_N_CAP, NewtonStagnationError, dense_newton_solve, newton_solve
+from .linear_core import SolverFailure
+from .monotone import residual, solve_ladder, uniqueness_gap
+from .oracle import DENSE_N_CAP, dense_newton_solve, newton_solve
 from .problem import ProblemSpec, SolveConfig
-from .spectral import EigenNonConvergenceError, dirichlet_eigenpair, linearized_smallest_eigenvalue
+from .spectral import dirichlet_eigenpair, linearized_smallest_eigenvalue
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_NO_CONVERGENCE = 2
-
-# Solver and certificate failures on valid input: numerical non-convergence.
-NO_CONVERGENCE_ERRORS = (
-    SolverStagnationError,
-    BarrierConstructionError,
-    HopfViolationError,
-    OrderingViolationError,
-    EigenNonConvergenceError,
-    NewtonStagnationError,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,7 +132,7 @@ def _fit_exponents_best_effort(grid: Grid, u) -> tuple[float | None, float | Non
             window = window_of(grid)
             t_fit, _ = fit_boundary_exponent(grid, u, window)
             return t_fit, fit_gradient_exponent(grid, u, window)
-        except (WindowTooThinError, ValueError):
+        except ValueError:  # WindowTooThinError is one
             continue
     return None, None
 
@@ -288,7 +274,7 @@ def _sweep_cell(cell) -> dict:
     # theory columns never need a solve
     row.update(t_theory=regime.t, sigma_theory=regime.sigma, q_bar_theory=regime.q_bar)
     try:
-        config = SolveConfig(tol=tol, max_iter=5000)
+        config = SolveConfig(tol=tol)
         ladder = solve_ladder(alpha, beta, _domain(domain), (n // 4, n // 2, n), config)
         if not ladder[-1].report.converged:
             row["h1_verdict"] = f"skipped: no convergence at n={ladder[-1].grid.n}"
@@ -413,8 +399,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--domain", choices=["interval", "rectangle"], default="interval")
     p.add_argument("--n", type=int, default=64)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=500)
+    p.add_argument("--tol", type=float, default=SolveConfig.tol)
+    p.add_argument("--max-iter", type=int, default=SolveConfig.max_iter)
     p.add_argument("--out", required=True)
 
 
@@ -432,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--beta-list", required=True)
     p_sweep.add_argument("--domain", choices=["interval", "rectangle"], default="interval")
     p_sweep.add_argument("--n", type=int, default=128)
-    p_sweep.add_argument("--tol", type=float, default=1e-8)
+    p_sweep.add_argument("--tol", type=float, default=SolveConfig.tol)
     p_sweep.add_argument("--out", required=True)
 
     p_spec = sub.add_parser("spectrum", help="lambda1/mu1 per refinement level")
@@ -460,7 +446,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except NO_CONVERGENCE_ERRORS as exc:
+    except SolverFailure as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
 

@@ -14,6 +14,10 @@ coarsest grid), which takes a handful of iterations at any resolution.
 extended_residual evaluates f - A x for any sparsity pattern with the
 products and row sums in np.longdouble; the refinement, the final residual
 check and the monotone iteration's defect all use it.
+
+SolverFailure is the base of every error a solver or certificate raises on
+valid input (stagnation here, and the eigen, barrier, ordering and Newton
+failures of the other modules); the CLI maps it to exit code 2.
 """
 
 from __future__ import annotations
@@ -31,7 +35,11 @@ import scipy.sparse.linalg
 from .grid import Grid, power_weight
 
 
-class SolverStagnationError(RuntimeError):
+class SolverFailure(RuntimeError):
+    """A solver or certificate failed on valid input: exit code 2."""
+
+
+class SolverStagnationError(SolverFailure):
     """A solve failed to reach the requested relative residual."""
 
 

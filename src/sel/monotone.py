@@ -36,7 +36,7 @@ import numpy as np
 
 from .barriers import BarrierPair, build_barrier_pair, resolve_regime, verify_barrier
 from .grid import DomainShape, Grid, assemble_laplacian, power_weight, shifted_laplacian
-from .linear_core import SPDFactor, SolveStats, extended_residual, weighted_norm
+from .linear_core import SPDFactor, SolverFailure, SolveStats, extended_residual, weighted_norm
 from .problem import ProblemSpec, SolveConfig
 from .spectral import EigenPair, dirichlet_eigenpair
 
@@ -61,7 +61,7 @@ CHAIN_TOL = 1e-12  # ordering slack, relative to ||super||_inf
 INNER_TOL = 1e-10
 
 
-class OrderingViolationError(RuntimeError):
+class OrderingViolationError(SolverFailure):
     """The monotone chain broke beyond round-off: shift too small or solves too loose."""
 
 
@@ -79,10 +79,8 @@ class SolveReport:
     upper: np.ndarray
     iterations: int
     gap_history: list[float]
-    gamma: float
     converged: bool
     ordering_violation: float
-    h1_history: list[float] = field(default_factory=list)
     inner_iterations: list[tuple[int, int]] = field(default_factory=list)
 
 
@@ -143,15 +141,12 @@ def solve_monotone(spec: ProblemSpec, pair: BarrierPair) -> SolveReport:
             )
     alpha, beta = spec.alpha, spec.beta
     gamma = resolve_regime(alpha, beta).gamma
-    A0 = assemble_laplacian(grid)
-    cellvol = grid.cell_volume
 
     lower = pair.sub.copy()
     upper = pair.super.copy()
     chain_tol = CHAIN_TOL * float(np.max(np.abs(pair.super)))
     worst_violation = 0.0
     gap_history: list[float] = []
-    h1_history: list[float] = []
     inner_iterations: list[tuple[int, int]] = []
     converged = False
     iterations = 0
@@ -177,7 +172,6 @@ def solve_monotone(spec: ProblemSpec, pair: BarrierPair) -> SolveReport:
         lower, upper = new_lower, new_upper
         gap = weighted_norm(upper - lower, grid, gamma) / weighted_norm(upper, grid, gamma)
         gap_history.append(gap)
-        h1_history.append(float(np.sqrt((upper @ (A0 @ upper)) * cellvol)))
         if gap <= config.tol:
             converged = True
             break
@@ -187,10 +181,8 @@ def solve_monotone(spec: ProblemSpec, pair: BarrierPair) -> SolveReport:
         upper=upper,
         iterations=iterations,
         gap_history=gap_history,
-        gamma=gamma,
         converged=converged,
         ordering_violation=worst_violation,
-        h1_history=h1_history,
         inner_iterations=inner_iterations,
     )
 

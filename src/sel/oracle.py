@@ -18,13 +18,13 @@ import scipy.linalg
 
 from .barriers import build_barrier_pair, resolve_regime
 from .grid import Grid, assemble_laplacian, power_weight, shifted_laplacian
-from .linear_core import solve_spd
+from .linear_core import SolverFailure, solve_spd
 from .problem import ProblemSpec
 
 DENSE_N_CAP = 64
 
 
-class NewtonStagnationError(RuntimeError):
+class NewtonStagnationError(SolverFailure):
     """A Newton solve stalled: step halvings ran out or the iteration cap
     was reached."""
 

@@ -22,7 +22,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from .grid import Grid, assemble_laplacian, power_weight, shifted_laplacian
-from .linear_core import SPDFactor, is_tridiagonal
+from .linear_core import SPDFactor, SolverFailure, is_tridiagonal
 
 # An eigenpair exact to rounding still has a 2-norm residual of a few
 # eps * ||A||_inf (which grows like n^2); the residual check allows this many.
@@ -30,7 +30,7 @@ ROUNDOFF_UNITS = 16
 MAX_LOBPCG_ITERS = 100  # per LOBPCG run; a V-cycle keeps runs near a dozen
 
 
-class EigenNonConvergenceError(RuntimeError):
+class EigenNonConvergenceError(SolverFailure):
     """The eigensolver did not converge, or its eigenpair failed the residual
     or positivity check."""
 

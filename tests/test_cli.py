@@ -11,8 +11,9 @@ import pytest
 from sel import cli
 from sel.analysis import gradient_field
 from sel.barriers import ALPHA_ONE_WARNING
-from sel.cli import NO_CONVERGENCE_ERRORS, main
+from sel.cli import main
 from sel.grid import build_grid, gradient_components, interval, rectangle
+from sel.linear_core import SolverFailure
 from sel.monotone import solve_ladder
 from sel.problem import SolveConfig
 
@@ -88,9 +89,15 @@ def test_solve_singular_case_schema_and_spectral(tmp_path):
     assert report["barrier"]["t"] == pytest.approx(2.0 / 3.0)
 
 
-def test_solve_too_coarse_for_fits_reports_null(tmp_path):
+@pytest.mark.parametrize(
+    "domain, alpha, n", [("interval", "0.5", 16), ("rectangle", "2", 32), ("rectangle", "2", 33)]
+)
+def test_solve_too_coarse_for_fits_reports_null(tmp_path, domain, alpha, n):
+    # Rectangle bands at n 32 and 33 hold enough nodes but too few distance
+    # layers to regress over.
     out = tmp_path / "coarse"
-    code = main(["solve", "--alpha", "0.5", "--n", "16", "--out", str(out)])
+    argv = ["solve", "--domain", domain, "--alpha", alpha, "--n", str(n), "--out", str(out)]
+    code = main(argv)
     assert code == 0
     report = read_report(out)
     jsonschema.validate(report, SCHEMA)
@@ -204,7 +211,7 @@ def test_regularized_rejects_bad_eps(tmp_path, capsys, eps):
     assert capsys.readouterr().err.startswith("error: --eps")
 
 
-@pytest.mark.parametrize("error", NO_CONVERGENCE_ERRORS, ids=lambda e: e.__name__)
+@pytest.mark.parametrize("error", SolverFailure.__subclasses__(), ids=lambda e: e.__name__)
 def test_every_solver_failure_maps_to_exit_two(tmp_path, capsys, monkeypatch, error):
     def fail(*_args):
         raise error("injected")
@@ -222,6 +229,15 @@ def test_non_convergence_exits_two(tmp_path, capsys):
     assert code == 2
     assert not read_report(out)["solve"]["converged"]
     assert capsys.readouterr().err == "error: no convergence at n=64\n"
+
+
+@pytest.mark.parametrize("command", ["spectrum", "regularity"])
+def test_ladder_non_convergence_exits_two(tmp_path, capsys, command):
+    out = tmp_path / "ladder"
+    argv = [command, "--alpha", "2", "--levels", "64,128", "--tol", "1e-10", "--max-iter", "1"]
+    assert main([*argv, "--out", str(out / "s.json")]) == 2
+    assert capsys.readouterr().err == "error: no convergence at n=64\n"
+    assert not out.exists()
 
 
 def test_solve_method_dense_and_regularized_agree(tmp_path):
@@ -325,7 +341,10 @@ def test_sweep_rejects_bad_n(tmp_path):
     )
 
 
-@pytest.mark.parametrize("domain, n", [("interval", 64), ("interval", 88), ("rectangle", 32)])
+@pytest.mark.parametrize(
+    "domain, n",
+    [("interval", 64), ("interval", 88), ("rectangle", 32), ("rectangle", 48), ("rectangle", 60)],
+)
 def test_sweep_rejects_n_too_coarse_for_fits(tmp_path, capsys, monkeypatch, domain, n):
     monkeypatch.setattr(cli, "solve_ladder", lambda *_: pytest.fail("solved before the check"))
     out = tmp_path / "s.csv"
@@ -397,6 +416,7 @@ def test_regularity_command(tmp_path):
         (["--levels", "256,512", "--q-grid", ","], "error: --q-grid"),
         (["--levels", "16,32,64"], "error: n=64 is too coarse"),
         (["--domain", "rectangle", "--levels", "16,32"], "error: n=32 is too coarse"),
+        (["--domain", "rectangle", "--levels", "12,24,45"], "error: n=45 is too coarse"),
     ],
 )
 def test_regularity_checks_inputs_before_solving(tmp_path, capsys, monkeypatch, flags, message):

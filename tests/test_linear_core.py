@@ -4,7 +4,14 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from sel import linear_core
-from sel.grid import assemble_laplacian, build_grid, interval, power_weight, rectangle
+from sel.grid import (
+    assemble_laplacian,
+    build_grid,
+    interval,
+    power_weight,
+    rectangle,
+    shifted_laplacian,
+)
 from sel.linear_core import (
     COARSEST_N,
     ComparisonPrincipleViolationError,
@@ -164,6 +171,20 @@ def test_pcg_iteration_cap_is_typed(monkeypatch):
     g = build_grid(rectangle(1.0, 1.0), 64)
     with pytest.raises(SolverStagnationError, match="after 1 iterations"):
         SPDFactor(shifted(g, 1.0, 2.0)).solve(np.ones(g.num_interior), tol=1e-10)
+
+
+@pytest.mark.parametrize("sign_changing", [False, True])
+def test_pcg_flags_indefinite_rectangle_operator(sign_changing):
+    # -lap_h - 30 on the unit square is indefinite (lambda_1 ~ 2 pi^2), and
+    # the multigrid path must say so rather than return a solution.  Both
+    # right-hand sides have a component along the principal mode.
+    g = build_grid(rectangle(1.0, 1.0), 32)
+    a = shifted_laplacian(g, np.full(g.num_interior, -30.0))
+    f = np.ones(g.num_interior)
+    if sign_changing:
+        f = np.sin(np.pi * g.points()[:, 0]) - 0.5
+    with pytest.raises(SolverStagnationError, match="not positive definite"):
+        SPDFactor(a).solve(f, tol=1e-10)
 
 
 @pytest.mark.parametrize("n", [3, 5, 16])
