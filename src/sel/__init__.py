@@ -12,17 +12,14 @@ __version__ = "0.1.0"
 from .analysis import (
     FitWindow,
     H1Report,
-    ProbeReport,
     RegularityReport,
     asymptotic_window,
-    calibrate_k1,
     default_window,
     estimate_critical_q,
     fit_boundary_exponent,
     fit_gradient_exponent,
     gradient_field,
     h1_membership,
-    local_gradient_probe,
     q_bar_from_sigma,
     regularity_report,
     sobolev_integral,
@@ -71,10 +68,8 @@ from .monotone import (
     uniqueness_gap,
 )
 from .oracle import (
-    ManufacturedCase,
     NewtonStagnationError,
     dense_newton_solve,
-    manufactured_linear_case,
     newton_solve,
     observed_order,
 )

@@ -3,9 +3,9 @@
 Boundary exponent t (u ~ d^t), gradient blow-up exponent sigma
 (|grad u| ~ d^sigma), the critical Sobolev threshold q_bar with
 int |grad u|^q < infinity exactly for q < q_bar, H^1 membership by
-refinement ratios, interior gradient probes, and the two-solution
-uniqueness integrand.  The values the theory predicts for t, sigma and
-q_bar come from barriers.resolve_regime; this module measures them.
+refinement ratios, and the two-solution uniqueness integrand.  The values
+the theory predicts for t, sigma and q_bar come from
+barriers.resolve_regime; this module measures them.
 
 Exponents are log-log regression slopes over a distance band.  On a
 uniform grid the nodes are linearly dense in d, which would overweight the
@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .barriers import resolve_regime
-from .grid import Grid, assemble_laplacian, gradient_components, power_weight
-from .linear_core import solve_spd
+from .grid import Grid, gradient_components, power_weight
 
 Level = tuple[Grid, np.ndarray]
 
@@ -33,10 +32,6 @@ Level = tuple[Grid, np.ndarray]
 class WindowTooThinError(ValueError):
     """Fewer than 8 usable nodes, or fewer than 4 distance layers, in the
     fitting band."""
-
-
-class BallOutsideDomainError(ValueError):
-    """A probe ball B_2r does not fit inside the domain."""
 
 
 class InconsistentClassificationError(RuntimeError):
@@ -197,7 +192,11 @@ def estimate_critical_q(
     if len(levels) < 2:
         raise ValueError("need at least 2 refinement levels for the cross-check")
     finest = levels[-1]
-    sigma = fit_gradient_exponent(finest[0], finest[1], window)
+    return _cross_checked_q(levels, fit_gradient_exponent(finest[0], finest[1], window), q_grid)
+
+
+def _cross_checked_q(levels: list[Level], sigma: float, q_grid: list[float] | None) -> float:
+    # estimate_critical_q's classification, from the finest level's sigma_fit
     q_bar = q_bar_from_sigma(sigma)
     if math.isinf(q_bar):
         qs = q_grid if q_grid is not None else [2.0, 4.0, 8.0]
@@ -259,7 +258,11 @@ def h1_membership(levels: list[Level]) -> H1Report:
     """
     if len(levels) < 3:
         raise ValueError("need solutions at >= 3 refinement levels")
-    values = [sobolev_integral(grid, u, 2.0) for grid, u in levels]
+    return _classify_h1([sobolev_integral(grid, u, 2.0) for grid, u in levels])
+
+
+def _classify_h1(values: list[float]) -> H1Report:
+    # h1_membership's verdict from the q=2 integrals of the ladder's levels
     ratios = [values[i + 1] / values[i] for i in range(len(values) - 1)]
     if all(abs(r - 1.0) <= 0.1 for r in ratios):
         verdict = "member"
@@ -268,58 +271,6 @@ def h1_membership(levels: list[Level]) -> H1Report:
     else:
         verdict = "inconclusive"
     return H1Report(verdict=verdict, values=values, ratios=ratios)
-
-
-@dataclass
-class ProbeReport:
-    rhos: list[float]
-    max_rho: float
-    k1_cal: float
-    passed: bool
-
-
-def local_gradient_probe(
-    grid: Grid,
-    u: np.ndarray,
-    alpha: float,
-    beta: float,
-    probes: list[tuple[int, float]],
-    k1_cal: float,
-) -> ProbeReport:
-    """Interior gradient bound check on balls B_2r strictly inside the domain.
-
-    For each probe (node, r), rho = |grad u|(node) divided by
-    r ||lap_h u||_inf(B_2r) + (1/r) ||u||_inf(B_2r); the bound constant is
-    probe-independent, so max rho should stay below the calibrated k1_cal.
-    alpha and beta only tag the report context; the estimate itself is
-    purely local.
-    """
-    u = grid.check_field(u)
-    pts = grid.points()
-    grad = gradient_field(grid, u)
-    lap = -(assemble_laplacian(grid) @ u)
-    rhos = []
-    for node, r in probes:
-        if 2.0 * r >= grid.d[node]:
-            raise BallOutsideDomainError(
-                f"probe at node {node}: 2r={2 * r:.3g} >= d={grid.d[node]:.3g}"
-            )
-        ball = np.linalg.norm(pts - pts[node], axis=1) < 2.0 * r
-        bound = r * float(np.max(np.abs(lap[ball]))) + float(np.max(np.abs(u[ball]))) / r
-        rhos.append(float(grad[node]) / bound)
-    max_rho = max(rhos)
-    return ProbeReport(rhos=rhos, max_rho=max_rho, k1_cal=k1_cal, passed=max_rho <= k1_cal)
-
-
-def calibrate_k1(grid: Grid, probes: list[tuple[int, float]]) -> float:
-    """3x the max probe ratio on the smooth constant-forcing case.
-
-    The interior estimate's constant exists but is not quantified, so the
-    laboratory pins it against the gentlest instance it ever sees.
-    """
-    u, _ = solve_spd(assemble_laplacian(grid), np.ones(grid.num_interior), tol=1e-12)
-    report = local_gradient_probe(grid, u, 0.0, 0.0, probes, k1_cal=math.inf)
-    return 3.0 * report.max_rho
 
 
 def uniqueness_identity(
@@ -378,7 +329,7 @@ def regularity_report(
     verdicts: dict[str, object] = {}
     if len(levels) >= 2:
         try:
-            q_est = estimate_critical_q(levels, window, q_grid)
+            q_est = _cross_checked_q(levels, sigma_fit, q_grid)
             verdicts["q_bar_consistency"] = True
         except InconsistentClassificationError:
             # coarse ladders routinely trip the divergence classifier; keep
@@ -387,13 +338,13 @@ def regularity_report(
             verdicts["q_bar_consistency"] = False
     else:
         q_est = q_bar_from_sigma(sigma_fit)
-    h1_norms = [math.sqrt(sobolev_integral(g, f, 2.0)) for g, f in levels]
+    energies = [sobolev_integral(g, f, 2.0) for g, f in levels]
 
     if math.isfinite(regime.q_bar):
         # q_bar is finite exactly above the regime split
         verdicts["exponent_consistency"] = bool(abs(t_fit - 1.0 - sigma_fit) <= 0.05)
     if len(levels) >= 3:
-        h1 = h1_membership(levels)
+        h1 = _classify_h1(energies)
         verdicts["h1"] = h1.verdict
         theory_member = 2.0 < regime.q_bar
         verdicts["h1_matches_theory"] = (
@@ -408,6 +359,6 @@ def regularity_report(
         q_bar_theory=regime.q_bar,
         t_theory=regime.t,
         sigma_theory=regime.sigma,
-        h1_norms=h1_norms,
+        h1_norms=[math.sqrt(e) for e in energies],
         verdicts=verdicts,
     )

@@ -48,8 +48,8 @@ from .barriers import BORDERLINE_WARNING, Regime, build_barrier_pair, resolve_re
 from .grid import Grid, build_grid, interval, rectangle
 from .linear_core import SolverFailure
 from .monotone import residual, solve_ladder, uniqueness_gap
-from .oracle import DENSE_N_CAP, dense_newton_solve, newton_solve
-from .problem import ProblemSpec, SolveConfig
+from .oracle import DENSE_N_CAP, newton_solve
+from .problem import SolveConfig
 from .spectral import dirichlet_eigenpair, linearized_smallest_eigenvalue
 
 EXIT_OK = 0
@@ -207,8 +207,7 @@ def cmd_solve(args) -> int:
             "uniqueness_gap": uniqueness_gap(rep) if converged else None,
         }
     else:
-        spec = ProblemSpec(args.alpha, args.beta, _domain(args.domain), args.n, config)
-        grid = spec.make_grid()
+        grid = build_grid(_domain(args.domain), args.n)
         eig = dirichlet_eigenpair(grid)
         pair = build_barrier_pair(grid, args.alpha, args.beta, eig)
         converged = True
@@ -222,7 +221,9 @@ def cmd_solve(args) -> int:
             u = newton_solve(grid, args.alpha, args.beta, pair.super, tol=args.tol, eps=args.eps)
             solve_block["eps"] = args.eps
         else:
-            u = dense_newton_solve(spec, tol=min(args.tol, 1e-12))
+            u = newton_solve(
+                grid, args.alpha, args.beta, pair.super, tol=min(args.tol, 1e-12), dense=True
+            )
     mu = linearized_smallest_eigenvalue(grid, u, args.alpha, args.beta, tol=1e-10)
     t_fit, sigma_fit = _fit_exponents_best_effort(grid, u)
     report = {
@@ -363,6 +364,8 @@ def cmd_regularity(args) -> int:
     if len(level_ns) < 2:
         print("error: need at least 2 refinement levels", file=sys.stderr)
         return EXIT_INVALID
+    if any(coarse >= fine for coarse, fine in zip(level_ns, level_ns[1:])):
+        raise ValueError(f"--levels must strictly increase, got {args.levels!r}")
     q_grid = [float(q) for q in args.q_grid.split(",") if q] if args.q_grid else None
     if q_grid is not None and not (q_grid and all(math.isfinite(q) and q >= 1.0 for q in q_grid)):
         raise ValueError(f"--q-grid needs finite values >= 1, got {args.q_grid!r}")

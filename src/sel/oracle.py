@@ -1,4 +1,4 @@
-"""Independent ground truth: the Newton path, manufactured cases, orders.
+"""Independent ground truth: the Newton path and observed orders.
 
 newton_solve is the laboratory's one Newton, for the singular problem and,
 with eps > 0, for its regularization.  dense_newton_solve shares no
@@ -11,7 +11,6 @@ self-consistency one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -27,37 +26,6 @@ DENSE_N_CAP = 64
 class NewtonStagnationError(SolverFailure):
     """A Newton solve stalled: step halvings ran out or the iteration cap
     was reached."""
-
-
-@dataclass
-class ManufacturedCase:
-    """Exact-by-construction pair: forcing = operator applied to exact."""
-
-    exact: np.ndarray
-    forcing: np.ndarray
-    description: str
-
-
-def manufactured_linear_case(grid: Grid, shift: np.ndarray) -> ManufacturedCase:
-    """u* = prod over axes of (s(1-s))^2, s the normalized coordinate.
-
-    The forcing is (-lap_h + diag(shift)) u* for a nodal shift >= 0.  u*
-    vanishes to second order at the boundary, so shift * u* stays bounded
-    for shifts up to d^(-2) and the forcing is finite even for singular
-    shifts.
-    """
-    shift = grid.check_field(shift)
-    pts = grid.points()
-    exact = np.ones(grid.num_interior)
-    for axis, extent in enumerate(grid.shape.extents):
-        s = pts[:, axis] / extent
-        exact = exact * (s * (1.0 - s)) ** 2
-    forcing = assemble_laplacian(grid) @ exact + shift * exact
-    return ManufacturedCase(
-        exact=exact,
-        forcing=forcing,
-        description=f"quartic bump on {grid.shape.kind}, nodal shift up to {shift.max():.3g}",
-    )
 
 
 def newton_solve(

@@ -3,20 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from sel import analysis
 from sel.analysis import (
-    BallOutsideDomainError,
     FitWindow,
     InconsistentClassificationError,
     WindowTooThinError,
     asymptotic_window,
-    calibrate_k1,
     default_window,
     estimate_critical_q,
     fit_boundary_exponent,
     fit_gradient_exponent,
     gradient_field,
     h1_membership,
-    local_gradient_probe,
     regularity_report,
     sobolev_integral,
     uniqueness_identity,
@@ -174,32 +172,6 @@ def test_h1_membership_synthetic(lab):
         h1_membership(member[:2])
 
 
-def test_local_gradient_probe_smooth_case(lab):
-    grid = lab.grid(256)
-    u = grid.axes[0] * (1 - grid.axes[0]) / 2
-    probes = [(int(np.argmin(np.abs(grid.d - dd))), dd / 3.0) for dd in (0.05, 0.1, 0.2)]
-    k1 = calibrate_k1(grid, probes)
-    report = local_gradient_probe(grid, u, 0.0, 0.0, probes, k1)
-    assert report.passed
-    assert report.max_rho <= k1
-    assert all(rho > 0 for rho in report.rhos)
-
-
-def test_local_gradient_probe_constant_across_probes(lab):
-    grid = lab.grid(1024)
-    u = grid.d ** (2.0 / 3.0)
-    probes = [(int(np.argmin(np.abs(grid.d - dd))), dd / 3.0) for dd in (0.05, 0.1, 0.2)]
-    report = local_gradient_probe(grid, u, 2.0, 0.0, probes, k1_cal=math.inf)
-    assert max(report.rhos) / min(report.rhos) <= 2.0
-
-
-def test_local_gradient_probe_ball_must_fit(lab):
-    grid = lab.grid(64)
-    node = int(np.argmin(np.abs(grid.d - 0.1)))
-    with pytest.raises(BallOutsideDomainError):
-        local_gradient_probe(grid, grid.d, 0.0, 0.0, [(node, 0.06)], 1.0)
-
-
 def test_uniqueness_identity_values(lab):
     grid = lab.grid(128)
     u = grid.d + 0.1
@@ -237,3 +209,30 @@ def test_regularity_report_q_grid_below_the_slope_estimate(lab):
     assert rep.q_bar_est == pytest.approx(-1.0 / rep.sigma_fit)
     assert rep.q_bar_est == pytest.approx(3.0, rel=0.1)
     assert rep.verdicts["q_bar_consistency"] is False
+
+
+def test_regularity_report_fits_sigma_and_integrates_q2_once(lab, monkeypatch):
+    # the q_bar cross-check reuses the report's sigma_fit, and the h1 verdict
+    # and h1_norms share one q=2 integral per level
+    fits, energies = [], []
+
+    def counted_fit(*args):
+        fits.append(args)
+        return fit_gradient_exponent(*args)
+
+    def counted_integral(grid, u, q):
+        if q == 2.0:
+            energies.append(grid.n)
+        return sobolev_integral(grid, u, q)
+
+    monkeypatch.setattr(analysis, "fit_gradient_exponent", counted_fit)
+    monkeypatch.setattr(analysis, "sobolev_integral", counted_integral)
+    levels = [(lab.grid(n), 1.3 * lab.grid(n).d ** (2.0 / 3.0)) for n in (512, 1024, 2048)]
+    rep = regularity_report(levels, 2.0, 0.0)
+    assert len(fits) == 1
+    assert energies == [512, 1024, 2048]
+    window = asymptotic_window(levels[-1][0])
+    assert rep.q_bar_est == estimate_critical_q(levels, window)
+    h1 = h1_membership(levels)
+    assert rep.verdicts["h1"] == h1.verdict
+    assert rep.h1_norms == [math.sqrt(v) for v in h1.values]

@@ -8,9 +8,9 @@ import jsonschema
 import numpy as np
 import pytest
 
-from sel import cli
+from sel import cli, oracle
 from sel.analysis import gradient_field
-from sel.barriers import ALPHA_ONE_WARNING
+from sel.barriers import ALPHA_ONE_WARNING, build_barrier_pair
 from sel.cli import main
 from sel.grid import build_grid, gradient_components, interval, rectangle
 from sel.linear_core import SolverFailure
@@ -31,7 +31,7 @@ def test_solve_linear_case(tmp_path):
     report = read_report(out)
     jsonschema.validate(report, SCHEMA)
     assert report["solve"]["converged"]
-    rows = list(csv.DictReader(open(out / "solution.csv")))
+    rows = list(csv.DictReader((out / "solution.csv").read_text().splitlines()))
     mid = next(r for r in rows if float(r["x"]) == 0.5)
     assert abs(float(mid["u"]) - 0.125) <= 1e-12
     assert set(rows[0]) == {"x", "d", "u", "grad_u"}
@@ -249,11 +249,26 @@ def test_solve_method_dense_and_regularized_agree(tmp_path):
         if method == "regularized":
             args += ["--eps", "1e-8"]
         assert main(args) == 0
-        rows = list(csv.DictReader(open(out / "solution.csv")))
+        rows = list(csv.DictReader((out / "solution.csv").read_text().splitlines()))
         outs[method] = [float(r["u"]) for r in rows]
     for method in ("dense", "regularized"):
         diffs = [abs(a - b) for a, b in zip(outs["monotone"], outs[method])]
         assert max(diffs) <= 1e-6 * max(outs["monotone"])
+
+
+def test_solve_dense_builds_one_barrier_pair(tmp_path, monkeypatch):
+    # the dense Newton starts from the pair the report's barrier block shows
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return build_barrier_pair(*args)
+
+    for module in (cli, oracle):
+        monkeypatch.setattr(module, "build_barrier_pair", counted)
+    args = ["solve", "--alpha", "2", "--n", "32", "--method", "dense", "--out", str(tmp_path)]
+    assert main(args) == 0
+    assert len(calls) == 1
 
 
 def test_rectangle_solve_and_regularity(tmp_path):
@@ -303,7 +318,7 @@ def test_sweep_table(tmp_path, monkeypatch):
         ]
     )
     assert code == 0
-    rows = {(float(r["alpha"]), float(r["beta"])): r for r in csv.DictReader(open(out))}
+    rows = {(float(r["alpha"]), float(r["beta"])): r for r in csv.DictReader(out.read_text().splitlines())}
     assert len(rows) == 6
     assert float(rows[(2.0, 0.0)]["q_bar_theory"]) == 3.0
     assert float(rows[(2.0, 0.5)]["q_bar_theory"]) == 2.0
@@ -328,7 +343,7 @@ def test_sweep_is_deterministic(tmp_path, monkeypatch):
         outs.append(out)
     assert outs[0].read_bytes() == outs[1].read_bytes()
     # q_bar estimates are only reported when the cross-check certifies them
-    rows = {float(r["alpha"]): r for r in csv.DictReader(open(outs[0]))}
+    rows = {float(r["alpha"]): r for r in csv.DictReader(outs[0].read_text().splitlines())}
     for row in rows.values():
         assert row["q_bar_est"] == "" or float(row["q_bar_est"]) > 1.0
 
@@ -403,7 +418,7 @@ def test_regularity_command(tmp_path):
     payload = json.loads((out / "regularity.json").read_text())
     assert payload["report"]["q_bar_theory"] == 3.0
     assert "t_fit" in payload["report"]
-    rows = list(csv.DictReader(open(out / "sobolev.csv")))
+    rows = list(csv.DictReader((out / "sobolev.csv").read_text().splitlines()))
     assert len(rows) == 9
     assert {r["q"] for r in rows} == {"1.5", "2", "4"}
 
@@ -417,6 +432,8 @@ def test_regularity_command(tmp_path):
         (["--levels", "16,32,64"], "error: n=64 is too coarse"),
         (["--domain", "rectangle", "--levels", "16,32"], "error: n=32 is too coarse"),
         (["--domain", "rectangle", "--levels", "12,24,45"], "error: n=45 is too coarse"),
+        (["--levels", "256,256,256"], "error: --levels must strictly increase"),
+        (["--levels", "1024,512,256"], "error: --levels must strictly increase"),
     ],
 )
 def test_regularity_checks_inputs_before_solving(tmp_path, capsys, monkeypatch, flags, message):
