@@ -140,11 +140,17 @@ def fit_gradient_exponent(grid: Grid, u: np.ndarray, window: FitWindow | None = 
     return slope
 
 
-def sobolev_integral(grid: Grid, u: np.ndarray, q: float) -> float:
-    """Midpoint-rule value of int |grad_h u|^q over the domain."""
+def gradient_integral(grid: Grid, grad: np.ndarray, q: float) -> float:
+    """Midpoint-rule value of int grad^q over the domain, for grad the nodal
+    |grad_h u| of gradient_field: one gradient serves every q."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    return float(np.sum(gradient_field(grid, u) ** q) * grid.cell_volume)
+    return float(np.sum(grad**q) * grid.cell_volume)
+
+
+def sobolev_integral(grid: Grid, u: np.ndarray, q: float) -> float:
+    """Midpoint-rule value of int |grad_h u|^q over the domain."""
+    return gradient_integral(grid, gradient_field(grid, u), q)
 
 
 def q_bar_from_sigma(sigma_fit: float) -> float:
@@ -160,8 +166,8 @@ def q_bar_from_sigma(sigma_fit: float) -> float:
 DIVERGENCE_RATIO = 1.05
 
 
-def _integral_diverges(levels: list[Level], q: float) -> bool:
-    coarse, fine = (sobolev_integral(grid, u, q) for grid, u in levels[-2:])
+def _integral_diverges(gradients: list[Level], q: float) -> bool:
+    coarse, fine = (gradient_integral(grid, grad, q) for grid, grad in gradients[-2:])
     return fine / coarse >= DIVERGENCE_RATIO
 
 
@@ -191,17 +197,20 @@ def estimate_critical_q(
     """
     if len(levels) < 2:
         raise ValueError("need at least 2 refinement levels for the cross-check")
-    finest = levels[-1]
-    return _cross_checked_q(levels, fit_gradient_exponent(finest[0], finest[1], window), q_grid)
+    gradients = [(grid, gradient_field(grid, u)) for grid, u in levels[-2:]]
+    grid, grad = gradients[-1]
+    sigma, _ = _fit_loglog(grid, grad, window or default_window(grid))
+    return _cross_checked_q(gradients, sigma, q_grid)
 
 
-def _cross_checked_q(levels: list[Level], sigma: float, q_grid: list[float] | None) -> float:
+def _cross_checked_q(gradients: list[Level], sigma: float, q_grid: list[float] | None) -> float:
     # estimate_critical_q's classification, from the finest level's sigma_fit
+    # and the (grid, gradient_field) of at least the two finest levels
     q_bar = q_bar_from_sigma(sigma)
     if math.isinf(q_bar):
         qs = q_grid if q_grid is not None else [2.0, 4.0, 8.0]
         for q in qs:
-            if _integral_diverges(levels, q):
+            if _integral_diverges(gradients, q):
                 raise InconsistentClassificationError(
                     f"sigma_fit={sigma:.3f} predicts no threshold but the q={q} "
                     "integral diverges under refinement"
@@ -209,7 +218,7 @@ def _cross_checked_q(levels: list[Level], sigma: float, q_grid: list[float] | No
         return math.inf
     qs = q_grid if q_grid is not None else [f * q_bar for f in (0.6, 0.8, 1.2, 1.4)]
     qs = sorted(q for q in qs if q >= 1.0)
-    flags = [_integral_diverges(levels, q) for q in qs]
+    flags = [_integral_diverges(gradients, q) for q in qs]
     divergent = [q for q, f in zip(qs, flags) if f]
     if not divergent:
         if max(qs, default=0.0) < 1.2 * q_bar:
@@ -318,18 +327,20 @@ def regularity_report(
 
     Exponents come from the finest level over the asymptotic window unless
     an explicit one is given; H^1 classification needs >= 3 levels and is
-    reported as such when fewer are supplied.
+    reported as such when fewer are supplied.  Each level's gradient_field
+    is computed once, for the sigma fit and every Sobolev integral.
     """
     regime = resolve_regime(alpha, beta)
     grid, u = levels[-1]
     if window is None:
         window = asymptotic_window(grid)
     t_fit, _ = fit_boundary_exponent(grid, u, window)
-    sigma_fit = fit_gradient_exponent(grid, u, window)
+    gradients = [(g, gradient_field(g, f)) for g, f in levels]
+    sigma_fit, _ = _fit_loglog(grid, gradients[-1][1], window)
     verdicts: dict[str, object] = {}
     if len(levels) >= 2:
         try:
-            q_est = _cross_checked_q(levels, sigma_fit, q_grid)
+            q_est = _cross_checked_q(gradients, sigma_fit, q_grid)
             verdicts["q_bar_consistency"] = True
         except InconsistentClassificationError:
             # coarse ladders routinely trip the divergence classifier; keep
@@ -338,7 +349,7 @@ def regularity_report(
             verdicts["q_bar_consistency"] = False
     else:
         q_est = q_bar_from_sigma(sigma_fit)
-    energies = [sobolev_integral(g, f, 2.0) for g, f in levels]
+    energies = [gradient_integral(g, grad, 2.0) for g, grad in gradients]
 
     if math.isfinite(regime.q_bar):
         # q_bar is finite exactly above the regime split

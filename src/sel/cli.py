@@ -40,9 +40,9 @@ from .analysis import (
     fit_boundary_exponent,
     fit_gradient_exponent,
     gradient_field,
+    gradient_integral,
     q_bar_from_sigma,
     regularity_report,
-    sobolev_integral,
 )
 from .barriers import BORDERLINE_WARNING, Regime, build_barrier_pair, resolve_regime
 from .grid import Grid, build_grid, interval, rectangle
@@ -156,19 +156,36 @@ def _admitted_regime(alpha: float, beta: float) -> Regime:
     return regime
 
 
-def _spec_echo(args, method: str | None = None) -> dict:
+def _spec_echo(args, method: str | None = None, levels: list[int] | None = None) -> dict:
+    """The common flags of a report; a ladder command gives its levels, which
+    stand in place of the --n it does not read."""
     echo = {
         "alpha": args.alpha,
         "beta": args.beta,
         "domain": args.domain,
-        "n": args.n,
         "tol": args.tol,
         "max_iter": args.max_iter,
     }
+    if levels is None:
+        echo["n"] = args.n
+    else:
+        echo["levels"] = levels
     if method is not None:
         echo["method"] = method
         echo["eps"] = getattr(args, "eps", None)
     return echo
+
+
+def _parse_levels(text: str, minimum: int) -> list[int]:
+    """The --levels list: at least minimum values, strictly increasing;
+    ValueError (exit 1) otherwise, before anything is solved."""
+    levels = [int(v) for v in text.split(",") if v]
+    if len(levels) < minimum:
+        noun = "level" if minimum == 1 else "levels"
+        raise ValueError(f"need at least {minimum} refinement {noun}")
+    if any(coarse >= fine for coarse, fine in zip(levels, levels[1:])):
+        raise ValueError(f"--levels must strictly increase, got {text!r}")
+    return levels
 
 
 def _ladder(args, ns):
@@ -331,10 +348,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_spectrum(args) -> int:
     regime = _admitted_regime(args.alpha, args.beta)
-    level_ns = [int(v) for v in args.levels.split(",") if v]
-    if not level_ns:
-        print("error: need at least 1 refinement level", file=sys.stderr)
-        return EXIT_INVALID
+    level_ns = _parse_levels(args.levels, 1)
     levels = _ladder(args, level_ns)
     if levels is None:
         return EXIT_NO_CONVERGENCE
@@ -345,7 +359,7 @@ def cmd_spectrum(args) -> int:
         )
         rows.append({"n": level.grid.n, "lambda1": level.eig.value, "mu1": mu.value})
     payload = {
-        "spec": _spec_echo(args),
+        "spec": _spec_echo(args, levels=level_ns),
         "warnings": regime.warnings,
         "levels": rows,
         "stable": all(r["mu1"] > 0.0 for r in rows),
@@ -360,12 +374,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_regularity(args) -> int:
     regime = _admitted_regime(args.alpha, args.beta)
-    level_ns = [int(v) for v in args.levels.split(",") if v]
-    if len(level_ns) < 2:
-        print("error: need at least 2 refinement levels", file=sys.stderr)
-        return EXIT_INVALID
-    if any(coarse >= fine for coarse, fine in zip(level_ns, level_ns[1:])):
-        raise ValueError(f"--levels must strictly increase, got {args.levels!r}")
+    level_ns = _parse_levels(args.levels, 2)
     q_grid = [float(q) for q in args.q_grid.split(",") if q] if args.q_grid else None
     if q_grid is not None and not (q_grid and all(math.isfinite(q) and q >= 1.0 for q in q_grid)):
         raise ValueError(f"--q-grid needs finite values >= 1, got {args.q_grid!r}")
@@ -380,7 +389,7 @@ def cmd_regularity(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
-        "spec": _spec_echo(args),
+        "spec": _spec_echo(args, levels=level_ns),
         "warnings": regime.warnings,
         "report": asdict(reg),
     }
@@ -391,8 +400,9 @@ def cmd_regularity(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["n", "q", "integral"])
         for grid, u in levels:
+            grad = gradient_field(grid, u)
             for q in qs:
-                writer.writerow([grid.n, _fmt(float(q)), _fmt(sobolev_integral(grid, u, q))])
+                writer.writerow([grid.n, _fmt(float(q)), _fmt(gradient_integral(grid, grad, q))])
     _write_manifest(out_dir, payload["spec"], ["regularity.json", "sobolev.csv"])
     return EXIT_OK
 

@@ -12,12 +12,15 @@ on the first call for a grid and caches it on that Grid, read-only, so every
 layer working on one grid (eigenpair, barriers, their certificates, the
 monotone iteration, mu_1, the residual) shares one matrix.  Shifted
 operators -lap_h + diag(m) reuse its CSR pattern (shifted_laplacian).
+The copy of its values in np.longdouble that extended-precision residuals
+read is cached beside it (extended_laplacian).
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -79,7 +82,8 @@ class Grid:
            lexicographic (first-axis-major) order.
 
     The grid also caches its Laplacian once assembled (assemble_laplacian),
-    so it lives exactly as long as the grid.
+    and its long-double copy (extended_laplacian), so they live exactly as
+    long as the grid.
     """
 
     shape: DomainShape
@@ -123,6 +127,10 @@ class Grid:
         for arr in (lap.data, lap.indices, lap.indptr):
             arr.setflags(write=False)
         return lap
+
+    @functools.cached_property
+    def _extended_laplacian(self) -> ExtendedOperator:
+        return extended_operator(self._laplacian)
 
     @functools.cached_property
     def _diagonal_positions(self) -> np.ndarray:
@@ -189,6 +197,33 @@ def assemble_laplacian(grid: Grid) -> sp.csr_array:
     the same matrix, whose data, indices and indptr are read-only.
     """
     return grid._laplacian
+
+
+class ExtendedOperator(NamedTuple):
+    """A CSR matrix with its values in np.longdouble, read-only, on the
+    matrix's own indices and indptr: what linear_core.extended_residual
+    reads without a conversion per call."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+
+def extended_operator(A: sp.csr_array) -> ExtendedOperator:
+    """The CSR matrix A with its values converted once to np.longdouble.
+
+    A plain tuple rather than a sparse matrix: building one costs more than
+    the conversion itself on an interval grid.
+    """
+    data = A.data.astype(np.longdouble)
+    data.setflags(write=False)
+    return ExtendedOperator(data, A.indices, A.indptr)
+
+
+def extended_laplacian(grid: Grid) -> ExtendedOperator:
+    """assemble_laplacian(grid) as an extended_operator, converted on the first
+    call for a grid and cached on it like the Laplacian itself."""
+    return grid._extended_laplacian
 
 
 def shifted_laplacian(grid: Grid, m: np.ndarray) -> sp.csr_array:

@@ -13,7 +13,10 @@ by conjugate gradients preconditioned with a geometric multigrid V-cycle
 coarsest grid), which takes a handful of iterations at any resolution.
 extended_residual evaluates f - A x for any sparsity pattern with the
 products and row sums in np.longdouble; the refinement, the final residual
-check and the monotone iteration's defect all use it.
+check and the monotone iteration's defect all use it.  The long-double
+copy of an operator's values is made once per operator, not per residual:
+the grid caches its Laplacian's (grid.extended_laplacian), and an SPDFactor
+makes its operator's on its first residual.
 
 SolverFailure is the base of every error a solver or certificate raises on
 valid input (stagnation here, and the eigen, barrier, ordering and Newton
@@ -32,7 +35,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from .grid import Grid, power_weight
+from .grid import ExtendedOperator, Grid, extended_operator, power_weight
 
 
 class SolverFailure(RuntimeError):
@@ -58,21 +61,31 @@ class SolveStats:
     wall_time: float
 
 
-def extended_residual(A: sp.csr_matrix, f: np.ndarray, x: np.ndarray) -> np.ndarray:
+def extended_residual(
+    A: sp.csr_matrix | ExtendedOperator, f: np.ndarray, x: np.ndarray
+) -> np.ndarray:
     """f - A x with every product and row sum in np.longdouble, rounded once.
 
     A is CSR and every row stores at least one entry (true of any SPD
     matrix); f may itself be np.longdouble.  In double, the cancellation in
     f - A x loses up to cond(A) ulps of the result; the 64-bit mantissa of
-    np.longdouble (x86) loses 2^11 times less.
+    np.longdouble (x86) loses 2^11 times less.  The values of an
+    ExtendedOperator (grid.extended_operator) are already np.longdouble and
+    are used as they are; a sparse A has its values converted on every call.
     """
-    prod = A.data.astype(np.longdouble) * x.astype(np.longdouble)[A.indices]
+    prod = A.data.astype(np.longdouble, copy=False) * x.astype(np.longdouble)[A.indices]
     return (f - np.add.reduceat(prod, A.indptr[:-1])).astype(float)
 
 
 def is_tridiagonal(A: sp.csr_array) -> bool:
     """Every stored entry of the CSR matrix A lies on or next to the diagonal
-    (intervals); read from indptr and indices, without a format conversion."""
+    (intervals); read from indptr and indices, without a format conversion.
+
+    No tridiagonal matrix in canonical CSR stores more than 3N - 2 entries,
+    so a larger pattern (every rectangle grid) is rejected without a scan.
+    """
+    if A.nnz > 3 * A.shape[0] - 2:
+        return False
     rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
     return bool(np.all(np.abs(A.indices - rows) <= 1))
 
@@ -116,13 +129,20 @@ class SPDFactor:
     rounding x itself rather than by the round-off of the residual.
 
     Any other pattern (rectangles) is solved by conjugate gradients
-    preconditioned with one geometric multigrid V-cycle (precondition).
+    preconditioned with one geometric multigrid V-cycle (precondition) per
+    iteration: a solve of SolveStats.iterations steps applies that many
+    V-cycles.
     The hierarchy is built here, once per operator: linear interpolation P
     from n to ceil(n/2) subdivisions per axis, Galerkin coarse operators
     P^T A P (the nodal shift needs no rediscretization), SMOOTHING_SWEEPS
     damped-Jacobi sweeps before and after each coarse correction, and splu
     at the coarsest level, n <= COARSEST_N.  Smaller grids, or a matrix
     that is not a square grid's, are a one-level hierarchy: splu alone.
+
+    The residuals of solve read the operator's values in np.longdouble,
+    converted once, on the first residual, and kept with the factor; a
+    factor used only for precondition (the LOBPCG preconditioner) never
+    converts.
     """
 
     def __init__(self, A: sp.spmatrix):
@@ -169,11 +189,11 @@ class SPDFactor:
             return np.zeros(m), SolveStats(0, 0.0, time.perf_counter() - t_start)
         target = tol * norm_f
         x, iters = self._pcg(f, target) if self._chol is None else (np.zeros(m), 0)
-        r = extended_residual(self.A, f, x)
+        r = extended_residual(self._extended, f, x)
         while self._chol is not None and np.linalg.norm(r) > target and iters <= MAX_REFINEMENTS:
             x += scipy.linalg.cho_solve_banded((self._chol, False), r, check_finite=False)
             iters += 1
-            r = extended_residual(self.A, f, x)
+            r = extended_residual(self._extended, f, x)
 
         rel = float(np.linalg.norm(r)) / norm_f
         if not rel <= tol:
@@ -187,6 +207,11 @@ class SPDFactor:
                     f"f >= 0 but min(u) = {x.min():.3e} < {floor:.3e}"
                 )
         return x, SolveStats(iters, rel, time.perf_counter() - t_start)
+
+    @functools.cached_property
+    def _extended(self) -> ExtendedOperator:
+        # made on the first residual: a factor used only for precondition needs none
+        return extended_operator(self.A)
 
     def precondition(self, r: np.ndarray, level: int = 0) -> np.ndarray:
         """One symmetric V-cycle from x = 0 on A_level x = r: about A^(-1) r.
@@ -206,14 +231,17 @@ class SPDFactor:
 
     def _pcg(self, f: np.ndarray, target: float) -> tuple[np.ndarray, int]:
         # V-cycle-preconditioned CG from x = 0; the caller checks the true residual.
+        # The loop tests the updated residual before preconditioning it, so a
+        # solve applies exactly one V-cycle per iteration.
         A = self.A
         x = np.zeros(f.shape[0])
         r = f.copy()
-        z = self.precondition(r)
-        p = z.copy()
-        rz = float(r @ z)
         iters = 0
         while np.linalg.norm(r) > target and iters < MAX_PCG_ITERS:
+            z = self.precondition(r)
+            rz_new = float(r @ z)
+            p = z if iters == 0 else z + (rz_new / rz) * p
+            rz = rz_new
             Ap = A @ p
             pAp = float(p @ Ap)
             if pAp <= 0.0:
@@ -222,10 +250,6 @@ class SPDFactor:
             x += alpha * p
             r -= alpha * Ap
             iters += 1
-            z = self.precondition(r)
-            rz_new = float(r @ z)
-            p = z + (rz_new / rz) * p
-            rz = rz_new
         return x, iters
 
 

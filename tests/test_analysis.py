@@ -14,6 +14,7 @@ from sel.analysis import (
     fit_boundary_exponent,
     fit_gradient_exponent,
     gradient_field,
+    gradient_integral,
     h1_membership,
     regularity_report,
     sobolev_integral,
@@ -212,26 +213,29 @@ def test_regularity_report_q_grid_below_the_slope_estimate(lab):
 
 
 def test_regularity_report_fits_sigma_and_integrates_q2_once(lab, monkeypatch):
-    # the q_bar cross-check reuses the report's sigma_fit, and the h1 verdict
-    # and h1_norms share one q=2 integral per level
-    fits, energies = [], []
+    # one gradient field per level serves the sigma fit, the q_bar
+    # cross-check and the q=2 integrals, which the h1 verdict and h1_norms
+    # share; the cross-check reuses the report's sigma_fit
+    gradients, energies = [], []
 
-    def counted_fit(*args):
-        fits.append(args)
-        return fit_gradient_exponent(*args)
+    def counted_gradient(grid, u):
+        gradients.append(grid.n)
+        return gradient_field(grid, u)
 
-    def counted_integral(grid, u, q):
+    def counted_integral(grid, grad, q):
         if q == 2.0:
             energies.append(grid.n)
-        return sobolev_integral(grid, u, q)
+        return gradient_integral(grid, grad, q)
 
-    monkeypatch.setattr(analysis, "fit_gradient_exponent", counted_fit)
-    monkeypatch.setattr(analysis, "sobolev_integral", counted_integral)
+    monkeypatch.setattr(analysis, "gradient_field", counted_gradient)
+    monkeypatch.setattr(analysis, "gradient_integral", counted_integral)
     levels = [(lab.grid(n), 1.3 * lab.grid(n).d ** (2.0 / 3.0)) for n in (512, 1024, 2048)]
     rep = regularity_report(levels, 2.0, 0.0)
-    assert len(fits) == 1
+    assert gradients == [512, 1024, 2048]
     assert energies == [512, 1024, 2048]
+    monkeypatch.undo()
     window = asymptotic_window(levels[-1][0])
+    assert rep.sigma_fit == fit_gradient_exponent(*levels[-1], window)
     assert rep.q_bar_est == estimate_critical_q(levels, window)
     h1 = h1_membership(levels)
     assert rep.verdicts["h1"] == h1.verdict

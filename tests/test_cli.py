@@ -8,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from sel import cli, oracle
+from sel import analysis, cli, oracle
 from sel.analysis import gradient_field
 from sel.barriers import ALPHA_ONE_WARNING, build_barrier_pair
 from sel.cli import main
@@ -388,6 +388,15 @@ def test_spectrum_rejects_empty_levels(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("levels", ["128,128", "256,128"])
+def test_spectrum_checks_levels_before_solving(tmp_path, capsys, monkeypatch, levels):
+    monkeypatch.setattr(cli, "solve_ladder", lambda *_: pytest.fail("solved before the check"))
+    out = tmp_path / "s.json"
+    assert main(["spectrum", "--alpha", "2", "--levels", levels, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: --levels must strictly increase")
+    assert not out.exists()
+
+
 def test_spectrum_levels(tmp_path):
     out = tmp_path / "spectrum.json"
     code = main(
@@ -395,6 +404,10 @@ def test_spectrum_levels(tmp_path):
     )
     assert code == 0
     payload = json.loads(out.read_text())
+    # the ladder's levels, not the unread --n default, are echoed
+    assert payload["spec"]["levels"] == [16, 32, 64] and "n" not in payload["spec"]
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["spec"] == payload["spec"]
     lams = [row["lambda1"] for row in payload["levels"]]
     assert lams == sorted(lams)
     assert lams[-1] < math.pi**2
@@ -402,7 +415,17 @@ def test_spectrum_levels(tmp_path):
     assert payload["stable"] and payload["ordered"]
 
 
-def test_regularity_command(tmp_path):
+def test_regularity_command(tmp_path, monkeypatch):
+    # one gradient field per level in regularity_report, and one per level
+    # for sobolev.csv, whatever the number of q values
+    gradients = []
+
+    def counted_gradient(grid, u):
+        gradients.append(grid.n)
+        return gradient_field(grid, u)
+
+    monkeypatch.setattr(analysis, "gradient_field", counted_gradient)
+    monkeypatch.setattr(cli, "gradient_field", counted_gradient)
     out = tmp_path / "reg"
     code = main(
         [
@@ -415,8 +438,10 @@ def test_regularity_command(tmp_path):
         ]
     )
     assert code == 0
+    assert sorted(gradients) == [64, 64, 128, 128, 256, 256]
     payload = json.loads((out / "regularity.json").read_text())
     assert payload["report"]["q_bar_theory"] == 3.0
+    assert payload["spec"]["levels"] == [64, 128, 256] and "n" not in payload["spec"]
     assert "t_fit" in payload["report"]
     rows = list(csv.DictReader((out / "sobolev.csv").read_text().splitlines()))
     assert len(rows) == 9

@@ -7,6 +7,8 @@ from sel import linear_core
 from sel.grid import (
     assemble_laplacian,
     build_grid,
+    extended_laplacian,
+    extended_operator,
     interval,
     power_weight,
     rectangle,
@@ -37,6 +39,11 @@ def test_tridiagonal_pattern_test():
     a = sp.csr_array(([1.0, 2.0, 3.0], [1, 0, 2], [0, 2, 2, 3]), shape=(3, 3))
     assert is_tridiagonal(a)
     assert not is_tridiagonal(sp.csr_array(([1.0], [2], [0, 1, 1, 1]), shape=(3, 3)))
+    # within the 3N - 2 entry bound, the pattern still decides
+    far = sp.csr_array(([1.0, 1.0, 1.0, 1.0, 1.0, 1.0], [0, 4, 1, 2, 3, 4], [0, 2, 3, 4, 5, 6]))
+    assert far.nnz <= 3 * 5 - 2 and not is_tridiagonal(far)
+    assert is_tridiagonal(sp.csr_array(np.array([[2.0]])))
+    assert not is_tridiagonal(assemble_laplacian(build_grid(rectangle(1.0, 1.0), 3)))
 
 
 def test_zero_shift_matches_laplacian():
@@ -166,6 +173,19 @@ def test_rectangle_operator_uses_multigrid_pcg(n):
     assert np.linalg.norm(f - a @ u) <= 1e-10 * np.linalg.norm(f)
 
 
+@pytest.mark.parametrize("n", [17, 64])
+def test_pcg_applies_one_vcycle_per_iteration(monkeypatch, n):
+    g = build_grid(rectangle(1.0, 1.0), n)
+    factor = SPDFactor(shifted(g, 1.0, 2.0))
+    calls = []
+    vcycle = factor.precondition
+    monkeypatch.setattr(
+        factor, "precondition", lambda r, level=0: calls.append(level) or vcycle(r, level)
+    )
+    _, stats = factor.solve(np.ones(g.num_interior), tol=1e-10)
+    assert calls.count(0) == stats.iterations >= 1
+
+
 def test_pcg_iteration_cap_is_typed(monkeypatch):
     monkeypatch.setattr(linear_core, "MAX_PCG_ITERS", 1)
     g = build_grid(rectangle(1.0, 1.0), 64)
@@ -248,3 +268,21 @@ def test_extended_residual_resolves_cancellation(shape, n):
     err_double = np.max(np.abs((f - a @ x) - exact))
     err_extended = np.max(np.abs(extended_residual(a, f, x) - exact))
     assert err_extended <= 1e-2 * err_double
+
+
+@pytest.mark.parametrize("shape, n", [(interval(1.0), 64), (rectangle(1.0, 1.0), 24)])
+def test_extended_operator_residual_is_bitwise_the_per_call_conversion(rng, shape, n):
+    g = build_grid(shape, n)
+    f, x = rng.random(g.num_interior), rng.random(g.num_interior)
+    for a in (assemble_laplacian(g), shifted_laplacian(g, rng.random(g.num_interior))):
+        prod = a.data.astype(np.longdouble) * x.astype(np.longdouble)[a.indices]
+        reference = (f - np.add.reduceat(prod, a.indptr[:-1])).astype(float)
+        prepared = extended_operator(a)
+        assert prepared.data.dtype == np.longdouble and not prepared.data.flags.writeable
+        np.testing.assert_array_equal(extended_residual(prepared, f, x), reference)
+        np.testing.assert_array_equal(extended_residual(a, f, x), reference)
+    assert extended_laplacian(g) is extended_laplacian(g)
+    np.testing.assert_array_equal(
+        extended_residual(extended_laplacian(g), f, x),
+        extended_residual(assemble_laplacian(g), f, x),
+    )
