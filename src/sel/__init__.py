@@ -30,8 +30,6 @@ from .barriers import (
     CertReport,
     Regime,
     build_barrier_pair,
-    build_subsolution,
-    build_supersolution,
     resolve_regime,
     verify_barrier,
 )

@@ -171,17 +171,15 @@ def _integral_diverges(gradients: list[Level], q: float) -> bool:
     return fine / coarse >= DIVERGENCE_RATIO
 
 
-def estimate_critical_q(
-    levels: list[Level],
-    window: FitWindow | None = None,
-    q_grid: list[float] | None = None,
-) -> float:
+def estimate_critical_q(levels: list[Level], window: FitWindow | None = None) -> float:
     """q_bar from the gradient exponent, cross-checked by divergence tests.
 
-    Primary estimate: q_bar_from_sigma at the finest level.  Cross-check
-    on a q-grid (default 0.6, 0.8, 1.2, 1.4 times q_bar; direct divergence
-    detection is ill-conditioned near q_bar itself, hence the 20% exclusion
-    band):
+    Primary estimate: q_bar_from_sigma at the finest level over the window
+    (default_window when None).  Cross-check on the q-grid 0.6, 0.8, 1.2,
+    1.4 times q_bar (2, 4, 8 when no threshold is predicted); direct
+    divergence detection is ill-conditioned near q_bar itself, hence the
+    20% exclusion band.  The classification, shared with regularity_report
+    (which may pass its own q-grid), is:
 
     * divergence at q <= 0.8 q_bar, or any convergent q above a divergent
       one, contradicts the slope estimate by more than 20% and raises
@@ -200,7 +198,7 @@ def estimate_critical_q(
     gradients = [(grid, gradient_field(grid, u)) for grid, u in levels[-2:]]
     grid, grad = gradients[-1]
     sigma, _ = _fit_loglog(grid, grad, window or default_window(grid))
-    return _cross_checked_q(gradients, sigma, q_grid)
+    return _cross_checked_q(gradients, sigma, None)
 
 
 def _cross_checked_q(gradients: list[Level], sigma: float, q_grid: list[float] | None) -> float:
@@ -320,20 +318,21 @@ def regularity_report(
     levels: list[Level],
     alpha: float,
     beta: float,
-    window: FitWindow | None = None,
     q_grid: list[float] | None = None,
 ) -> RegularityReport:
     """Full regularity extraction on a ladder of solved levels.
 
-    Exponents come from the finest level over the asymptotic window unless
-    an explicit one is given; H^1 classification needs >= 3 levels and is
-    reported as such when fewer are supplied.  Each level's gradient_field
-    is computed once, for the sigma fit and every Sobolev integral.
+    Exponents come from the finest level over its asymptotic_window.  With
+    >= 2 levels q_bar_est is estimate_critical_q's cross-checked value, on
+    q_grid when one is given; an inconsistent classification keeps the
+    slope estimate and sets verdicts["q_bar_consistency"] to False.  H^1
+    classification needs >= 3 levels and is reported as such when fewer
+    are supplied.  Each level's gradient_field is computed once, for the
+    sigma fit and every Sobolev integral.
     """
     regime = resolve_regime(alpha, beta)
     grid, u = levels[-1]
-    if window is None:
-        window = asymptotic_window(grid)
+    window = asymptotic_window(grid)
     t_fit, _ = fit_boundary_exponent(grid, u, window)
     gradients = [(g, gradient_field(g, f)) for g, f in levels]
     sigma_fit, _ = _fit_loglog(grid, gradients[-1][1], window)

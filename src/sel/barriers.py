@@ -1,6 +1,7 @@
 """Certified sub/supersolution pairs.
 
-Two regimes, split by s = alpha + beta:
+build_barrier_pair builds, scales and orders the pair; verify_barrier
+certifies either side nodewise.  Two regimes, split by s = alpha + beta:
 
 * s < 1 (low): the subsolution is c phi_1 and the supersolution is C psi,
   where psi solves -lap_h psi = d^(-(alpha+beta)); both behave like d and
@@ -9,8 +10,9 @@ Two regimes, split by s = alpha + beta:
 * s > 1 (high): both barriers are multiples of phi_1^t with boundary
   exponent t = (2-beta)/(1+alpha), and gamma = 2.
 
-Both sides use one exact scaling rule.  The defect of s*base is
-s*lap - d^(-beta) base^(-alpha) s^(-alpha) with lap = -lap_h(base), so
+Both sides use one exact scaling rule (_exact_scale).  The defect of
+s*base is s*lap - d^(-beta) base^(-alpha) s^(-alpha) with
+lap = -lap_h(base), so
 
     c = min over {lap > 0} of (d^(-beta) base^(-alpha) / lap)^(1/(1+alpha))
 
@@ -26,8 +28,8 @@ holds in floating point.
 The borderline s = 1 is where the regime split degenerates: both exponent
 formulas give t = 1, but no existence theory covers the case and sandwich
 constants may drift under refinement.  resolve_regime attaches a warning
-there and the builders proceed through the common t = 1 limit, so the
-borderline can still be solved and cross-checked deliberately; the CLI
+there and build_barrier_pair proceeds through the common t = 1 limit, so
+the borderline can still be solved and cross-checked deliberately; the CLI
 refuses it except at alpha = 1, beta = 0.
 """
 
@@ -60,6 +62,9 @@ ALPHA_ONE_WARNING = (
     "existence theorems; proceeding with the t=1 limit"
 )
 
+# Relative pass threshold of verify_barrier's nodewise certificate.
+CERT_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class Regime:
@@ -88,7 +93,6 @@ class CertReport:
     worst_violation: float
     threshold: float
     passed: bool
-    worst_node: int
 
 
 @dataclass(frozen=True)
@@ -153,10 +157,6 @@ def _exact_scale(A0, w_beta, base, alpha, side) -> float:
     pos = lap > 0.0
     bound = (w_beta[pos] * base[pos] ** (-alpha) / lap[pos]) ** (1.0 / (1.0 + alpha))
     scale = float(bound.min() if side == "sub" else bound.max())
-    return _enforce_exact(A0, w_beta, base, scale, alpha, side)
-
-
-def _enforce_exact(A0, w_beta, base, scale, alpha, side) -> float:
     # Round-off guard: A0 @ (scale*base) is not exactly scale*(A0 @ base),
     # so the binding node can sit ~1e-10 relative on the wrong side.  Nudge
     # the scale (down for sub, up for super) by relative steps doubling from
@@ -176,44 +176,12 @@ def _enforce_exact(A0, w_beta, base, scale, alpha, side) -> float:
             )
 
 
-def build_subsolution(
-    grid: Grid, alpha: float, beta: float, eig: EigenPair
-) -> tuple[float, np.ndarray]:
-    """Largest-constant subsolution c phi_1^t (exact scaling rule)."""
-    base = eig.field ** resolve_regime(alpha, beta).t
-    c = _exact_scale(assemble_laplacian(grid), power_weight(grid, beta), base, alpha, "sub")
-    return c, c * base
-
-
-def build_supersolution(
-    grid: Grid, alpha: float, beta: float, eig: EigenPair
-) -> tuple[float, np.ndarray]:
-    """Smallest-constant supersolution C psi (t = 1) or C phi_1^t (t < 1).
-
-    psi solves -lap_h psi = d^(-(alpha+beta)), which behaves like d.
-    """
-    t = resolve_regime(alpha, beta).t
-    A0 = assemble_laplacian(grid)
-    if t == 1.0:
-        # psi need not be accurate: C is scaled from A0 @ psi itself
-        base, _ = solve_spd(A0, power_weight(grid, alpha + beta), tol=1e-9)
-    else:
-        base = eig.field**t
-    C = _exact_scale(A0, power_weight(grid, beta), base, alpha, "super")
-    return C, C * base
-
-
 def verify_barrier(
-    grid: Grid,
-    field: np.ndarray,
-    alpha: float,
-    beta: float,
-    side: str,
-    tol: float = 1e-8,
+    grid: Grid, field: np.ndarray, alpha: float, beta: float, side: str
 ) -> CertReport:
     """Nodewise check of the discrete barrier inequality.
 
-    The pass threshold tol * h^t * max(diag(-lap_h)) scales like the
+    The pass threshold CERT_TOL * h^t * max(diag(-lap_h)) scales like the
     truncation error of a d^t profile at the first node layer, so exactly
     constructed barriers pass with room while a field off by any finite
     factor fails decisively.
@@ -226,17 +194,9 @@ def verify_barrier(
     regime = resolve_regime(alpha, beta)
     A0 = assemble_laplacian(grid)
     defect = _defect(A0, power_weight(grid, beta), field, alpha)
-    signed = defect if side == "sub" else -defect
-    worst_node = int(np.argmax(signed))
-    worst = float(signed[worst_node])
-    threshold = tol * min(grid.h) ** regime.t * float(A0.diagonal().max())
-    return CertReport(
-        side=side,
-        worst_violation=worst,
-        threshold=threshold,
-        passed=worst <= threshold,
-        worst_node=worst_node,
-    )
+    worst = float(np.max(defect if side == "sub" else -defect))
+    threshold = CERT_TOL * min(grid.h) ** regime.t * float(A0.diagonal().max())
+    return CertReport(side=side, worst_violation=worst, threshold=threshold, passed=worst <= threshold)
 
 
 def build_barrier_pair(
@@ -245,15 +205,29 @@ def build_barrier_pair(
     beta: float,
     eig: EigenPair | None = None,
 ) -> BarrierPair:
-    """Construct, order, and certify a full barrier pair for the instance.
+    """Construct and order the barrier pair of the instance.
 
-    eig defaults to the closed-form principal eigenpair of the grid.
+    The subsolution is c phi_1^t; the supersolution is C psi when t = 1 and
+    C phi_1^t otherwise, where psi solves -lap_h psi = d^(-(alpha+beta)),
+    which behaves like d.  c and C follow the exact scaling rule of the
+    module docstring, so both sides pass verify_barrier, which
+    solve_monotone runs before iterating.  eig defaults to the closed-form
+    principal eigenpair of the grid.
     """
     if eig is None:
         eig = dirichlet_eigenpair(grid)
     regime = resolve_regime(alpha, beta)
-    c, sub = build_subsolution(grid, alpha, beta, eig)
-    C, sup = build_supersolution(grid, alpha, beta, eig)
+    A0 = assemble_laplacian(grid)
+    w_beta = power_weight(grid, beta)
+    phi_t = eig.field**regime.t
+    c = _exact_scale(A0, w_beta, phi_t, alpha, "sub")
+    if regime.t == 1.0:
+        # psi need not be accurate: C is scaled from A0 @ psi itself
+        super_base, _ = solve_spd(A0, power_weight(grid, alpha + beta), tol=1e-9)
+    else:
+        super_base = phi_t
+    C = _exact_scale(A0, w_beta, super_base, alpha, "super")
+    sub, sup = c * phi_t, C * super_base
     ratio = float(np.max(sub / sup))
     if ratio > 1.0:
         # Growing C preserves the supersolution inequality, so ordering can

@@ -157,8 +157,8 @@ def _admitted_regime(alpha: float, beta: float) -> Regime:
 
 
 def _spec_echo(args, method: str | None = None, levels: list[int] | None = None) -> dict:
-    """The common flags of a report; a ladder command gives its levels, which
-    stand in place of the --n it does not read."""
+    """The common flags of a report, with --n for solve; a ladder command
+    gives its levels instead, as it has no --n."""
     echo = {
         "alpha": args.alpha,
         "beta": args.beta,
@@ -283,7 +283,7 @@ SWEEP_FIELDS = ("alpha", "beta", "t_theory", "t_fit", "sigma_theory", "sigma_fit
 
 
 def _sweep_cell(cell) -> dict:
-    alpha, beta, domain, n, tol = cell
+    alpha, beta, domain, n, config = cell
     row = {**dict.fromkeys(SWEEP_FIELDS, ""), "alpha": alpha, "beta": beta}
     regime = resolve_regime(alpha, beta)
     if regime.warnings:
@@ -292,7 +292,6 @@ def _sweep_cell(cell) -> dict:
     # theory columns never need a solve
     row.update(t_theory=regime.t, sigma_theory=regime.sigma, q_bar_theory=regime.q_bar)
     try:
-        config = SolveConfig(tol=tol)
         ladder = solve_ladder(alpha, beta, _domain(domain), (n // 4, n // 2, n), config)
         if not ladder[-1].report.converged:
             row["h1_verdict"] = f"skipped: no convergence at n={ladder[-1].grid.n}"
@@ -323,9 +322,11 @@ def cmd_sweep(args) -> int:
     if args.n % 4 != 0:
         print("error: sweep needs --n divisible by 4", file=sys.stderr)
         return EXIT_INVALID
-    cells = [(a, b, args.domain, args.n, args.tol) for a in alphas for b in betas]
+    # out-of-range (alpha, beta) or --tol: ValueError, exit 1, before any cell runs
+    config = SolveConfig(tol=args.tol)
+    cells = [(a, b, args.domain, args.n, config) for a in alphas for b in betas]
     for alpha, beta, *_ in cells:
-        resolve_regime(alpha, beta)  # out-of-range input: ValueError, exit 1
+        resolve_regime(alpha, beta)
     _check_fit_window(args.domain, args.n)
     workers = int(os.environ.get("SEL_THREADS", os.cpu_count() or 1))
     workers = max(1, min(workers, len(cells)))
@@ -407,26 +408,28 @@ def cmd_regularity(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--domain", choices=["interval", "rectangle"], default="interval")
-    p.add_argument("--n", type=int, default=64)
-    p.add_argument("--tol", type=float, default=SolveConfig.tol)
-    p.add_argument("--max-iter", type=int, default=SolveConfig.max_iter)
-    p.add_argument("--out", required=True)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sel", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
     p_solve = sub.add_parser("solve", help="solve one instance")
-    _add_common(p_solve)
+    p_sweep = sub.add_parser("sweep", help="run an (alpha, beta) table")
+    p_spec = sub.add_parser("spectrum", help="lambda1/mu1 per refinement level")
+    p_reg = sub.add_parser("regularity", help="regularity report over a ladder")
+
+    # the common flags; only solve takes --n, the ladder commands --levels
+    for p in (p_solve, p_spec, p_reg):
+        p.add_argument("--alpha", type=float, required=True)
+        p.add_argument("--beta", type=float, default=0.0)
+        p.add_argument("--domain", choices=["interval", "rectangle"], default="interval")
+        if p is p_solve:
+            p.add_argument("--n", type=int, default=64)
+        p.add_argument("--tol", type=float, default=SolveConfig.tol)
+        p.add_argument("--max-iter", type=int, default=SolveConfig.max_iter)
+        p.add_argument("--out", required=True)
+
     p_solve.add_argument("--method", choices=["monotone", "regularized", "dense"], default="monotone")
     p_solve.add_argument("--eps", type=float, default=1e-5, help="regularization for --method regularized")
 
-    p_sweep = sub.add_parser("sweep", help="run an (alpha, beta) table")
     p_sweep.add_argument("--alpha-list", required=True)
     p_sweep.add_argument("--beta-list", required=True)
     p_sweep.add_argument("--domain", choices=["interval", "rectangle"], default="interval")
@@ -434,13 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--tol", type=float, default=SolveConfig.tol)
     p_sweep.add_argument("--out", required=True)
 
-    p_spec = sub.add_parser("spectrum", help="lambda1/mu1 per refinement level")
-    _add_common(p_spec)
-    p_spec.add_argument("--levels", required=True, help="comma list of n values")
-
-    p_reg = sub.add_parser("regularity", help="regularity report over a ladder")
-    _add_common(p_reg)
-    p_reg.add_argument("--levels", required=True, help="comma list of n values")
+    for p in (p_spec, p_reg):
+        p.add_argument("--levels", required=True, help="comma list of n values")
     p_reg.add_argument("--q-grid", default=None, help="comma list of q values")
     return parser
 

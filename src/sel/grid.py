@@ -32,21 +32,17 @@ class InvalidResolutionError(ValueError):
 
 @dataclass(frozen=True)
 class DomainShape:
-    """Geometry of the domain: "interval" (1D) or "rectangle" (2D).
+    """Geometry of the domain: an interval (1D) or a rectangle (2D).
 
     extents holds the side lengths: (length,) for an interval,
     (width, height) for a rectangle.  All extents must be positive.
     """
 
-    kind: str
     extents: tuple[float, ...]
 
     def __post_init__(self):
-        if self.kind not in ("interval", "rectangle"):
-            raise ValueError(f"unknown domain kind {self.kind!r}")
-        want = 1 if self.kind == "interval" else 2
-        if len(self.extents) != want:
-            raise ValueError(f"{self.kind} needs {want} extent(s), got {len(self.extents)}")
+        if len(self.extents) not in (1, 2):
+            raise ValueError(f"need 1 or 2 extents, got {len(self.extents)}")
         if any(not np.isfinite(e) or e <= 0 for e in self.extents):
             raise ValueError(f"extents must be positive finite, got {self.extents}")
 
@@ -61,12 +57,12 @@ class DomainShape:
 
 def interval(length: float = 1.0) -> DomainShape:
     """Interval (0, length)."""
-    return DomainShape("interval", (float(length),))
+    return DomainShape((float(length),))
 
 
 def rectangle(width: float = 1.0, height: float = 1.0) -> DomainShape:
     """Rectangle (0, width) x (0, height)."""
-    return DomainShape("rectangle", (float(width), float(height)))
+    return DomainShape((float(width), float(height)))
 
 
 @dataclass(frozen=True)
@@ -143,7 +139,7 @@ class Grid:
 
 
 def _distance(shape: DomainShape, points: np.ndarray) -> np.ndarray:
-    if shape.kind == "interval":
+    if shape.dim == 1:
         (length,) = shape.extents
         x = points[:, 0]
         return np.minimum(x, length - x)

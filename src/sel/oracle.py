@@ -91,8 +91,9 @@ def newton_solve(
     raise NewtonStagnationError(f"Newton did not reach tol={tol:.1e}, stuck at {res:.3e}")
 
 
-def dense_newton_solve(spec: ProblemSpec, tol: float = 1e-12) -> np.ndarray:
-    """Tiny-scale oracle: dense-Cholesky Newton from the supersolution barrier.
+def dense_newton_solve(spec: ProblemSpec) -> np.ndarray:
+    """Tiny-scale oracle: dense-Cholesky Newton from the supersolution barrier,
+    to tol 1e-12.
 
     Restricted to spec.n <= 64 where dense factorization is trivially
     feasible; the monotone solver must agree with this limit.
@@ -101,7 +102,7 @@ def dense_newton_solve(spec: ProblemSpec, tol: float = 1e-12) -> np.ndarray:
         raise ValueError(f"dense oracle is limited to n <= {DENSE_N_CAP}, got n={spec.n}")
     grid = spec.make_grid()
     pair = build_barrier_pair(grid, spec.alpha, spec.beta)
-    return newton_solve(grid, spec.alpha, spec.beta, pair.super, tol=tol, dense=True)
+    return newton_solve(grid, spec.alpha, spec.beta, pair.super, tol=1e-12, dense=True)
 
 
 def observed_order(errors, hs) -> tuple[float, bool]:

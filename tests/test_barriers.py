@@ -7,8 +7,6 @@ from sel.barriers import (
     ALPHA_ONE_WARNING,
     BORDERLINE_WARNING,
     build_barrier_pair,
-    build_subsolution,
-    build_supersolution,
     resolve_regime,
     verify_barrier,
 )
@@ -67,9 +65,9 @@ def test_resolve_regime_borderline_goes_through_t1_with_warning():
 
 def test_low_regime_constant_approaches_continuum(lab):
     grid = lab.grid(256)
-    c, field = build_subsolution(grid, 0.5, 0.0, lab.eig(256))
-    assert c == pytest.approx(np.pi ** (-4.0 / 3.0), rel=1e-3)
-    assert np.all(field > 0)
+    pair = build_barrier_pair(grid, 0.5, 0.0, lab.eig(256))
+    assert pair.c == pytest.approx(np.pi ** (-4.0 / 3.0), rel=1e-3)
+    assert np.all(pair.sub > 0)
 
 
 def _closure_constant(grid, eig, alpha, beta):
@@ -87,12 +85,12 @@ def test_high_regime_constant_dominates_closure(lab):
     grid, eig = lab.grid(256), lab.eig(256)
     a0, w = assemble_laplacian(grid), power_weight(grid, 0.0)
     for alpha, beta in ((1.5, 0.0), (2.0, 0.0), (2.0, 0.5)):
-        c, _ = build_subsolution(grid, alpha, beta, eig)
+        c = build_barrier_pair(grid, alpha, beta, eig).c
         assert c >= _closure_constant(grid, eig, alpha, beta)
     # for small t the closure overshoots the exact discrete constant, so
     # its field is no subsolution: no round-off nudge could repair it
     c_closure = _closure_constant(grid, eig, 10.0, 0.0)
-    c, _ = build_subsolution(grid, 10.0, 0.0, eig)
+    c = build_barrier_pair(grid, 10.0, 0.0, eig).c
     assert c_closure > c
     field = c_closure * eig.field ** (2.0 / 11.0)
     assert np.max(a0 @ field - w * field**-10.0) > 0.0
@@ -102,8 +100,8 @@ def test_high_regime_constant_dominates_closure(lab):
 def test_exact_constants_are_extremal(lab, alpha, beta):
     grid, eig = lab.grid(256), lab.eig(256)
     a0, w = assemble_laplacian(grid), power_weight(grid, beta)
-    _, sub = build_subsolution(grid, alpha, beta, eig)
-    _, sup = build_supersolution(grid, alpha, beta, eig)
+    pair = build_barrier_pair(grid, alpha, beta, eig)
+    sub, sup = pair.sub, pair.super
     assert np.max(a0 @ sub - w * sub**-alpha) <= 0.0
     assert np.min(a0 @ sup - w * sup**-alpha) >= 0.0
     # a relative 1e-8 change of either constant breaks its inequality
@@ -205,11 +203,11 @@ def test_monotonized_map_is_nondecreasing(lab, rng):
 
 def test_alpha_zero_supersolution_is_scaled_poisson_profile(lab):
     grid = lab.grid(64)
-    C, field = build_supersolution(grid, 0.0, 0.0, lab.eig(64))
+    pair = build_barrier_pair(grid, 0.0, 0.0, lab.eig(64))
     x = grid.axes[0]
     # psi solves -lap psi = 1 exactly, so the exact constant is 1
-    assert C == pytest.approx(1.0, rel=1e-9)
-    np.testing.assert_allclose(field, x * (1 - x) / 2, atol=1e-9)
+    assert pair.C == pytest.approx(1.0, rel=1e-9)
+    np.testing.assert_allclose(pair.super, x * (1 - x) / 2, atol=1e-9)
 
 
 def test_borderline_pair_builds_with_warning(lab):

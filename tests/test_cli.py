@@ -381,6 +381,33 @@ def test_sweep_rejects_out_of_range_lists(tmp_path, capsys, alphas, betas):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tol", ["0", "nan", "-1"])
+def test_sweep_rejects_invalid_tol(tmp_path, capsys, monkeypatch, tol):
+    # rejected up front, not written as a table of skipped cells
+    monkeypatch.setattr(cli, "solve_ladder", lambda *_: pytest.fail("solved before the check"))
+    out = tmp_path / "s.csv"
+    argv = ["sweep", "--alpha-list", "0.5,2", "--beta-list", "0", "--n", "128",
+            "--tol", tol, "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: tol must be positive and finite")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, levels", [("spectrum", "16,32"), ("regularity", "256,512")]
+)
+def test_ladder_commands_have_no_n_flag(tmp_path, capsys, monkeypatch, command, levels):
+    # a ladder's sizes come from --levels alone; --n is a usage error
+    monkeypatch.setattr(cli, "solve_ladder", lambda *_: pytest.fail("solved a rejected command"))
+    out = tmp_path / "o"
+    argv = [command, "--alpha", "2", "--levels", levels, "--n", "64", "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --n 64" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_spectrum_rejects_empty_levels(tmp_path, capsys):
     out = tmp_path / "s.json"
     assert main(["spectrum", "--alpha", "2", "--levels", ",", "--out", str(out)]) == 1

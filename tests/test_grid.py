@@ -39,11 +39,13 @@ def test_degenerate_resolution_rejected():
 
 def test_bad_domain_shapes_rejected():
     with pytest.raises(ValueError):
-        DomainShape("triangle", (1.0,))
+        DomainShape(())
     with pytest.raises(ValueError):
-        DomainShape("interval", (1.0, 2.0))
+        DomainShape((1.0, 2.0, 3.0))
     with pytest.raises(ValueError):
-        DomainShape("rectangle", (1.0, -2.0))
+        DomainShape((1.0, -2.0))
+    with pytest.raises(ValueError):
+        DomainShape((float("nan"),))
 
 
 def test_laplacian_1d_stencil():
