@@ -7,8 +7,17 @@ certifies either side nodewise.  Two regimes, split by s = alpha + beta:
   where psi solves -lap_h psi = d^(-(alpha+beta)); both behave like d and
   the weight of the monotone iteration's gap norm is d^(-gamma) with
   gamma = 1 + alpha.
-* s > 1 (high): both barriers are multiples of phi_1^t with boundary
-  exponent t = (2-beta)/(1+alpha), and gamma = 2.
+* s > 1 (high): both barriers are multiples of H^t with boundary exponent
+  t = (2-beta)/(1+alpha), and gamma = 2.  The profile
+  H = phi_1 / sum_i prod_{j != i} psi_j, with psi_i = (L_i/pi) sin(pi x_i/L_i)
+  a smooth distance to the two faces normal to axis i, is phi_1 itself on
+  an interval (the sum is one empty product).  On a rectangle it is, up to
+  a constant factor, the harmonic sum 1 / sum_i 1/psi_i, which behaves like
+  d at every edge and is homogeneous of degree 1 at the corners, where
+  phi_1 vanishes like x*y.  So H^t falls off like the solution at the
+  corners as well as along the edges, and the scale constants do not drift
+  with n.  H^t is concave (a concave nondecreasing function of concave
+  psi_i), so -lap_h(H^t) > 0 at every node.
 
 Both sides use one exact scaling rule (_exact_scale).  The defect of
 s*base is s*lap - d^(-beta) base^(-alpha) s^(-alpha) with
@@ -176,6 +185,15 @@ def _exact_scale(A0, w_beta, base, alpha, side) -> float:
             )
 
 
+def _corner_profile(grid: Grid, phi: np.ndarray) -> np.ndarray:
+    # H = 1 / sum_i 1/psi_i with psi_i = (L_i/pi) sin(pi x_i/L_i), written as
+    # phi / sum_i prod_{j != i} psi_j for phi = prod_i psi_i up to a constant
+    # factor; on an interval the sum is one empty product, 1.0, so H is phi.
+    extents = np.asarray(grid.shape.extents)
+    psi = extents / np.pi * np.sin(np.pi * grid.points() / extents)
+    return phi / sum(np.prod(np.delete(psi, i, axis=1), axis=1) for i in range(grid.dim))
+
+
 def verify_barrier(
     grid: Grid, field: np.ndarray, alpha: float, beta: float, side: str
 ) -> CertReport:
@@ -207,27 +225,29 @@ def build_barrier_pair(
 ) -> BarrierPair:
     """Construct and order the barrier pair of the instance.
 
-    The subsolution is c phi_1^t; the supersolution is C psi when t = 1 and
-    C phi_1^t otherwise, where psi solves -lap_h psi = d^(-(alpha+beta)),
-    which behaves like d.  c and C follow the exact scaling rule of the
-    module docstring, so both sides pass verify_barrier, which
-    solve_monotone runs before iterating.  eig defaults to the closed-form
-    principal eigenpair of the grid.
+    When t = 1 the subsolution is c phi_1 and the supersolution C psi, where
+    psi solves -lap_h psi = d^(-(alpha+beta)), which behaves like d.  When
+    t < 1 they are c H^t and C H^t, with the corner-aware profile H of the
+    module docstring (phi_1 on an interval).  The reported c and C scale
+    these profiles; c1 and c2 always refer to d^t.  c and C follow the
+    exact scaling rule of the module docstring, so both sides pass
+    verify_barrier, which solve_monotone runs before iterating.  eig
+    defaults to the closed-form principal eigenpair of the grid.
     """
     if eig is None:
         eig = dirichlet_eigenpair(grid)
     regime = resolve_regime(alpha, beta)
     A0 = assemble_laplacian(grid)
     w_beta = power_weight(grid, beta)
-    phi_t = eig.field**regime.t
-    c = _exact_scale(A0, w_beta, phi_t, alpha, "sub")
     if regime.t == 1.0:
+        sub_base = eig.field
         # psi need not be accurate: C is scaled from A0 @ psi itself
         super_base, _ = solve_spd(A0, power_weight(grid, alpha + beta), tol=1e-9)
     else:
-        super_base = phi_t
+        sub_base = super_base = _corner_profile(grid, eig.field) ** regime.t
+    c = _exact_scale(A0, w_beta, sub_base, alpha, "sub")
     C = _exact_scale(A0, w_beta, super_base, alpha, "super")
-    sub, sup = c * phi_t, C * super_base
+    sub, sup = c * sub_base, C * super_base
     ratio = float(np.max(sub / sup))
     if ratio > 1.0:
         # Growing C preserves the supersolution inequality, so ordering can

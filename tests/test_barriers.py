@@ -13,6 +13,7 @@ from sel.barriers import (
 from sel.grid import assemble_laplacian, build_grid, interval, power_weight, rectangle
 from sel.monotone import monotone_shift, solve_monotone
 from sel.problem import ProblemSpec, SolveConfig
+from sel.spectral import dirichlet_eigenpair
 
 
 def test_boundary_exponent_regimes():
@@ -230,3 +231,49 @@ def test_full_parameter_range_certifies_and_converges(shape, n, alpha, beta):
     report = solve_monotone(spec, pair)
     assert report.converged
     assert report.ordering_violation == 0.0
+
+
+HIGH_REGIME_SAMPLES = [(0.6, 0.5), (1.5, 0.0), (2.0, 0.0), (2.0, 1.9), (5.0, 1.0), (12.0, 0.0), (12.0, 1.9)]
+
+
+def _harmonic_profile(grid):
+    # H = 1 / sum_i 1/psi_i with psi_i = (L_i/pi) sin(pi x_i/L_i)
+    extents = np.asarray(grid.shape.extents)
+    psi = extents / np.pi * np.sin(np.pi * grid.points() / extents)
+    return 1.0 / np.sum(1.0 / psi, axis=1)
+
+
+@pytest.mark.parametrize("alpha, beta", HIGH_REGIME_SAMPLES)
+@pytest.mark.parametrize("n", [2, 3, 7, 16, 33])
+@pytest.mark.parametrize("shape", [rectangle(1.0, 1.0), rectangle(2.0, 0.5)])
+def test_rectangle_pair_scales_the_harmonic_profile(shape, n, alpha, beta):
+    grid = build_grid(shape, n)
+    profile = _harmonic_profile(grid) ** resolve_regime(alpha, beta).t
+    # H^t is concave, so its discrete Laplacian has a sign at every node
+    assert np.all(assemble_laplacian(grid) @ profile > 0.0)
+    pair = build_barrier_pair(grid, alpha, beta)
+    for side, field in (("sub", pair.sub), ("super", pair.super)):
+        assert verify_barrier(grid, field, alpha, beta, side).passed, side
+        ratio = field / profile
+        np.testing.assert_allclose(ratio, ratio[0], rtol=1e-12)
+
+
+def test_rectangle_scale_constants_do_not_drift():
+    # H^t falls off like the solution at the corners too, so c and C
+    # are set by the interior and stay put under refinement
+    pairs = [build_barrier_pair(build_grid(rectangle(1.0, 1.0), n), 2.0, 0.0) for n in (32, 64, 128)]
+    for pair in pairs[1:]:
+        assert pair.c == pytest.approx(pairs[0].c, rel=1e-2)
+        assert pair.C == pytest.approx(pairs[0].C, rel=1e-2)
+    assert all(pair.c2 <= 2.0 for pair in pairs)
+
+
+@pytest.mark.parametrize("alpha, beta", HIGH_REGIME_SAMPLES)
+@pytest.mark.parametrize("n", [2, 3, 64, 1000])
+def test_interval_pair_is_exactly_scaled_phi_power(n, alpha, beta):
+    grid = build_grid(interval(1.0), n)
+    eig = dirichlet_eigenpair(grid)
+    pair = build_barrier_pair(grid, alpha, beta, eig)
+    phi_t = eig.field ** resolve_regime(alpha, beta).t
+    np.testing.assert_array_equal(pair.sub, pair.c * phi_t)
+    np.testing.assert_array_equal(pair.super, pair.C * phi_t)

@@ -218,3 +218,16 @@ def test_spec_grid_is_built_once():
     spec = ProblemSpec(alpha=2.0, beta=0.0, n=32)
     assert spec.make_grid() is spec.make_grid()
     assert ProblemSpec(alpha=2.0, beta=0.0, n=32).make_grid() is not spec.make_grid()
+
+
+@pytest.mark.parametrize(
+    "shape, ns", [(rectangle(1.0, 1.0), (32, 64, 128)), (rectangle(2.0, 0.5), (32, 64))]
+)
+def test_rectangle_outer_iterations_do_not_grow_with_n(shape, ns):
+    # barriers built from the corner-aware profile start the gap near 0.08
+    for n in ns:
+        spec = ProblemSpec(alpha=2.0, beta=0.0, shape=shape, n=n, config=SolveConfig(tol=1e-8))
+        report = solve_monotone(spec, build_barrier_pair(spec.make_grid(), 2.0, 0.0))
+        assert report.converged
+        assert report.iterations <= 5, n
+        assert report.ordering_violation == 0.0
