@@ -12,15 +12,15 @@ on the first call for a grid and caches it on that Grid, read-only, so every
 layer working on one grid (eigenpair, barriers, their certificates, the
 monotone iteration, mu_1, the residual) shares one matrix.  Shifted
 operators -lap_h + diag(m) reuse its CSR pattern (shifted_laplacian).
-The copy of its values in np.longdouble that extended-precision residuals
-read is cached beside it (extended_laplacian).
+Its long-double twin, a csr_array on the same index arrays with the values
+converted to np.longdouble, is cached beside it (extended_laplacian) for
+the extended-precision residuals of linear_core.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -125,7 +125,7 @@ class Grid:
         return lap
 
     @functools.cached_property
-    def _extended_laplacian(self) -> ExtendedOperator:
+    def _extended_laplacian(self) -> sp.csr_array:
         return extended_operator(self._laplacian)
 
     @functools.cached_property
@@ -195,28 +195,19 @@ def assemble_laplacian(grid: Grid) -> sp.csr_array:
     return grid._laplacian
 
 
-class ExtendedOperator(NamedTuple):
-    """A CSR matrix with its values in np.longdouble, read-only, on the
-    matrix's own indices and indptr: what linear_core.extended_residual
-    reads without a conversion per call."""
-
-    data: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
-
-
-def extended_operator(A: sp.csr_array) -> ExtendedOperator:
+def extended_operator(A: sp.csr_array) -> sp.csr_array:
     """The CSR matrix A with its values converted once to np.longdouble.
 
-    A plain tuple rather than a sparse matrix: building one costs more than
-    the conversion itself on an interval grid.
+    The result shares A's index arrays (A.astype would copy them too), and
+    its values are read-only; linear_core.extended_residual multiplies by it
+    without a conversion per call.
     """
     data = A.data.astype(np.longdouble)
     data.setflags(write=False)
-    return ExtendedOperator(data, A.indices, A.indptr)
+    return sp.csr_array((data, A.indices, A.indptr), shape=A.shape)
 
 
-def extended_laplacian(grid: Grid) -> ExtendedOperator:
+def extended_laplacian(grid: Grid) -> sp.csr_array:
     """assemble_laplacian(grid) as an extended_operator, converted on the first
     call for a grid and cached on it like the Laplacian itself."""
     return grid._extended_laplacian

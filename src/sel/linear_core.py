@@ -11,12 +11,15 @@ Cholesky factor with iterative refinement; rectangle operators are solved
 by conjugate gradients preconditioned with a geometric multigrid V-cycle
 (Galerkin coarse operators, damped-Jacobi smoothing, a direct solve on the
 coarsest grid), which takes a handful of iterations at any resolution.
-extended_residual evaluates f - A x for any sparsity pattern with the
-products and row sums in np.longdouble; the refinement, the final residual
-check and the monotone iteration's defect all use it.  The long-double
-copy of an operator's values is made once per operator, not per residual:
-the grid caches its Laplacian's (grid.extended_laplacian), and an SPDFactor
-makes its operator's on its first residual.
+extended_residual evaluates f - A x as one scipy CSR product in
+np.longdouble, rounded to double once; the refinement, the final residual
+check and the monotone iteration's defect all use it.  This assumes the
+64-bit mantissa of x86 np.longdouble: where np.longdouble is plain double,
+the defects lose the precision the monotone ordering is kept with.  The
+long-double operator (grid.extended_operator, a csr_array on the operator's
+own index arrays) is made once per operator, not per residual: the grid
+caches its Laplacian's (grid.extended_laplacian), and an SPDFactor makes its
+operator's on its first residual.
 
 SolverFailure is the base of every error a solver or certificate raises on
 valid input (stagnation here, and the eigen, barrier, ordering and Newton
@@ -35,7 +38,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from .grid import ExtendedOperator, Grid, extended_operator, power_weight
+from .grid import Grid, extended_operator, power_weight
 
 
 class SolverFailure(RuntimeError):
@@ -61,20 +64,16 @@ class SolveStats:
     wall_time: float
 
 
-def extended_residual(
-    A: sp.csr_matrix | ExtendedOperator, f: np.ndarray, x: np.ndarray
-) -> np.ndarray:
+def extended_residual(A: sp.csr_array, f: np.ndarray, x: np.ndarray) -> np.ndarray:
     """f - A x with every product and row sum in np.longdouble, rounded once.
 
-    A is CSR and every row stores at least one entry (true of any SPD
-    matrix); f may itself be np.longdouble.  In double, the cancellation in
-    f - A x loses up to cond(A) ulps of the result; the 64-bit mantissa of
-    np.longdouble (x86) loses 2^11 times less.  The values of an
-    ExtendedOperator (grid.extended_operator) are already np.longdouble and
-    are used as they are; a sparse A has its values converted on every call.
+    f may itself be np.longdouble.  In double, the cancellation in f - A x
+    loses up to cond(A) ulps of the result; the 64-bit mantissa of
+    np.longdouble (x86) loses 2^11 times less.  scipy's CSR product runs in
+    the dtype of its operands: the values of a grid.extended_operator are
+    already np.longdouble, and a double A is upcast on every call.
     """
-    prod = A.data.astype(np.longdouble, copy=False) * x.astype(np.longdouble)[A.indices]
-    return (f - np.add.reduceat(prod, A.indptr[:-1])).astype(float)
+    return (f - A @ x.astype(np.longdouble)).astype(float)
 
 
 def is_tridiagonal(A: sp.csr_array) -> bool:
@@ -188,12 +187,15 @@ class SPDFactor:
         if norm_f == 0.0:
             return np.zeros(m), SolveStats(0, 0.0, time.perf_counter() - t_start)
         target = tol * norm_f
-        x, iters = self._pcg(f, target) if self._chol is None else (np.zeros(m), 0)
-        r = extended_residual(self._extended, f, x)
-        while self._chol is not None and np.linalg.norm(r) > target and iters <= MAX_REFINEMENTS:
-            x += scipy.linalg.cho_solve_banded((self._chol, False), r, check_finite=False)
-            iters += 1
+        if self._chol is None:
+            x, iters = self._pcg(f, target)
             r = extended_residual(self._extended, f, x)
+        else:
+            x, iters, r = np.zeros(m), 0, f  # the residual at x = 0 is f itself
+            while np.linalg.norm(r) > target and iters <= MAX_REFINEMENTS:
+                x += scipy.linalg.cho_solve_banded((self._chol, False), r, check_finite=False)
+                iters += 1
+                r = extended_residual(self._extended, f, x)
 
         rel = float(np.linalg.norm(r)) / norm_f
         if not rel <= tol:
@@ -209,7 +211,7 @@ class SPDFactor:
         return x, SolveStats(iters, rel, time.perf_counter() - t_start)
 
     @functools.cached_property
-    def _extended(self) -> ExtendedOperator:
+    def _extended(self) -> sp.csr_array:
         # made on the first residual: a factor used only for precondition needs none
         return extended_operator(self.A)
 

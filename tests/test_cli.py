@@ -38,11 +38,13 @@ def test_solve_linear_case(tmp_path):
     assert (out / "manifest.json").exists()
 
 
-def test_solve_reports_are_deterministic(tmp_path):
+@pytest.mark.parametrize("domain", ["interval", "rectangle"])
+def test_solve_reports_are_deterministic(tmp_path, domain):
     outs = []
     for tag in ("r1", "r2"):
         out = tmp_path / tag
-        assert main(["solve", "--alpha", "0.5", "--n", "32", "--tol", "1e-9", "--out", str(out)]) == 0
+        args = ["solve", "--domain", domain, "--alpha", "0.5", "--n", "32", "--tol", "1e-9"]
+        assert main([*args, "--out", str(out)]) == 0
         outs.append(out)
     assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
     assert (outs[0] / "solution.csv").read_bytes() == (outs[1] / "solution.csv").read_bytes()

@@ -138,6 +138,18 @@ def test_stagnation_below_roundoff_floor():
         solve_spd(a, f, tol=1e-16)
 
 
+def test_banded_solve_evaluates_one_residual_per_iteration(monkeypatch):
+    # the residual at x = 0 is f itself, so a banded solve never evaluates it
+    g = build_grid(interval(1.0), 512)
+    calls = []
+    residual = linear_core.extended_residual
+    monkeypatch.setattr(
+        linear_core, "extended_residual", lambda *args: calls.append(1) or residual(*args)
+    )
+    _, stats = SPDFactor(assemble_laplacian(g)).solve(np.ones(g.num_interior), tol=1e-13)
+    assert len(calls) == stats.iterations >= 2
+
+
 def test_reused_factor_matches_fresh_factors(rng):
     g = build_grid(interval(1.0), 128)
     a = shifted(g, 3.0, 2.0)
@@ -286,3 +298,27 @@ def test_extended_operator_residual_is_bitwise_the_per_call_conversion(rng, shap
         extended_residual(extended_laplacian(g), f, x),
         extended_residual(assemble_laplacian(g), f, x),
     )
+
+
+def test_extended_operator_is_a_longdouble_csr_array_on_the_same_indices(rng):
+    # scipy's constructor keeps indptr and takes a view of indices: no index copy
+    g = build_grid(rectangle(1.0, 1.0), 16)
+    for a in (assemble_laplacian(g), shifted_laplacian(g, rng.random(g.num_interior))):
+        b = extended_operator(a)
+        assert isinstance(b, sp.csr_array) and b.shape == a.shape
+        assert b.indptr is a.indptr
+        assert b.indices.shape == a.indices.shape and np.shares_memory(b.indices, a.indices)
+        assert b.data.dtype == np.longdouble and not b.data.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "diagonal, expected",
+    [([2.0, 0.0, 3.0], [-1.0, 1.0, -2.0]), ([2.0, 3.0, 0.0], [-1.0, -14.0, 1.0])],
+)
+def test_extended_residual_reads_a_row_without_entries_as_zero(diagonal, expected):
+    # the dense constructor stores no zero, so one row of a stores no entry
+    a = sp.csr_array(np.diag(diagonal))
+    assert np.diff(a.indptr).min() == 0
+    f, x = np.ones(3), np.array([1.0, 5.0, 1.0])
+    np.testing.assert_array_equal(extended_residual(a, f, x), expected)
+    np.testing.assert_array_equal(extended_residual(extended_operator(a), f, x), expected)
