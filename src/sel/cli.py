@@ -6,9 +6,11 @@ Subcommands
     spectrum    lambda_1 / mu_1 per refinement level + stability verdict
     regularity  full regularity report over a refinement ladder
 
-Exit codes: 0 success, 1 invalid input (ValueError), 2 numerical
-non-convergence: an unconverged ladder level or any
-linear_core.SolverFailure (a solver or certificate failed on valid input).
+Every command raises on failure, and main alone prints the error line and
+picks the exit code: 0 success, 1 invalid input (ValueError, printed as
+"error: <message>"), 2 any linear_core.SolverFailure (a solver or
+certificate failed on valid input, printed as "error: <Type>: <message>");
+a level that runs out of --max-iter is an IterationLimitError, one of them.
 Stopping defaults (--tol, --max-iter) are SolveConfig's.
 Everything is deterministic: identical flags give byte-identical
 report/CSV files.  A manifest.json with versions and a timestamp is
@@ -55,6 +57,10 @@ from .spectral import dirichlet_eigenpair, linearized_smallest_eigenvalue
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_NO_CONVERGENCE = 2
+
+
+class IterationLimitError(SolverFailure):
+    """A monotone solve ran out of --max-iter before its gap met --tol."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -188,25 +194,30 @@ def _parse_levels(text: str, minimum: int) -> list[int]:
     return levels
 
 
+def _iteration_limit(level, tol: float) -> IterationLimitError:
+    rep = level.report
+    return IterationLimitError(
+        f"no convergence at n={level.grid.n}: gap {rep.gap_history[-1]:.3e} > tol {tol:.3e}"
+        f" after {rep.iterations} iterations"
+    )
+
+
 def _ladder(args, ns):
-    """solve_ladder over ns for the common flags; None, after an error line,
-    when a level does not converge."""
+    """solve_ladder over ns for the common flags; IterationLimitError when
+    a level does not converge."""
     config = SolveConfig(tol=args.tol, max_iter=args.max_iter)
     levels = solve_ladder(args.alpha, args.beta, _domain(args.domain), ns, config)
-    if levels and not levels[-1].report.converged:
-        print(f"error: no convergence at n={levels[-1].grid.n}", file=sys.stderr)
-        return None
+    if not levels[-1].report.converged:
+        raise _iteration_limit(levels[-1], args.tol)
     return levels
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> None:
     regime = _admitted_regime(args.alpha, args.beta)
     if args.method == "dense" and args.n > DENSE_N_CAP:
-        print(f"error: --method dense requires --n <= {DENSE_N_CAP}", file=sys.stderr)
-        return EXIT_INVALID
+        raise ValueError(f"--method dense requires --n <= {DENSE_N_CAP}")
     if args.method == "regularized" and not (math.isfinite(args.eps) and args.eps > 0):
-        print(f"error: --eps must be positive and finite, got {args.eps}", file=sys.stderr)
-        return EXIT_INVALID
+        raise ValueError(f"--eps must be positive and finite, got {args.eps}")
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -272,10 +283,8 @@ def cmd_solve(args) -> int:
         np.column_stack([grid.points(), grid.d, u, gradient_field(grid, u)]),
     )
     _write_manifest(out_dir, report["spec"], ["report.json", "solution.csv"])
-    if not converged:
-        print(f"error: no convergence at n={grid.n}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    return EXIT_OK
+    if not converged:  # only a monotone level can end unconverged
+        raise _iteration_limit(level, args.tol)
 
 
 SWEEP_FIELDS = ("alpha", "beta", "t_theory", "t_fit", "sigma_theory", "sigma_fit",
@@ -313,15 +322,13 @@ def _sweep_cell(cell) -> dict:
     return row
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> None:
     alphas = [float(a) for a in args.alpha_list.split(",") if a]
     betas = [float(b) for b in args.beta_list.split(",") if b]
     if not alphas or not betas:
-        print("error: empty --alpha-list / --beta-list", file=sys.stderr)
-        return EXIT_INVALID
+        raise ValueError("empty --alpha-list / --beta-list")
     if args.n % 4 != 0:
-        print("error: sweep needs --n divisible by 4", file=sys.stderr)
-        return EXIT_INVALID
+        raise ValueError("sweep needs --n divisible by 4")
     # out-of-range (alpha, beta) or --tol: ValueError, exit 1, before any cell runs
     config = SolveConfig(tol=args.tol)
     cells = [(a, b, args.domain, args.n, config) for a in alphas for b in betas]
@@ -344,15 +351,12 @@ def cmd_sweep(args) -> int:
         for row in rows:
             writer.writerow([_fmt(row[f]) for f in SWEEP_FIELDS])
     _write_manifest(out.parent, {"alphas": alphas, "betas": betas, "n": args.n}, [out.name])
-    return EXIT_OK
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> None:
     regime = _admitted_regime(args.alpha, args.beta)
     level_ns = _parse_levels(args.levels, 1)
     levels = _ladder(args, level_ns)
-    if levels is None:
-        return EXIT_NO_CONVERGENCE
     rows = []
     for level in levels:
         mu = linearized_smallest_eigenvalue(
@@ -370,10 +374,9 @@ def cmd_spectrum(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     _write_json(out, payload)
     _write_manifest(out.parent, payload["spec"], [out.name])
-    return EXIT_OK
 
 
-def cmd_regularity(args) -> int:
+def cmd_regularity(args) -> None:
     regime = _admitted_regime(args.alpha, args.beta)
     level_ns = _parse_levels(args.levels, 2)
     q_grid = [float(q) for q in args.q_grid.split(",") if q] if args.q_grid else None
@@ -381,10 +384,7 @@ def cmd_regularity(args) -> int:
         raise ValueError(f"--q-grid needs finite values >= 1, got {args.q_grid!r}")
     _check_fit_window(args.domain, level_ns[-1])
 
-    ladder = _ladder(args, level_ns)
-    if ladder is None:
-        return EXIT_NO_CONVERGENCE
-    levels = [(level.grid, level.report.upper) for level in ladder]
+    levels = [(level.grid, level.report.upper) for level in _ladder(args, level_ns)]
 
     reg = regularity_report(levels, args.alpha, args.beta, q_grid=q_grid)
     out_dir = Path(args.out)
@@ -405,7 +405,6 @@ def cmd_regularity(args) -> int:
             for q in qs:
                 writer.writerow([grid.n, _fmt(float(q)), _fmt(gradient_integral(grid, grad, q))])
     _write_manifest(out_dir, payload["spec"], ["regularity.json", "sobolev.csv"])
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -415,6 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run an (alpha, beta) table")
     p_spec = sub.add_parser("spectrum", help="lambda1/mu1 per refinement level")
     p_reg = sub.add_parser("regularity", help="regularity report over a ladder")
+    for p, run in ((p_solve, cmd_solve), (p_sweep, cmd_sweep), (p_spec, cmd_spectrum),
+                   (p_reg, cmd_regularity)):
+        p.set_defaults(run=run)
 
     # the common flags; only solve takes --n, the ladder commands --levels
     for p in (p_solve, p_spec, p_reg):
@@ -444,22 +446,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "solve":
-            return cmd_solve(args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        if args.command == "spectrum":
-            return cmd_spectrum(args)
-        return cmd_regularity(args)
+        args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except SolverFailure as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

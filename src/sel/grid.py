@@ -139,13 +139,7 @@ class Grid:
 
 
 def _distance(shape: DomainShape, points: np.ndarray) -> np.ndarray:
-    if shape.dim == 1:
-        (length,) = shape.extents
-        x = points[:, 0]
-        return np.minimum(x, length - x)
-    width, height = shape.extents
-    x, y = points[:, 0], points[:, 1]
-    return np.minimum.reduce([x, width - x, y, height - y])
+    return np.min(np.minimum(points, np.subtract(shape.extents, points)), axis=1)
 
 
 def build_grid(shape: DomainShape, n: int) -> Grid:

@@ -120,6 +120,7 @@ def iterate_step(
     prev = grid.check_field(prev)
     if prev.min() <= 0.0:
         raise ValueError("iterate must be positive nodewise")
+    # in double, outcomes hold but ordering violations of exactly 0.0 become ~1e-17
     forcing = power_weight(grid, beta) * prev.astype(np.longdouble) ** (-alpha)
     defect = extended_residual(extended_laplacian(grid), forcing, prev)
     delta, stats = factor.solve(defect, tol=INNER_TOL)

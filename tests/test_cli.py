@@ -223,14 +223,27 @@ def test_every_solver_failure_maps_to_exit_two(tmp_path, capsys, monkeypatch, er
     assert capsys.readouterr().err == f"error: {error.__name__}: injected\n"
 
 
+def iteration_limit_line(n: int, tol: float, max_iter: int) -> str:
+    """The one stderr line of an interval alpha=2 level that runs out of max_iter."""
+    (level,) = solve_ladder(2.0, 0.0, interval(), [n], SolveConfig(tol=tol, max_iter=max_iter))
+    rep = level.report
+    assert not rep.converged and rep.iterations == max_iter
+    return (
+        f"error: IterationLimitError: no convergence at n={n}: gap {rep.gap_history[-1]:.3e}"
+        f" > tol {tol:.3e} after {max_iter} iterations\n"
+    )
+
+
 def test_non_convergence_exits_two(tmp_path, capsys):
+    # the unconverged solve is still written out, then reported as a failure
     out = tmp_path / "short"
     code = main(
         ["solve", "--alpha", "2", "--n", "64", "--tol", "1e-10", "--max-iter", "3", "--out", str(out)]
     )
     assert code == 2
     assert not read_report(out)["solve"]["converged"]
-    assert capsys.readouterr().err == "error: no convergence at n=64\n"
+    assert (out / "manifest.json").exists()
+    assert capsys.readouterr().err == iteration_limit_line(64, 1e-10, 3)
 
 
 @pytest.mark.parametrize("command", ["spectrum", "regularity"])
@@ -238,8 +251,75 @@ def test_ladder_non_convergence_exits_two(tmp_path, capsys, command):
     out = tmp_path / "ladder"
     argv = [command, "--alpha", "2", "--levels", "64,128", "--tol", "1e-10", "--max-iter", "1"]
     assert main([*argv, "--out", str(out / "s.json")]) == 2
-    assert capsys.readouterr().err == "error: no convergence at n=64\n"
+    assert capsys.readouterr().err == iteration_limit_line(64, 1e-10, 1)
     assert not out.exists()
+
+
+# Every invalid-input path of the four commands: its one stderr line, and
+# whether the check runs before any output (then no output path is made).
+# The three solve checks that run after its directory is made leave it empty.
+INVALID_INPUTS = [
+    (["solve", "--alpha", "0.6", "--beta", "0.4"],
+     "alpha+beta=1 is the excluded borderline regime", True),
+    (["solve", "--alpha", "-1"], "alpha must be finite and >= 0, got -1.0", True),
+    (["solve", "--alpha", "0.5", "--beta", "2"], "beta must satisfy 0 <= beta < 2, got 2.0", True),
+    (["solve", "--alpha", "0.5", "--n", "128", "--method", "dense"],
+     "--method dense requires --n <= 64", True),
+    (["solve", "--alpha", "0.5", "--method", "regularized", "--eps", "nan"],
+     "--eps must be positive and finite, got nan", True),
+    (["solve", "--alpha", "0.5", "--n", "1"], "need n >= 2 subdivisions, got n=1", False),
+    (["solve", "--alpha", "0.5", "--tol", "nan"], "tol must be positive and finite, got nan", False),
+    (["solve", "--alpha", "0.5", "--max-iter", "0"], "max_iter must be >= 1", False),
+    (["sweep", "--alpha-list", ",", "--beta-list", "0"], "empty --alpha-list / --beta-list", True),
+    (["sweep", "--alpha-list", "0.5", "--beta-list", ""], "empty --alpha-list / --beta-list", True),
+    (["sweep", "--alpha-list", "0.5", "--beta-list", "0", "--n", "130"],
+     "sweep needs --n divisible by 4", True),
+    (["sweep", "--alpha-list", "-1", "--beta-list", "0"],
+     "alpha must be finite and >= 0, got -1.0", True),
+    (["sweep", "--alpha-list", "0.5", "--beta-list", "0", "--tol", "0"],
+     "tol must be positive and finite, got 0.0", True),
+    (["sweep", "--alpha-list", "0.5", "--beta-list", "0", "--n", "64"],
+     "n=64 is too coarse for the boundary fit: only 2 usable nodes on 1 distance layers"
+     " in d-band [0.0938, 0.1]", True),
+    (["spectrum", "--alpha", "0.6", "--beta", "0.4", "--levels", "16"],
+     "alpha+beta=1 is the excluded borderline regime", True),
+    (["spectrum", "--alpha", "2", "--levels", ","], "need at least 1 refinement level", True),
+    (["spectrum", "--alpha", "2", "--levels", "32,16"],
+     "--levels must strictly increase, got '32,16'", True),
+    (["spectrum", "--alpha", "2", "--levels", "16,x"],
+     "invalid literal for int() with base 10: 'x'", True),
+    (["spectrum", "--alpha", "2", "--levels", "1"], "need n >= 2 subdivisions, got n=1", True),
+    (["spectrum", "--alpha", "2", "--levels", "16", "--tol", "nan"],
+     "tol must be positive and finite, got nan", True),
+    (["spectrum", "--alpha", "2", "--levels", "16", "--max-iter", "0"],
+     "max_iter must be >= 1", True),
+    (["regularity", "--alpha", "0.6", "--beta", "0.4", "--levels", "256,512"],
+     "alpha+beta=1 is the excluded borderline regime", True),
+    (["regularity", "--alpha", "2", "--levels", "256"], "need at least 2 refinement levels", True),
+    (["regularity", "--alpha", "2", "--levels", "512,256"],
+     "--levels must strictly increase, got '512,256'", True),
+    (["regularity", "--alpha", "2", "--levels", "256,512", "--q-grid", "0.5"],
+     "--q-grid needs finite values >= 1, got '0.5'", True),
+    (["regularity", "--alpha", "2", "--levels", "16,32,64"],
+     "n=64 is too coarse for the boundary fit: only 2 usable nodes on 1 distance layers"
+     " in d-band [0.0938, 0.1]", True),
+    (["regularity", "--alpha", "2", "--levels", "256,512", "--tol", "nan"],
+     "tol must be positive and finite, got nan", True),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message, before_output", INVALID_INPUTS, ids=[" ".join(c[0]) for c in INVALID_INPUTS]
+)
+def test_invalid_input_exits_one_with_one_error_line(tmp_path, capsys, argv, message,
+                                                     before_output):
+    out = tmp_path / ("s.csv" if argv[0] == "sweep" else "out")
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    if before_output:
+        assert not out.exists()
+    else:
+        assert not any(out.iterdir())
 
 
 def test_solve_method_dense_and_regularized_agree(tmp_path):

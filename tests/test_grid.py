@@ -32,6 +32,25 @@ def test_rectangle_distance_is_min_over_edges():
     np.testing.assert_array_equal(g.d, expected)
 
 
+@pytest.mark.parametrize("n", [2, 3, 7, 64, 257])
+@pytest.mark.parametrize(
+    "shape", [interval(), interval(2.5), rectangle(), rectangle(2, 0.5), rectangle(0.3, 7)],
+    ids=lambda s: "x".join(f"{e:g}" for e in s.extents),
+)
+def test_distance_matches_per_dimension_formula(shape, n):
+    # the distance to the nearest end (1D) or edge (2D), written out per dimension
+    g = build_grid(shape, n)
+    pts = g.points()
+    if shape.dim == 1:
+        (length,) = shape.extents
+        expected = np.minimum(pts[:, 0], length - pts[:, 0])
+    else:
+        width, height = shape.extents
+        x, y = pts[:, 0], pts[:, 1]
+        expected = np.minimum.reduce([x, width - x, y, height - y])
+    assert np.array_equal(g.d, expected)
+
+
 def test_degenerate_resolution_rejected():
     with pytest.raises(InvalidResolutionError):
         build_grid(interval(1.0), 1)

@@ -6,7 +6,7 @@ from sel import grid as grid_module
 from sel import linear_core, monotone
 from sel.barriers import BORDERLINE_WARNING, build_barrier_pair, resolve_regime
 from sel.grid import assemble_laplacian, interval, power_weight, rectangle
-from sel.linear_core import MAX_REFINEMENTS, SPDFactor, solve_spd
+from sel.linear_core import MAX_REFINEMENTS, SPDFactor, SolverStagnationError, solve_spd
 from sel.monotone import (
     OrderingViolationError,
     iterate_step,
@@ -231,3 +231,13 @@ def test_rectangle_outer_iterations_do_not_grow_with_n(shape, ns):
         assert report.converged
         assert report.iterations <= 5, n
         assert report.ordering_violation == 0.0
+
+
+@pytest.mark.xfail(strict=True, raises=SolverStagnationError,
+                   reason="inner solve at its round-off floor: residual just above INNER_TOL")
+@pytest.mark.parametrize("alpha, beta, n", [(0.1, 0.0, 4096), (0.4, 0.0, 8192)])
+def test_fine_interval_small_alpha_certifies(alpha, beta, n):
+    # a known typed failure: the round-off floor of an inner solve's relative
+    # residual grows with n and exceeds INNER_TOL = 1e-10 from n=4096 at small alpha
+    (level,) = solve_ladder(alpha, beta, interval(), [n], SolveConfig())
+    assert level.report.converged
