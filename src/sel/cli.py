@@ -11,6 +11,9 @@ picks the exit code: 0 success, 1 invalid input (ValueError, printed as
 "error: <message>"), 2 any linear_core.SolverFailure (a solver or
 certificate failed on valid input, printed as "error: <Type>: <message>");
 a level that runs out of --max-iter is an IterationLimitError, one of them.
+No command makes its output path before its checks and its solve pass;
+solve's unconverged report, written before it raises, is the one partial
+output.  A sweep cell records a ValueError or SolverFailure as a skipped row.
 Stopping defaults (--tol, --max-iter) are SolveConfig's.
 Everything is deterministic: identical flags give byte-identical
 report/CSV files.  A manifest.json with versions and a timestamp is
@@ -75,15 +78,8 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        x = float(obj)
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return x
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
+    if isinstance(obj, float) and math.isinf(obj):
+        return "inf" if obj > 0 else "-inf"
     return obj
 
 
@@ -202,13 +198,12 @@ def _iteration_limit(level, tol: float) -> IterationLimitError:
     )
 
 
-def _ladder(args, ns):
-    """solve_ladder over ns for the common flags; IterationLimitError when
-    a level does not converge."""
-    config = SolveConfig(tol=args.tol, max_iter=args.max_iter)
-    levels = solve_ladder(args.alpha, args.beta, _domain(args.domain), ns, config)
+def _ladder(alpha: float, beta: float, domain: str, ns, config: SolveConfig):
+    """solve_ladder over ns; IterationLimitError when a level does not
+    converge."""
+    levels = solve_ladder(alpha, beta, _domain(domain), ns, config)
     if not levels[-1].report.converged:
-        raise _iteration_limit(levels[-1], args.tol)
+        raise _iteration_limit(levels[-1], config.tol)
     return levels
 
 
@@ -219,8 +214,6 @@ def cmd_solve(args) -> None:
     if args.method == "regularized" and not (math.isfinite(args.eps) and args.eps > 0):
         raise ValueError(f"--eps must be positive and finite, got {args.eps}")
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     config = SolveConfig(tol=args.tol, max_iter=args.max_iter)
     if args.method == "monotone":
         (level,) = solve_ladder(args.alpha, args.beta, _domain(args.domain), [args.n], config)
@@ -275,6 +268,8 @@ def cmd_solve(args) -> None:
         },
         "residuals": {"solution": residual(grid, u, args.alpha, args.beta)},
     }
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "report.json", report)
 
     _write_solution_csv(
@@ -301,24 +296,21 @@ def _sweep_cell(cell) -> dict:
     # theory columns never need a solve
     row.update(t_theory=regime.t, sigma_theory=regime.sigma, q_bar_theory=regime.q_bar)
     try:
-        ladder = solve_ladder(alpha, beta, _domain(domain), (n // 4, n // 2, n), config)
-        if not ladder[-1].report.converged:
-            row["h1_verdict"] = f"skipped: no convergence at n={ladder[-1].grid.n}"
-            return row
-        levels = [(level.grid, level.report.upper) for level in ladder]
-        reg = regularity_report(levels, alpha, beta)
-        row.update(
-            t_fit=reg.t_fit,
-            sigma_fit=reg.sigma_fit,
-            q_bar_est=reg.q_bar_est,
-            h1_verdict=reg.verdicts.get("h1", ""),
-        )
-        if reg.verdicts.get("q_bar_consistency") is False:
-            # no certified estimate at this resolution; the JSON report from
-            # the regularity command carries the full verdict detail
-            row["q_bar_est"] = ""
-    except Exception as exc:  # noqa: BLE001 - a sweep keeps going per cell
+        ladder = _ladder(alpha, beta, domain, (n // 4, n // 2, n), config)
+        reg = regularity_report([(lv.grid, lv.report.upper) for lv in ladder], alpha, beta)
+    except (ValueError, SolverFailure) as exc:  # the failures main maps; the sweep goes on
         row["h1_verdict"] = f"skipped: {type(exc).__name__}: {exc}"
+        return row
+    row.update(
+        t_fit=reg.t_fit,
+        sigma_fit=reg.sigma_fit,
+        q_bar_est=reg.q_bar_est,
+        h1_verdict=reg.verdicts.get("h1", ""),
+    )
+    if reg.verdicts.get("q_bar_consistency") is False:
+        # no certified estimate at this resolution; the JSON report from
+        # the regularity command carries the full verdict detail
+        row["q_bar_est"] = ""
     return row
 
 
@@ -350,13 +342,15 @@ def cmd_sweep(args) -> None:
         writer.writerow(SWEEP_FIELDS)
         for row in rows:
             writer.writerow([_fmt(row[f]) for f in SWEEP_FIELDS])
-    _write_manifest(out.parent, {"alphas": alphas, "betas": betas, "n": args.n}, [out.name])
+    spec = {"alphas": alphas, "betas": betas, "domain": args.domain, "n": args.n, "tol": args.tol}
+    _write_manifest(out.parent, spec, [out.name])
 
 
 def cmd_spectrum(args) -> None:
     regime = _admitted_regime(args.alpha, args.beta)
     level_ns = _parse_levels(args.levels, 1)
-    levels = _ladder(args, level_ns)
+    config = SolveConfig(tol=args.tol, max_iter=args.max_iter)
+    levels = _ladder(args.alpha, args.beta, args.domain, level_ns, config)
     rows = []
     for level in levels:
         mu = linearized_smallest_eigenvalue(
@@ -384,7 +378,9 @@ def cmd_regularity(args) -> None:
         raise ValueError(f"--q-grid needs finite values >= 1, got {args.q_grid!r}")
     _check_fit_window(args.domain, level_ns[-1])
 
-    levels = [(level.grid, level.report.upper) for level in _ladder(args, level_ns)]
+    config = SolveConfig(tol=args.tol, max_iter=args.max_iter)
+    ladder = _ladder(args.alpha, args.beta, args.domain, level_ns, config)
+    levels = [(level.grid, level.report.upper) for level in ladder]
 
     reg = regularity_report(levels, args.alpha, args.beta, q_grid=q_grid)
     out_dir = Path(args.out)

@@ -22,8 +22,9 @@ caches its Laplacian's (grid.extended_laplacian), and an SPDFactor makes its
 operator's on its first residual.
 
 SolverFailure is the base of every error a solver or certificate raises on
-valid input (stagnation here, and the eigen, barrier, ordering and Newton
-failures of the other modules); the CLI maps it to exit code 2.
+valid input (stagnation and comparison-principle violations here, and the
+eigen, barrier, ordering and Newton failures of the other modules); the CLI
+maps it to exit code 2.
 """
 
 from __future__ import annotations
@@ -49,11 +50,12 @@ class SolverStagnationError(SolverFailure):
     """A solve failed to reach the requested relative residual."""
 
 
-class ComparisonPrincipleViolationError(RuntimeError):
+class ComparisonPrincipleViolationError(SolverFailure):
     """f >= 0 produced a significantly negative solution component.
 
     This signals an assembly bug (the matrix is not the M-matrix it should
-    be), not a solver accuracy problem.
+    be), not a solver accuracy problem.  The check is one of the solver's
+    certificates, so the error is a SolverFailure (exit code 2 in the CLI).
     """
 
 

@@ -129,6 +129,42 @@ def test_estimate_critical_q_flags_contradiction(lab):
         estimate_critical_q(levels)
 
 
+# estimate_critical_q's classification on its default grid (0.6, 0.8, 1.2,
+# 1.4) q_bar, one case per outcome: the scripted divergence flags stand in
+# for the refinement ratios of the Sobolev integrals.
+CLASSIFICATIONS = [
+    ((False, False, True, True), "confirmed"),
+    ((False, False, False, False), "inf"),
+    ((False, True, True, True), "q=.* <= 0.8 q_bar_est diverges"),
+    ((False, False, True, False), "converges above divergent"),
+    ((False, False, False, True), "integral threshold lies in"),
+]
+
+
+@pytest.mark.parametrize("flags, outcome", CLASSIFICATIONS, ids=[c[1] for c in CLASSIFICATIONS])
+def test_critical_q_classification_table(lab, monkeypatch, flags, outcome):
+    levels = [(lab.grid(n), lab.grid(n).d ** (2.0 / 3.0)) for n in (1024, 2048)]
+    seen = []
+
+    def scripted(_gradients, q):
+        seen.append(q)
+        return flags[len(seen) - 1]
+
+    monkeypatch.setattr(analysis, "_integral_diverges", scripted)
+    if outcome in ("confirmed", "inf"):
+        q = estimate_critical_q(levels)
+    else:
+        with pytest.raises(InconsistentClassificationError, match=outcome):
+            estimate_critical_q(levels)
+    q_bar = seen[2] / 1.2
+    assert q_bar == pytest.approx(3.0, rel=0.1)
+    assert seen == pytest.approx([f * q_bar for f in (0.6, 0.8, 1.2, 1.4)])
+    if outcome == "confirmed":
+        assert q == pytest.approx(q_bar)
+    elif outcome == "inf":
+        assert q == math.inf
+
+
 def test_low_regime_gradient_is_effectively_flat(lab):
     # below the regime split the solution is C^1 up to the boundary: the
     # fitted gradient exponent only carries the slowly decaying cusp bias

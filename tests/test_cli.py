@@ -13,7 +13,7 @@ from sel.analysis import gradient_field
 from sel.barriers import ALPHA_ONE_WARNING, build_barrier_pair
 from sel.cli import main
 from sel.grid import build_grid, gradient_components, interval, rectangle
-from sel.linear_core import SolverFailure
+from sel.linear_core import ComparisonPrincipleViolationError, SolverFailure
 from sel.monotone import solve_ladder
 from sel.problem import SolveConfig
 
@@ -219,18 +219,20 @@ def test_every_solver_failure_maps_to_exit_two(tmp_path, capsys, monkeypatch, er
         raise error("injected")
 
     monkeypatch.setattr(cli, "solve_ladder", fail)
-    assert main(["solve", "--alpha", "0.5", "--n", "16", "--out", str(tmp_path)]) == 2
+    out = tmp_path / "out"
+    assert main(["solve", "--alpha", "0.5", "--n", "16", "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {error.__name__}: injected\n"
+    assert not out.exists()
 
 
-def iteration_limit_line(n: int, tol: float, max_iter: int) -> str:
-    """The one stderr line of an interval alpha=2 level that runs out of max_iter."""
+def iteration_limit(n: int, tol: float, max_iter: int) -> str:
+    """'<Type>: <message>' of an interval alpha=2 level that runs out of max_iter."""
     (level,) = solve_ladder(2.0, 0.0, interval(), [n], SolveConfig(tol=tol, max_iter=max_iter))
     rep = level.report
     assert not rep.converged and rep.iterations == max_iter
     return (
-        f"error: IterationLimitError: no convergence at n={n}: gap {rep.gap_history[-1]:.3e}"
-        f" > tol {tol:.3e} after {max_iter} iterations\n"
+        f"IterationLimitError: no convergence at n={n}: gap {rep.gap_history[-1]:.3e}"
+        f" > tol {tol:.3e} after {max_iter} iterations"
     )
 
 
@@ -243,7 +245,7 @@ def test_non_convergence_exits_two(tmp_path, capsys):
     assert code == 2
     assert not read_report(out)["solve"]["converged"]
     assert (out / "manifest.json").exists()
-    assert capsys.readouterr().err == iteration_limit_line(64, 1e-10, 3)
+    assert capsys.readouterr().err == f"error: {iteration_limit(64, 1e-10, 3)}\n"
 
 
 @pytest.mark.parametrize("command", ["spectrum", "regularity"])
@@ -251,75 +253,70 @@ def test_ladder_non_convergence_exits_two(tmp_path, capsys, command):
     out = tmp_path / "ladder"
     argv = [command, "--alpha", "2", "--levels", "64,128", "--tol", "1e-10", "--max-iter", "1"]
     assert main([*argv, "--out", str(out / "s.json")]) == 2
-    assert capsys.readouterr().err == iteration_limit_line(64, 1e-10, 1)
+    assert capsys.readouterr().err == f"error: {iteration_limit(64, 1e-10, 1)}\n"
     assert not out.exists()
 
 
-# Every invalid-input path of the four commands: its one stderr line, and
-# whether the check runs before any output (then no output path is made).
-# The three solve checks that run after its directory is made leave it empty.
+# Every invalid-input path of the four commands and its one stderr line; no
+# command makes its output path before its checks pass.
 INVALID_INPUTS = [
     (["solve", "--alpha", "0.6", "--beta", "0.4"],
-     "alpha+beta=1 is the excluded borderline regime", True),
-    (["solve", "--alpha", "-1"], "alpha must be finite and >= 0, got -1.0", True),
-    (["solve", "--alpha", "0.5", "--beta", "2"], "beta must satisfy 0 <= beta < 2, got 2.0", True),
+     "alpha+beta=1 is the excluded borderline regime"),
+    (["solve", "--alpha", "-1"], "alpha must be finite and >= 0, got -1.0"),
+    (["solve", "--alpha", "0.5", "--beta", "2"], "beta must satisfy 0 <= beta < 2, got 2.0"),
     (["solve", "--alpha", "0.5", "--n", "128", "--method", "dense"],
-     "--method dense requires --n <= 64", True),
+     "--method dense requires --n <= 64"),
     (["solve", "--alpha", "0.5", "--method", "regularized", "--eps", "nan"],
-     "--eps must be positive and finite, got nan", True),
-    (["solve", "--alpha", "0.5", "--n", "1"], "need n >= 2 subdivisions, got n=1", False),
-    (["solve", "--alpha", "0.5", "--tol", "nan"], "tol must be positive and finite, got nan", False),
-    (["solve", "--alpha", "0.5", "--max-iter", "0"], "max_iter must be >= 1", False),
-    (["sweep", "--alpha-list", ",", "--beta-list", "0"], "empty --alpha-list / --beta-list", True),
-    (["sweep", "--alpha-list", "0.5", "--beta-list", ""], "empty --alpha-list / --beta-list", True),
+     "--eps must be positive and finite, got nan"),
+    (["solve", "--alpha", "0.5", "--n", "1"], "need n >= 2 subdivisions, got n=1"),
+    (["solve", "--alpha", "0.5", "--tol", "nan"], "tol must be positive and finite, got nan"),
+    (["solve", "--alpha", "0.5", "--max-iter", "0"], "max_iter must be >= 1"),
+    (["sweep", "--alpha-list", ",", "--beta-list", "0"], "empty --alpha-list / --beta-list"),
+    (["sweep", "--alpha-list", "0.5", "--beta-list", ""], "empty --alpha-list / --beta-list"),
     (["sweep", "--alpha-list", "0.5", "--beta-list", "0", "--n", "130"],
-     "sweep needs --n divisible by 4", True),
+     "sweep needs --n divisible by 4"),
     (["sweep", "--alpha-list", "-1", "--beta-list", "0"],
-     "alpha must be finite and >= 0, got -1.0", True),
+     "alpha must be finite and >= 0, got -1.0"),
     (["sweep", "--alpha-list", "0.5", "--beta-list", "0", "--tol", "0"],
-     "tol must be positive and finite, got 0.0", True),
+     "tol must be positive and finite, got 0.0"),
     (["sweep", "--alpha-list", "0.5", "--beta-list", "0", "--n", "64"],
      "n=64 is too coarse for the boundary fit: only 2 usable nodes on 1 distance layers"
-     " in d-band [0.0938, 0.1]", True),
+     " in d-band [0.0938, 0.1]"),
     (["spectrum", "--alpha", "0.6", "--beta", "0.4", "--levels", "16"],
-     "alpha+beta=1 is the excluded borderline regime", True),
-    (["spectrum", "--alpha", "2", "--levels", ","], "need at least 1 refinement level", True),
+     "alpha+beta=1 is the excluded borderline regime"),
+    (["spectrum", "--alpha", "2", "--levels", ","], "need at least 1 refinement level"),
     (["spectrum", "--alpha", "2", "--levels", "32,16"],
-     "--levels must strictly increase, got '32,16'", True),
+     "--levels must strictly increase, got '32,16'"),
     (["spectrum", "--alpha", "2", "--levels", "16,x"],
-     "invalid literal for int() with base 10: 'x'", True),
-    (["spectrum", "--alpha", "2", "--levels", "1"], "need n >= 2 subdivisions, got n=1", True),
+     "invalid literal for int() with base 10: 'x'"),
+    (["spectrum", "--alpha", "2", "--levels", "1"], "need n >= 2 subdivisions, got n=1"),
     (["spectrum", "--alpha", "2", "--levels", "16", "--tol", "nan"],
-     "tol must be positive and finite, got nan", True),
+     "tol must be positive and finite, got nan"),
     (["spectrum", "--alpha", "2", "--levels", "16", "--max-iter", "0"],
-     "max_iter must be >= 1", True),
+     "max_iter must be >= 1"),
     (["regularity", "--alpha", "0.6", "--beta", "0.4", "--levels", "256,512"],
-     "alpha+beta=1 is the excluded borderline regime", True),
-    (["regularity", "--alpha", "2", "--levels", "256"], "need at least 2 refinement levels", True),
+     "alpha+beta=1 is the excluded borderline regime"),
+    (["regularity", "--alpha", "2", "--levels", "256"], "need at least 2 refinement levels"),
     (["regularity", "--alpha", "2", "--levels", "512,256"],
-     "--levels must strictly increase, got '512,256'", True),
+     "--levels must strictly increase, got '512,256'"),
     (["regularity", "--alpha", "2", "--levels", "256,512", "--q-grid", "0.5"],
-     "--q-grid needs finite values >= 1, got '0.5'", True),
+     "--q-grid needs finite values >= 1, got '0.5'"),
     (["regularity", "--alpha", "2", "--levels", "16,32,64"],
      "n=64 is too coarse for the boundary fit: only 2 usable nodes on 1 distance layers"
-     " in d-band [0.0938, 0.1]", True),
+     " in d-band [0.0938, 0.1]"),
     (["regularity", "--alpha", "2", "--levels", "256,512", "--tol", "nan"],
-     "tol must be positive and finite, got nan", True),
+     "tol must be positive and finite, got nan"),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, message, before_output", INVALID_INPUTS, ids=[" ".join(c[0]) for c in INVALID_INPUTS]
+    "argv, message", INVALID_INPUTS, ids=[" ".join(c[0]) for c in INVALID_INPUTS]
 )
-def test_invalid_input_exits_one_with_one_error_line(tmp_path, capsys, argv, message,
-                                                     before_output):
+def test_invalid_input_exits_one_with_one_error_line(tmp_path, capsys, argv, message):
     out = tmp_path / ("s.csv" if argv[0] == "sweep" else "out")
     assert main([*argv, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
-    if before_output:
-        assert not out.exists()
-    else:
-        assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_solve_method_dense_and_regularized_agree(tmp_path):
@@ -428,6 +425,78 @@ def test_sweep_is_deterministic(tmp_path, monkeypatch):
     rows = {float(r["alpha"]): r for r in csv.DictReader(outs[0].read_text().splitlines())}
     for row in rows.values():
         assert row["q_bar_est"] == "" or float(row["q_bar_est"]) > 1.0
+
+
+def test_sweep_serial_and_parallel_paths_agree(tmp_path, monkeypatch):
+    # SEL_THREADS=1 runs the cells in this process, 2 in a worker pool
+    calls, serial_cell = [], cli._sweep_cell
+
+    def counted(cell):
+        calls.append(cell)
+        return serial_cell(cell)
+
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}.csv"
+        with monkeypatch.context() as patch:
+            patch.setenv("SEL_THREADS", threads)
+            if threads == "1":
+                patch.setattr(cli, "_sweep_cell", counted)
+            argv = ["sweep", "--alpha-list", "0.5,2", "--beta-list", "0", "--n", "128",
+                    "--out", str(out)]
+            assert main(argv) == 0
+        outs.append(out)
+    assert len(calls) == 2
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_sweep_manifest_echoes_its_flags(tmp_path, monkeypatch):
+    # a borderline cell is never solved, so the rectangle sweep is instant
+    monkeypatch.setattr(cli, "solve_ladder", lambda *_: pytest.fail("solved a borderline cell"))
+    argv = ["sweep", "--domain", "rectangle", "--alpha-list", "0.5", "--beta-list", "0.5",
+            "--n", "64", "--tol", "1e-6", "--out", str(tmp_path / "s.csv")]
+    assert main(argv) == 0
+    spec = json.loads((tmp_path / "manifest.json").read_text())["spec"]
+    assert spec == {"alphas": [0.5], "betas": [0.5], "domain": "rectangle", "n": 64, "tol": 1e-6}
+
+
+def test_sweep_cell_records_an_unconverged_ladder(tmp_path, monkeypatch):
+    def one_iteration(alpha, beta, shape, ns, config):
+        return solve_ladder(alpha, beta, shape, ns, SolveConfig(tol=config.tol, max_iter=1))
+
+    monkeypatch.setattr(cli, "solve_ladder", one_iteration)
+    out = tmp_path / "s.csv"
+    argv = ["sweep", "--alpha-list", "2", "--beta-list", "0", "--n", "128", "--tol", "1e-10",
+            "--out", str(out)]
+    assert main(argv) == 0
+    (row,) = csv.DictReader(out.read_text().splitlines())
+    assert row["h1_verdict"] == f"skipped: {iteration_limit(32, 1e-10, 1)}"
+    assert row["t_fit"] == "" and row["q_bar_theory"] == "3"
+
+
+@pytest.mark.parametrize("error", [ValueError, ComparisonPrincipleViolationError])
+def test_sweep_cell_records_the_failures_main_maps(tmp_path, monkeypatch, error):
+    def fail(*_args):
+        raise error("injected")
+
+    monkeypatch.setattr(cli, "regularity_report", fail)
+    out = tmp_path / "s.csv"
+    argv = ["sweep", "--alpha-list", "2", "--beta-list", "0", "--n", "128", "--out", str(out)]
+    assert main(argv) == 0
+    (row,) = csv.DictReader(out.read_text().splitlines())
+    assert row["h1_verdict"] == f"skipped: {error.__name__}: injected"
+
+
+def test_sweep_cell_lets_a_programming_error_through(tmp_path, monkeypatch):
+    def fail(*_args):
+        raise TypeError("injected")
+
+    monkeypatch.setattr(cli, "regularity_report", fail)
+    out = tmp_path / "s.csv"
+    argv = ["sweep", "--alpha-list", "2", "--beta-list", "0", "--n", "128", "--out", str(out)]
+    with pytest.raises(TypeError, match="injected"):
+        main(argv)
+    assert not out.exists()
 
 
 def test_sweep_rejects_bad_n(tmp_path):
