@@ -59,7 +59,7 @@ from .spectral import dirichlet_eigenpair, linearized_smallest_eigenvalue
 
 EXIT_OK = 0
 EXIT_INVALID = 1
-EXIT_NO_CONVERGENCE = 2
+EXIT_SOLVER_FAILURE = 2
 
 
 class IterationLimitError(SolverFailure):
@@ -68,7 +68,7 @@ class IterationLimitError(SolverFailure):
 
 class _Parser(argparse.ArgumentParser):
     # Usage problems are invalid input, exit code 1 (argparse defaults to 2,
-    # which is reserved for non-convergence here).
+    # which is reserved for solver failures here).
     def error(self, message):
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
@@ -450,7 +450,7 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     except SolverFailure as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+        return EXIT_SOLVER_FAILURE
     return EXIT_OK
 
 

@@ -12,14 +12,14 @@ on the first call for a grid and caches it on that Grid, read-only, so every
 layer working on one grid (eigenpair, barriers, their certificates, the
 monotone iteration, mu_1, the residual) shares one matrix.  Shifted
 operators -lap_h + diag(m) reuse its CSR pattern (shifted_laplacian).
-Its long-double twin, a csr_array on the same index arrays with the values
-converted to np.longdouble, is cached beside it (extended_laplacian) for
-the extended-precision residuals of linear_core.
+No long-double copy is kept: linear_core.extended_residual takes the double
+matrix, and scipy's CSR product converts its values inside the call.
 """
 
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +27,8 @@ import scipy.sparse as sp
 
 
 class InvalidResolutionError(ValueError):
-    """Raised when a grid is requested with fewer than 2 subdivisions."""
+    """Raised when a grid is requested with a non-integer number of
+    subdivisions, or with fewer than 2."""
 
 
 @dataclass(frozen=True)
@@ -78,8 +79,7 @@ class Grid:
            lexicographic (first-axis-major) order.
 
     The grid also caches its Laplacian once assembled (assemble_laplacian),
-    and its long-double copy (extended_laplacian), so they live exactly as
-    long as the grid.
+    so it lives exactly as long as the grid.
     """
 
     shape: DomainShape
@@ -125,10 +125,6 @@ class Grid:
         return lap
 
     @functools.cached_property
-    def _extended_laplacian(self) -> sp.csr_array:
-        return extended_operator(self._laplacian)
-
-    @functools.cached_property
     def _diagonal_positions(self) -> np.ndarray:
         # index into _laplacian.data of each row's diagonal entry
         lap = self._laplacian
@@ -145,8 +141,11 @@ def _distance(shape: DomainShape, points: np.ndarray) -> np.ndarray:
 def build_grid(shape: DomainShape, n: int) -> Grid:
     """Uniform grid with n subdivisions (n-1 interior nodes) per axis.
 
-    Raises InvalidResolutionError for n < 2.
+    Raises InvalidResolutionError for an n that is not an integer (a float
+    such as 64.9 or 64.0 included) and for n < 2.
     """
+    if not isinstance(n, numbers.Integral):
+        raise InvalidResolutionError(f"n must be an integer, got {n!r}")
     n = int(n)
     if n < 2:
         raise InvalidResolutionError(f"need n >= 2 subdivisions, got n={n}")
@@ -189,24 +188,6 @@ def assemble_laplacian(grid: Grid) -> sp.csr_array:
     return grid._laplacian
 
 
-def extended_operator(A: sp.csr_array) -> sp.csr_array:
-    """The CSR matrix A with its values converted once to np.longdouble.
-
-    The result shares A's index arrays (A.astype would copy them too), and
-    its values are read-only; linear_core.extended_residual multiplies by it
-    without a conversion per call.
-    """
-    data = A.data.astype(np.longdouble)
-    data.setflags(write=False)
-    return sp.csr_array((data, A.indices, A.indptr), shape=A.shape)
-
-
-def extended_laplacian(grid: Grid) -> sp.csr_array:
-    """assemble_laplacian(grid) as an extended_operator, converted on the first
-    call for a grid and cached on it like the Laplacian itself."""
-    return grid._extended_laplacian
-
-
 def shifted_laplacian(grid: Grid, m: np.ndarray) -> sp.csr_array:
     """-lap_h + diag(m), built on the pattern of the grid's cached Laplacian.
 
@@ -233,13 +214,8 @@ def gradient_components(grid: Grid, u: np.ndarray) -> tuple[np.ndarray, ...]:
     are differentiated exactly.
     """
     u = grid.check_field(u).reshape(grid.interior_shape)
-    out = []
-    for axis in range(grid.dim):
-        h = grid.h[axis]
-        padded = np.moveaxis(u, axis, 0)
-        m = padded.shape[0]
-        ext = np.zeros((m + 2,) + padded.shape[1:])
-        ext[1:-1] = padded
-        g = (ext[2:] - ext[:-2]) / (2.0 * h)
-        out.append(np.moveaxis(g, 0, axis).reshape(-1))
-    return tuple(out)
+    grads = np.gradient(np.pad(u, 1), *grid.h)
+    if grid.dim == 1:
+        grads = [grads]
+    interior = (slice(1, -1),) * grid.dim
+    return tuple(g[interior].reshape(-1) for g in grads)

@@ -15,11 +15,11 @@ extended_residual evaluates f - A x as one scipy CSR product in
 np.longdouble, rounded to double once; the refinement, the final residual
 check and the monotone iteration's defect all use it.  This assumes the
 64-bit mantissa of x86 np.longdouble: where np.longdouble is plain double,
-the defects lose the precision the monotone ordering is kept with.  The
-long-double operator (grid.extended_operator, a csr_array on the operator's
-own index arrays) is made once per operator, not per residual: the grid
-caches its Laplacian's (grid.extended_laplacian), and an SPDFactor makes its
-operator's on its first residual.
+the defects lose the precision the monotone ordering is kept with.  Every
+residual passes the ordinary double operator: scipy's product converts its
+values to np.longdouble inside the call, with the same result as a stored
+long-double copy, so no such copy is made or kept (the README's numerical
+notes give the measurements).
 
 SolverFailure is the base of every error a solver or certificate raises on
 valid input (stagnation and comparison-principle violations here, and the
@@ -39,7 +39,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from .grid import Grid, extended_operator, power_weight
+from .grid import Grid, power_weight
 
 
 class SolverFailure(RuntimeError):
@@ -71,9 +71,10 @@ def extended_residual(A: sp.csr_array, f: np.ndarray, x: np.ndarray) -> np.ndarr
 
     f may itself be np.longdouble.  In double, the cancellation in f - A x
     loses up to cond(A) ulps of the result; the 64-bit mantissa of
-    np.longdouble (x86) loses 2^11 times less.  scipy's CSR product runs in
-    the dtype of its operands: the values of a grid.extended_operator are
-    already np.longdouble, and a double A is upcast on every call.
+    np.longdouble (x86) loses 2^11 times less.  A stays in double: scipy's
+    CSR product runs in the wider dtype of its operands and converts A's
+    values to np.longdouble inside the call, so no long-double copy of A
+    is made or kept.
     """
     return (f - A @ x.astype(np.longdouble)).astype(float)
 
@@ -140,10 +141,9 @@ class SPDFactor:
     at the coarsest level, n <= COARSEST_N.  Smaller grids, or a matrix
     that is not a square grid's, are a one-level hierarchy: splu alone.
 
-    The residuals of solve read the operator's values in np.longdouble,
-    converted once, on the first residual, and kept with the factor; a
-    factor used only for precondition (the LOBPCG preconditioner) never
-    converts.
+    The residuals of solve pass the double operator self.A to
+    extended_residual, which decides their precision; the factor keeps no
+    long-double copy of it.
     """
 
     def __init__(self, A: sp.spmatrix):
@@ -191,13 +191,13 @@ class SPDFactor:
         target = tol * norm_f
         if self._chol is None:
             x, iters = self._pcg(f, target)
-            r = extended_residual(self._extended, f, x)
+            r = extended_residual(self.A, f, x)
         else:
             x, iters, r = np.zeros(m), 0, f  # the residual at x = 0 is f itself
             while np.linalg.norm(r) > target and iters <= MAX_REFINEMENTS:
                 x += scipy.linalg.cho_solve_banded((self._chol, False), r, check_finite=False)
                 iters += 1
-                r = extended_residual(self._extended, f, x)
+                r = extended_residual(self.A, f, x)
 
         rel = float(np.linalg.norm(r)) / norm_f
         if not rel <= tol:
@@ -211,11 +211,6 @@ class SPDFactor:
                     f"f >= 0 but min(u) = {x.min():.3e} < {floor:.3e}"
                 )
         return x, SolveStats(iters, rel, time.perf_counter() - t_start)
-
-    @functools.cached_property
-    def _extended(self) -> sp.csr_array:
-        # made on the first residual: a factor used only for precondition needs none
-        return extended_operator(self.A)
 
     def precondition(self, r: np.ndarray, level: int = 0) -> np.ndarray:
         """One symmetric V-cycle from x = 0 on A_level x = r: about A^(-1) r.

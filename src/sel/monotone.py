@@ -35,14 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .barriers import BarrierPair, build_barrier_pair, resolve_regime, verify_barrier
-from .grid import (
-    DomainShape,
-    Grid,
-    assemble_laplacian,
-    extended_laplacian,
-    power_weight,
-    shifted_laplacian,
-)
+from .grid import DomainShape, Grid, assemble_laplacian, power_weight, shifted_laplacian
 from .linear_core import SPDFactor, SolverFailure, SolveStats, extended_residual, weighted_norm
 from .problem import ProblemSpec, SolveConfig
 from .spectral import EigenPair, dirichlet_eigenpair
@@ -122,7 +115,7 @@ def iterate_step(
         raise ValueError("iterate must be positive nodewise")
     # in double, outcomes hold but ordering violations of exactly 0.0 become ~1e-17
     forcing = power_weight(grid, beta) * prev.astype(np.longdouble) ** (-alpha)
-    defect = extended_residual(extended_laplacian(grid), forcing, prev)
+    defect = extended_residual(assemble_laplacian(grid), forcing, prev)
     delta, stats = factor.solve(defect, tol=INNER_TOL)
     u = prev + delta
     if u.min() <= 0.0:

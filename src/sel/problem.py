@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .barriers import resolve_regime
@@ -15,7 +16,7 @@ class SolveConfig:
     """Stopping control for the two-sided monotone iteration.
 
     tol is the relative two-sided gap in the weighted L2(Omega, b) norm;
-    max_iter caps the outer iterations.
+    max_iter, an integer >= 1, caps the outer iterations.
     """
 
     tol: float = 1e-8
@@ -24,6 +25,8 @@ class SolveConfig:
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        if not isinstance(self.max_iter, numbers.Integral):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 

@@ -56,6 +56,27 @@ def test_degenerate_resolution_rejected():
         build_grid(interval(1.0), 1)
 
 
+@pytest.mark.parametrize("n", [64.9, 64.0, np.float64(8.0)])
+def test_non_integer_resolution_rejected(n):
+    # never truncated to a nearby grid, and 64.0 is no exception
+    with pytest.raises(InvalidResolutionError, match="n must be an integer"):
+        build_grid(interval(1.0), n)
+
+
+def test_integer_resolution_of_any_integer_type_accepted():
+    g = build_grid(interval(1.0), np.int64(8))
+    assert g.n == 8 and type(g.n) is int
+
+
+@pytest.mark.parametrize("shape", [interval(), rectangle()], ids=["interval", "rectangle"])
+def test_check_field_rejects_a_wrongly_shaped_field(shape):
+    g = build_grid(shape, 4)
+    with pytest.raises(ValueError, match="field has shape"):
+        g.check_field(np.ones(g.num_interior + 1))
+    with pytest.raises(ValueError, match="field has shape"):
+        g.check_field(np.ones((g.num_interior, 1)))
+
+
 def test_bad_domain_shapes_rejected():
     with pytest.raises(ValueError):
         DomainShape(())

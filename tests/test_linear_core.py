@@ -7,8 +7,6 @@ from sel import linear_core
 from sel.grid import (
     assemble_laplacian,
     build_grid,
-    extended_laplacian,
-    extended_operator,
     interval,
     power_weight,
     rectangle,
@@ -282,33 +280,54 @@ def test_extended_residual_resolves_cancellation(shape, n):
     assert err_extended <= 1e-2 * err_double
 
 
+def test_indefinite_tridiagonal_matrix_fails_banded_cholesky():
+    a = -assemble_laplacian(build_grid(interval(1.0), 8))
+    assert is_tridiagonal(a)
+    with pytest.raises(SolverStagnationError, match="not positive definite"):
+        SPDFactor(a)
+
+
+def test_singular_matrix_fails_the_coarsest_direct_solve():
+    a = 0.0 * assemble_laplacian(build_grid(rectangle(1.0, 1.0), 3))
+    assert not is_tridiagonal(a)
+    with pytest.raises(SolverStagnationError, match="not positive definite"):
+        SPDFactor(a)
+
+
+@pytest.mark.parametrize("shape", [interval(1.0), rectangle(1.0, 1.0)], ids=["banded", "pcg"])
+@pytest.mark.parametrize("tol", [0.0, -1e-8])
+def test_solve_rejects_a_nonpositive_tolerance(shape, tol):
+    g = build_grid(shape, 8)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        SPDFactor(assemble_laplacian(g)).solve(np.ones(g.num_interior), tol=tol)
+
+
+def longdouble_reference(a, f, x):
+    """f - a x summed row by row in np.longdouble, in stored order, rounded once."""
+    prod = a.data.astype(np.longdouble) * x.astype(np.longdouble)[a.indices]
+    return (f - np.add.reduceat(prod, a.indptr[:-1])).astype(float)
+
+
 @pytest.mark.parametrize("shape, n", [(interval(1.0), 64), (rectangle(1.0, 1.0), 24)])
 def test_extended_operator_residual_is_bitwise_the_per_call_conversion(rng, shape, n):
     g = build_grid(shape, n)
     f, x = rng.random(g.num_interior), rng.random(g.num_interior)
     for a in (assemble_laplacian(g), shifted_laplacian(g, rng.random(g.num_interior))):
-        prod = a.data.astype(np.longdouble) * x.astype(np.longdouble)[a.indices]
-        reference = (f - np.add.reduceat(prod, a.indptr[:-1])).astype(float)
-        prepared = extended_operator(a)
-        assert prepared.data.dtype == np.longdouble and not prepared.data.flags.writeable
-        np.testing.assert_array_equal(extended_residual(prepared, f, x), reference)
-        np.testing.assert_array_equal(extended_residual(a, f, x), reference)
-    assert extended_laplacian(g) is extended_laplacian(g)
-    np.testing.assert_array_equal(
-        extended_residual(extended_laplacian(g), f, x),
-        extended_residual(assemble_laplacian(g), f, x),
-    )
+        np.testing.assert_array_equal(extended_residual(a, f, x), longdouble_reference(a, f, x))
 
 
-def test_extended_operator_is_a_longdouble_csr_array_on_the_same_indices(rng):
-    # scipy's constructor keeps indptr and takes a view of indices: no index copy
-    g = build_grid(rectangle(1.0, 1.0), 16)
+@pytest.mark.parametrize(
+    "shape, n",
+    [(interval(1.0), 64), (interval(1.0), 4096), (rectangle(1.0, 1.0), 24), (rectangle(1.0, 1.0), 128)],
+)
+def test_extended_residual_of_a_longdouble_forcing_is_bitwise_the_reference(rng, shape, n):
+    # the form of iterate_step's defect: a long-double f against a double operator
+    g = build_grid(shape, n)
+    x = 0.5 + rng.random(g.num_interior)
+    f = power_weight(g, 0.5) * x.astype(np.longdouble) ** -2.5
+    assert f.dtype == np.longdouble
     for a in (assemble_laplacian(g), shifted_laplacian(g, rng.random(g.num_interior))):
-        b = extended_operator(a)
-        assert isinstance(b, sp.csr_array) and b.shape == a.shape
-        assert b.indptr is a.indptr
-        assert b.indices.shape == a.indices.shape and np.shares_memory(b.indices, a.indices)
-        assert b.data.dtype == np.longdouble and not b.data.flags.writeable
+        np.testing.assert_array_equal(extended_residual(a, f, x), longdouble_reference(a, f, x))
 
 
 @pytest.mark.parametrize(
@@ -321,4 +340,3 @@ def test_extended_residual_reads_a_row_without_entries_as_zero(diagonal, expecte
     assert np.diff(a.indptr).min() == 0
     f, x = np.ones(3), np.array([1.0, 5.0, 1.0])
     np.testing.assert_array_equal(extended_residual(a, f, x), expected)
-    np.testing.assert_array_equal(extended_residual(extended_operator(a), f, x), expected)

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from sel import grid as grid_module
-from sel import linear_core, monotone
+from sel import monotone
 from sel.barriers import BORDERLINE_WARNING, build_barrier_pair, resolve_regime
 from sel.grid import assemble_laplacian, interval, power_weight, rectangle
 from sel.linear_core import MAX_REFINEMENTS, SPDFactor, SolverStagnationError, solve_spd
@@ -193,25 +193,11 @@ def test_ladder_level_assembles_its_laplacian_once(monkeypatch, shape, axes):
     assert len(calls) == 2 * axes
 
 
-@pytest.mark.parametrize("shape, n", [(interval(1.0), 64), (rectangle(1.0, 1.0), 32)])
-def test_each_operator_is_converted_to_longdouble_once(monkeypatch, shape, n):
-    # the grid's Laplacian once for every defect, and each step's factor
-    # once for all the residuals of its two solves
-    spec = ProblemSpec(alpha=2.0, beta=0.0, shape=shape, n=n, config=SolveConfig(tol=1e-8))
-    grid = spec.make_grid()
-    pair = build_barrier_pair(grid, 2.0, 0.0, dirichlet_eigenpair(grid))
-    converted = []
-    extended_operator = grid_module.extended_operator
-
-    def counting(a):
-        converted.append(a.shape)
-        return extended_operator(a)
-
-    monkeypatch.setattr(grid_module, "extended_operator", counting)
-    monkeypatch.setattr(linear_core, "extended_operator", counting)
-    report = solve_monotone(spec, pair)
-    assert report.converged
-    assert len(converted) == 1 + report.iterations
+@pytest.mark.parametrize("max_iter", [2.5, 3.0])
+def test_non_integer_max_iter_rejected(max_iter):
+    # rejected as invalid input here, not later as a bare TypeError from range
+    with pytest.raises(ValueError, match="max_iter must be an integer"):
+        SolveConfig(max_iter=max_iter)
 
 
 def test_spec_grid_is_built_once():
