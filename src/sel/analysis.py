@@ -168,6 +168,8 @@ DIVERGENCE_RATIO = 1.05
 
 def _integral_diverges(gradients: list[Level], q: float) -> bool:
     coarse, fine = (gradient_integral(grid, grad, q) for grid, grad in gradients[-2:])
+    if coarse == 0.0:
+        raise ValueError(f"zero q={q} integral at n={gradients[-2][0].n}: no refinement ratio")
     return fine / coarse >= DIVERGENCE_RATIO
 
 
@@ -270,6 +272,8 @@ def h1_membership(levels: list[Level]) -> H1Report:
 
 def _classify_h1(values: list[float]) -> H1Report:
     # h1_membership's verdict from the q=2 integrals of the ladder's levels
+    if 0.0 in values[:-1]:
+        raise ValueError("zero Dirichlet energy on a coarse level: no refinement ratio")
     ratios = [values[i + 1] / values[i] for i in range(len(values) - 1)]
     if all(abs(r - 1.0) <= 0.1 for r in ratios):
         verdict = "member"

@@ -1,6 +1,6 @@
 """Certified sub/supersolution pairs.
 
-build_barrier_pair builds, scales and orders the pair; verify_barrier
+build_barrier_pair builds and scales the pair; verify_barrier
 certifies either side nodewise.  Two regimes, split by s = alpha + beta:
 
 * s < 1 (low): the subsolution is c phi_1 and the supersolution is C psi,
@@ -30,9 +30,14 @@ holds at every node, and the same expression with max is the smallest
 supersolution constant C; a nonpositive lap for the supersolution profile
 means no scale works (HopfViolationError).  That exactness, free of
 truncation slack, keeps the two-sided chain of the monotone iteration
-ordered to round-off.  A round-off guard then nudges each constant (c down,
-C up, by ~1e-10 relative at most on fine grids) until the inequality also
-holds in floating point.
+ordered to round-off.  For the inequality to hold in floating point too,
+each constant then moves (c down, C up) by one a-priori round-off margin,
+built on the forward error bound of the product A0 @ base (_exact_scale);
+it grows like n^2, from about 1e-12 to 2e-11 relative at interval n = 64
+to 5e-9 to 1e-7 at n = 4096.  One defect evaluation per side then checks
+the inequality, and a failure raises BarrierConstructionError.  Both fields
+are exact discrete barriers, so the discrete comparison principle orders
+them (sub <= super) without any rescaling.
 
 The borderline s = 1 is where the regime split degenerates: both exponent
 formulas give t = 1, but no existence theory covers the case and sandwich
@@ -164,25 +169,25 @@ def _exact_scale(A0, w_beta, base, alpha, side) -> float:
             "bound at this resolution; refine the grid"
         )
     pos = lap > 0.0
-    bound = (w_beta[pos] * base[pos] ** (-alpha) / lap[pos]) ** (1.0 / (1.0 + alpha))
-    scale = float(bound.min() if side == "sub" else bound.max())
-    # Round-off guard: A0 @ (scale*base) is not exactly scale*(A0 @ base),
-    # so the binding node can sit ~1e-10 relative on the wrong side.  Nudge
-    # the scale (down for sub, up for super) by relative steps doubling from
-    # 1e-14; the defect is monotone in the scale, and anything beyond ~1e-3
-    # signals a broken construction.
+    base_pos, lap_pos = base[pos], lap[pos]
+    bound = (w_beta[pos] * base_pos ** (-alpha) / lap_pos) ** (1.0 / (1.0 + alpha))
+    # Round-off margin.  A row of k entries of the M-matrix A0 gives lap a
+    # relative error of at most k eps (|A0| base)/lap, where
+    # |A0| base = 2 diag(A0) base - lap; the check below repeats that error
+    # and the powers add a few eps.  A relative change delta of the scale
+    # moves the defect by (1+alpha) delta of the forcing, so delta covers
+    # all of it twice over; the one defect evaluation stays a hard check.
+    k = int(np.diff(A0.indptr).max())
+    cond = 2.0 * float(np.max(A0.diagonal()[pos] * base_pos / lap_pos))
+    delta = 2.0 * np.finfo(float).eps * (k * cond + alpha + 3.0) / (1.0 + alpha)
     sign = 1.0 if side == "sub" else -1.0
-    delta = 0.0
-    while True:
-        nudged = scale * (1.0 - sign * delta)
-        worst = np.max(sign * _defect(A0, w_beta, nudged * base, alpha))
-        if worst <= 0.0:
-            return nudged
-        delta = 1e-14 if delta == 0.0 else 2.0 * delta
-        if delta > 1e-3:
-            raise BarrierConstructionError(
-                f"{side}solution inequality cannot be enforced; worst defect {sign * worst:.3e}"
-            )
+    scale = float(bound.min() if side == "sub" else bound.max()) * (1.0 - sign * delta)
+    worst = float(np.max(sign * _defect(A0, w_beta, scale * base, alpha)))
+    if not worst <= 0.0:  # a NaN defect fails too
+        raise BarrierConstructionError(
+            f"{side}solution inequality fails in floating point; worst defect {sign * worst:.3e}"
+        )
+    return scale
 
 
 def _corner_profile(grid: Grid, phi: np.ndarray) -> np.ndarray:
@@ -223,7 +228,7 @@ def build_barrier_pair(
     beta: float,
     eig: EigenPair | None = None,
 ) -> BarrierPair:
-    """Construct and order the barrier pair of the instance.
+    """Construct the barrier pair of the instance, ordered by construction.
 
     When t = 1 the subsolution is c phi_1 and the supersolution C psi, where
     psi solves -lap_h psi = d^(-(alpha+beta)), which behaves like d.  When
@@ -248,14 +253,6 @@ def build_barrier_pair(
     c = _exact_scale(A0, w_beta, sub_base, alpha, "sub")
     C = _exact_scale(A0, w_beta, super_base, alpha, "super")
     sub, sup = c * sub_base, C * super_base
-    ratio = float(np.max(sub / sup))
-    if ratio > 1.0:
-        # Growing C preserves the supersolution inequality, so ordering can
-        # always be restored by rescaling; the comparison principle orders
-        # the exact-scale pair up to round-off.
-        bump = ratio * (1.0 + 1e-12)
-        C *= bump
-        sup = sup * bump
     dt = grid.d**regime.t
     return BarrierPair(
         sub=sub,

@@ -373,6 +373,11 @@ def cmd_spectrum(args) -> None:
 def cmd_regularity(args) -> None:
     regime = _admitted_regime(args.alpha, args.beta)
     level_ns = _parse_levels(args.levels, 2)
+    if level_ns[0] < 3:
+        raise ValueError(
+            "regularity needs levels n >= 3 (n=2 has one node and a zero gradient), "
+            f"got n={level_ns[0]}"
+        )
     q_grid = [float(q) for q in args.q_grid.split(",") if q] if args.q_grid else None
     if q_grid is not None and not (q_grid and all(math.isfinite(q) and q >= 1.0 for q in q_grid)):
         raise ValueError(f"--q-grid needs finite values >= 1, got {args.q_grid!r}")

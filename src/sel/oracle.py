@@ -21,6 +21,9 @@ from .linear_core import SolverFailure, solve_spd
 from .problem import ProblemSpec
 
 DENSE_N_CAP = 64
+# Newton's step cap, and the step halvings allowed within one step.
+MAX_NEWTON_STEPS = 200
+MAX_HALVINGS = 50
 
 
 class NewtonStagnationError(SolverFailure):
@@ -47,7 +50,8 @@ def newton_solve(
     solves its Jacobian once through a fresh SPDFactor (banded Cholesky on
     intervals, multigrid-preconditioned CG on rectangles), or by dense
     Cholesky with dense=True, the independent oracle path.  Raises
-    NewtonStagnationError when the halvings or the 200-step cap run out.
+    NewtonStagnationError when the MAX_HALVINGS halvings of a step or the
+    MAX_NEWTON_STEPS cap run out.
     """
     if not (math.isfinite(eps) and eps >= 0.0):
         raise ValueError(f"eps must be finite and >= 0, got {eps}")
@@ -65,7 +69,7 @@ def newton_solve(
 
     u = init.copy()
     defect, res = defect_norm(u)
-    for _ in range(200):
+    for _ in range(MAX_NEWTON_STEPS):
         if res <= tol:
             return u
         jac_diag = alpha * w_beta * (u + eps) ** (-(1.0 + alpha))
@@ -76,7 +80,7 @@ def newton_solve(
             delta, _ = solve_spd(shifted_laplacian(grid, jac_diag), -defect, tol=1e-10)
         floor = 0.1 * float((u + eps).min())
         step = 1.0
-        for _halving in range(50):
+        for _halving in range(MAX_HALVINGS):
             candidate = u + step * delta
             if float((candidate + eps).min()) >= floor:
                 new_defect, new_res = defect_norm(candidate)
@@ -86,7 +90,7 @@ def newton_solve(
             step *= 0.5
         else:
             raise NewtonStagnationError(
-                f"no admissible step after 50 halvings at weighted defect {res:.3e}"
+                f"no admissible step after {MAX_HALVINGS} halvings at weighted defect {res:.3e}"
             )
     raise NewtonStagnationError(f"Newton did not reach tol={tol:.1e}, stuck at {res:.3e}")
 

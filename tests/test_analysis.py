@@ -114,6 +114,8 @@ def test_estimate_critical_q_synthetic(lab):
     assert q == pytest.approx(3.0, rel=0.1)
     flat = [(lab.grid(n), lab.grid(n).d) for n in (1024, 2048, 4096)]
     assert estimate_critical_q(flat) == math.inf
+    with pytest.raises(ValueError, match="need at least 2 refinement levels"):
+        estimate_critical_q(levels[-1:])
 
 
 def test_estimate_critical_q_flags_contradiction(lab):
@@ -218,6 +220,8 @@ def test_uniqueness_identity_values(lab):
     expected = 1.5 * np.sum(power_weight(grid, 0.5)) * grid.cell_volume
     assert uniqueness_identity(grid, u, 2 * u, 1.0, 0.5) == pytest.approx(expected, rel=1e-12)
     assert uniqueness_identity(grid, u, 2 * u, 1.0, 0.5) > 0
+    with pytest.raises(ValueError, match="both fields must be positive"):
+        uniqueness_identity(grid, u, -u, 1.0, 0.5)
 
 
 def test_2d_fits_mask_out_corners():
@@ -276,3 +280,23 @@ def test_regularity_report_fits_sigma_and_integrates_q2_once(lab, monkeypatch):
     h1 = h1_membership(levels)
     assert rep.verdicts["h1"] == h1.verdict
     assert rep.h1_norms == [math.sqrt(v) for v in h1.values]
+
+
+def test_an_n2_level_has_no_refinement_ratio(lab):
+    # the one node of an n=2 grid has a zero central-difference gradient, so
+    # every Sobolev integral of that level is 0 and no ratio over it exists
+    coarse = build_grid(interval(1.0), 2)
+    levels = [(g, g.d ** (2.0 / 3.0)) for g in (coarse, lab.grid(128), lab.grid(256))]
+    assert sobolev_integral(*levels[0], 2.0) == 0.0
+    with pytest.raises(ValueError, match="zero Dirichlet energy on a coarse level"):
+        h1_membership(levels)
+    with pytest.raises(ValueError, match="zero q=.* integral at n=2"):
+        estimate_critical_q(levels[:2])
+
+
+def test_regularity_report_on_one_level_keeps_the_slope_estimate(lab):
+    rep = regularity_report([(lab.grid(2048), 1.3 * lab.grid(2048).d ** (2.0 / 3.0))], 2.0, 0.0)
+    assert rep.q_bar_est == analysis.q_bar_from_sigma(rep.sigma_fit)
+    assert "q_bar_consistency" not in rep.verdicts
+    assert rep.verdicts["h1"] == "needs >= 3 levels"
+    assert len(rep.h1_norms) == 1

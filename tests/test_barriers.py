@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from sel import barriers
 from sel.barriers import (
     ALPHA_ONE_WARNING,
     BORDERLINE_WARNING,
+    BarrierConstructionError,
+    HopfViolationError,
     build_barrier_pair,
     resolve_regime,
     verify_barrier,
@@ -89,7 +92,7 @@ def test_high_regime_constant_dominates_closure(lab):
         c = build_barrier_pair(grid, alpha, beta, eig).c
         assert c >= _closure_constant(grid, eig, alpha, beta)
     # for small t the closure overshoots the exact discrete constant, so
-    # its field is no subsolution: no round-off nudge could repair it
+    # its field is no subsolution: no round-off margin could repair it
     c_closure = _closure_constant(grid, eig, 10.0, 0.0)
     c = build_barrier_pair(grid, 10.0, 0.0, eig).c
     assert c_closure > c
@@ -97,11 +100,26 @@ def test_high_regime_constant_dominates_closure(lab):
     assert np.max(a0 @ field - w * field**-10.0) > 0.0
 
 
-@pytest.mark.parametrize("alpha, beta", [(0.5, 0.0), (2.0, 0.0), (2.0, 0.5), (10.0, 0.0)])
-def test_exact_constants_are_extremal(lab, alpha, beta):
-    grid, eig = lab.grid(256), lab.eig(256)
+EXTREMAL_CASES = [
+    (shape, n, alpha, beta)
+    for shape, n in ((interval(1.0), 256), (rectangle(1.0, 1.0), 64), (rectangle(2.0, 0.5), 64))
+    for alpha, beta in ((0.5, 0.0), (2.0, 0.0), (2.0, 0.5), (10.0, 0.0), (0.3, 0.4))
+]
+
+
+def _extremal_id(case):
+    shape, n, alpha, beta = case
+    prefix = "" if shape.dim == 1 else f"{shape.extents[0]}x{shape.extents[1]}-{n}-"
+    return f"{prefix}{alpha}-{beta}"
+
+
+@pytest.mark.parametrize(
+    "shape, n, alpha, beta", EXTREMAL_CASES, ids=[_extremal_id(c) for c in EXTREMAL_CASES]
+)
+def test_exact_constants_are_extremal(shape, n, alpha, beta):
+    grid = build_grid(shape, n)
     a0, w = assemble_laplacian(grid), power_weight(grid, beta)
-    pair = build_barrier_pair(grid, alpha, beta, eig)
+    pair = build_barrier_pair(grid, alpha, beta)
     sub, sup = pair.sub, pair.super
     assert np.max(a0 @ sub - w * sub**-alpha) <= 0.0
     assert np.min(a0 @ sup - w * sup**-alpha) >= 0.0
@@ -110,6 +128,43 @@ def test_exact_constants_are_extremal(lab, alpha, beta):
     assert np.max(a0 @ bigger - w * bigger**-alpha) > 0.0
     smaller = sup * (1.0 - 1e-8)
     assert np.min(a0 @ smaller - w * smaller**-alpha) < 0.0
+
+
+@pytest.mark.parametrize(
+    "shape, n", [(interval(1.0), 256), (rectangle(2.0, 0.5), 64)], ids=["interval", "rectangle"]
+)
+@pytest.mark.parametrize("alpha, beta", [(2.0, 0.0), (0.3, 0.4)])
+def test_each_side_evaluates_its_defect_once(monkeypatch, shape, n, alpha, beta):
+    # the round-off margin is a bound, so each side is checked once, not searched
+    sides = []
+
+    def counted(a0, w, field, alpha):
+        sides.append(field.copy())
+        return defect(a0, w, field, alpha)
+
+    defect = barriers._defect
+    monkeypatch.setattr(barriers, "_defect", counted)
+    pair = build_barrier_pair(build_grid(shape, n), alpha, beta)
+    assert len(sides) == 2
+    np.testing.assert_array_equal(sides[0], pair.sub)
+    np.testing.assert_array_equal(sides[1], pair.super)
+
+
+@pytest.mark.parametrize("side, reported", [("sub", 1e-300), ("super", -1e-300), ("sub", np.nan)])
+def test_exact_scale_fails_when_the_defect_has_the_wrong_sign(lab, monkeypatch, side, reported):
+    grid, eig = lab.grid(64), lab.eig(64)
+    monkeypatch.setattr(barriers, "_defect", lambda a0, w, field, alpha: np.full(field.size, reported))
+    with pytest.raises(BarrierConstructionError, match=f"{side}solution inequality fails"):
+        barriers._exact_scale(assemble_laplacian(grid), power_weight(grid, 0.0), eig.field, 2.0, side)
+
+
+def test_supersolution_profile_without_boundary_slope_is_a_hopf_violation(lab):
+    # 2 max(phi) - phi is convex: -lap_h of it is negative at every node
+    grid, phi = lab.grid(32), lab.eig(32).field
+    with pytest.raises(HopfViolationError, match="nonpositive -lap_h"):
+        barriers._exact_scale(
+            assemble_laplacian(grid), power_weight(grid, 0.0), 2 * phi.max() - phi, 2.0, "super"
+        )
 
 
 def test_constructed_barriers_certify(lab):

@@ -306,6 +306,8 @@ INVALID_INPUTS = [
      " in d-band [0.0938, 0.1]"),
     (["regularity", "--alpha", "2", "--levels", "256,512", "--tol", "nan"],
      "tol must be positive and finite, got nan"),
+    (["regularity", "--alpha", "2", "--levels", "2,128"],
+     "regularity needs levels n >= 3 (n=2 has one node and a zero gradient), got n=2"),
 ]
 
 
@@ -626,6 +628,21 @@ def test_regularity_command(tmp_path, monkeypatch):
     assert {r["q"] for r in rows} == {"1.5", "2", "4"}
 
 
+def test_regularity_on_two_levels_reports_no_h1_verdict(tmp_path):
+    out = tmp_path / "reg"
+    assert main(["regularity", "--alpha", "2", "--levels", "128,256", "--out", str(out)]) == 0
+    report = json.loads((out / "regularity.json").read_text())["report"]
+    assert report["verdicts"] == {
+        "exponent_consistency": False,
+        "h1": "needs >= 3 levels",
+        "q_bar_consistency": False,
+    }
+    rows = list(csv.DictReader((out / "sobolev.csv").read_text().splitlines()))
+    assert [(r["n"], r["q"]) for r in rows] == [
+        (n, q) for n in ("128", "256") for q in ("1.5", "2", "3")
+    ]
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
@@ -637,6 +654,8 @@ def test_regularity_command(tmp_path, monkeypatch):
         (["--domain", "rectangle", "--levels", "12,24,45"], "error: n=45 is too coarse"),
         (["--levels", "256,256,256"], "error: --levels must strictly increase"),
         (["--levels", "1024,512,256"], "error: --levels must strictly increase"),
+        (["--levels", "2,3,200"], "error: regularity needs levels n >= 3"),
+        (["--domain", "rectangle", "--levels", "2,128"], "error: regularity needs levels n >= 3"),
     ],
 )
 def test_regularity_checks_inputs_before_solving(tmp_path, capsys, monkeypatch, flags, message):

@@ -109,6 +109,8 @@ def test_residual_properties(lab):
     # an exact discrete fixed point has a round-off-level weighted defect
     grid64, u_exact = lab.newton(2.0, 0.0, 64, tol=1e-12)
     assert residual(grid64, u_exact, 2.0, 0.0) <= 1e-11
+    with pytest.raises(ValueError, match="field must be positive nodewise"):
+        residual(grid, -report.upper, 2.0, 0.0)
 
 
 def test_interval_iteration_count_and_ordering(lab):
@@ -227,3 +229,17 @@ def test_fine_interval_small_alpha_certifies(alpha, beta, n):
     # residual grows with n and exceeds INNER_TOL = 1e-10 from n=4096 at small alpha
     (level,) = solve_ladder(alpha, beta, interval(), [n], SolveConfig())
     assert level.report.converged
+
+
+class _NegativeFactor:
+    """A factor whose solve returns -3 at every node."""
+
+    def solve(self, rhs, tol):
+        return np.full(rhs.shape, -3.0), None
+
+
+def test_step_that_loses_positivity_is_an_ordering_violation(lab):
+    grid, pair = lab.grid(32), lab.pair(0.5, 0.0, 32)
+    assert pair.super.max() < 3.0
+    with pytest.raises(OrderingViolationError, match="iterate lost positivity"):
+        iterate_step(grid, _NegativeFactor(), pair.super, 0.5, 0.0)

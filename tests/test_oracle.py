@@ -3,9 +3,10 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+from sel import oracle
 from sel.grid import assemble_laplacian, build_grid, interval, power_weight, rectangle
 from sel.linear_core import solve_spd
-from sel.oracle import dense_newton_solve, newton_solve, observed_order
+from sel.oracle import NewtonStagnationError, dense_newton_solve, newton_solve, observed_order
 from sel.problem import ProblemSpec, SolveConfig
 from sel.spectral import linearized_smallest_eigenvalue
 
@@ -114,3 +115,9 @@ def test_mms_sine_forcing_second_order():
     order, reliable = observed_order(errors, hs)
     assert reliable
     assert order == pytest.approx(2.0, abs=0.2)
+
+
+def test_newton_step_cap_is_a_stagnation(lab, monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_NEWTON_STEPS", 1)
+    with pytest.raises(NewtonStagnationError, match="Newton did not reach tol=1.0e-12"):
+        newton_solve(lab.grid(32), 0.5, 0.0, lab.pair(0.5, 0.0, 32).super)

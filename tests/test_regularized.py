@@ -95,3 +95,11 @@ def test_alpha_zero_continuation_is_eps_independent(lab):
     spec = ProblemSpec(alpha=0.0, beta=0.0, n=64)
     cont = epsilon_continuation(spec, 1e-2, 0.1, 3, u_lin, tol=1e-12)
     assert np.all(cont.deltas <= 1e-9 * u_lin.max())
+
+
+def test_continuation_away_from_the_reference_warns(lab):
+    # the eps-solutions grow toward u as eps drops, so their distance to 0 grows
+    spec = ProblemSpec(alpha=0.5, beta=0.0, n=32)
+    with pytest.warns(UserWarning, match="did not decrease monotonically"):
+        cont = epsilon_continuation(spec, 1e-1, 0.1, 3, np.zeros(31))
+    assert not cont.deltas_monotone

@@ -161,3 +161,9 @@ def test_lobpcg_breakdown_is_typed(monkeypatch):
     monkeypatch.setattr(scipy.sparse.linalg, "lobpcg", broken)
     with pytest.raises(EigenNonConvergenceError, match="LOBPCG"):
         principal_eigenpair(assemble_laplacian(build_grid(rectangle(1.0, 1.0), 8)))
+
+
+def test_sign_changing_eigenvector_is_a_non_convergence():
+    # the lowest eigenvector of [[2, 1], [1, 2]] is (1, -1): no principal pair
+    with pytest.raises(EigenNonConvergenceError, match="not strictly positive"):
+        principal_eigenpair(scipy.sparse.csr_array(np.array([[2.0, 1.0], [1.0, 2.0]])))
