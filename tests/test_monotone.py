@@ -61,6 +61,55 @@ def test_step_rejects_nonpositive_iterate(lab):
         step(grid, pair.sub, bad, 0.5, 0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_iterate_is_invalid_input(lab, bad):
+    # a ValueError before any arithmetic, not a SolverFailure from the solve
+    grid = lab.grid(64)
+    pair = lab.pair(0.5, 0.0, 64)
+    field = pair.super.copy()
+    field[10] = bad
+    with pytest.raises(ValueError, match="iterate must be positive nodewise and finite"):
+        step(grid, pair.sub, field, 0.5, 0.0)
+    with pytest.raises(ValueError, match="field must be positive nodewise and finite"):
+        residual(grid, field, 0.5, 0.0)
+
+
+def _log_uniform_long_double(rng):
+    return (10.0 ** rng.uniform(-8.0, 2.0, 100_000)).astype(np.longdouble)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 2.5, 4.0, 7.3, 12.0, 12.5, 50.0])
+def test_forcing_power_is_within_long_double_round_off_of_pow(rng, alpha):
+    # exp(-alpha log s) against the long-double ** reference: the log's
+    # round-off is amplified by alpha |ln s|, the exp's and the product's are not
+    s = _log_uniform_long_double(rng)
+    reference = s ** (-alpha)
+    eps = np.finfo(np.longdouble).eps
+    bound = 4 * eps * (1 + alpha * np.abs(np.log(s)))
+    assert np.all(np.abs(monotone._power(s, alpha) / reference - 1) <= bound)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, 3.0])
+def test_forcing_power_at_small_integer_alpha_is_pow(rng, alpha):
+    s = _log_uniform_long_double(rng)
+    np.testing.assert_array_equal(monotone._power(s, alpha), s ** (-alpha))
+
+
+@pytest.mark.parametrize("alpha, iterations", [(0.5, 3), (2.0, 4), (2.5, 4)])
+def test_fine_interval_iteration_counts_and_ordering(lab, alpha, iterations):
+    _, _, report = lab.solved(alpha, 0.0, 4096, tol=1e-6)
+    assert report.converged
+    assert report.iterations == iterations
+    assert report.ordering_violation == 0.0
+
+
+def test_unit_square_small_alpha_iteration_count_and_ordering():
+    (level,) = solve_ladder(0.5, 0.0, rectangle(1.0, 1.0), [64], SolveConfig(tol=1e-8))
+    assert level.report.converged
+    assert level.report.iterations == 5
+    assert level.report.ordering_violation == 0.0
+
+
 def test_chain_and_gap_history(lab):
     grid, pair, report = lab.solved(0.5, 0.0, 64, tol=1e-10)
     assert report.converged
