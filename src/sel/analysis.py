@@ -145,7 +145,7 @@ def gradient_integral(grid: Grid, grad: np.ndarray, q: float) -> float:
     |grad_h u| of gradient_field: one gradient serves every q."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    return float(np.sum(grad**q) * grid.cell_volume)
+    return float(np.sum(grid.check_field(grad) ** q) * grid.cell_volume)
 
 
 def sobolev_integral(grid: Grid, u: np.ndarray, q: float) -> float:

@@ -34,10 +34,10 @@ ordered to round-off.  For the inequality to hold in floating point too,
 each constant then moves (c down, C up) by one a-priori round-off margin,
 built on the forward error bound of the product A0 @ base (_exact_scale);
 it grows like n^2, from about 1e-12 to 2e-11 relative at interval n = 64
-to 5e-9 to 1e-7 at n = 4096.  One defect evaluation per side then checks
-the inequality, and a failure raises BarrierConstructionError.  Both fields
-are exact discrete barriers, so the discrete comparison principle orders
-them (sub <= super) without any rescaling.
+to 5e-9 to 1e-7 at n = 4096.  verify_barrier, the one barrier rule, then
+certifies each side by the sign of its worst defect, with no tolerance; a
+failure raises BarrierConstructionError.  Both fields are exact discrete
+barriers, so the discrete comparison principle orders them (sub <= super).
 
 The borderline s = 1 is where the regime split degenerates: both exponent
 formulas give t = 1, but no existence theory covers the case and sandwich
@@ -76,9 +76,6 @@ ALPHA_ONE_WARNING = (
     "existence theorems; proceeding with the t=1 limit"
 )
 
-# Relative pass threshold of verify_barrier's nodewise certificate.
-CERT_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class Regime:
@@ -101,11 +98,11 @@ class Regime:
 
 @dataclass(frozen=True)
 class CertReport:
-    """Outcome of the nodewise barrier inequality check."""
+    """Outcome of the nodewise barrier inequality check: worst_violation > 0
+    (or NaN) breaks the inequality, and passed is worst_violation <= 0."""
 
     side: str
     worst_violation: float
-    threshold: float
     passed: bool
 
 
@@ -173,21 +170,16 @@ def _exact_scale(A0, w_beta, base, alpha, side) -> float:
     bound = (w_beta[pos] * base_pos ** (-alpha) / lap_pos) ** (1.0 / (1.0 + alpha))
     # Round-off margin.  A row of k entries of the M-matrix A0 gives lap a
     # relative error of at most k eps (|A0| base)/lap, where
-    # |A0| base = 2 diag(A0) base - lap; the check below repeats that error
+    # |A0| base = 2 diag(A0) base - lap; verify_barrier repeats that error
     # and the powers add a few eps.  A relative change delta of the scale
     # moves the defect by (1+alpha) delta of the forcing, so delta covers
-    # all of it twice over; the one defect evaluation stays a hard check.
+    # all of it twice over; the certificate stays a hard check.
     k = int(np.diff(A0.indptr).max())
     cond = 2.0 * float(np.max(A0.diagonal()[pos] * base_pos / lap_pos))
     delta = 2.0 * np.finfo(float).eps * (k * cond + alpha + 3.0) / (1.0 + alpha)
-    sign = 1.0 if side == "sub" else -1.0
-    scale = float(bound.min() if side == "sub" else bound.max()) * (1.0 - sign * delta)
-    worst = float(np.max(sign * _defect(A0, w_beta, scale * base, alpha)))
-    if not worst <= 0.0:  # a NaN defect fails too
-        raise BarrierConstructionError(
-            f"{side}solution inequality fails in floating point; worst defect {sign * worst:.3e}"
-        )
-    return scale
+    if side == "sub":
+        return float(bound.min()) * (1.0 - delta)
+    return float(bound.max()) * (1.0 + delta)
 
 
 def _corner_profile(grid: Grid, phi: np.ndarray) -> np.ndarray:
@@ -202,24 +194,21 @@ def _corner_profile(grid: Grid, phi: np.ndarray) -> np.ndarray:
 def verify_barrier(
     grid: Grid, field: np.ndarray, alpha: float, beta: float, side: str
 ) -> CertReport:
-    """Nodewise check of the discrete barrier inequality.
+    """Nodewise check of the discrete barrier inequality by its sign.
 
-    The pass threshold CERT_TOL * h^t * max(diag(-lap_h)) scales like the
-    truncation error of a d^t profile at the first node layer, so exactly
-    constructed barriers pass with room while a field off by any finite
-    factor fails decisively.
+    A side passes iff its worst signed defect is <= 0, with no tolerance; a
+    NaN defect fails.  ValueError for a field that is not positive and
+    finite, an unknown side, or (alpha, beta) out of range.
     """
     field = grid.check_field(field)
     if field.min() <= 0.0:
         raise ValueError("barrier candidate must be positive nodewise")
     if side not in ("sub", "super"):
         raise ValueError(f"side must be 'sub' or 'super', got {side!r}")
-    regime = resolve_regime(alpha, beta)
-    A0 = assemble_laplacian(grid)
-    defect = _defect(A0, power_weight(grid, beta), field, alpha)
+    resolve_regime(alpha, beta)  # rejects out-of-range input
+    defect = _defect(assemble_laplacian(grid), power_weight(grid, beta), field, alpha)
     worst = float(np.max(defect if side == "sub" else -defect))
-    threshold = CERT_TOL * min(grid.h) ** regime.t * float(A0.diagonal().max())
-    return CertReport(side=side, worst_violation=worst, threshold=threshold, passed=worst <= threshold)
+    return CertReport(side=side, worst_violation=worst, passed=worst <= 0.0)
 
 
 def build_barrier_pair(
@@ -235,8 +224,8 @@ def build_barrier_pair(
     t < 1 they are c H^t and C H^t, with the corner-aware profile H of the
     module docstring (phi_1 on an interval).  The reported c and C scale
     these profiles; c1 and c2 always refer to d^t.  c and C follow the
-    exact scaling rule of the module docstring, so both sides pass
-    verify_barrier, which solve_monotone runs before iterating.  eig
+    exact scaling rule of the module docstring, and verify_barrier
+    certifies each side (BarrierConstructionError if one fails).  eig
     defaults to the closed-form principal eigenpair of the grid.
     """
     if eig is None:
@@ -247,12 +236,20 @@ def build_barrier_pair(
     if regime.t == 1.0:
         sub_base = eig.field
         # psi need not be accurate: C is scaled from A0 @ psi itself
-        super_base, _ = solve_spd(A0, power_weight(grid, alpha + beta), tol=1e-9)
+        psi, _ = solve_spd(A0, power_weight(grid, alpha + beta), tol=1e-9)
+        super_base = psi.astype(float)
     else:
         sub_base = super_base = _corner_profile(grid, eig.field) ** regime.t
     c = _exact_scale(A0, w_beta, sub_base, alpha, "sub")
     C = _exact_scale(A0, w_beta, super_base, alpha, "super")
     sub, sup = c * sub_base, C * super_base
+    for side, fld in (("sub", sub), ("super", sup)):
+        cert = verify_barrier(grid, fld, alpha, beta, side)
+        if not cert.passed:
+            raise BarrierConstructionError(
+                f"{side}solution inequality fails in floating point; "
+                f"worst violation {cert.worst_violation:.3e}"
+            )
     dt = grid.d**regime.t
     return BarrierPair(
         sub=sub,

@@ -111,10 +111,13 @@ class Grid:
         return np.column_stack([m.ravel() for m in mesh])
 
     def check_field(self, u: np.ndarray) -> np.ndarray:
-        """Validate a nodal field and return it as a float array."""
+        """Validate a nodal field (its shape, and finite: the package's one
+        NaN/inf check) and return it as a float array."""
         u = np.asarray(u, dtype=float)
         if u.shape != (self.num_interior,):
             raise ValueError(f"field has shape {u.shape}, expected ({self.num_interior},)")
+        if not np.isfinite(u).all():
+            raise ValueError("field has a NaN or inf entry")
         return u
 
     @functools.cached_property

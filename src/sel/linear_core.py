@@ -76,7 +76,7 @@ def extended_residual(A: sp.csr_array, f: np.ndarray, x: np.ndarray) -> np.ndarr
     values to np.longdouble inside the call, so no long-double copy of A
     is made or kept.
     """
-    return (f - A @ x.astype(np.longdouble)).astype(float)
+    return (f - A @ x.astype(np.longdouble, copy=False)).astype(float)
 
 
 def is_tridiagonal(A: sp.csr_array) -> bool:
@@ -127,8 +127,10 @@ class SPDFactor:
     A tridiagonal matrix (every interval grid) is factored by banded
     Cholesky (LAPACK pbtrf).  Each solve then runs the triangular sweeps and
     at most MAX_REFINEMENTS steps of iterative refinement against the
-    extended_residual, so the relative residual drops to the level set by
-    rounding x itself rather than by the round-off of the residual.
+    extended_residual, adding each refinement to x in np.longdouble
+    (mixed-precision refinement; Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, ch. 12), so the relative residual is not floored at
+    the eps ||A|| ||x|| / ||f|| of a double x, a floor that grows like n^2.
 
     Any other pattern (rectangles) is solved by conjugate gradients
     preconditioned with one geometric multigrid V-cycle (precondition) per
@@ -139,7 +141,8 @@ class SPDFactor:
     P^T A P (the nodal shift needs no rediscretization), SMOOTHING_SWEEPS
     damped-Jacobi sweeps before and after each coarse correction, and splu
     at the coarsest level, n <= COARSEST_N.  Smaller grids, or a matrix
-    that is not a square grid's, are a one-level hierarchy: splu alone.
+    without the row and entry counts of a square grid's 5-point stencil,
+    are a one-level hierarchy: splu alone.
 
     The residuals of solve pass the double operator self.A to
     extended_residual, which decides their precision; the factor keeps no
@@ -160,8 +163,9 @@ class SPDFactor:
         self._chol = None
         # (A_l, JACOBI_WEIGHT / diag(A_l), P, P^T) for every level above the coarsest
         self._levels = []
-        side = math.isqrt(A.shape[0])
-        n = side + 1 if side * side == A.shape[0] else 0
+        # a square grid's 5-point matrix: (n-1)^2 rows and 5m^2 - 4m entries, m = n-1
+        m = math.isqrt(A.shape[0])
+        n = m + 1 if m * m == A.shape[0] and A.nnz == 5 * m * m - 4 * m else 0
         while n > COARSEST_N:
             P, PT = _prolongation(n)
             self._levels.append((A, JACOBI_WEIGHT / A.diagonal(), P, PT))
@@ -178,7 +182,8 @@ class SPDFactor:
 
         PCG stops after MAX_PCG_ITERS iterations.  If f >= 0 nodewise, the
         result is checked against the discrete comparison principle.
-        SolveStats.iterations counts banded solves or PCG steps.
+        SolveStats.iterations counts banded solves or PCG steps.  A refined
+        banded x is judged and returned in np.longdouble; callers round once.
         """
         if tol <= 0:
             raise ValueError("tol must be positive")
@@ -195,7 +200,9 @@ class SPDFactor:
         else:
             x, iters, r = np.zeros(m), 0, f  # the residual at x = 0 is f itself
             while np.linalg.norm(r) > target and iters <= MAX_REFINEMENTS:
-                x += scipy.linalg.cho_solve_banded((self._chol, False), r, check_finite=False)
+                dx = scipy.linalg.cho_solve_banded((self._chol, False), r, check_finite=False)
+                # the first solve is x itself; each refinement adds in long double
+                x = dx if iters == 0 else np.add(x, dx, dtype=np.longdouble)
                 iters += 1
                 r = extended_residual(self.A, f, x)
 

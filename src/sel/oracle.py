@@ -78,6 +78,7 @@ def newton_solve(
             delta = scipy.linalg.solve(jac, -defect, assume_a="pos")
         else:
             delta, _ = solve_spd(shifted_laplacian(grid, jac_diag), -defect, tol=1e-10)
+            delta = delta.astype(float)  # the banded solve returns long double: round once
         floor = 0.1 * float((u + eps).min())
         step = 1.0
         for _halving in range(MAX_HALVINGS):

@@ -151,11 +151,12 @@ def test_each_side_evaluates_its_defect_once(monkeypatch, shape, n, alpha, beta)
 
 
 @pytest.mark.parametrize("side, reported", [("sub", 1e-300), ("super", -1e-300), ("sub", np.nan)])
-def test_exact_scale_fails_when_the_defect_has_the_wrong_sign(lab, monkeypatch, side, reported):
+def test_barrier_pair_fails_when_the_defect_has_the_wrong_sign(lab, monkeypatch, side, reported):
+    # the pair is certified through verify_barrier, whose kernel _defect reports `reported`
     grid, eig = lab.grid(64), lab.eig(64)
     monkeypatch.setattr(barriers, "_defect", lambda a0, w, field, alpha: np.full(field.size, reported))
     with pytest.raises(BarrierConstructionError, match=f"{side}solution inequality fails"):
-        barriers._exact_scale(assemble_laplacian(grid), power_weight(grid, 0.0), eig.field, 2.0, side)
+        build_barrier_pair(grid, 2.0, 0.0, eig)
 
 
 def test_supersolution_profile_without_boundary_slope_is_a_hopf_violation(lab):

@@ -3,6 +3,14 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+from sel.analysis import (
+    fit_boundary_exponent,
+    fit_gradient_exponent,
+    gradient_integral,
+    sobolev_integral,
+    uniqueness_identity,
+)
+from sel.barriers import verify_barrier
 from sel.grid import (
     DomainShape,
     InvalidResolutionError,
@@ -14,6 +22,10 @@ from sel.grid import (
     rectangle,
     shifted_laplacian,
 )
+from sel.linear_core import weighted_norm
+from sel.monotone import iterate_step, residual
+from sel.oracle import newton_solve
+from sel.spectral import linearized_smallest_eigenvalue
 
 
 def test_interval_grid_basics():
@@ -204,3 +216,33 @@ def test_shifted_laplacian_equals_sparse_sum(shape, n, kind):
     np.testing.assert_array_equal(shifted.data, expected.data)
     # the shift owns its data: the cached Laplacian is untouched
     np.testing.assert_array_equal(assemble_laplacian(g).data, lap_data)
+
+
+# Every public function that takes a nodal field, as (grid, field) -> result.
+FIELD_FUNCTIONS = {
+    "check_field": lambda g, u: g.check_field(u),
+    "shifted_laplacian": shifted_laplacian,
+    "gradient_components": gradient_components,
+    "weighted_norm": lambda g, u: weighted_norm(u, g, 2.0),
+    "residual": lambda g, u: residual(g, u, 2.0, 0.0),
+    "iterate_step": lambda g, u: iterate_step(g, None, u, 2.0, 0.0),
+    "verify_barrier": lambda g, u: verify_barrier(g, u, 2.0, 0.0, "sub"),
+    "uniqueness_identity": lambda g, u: uniqueness_identity(g, g.d, u, 2.0, 0.0),
+    "sobolev_integral": lambda g, u: sobolev_integral(g, u, 2.0),
+    "gradient_integral": lambda g, grad: gradient_integral(g, grad, 2.0),
+    "fit_boundary_exponent": fit_boundary_exponent,
+    "fit_gradient_exponent": fit_gradient_exponent,
+    "linearized_smallest_eigenvalue": lambda g, u: linearized_smallest_eigenvalue(g, u, 2.0, 0.0),
+    "newton_solve": lambda g, u: newton_solve(g, 2.0, 0.0, u),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", sorted(FIELD_FUNCTIONS))
+def test_field_with_a_nan_or_inf_entry_is_invalid_input(name, bad):
+    # grid.check_field alone decides finiteness, with one ValueError for all
+    g = build_grid(interval(1.0), 64)
+    u = g.d.copy()
+    u[10] = bad
+    with pytest.raises(ValueError, match="field has a NaN or inf entry"):
+        FIELD_FUNCTIONS[name](g, u)

@@ -171,6 +171,16 @@ def test_extended_precision_refinement_reaches_tight_tolerance():
     assert np.linalg.norm(f - a @ u) <= 1e-13 * np.linalg.norm(f)
 
 
+def test_refined_banded_solve_meets_a_tolerance_below_the_double_floor():
+    # the psi solve of a fine interval: a double x stalls near 1.05e-9 > 1e-9,
+    # the refinements added in long double do not, and x is returned unrounded
+    g = build_grid(interval(1.0), 16384)
+    a, f = assemble_laplacian(g), power_weight(g, 0.5)
+    u, stats = SPDFactor(a).solve(f, tol=1e-9)
+    assert u.dtype == np.longdouble and stats.iterations >= 2
+    assert np.linalg.norm(extended_residual(a, f, u)) <= 1e-9 * np.linalg.norm(f)
+
+
 @pytest.mark.parametrize("n", [17, 64, 127, 128])
 def test_rectangle_operator_uses_multigrid_pcg(n):
     # A V-cycle preconditioner keeps the PCG count bounded independently of
@@ -227,6 +237,29 @@ def test_small_rectangle_is_one_direct_level(n):
     u, stats = SPDFactor(a).solve(f, tol=1e-12)
     assert n <= COARSEST_N and stats.iterations == 1
     assert np.linalg.norm(f - a @ u) <= 1e-12 * np.linalg.norm(f)
+
+
+@pytest.mark.parametrize("shape", [rectangle(1.0, 1.0), rectangle(2.0, 0.5)], ids=["square", "4:1"])
+def test_every_multigrid_size_has_the_five_point_entry_count(shape):
+    # SPDFactor takes the multigrid path on (n-1)^2 rows and 5m^2 - 4m entries, m = n-1
+    for n in range(COARSEST_N + 1, 129):
+        a = assemble_laplacian(build_grid(shape, n))
+        m = n - 1
+        assert a.shape[0] == m * m and a.nnz == 5 * m * m - 4 * m, n
+
+
+def test_square_sized_matrix_without_a_grid_pattern_is_solved_directly():
+    # tridiagonal plus two corner entries, N = 64^2: a square number of rows
+    # but not a 5-point grid, so no hierarchy (which stagnated at residual 6.6)
+    N = 4096
+    a = sp.diags_array([-np.ones(N - 1), 2.0 * np.ones(N), -np.ones(N - 1)], offsets=[-1, 0, 1])
+    a = (a + sp.csr_array(([-0.5, -0.5], ([0, N - 1], [N - 1, 0])), shape=(N, N))).tocsr()
+    factor = SPDFactor(a)
+    assert factor._levels == []
+    f = np.ones(N)
+    u, stats = factor.solve(f, tol=1e-8)
+    assert stats.iterations == 1
+    assert np.linalg.norm(f - a @ u) <= 1e-8 * np.linalg.norm(f)
 
 
 @pytest.mark.parametrize("n", [16, 17, 33])
