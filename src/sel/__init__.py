@@ -59,7 +59,6 @@ from .monotone import (
     OrderingViolationError,
     SolveReport,
     iterate_step,
-    monotone_shift,
     residual,
     solve_ladder,
     solve_monotone,
@@ -76,8 +75,8 @@ from .regularized import ContinuationReport, epsilon_continuation, solve_regular
 from .spectral import (
     EigenPair,
     EigenNonConvergenceError,
-    InvalidLinearizationPointError,
     dirichlet_eigenpair,
     linearized_smallest_eigenvalue,
+    monotone_shift,
     principal_eigenpair,
 )

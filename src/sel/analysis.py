@@ -120,11 +120,9 @@ def _fit_loglog(grid: Grid, values: np.ndarray, window: FitWindow) -> tuple[floa
 def fit_boundary_exponent(
     grid: Grid, u: np.ndarray, window: FitWindow | None = None
 ) -> tuple[float, float]:
-    """(t_fit, c_fit) with u ~ c_fit d^t_fit over the window."""
-    u = grid.check_field(u)
-    if u.min() <= 0:
-        raise ValueError("field must be positive for a boundary power-law fit")
-    return _fit_loglog(grid, u, window or default_window(grid))
+    """(t_fit, c_fit) with u ~ c_fit d^t_fit over the window; ValueError
+    unless u passes grid.check_positive."""
+    return _fit_loglog(grid, grid.check_positive(u), window or default_window(grid))
 
 
 def gradient_field(grid: Grid, u: np.ndarray) -> np.ndarray:
@@ -291,12 +289,11 @@ def uniqueness_identity(
 
     Vanishes when u = v; when one field dominates the other, its sign is
     fixed, so a near-zero value for the two monotone limits certifies that
-    they are the same solution.
+    they are the same solution.  ValueError unless both fields pass
+    grid.check_positive.
     """
-    u = grid.check_field(u)
-    v = grid.check_field(v)
-    if u.min() <= 0 or v.min() <= 0:
-        raise ValueError("both fields must be positive")
+    u = grid.check_positive(u)
+    v = grid.check_positive(v)
     integrand = power_weight(grid, beta) * (v ** (alpha + 1) - u ** (alpha + 1)) / (
         u**alpha * v**alpha
     )

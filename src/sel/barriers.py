@@ -197,12 +197,10 @@ def verify_barrier(
     """Nodewise check of the discrete barrier inequality by its sign.
 
     A side passes iff its worst signed defect is <= 0, with no tolerance; a
-    NaN defect fails.  ValueError for a field that is not positive and
-    finite, an unknown side, or (alpha, beta) out of range.
+    NaN defect fails.  ValueError for a field that fails grid.check_positive,
+    an unknown side, or (alpha, beta) out of range.
     """
-    field = grid.check_field(field)
-    if field.min() <= 0.0:
-        raise ValueError("barrier candidate must be positive nodewise")
+    field = grid.check_positive(field)
     if side not in ("sub", "super"):
         raise ValueError(f"side must be 'sub' or 'super', got {side!r}")
     resolve_regime(alpha, beta)  # rejects out-of-range input

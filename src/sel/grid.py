@@ -120,6 +120,13 @@ class Grid:
             raise ValueError("field has a NaN or inf entry")
         return u
 
+    def check_positive(self, u: np.ndarray) -> np.ndarray:
+        """check_field, then every entry > 0: the one positivity check."""
+        u = self.check_field(u)
+        if u.min() <= 0.0:
+            raise ValueError("field must be positive nodewise")
+        return u
+
     @functools.cached_property
     def _laplacian(self) -> sp.csr_array:
         lap = _assemble(self)

@@ -1,7 +1,8 @@
 """Two-sided monotone iteration between certified barriers.
 
 Each outer step takes the nodal shift m_k = alpha d^(-beta) lower_k^(-(1+alpha))
-at the current lower iterate and solves the shifted linear problem
+at the current lower iterate (spectral.monotone_shift) and solves the shifted
+linear problem
 
     (-lap_h + m_k) u_new = d^(-beta) u^(-alpha) + m_k u
 
@@ -38,7 +39,7 @@ from .barriers import BarrierPair, build_barrier_pair, resolve_regime, verify_ba
 from .grid import DomainShape, Grid, assemble_laplacian, power_weight, shifted_laplacian
 from .linear_core import SPDFactor, SolverFailure, SolveStats, extended_residual, weighted_norm
 from .problem import ProblemSpec, SolveConfig
-from .spectral import EigenPair, dirichlet_eigenpair
+from .spectral import EigenPair, dirichlet_eigenpair, monotone_shift
 
 __all__ = [
     "SolveConfig",
@@ -84,15 +85,6 @@ class SolveReport:
     inner_iterations: list[tuple[int, int]] = field(default_factory=list)
 
 
-def monotone_shift(grid: Grid, lower: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    """Nodal shift m = alpha d^(-beta) lower^(-(1+alpha)).
-
-    The smallest m for which s -> d^(-beta) s^(-alpha) + m s is
-    nondecreasing for s >= lower at every node.
-    """
-    return alpha * power_weight(grid, beta) * lower ** (-(1.0 + alpha))
-
-
 def _power(s: np.ndarray, alpha: float) -> np.ndarray:
     """s^(-alpha) in long double, for a positive finite long-double array s.
 
@@ -126,12 +118,10 @@ def iterate_step(
     long double too, by _power: exp(-alpha log prev), or prev ** (-alpha)
     at the integer alpha below 4 where powl is the faster of the two.
 
-    Raises ValueError, before any arithmetic, unless prev is positive and
-    finite at every node (finiteness is grid.check_field's).
+    Raises ValueError, before any arithmetic, unless prev passes
+    grid.check_positive (positive and finite at every node).
     """
-    prev = grid.check_field(prev)
-    if prev.min() <= 0.0:
-        raise ValueError("iterate must be positive nodewise")
+    prev = grid.check_positive(prev)
     # in double, outcomes hold but ordering violations of exactly 0.0 become ~1e-17
     forcing = power_weight(grid, beta) * _power(prev.astype(np.longdouble), alpha)
     defect = extended_residual(assemble_laplacian(grid), forcing, prev)
@@ -244,12 +234,10 @@ def residual(grid: Grid, u: np.ndarray, alpha: float, beta: float) -> float:
 
     The weight cancels the singular scales of both terms near the boundary,
     so the value is comparable across nodes; it vanishes at the exact
-    discrete fixed point.  Raises ValueError unless u is positive and finite
-    at every node.
+    discrete fixed point.  Raises ValueError unless u passes
+    grid.check_positive.
     """
-    u = grid.check_field(u)
-    if u.min() <= 0.0:
-        raise ValueError("field must be positive nodewise")
+    u = grid.check_positive(u)
     t = resolve_regime(alpha, beta).t
     defect = assemble_laplacian(grid) @ u - power_weight(grid, beta) * u ** (-alpha)
     return float(np.max(np.abs(defect * grid.d ** (beta + t * alpha))))

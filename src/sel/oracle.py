@@ -19,6 +19,7 @@ from .barriers import build_barrier_pair, resolve_regime
 from .grid import Grid, assemble_laplacian, power_weight, shifted_laplacian
 from .linear_core import SolverFailure, solve_spd
 from .problem import ProblemSpec
+from .spectral import monotone_shift
 
 DENSE_N_CAP = 64
 # Newton's step cap, and the step halvings allowed within one step.
@@ -47,17 +48,17 @@ def newton_solve(
     above 0.1 times its current minimum (the floor keeps iterates off the
     singularity) and the d^(beta + t alpha)-weighted sup defect decreases or
     meets tol; that weighted defect is also the stopping test.  Each step
-    solves its Jacobian once through a fresh SPDFactor (banded Cholesky on
-    intervals, multigrid-preconditioned CG on rectangles), or by dense
-    Cholesky with dense=True, the independent oracle path.  Raises
-    NewtonStagnationError when the MAX_HALVINGS halvings of a step or the
-    MAX_NEWTON_STEPS cap run out.
+    solves its Jacobian -lap_h + monotone_shift(grid, u + eps, alpha, beta)
+    once through a fresh SPDFactor (banded Cholesky on intervals,
+    multigrid-preconditioned CG on rectangles), or by dense Cholesky with
+    dense=True, the independent oracle path.  Raises ValueError unless
+    init + eps passes grid.check_positive, and NewtonStagnationError when
+    the MAX_HALVINGS halvings of a step or the MAX_NEWTON_STEPS cap run out.
     """
     if not (math.isfinite(eps) and eps >= 0.0):
         raise ValueError(f"eps must be finite and >= 0, got {eps}")
     init = grid.check_field(init)
-    if (init + eps).min() <= 0.0:
-        raise ValueError("initial field must satisfy init + eps > 0 nodewise")
+    grid.check_positive(init + eps)
     weight = grid.d ** (beta + resolve_regime(alpha, beta).t * alpha)
     A0 = assemble_laplacian(grid)
     A0_dense = A0.toarray() if dense else None
@@ -72,7 +73,7 @@ def newton_solve(
     for _ in range(MAX_NEWTON_STEPS):
         if res <= tol:
             return u
-        jac_diag = alpha * w_beta * (u + eps) ** (-(1.0 + alpha))
+        jac_diag = monotone_shift(grid, u + eps, alpha, beta)
         if dense:
             jac = A0_dense + np.diag(jac_diag)
             delta = scipy.linalg.solve(jac, -defect, assume_a="pos")
@@ -115,15 +116,17 @@ def observed_order(errors, hs) -> tuple[float, bool]:
 
     The flag is False when the error sequence is not strictly decreasing
     as h decreases (order estimates from non-monotone data mean little).
+    ValueError unless every error and every h is finite and positive.
     """
     errors = np.asarray(errors, dtype=float)
     hs = np.asarray(hs, dtype=float)
     if errors.shape != hs.shape or errors.size < 3:
         raise ValueError("need >= 3 matching (error, h) pairs")
+    both = np.concatenate([errors, hs])
+    if not (np.isfinite(both).all() and both.min() > 0):
+        raise ValueError("errors and hs must be finite and positive")
     if np.any(np.diff(hs) >= 0):
         raise ValueError("hs must be strictly decreasing")
-    if np.any(errors <= 0):
-        raise ValueError("errors must be positive")
     order = float(np.polyfit(np.log(hs), np.log(errors), 1)[0])
     reliable = bool(np.all(np.diff(errors) < 0))
     return order, reliable

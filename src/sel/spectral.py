@@ -1,12 +1,12 @@
 """Principal Dirichlet eigenpair and the linearized smallest eigenvalue.
 
 On the uniform tensor grid the principal eigenpair of -lap_h is known in
-closed form (dirichlet_eigenpair).  The linearized operator
--lap_h + alpha d^(-beta) u^(-(1+alpha)) has no closed form; its smallest
-eigenvalue mu_1 comes from a library eigensolver chosen by sparsity pattern:
-scipy.linalg.eigh_tridiagonal (LAPACK) on tridiagonal operators (intervals),
-scipy.sparse.linalg.lobpcg preconditioned by the multigrid V-cycle of
-linear_core.SPDFactor on any other (rectangles).
+closed form (dirichlet_eigenpair).  The linearized operator -lap_h + m,
+m = alpha d^(-beta) u^(-(1+alpha)) (monotone_shift), has no closed form;
+its smallest eigenvalue mu_1 comes from a library eigensolver chosen by
+sparsity pattern: scipy.linalg.eigh_tridiagonal (LAPACK) on tridiagonal
+operators (intervals), scipy.sparse.linalg.lobpcg preconditioned by the
+multigrid V-cycle of linear_core.SPDFactor on any other (rectangles).
 The operators are SPD M-matrices, so the principal eigenvector is positive
 (discrete Perron-Frobenius), which is checked.
 """
@@ -33,10 +33,6 @@ MAX_LOBPCG_ITERS = 100  # per LOBPCG run; a V-cycle keeps runs near a dozen
 class EigenNonConvergenceError(SolverFailure):
     """The eigensolver did not converge, or its eigenpair failed the residual
     or positivity check."""
-
-
-class InvalidLinearizationPointError(ValueError):
-    """Linearization requested at a field that is not strictly positive."""
 
 
 @dataclass
@@ -119,17 +115,26 @@ def principal_eigenpair(A: sp.spmatrix, tol: float = 1e-10) -> EigenPair:
     return EigenPair(value=lam, field=x, residual=resid)
 
 
+def monotone_shift(grid: Grid, u: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+    """Nodal potential m = alpha d^(-beta) u^(-(1+alpha)) of the linearized
+    operator -lap_h + diag(m): the one linearization, of mu_1, Newton's
+    Jacobian and the monotone steps.  The smallest m for which
+    s -> d^(-beta) s^(-alpha) + m s is nondecreasing for s >= u at every
+    node.  ValueError unless u passes grid.check_positive.
+    """
+    u = grid.check_positive(u)
+    return alpha * power_weight(grid, beta) * u ** (-(1.0 + alpha))
+
+
 def linearized_smallest_eigenvalue(
     grid: Grid, u: np.ndarray, alpha: float, beta: float, tol: float = 1e-10
 ) -> EigenPair:
-    """Smallest eigenvalue mu_1 of -lap_h + alpha d^(-beta) u^(-(1+alpha)).
+    """Smallest eigenvalue mu_1 of -lap_h + monotone_shift(grid, u, alpha, beta).
 
     The potential is nonnegative for u > 0, so mu_1 >= lambda_1 > 0: the
     converged solutions of the nonlinear problem are linearly stable, and
-    this is the quantity that certifies it.
+    this is the quantity that certifies it.  ValueError unless u passes
+    grid.check_positive.
     """
-    u = grid.check_field(u)
-    if u.min() <= 0.0:
-        raise InvalidLinearizationPointError("linearization point must be positive nodewise")
-    potential = alpha * power_weight(grid, beta) * u ** (-(1.0 + alpha))
+    potential = monotone_shift(grid, u, alpha, beta)
     return principal_eigenpair(shifted_laplacian(grid, potential), tol=tol)

@@ -9,11 +9,15 @@ from sel.problem import ProblemSpec, SolveConfig
 from sel.spectral import dirichlet_eigenpair
 
 
+INTERVAL = interval(1.0)
+
+
 class Lab:
     """Memoizing store for solves shared across test modules.
 
     The heavy n=4096 runs are computed once per session; everything here is
-    deterministic, so caching cannot change outcomes.
+    deterministic, so caching cannot change outcomes.  Grids, eigenpairs,
+    pairs and solves are on the unit interval unless a shape is given.
     """
 
     def __init__(self):
@@ -22,33 +26,33 @@ class Lab:
         self._solves = {}
         self._newtons = {}
 
-    def grid(self, n):
-        if n not in self._grids:
-            self._grids[n] = build_grid(interval(1.0), n)
-        return self._grids[n]
+    def grid(self, n, shape=INTERVAL):
+        if (shape, n) not in self._grids:
+            self._grids[shape, n] = build_grid(shape, n)
+        return self._grids[shape, n]
 
-    def eig(self, n):
-        if n not in self._eigs:
-            self._eigs[n] = dirichlet_eigenpair(self.grid(n))
-        return self._eigs[n]
+    def eig(self, n, shape=INTERVAL):
+        if (shape, n) not in self._eigs:
+            self._eigs[shape, n] = dirichlet_eigenpair(self.grid(n, shape))
+        return self._eigs[shape, n]
 
-    def pair(self, alpha, beta, n):
-        grid = self.grid(n)
-        return build_barrier_pair(grid, alpha, beta, self.eig(n))
+    def pair(self, alpha, beta, n, shape=INTERVAL):
+        grid = self.grid(n, shape)
+        return build_barrier_pair(grid, alpha, beta, self.eig(n, shape))
 
-    def solved(self, alpha, beta, n, tol=1e-8, max_iter=2000):
+    def solved(self, alpha, beta, n, tol=1e-8, max_iter=2000, shape=INTERVAL):
         """(grid, pair, report) for a converged monotone run."""
-        key = (alpha, beta, n, tol)
+        key = (alpha, beta, n, tol, shape)
         if key not in self._solves:
             spec = ProblemSpec(
                 alpha=alpha,
                 beta=beta,
-                shape=interval(1.0),
+                shape=shape,
                 n=n,
                 config=SolveConfig(tol=tol, max_iter=max_iter),
             )
-            grid = self.grid(n)
-            pair = self.pair(alpha, beta, n)
+            grid = self.grid(n, shape)
+            pair = self.pair(alpha, beta, n, shape)
             report = solve_monotone(spec, pair)
             self._solves[key] = (grid, pair, report)
         return self._solves[key]

@@ -21,7 +21,7 @@ from sel.analysis import (
 from sel.barriers import build_barrier_pair, verify_barrier
 from sel.grid import assemble_laplacian, build_grid, interval, power_weight, rectangle
 from sel.linear_core import solve_spd
-from sel.monotone import monotone_shift, solve_monotone, uniqueness_gap
+from sel.monotone import OrderingViolationError, monotone_shift, solve_monotone, uniqueness_gap
 from sel.oracle import dense_newton_solve, observed_order
 from sel.problem import ProblemSpec, SolveConfig
 from sel.regularized import epsilon_continuation
@@ -31,6 +31,14 @@ FINE_TOL = 1e-9  # gap tolerance for n >= 512 ladders
 
 LOW_CASES = [(0.3, 0.0), (0.5, 0.0), (0.8, 0.0)]
 HIGH_CASES = [(a, b) for a in (1.5, 2.0, 2.5) for b in (0.0, 0.5)]
+
+SQUARE = rectangle(1.0, 1.0)
+# (shape, n) of criteria 2, 3, 8 and 9: the unit interval and the unit square
+DOMAINS = [(interval(1.0), 256), (SQUARE, 64)]
+# criteria 2 and 3 at alpha 0.5 and 2 on each domain; the ids of the
+# interval cases are the bare alpha
+CHAIN_CASES = [(alpha, shape, n) for shape, n in DOMAINS for alpha in (0.5, 2.0)]
+CHAIN_IDS = ["0.5", "2.0", "square-0.5", "square-2.0"]
 
 
 def test_criterion_1_barrier_certification(lab):
@@ -44,27 +52,44 @@ def test_criterion_1_barrier_certification(lab):
     print(f"[criterion 1] PASS: {len(LOW_CASES) + len(HIGH_CASES)} barrier pairs certified at n=256")
 
 
-@pytest.mark.parametrize("alpha", [0.5, 2.0])
-def test_criterion_2_monotone_chain(lab, alpha):
-    _, pair, report = lab.solved(alpha, 0.0, 256, tol=1e-8)
+# Known defect: at alpha = 0 on the unit square the first step's lower
+# iterate overshoots the upper one by 1.188e-13, above the 7.361e-14 chain
+# tolerance, and the run aborts.  Strict, so a fix shows as XPASS.
+ALPHA_ZERO_SQUARE = pytest.param(
+    0.0,
+    SQUARE,
+    32,
+    marks=pytest.mark.xfail(raises=OrderingViolationError, strict=True),
+)
+
+
+@pytest.mark.parametrize(
+    "alpha, shape, n", CHAIN_CASES + [ALPHA_ZERO_SQUARE], ids=CHAIN_IDS + ["square-0.0-n32"]
+)
+def test_criterion_2_monotone_chain(lab, alpha, shape, n):
+    _, pair, report = lab.solved(alpha, 0.0, n, tol=1e-8, shape=shape)
     assert report.converged
     assert report.iterations <= 500
     assert report.gap_history[-1] <= 1e-8
     assert report.ordering_violation <= 1e-12 * np.max(pair.super)
     print(
-        f"[criterion 2] PASS: alpha={alpha} n=256 converged in {report.iterations} iters, "
+        f"[criterion 2] PASS: alpha={alpha} {shape.extents} n={n} "
+        f"converged in {report.iterations} iters, "
         f"gap={report.gap_history[-1]:.2e}, worst ordering violation {report.ordering_violation:.1e}"
     )
 
 
-@pytest.mark.parametrize("alpha", [0.5, 2.0])
-def test_criterion_3_uniqueness(lab, alpha):
-    grid, _, report = lab.solved(alpha, 0.0, 256, tol=1e-8)
+@pytest.mark.parametrize("alpha, shape, n", CHAIN_CASES, ids=CHAIN_IDS)
+def test_criterion_3_uniqueness(lab, alpha, shape, n):
+    grid, _, report = lab.solved(alpha, 0.0, n, tol=1e-8, shape=shape)
     gap = uniqueness_gap(report)
     ident = uniqueness_identity(grid, report.lower, report.upper, alpha, 0.0)
     assert gap <= 1e-7
     assert abs(ident) <= 1e-5
-    print(f"[criterion 3] PASS: alpha={alpha} uniqueness_gap={gap:.2e}, identity={ident:.2e}")
+    print(
+        f"[criterion 3] PASS: alpha={alpha} {shape.extents} n={n} "
+        f"uniqueness_gap={gap:.2e}, identity={ident:.2e}"
+    )
 
 
 @pytest.mark.parametrize("alpha,beta", [(0.5, 0.0), (0.5, 0.5), (2.0, 0.0), (2.0, 0.5)])
@@ -170,11 +195,11 @@ def test_criterion_7_h1_threshold(lab):
 
 
 def test_criterion_8_stability(lab):
-    for alpha, beta, n in ((0.5, 0.0, 256), (2.0, 0.0, 256)):
-        grid, _, report = lab.solved(alpha, beta, n, tol=1e-8)
-        lam = lab.eig(n).value
-        mu = linearized_smallest_eigenvalue(grid, report.upper, alpha, beta, tol=1e-10)
-        assert mu.value >= lam > 0.0
+    for alpha, shape, n in CHAIN_CASES:
+        grid, _, report = lab.solved(alpha, 0.0, n, tol=1e-8, shape=shape)
+        lam = lab.eig(n, shape).value
+        mu = linearized_smallest_eigenvalue(grid, report.upper, alpha, 0.0, tol=1e-10)
+        assert mu.value >= lam > 0.0, (alpha, shape, mu.value, lam)
     grid, _, report = lab.solved(0.5, 0.0, 64, tol=1e-10)
     mu = linearized_smallest_eigenvalue(grid, report.upper, 0.5, 0.0, tol=1e-10)
     dense = assemble_laplacian(grid).toarray() + np.diag(
@@ -187,19 +212,20 @@ def test_criterion_8_stability(lab):
 
 
 def test_criterion_9_regularized_cross_path(lab):
-    grid, _, report = lab.solved(0.5, 0.0, 256, tol=1e-8)
-    u = report.upper
-    spec = ProblemSpec(alpha=0.5, beta=0.0, n=256)
-    cont = epsilon_continuation(spec, 1e-1, 0.1, 5, u, tol=1e-10)
-    scale = float(np.max(u))
-    assert cont.eps_values[-1] == pytest.approx(1e-5)
-    assert cont.deltas[-1] <= 1e-3 * scale
-    for u_eps in cont.fields:
-        assert float(np.max(u_eps - u)) <= 1e-12 * scale
-    print(
-        f"[criterion 9] PASS: eps ladder to 1e-5, final delta {cont.deltas[-1] / scale:.2e} "
-        "of ||u||, u_eps <= u throughout"
-    )
+    for shape, n in DOMAINS:
+        _, _, report = lab.solved(0.5, 0.0, n, tol=1e-8, shape=shape)
+        u = report.upper
+        spec = ProblemSpec(alpha=0.5, beta=0.0, shape=shape, n=n)
+        cont = epsilon_continuation(spec, 1e-1, 0.1, 5, u, tol=1e-10)
+        scale = float(np.max(u))
+        assert cont.eps_values[-1] == pytest.approx(1e-5)
+        assert cont.deltas[-1] <= 1e-3 * scale, shape
+        for u_eps in cont.fields:
+            assert float(np.max(u_eps - u)) <= 1e-12 * scale, shape
+        print(
+            f"[criterion 9] PASS: {shape.extents} n={n} eps ladder to 1e-5, final delta "
+            f"{cont.deltas[-1] / scale:.2e} of ||u||, u_eps <= u throughout"
+        )
 
 
 def test_criterion_10_smooth_case_convergence():

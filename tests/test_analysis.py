@@ -220,7 +220,7 @@ def test_uniqueness_identity_values(lab):
     expected = 1.5 * np.sum(power_weight(grid, 0.5)) * grid.cell_volume
     assert uniqueness_identity(grid, u, 2 * u, 1.0, 0.5) == pytest.approx(expected, rel=1e-12)
     assert uniqueness_identity(grid, u, 2 * u, 1.0, 0.5) > 0
-    with pytest.raises(ValueError, match="both fields must be positive"):
+    with pytest.raises(ValueError, match="field must be positive nodewise"):
         uniqueness_identity(grid, u, -u, 1.0, 0.5)
 
 

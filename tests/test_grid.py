@@ -25,7 +25,7 @@ from sel.grid import (
 from sel.linear_core import weighted_norm
 from sel.monotone import iterate_step, residual
 from sel.oracle import newton_solve
-from sel.spectral import linearized_smallest_eigenvalue
+from sel.spectral import linearized_smallest_eigenvalue, monotone_shift
 
 
 def test_interval_grid_basics():
@@ -221,6 +221,7 @@ def test_shifted_laplacian_equals_sparse_sum(shape, n, kind):
 # Every public function that takes a nodal field, as (grid, field) -> result.
 FIELD_FUNCTIONS = {
     "check_field": lambda g, u: g.check_field(u),
+    "check_positive": lambda g, u: g.check_positive(u),
     "shifted_laplacian": shifted_laplacian,
     "gradient_components": gradient_components,
     "weighted_norm": lambda g, u: weighted_norm(u, g, 2.0),
@@ -234,7 +235,22 @@ FIELD_FUNCTIONS = {
     "fit_gradient_exponent": fit_gradient_exponent,
     "linearized_smallest_eigenvalue": lambda g, u: linearized_smallest_eigenvalue(g, u, 2.0, 0.0),
     "newton_solve": lambda g, u: newton_solve(g, 2.0, 0.0, u),
+    "monotone_shift": lambda g, u: monotone_shift(g, u, 2.0, 0.0),
 }
+
+# The FIELD_FUNCTIONS that evaluate u^(-alpha), its slope, or a power or log
+# of u: a field entry <= 0 is invalid input to each.
+POSITIVE_FIELD_FUNCTIONS = [
+    "check_positive",
+    "fit_boundary_exponent",
+    "iterate_step",
+    "linearized_smallest_eigenvalue",
+    "monotone_shift",
+    "newton_solve",
+    "residual",
+    "uniqueness_identity",
+    "verify_barrier",
+]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -245,4 +261,15 @@ def test_field_with_a_nan_or_inf_entry_is_invalid_input(name, bad):
     u = g.d.copy()
     u[10] = bad
     with pytest.raises(ValueError, match="field has a NaN or inf entry"):
+        FIELD_FUNCTIONS[name](g, u)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0])
+@pytest.mark.parametrize("name", POSITIVE_FIELD_FUNCTIONS)
+def test_field_with_a_nonpositive_entry_is_invalid_input(name, bad):
+    # grid.check_positive alone decides positivity, with one ValueError for all
+    g = build_grid(interval(1.0), 64)
+    u = g.d.copy()
+    u[10] = bad
+    with pytest.raises(ValueError, match="field must be positive nodewise"):
         FIELD_FUNCTIONS[name](g, u)

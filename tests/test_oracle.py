@@ -102,6 +102,16 @@ def test_observed_order_validation():
         observed_order([1e-2, 1e-3, 1e-4], [0.1, 0.2, 0.05])
     with pytest.raises(ValueError):
         observed_order([1e-2, 0.0, 1e-4], [0.1, 0.05, 0.025])
+    # a NaN or inf error or h, or an h of 0, is invalid input, not a NaN order
+    for errors, hs in (
+        ([1e-2, np.nan, 1e-4], [0.1, 0.05, 0.025]),
+        ([1e-2, np.inf, 1e-4], [0.1, 0.05, 0.025]),
+        ([1e-2, 1e-3, 1e-4], [0.1, np.nan, 0.025]),
+        ([1e-2, 1e-3, 1e-4], [np.inf, 0.05, 0.025]),
+        ([1e-2, 1e-3, 1e-4], [0.1, 0.05, 0.0]),
+    ):
+        with pytest.raises(ValueError, match="errors and hs must be finite and positive"):
+            observed_order(errors, hs)
 
 
 def test_mms_sine_forcing_second_order():

@@ -8,7 +8,6 @@ from sel.monotone import solve_ladder
 from sel.problem import SolveConfig
 from sel.spectral import (
     EigenNonConvergenceError,
-    InvalidLinearizationPointError,
     dirichlet_eigenpair,
     linearized_smallest_eigenvalue,
     principal_eigenpair,
@@ -100,7 +99,7 @@ def test_linearized_shifts_spectrum_up(lab):
 
 def test_linearized_rejects_nonpositive_point():
     g = build_grid(interval(1.0), 16)
-    with pytest.raises(InvalidLinearizationPointError):
+    with pytest.raises(ValueError, match="field must be positive nodewise"):
         linearized_smallest_eigenvalue(g, np.zeros(g.num_interior), 1.0, 0.0)
 
 
