@@ -19,6 +19,7 @@ matrix, and scipy's CSR product converts its values inside the call.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -98,12 +99,13 @@ class Grid:
 
     @property
     def num_interior(self) -> int:
-        return int(np.prod(self.interior_shape))
+        # d holds one entry per interior node
+        return self.d.size
 
     @property
     def cell_volume(self) -> float:
         """Midpoint-rule quadrature weight: h (1D) or hx*hy (2D) per node."""
-        return float(np.prod(self.h))
+        return math.prod(self.h)
 
     def points(self) -> np.ndarray:
         """All interior node coordinates, shape (num_interior, dim)."""

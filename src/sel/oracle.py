@@ -49,7 +49,7 @@ def newton_solve(
     singularity) and the d^(beta + t alpha)-weighted sup defect decreases or
     meets tol; that weighted defect is also the stopping test.  Each step
     solves its Jacobian -lap_h + monotone_shift(grid, u + eps, alpha, beta)
-    once through a fresh SPDFactor (banded Cholesky on intervals,
+    once through a fresh SPDFactor (tridiagonal LDL^T on intervals,
     multigrid-preconditioned CG on rectangles), or by dense Cholesky with
     dense=True, the independent oracle path.  Raises ValueError unless
     init + eps passes grid.check_positive, and NewtonStagnationError when

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -87,6 +89,16 @@ def test_check_field_rejects_a_wrongly_shaped_field(shape):
         g.check_field(np.ones(g.num_interior + 1))
     with pytest.raises(ValueError, match="field has shape"):
         g.check_field(np.ones((g.num_interior, 1)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 64])
+@pytest.mark.parametrize("shape", [interval(), rectangle(2.0, 0.5)], ids=["interval", "2x0.5"])
+def test_grid_sizes_are_exact(shape, n):
+    # the sizes equal the products they stand for, bitwise
+    g = build_grid(shape, n)
+    assert type(g.num_interior) is int
+    assert g.num_interior == g.d.size == math.prod(g.interior_shape)
+    assert g.cell_volume.hex() == float(np.prod(g.h)).hex()
 
 
 def test_bad_domain_shapes_rejected():

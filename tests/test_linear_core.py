@@ -320,6 +320,47 @@ def test_indefinite_tridiagonal_matrix_fails_banded_cholesky():
         SPDFactor(a)
 
 
+def test_one_unknown_is_factored():
+    # an interval with n = 2: the LAPACK wrappers need an off-diagonal of length >= 1
+    x, stats = SPDFactor(sp.csr_array(np.array([[4.0]]))).solve(np.array([2.0]))
+    assert x.tolist() == [0.5] and stats.iterations == 1
+    with pytest.raises(SolverStagnationError, match="not positive definite"):
+        SPDFactor(sp.csr_array(np.array([[-1.0]])))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_tridiagonal_matrix_with_a_nan_or_inf_entry_is_invalid_input(bad):
+    a = assemble_laplacian(build_grid(interval(1.0), 8)).copy()
+    a.data[4] = bad
+    with pytest.raises(ValueError, match="NaN or inf"):
+        SPDFactor(a)
+
+
+@pytest.mark.parametrize("n", [2, 64, 4096])
+def test_tridiagonal_factor_is_one_ldlt_and_one_ldlt_solve_per_iteration(monkeypatch, n):
+    calls = {"dpttrf": 0, "dpttrs": 0}
+
+    def counted(name):
+        kernel = getattr(linear_core, name)
+
+        def call(*args):
+            calls[name] += 1
+            return kernel(*args)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(linear_core, name, counted(name))
+    g = build_grid(interval(1.0), n)
+    factor = SPDFactor(shifted(g, 3.0, 0.5))
+    assert calls == {"dpttrf": 1, "dpttrs": 0}
+    iterations = 0
+    for tol in (1e-8, 1e-13):
+        _, stats = factor.solve(np.ones(g.num_interior), tol=tol)
+        iterations += stats.iterations
+    assert calls == {"dpttrf": 1, "dpttrs": iterations}
+
+
 def test_singular_matrix_fails_the_coarsest_direct_solve():
     a = 0.0 * assemble_laplacian(build_grid(rectangle(1.0, 1.0), 3))
     assert not is_tridiagonal(a)
