@@ -3,10 +3,10 @@
 build_barrier_pair builds and scales the pair; verify_barrier
 certifies either side nodewise.  Two regimes, split by s = alpha + beta:
 
-* s < 1 (low): the subsolution is c phi_1 and the supersolution is C psi,
-  where psi solves -lap_h psi = d^(-(alpha+beta)); both behave like d and
-  the weight of the monotone iteration's gap norm is d^(-gamma) with
-  gamma = 1 + alpha.
+* s < 1 (low): both barriers are multiples of psi, where psi solves
+  -lap_h psi = d^(-(alpha+beta)); it behaves like d, and the weight of the
+  monotone iteration's gap norm is d^(-gamma) with gamma = 1 + alpha.  At
+  alpha = 0 psi solves the linear problem itself, so c and C bracket 1.
 * s > 1 (high): both barriers are multiples of H^t with boundary exponent
   t = (2-beta)/(1+alpha), and gamma = 2.  The profile
   H = phi_1 / sum_i prod_{j != i} psi_j, with psi_i = (L_i/pi) sin(pi x_i/L_i)
@@ -19,16 +19,16 @@ certifies either side nodewise.  Two regimes, split by s = alpha + beta:
   with n.  H^t is concave (a concave nondecreasing function of concave
   psi_i), so -lap_h(H^t) > 0 at every node.
 
-Both sides use one exact scaling rule (_exact_scale).  The defect of
-s*base is s*lap - d^(-beta) base^(-alpha) s^(-alpha) with
-lap = -lap_h(base), so
+Each pair is one positive profile, base, at two scales c <= C that one
+pass (_exact_scale) gives.  The defect of s*base is
+s*lap - d^(-beta) base^(-alpha) s^(-alpha) with lap = -lap_h(base), so
 
     c = min over {lap > 0} of (d^(-beta) base^(-alpha) / lap)^(1/(1+alpha))
 
 is the largest constant for which the discrete subsolution inequality
 holds at every node, and the same expression with max is the smallest
-supersolution constant C; a nonpositive lap for the supersolution profile
-means no scale works (HopfViolationError).  That exactness, free of
+supersolution constant C; a nonpositive lap anywhere means no scale gives
+a supersolution (C = inf, a HopfViolationError).  That exactness, free of
 truncation slack, keeps the two-sided chain of the monotone iteration
 ordered to round-off.  For the inequality to hold in floating point too,
 each constant then moves (c down, C up) by one a-priori round-off margin,
@@ -36,8 +36,8 @@ built on the forward error bound of the product A0 @ base (_exact_scale);
 it grows like n^2, from about 1e-12 to 2e-11 relative at interval n = 64
 to 5e-9 to 1e-7 at n = 4096.  verify_barrier, the one barrier rule, then
 certifies each side by the sign of its worst defect, with no tolerance; a
-failure raises BarrierConstructionError.  Both fields are exact discrete
-barriers, so the discrete comparison principle orders them (sub <= super).
+failure raises BarrierConstructionError.  The order sub <= super is
+c <= C on the one positive profile.
 
 The borderline s = 1 is where the regime split degenerates: both exponent
 formulas give t = 1, but no existence theory covers the case and sandwich
@@ -108,10 +108,11 @@ class CertReport:
 
 @dataclass(frozen=True)
 class BarrierPair:
-    """Ordered pair 0 < sub <= super with its certificates.
+    """Ordered pair 0 < sub <= super: c and C scale one profile.
 
-    c and C scale the underlying profiles; c1, c2 are the sandwich constants
-    in c1 d^t <= sub <= super <= c2 d^t.
+    sub = c * base and super = C * base for the pair's one positive profile
+    (psi when t = 1, H^t when t < 1); c1, c2 are the sandwich constants in
+    c1 d^t <= sub <= super <= c2 d^t.
     """
 
     sub: np.ndarray
@@ -156,15 +157,10 @@ def _defect(A0, w_beta: np.ndarray, field: np.ndarray, alpha: float) -> np.ndarr
     return A0 @ field - w_beta * field ** (-alpha)
 
 
-def _exact_scale(A0, w_beta, base, alpha, side) -> float:
+def _exact_scale(A0, w_beta, base, alpha) -> tuple[float, float]:
     # At a node with lap = A0 @ base > 0 the inequality for s*base bounds s
-    # alone; nodes with lap <= 0 never bind a sub and defeat any super.
+    # alone; nodes with lap <= 0 never bind c and defeat any C (C = inf).
     lap = A0 @ base
-    if side == "super" and lap.min() <= 0.0:
-        raise HopfViolationError(
-            "nonpositive -lap_h of the supersolution profile: no boundary slope "
-            "bound at this resolution; refine the grid"
-        )
     pos = lap > 0.0
     base_pos, lap_pos = base[pos], lap[pos]
     bound = (w_beta[pos] * base_pos ** (-alpha) / lap_pos) ** (1.0 / (1.0 + alpha))
@@ -175,11 +171,10 @@ def _exact_scale(A0, w_beta, base, alpha, side) -> float:
     # moves the defect by (1+alpha) delta of the forcing, so delta covers
     # all of it twice over; the certificate stays a hard check.
     k = int(np.diff(A0.indptr).max())
-    cond = 2.0 * float(np.max(A0.diagonal()[pos] * base_pos / lap_pos))
+    cond = 2.0 * float(np.max(A0.diagonal()[pos] * base_pos / lap_pos, initial=0.0))
     delta = 2.0 * np.finfo(float).eps * (k * cond + alpha + 3.0) / (1.0 + alpha)
-    if side == "sub":
-        return float(bound.min()) * (1.0 - delta)
-    return float(bound.max()) * (1.0 + delta)
+    C = float(bound.max()) * (1.0 + delta) if pos.all() else math.inf
+    return float(bound.min(initial=math.inf)) * (1.0 - delta), C
 
 
 def _corner_profile(grid: Grid, phi: np.ndarray) -> np.ndarray:
@@ -217,30 +212,31 @@ def build_barrier_pair(
 ) -> BarrierPair:
     """Construct the barrier pair of the instance, ordered by construction.
 
-    When t = 1 the subsolution is c phi_1 and the supersolution C psi, where
-    psi solves -lap_h psi = d^(-(alpha+beta)), which behaves like d.  When
-    t < 1 they are c H^t and C H^t, with the corner-aware profile H of the
-    module docstring (phi_1 on an interval).  The reported c and C scale
-    these profiles; c1 and c2 always refer to d^t.  c and C follow the
-    exact scaling rule of the module docstring, and verify_barrier
-    certifies each side (BarrierConstructionError if one fails).  eig
-    defaults to the closed-form principal eigenpair of the grid.
+    Both sides scale one profile (module docstring): psi when t = 1, H^t
+    when t < 1.  One _exact_scale pass gives c <= C (HopfViolationError if
+    no C is finite), and verify_barrier certifies each side
+    (BarrierConstructionError if one fails); c1 and c2 always refer to d^t.
+    eig, read only when t < 1, defaults to the closed-form principal
+    eigenpair of the grid.
     """
-    if eig is None:
-        eig = dirichlet_eigenpair(grid)
     regime = resolve_regime(alpha, beta)
     A0 = assemble_laplacian(grid)
     w_beta = power_weight(grid, beta)
     if regime.t == 1.0:
-        sub_base = eig.field
-        # psi need not be accurate: C is scaled from A0 @ psi itself
+        # psi need not be accurate: c and C are scaled from A0 @ psi itself
         psi, _ = solve_spd(A0, power_weight(grid, alpha + beta), tol=1e-9)
-        super_base = psi.astype(float)
+        base = psi.astype(float)
     else:
-        sub_base = super_base = _corner_profile(grid, eig.field) ** regime.t
-    c = _exact_scale(A0, w_beta, sub_base, alpha, "sub")
-    C = _exact_scale(A0, w_beta, super_base, alpha, "super")
-    sub, sup = c * sub_base, C * super_base
+        if eig is None:
+            eig = dirichlet_eigenpair(grid)
+        base = _corner_profile(grid, eig.field) ** regime.t
+    c, C = _exact_scale(A0, w_beta, base, alpha)
+    if not math.isfinite(C):
+        raise HopfViolationError(
+            "nonpositive -lap_h of the barrier profile: no boundary slope "
+            "bound at this resolution; refine the grid"
+        )
+    sub, sup = c * base, C * base
     for side, fld in (("sub", sub), ("super", sup)):
         cert = verify_barrier(grid, fld, alpha, beta, side)
         if not cert.passed:

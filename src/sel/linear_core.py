@@ -125,14 +125,14 @@ def _prolongation(n: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
 class SPDFactor:
     """An SPD M-matrix prepared once for many solves.
 
-    A tridiagonal matrix (every interval grid) is factored as L D L^T by
-    LAPACK dpttrf, which fails (info != 0) unless the matrix is positive
-    definite (a NaN or inf entry is a ValueError before it); each banded
-    step of a solve is one dpttrs.  At 255 (4095) unknowns they take 3 (37)
-    and 2.6 (32) us, against 17 (144) and 13 (87) us for scipy's
+    A NaN or inf entry is a ValueError on either route.  A tridiagonal
+    matrix (every interval grid) is factored as L D L^T by LAPACK dpttrf,
+    which fails (info != 0) unless the matrix is positive definite; each
+    banded step of a solve is one dpttrs.  At 255 (4095) unknowns they take
+    3 (37) and 2.6 (32) us, against 17 (144) and 13 (87) us for scipy's
     cholesky_banded and cho_solve_banded (timeit, 2-vCPU Xeon VM, SciPy
-    1.17.1).  Each solve runs at most MAX_REFINEMENTS steps
-    of iterative refinement against the extended_residual, adding each
+    1.17.1).  Each solve runs at most MAX_REFINEMENTS steps of iterative
+    refinement against the extended_residual, adding each
     refinement to x in np.longdouble (mixed-precision refinement; Higham,
     Accuracy and Stability of Numerical Algorithms, 2002, ch. 12), so the
     relative residual is not floored at the eps ||A|| ||x|| / ||f|| of a
@@ -157,10 +157,10 @@ class SPDFactor:
 
     def __init__(self, A: sp.spmatrix):
         self.A = A = A.tocsr()
+        # dpttrf passes a NaN or inf through; splu or PCG would call it indefinite
+        if not np.isfinite(A.data).all():
+            raise ValueError("matrix has a NaN or inf entry")
         if is_tridiagonal(A):
-            # dpttrf passes a NaN or inf through to the factor without an error
-            if not np.isfinite(A.data).all():
-                raise ValueError("matrix has a NaN or inf entry")
             # the f2py wrappers reject an empty off-diagonal: one unknown gets a dummy 0
             e = A.diagonal(1) if A.shape[0] > 1 else np.zeros(1)
             d, e, info = dpttrf(A.diagonal(), e)
@@ -188,14 +188,17 @@ class SPDFactor:
     def solve(self, f: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, SolveStats]:
         """x with ||f - A x||_2 <= tol ||f||_2, else SolverStagnationError.
 
+        ValueError for a NaN or inf entry of f, or a tol not finite and > 0.
         PCG stops after MAX_PCG_ITERS iterations.  If f >= 0 nodewise, the
         result is checked against the discrete comparison principle.
         SolveStats.iterations counts banded solves or PCG steps.  A refined
         banded x is judged and returned in np.longdouble; callers round once.
         """
-        if tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"tol must be positive and finite, got {tol}")
         f = np.asarray(f, dtype=float)
+        if not np.isfinite(f).all():
+            raise ValueError("right-hand side has a NaN or inf entry")
         m = f.shape[0]
         t_start = time.perf_counter()
         norm_f = float(np.linalg.norm(f))

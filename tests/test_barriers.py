@@ -14,9 +14,10 @@ from sel.barriers import (
     verify_barrier,
 )
 from sel.grid import assemble_laplacian, build_grid, interval, power_weight, rectangle
+from sel.linear_core import solve_spd
 from sel.monotone import monotone_shift, solve_monotone
 from sel.problem import ProblemSpec, SolveConfig
-from sel.spectral import dirichlet_eigenpair
+from sel.spectral import EigenPair, dirichlet_eigenpair
 
 
 def test_boundary_exponent_regimes():
@@ -68,10 +69,16 @@ def test_resolve_regime_borderline_goes_through_t1_with_warning():
 
 
 def test_low_regime_constant_approaches_continuum(lab):
-    grid = lab.grid(256)
-    pair = build_barrier_pair(grid, 0.5, 0.0, lab.eig(256))
-    assert pair.c == pytest.approx(np.pi ** (-4.0 / 3.0), rel=1e-3)
-    assert np.all(pair.sub > 0)
+    # c of c psi at alpha = 0.5 is min (d/psi)^(1/3); -psi'' = d^(-1/2) gives
+    # psi/d -> psi'(0) = sqrt(2) at the wall, so c -> 2^(-1/6) from above
+    limit = 2.0 ** (-1.0 / 6.0)
+    errors = []
+    for n in (256, 1024, 4096):
+        pair = build_barrier_pair(lab.grid(n), 0.5, 0.0)
+        assert np.all(pair.sub > 0)
+        errors.append(pair.c - limit)
+    assert 0.0 < errors[2] < errors[1] < errors[0]
+    assert errors[2] <= 1e-2 * limit
 
 
 def _closure_constant(grid, eig, alpha, beta):
@@ -160,12 +167,15 @@ def test_barrier_pair_fails_when_the_defect_has_the_wrong_sign(lab, monkeypatch,
 
 
 def test_supersolution_profile_without_boundary_slope_is_a_hopf_violation(lab):
-    # 2 max(phi) - phi is convex: -lap_h of it is negative at every node
-    grid, phi = lab.grid(32), lab.eig(32).field
+    # 2 max(phi) - phi is convex: -lap_h of it is negative at every node, so
+    # no scale makes it a supersolution
+    grid, eig = lab.grid(32), lab.eig(32)
+    convex = 2 * eig.field.max() - eig.field
+    _, C = barriers._exact_scale(assemble_laplacian(grid), power_weight(grid, 0.0), convex, 2.0)
+    assert C == math.inf
+    # on an interval H is phi_1 itself, so this eigenvector makes H^t convex mid-interval
     with pytest.raises(HopfViolationError, match="nonpositive -lap_h"):
-        barriers._exact_scale(
-            assemble_laplacian(grid), power_weight(grid, 0.0), 2 * phi.max() - phi, 2.0, "super"
-        )
+        build_barrier_pair(grid, 2.0, 0.0, EigenPair(eig.value, convex, eig.residual))
 
 
 def test_constructed_barriers_certify(lab):
@@ -333,3 +343,33 @@ def test_interval_pair_is_exactly_scaled_phi_power(n, alpha, beta):
     phi_t = eig.field ** resolve_regime(alpha, beta).t
     np.testing.assert_array_equal(pair.sub, pair.c * phi_t)
     np.testing.assert_array_equal(pair.super, pair.C * phi_t)
+
+
+PAIR_CASES = [
+    (shape, n, alpha, beta)
+    for shape, n in ((interval(1.0), 256), (rectangle(1.0, 1.0), 32))
+    for alpha, beta in ((0.0, 0.0), (0.5, 0.0), (0.3, 0.5), (2.0, 0.0), (2.0, 1.5))
+]
+
+
+@pytest.mark.parametrize(
+    "shape, n, alpha, beta", PAIR_CASES, ids=[_extremal_id(c) for c in PAIR_CASES]
+)
+def test_pair_is_one_profile_at_two_scales(shape, n, alpha, beta):
+    # sub = c base and super = C base, so their ratio is the constant c / C <= 1
+    pair = build_barrier_pair(build_grid(shape, n), alpha, beta)
+    assert 0.0 < pair.c <= pair.C < math.inf
+    np.testing.assert_allclose(pair.sub / pair.super, pair.c / pair.C, rtol=1e-14)
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (0.5, 0.0), (0.3, 0.5), (0.05, 0.9)])
+@pytest.mark.parametrize(
+    "shape, n", [(interval(1.0), 1000), (rectangle(1.0, 1.0), 33)], ids=["interval", "square"]
+)
+def test_low_regime_pair_is_exactly_scaled_psi(shape, n, alpha, beta):
+    # when t = 1 both sides scale psi, -lap_h psi = d^(-(alpha+beta)), as built
+    grid = build_grid(shape, n)
+    psi, _ = solve_spd(assemble_laplacian(grid), power_weight(grid, alpha + beta), tol=1e-9)
+    pair = build_barrier_pair(grid, alpha, beta)
+    np.testing.assert_array_equal(pair.sub, pair.c * psi.astype(float))
+    np.testing.assert_array_equal(pair.super, pair.C * psi.astype(float))

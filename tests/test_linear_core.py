@@ -23,6 +23,7 @@ from sel.linear_core import (
     solve_spd,
     weighted_norm,
 )
+from sel.spectral import principal_eigenpair
 
 
 def shifted(g, M, gamma):
@@ -334,6 +335,36 @@ def test_tridiagonal_matrix_with_a_nan_or_inf_entry_is_invalid_input(bad):
     a.data[4] = bad
     with pytest.raises(ValueError, match="NaN or inf"):
         SPDFactor(a)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_rectangle_matrix_with_a_nan_or_inf_entry_is_invalid_input(bad):
+    # the multigrid route rejects it before building its hierarchy, as the
+    # banded route does before dpttrf; LOBPCG's V-cycle comes from the same factor
+    a = assemble_laplacian(build_grid(rectangle(1.0, 1.0), 8)).copy()
+    a.data[4] = bad
+    with pytest.raises(ValueError, match="matrix has a NaN or inf entry"):
+        SPDFactor(a)
+    with pytest.raises(ValueError, match="matrix has a NaN or inf entry"):
+        principal_eigenpair(a)
+
+
+@pytest.mark.parametrize("shape", [interval(1.0), rectangle(1.0, 1.0)], ids=["banded", "pcg"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_solve_rejects_a_nan_or_inf_right_hand_side(shape, bad):
+    g = build_grid(shape, 8)
+    f = np.ones(g.num_interior)
+    f[3] = bad
+    with pytest.raises(ValueError, match="right-hand side has a NaN or inf entry"):
+        SPDFactor(assemble_laplacian(g)).solve(f)
+
+
+@pytest.mark.parametrize("shape", [interval(1.0), rectangle(1.0, 1.0)], ids=["banded", "pcg"])
+@pytest.mark.parametrize("tol", [np.nan, np.inf], ids=["nan", "inf"])
+def test_solve_rejects_a_non_finite_tolerance(shape, tol):
+    g = build_grid(shape, 8)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        SPDFactor(assemble_laplacian(g)).solve(np.ones(g.num_interior), tol=tol)
 
 
 @pytest.mark.parametrize("n", [2, 64, 4096])

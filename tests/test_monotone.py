@@ -108,8 +108,20 @@ def test_fine_interval_iteration_counts_and_ordering(lab, alpha, iterations):
 def test_unit_square_small_alpha_iteration_count_and_ordering():
     (level,) = solve_ladder(0.5, 0.0, rectangle(1.0, 1.0), [64], SolveConfig(tol=1e-8))
     assert level.report.converged
-    assert level.report.iterations == 5
+    assert level.report.iterations == 4
     assert level.report.ordering_violation == 0.0
+
+
+@pytest.mark.parametrize("beta, n", [(0.0, 24), (0.5, 40), (0.9, 28)])
+def test_unit_square_linear_problem_starts_at_the_solution(beta, n):
+    # at alpha = 0 both barriers scale psi, the solution itself: the chain
+    # closes in one step, exactly ordered
+    spec = ProblemSpec(0.0, beta, rectangle(1.0, 1.0), n, SolveConfig(tol=1e-8))
+    pair = build_barrier_pair(spec.make_grid(), 0.0, beta)
+    assert pair.c < 1.0 < pair.C
+    report = solve_monotone(spec, pair)
+    assert report.converged and report.iterations == 1
+    assert report.ordering_violation == 0.0
 
 
 def test_chain_and_gap_history(lab):
