@@ -56,7 +56,7 @@ import numpy as np
 
 from .grid import Grid, assemble_laplacian, power_weight
 from .linear_core import SolverFailure, solve_spd
-from .spectral import EigenPair, dirichlet_eigenpair
+from .spectral import EigenPair, dirichlet_eigenpair, forcing
 
 
 class HopfViolationError(SolverFailure):
@@ -151,19 +151,19 @@ def resolve_regime(alpha: float, beta: float) -> Regime:
     return Regime(t=1.0, sigma=None, q_bar=math.inf, gamma=2.0, warnings=(warning,))
 
 
-def _defect(A0, w_beta: np.ndarray, field: np.ndarray, alpha: float) -> np.ndarray:
-    # Strong-form defect -lap_h(field) - d^(-beta) field^(-alpha); <= 0 for
-    # a subsolution, >= 0 for a supersolution.
-    return A0 @ field - w_beta * field ** (-alpha)
+def _defect(grid: Grid, field: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+    # Strong-form defect -lap_h(field) - F(field); <= 0 for a subsolution,
+    # >= 0 for a supersolution.
+    return assemble_laplacian(grid) @ field - forcing(grid, field, alpha, beta)
 
 
-def _exact_scale(A0, w_beta, base, alpha) -> tuple[float, float]:
-    # At a node with lap = A0 @ base > 0 the inequality for s*base bounds s
-    # alone; nodes with lap <= 0 never bind c and defeat any C (C = inf).
+def _exact_scale(A0, f_base, base, alpha) -> tuple[float, float]:
+    # f_base = F(base).  At a node with lap = A0 @ base > 0 the inequality
+    # for s*base bounds s alone; lap <= 0 never binds c and makes C = inf.
     lap = A0 @ base
     pos = lap > 0.0
     base_pos, lap_pos = base[pos], lap[pos]
-    bound = (w_beta[pos] * base_pos ** (-alpha) / lap_pos) ** (1.0 / (1.0 + alpha))
+    bound = (f_base[pos] / lap_pos) ** (1.0 / (1.0 + alpha))
     # Round-off margin.  A row of k entries of the M-matrix A0 gives lap a
     # relative error of at most k eps (|A0| base)/lap, where
     # |A0| base = 2 diag(A0) base - lap; verify_barrier repeats that error
@@ -199,7 +199,7 @@ def verify_barrier(
     if side not in ("sub", "super"):
         raise ValueError(f"side must be 'sub' or 'super', got {side!r}")
     resolve_regime(alpha, beta)  # rejects out-of-range input
-    defect = _defect(assemble_laplacian(grid), power_weight(grid, beta), field, alpha)
+    defect = _defect(grid, field, alpha, beta)
     worst = float(np.max(defect if side == "sub" else -defect))
     return CertReport(side=side, worst_violation=worst, passed=worst <= 0.0)
 
@@ -221,7 +221,6 @@ def build_barrier_pair(
     """
     regime = resolve_regime(alpha, beta)
     A0 = assemble_laplacian(grid)
-    w_beta = power_weight(grid, beta)
     if regime.t == 1.0:
         # psi need not be accurate: c and C are scaled from A0 @ psi itself
         psi, _ = solve_spd(A0, power_weight(grid, alpha + beta), tol=1e-9)
@@ -230,7 +229,7 @@ def build_barrier_pair(
         if eig is None:
             eig = dirichlet_eigenpair(grid)
         base = _corner_profile(grid, eig.field) ** regime.t
-    c, C = _exact_scale(A0, w_beta, base, alpha)
+    c, C = _exact_scale(A0, forcing(grid, base, alpha, beta), base, alpha)
     if not math.isfinite(C):
         raise HopfViolationError(
             "nonpositive -lap_h of the barrier profile: no boundary slope "

@@ -1,20 +1,24 @@
 """Two-sided monotone iteration between certified barriers.
 
-Each outer step takes the nodal shift m_k = alpha d^(-beta) lower_k^(-(1+alpha))
-at the current lower iterate (spectral.monotone_shift) and solves the shifted
-linear problem
+With F(u) = d^(-beta) u^(-alpha) (spectral.forcing), each outer step takes
+the nodal shift m_k = alpha d^(-beta) lower_k^(-(1+alpha)) at the current
+lower iterate (spectral.monotone_shift) and solves, with one operator,
 
-    (-lap_h + m_k) u_new = d^(-beta) u^(-alpha) + m_k u
+    (-lap_h + m_k) lower_{k+1} = F(lower_k) + m_k lower_k
+    (-lap_h + m_k) g = F(upper_k) - F(lower_k) + m_k (upper_k - lower_k)
 
-once from the current upper iterate and once from the current lower one,
-with one operator shared by both sides.  The right-hand side map
-s -> d^(-beta) s^(-alpha) + m_k s is nondecreasing for s >= lower_k, hence
-on the order interval [lower_k, upper_k], and m_k is the smallest shift
-that makes it so (generalized quasilinearization).  With the operator an
-M-matrix, the upper sequence descends, the lower one ascends, and they
-pinch the extremal solutions; since s^(-alpha) is convex, the lower step
-is a Newton step, which is why a handful of steps suffices.  The full
-chain sub <= lower_k <= lower_{k+1} <= upper_{k+1} <= upper_k <= super is
+and sets upper_{k+1} = lower_{k+1} + g: g is the step from upper_k minus
+the step from lower_k.  The map s -> F(s) + m_k s is nondecreasing for
+s >= lower_k, and m_k is the smallest shift that makes it so (generalized
+quasilinearization).  F is convex, so the lower step is a Newton step (a
+handful of steps suffices) and g's right-hand side, the Newton remainder
+of F at lower_k, is >= 0, and 0 at alpha = 0.  With the operator an
+M-matrix g >= 0: the sides are ordered by construction, by the comparison
+argument of Pao (Nonlinear Parabolic and Elliptic Equations, 1992) on the
+difference of the sequences, not by two solves agreeing to round-off.
+The upper sequence descends, the lower one ascends, and they pinch the
+extremal solutions.  The full chain
+sub <= lower_k <= lower_{k+1} <= upper_{k+1} <= upper_k <= super is
 asserted at round-off scale on every step; a violation means the shift is
 too small or the inner solves too loose, and aborts the run.
 
@@ -36,10 +40,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .barriers import BarrierPair, build_barrier_pair, resolve_regime, verify_barrier
-from .grid import DomainShape, Grid, assemble_laplacian, power_weight, shifted_laplacian
+from .grid import DomainShape, Grid, assemble_laplacian, shifted_laplacian
 from .linear_core import SPDFactor, SolverFailure, SolveStats, extended_residual, weighted_norm
 from .problem import ProblemSpec, SolveConfig
-from .spectral import EigenPair, dirichlet_eigenpair, monotone_shift
+from .spectral import EigenPair, dirichlet_eigenpair, forcing, monotone_shift
 
 __all__ = [
     "SolveConfig",
@@ -73,7 +77,7 @@ class SolveReport:
     gap_history is nonincreasing after the first entry (monotone squeeze);
     ordering_violation is the worst chain defect ever observed, at most
     1e-12 * ||super||_inf on success.  inner_iterations holds, per outer
-    step, the iteration counts of its (lower, upper) inner solves.
+    step, the iteration counts of its (lower, gap) inner solves.
     """
 
     lower: np.ndarray
@@ -83,20 +87,6 @@ class SolveReport:
     converged: bool
     ordering_violation: float
     inner_iterations: list[tuple[int, int]] = field(default_factory=list)
-
-
-def _power(s: np.ndarray, alpha: float) -> np.ndarray:
-    """s^(-alpha) in long double, for a positive finite long-double array s.
-
-    At alpha = 0, 1, 2, 3 this is s ** (-alpha), which libm's powl takes
-    through its integer-exponent path in 30-55 ns per node.  At every other
-    alpha powl takes about 410 ns, and exp(-alpha log s) about 110 ns, within
-    4 eps (1 + alpha |ln s|) of s ** (-alpha), eps the long-double epsilon
-    (timeit at 4095 nodes, 2-vCPU Xeon VM).
-    """
-    if float(alpha).is_integer() and alpha < 4:
-        return s ** (-alpha)
-    return np.exp(-alpha * np.log(s))
 
 
 def iterate_step(
@@ -110,21 +100,19 @@ def iterate_step(
 
     factor holds -lap_h + m for the step's shift m, and A0 = -lap_h is the
     grid's cached Laplacian.  Solved in correction form, u = prev + delta with
-    (A0 + m) delta = d^(-beta) prev^(-alpha) - A0 prev: the shift cancels
-    from the right-hand side, whose defect is evaluated in extended
-    precision, and the inner relative tolerance INNER_TOL applies to the
-    increment, whose scale shrinks with the iteration, so round-off cannot
-    smear the monotone ordering.  The forcing prev^(-alpha) is evaluated in
-    long double too, by _power: exp(-alpha log prev), or prev ** (-alpha)
-    at the integer alpha below 4 where powl is the faster of the two.
+    (A0 + m) delta = F(prev) - A0 prev: the shift cancels from the
+    right-hand side, which is evaluated in long double (spectral.forcing of
+    a long-double field, then extended_residual), and the inner relative
+    tolerance INNER_TOL applies to the increment, whose scale shrinks with
+    the iteration, so round-off cannot smear the monotone ordering.
 
     Raises ValueError, before any arithmetic, unless prev passes
     grid.check_positive (positive and finite at every node).
     """
     prev = grid.check_positive(prev)
     # in double, outcomes hold but ordering violations of exactly 0.0 become ~1e-17
-    forcing = power_weight(grid, beta) * _power(prev.astype(np.longdouble), alpha)
-    defect = extended_residual(assemble_laplacian(grid), forcing, prev)
+    rhs = forcing(grid, prev.astype(np.longdouble), alpha, beta)
+    defect = extended_residual(assemble_laplacian(grid), rhs, prev)
     delta, stats = factor.solve(defect, tol=INNER_TOL)
     u = (prev + delta).astype(float)  # delta may be long double: round once
     if u.min() <= 0.0:
@@ -161,10 +149,14 @@ def solve_monotone(spec: ProblemSpec, pair: BarrierPair) -> SolveReport:
     iterations = 0
 
     for iterations in range(1, config.max_iter + 1):
-        factor = SPDFactor(shifted_laplacian(grid, monotone_shift(grid, lower, alpha, beta)))
+        shift = monotone_shift(grid, lower, alpha, beta)
+        factor = SPDFactor(shifted_laplacian(grid, shift))
         new_lower, lower_stats = iterate_step(grid, factor, lower, alpha, beta)
-        new_upper, upper_stats = iterate_step(grid, factor, upper, alpha, beta)
-        inner_iterations.append((lower_stats.iterations, upper_stats.iterations))
+        # the upper step minus the lower one (module docstring)
+        rhs = forcing(grid, upper, alpha, beta) - forcing(grid, lower, alpha, beta)
+        gap, gap_stats = factor.solve(rhs + shift * (upper - lower), tol=INNER_TOL)
+        new_upper = (new_lower + gap).astype(float)  # gap may be long double: round once
+        inner_iterations.append((lower_stats.iterations, gap_stats.iterations))
         del factor  # free its multigrid hierarchy before the next step builds one
         violation = max(
             float(np.max(pair.sub - new_lower)),
@@ -239,7 +231,7 @@ def residual(grid: Grid, u: np.ndarray, alpha: float, beta: float) -> float:
     """
     u = grid.check_positive(u)
     t = resolve_regime(alpha, beta).t
-    defect = assemble_laplacian(grid) @ u - power_weight(grid, beta) * u ** (-alpha)
+    defect = assemble_laplacian(grid) @ u - forcing(grid, u, alpha, beta)
     return float(np.max(np.abs(defect * grid.d ** (beta + t * alpha))))
 
 

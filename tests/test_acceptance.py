@@ -21,7 +21,7 @@ from sel.analysis import (
 from sel.barriers import build_barrier_pair, verify_barrier
 from sel.grid import assemble_laplacian, build_grid, interval, power_weight, rectangle
 from sel.linear_core import solve_spd
-from sel.monotone import OrderingViolationError, monotone_shift, solve_monotone, uniqueness_gap
+from sel.monotone import CHAIN_TOL, monotone_shift, solve_ladder, solve_monotone, uniqueness_gap
 from sel.oracle import dense_newton_solve, observed_order
 from sel.problem import ProblemSpec, SolveConfig
 from sel.regularized import epsilon_continuation
@@ -52,23 +52,10 @@ def test_criterion_1_barrier_certification(lab):
     print(f"[criterion 1] PASS: {len(LOW_CASES) + len(HIGH_CASES)} barrier pairs certified at n=256")
 
 
-# Known defect: at alpha = 0, beta = 1.99 on the unit square (t < 1, H^t
-# barriers) the first step's lower iterate overshoots the upper one by
-# 3.449e-10, above the 9.738e-11 chain tolerance, and the run aborts.
-# Strict, so a fix shows as XPASS.
-ALPHA_ZERO_SQUARE = pytest.param(
-    0.0,
-    1.99,
-    SQUARE,
-    32,
-    marks=pytest.mark.xfail(raises=OrderingViolationError, strict=True),
-)
-
-
 @pytest.mark.parametrize(
     "alpha, beta, shape, n",
     [(alpha, 0.0, shape, n) for alpha, shape, n in CHAIN_CASES]
-    + [(0.0, 0.0, SQUARE, 32), ALPHA_ZERO_SQUARE],
+    + [(0.0, 0.0, SQUARE, 32), (0.0, 1.99, SQUARE, 32)],
     ids=CHAIN_IDS + ["square-0.0-n32", "square-0.0-1.99-n32"],
 )
 def test_criterion_2_monotone_chain(lab, alpha, beta, shape, n):
@@ -275,3 +262,32 @@ def test_criterion_11_property_suites(lab, rng):
         t_fit, _ = fit_boundary_exponent(fine, fine.d**s, asymptotic_window(fine))
         assert abs(t_fit - s) <= 0.01
     print("[criterion 11] PASS: positivity x100, monotonized map x100, power-law recovery x4")
+
+
+# Aim 3's table of valid inputs: the smallest grids, alpha at 0, small and
+# large, beta near 0, 1 and 2, and the fine alpha = 0, beta > 1 cases.  Every
+# entry must certify; any exception, typed or not, fails it.
+VALID_INPUTS = (
+    [
+        (shape, n, alpha, beta)
+        for shape, ns in ((interval(1.0), (2, 3, 33)), (SQUARE, (2, 3, 17)))
+        for n in ns
+        for alpha in (0.0, 0.05, 50.0)
+        for beta in (0.0, 0.97, 1.5, 1.99)
+    ]
+    + [(interval(1.0), 4096, a, b) for a, b in ((0.0, 1.5), (0.0, 1.99), (0.05, 1.99))]
+    + [(SQUARE, 32, 0.0, b) for b in (1.5, 1.99)]
+)
+
+
+@pytest.mark.parametrize(
+    "shape, n, alpha, beta",
+    VALID_INPUTS,
+    ids=[f"{'interval' if s.dim == 1 else 'square'}-n{n}-{a}-{b}" for s, n, a, b in VALID_INPUTS],
+)
+def test_valid_input_certifies(shape, n, alpha, beta):
+    (level,) = solve_ladder(alpha, beta, shape, [n], SolveConfig())
+    assert level.report.converged
+    assert level.report.ordering_violation <= CHAIN_TOL * np.max(level.pair.super)
+    mu1 = linearized_smallest_eigenvalue(level.grid, level.report.upper, alpha, beta).value
+    assert np.isfinite(mu1) and mu1 > 0

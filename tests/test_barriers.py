@@ -17,7 +17,7 @@ from sel.grid import assemble_laplacian, build_grid, interval, power_weight, rec
 from sel.linear_core import solve_spd
 from sel.monotone import monotone_shift, solve_monotone
 from sel.problem import ProblemSpec, SolveConfig
-from sel.spectral import EigenPair, dirichlet_eigenpair
+from sel.spectral import EigenPair, dirichlet_eigenpair, forcing
 
 
 def test_boundary_exponent_regimes():
@@ -145,9 +145,9 @@ def test_each_side_evaluates_its_defect_once(monkeypatch, shape, n, alpha, beta)
     # the round-off margin is a bound, so each side is checked once, not searched
     sides = []
 
-    def counted(a0, w, field, alpha):
+    def counted(grid, field, alpha, beta):
         sides.append(field.copy())
-        return defect(a0, w, field, alpha)
+        return defect(grid, field, alpha, beta)
 
     defect = barriers._defect
     monkeypatch.setattr(barriers, "_defect", counted)
@@ -161,7 +161,7 @@ def test_each_side_evaluates_its_defect_once(monkeypatch, shape, n, alpha, beta)
 def test_barrier_pair_fails_when_the_defect_has_the_wrong_sign(lab, monkeypatch, side, reported):
     # the pair is certified through verify_barrier, whose kernel _defect reports `reported`
     grid, eig = lab.grid(64), lab.eig(64)
-    monkeypatch.setattr(barriers, "_defect", lambda a0, w, field, alpha: np.full(field.size, reported))
+    monkeypatch.setattr(barriers, "_defect", lambda grid, field, alpha, beta: np.full(field.size, reported))
     with pytest.raises(BarrierConstructionError, match=f"{side}solution inequality fails"):
         build_barrier_pair(grid, 2.0, 0.0, eig)
 
@@ -171,7 +171,7 @@ def test_supersolution_profile_without_boundary_slope_is_a_hopf_violation(lab):
     # no scale makes it a supersolution
     grid, eig = lab.grid(32), lab.eig(32)
     convex = 2 * eig.field.max() - eig.field
-    _, C = barriers._exact_scale(assemble_laplacian(grid), power_weight(grid, 0.0), convex, 2.0)
+    _, C = barriers._exact_scale(assemble_laplacian(grid), forcing(grid, convex, 2.0, 0.0), convex, 2.0)
     assert C == math.inf
     # on an interval H is phi_1 itself, so this eigenvector makes H^t convex mid-interval
     with pytest.raises(HopfViolationError, match="nonpositive -lap_h"):

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from sel import grid as grid_module
 from sel import monotone
 from sel.barriers import BORDERLINE_WARNING, build_barrier_pair, resolve_regime
-from sel.grid import assemble_laplacian, interval, power_weight, rectangle
+from sel.grid import assemble_laplacian, build_grid, interval, power_weight, rectangle
 from sel.linear_core import MAX_REFINEMENTS, SPDFactor, solve_spd
 from sel.monotone import (
     OrderingViolationError,
@@ -19,7 +19,7 @@ from sel.monotone import (
     uniqueness_gap,
 )
 from sel.problem import ProblemSpec, SolveConfig
-from sel.spectral import dirichlet_eigenpair, linearized_smallest_eigenvalue
+from sel.spectral import dirichlet_eigenpair, forcing, linearized_smallest_eigenvalue
 
 
 def step(grid, lower, prev, alpha, beta):
@@ -80,6 +80,11 @@ def _log_uniform_long_double(rng):
     return (10.0 ** rng.uniform(-8.0, 2.0, 100_000)).astype(np.longdouble)
 
 
+def _forcing_power(s, alpha):
+    # forcing of a long-double field at beta = 0, where the weight d^0 is 1.0
+    return forcing(build_grid(interval(1.0), s.size + 1), s, alpha, 0.0)
+
+
 @pytest.mark.parametrize("alpha", [0.05, 0.5, 2.5, 4.0, 7.3, 12.0, 12.5, 50.0])
 def test_forcing_power_is_within_long_double_round_off_of_pow(rng, alpha):
     # exp(-alpha log s) against the long-double ** reference: the log's
@@ -88,13 +93,13 @@ def test_forcing_power_is_within_long_double_round_off_of_pow(rng, alpha):
     reference = s ** (-alpha)
     eps = np.finfo(np.longdouble).eps
     bound = 4 * eps * (1 + alpha * np.abs(np.log(s)))
-    assert np.all(np.abs(monotone._power(s, alpha) / reference - 1) <= bound)
+    assert np.all(np.abs(_forcing_power(s, alpha) / reference - 1) <= bound)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, 3.0])
 def test_forcing_power_at_small_integer_alpha_is_pow(rng, alpha):
     s = _log_uniform_long_double(rng)
-    np.testing.assert_array_equal(monotone._power(s, alpha), s ** (-alpha))
+    np.testing.assert_array_equal(_forcing_power(s, alpha), s ** (-alpha))
 
 
 @pytest.mark.parametrize("alpha, iterations", [(0.5, 3), (2.0, 4), (2.5, 4)])
@@ -122,6 +127,59 @@ def test_unit_square_linear_problem_starts_at_the_solution(beta, n):
     report = solve_monotone(spec, pair)
     assert report.converged and report.iterations == 1
     assert report.ordering_violation == 0.0
+
+
+@pytest.mark.parametrize(
+    "shape, beta, n",
+    [(interval(), 1.5, 4096), (interval(), 1.99, 4096), (rectangle(), 1.5, 64), (rectangle(), 1.99, 32)],
+    ids=["interval-1.5-n4096", "interval-1.99-n4096", "square-1.5-n64", "square-1.99-n32"],
+)
+def test_linear_problem_above_the_split_is_ordered_by_construction(shape, beta, n):
+    # at alpha = 0 both sides reach the solution in one step; the gap's
+    # right-hand side is exactly 0, so its solve takes no iteration and the
+    # two sides cannot cross
+    spec = ProblemSpec(0.0, beta, shape, n, SolveConfig(tol=1e-8))
+    report = solve_monotone(spec, build_barrier_pair(spec.make_grid(), 0.0, beta))
+    assert report.converged and report.iterations == 1
+    assert report.inner_iterations[0][1] == 0
+    assert report.ordering_violation == 0.0
+
+
+GAP_RUNS = [
+    (interval(), 256, 0.5, 0.0),
+    (interval(), 256, 2.5, 0.0),
+    (interval(), 1024, 0.3, 0.5),
+    (interval(), 2048, 7.3, 1.2),
+    (interval(), 4096, 0.0, 1.5),
+    (rectangle(), 32, 2.0, 0.0),
+    (rectangle(), 64, 0.5, 0.0),
+    (rectangle(), 32, 0.0, 1.99),
+]
+
+
+@pytest.mark.parametrize(
+    "shape, n, alpha, beta",
+    GAP_RUNS,
+    ids=[f"{'interval' if s.dim == 1 else 'square'}-n{n}-{a}-{b}" for s, n, a, b in GAP_RUNS],
+)
+def test_gap_solve_is_nonnegative_nodewise(monkeypatch, shape, n, alpha, beta):
+    # each outer step solves twice with its factor: the lower step's
+    # increment, then the gap upper - lower, which must be >= 0 at every node
+    solutions = []
+
+    class Recording(SPDFactor):
+        def solve(self, f, tol=1e-12):
+            x, stats = super().solve(f, tol)
+            solutions.append(x)
+            return x, stats
+
+    monkeypatch.setattr(monotone, "SPDFactor", Recording)
+    spec = ProblemSpec(alpha, beta, shape, n, SolveConfig(tol=1e-8))
+    report = solve_monotone(spec, build_barrier_pair(spec.make_grid(), alpha, beta))
+    assert report.converged
+    assert len(solutions) == 2 * report.iterations
+    for gap in solutions[1::2]:
+        assert gap.min() >= 0.0
 
 
 def test_chain_and_gap_history(lab):

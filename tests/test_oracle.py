@@ -6,7 +6,13 @@ import scipy.sparse as sp
 from sel import oracle
 from sel.grid import assemble_laplacian, build_grid, interval, power_weight, rectangle
 from sel.linear_core import solve_spd
-from sel.oracle import NewtonStagnationError, dense_newton_solve, newton_solve, observed_order
+from sel.oracle import (
+    DENSE_N_CAP,
+    NewtonStagnationError,
+    dense_newton_solve,
+    newton_solve,
+    observed_order,
+)
 from sel.problem import ProblemSpec, SolveConfig
 from sel.spectral import linearized_smallest_eigenvalue
 
@@ -59,6 +65,16 @@ def test_dense_newton_alpha_zero_is_linear():
 def test_dense_newton_cap():
     with pytest.raises(ValueError):
         dense_newton_solve(ProblemSpec(alpha=0.5, beta=0.0, n=128))
+
+
+def test_dense_newton_checks_its_cap_before_densifying(monkeypatch):
+    # an API call past the cap must not build the N x N arrays
+    grid = build_grid(interval(), DENSE_N_CAP + 1)
+    monkeypatch.setattr(
+        sp.csr_array, "toarray", lambda self, *a, **k: pytest.fail("toarray was called")
+    )
+    with pytest.raises(ValueError, match=f"dense oracle is limited to n <= {DENSE_N_CAP}"):
+        newton_solve(grid, 0.5, 0.0, np.ones(grid.num_interior), dense=True)
 
 
 def test_newton_requires_positive_init(lab):
