@@ -8,12 +8,15 @@ so singular weights d^(-gamma) are well defined at every node where a field
 has a value.
 
 The Dirichlet Laplacian is a fact of the grid: assemble_laplacian builds it
-on the first call for a grid and caches it on that Grid, read-only, so every
+on the first call for a grid, straight from index arithmetic (each row's
+entries in column order), and caches it on that Grid, read-only, so every
 layer working on one grid (eigenpair, barriers, their certificates, the
 monotone iteration, mu_1, the residual) shares one matrix.  Shifted
 operators -lap_h + diag(m) reuse its CSR pattern (shifted_laplacian).
-No long-double copy is kept: linear_core.extended_residual takes the double
-matrix, and scipy's CSR product converts its values inside the call.
+An interval also caches the Laplacian's two diagonals (Grid._tridiagonal),
+from which linear_core.SPDFactor.on_grid factors -lap_h + diag(m) without
+building a matrix.  No long-double copy is kept: linear_core's residuals
+take the double values and convert them inside the call.
 """
 
 from __future__ import annotations
@@ -80,7 +83,8 @@ class Grid:
            lexicographic (first-axis-major) order.
 
     The grid also caches its Laplacian once assembled (assemble_laplacian),
-    so it lives exactly as long as the grid.
+    and an interval grid the Laplacian's two diagonals, so they live
+    exactly as long as the grid.
     """
 
     shape: DomainShape
@@ -137,6 +141,14 @@ class Grid:
         return lap
 
     @functools.cached_property
+    def _tridiagonal(self) -> tuple[np.ndarray, np.ndarray]:
+        # an interval's -lap_h as (diagonal, off-diagonal), read off _laplacian
+        diag, off = self._laplacian.diagonal(), self._laplacian.diagonal(1)
+        for arr in (diag, off):
+            arr.setflags(write=False)
+        return diag, off
+
+    @functools.cached_property
     def _diagonal_positions(self) -> np.ndarray:
         # index into _laplacian.data of each row's diagonal entry
         lap = self._laplacian
@@ -170,22 +182,26 @@ def build_grid(shape: DomainShape, n: int) -> Grid:
     return Grid(shape=shape, n=n, h=h, axes=axes, d=d)
 
 
-def _second_difference(m: int) -> sp.csr_array:
-    # 1D negative second-difference matrix tridiag(-1, 2, -1), unscaled.
-    return sp.diags_array(
-        [-np.ones(m - 1), 2.0 * np.ones(m), -np.ones(m - 1)], offsets=[-1, 0, 1]
-    ).tocsr()
-
-
 def _assemble(grid: Grid) -> sp.csr_array:
+    # -lap_h in CSR straight from index arithmetic.  Each row stores, in column
+    # order, its minus neighbours (slowest axis first), itself, and its plus
+    # neighbours (fastest axis first): -1/h_a^2 off the diagonal and the sum of
+    # 2/h_a^2 on it, the entries of the kron sum of tridiag(-1, 2, -1)/h_a^2.
     ms = grid.interior_shape
-    if grid.dim == 1:
-        return (_second_difference(ms[0]) / grid.h[0] ** 2).tocsr()
-    tx = _second_difference(ms[0]) / grid.h[0] ** 2
-    ty = _second_difference(ms[1]) / grid.h[1] ** 2
-    ix = sp.identity(ms[0], format="csr")
-    iy = sp.identity(ms[1], format="csr")
-    return (sp.kron(tx, iy) + sp.kron(ix, ty)).tocsr()
+    rows = np.arange(grid.num_interior, dtype=np.int32)
+    coords = np.unravel_index(rows, ms)
+    stride = [math.prod(ms[a + 1 :]) for a in range(grid.dim)]
+    coupling = [-1.0 / h**2 for h in grid.h]
+    minus = [(-stride[a], coupling[a], coords[a] > 0) for a in range(grid.dim)]
+    plus = [(stride[a], coupling[a], coords[a] < ms[a] - 1) for a in range(grid.dim)]
+    centre = (0, sum(2.0 / h**2 for h in grid.h), np.ones(rows.size, dtype=bool))
+    offsets, values, present = zip(*minus, centre, *reversed(plus))
+    present = np.array(present)  # one row per stencil entry
+    stored = present.T.ravel()  # row-major: entry k of node r at r * len(offsets) + k
+    indices = (rows[:, None] + np.array(offsets, dtype=np.int32)).ravel()[stored]
+    indptr = np.concatenate([[0], np.cumsum(present.sum(axis=0))]).astype(np.int32)
+    data = np.tile(values, rows.size)[stored]
+    return sp.csr_array((data, indices, indptr), shape=(rows.size, rows.size))
 
 
 def assemble_laplacian(grid: Grid) -> sp.csr_array:

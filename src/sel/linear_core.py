@@ -3,24 +3,31 @@
 A nonnegative diagonal keeps the M-matrix structure of the Laplacian:
 solutions of systems with nonnegative right-hand sides are nonnegative
 (discrete comparison principle), which is checked after every solve.
-The operators arrive as CSR matrices (grid.shifted_laplacian builds them on
-the pattern of the grid's cached Laplacian), and SPDFactor prepares each
-once for all the right-hand sides it will see: interval operators are
-tridiagonal (is_tridiagonal, read off indptr and indices) and get an LDL^T
-factor (LAPACK ?pttrf/?pttrs) with iterative refinement; rectangle
-operators are solved by conjugate gradients preconditioned with a geometric
-multigrid V-cycle (Galerkin coarse operators, damped-Jacobi smoothing, a
-direct solve on the coarsest grid), which takes a handful of iterations at
-any resolution.
+SPDFactor prepares each operator once for all the right-hand sides it will
+see.  The monotone and Newton steps factor by the grid
+(SPDFactor.on_grid(grid, m), the factor of -lap_h + diag(m)): an interval's
+operator is tridiagonal and gets an LDL^T factor (LAPACK ?pttrf/?pttrs)
+with iterative refinement, straight from the grid's two Laplacian
+diagonals, without a matrix; a rectangle's operator (grid.shifted_laplacian,
+on the pattern of the grid's cached Laplacian) is solved by conjugate
+gradients preconditioned with a geometric multigrid V-cycle (Galerkin
+coarse operators, damped-Jacobi smoothing, a direct solve on the coarsest
+grid), which takes a handful of iterations at any resolution.  A bare CSR
+matrix (SPDFactor(A), through solve_spd and principal_eigenpair) is routed
+by its pattern instead (is_tridiagonal, read off indptr and indices); that
+matrix route stays until those callers take the grid (ROADMAP item 4).
 extended_residual evaluates f - A x as one scipy CSR product in
-np.longdouble, rounded to double once; the refinement, the final residual
-check and the monotone iteration's defect all use it.  This assumes the
-64-bit mantissa of x86 np.longdouble: where np.longdouble is plain double,
-the defects lose the precision the monotone ordering is kept with.  Every
-residual passes the ordinary double operator: scipy's product converts its
-values to np.longdouble inside the call, with the same result as a stored
-long-double copy, so no such copy is made or kept (the README's numerical
-notes give the measurements).
+np.longdouble, rounded to double once; a banded residual (_banded_residual)
+is the factor's own two diagonals summed in CSR row order, bitwise the
+same.  The refinement, the final residual check and the monotone
+iteration's defect all use them.  This assumes the 64-bit mantissa of x86
+np.longdouble: where np.longdouble is plain double, the defects lose the
+precision the monotone ordering is kept with.  A CSR residual passes the
+ordinary double operator: scipy's product converts its values to
+np.longdouble inside the call, with the same result as a stored long-double
+copy, so no such copy is made or kept (the README's numerical notes give
+the measurements).  A banded factor converts its two diagonals once, which
+is exact and beats numpy's mixed-dtype products.
 
 SolverFailure is the base of every error a solver or certificate raises on
 valid input (stagnation and comparison-principle violations here, and the
@@ -40,7 +47,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .grid import Grid, power_weight
+from .grid import Grid, power_weight, shifted_laplacian
 
 
 class SolverFailure(RuntimeError):
@@ -78,6 +85,20 @@ def extended_residual(A: sp.csr_array, f: np.ndarray, x: np.ndarray) -> np.ndarr
     is made or kept.
     """
     return (f - A @ x.astype(np.longdouble, copy=False)).astype(float)
+
+
+def _banded_residual(
+    diag: np.ndarray, off: np.ndarray, f: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """extended_residual(A, f, x), bitwise, for the symmetric tridiagonal A
+    with diagonal diag and off-diagonal off, without a matrix: every product
+    in np.longdouble, each row summed left, diagonal, right as scipy's CSR
+    product sums it (two terms commute), and rounded once."""
+    x = x.astype(np.longdouble, copy=False)
+    ax = diag * x
+    ax[1:] += off * x[:-1]
+    ax[:-1] += off * x[1:]
+    return (f - ax).astype(float)
 
 
 def is_tridiagonal(A: sp.csr_array) -> bool:
@@ -125,20 +146,31 @@ def _prolongation(n: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
 class SPDFactor:
     """An SPD M-matrix prepared once for many solves.
 
-    A NaN or inf entry is a ValueError on either route.  A tridiagonal
-    matrix (every interval grid) is factored as L D L^T by LAPACK dpttrf,
-    which fails (info != 0) unless the matrix is positive definite; each
-    banded step of a solve is one dpttrs.  At 255 (4095) unknowns they take
-    3 (37) and 2.6 (32) us, against 17 (144) and 13 (87) us for scipy's
-    cholesky_banded and cho_solve_banded (timeit, 2-vCPU Xeon VM, SciPy
-    1.17.1).  Each solve runs at most MAX_REFINEMENTS steps of iterative
-    refinement against the extended_residual, adding each
-    refinement to x in np.longdouble (mixed-precision refinement; Higham,
-    Accuracy and Stability of Numerical Algorithms, 2002, ch. 12), so the
-    relative residual is not floored at the eps ||A|| ||x|| / ||f|| of a
-    double x, a floor that grows like n^2.
+    Two constructors route to one tridiagonal init and one multigrid init,
+    and share solve.  SPDFactor.on_grid(grid, m), the factor of
+    -lap_h + diag(m) that the monotone and Newton steps use, routes by
+    grid.dim: an interval's two diagonals come from the grid (no matrix is
+    built), a rectangle's multigrid takes n from the grid.  SPDFactor(A)
+    infers the route from a bare matrix: is_tridiagonal, then the row and
+    entry counts of a square grid's 5-point stencil.  That matrix route
+    serves solve_spd and principal_eigenpair, and stays until they take
+    the grid (ROADMAP item 4).  A NaN or inf entry is a ValueError on
+    either route, and so is a tridiagonal A that is not symmetric.
 
-    Any other pattern (rectangles) is solved by conjugate gradients
+    A tridiagonal operator (every interval grid) is factored as L D L^T by
+    LAPACK dpttrf, which fails (info != 0) unless the matrix is positive
+    definite; each banded step of a solve is one dpttrs.  At 255 (4095)
+    unknowns they take 3 (37) and 2.6 (32) us, against 17 (144) and 13 (87)
+    us for scipy's cholesky_banded and cho_solve_banded (timeit, 2-vCPU
+    Xeon VM, SciPy 1.17.1).  Each solve runs at most MAX_REFINEMENTS steps
+    of iterative refinement against the _banded_residual of the factor's
+    own two diagonals, adding each refinement to x in np.longdouble
+    (mixed-precision refinement; Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, ch. 12), so the relative residual is not
+    floored at the eps ||A|| ||x|| / ||f|| of a double x, a floor that
+    grows like n^2.
+
+    Any other operator (rectangles) is solved by conjugate gradients
     preconditioned with one geometric multigrid V-cycle (precondition) per
     iteration: a solve of SolveStats.iterations steps applies that many
     V-cycles.
@@ -146,34 +178,61 @@ class SPDFactor:
     from n to ceil(n/2) subdivisions per axis, Galerkin coarse operators
     P^T A P (the nodal shift needs no rediscretization), SMOOTHING_SWEEPS
     damped-Jacobi sweeps before and after each coarse correction, and splu
-    at the coarsest level, n <= COARSEST_N.  Smaller grids, or a matrix
-    without the row and entry counts of a square grid's 5-point stencil,
-    are a one-level hierarchy: splu alone.
-
-    The residuals of solve pass the double operator self.A to
-    extended_residual, which decides their precision; the factor keeps no
-    long-double copy of it.
+    at the coarsest level, n <= COARSEST_N.  Smaller grids, or a bare
+    matrix without the row and entry counts of a square grid's 5-point
+    stencil, are a one-level hierarchy: splu alone.  Its residuals pass
+    the double operator self.A to extended_residual, and keep no
+    long-double copy of it; the banded route keeps its two diagonals in
+    np.longdouble, 32 bytes a row.
     """
 
     def __init__(self, A: sp.spmatrix):
-        self.A = A = A.tocsr()
+        A = A.tocsr()
         # dpttrf passes a NaN or inf through; splu or PCG would call it indefinite
         if not np.isfinite(A.data).all():
             raise ValueError("matrix has a NaN or inf entry")
         if is_tridiagonal(A):
-            # the f2py wrappers reject an empty off-diagonal: one unknown gets a dummy 0
-            e = A.diagonal(1) if A.shape[0] > 1 else np.zeros(1)
-            d, e, info = dpttrf(A.diagonal(), e)
-            if info != 0:
-                raise SolverStagnationError("matrix is not positive definite")
-            self._ldl = (d, e)
+            # dpttrf reads one off-diagonal, and _banded_residual applies it to both sides
+            if not np.array_equal(A.diagonal(-1), A.diagonal(1)):
+                raise ValueError("tridiagonal matrix is not symmetric")
+            self._init_banded(A.diagonal(), A.diagonal(1))
             return
-        self._ldl = None
-        # (A_l, JACOBI_WEIGHT / diag(A_l), P, P^T) for every level above the coarsest
-        self._levels = []
         # a square grid's 5-point matrix: (n-1)^2 rows and 5m^2 - 4m entries, m = n-1
         m = math.isqrt(A.shape[0])
         n = m + 1 if m * m == A.shape[0] and A.nnz == 5 * m * m - 4 * m else 0
+        self._init_multigrid(A, n)
+
+    @classmethod
+    def on_grid(cls, grid: Grid, m: np.ndarray) -> SPDFactor:
+        """The factor of -lap_h + diag(m) on grid, routed by grid.dim.
+
+        ValueError unless m passes grid.check_field.  An interval builds no
+        matrix: its factor and residuals use the grid's cached diagonals.
+        """
+        self = cls.__new__(cls)
+        if grid.dim == 1:
+            diag, off = grid._tridiagonal
+            self._init_banded(diag + grid.check_field(m), off)
+        else:
+            self._init_multigrid(shifted_laplacian(grid, m), grid.n)
+        return self
+
+    def _init_banded(self, diag: np.ndarray, off: np.ndarray) -> None:
+        # the residual's operands, converted once (exactly): numpy's mixed
+        # double-by-long-double products are slower than scipy's CSR product
+        self._band = (diag.astype(np.longdouble), off.astype(np.longdouble))
+        # the f2py wrappers reject an empty off-diagonal: one unknown gets a dummy 0
+        d, e, info = dpttrf(diag, off if off.size else np.zeros(1))
+        if info != 0:
+            raise SolverStagnationError("matrix is not positive definite")
+        self._ldl = (d, e)
+
+    def _init_multigrid(self, A: sp.csr_array, n: int) -> None:
+        # n: subdivisions per axis of A's square grid, or 0 for a one-level hierarchy
+        self.A = A
+        self._ldl = None
+        # (A_l, JACOBI_WEIGHT / diag(A_l), P, P^T) for every level above the coarsest
+        self._levels = []
         while n > COARSEST_N:
             P, PT = _prolongation(n)
             self._levels.append((A, JACOBI_WEIGHT / A.diagonal(), P, PT))
@@ -215,7 +274,7 @@ class SPDFactor:
                 # the first solve is x itself; each refinement adds in long double
                 x = dx if iters == 0 else np.add(x, dx, dtype=np.longdouble)
                 iters += 1
-                r = extended_residual(self.A, f, x)
+                r = _banded_residual(*self._band, f, x)
 
         rel = float(np.linalg.norm(r)) / norm_f
         if not rel <= tol:

@@ -28,9 +28,11 @@ reported but not used for stopping.
 
 Every operator of a run comes from the one grid of its ProblemSpec:
 -lap_h is assembled once for that grid (grid.assemble_laplacian) and each
-step's -lap_h + m_k is a diagonal shift on its pattern
-(grid.shifted_laplacian).  solve_ladder builds one grid per level, and the
-eigenpair, the barriers, their certificates and solve_monotone share it.
+step factors -lap_h + m_k by the grid (linear_core.SPDFactor.on_grid): from
+the Laplacian's two cached diagonals on an interval, as a diagonal shift on
+its pattern (grid.shifted_laplacian) on a rectangle.  solve_ladder builds
+one grid per level, and the eigenpair, the barriers, their certificates
+and solve_monotone share it.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .barriers import BarrierPair, build_barrier_pair, resolve_regime, verify_barrier
-from .grid import DomainShape, Grid, assemble_laplacian, shifted_laplacian
+from .grid import DomainShape, Grid, assemble_laplacian
 from .linear_core import SPDFactor, SolverFailure, SolveStats, extended_residual, weighted_norm
 from .problem import ProblemSpec, SolveConfig
 from .spectral import EigenPair, dirichlet_eigenpair, forcing, monotone_shift
@@ -150,7 +152,7 @@ def solve_monotone(spec: ProblemSpec, pair: BarrierPair) -> SolveReport:
 
     for iterations in range(1, config.max_iter + 1):
         shift = monotone_shift(grid, lower, alpha, beta)
-        factor = SPDFactor(shifted_laplacian(grid, shift))
+        factor = SPDFactor.on_grid(grid, shift)
         new_lower, lower_stats = iterate_step(grid, factor, lower, alpha, beta)
         # the upper step minus the lower one (module docstring)
         rhs = forcing(grid, upper, alpha, beta) - forcing(grid, lower, alpha, beta)

@@ -16,8 +16,8 @@ import numpy as np
 import scipy.linalg
 
 from .barriers import build_barrier_pair, resolve_regime
-from .grid import Grid, assemble_laplacian, shifted_laplacian
-from .linear_core import SolverFailure, solve_spd
+from .grid import Grid, assemble_laplacian
+from .linear_core import SPDFactor, SolverFailure
 from .problem import ProblemSpec
 from .spectral import forcing, monotone_shift
 
@@ -49,12 +49,13 @@ def newton_solve(
     singularity) and the d^(beta + t alpha)-weighted sup defect decreases or
     meets tol; that weighted defect is also the stopping test.  Each step
     solves its Jacobian -lap_h + monotone_shift(grid, u + eps, alpha, beta)
-    once through a fresh SPDFactor (tridiagonal LDL^T on intervals,
-    multigrid-preconditioned CG on rectangles), or by dense Cholesky with
-    dense=True, the independent oracle path.  Raises ValueError unless
-    init + eps passes grid.check_positive and, with dense=True, grid.n <=
-    DENSE_N_CAP, and NewtonStagnationError when the MAX_HALVINGS halvings
-    of a step or the MAX_NEWTON_STEPS cap run out.
+    once through a fresh SPDFactor.on_grid (tridiagonal LDL^T from the
+    grid's diagonals on intervals, multigrid-preconditioned CG on
+    rectangles), or by dense Cholesky with dense=True, the independent
+    oracle path.  Raises ValueError unless init + eps passes
+    grid.check_positive and, with dense=True, grid.n <= DENSE_N_CAP, and
+    NewtonStagnationError when the MAX_HALVINGS halvings of a step or the
+    MAX_NEWTON_STEPS cap run out.
     """
     if not (math.isfinite(eps) and eps >= 0.0):
         raise ValueError(f"eps must be finite and >= 0, got {eps}")
@@ -80,7 +81,7 @@ def newton_solve(
             jac = A0_dense + np.diag(jac_diag)
             delta = scipy.linalg.solve(jac, -defect, assume_a="pos")
         else:
-            delta, _ = solve_spd(shifted_laplacian(grid, jac_diag), -defect, tol=1e-10)
+            delta, _ = SPDFactor.on_grid(grid, jac_diag).solve(-defect, tol=1e-10)
             delta = delta.astype(float)  # the banded solve returns long double: round once
         floor = 0.1 * float((u + eps).min())
         step = 1.0

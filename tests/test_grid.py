@@ -24,7 +24,7 @@ from sel.grid import (
     rectangle,
     shifted_laplacian,
 )
-from sel.linear_core import weighted_norm
+from sel.linear_core import SPDFactor, weighted_norm
 from sel.monotone import iterate_step, residual
 from sel.oracle import newton_solve
 from sel.spectral import linearized_smallest_eigenvalue, monotone_shift
@@ -215,6 +215,15 @@ def test_cached_laplacian_is_read_only():
         a.data *= 2.0
 
 
+@pytest.mark.parametrize("n", [2, 3, 64])
+def test_interval_diagonals_are_the_laplacians_and_read_only(n):
+    g = build_grid(interval(2.0), n)
+    lap = assemble_laplacian(g)
+    for cached, expected in zip(g._tridiagonal, (lap.diagonal(), lap.diagonal(1))):
+        assert cached.tobytes() == expected.tobytes()
+        assert not cached.flags.writeable
+
+
 @pytest.mark.parametrize("shape, n", [(interval(1.0), 32), (rectangle(1.0, 1.0), 9), (rectangle(2.0, 0.5), 6)])
 @pytest.mark.parametrize("kind", ["zero", "weight"])
 def test_shifted_laplacian_equals_sparse_sum(shape, n, kind):
@@ -228,6 +237,53 @@ def test_shifted_laplacian_equals_sparse_sum(shape, n, kind):
     np.testing.assert_array_equal(shifted.data, expected.data)
     # the shift owns its data: the cached Laplacian is untouched
     np.testing.assert_array_equal(assemble_laplacian(g).data, lap_data)
+
+
+def kron_laplacian(g):
+    """-lap_h as tridiag(-1, 2, -1)/h^2 on an interval, or the kron sum of
+    the two axes' on a rectangle, in CSR."""
+
+    def second_difference(m, h):
+        ones = np.ones(m - 1)
+        return sp.diags_array([-ones, 2.0 * np.ones(m), -ones], offsets=[-1, 0, 1]).tocsr() / h**2
+
+    ms = g.interior_shape
+    if g.dim == 1:
+        return second_difference(ms[0], g.h[0]).tocsr()
+    tx, ty = (second_difference(m, h) for m, h in zip(ms, g.h))
+    ix, iy = (sp.identity(m, format="csr") for m in ms)
+    return (sp.kron(tx, iy) + sp.kron(ix, ty)).tocsr()
+
+
+ASSEMBLY_GRIDS = (
+    [(interval(1.0), n) for n in (2, 3, 64, 4096)]
+    + [(rectangle(1.0, 1.0), n) for n in (2, 4, 5, 17, 64)]
+    + [(rectangle(w, hgt), n) for w, hgt in ((8.0, 0.125), (2.0, 0.5)) for n in (16, 33)]
+)
+
+
+@pytest.mark.parametrize(
+    "shape, n",
+    ASSEMBLY_GRIDS,
+    ids=[f"{'x'.join(map(str, s.extents))}-n{n}" for s, n in ASSEMBLY_GRIDS],
+)
+def test_laplacian_is_the_kron_sum_entry_for_entry(shape, n):
+    g = build_grid(shape, n)
+    lap, expected = assemble_laplacian(g), kron_laplacian(g)
+    assert lap.shape == expected.shape
+    for name in ("indptr", "indices"):
+        assert getattr(lap, name).dtype == getattr(expected, name).dtype == np.int32
+        np.testing.assert_array_equal(getattr(lap, name), getattr(expected, name))
+    assert lap.data.tobytes() == expected.data.tobytes()
+
+
+def test_unit_square_at_n3_stores_no_zero():
+    # the kron sum stores 16 entries here, 4 of them explicit zeros
+    g = build_grid(rectangle(1.0, 1.0), 3)
+    lap = assemble_laplacian(g)
+    assert lap.nnz == 12
+    assert np.all(lap.data != 0.0)
+    np.testing.assert_array_equal(lap.toarray(), kron_laplacian(g).toarray())
 
 
 # Every public function that takes a nodal field, as (grid, field) -> result.
@@ -248,6 +304,7 @@ FIELD_FUNCTIONS = {
     "linearized_smallest_eigenvalue": lambda g, u: linearized_smallest_eigenvalue(g, u, 2.0, 0.0),
     "newton_solve": lambda g, u: newton_solve(g, 2.0, 0.0, u),
     "monotone_shift": lambda g, u: monotone_shift(g, u, 2.0, 0.0),
+    "SPDFactor.on_grid": SPDFactor.on_grid,
 }
 
 # The FIELD_FUNCTIONS that evaluate u^(-alpha), its slope, or a power or log

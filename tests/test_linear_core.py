@@ -141,9 +141,9 @@ def test_banded_solve_evaluates_one_residual_per_iteration(monkeypatch):
     # the residual at x = 0 is f itself, so a banded solve never evaluates it
     g = build_grid(interval(1.0), 512)
     calls = []
-    residual = linear_core.extended_residual
+    residual = linear_core._banded_residual
     monkeypatch.setattr(
-        linear_core, "extended_residual", lambda *args: calls.append(1) or residual(*args)
+        linear_core, "_banded_residual", lambda *args: calls.append(1) or residual(*args)
     )
     _, stats = SPDFactor(assemble_laplacian(g)).solve(np.ones(g.num_interior), tol=1e-13)
     assert len(calls) == stats.iterations >= 2
@@ -405,6 +405,49 @@ def test_solve_rejects_a_nonpositive_tolerance(shape, tol):
     g = build_grid(shape, 8)
     with pytest.raises(ValueError, match="tol must be positive"):
         SPDFactor(assemble_laplacian(g)).solve(np.ones(g.num_interior), tol=tol)
+
+
+def test_asymmetric_tridiagonal_matrix_is_invalid_input():
+    # dpttrf reads one off-diagonal: this matrix would be solved as another
+    ones = np.ones(4)
+    a = sp.diags_array([-0.5 * ones, 2.0 * np.ones(5), -ones], offsets=[-1, 0, 1]).tocsr()
+    with pytest.raises(ValueError, match="not symmetric"):
+        SPDFactor(a)
+
+
+ON_GRID = [(interval(1.0), n) for n in (2, 3, 64, 4096)] + [
+    (rectangle(1.0, 1.0), n) for n in (16, 33, 64)
+]
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-13])
+@pytest.mark.parametrize(
+    "shape, n", ON_GRID, ids=[f"{'interval' if s.dim == 1 else 'square'}-n{n}" for s, n in ON_GRID]
+)
+def test_factor_on_grid_is_bitwise_the_matrix_factor(rng, shape, n, tol):
+    g = build_grid(shape, n)
+    m = 3.0 * power_weight(g, 1.7)
+    for f in (rng.random(g.num_interior), rng.standard_normal(g.num_interior)):
+        x, stats = SPDFactor.on_grid(g, m).solve(f, tol)
+        expected, expected_stats = SPDFactor(shifted_laplacian(g, m)).solve(f, tol)
+        # equal values of one dtype: a long double's tobytes holds padding
+        assert x.dtype == expected.dtype
+        np.testing.assert_array_equal(x, expected)
+        assert stats.iterations == expected_stats.iterations
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["double", "longdouble"])
+@pytest.mark.parametrize("n", [2, 3, 64, 256, 4096])
+def test_banded_residual_is_bitwise_the_csr_residual(rng, n, wide):
+    g = build_grid(interval(1.0), n)
+    for _ in range(8):
+        m = rng.uniform(0.0, 10.0) * power_weight(g, rng.uniform(0.0, 2.0))
+        f, x = rng.standard_normal(g.num_interior), 0.5 + rng.random(g.num_interior)
+        if wide:  # every bit of the wider mantissa in use
+            f, x = f.astype(np.longdouble) / 3, x.astype(np.longdouble) / 3
+        banded = linear_core._banded_residual(*SPDFactor.on_grid(g, m)._band, f, x)
+        expected = extended_residual(shifted_laplacian(g, m), f, x)
+        assert banded.tobytes() == expected.tobytes()
 
 
 def longdouble_reference(a, f, x):

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from sel import grid as grid_module
-from sel import monotone
+from sel import linear_core, monotone, oracle
 from sel.barriers import BORDERLINE_WARNING, build_barrier_pair, resolve_regime
 from sel.grid import assemble_laplacian, build_grid, interval, power_weight, rectangle
 from sel.linear_core import MAX_REFINEMENTS, SPDFactor, solve_spd
@@ -18,6 +18,7 @@ from sel.monotone import (
     solve_monotone,
     uniqueness_gap,
 )
+from sel.oracle import newton_solve
 from sel.problem import ProblemSpec, SolveConfig
 from sel.spectral import dirichlet_eigenpair, forcing, linearized_smallest_eigenvalue
 
@@ -317,18 +318,35 @@ def test_ladder_level_assembles_its_laplacian_once(monkeypatch, shape, axes):
     # eigenpair residual, both barriers, both certificates, solve_monotone,
     # mu_1 and the residual all share the level grid's one Laplacian
     calls = []
-    second_difference = grid_module._second_difference
-    monkeypatch.setattr(
-        grid_module, "_second_difference", lambda m: calls.append(m) or second_difference(m)
-    )
+    assemble = grid_module._assemble
+    monkeypatch.setattr(grid_module, "_assemble", lambda g: calls.append(g.dim) or assemble(g))
     levels = solve_ladder(2.0, 0.0, shape, (16, 32), SolveConfig(tol=1e-8))
     assert all(level.report.converged for level in levels)
-    assert len(calls) == 2 * axes
+    assert calls == [axes, axes]
     for level in levels:
         u = level.report.upper
         linearized_smallest_eigenvalue(level.grid, u, 2.0, 0.0)
         residual(level.grid, u, 2.0, 0.0)
-    assert len(calls) == 2 * axes
+    assert calls == [axes, axes]
+
+
+@pytest.mark.parametrize(
+    "shape, n", [(interval(1.0), 256), (rectangle(1.0, 1.0), 32)], ids=["interval", "square"]
+)
+def test_outer_steps_factor_by_the_grid(monkeypatch, shape, n):
+    # no monotone or Newton step scans a matrix pattern, and on an interval
+    # none builds a shifted matrix: the factor reads the grid's diagonals
+    spec = ProblemSpec(alpha=2.0, beta=0.0, shape=shape, n=n)
+    grid = spec.make_grid()
+    pair = build_barrier_pair(grid, 2.0, 0.0)
+    forbidden = ["is_tridiagonal"] + (["shifted_laplacian"] if shape.dim == 1 else [])
+    for module in (grid_module, linear_core, monotone, oracle):
+        for name in forbidden:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, lambda *args: pytest.fail("pattern or matrix"))
+    assert solve_monotone(spec, pair).converged
+    u = newton_solve(grid, 2.0, 0.0, pair.super, tol=1e-9)
+    assert residual(grid, u, 2.0, 0.0) <= 1e-9
 
 
 @pytest.mark.parametrize("max_iter", [2.5, 3.0])
