@@ -13,7 +13,6 @@ stops where H^1 does.
 
 from sel import (
     SolveConfig,
-    asymptotic_window,
     build_barrier_pair,
     build_grid,
     estimate_critical_q,
@@ -30,7 +29,7 @@ print(f"--- q_bar for alpha={ALPHA}, beta={BETA}")
 ladder = solve_ladder(ALPHA, BETA, interval(), (1024, 2048), SolveConfig(tol=1e-7, max_iter=2000))
 levels = [(level.grid, level.report.upper) for level in ladder]
 
-q_est = estimate_critical_q(levels, asymptotic_window(levels[-1][0]))
+q_est = estimate_critical_q(levels)
 print(f"q_bar estimate = {q_est:.3f}   theory (1+alpha)/(alpha+beta-1) = {resolve_regime(ALPHA, BETA).q_bar:.3f}")
 
 print("\nrefinement ratios of int |grad u|^q (>= 1.05 flags divergence;")

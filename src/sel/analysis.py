@@ -7,7 +7,8 @@ refinement ratios, and the two-solution uniqueness integrand.  The values
 the theory predicts for t, sigma and q_bar come from
 barriers.resolve_regime; this module measures them.
 
-Exponents are log-log regression slopes over a distance band.  On a
+Exponents are log-log regression slopes over one distance band,
+asymptotic_window, on every grid and for every caller.  On a
 uniform grid the nodes are linearly dense in d, which would overweight the
 top of the band where the boundary asymptotics have not fully set in, so
 the regressions weight nodes by 1/d (log-uniform density).  In 2D only
@@ -50,21 +51,18 @@ class FitWindow:
             raise ValueError(f"need 0 < d_min < d_max, got [{self.d_min}, {self.d_max}]")
 
 
-def default_window(grid: Grid) -> FitWindow:
-    """[4h, 0.1 diameter]: skips the truncation-dominated first layers and
-    the interior where boundary asymptotics have not set in."""
-    return FitWindow(4.0 * min(grid.h), 0.1 * grid.shape.diameter)
-
-
 def asymptotic_window(grid: Grid) -> FitWindow:
-    """Tighter band for exponent extraction on fine grids.
+    """The one distance band of every exponent fit on grid.
 
     The boundary power law carries slowly decaying corrections, so the band
     top sits at 1% of the diameter; the bottom skips six node layers, where
     the discrete scheme has its own boundary layer.  On coarser grids the
     band widens, but never past 10% of the diameter: beyond that a log-log
     slope measures interior shape, not the boundary law.  Grids too coarse
-    to host any such band raise WindowTooThinError.
+    to host any such band raise WindowTooThinError, and so do bands with
+    too few nodes or distance layers to regress over (_fit_loglog): a fit
+    on such a grid is a typed failure, not a number from a wider, biased
+    band.
     """
     diam = grid.shape.diameter
     d_min = 6.0 * min(grid.h)
@@ -94,7 +92,9 @@ def _edge_interior_mask(grid: Grid) -> np.ndarray:
     )
 
 
-def _fit_loglog(grid: Grid, values: np.ndarray, window: FitWindow) -> tuple[float, float]:
+def _fit_loglog(grid: Grid, values: np.ndarray) -> tuple[float, float]:
+    # weighted log-log regression of values against d over asymptotic_window
+    window = asymptotic_window(grid)
     mask = (grid.d >= window.d_min) & (grid.d <= window.d_max) & (values > 0)
     mask &= _edge_interior_mask(grid)
     # A rectangle's edge layer holds many nodes at one distance, so the node
@@ -117,12 +117,11 @@ def _fit_loglog(grid: Grid, values: np.ndarray, window: FitWindow) -> tuple[floa
     return slope, math.exp(intercept)
 
 
-def fit_boundary_exponent(
-    grid: Grid, u: np.ndarray, window: FitWindow | None = None
-) -> tuple[float, float]:
-    """(t_fit, c_fit) with u ~ c_fit d^t_fit over the window; ValueError
-    unless u passes grid.check_positive."""
-    return _fit_loglog(grid, grid.check_positive(u), window or default_window(grid))
+def fit_boundary_exponent(grid: Grid, u: np.ndarray) -> tuple[float, float]:
+    """(t_fit, c_fit) with u ~ c_fit d^t_fit over asymptotic_window; ValueError
+    unless u passes grid.check_positive, WindowTooThinError on a grid too
+    coarse for the window."""
+    return _fit_loglog(grid, grid.check_positive(u))
 
 
 def gradient_field(grid: Grid, u: np.ndarray) -> np.ndarray:
@@ -132,9 +131,9 @@ def gradient_field(grid: Grid, u: np.ndarray) -> np.ndarray:
     return np.sqrt(sum(g * g for g in comps))
 
 
-def fit_gradient_exponent(grid: Grid, u: np.ndarray, window: FitWindow | None = None) -> float:
-    """Log-log slope sigma_fit of |grad_h u| versus d over the window."""
-    slope, _ = _fit_loglog(grid, gradient_field(grid, u), window or default_window(grid))
+def fit_gradient_exponent(grid: Grid, u: np.ndarray) -> float:
+    """Log-log slope sigma_fit of |grad_h u| versus d over asymptotic_window."""
+    slope, _ = _fit_loglog(grid, gradient_field(grid, u))
     return slope
 
 
@@ -171,11 +170,11 @@ def _integral_diverges(gradients: list[Level], q: float) -> bool:
     return fine / coarse >= DIVERGENCE_RATIO
 
 
-def estimate_critical_q(levels: list[Level], window: FitWindow | None = None) -> float:
+def estimate_critical_q(levels: list[Level]) -> float:
     """q_bar from the gradient exponent, cross-checked by divergence tests.
 
-    Primary estimate: q_bar_from_sigma at the finest level over the window
-    (default_window when None).  Cross-check on the q-grid 0.6, 0.8, 1.2,
+    Primary estimate: q_bar_from_sigma at the finest level over its
+    asymptotic_window.  Cross-check on the q-grid 0.6, 0.8, 1.2,
     1.4 times q_bar (2, 4, 8 when no threshold is predicted); direct
     divergence detection is ill-conditioned near q_bar itself, hence the
     20% exclusion band.  The classification, shared with regularity_report
@@ -197,7 +196,7 @@ def estimate_critical_q(levels: list[Level], window: FitWindow | None = None) ->
         raise ValueError("need at least 2 refinement levels for the cross-check")
     gradients = [(grid, gradient_field(grid, u)) for grid, u in levels[-2:]]
     grid, grad = gradients[-1]
-    sigma, _ = _fit_loglog(grid, grad, window or default_window(grid))
+    sigma, _ = _fit_loglog(grid, grad)
     return _cross_checked_q(gradients, sigma, None)
 
 
@@ -333,10 +332,9 @@ def regularity_report(
     """
     regime = resolve_regime(alpha, beta)
     grid, u = levels[-1]
-    window = asymptotic_window(grid)
-    t_fit, _ = fit_boundary_exponent(grid, u, window)
+    t_fit, _ = fit_boundary_exponent(grid, u)
     gradients = [(g, gradient_field(g, f)) for g, f in levels]
-    sigma_fit, _ = _fit_loglog(grid, gradients[-1][1], window)
+    sigma_fit, _ = _fit_loglog(grid, gradients[-1][1])
     verdicts: dict[str, object] = {}
     if len(levels) >= 2:
         try:

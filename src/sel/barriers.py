@@ -4,7 +4,8 @@ build_barrier_pair builds and scales the pair; verify_barrier
 certifies either side nodewise.  Two regimes, split by s = alpha + beta:
 
 * s < 1 (low): both barriers are multiples of psi, where psi solves
-  -lap_h psi = d^(-(alpha+beta)); it behaves like d, and the weight of the
+  -lap_h psi = d^(-(alpha+beta)) through SPDFactor.on_grid (factored by the
+  grid, no pattern scan); it behaves like d, and the weight of the
   monotone iteration's gap norm is d^(-gamma) with gamma = 1 + alpha.  At
   alpha = 0 psi solves the linear problem itself, so c and C bracket 1.
 * s > 1 (high): both barriers are multiples of H^t with boundary exponent
@@ -55,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid, assemble_laplacian, power_weight
-from .linear_core import SolverFailure, solve_spd
+from .linear_core import SPDFactor, SolverFailure
 from .spectral import EigenPair, dirichlet_eigenpair, forcing
 
 
@@ -223,7 +224,8 @@ def build_barrier_pair(
     A0 = assemble_laplacian(grid)
     if regime.t == 1.0:
         # psi need not be accurate: c and C are scaled from A0 @ psi itself
-        psi, _ = solve_spd(A0, power_weight(grid, alpha + beta), tol=1e-9)
+        factor = SPDFactor.on_grid(grid, np.zeros(grid.num_interior))
+        psi, _ = factor.solve(power_weight(grid, alpha + beta), tol=1e-9)
         base = psi.astype(float)
     else:
         if eig is None:

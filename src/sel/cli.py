@@ -14,6 +14,10 @@ a level that runs out of --max-iter is an IterationLimitError, one of them.
 No command makes its output path before its checks and its solve pass;
 solve's unconverged report, written before it raises, is the one partial
 output.  A sweep cell records a ValueError or SolverFailure as a skipped row.
+Every command's exponents come from regularity_report over
+asymptotic_window, the one fit band: sweep and regularity refuse a grid too
+coarse for it (exit 1) before solving, and solve writes null t_fit,
+sigma_fit and q_bar_est there.
 Stopping defaults (--tol, --max-iter) are SolveConfig's.
 Everything is deterministic: identical flags give byte-identical
 report/CSV files.  A manifest.json with versions and a timestamp is
@@ -40,13 +44,10 @@ import scipy
 from . import __version__
 from .analysis import (
     WindowTooThinError,
-    asymptotic_window,
-    default_window,
     fit_boundary_exponent,
     fit_gradient_exponent,
     gradient_field,
     gradient_integral,
-    q_bar_from_sigma,
     regularity_report,
 )
 from .barriers import BORDERLINE_WARNING, Regime, build_barrier_pair, resolve_regime
@@ -126,24 +127,19 @@ def _domain(name: str):
 
 
 def _fit_exponents_best_effort(grid: Grid, u) -> tuple[float | None, float | None]:
-    # Boundary-law fits need a meaningful distance band; fall back to the
-    # wide default window on coarse grids and to nulls when even that is
-    # too thin to regress over.
-    for window_of in (asymptotic_window, default_window):
-        try:
-            window = window_of(grid)
-            t_fit, _ = fit_boundary_exponent(grid, u, window)
-            return t_fit, fit_gradient_exponent(grid, u, window)
-        except ValueError:  # WindowTooThinError is one
-            continue
-    return None, None
+    # (t_fit, sigma_fit) of solve's regularity block, (None, None) on a grid
+    # too coarse for asymptotic_window; perfbench/record_reference.py reads it
+    try:
+        return fit_boundary_exponent(grid, u)[0], fit_gradient_exponent(grid, u)
+    except WindowTooThinError:
+        return None, None
 
 
 def _check_fit_window(domain: str, n: int) -> None:
     """ValueError (exit 1) if the n grid cannot host regularity_report's fits."""
     grid = build_grid(_domain(domain), n)
     try:
-        fit_boundary_exponent(grid, grid.d, asymptotic_window(grid))
+        fit_boundary_exponent(grid, grid.d)
     except WindowTooThinError as exc:
         raise ValueError(f"n={n} is too coarse for the boundary fit: {exc}") from exc
 
@@ -246,7 +242,15 @@ def cmd_solve(args) -> None:
                 grid, args.alpha, args.beta, pair.super, tol=min(args.tol, 1e-12), dense=True
             )
     mu = linearized_smallest_eigenvalue(grid, u, args.alpha, args.beta, tol=1e-10)
-    t_fit, sigma_fit = _fit_exponents_best_effort(grid, u)
+    regularity = {"t_fit": None, "sigma_fit": None, "q_bar_est": None,
+                  "q_bar_theory": regime.q_bar, "h1_verdict": "needs >= 3 levels"}
+    try:
+        reg = regularity_report([(grid, u)], args.alpha, args.beta)
+    except WindowTooThinError:  # the grids sweep and regularity refuse: null fits
+        pass
+    else:
+        regularity.update(t_fit=reg.t_fit, sigma_fit=reg.sigma_fit, q_bar_est=reg.q_bar_est,
+                          q_bar_theory=reg.q_bar_theory, h1_verdict=reg.verdicts["h1"])
     report = {
         "spec": _spec_echo(args, args.method),
         "warnings": regime.warnings,
@@ -259,13 +263,7 @@ def cmd_solve(args) -> None:
         },
         "solve": solve_block,
         "spectral": {"lambda1": eig.value, "mu1": mu.value, "stable": mu.value > 0.0},
-        "regularity": {
-            "t_fit": t_fit,
-            "sigma_fit": sigma_fit,
-            "q_bar_est": None if sigma_fit is None else q_bar_from_sigma(sigma_fit),
-            "q_bar_theory": regime.q_bar,
-            "h1_verdict": "needs >= 3 levels",
-        },
+        "regularity": regularity,
         "residuals": {"solution": residual(grid, u, args.alpha, args.beta)},
     }
     out_dir = Path(args.out)

@@ -11,7 +11,6 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from sel.analysis import (
-    asymptotic_window,
     estimate_critical_q,
     fit_boundary_exponent,
     fit_gradient_exponent,
@@ -110,7 +109,7 @@ def test_criterion_5_boundary_exponent(lab):
     bands = {(2.0, 0.0): (0.63, 0.70), (2.0, 1.0): (0.28, 0.38)}
     for (alpha, beta), (lo, hi) in bands.items():
         grid, _, report = lab.solved(alpha, beta, 4096, tol=FINE_TOL)
-        t_fit, _ = fit_boundary_exponent(grid, report.upper, asymptotic_window(grid))
+        t_fit, _ = fit_boundary_exponent(grid, report.upper)
         assert lo <= t_fit <= hi, (alpha, beta, t_fit)
         print(f"[criterion 5] PASS: ({alpha},{beta}) n=4096 t_fit={t_fit:.4f} in [{lo},{hi}]")
 
@@ -124,30 +123,29 @@ def test_criterion_5_boundary_exponent_rectangle():
     report = solve_monotone(spec, build_barrier_pair(grid, 2.0, 0.0))
     assert report.converged
     assert report.ordering_violation == 0.0
-    t_fit, _ = fit_boundary_exponent(grid, report.upper, asymptotic_window(grid))
+    t_fit, _ = fit_boundary_exponent(grid, report.upper)
     assert 0.59 <= t_fit <= 0.615, t_fit
     print(f"[criterion 5] PASS: rectangle (2.0,0.0) n=256 t_fit={t_fit:.4f} in [0.59,0.615]")
 
 
 def test_criterion_6_gradient_blowup_and_qbar(lab):
     grid, _, report = lab.solved(2.0, 0.0, 4096, tol=FINE_TOL)
-    window = asymptotic_window(grid)
-    sigma = fit_gradient_exponent(grid, report.upper, window)
+    sigma = fit_gradient_exponent(grid, report.upper)
     assert -0.37 <= sigma <= -0.30, sigma
     levels = [
         (lab.solved(2.0, 0.0, n, tol=FINE_TOL)[0], lab.solved(2.0, 0.0, n, tol=FINE_TOL)[2].upper)
         for n in (2048, 4096)
     ]
-    q20 = estimate_critical_q(levels, window)
+    q20 = estimate_critical_q(levels)
     assert 2.7 <= q20 <= 3.3, q20
     levels21 = [
         (lab.solved(2.0, 1.0, n, tol=FINE_TOL)[0], lab.solved(2.0, 1.0, n, tol=FINE_TOL)[2].upper)
         for n in (2048, 4096)
     ]
-    q21 = estimate_critical_q(levels21, window)
+    q21 = estimate_critical_q(levels21)
     assert 1.35 <= q21 <= 1.65, q21
     # consistency triangle: the gradient of d^t scales as d^(t-1)
-    t_fit, _ = fit_boundary_exponent(grid, report.upper, window)
+    t_fit, _ = fit_boundary_exponent(grid, report.upper)
     assert abs(t_fit - 1.0 - sigma) <= 0.05
     # sharpness dichotomy around q_bar = 3: marginal (non-)divergence is
     # ill-conditioned near the threshold, and just below it the integrals
@@ -259,7 +257,7 @@ def test_criterion_11_property_suites(lab, rng):
     # synthetic power-law recovery at n=4096
     fine = lab.grid(4096)
     for s in (1.0 / 3.0, 0.5, 2.0 / 3.0, 1.0):
-        t_fit, _ = fit_boundary_exponent(fine, fine.d**s, asymptotic_window(fine))
+        t_fit, _ = fit_boundary_exponent(fine, fine.d**s)
         assert abs(t_fit - s) <= 0.01
     print("[criterion 11] PASS: positivity x100, monotonized map x100, power-law recovery x4")
 

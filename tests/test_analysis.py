@@ -9,7 +9,6 @@ from sel.analysis import (
     InconsistentClassificationError,
     WindowTooThinError,
     asymptotic_window,
-    default_window,
     estimate_critical_q,
     fit_boundary_exponent,
     fit_gradient_exponent,
@@ -30,22 +29,29 @@ def test_fit_window_validation():
         FitWindow(0.0, 0.1)
     with pytest.raises(ValueError):
         FitWindow(0.2, 0.1)
-    g = build_grid(interval(1.0), 64)
-    w = default_window(g)
-    assert min(g.h) <= w.d_min < w.d_max <= 0.1 * g.shape.diameter
+    # the one fit band: six node layers up to 1% of the diameter on fine
+    # grids, widening to 3 * 6h but never past 10% on coarser ones
+    fine = asymptotic_window(build_grid(interval(1.0), 4096))
+    assert (fine.d_min, fine.d_max) == (6.0 / 4096, 0.01)
+    mid = asymptotic_window(build_grid(interval(1.0), 256))
+    assert (mid.d_min, mid.d_max) == (6.0 / 256, 18.0 / 256)
+    coarse = asymptotic_window(build_grid(interval(1.0), 64))
+    assert (coarse.d_min, coarse.d_max) == (6.0 / 64, 0.1)
+    with pytest.raises(WindowTooThinError):
+        asymptotic_window(build_grid(interval(1.0), 60))
 
 
 def test_synthetic_power_law_recovery(lab):
     grid = lab.grid(4096)
     for s in (1.0 / 3.0, 0.5, 2.0 / 3.0, 1.0):
         u = grid.d**s
-        t_fit, c_fit = fit_boundary_exponent(grid, u, asymptotic_window(grid))
+        t_fit, c_fit = fit_boundary_exponent(grid, u)
         assert abs(t_fit - s) <= 0.01
         assert c_fit == pytest.approx(1.0, rel=0.05)
-        sigma = fit_gradient_exponent(grid, u, asymptotic_window(grid))
+        sigma = fit_gradient_exponent(grid, u)
         assert abs(sigma - (s - 1.0)) <= 0.02 or s == 1.0
     # exact linear profile: the fit is exact and the gradient is flat
-    t_fit, _ = fit_boundary_exponent(grid, grid.d, asymptotic_window(grid))
+    t_fit, _ = fit_boundary_exponent(grid, grid.d)
     assert t_fit == pytest.approx(1.0, abs=1e-10)
 
 
@@ -54,7 +60,8 @@ def test_fit_requires_positive_field_and_enough_nodes(lab):
     with pytest.raises(ValueError):
         fit_boundary_exponent(grid, -grid.d)
     with pytest.raises(WindowTooThinError):
-        fit_boundary_exponent(grid, grid.d, FitWindow(grid.h[0], 1.9 * grid.h[0]))
+        # the n=64 band [6h, 0.1] holds 2 nodes
+        fit_boundary_exponent(grid, grid.d)
 
 
 def test_gradient_field_examples():
@@ -180,7 +187,7 @@ def test_low_regime_gradient_is_effectively_flat(lab):
         spec = ProblemSpec(alpha=alpha, beta=beta, n=n, config=SolveConfig(tol=1e-7, max_iter=3000))
         grid = spec.make_grid()
         rep = solve_monotone(spec, build_barrier_pair(grid, alpha, beta))
-        sigma = fit_gradient_exponent(grid, rep.upper, asymptotic_window(grid))
+        sigma = fit_gradient_exponent(grid, rep.upper)
         assert abs(sigma) <= 0.1, (alpha, beta, sigma)
 
 
@@ -227,7 +234,7 @@ def test_uniqueness_identity_values(lab):
 def test_2d_fits_mask_out_corners():
     g = build_grid(rectangle(1.0, 1.0), 96)
     u = g.d ** (2.0 / 3.0)
-    t_fit, _ = fit_boundary_exponent(g, u, FitWindow(2 * g.h[0], 0.1))
+    t_fit, _ = fit_boundary_exponent(g, u)
     assert t_fit == pytest.approx(2.0 / 3.0, abs=0.02)
 
 
@@ -274,9 +281,8 @@ def test_regularity_report_fits_sigma_and_integrates_q2_once(lab, monkeypatch):
     assert gradients == [512, 1024, 2048]
     assert energies == [512, 1024, 2048]
     monkeypatch.undo()
-    window = asymptotic_window(levels[-1][0])
-    assert rep.sigma_fit == fit_gradient_exponent(*levels[-1], window)
-    assert rep.q_bar_est == estimate_critical_q(levels, window)
+    assert rep.sigma_fit == fit_gradient_exponent(*levels[-1])
+    assert rep.q_bar_est == estimate_critical_q(levels)
     h1 = h1_membership(levels)
     assert rep.verdicts["h1"] == h1.verdict
     assert rep.h1_norms == [math.sqrt(v) for v in h1.values]

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -373,3 +374,21 @@ def test_low_regime_pair_is_exactly_scaled_psi(shape, n, alpha, beta):
     pair = build_barrier_pair(grid, alpha, beta)
     np.testing.assert_array_equal(pair.sub, pair.c * psi.astype(float))
     np.testing.assert_array_equal(pair.super, pair.C * psi.astype(float))
+
+
+@pytest.mark.parametrize(
+    "shape, n", [(interval(1.0), 1000), (rectangle(1.0, 1.0), 33)], ids=["interval", "square"]
+)
+def test_psi_is_factored_by_the_grid(monkeypatch, shape, n):
+    # the t = 1 pair solves for psi through SPDFactor.on_grid, which routes
+    # by grid.dim: no pattern scan, and no bare-matrix solve_spd
+    def fail(*_args, **_kwargs):
+        pytest.fail("psi solved by matrix pattern")
+
+    for name, module in list(sys.modules.items()):
+        if name == "sel" or name.startswith("sel."):
+            for attr in ("is_tridiagonal", "solve_spd"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, fail)
+    pair = build_barrier_pair(build_grid(shape, n), 0.5, 0.0)
+    assert pair.t == 1.0 and 0.0 < pair.c <= pair.C < math.inf

@@ -92,11 +92,15 @@ def test_solve_singular_case_schema_and_spectral(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "domain, alpha, n", [("interval", "0.5", 16), ("rectangle", "2", 32), ("rectangle", "2", 33)]
+    "domain, alpha, n",
+    [("interval", "0.5", 16), ("rectangle", "2", 32), ("rectangle", "2", 33),
+     ("interval", "2", 80), ("interval", "2", 99), ("rectangle", "2", 56)],
 )
 def test_solve_too_coarse_for_fits_reports_null(tmp_path, domain, alpha, n):
     # Rectangle bands at n 32 and 33 hold enough nodes but too few distance
-    # layers to regress over.
+    # layers to regress over.  Intervals at n 80 and 99 and the rectangle at
+    # 56 are the grids sweep and regularity refuse: too few nodes or layers
+    # in asymptotic_window, the one fit band, so no exponent is written.
     out = tmp_path / "coarse"
     argv = ["solve", "--domain", domain, "--alpha", alpha, "--n", str(n), "--out", str(out)]
     code = main(argv)
@@ -106,6 +110,22 @@ def test_solve_too_coarse_for_fits_reports_null(tmp_path, domain, alpha, n):
     assert report["solve"]["converged"]
     assert report["regularity"]["t_fit"] is None
     assert report["regularity"]["q_bar_est"] is None
+
+
+@pytest.mark.parametrize("domain, n", [("interval", 256), ("rectangle", 64)])
+def test_solve_regularity_block_is_the_one_level_report(tmp_path, domain, n):
+    out = tmp_path / domain
+    assert main(["solve", "--domain", domain, "--alpha", "2", "--n", str(n), "--out", str(out)]) == 0
+    block = read_report(out)["regularity"]
+    (level,) = solve_ladder(2.0, 0.0, cli._domain(domain), [n], SolveConfig())
+    reg = analysis.regularity_report([(level.grid, level.report.upper)], 2.0, 0.0)
+    assert block == {
+        "t_fit": reg.t_fit,
+        "sigma_fit": reg.sigma_fit,
+        "q_bar_est": reg.q_bar_est,
+        "q_bar_theory": reg.q_bar_theory,
+        "h1_verdict": reg.verdicts["h1"],
+    }
 
 
 def test_solve_alpha_one_warns_but_runs(tmp_path):
