@@ -22,7 +22,7 @@ Stopping defaults (--tol, --max-iter) are SolveConfig's.
 Everything is deterministic: identical flags give byte-identical
 report/CSV files.  A manifest.json with versions and a timestamp is
 written next to each report; the timestamp lives only there.
-SEL_THREADS caps the sweep worker pool.
+SEL_THREADS, an integer >= 1, caps the sweep worker pool.
 """
 
 from __future__ import annotations
@@ -241,7 +241,7 @@ def cmd_solve(args) -> None:
             u = newton_solve(
                 grid, args.alpha, args.beta, pair.super, tol=min(args.tol, 1e-12), dense=True
             )
-    mu = linearized_smallest_eigenvalue(grid, u, args.alpha, args.beta, tol=1e-10)
+    mu = linearized_smallest_eigenvalue(grid, u, args.alpha, args.beta)
     regularity = {"t_fit": None, "sigma_fit": None, "q_bar_est": None,
                   "q_bar_theory": regime.q_bar, "h1_verdict": "needs >= 3 levels"}
     try:
@@ -325,8 +325,10 @@ def cmd_sweep(args) -> None:
     for alpha, beta, *_ in cells:
         resolve_regime(alpha, beta)
     _check_fit_window(args.domain, args.n)
-    workers = int(os.environ.get("SEL_THREADS", os.cpu_count() or 1))
-    workers = max(1, min(workers, len(cells)))
+    threads = os.environ.get("SEL_THREADS", str(os.cpu_count() or 1))
+    if not (threads.strip().isdecimal() and int(threads) >= 1):
+        raise ValueError(f"SEL_THREADS must be an integer >= 1, got '{threads}'")
+    workers = min(int(threads), len(cells))
     if workers == 1:
         rows = [_sweep_cell(c) for c in cells]
     else:
@@ -351,9 +353,7 @@ def cmd_spectrum(args) -> None:
     levels = _ladder(args.alpha, args.beta, args.domain, level_ns, config)
     rows = []
     for level in levels:
-        mu = linearized_smallest_eigenvalue(
-            level.grid, level.report.upper, args.alpha, args.beta, tol=1e-10
-        )
+        mu = linearized_smallest_eigenvalue(level.grid, level.report.upper, args.alpha, args.beta)
         rows.append({"n": level.grid.n, "lambda1": level.eig.value, "mu1": mu.value})
     payload = {
         "spec": _spec_echo(args, levels=level_ns),

@@ -12,10 +12,11 @@ diagonals, without a matrix; a rectangle's operator (grid.shifted_laplacian,
 on the pattern of the grid's cached Laplacian) is solved by conjugate
 gradients preconditioned with a geometric multigrid V-cycle (Galerkin
 coarse operators, damped-Jacobi smoothing, a direct solve on the coarsest
-grid), which takes a handful of iterations at any resolution.  A bare CSR
-matrix (SPDFactor(A), through solve_spd and principal_eigenpair) is routed
-by its pattern instead (is_tridiagonal, read off indptr and indices); that
-matrix route stays until those callers take the grid (ROADMAP item 4).
+grid), which takes a handful of iterations at any resolution and also
+preconditions mu_1's LOBPCG.  A bare CSR matrix (SPDFactor(A), behind solve_spd and
+principal_eigenpair) has no grid: a tridiagonal one (is_tridiagonal) gets
+the LDL^T factor, any other one direct splu level; no program path takes
+it, and it goes with those two callers (ROADMAP item 4).
 extended_residual evaluates f - A x as one scipy CSR product in
 np.longdouble, rounded to double once; a banded residual (_banded_residual)
 is the factor's own two diagonals summed in CSR row order, bitwise the
@@ -102,14 +103,7 @@ def _banded_residual(
 
 
 def is_tridiagonal(A: sp.csr_array) -> bool:
-    """Every stored entry of the CSR matrix A lies on or next to the diagonal
-    (intervals); read from indptr and indices, without a format conversion.
-
-    No tridiagonal matrix in canonical CSR stores more than 3N - 2 entries,
-    so a larger pattern (every rectangle grid) is rejected without a scan.
-    """
-    if A.nnz > 3 * A.shape[0] - 2:
-        return False
+    """Every stored entry of the CSR matrix A is on or next to its diagonal."""
     rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
     return bool(np.all(np.abs(A.indices - rows) <= 1))
 
@@ -150,12 +144,12 @@ class SPDFactor:
     and share solve.  SPDFactor.on_grid(grid, m), the factor of
     -lap_h + diag(m) that the monotone and Newton steps use, routes by
     grid.dim: an interval's two diagonals come from the grid (no matrix is
-    built), a rectangle's multigrid takes n from the grid.  SPDFactor(A)
-    infers the route from a bare matrix: is_tridiagonal, then the row and
-    entry counts of a square grid's 5-point stencil.  That matrix route
-    serves solve_spd and principal_eigenpair, and stays until they take
-    the grid (ROADMAP item 4).  A NaN or inf entry is a ValueError on
-    either route, and so is a tridiagonal A that is not symmetric.
+    built), a rectangle's multigrid takes n from the grid, and so does mu_1's
+    V-cycle.  SPDFactor(A), behind solve_spd and principal_eigenpair, has a
+    bare matrix and no grid to coarsen: a tridiagonal A (is_tridiagonal) is
+    factored as L D L^T, any other is one direct splu level.  A NaN or inf
+    entry is a ValueError on either route, and so is a tridiagonal A that is
+    not symmetric.
 
     A tridiagonal operator (every interval grid) is factored as L D L^T by
     LAPACK dpttrf, which fails (info != 0) unless the matrix is positive
@@ -178,11 +172,10 @@ class SPDFactor:
     from n to ceil(n/2) subdivisions per axis, Galerkin coarse operators
     P^T A P (the nodal shift needs no rediscretization), SMOOTHING_SWEEPS
     damped-Jacobi sweeps before and after each coarse correction, and splu
-    at the coarsest level, n <= COARSEST_N.  Smaller grids, or a bare
-    matrix without the row and entry counts of a square grid's 5-point
-    stencil, are a one-level hierarchy: splu alone.  Its residuals pass
-    the double operator self.A to extended_residual, and keep no
-    long-double copy of it; the banded route keeps its two diagonals in
+    at the coarsest level, n <= COARSEST_N.  Smaller grids, and every bare
+    non-tridiagonal matrix, are a one-level hierarchy: splu alone.  Its
+    residuals pass the double operator self.A to extended_residual, and keep
+    no long-double copy of it; the banded route keeps its two diagonals in
     np.longdouble, 32 bytes a row.
     """
 
@@ -196,11 +189,8 @@ class SPDFactor:
             if not np.array_equal(A.diagonal(-1), A.diagonal(1)):
                 raise ValueError("tridiagonal matrix is not symmetric")
             self._init_banded(A.diagonal(), A.diagonal(1))
-            return
-        # a square grid's 5-point matrix: (n-1)^2 rows and 5m^2 - 4m entries, m = n-1
-        m = math.isqrt(A.shape[0])
-        n = m + 1 if m * m == A.shape[0] and A.nnz == 5 * m * m - 4 * m else 0
-        self._init_multigrid(A, n)
+        else:
+            self._init_multigrid(A, 0)
 
     @classmethod
     def on_grid(cls, grid: Grid, m: np.ndarray) -> SPDFactor:
@@ -228,7 +218,7 @@ class SPDFactor:
         self._ldl = (d, e)
 
     def _init_multigrid(self, A: sp.csr_array, n: int) -> None:
-        # n: subdivisions per axis of A's square grid, or 0 for a one-level hierarchy
+        # n: subdivisions per axis of A's grid, or 0 (no grid) for a one-level hierarchy
         self.A = A
         self._ldl = None
         # (A_l, JACOBI_WEIGHT / diag(A_l), P, P^T) for every level above the coarsest

@@ -18,6 +18,7 @@ import scipy.linalg
 from .barriers import build_barrier_pair, resolve_regime
 from .grid import Grid, assemble_laplacian
 from .linear_core import SPDFactor, SolverFailure
+from .monotone import INNER_TOL
 from .problem import ProblemSpec
 from .spectral import forcing, monotone_shift
 
@@ -81,7 +82,7 @@ def newton_solve(
             jac = A0_dense + np.diag(jac_diag)
             delta = scipy.linalg.solve(jac, -defect, assume_a="pos")
         else:
-            delta, _ = SPDFactor.on_grid(grid, jac_diag).solve(-defect, tol=1e-10)
+            delta, _ = SPDFactor.on_grid(grid, jac_diag).solve(-defect, tol=INNER_TOL)
             delta = delta.astype(float)  # the banded solve returns long double: round once
         floor = 0.1 * float((u + eps).min())
         step = 1.0

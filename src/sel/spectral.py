@@ -4,9 +4,9 @@ forcing is the one evaluation of F(u) = d^(-beta) u^(-alpha), monotone_shift
 of m = -F'(u).  The principal eigenpair of -lap_h on the uniform tensor grid
 is in closed form (dirichlet_eigenpair); -lap_h + m has none, and
 its smallest eigenvalue mu_1 comes from a library eigensolver chosen by
-sparsity pattern: scipy.linalg.eigh_tridiagonal (LAPACK) on tridiagonal
-operators (intervals), scipy.sparse.linalg.lobpcg preconditioned by the
-multigrid V-cycle of linear_core.SPDFactor on any other (rectangles).
+grid.dim: scipy.linalg.eigh_tridiagonal (LAPACK) on intervals, lobpcg with
+the V-cycle of linear_core.SPDFactor.on_grid on rectangles (a bare matrix,
+principal_eigenpair, by its pattern).
 The operators are SPD M-matrices, so the principal eigenvector is positive
 (discrete Perron-Frobenius), which is checked.
 """
@@ -62,26 +62,31 @@ def dirichlet_eigenpair(grid: Grid) -> EigenPair:
 
 
 def principal_eigenpair(A: sp.spmatrix, tol: float = 1e-10) -> EigenPair:
-    """Smallest eigenvalue and positive eigenvector of an SPD M-matrix.
-
-    Tridiagonal A goes to scipy.linalg.eigh_tridiagonal.  Any other pattern
-    goes to scipy.sparse.linalg.lobpcg, started from the constant vector (so
-    results are deterministic) and preconditioned by the multigrid V-cycle
-    of SPDFactor(A).  LOBPCG stops on an absolute residual, so it runs
-    twice: to the gate below at the Rayleigh quotient of the constant
-    vector (an upper bound of lambda), then, from the vector it returned,
-    to half the gate at the eigenvalue it returned.  The value is the
-    Rayleigh quotient of the sup-normalized eigenvector phi.  Unless
-    ||A phi - lambda phi||_2 / ||phi||_2 <= max(tol * lambda,
-    ROUNDOFF_UNITS * eps * ||A||_inf) and phi > 0: EigenNonConvergenceError.
-    """
+    """_eigenpair of a bare SPD M-matrix, routed by pattern as SPDFactor(A) is:
+    any non-tridiagonal A gets one direct splu level (see the README)."""
     A = A.tocsr()
+    return _eigenpair(A, tol, None if is_tridiagonal(A) else SPDFactor(A).precondition)
+
+
+def _eigenpair(A: sp.csr_array, tol: float, vcycle) -> EigenPair:
+    """Smallest eigenvalue and positive eigenvector of an SPD M-matrix A.
+
+    vcycle None (A tridiagonal): scipy.linalg.eigh_tridiagonal.  Else
+    scipy.sparse.linalg.lobpcg from the constant vector (so results are
+    deterministic), preconditioned by vcycle(r) ~ A^(-1) r.  LOBPCG stops on
+    an absolute residual, so it runs twice: to the gate below at the
+    Rayleigh quotient of the constant vector (an upper bound of lambda),
+    then, from the vector it returned, to half the gate at the eigenvalue
+    it returned.  The value is the Rayleigh quotient of the sup-normalized
+    eigenvector phi.  Unless ||A phi - lambda phi||_2 / ||phi||_2 <=
+    max(tol * lambda, ROUNDOFF_UNITS * eps * ||A||_inf) and phi > 0:
+    EigenNonConvergenceError.
+    """
     floor = ROUNDOFF_UNITS * np.finfo(float).eps * scipy.sparse.linalg.norm(A, np.inf)
-    if is_tridiagonal(A):
+    if vcycle is None:
         d, e = A.diagonal(), A.diagonal(1)
         _, vecs = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
     else:
-        vcycle = SPDFactor(A).precondition
         precond = scipy.sparse.linalg.LinearOperator(
             A.shape, matvec=lambda r: vcycle(r.ravel()), dtype=float
         )
@@ -150,8 +155,12 @@ def linearized_smallest_eigenvalue(
 
     The potential is nonnegative for u > 0, so mu_1 >= lambda_1 > 0: the
     converged solutions of the nonlinear problem are linearly stable, and
-    this is the quantity that certifies it.  ValueError unless u passes
-    grid.check_positive.
+    this is the quantity that certifies it.  A rectangle's LOBPCG runs on the
+    operator of SPDFactor.on_grid, with its V-cycle.  ValueError unless u
+    passes grid.check_positive.
     """
     potential = monotone_shift(grid, u, alpha, beta)
-    return principal_eigenpair(shifted_laplacian(grid, potential), tol=tol)
+    if grid.dim == 1:
+        return _eigenpair(shifted_laplacian(grid, potential), tol, None)
+    factor = SPDFactor.on_grid(grid, potential)
+    return _eigenpair(factor.A, tol, factor.precondition)

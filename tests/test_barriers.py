@@ -15,7 +15,7 @@ from sel.barriers import (
     verify_barrier,
 )
 from sel.grid import assemble_laplacian, build_grid, interval, power_weight, rectangle
-from sel.linear_core import solve_spd
+from sel.linear_core import SPDFactor
 from sel.monotone import monotone_shift, solve_monotone
 from sel.problem import ProblemSpec, SolveConfig
 from sel.spectral import EigenPair, dirichlet_eigenpair, forcing
@@ -370,7 +370,8 @@ def test_pair_is_one_profile_at_two_scales(shape, n, alpha, beta):
 def test_low_regime_pair_is_exactly_scaled_psi(shape, n, alpha, beta):
     # when t = 1 both sides scale psi, -lap_h psi = d^(-(alpha+beta)), as built
     grid = build_grid(shape, n)
-    psi, _ = solve_spd(assemble_laplacian(grid), power_weight(grid, alpha + beta), tol=1e-9)
+    zero = np.zeros(grid.num_interior)
+    psi, _ = SPDFactor.on_grid(grid, zero).solve(power_weight(grid, alpha + beta), tol=1e-9)
     pair = build_barrier_pair(grid, alpha, beta)
     np.testing.assert_array_equal(pair.sub, pair.c * psi.astype(float))
     np.testing.assert_array_equal(pair.super, pair.C * psi.astype(float))

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import sys
 import warnings
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from sel import analysis, cli, oracle
+from sel import analysis, cli, linear_core, oracle
 from sel.analysis import gradient_field
 from sel.barriers import ALPHA_ONE_WARNING, build_barrier_pair
 from sel.cli import main
@@ -564,6 +565,45 @@ def test_sweep_rejects_invalid_tol(tmp_path, capsys, monkeypatch, tol):
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: tol must be positive and finite")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-2"])
+def test_sweep_rejects_invalid_sel_threads(tmp_path, capsys, monkeypatch, threads):
+    # named in the error, before any cell runs or any output path is made
+    monkeypatch.setenv("SEL_THREADS", threads)
+    monkeypatch.setattr(cli, "solve_ladder", lambda *_: pytest.fail("solved before the check"))
+    out = tmp_path / "sweep" / "s.csv"
+    argv = ["sweep", "--alpha-list", "0.5,2", "--beta-list", "0", "--n", "128", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: SEL_THREADS must be an integer >= 1, got '{threads}'\n"
+    assert not out.parent.exists()
+
+
+GRID_ROUTED = [
+    "solve --alpha 2 --n 64",
+    "solve --domain rectangle --alpha 2 --n 33",
+    "solve --method regularized --alpha 0.5 --n 64",
+    "solve --method dense --domain rectangle --alpha 2 --n 17",
+    "spectrum --domain rectangle --alpha 0.5 --levels 17,33",
+    "sweep --alpha-list 0.5,2 --beta-list 0 --n 128",
+    "regularity --domain rectangle --alpha 2 --levels 17,33,64",
+]
+
+
+@pytest.mark.parametrize("command", GRID_ROUTED)
+def test_every_command_factors_by_the_grid(tmp_path, monkeypatch, command):
+    # no program path hands a bare matrix to the pattern route: every factor,
+    # mu_1's V-cycle included, comes from SPDFactor.on_grid
+    def fail(*_args, **_kwargs):
+        pytest.fail("factored by matrix pattern")
+
+    for name, module in list(sys.modules.items()):
+        if (name == "sel" or name.startswith("sel.")) and hasattr(module, "is_tridiagonal"):
+            monkeypatch.setattr(module, "is_tridiagonal", fail)
+    monkeypatch.setattr(linear_core.SPDFactor, "__init__", fail)
+    monkeypatch.setenv("SEL_THREADS", "1")  # the sweep cells run in this process
+    assert main(command.split() + ["--out", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize(

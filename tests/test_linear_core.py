@@ -38,7 +38,7 @@ def test_tridiagonal_pattern_test():
     a = sp.csr_array(([1.0, 2.0, 3.0], [1, 0, 2], [0, 2, 2, 3]), shape=(3, 3))
     assert is_tridiagonal(a)
     assert not is_tridiagonal(sp.csr_array(([1.0], [2], [0, 1, 1, 1]), shape=(3, 3)))
-    # within the 3N - 2 entry bound, the pattern still decides
+    # few enough entries for a tridiagonal matrix: the pattern decides, not the count
     far = sp.csr_array(([1.0, 1.0, 1.0, 1.0, 1.0, 1.0], [0, 4, 1, 2, 3, 4], [0, 2, 3, 4, 5, 6]))
     assert far.nnz <= 3 * 5 - 2 and not is_tridiagonal(far)
     assert is_tridiagonal(sp.csr_array(np.array([[2.0]])))
@@ -187,9 +187,10 @@ def test_rectangle_operator_uses_multigrid_pcg(n):
     # A V-cycle preconditioner keeps the PCG count bounded independently of
     # n, odd and prime n included.
     g = build_grid(rectangle(1.0, 1.0), n)
-    a = shifted(g, 1.0, 2.0)
+    factor = SPDFactor.on_grid(g, power_weight(g, 2.0))
+    a = factor.A
     f = np.ones(g.num_interior)
-    u, stats = SPDFactor(a).solve(f, tol=1e-10)
+    u, stats = factor.solve(f, tol=1e-10)
     assert 2 <= stats.iterations <= 10
     assert np.linalg.norm(f - a @ u) <= 1e-10 * np.linalg.norm(f)
 
@@ -197,7 +198,7 @@ def test_rectangle_operator_uses_multigrid_pcg(n):
 @pytest.mark.parametrize("n", [17, 64])
 def test_pcg_applies_one_vcycle_per_iteration(monkeypatch, n):
     g = build_grid(rectangle(1.0, 1.0), n)
-    factor = SPDFactor(shifted(g, 1.0, 2.0))
+    factor = SPDFactor.on_grid(g, power_weight(g, 2.0))
     calls = []
     vcycle = factor.precondition
     monkeypatch.setattr(
@@ -211,7 +212,7 @@ def test_pcg_iteration_cap_is_typed(monkeypatch):
     monkeypatch.setattr(linear_core, "MAX_PCG_ITERS", 1)
     g = build_grid(rectangle(1.0, 1.0), 64)
     with pytest.raises(SolverStagnationError, match="after 1 iterations"):
-        SPDFactor(shifted(g, 1.0, 2.0)).solve(np.ones(g.num_interior), tol=1e-10)
+        SPDFactor.on_grid(g, power_weight(g, 2.0)).solve(np.ones(g.num_interior), tol=1e-10)
 
 
 @pytest.mark.parametrize("sign_changing", [False, True])
@@ -220,12 +221,12 @@ def test_pcg_flags_indefinite_rectangle_operator(sign_changing):
     # the multigrid path must say so rather than return a solution.  Both
     # right-hand sides have a component along the principal mode.
     g = build_grid(rectangle(1.0, 1.0), 32)
-    a = shifted_laplacian(g, np.full(g.num_interior, -30.0))
+    factor = SPDFactor.on_grid(g, np.full(g.num_interior, -30.0))
     f = np.ones(g.num_interior)
     if sign_changing:
         f = np.sin(np.pi * g.points()[:, 0]) - 0.5
     with pytest.raises(SolverStagnationError, match="not positive definite"):
-        SPDFactor(a).solve(f, tol=1e-10)
+        factor.solve(f, tol=1e-10)
 
 
 @pytest.mark.parametrize("n", [3, 5, 16])
@@ -242,7 +243,8 @@ def test_small_rectangle_is_one_direct_level(n):
 
 @pytest.mark.parametrize("shape", [rectangle(1.0, 1.0), rectangle(2.0, 0.5)], ids=["square", "4:1"])
 def test_every_multigrid_size_has_the_five_point_entry_count(shape):
-    # SPDFactor takes the multigrid path on (n-1)^2 rows and 5m^2 - 4m entries, m = n-1
+    # a grid fact: the 5-point Laplacian stores (n-1)^2 rows and 5m^2 - 4m
+    # entries, m = n-1, and no explicit zero (no factor reads these counts)
     for n in range(COARSEST_N + 1, 129):
         a = assemble_laplacian(build_grid(shape, n))
         m = n - 1
@@ -250,8 +252,8 @@ def test_every_multigrid_size_has_the_five_point_entry_count(shape):
 
 
 def test_square_sized_matrix_without_a_grid_pattern_is_solved_directly():
-    # tridiagonal plus two corner entries, N = 64^2: a square number of rows
-    # but not a 5-point grid, so no hierarchy (which stagnated at residual 6.6)
+    # tridiagonal plus two corner entries, N = 64^2: a bare matrix has no
+    # grid, so no hierarchy (a guessed one stagnated at residual 6.6)
     N = 4096
     a = sp.diags_array([-np.ones(N - 1), 2.0 * np.ones(N), -np.ones(N - 1)], offsets=[-1, 0, 1])
     a = (a + sp.csr_array(([-0.5, -0.5], ([0, N - 1], [N - 1, 0])), shape=(N, N))).tocsr()
@@ -425,10 +427,20 @@ ON_GRID = [(interval(1.0), n) for n in (2, 3, 64, 4096)] + [
     "shape, n", ON_GRID, ids=[f"{'interval' if s.dim == 1 else 'square'}-n{n}" for s, n in ON_GRID]
 )
 def test_factor_on_grid_is_bitwise_the_matrix_factor(rng, shape, n, tol):
+    # bitwise the bare matrix's factor, except where only the grid's factor
+    # builds a hierarchy: a bare rectangle matrix is one direct level
     g = build_grid(shape, n)
     m = 3.0 * power_weight(g, 1.7)
+    factor = SPDFactor.on_grid(g, m)
+    hierarchy = shape.dim == 2 and n > COARSEST_N
+    if shape.dim == 2:
+        assert bool(factor._levels) == hierarchy
     for f in (rng.random(g.num_interior), rng.standard_normal(g.num_interior)):
-        x, stats = SPDFactor.on_grid(g, m).solve(f, tol)
+        x, stats = factor.solve(f, tol)
+        if hierarchy:
+            a = shifted_laplacian(g, m)
+            assert np.linalg.norm(extended_residual(a, f, x)) <= tol * np.linalg.norm(f)
+            continue
         expected, expected_stats = SPDFactor(shifted_laplacian(g, m)).solve(f, tol)
         # equal values of one dtype: a long double's tobytes holds padding
         assert x.dtype == expected.dtype

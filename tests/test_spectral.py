@@ -14,6 +14,12 @@ from sel.spectral import (
 )
 
 
+def linearized_at_one(shape, n):
+    """mu_1 at u = 1 with alpha = 0: lambda_1 of -lap_h through the grid's route."""
+    g = build_grid(shape, n)
+    return linearized_smallest_eigenvalue(g, np.ones(g.num_interior), 0.0, 0.0)
+
+
 def discrete_lambda1_interval(n):
     h = 1.0 / n
     return 4.0 / h**2 * np.sin(np.pi * h / 2) ** 2
@@ -110,6 +116,7 @@ def test_linearized_matches_dense_eigensolve():
         (interval(1.0), 3),
         (rectangle(1.0, 1.0), 3),  # four unknowns: the smallest Lanczos case
         (rectangle(1.0, 1.0), 16),
+        (rectangle(1.0, 1.0), 33),  # LOBPCG on the grid's two-level V-cycle
     ]
     for shape, n in cases:
         (level,) = solve_ladder(0.5, 0.0, shape, [n], SolveConfig(tol=1e-10))
@@ -136,7 +143,7 @@ def test_residual_check_rejects_perturbed_eigenvector(monkeypatch, shape, n, sol
 
     monkeypatch.setattr(module, name, perturbed)
     with pytest.raises(EigenNonConvergenceError, match="eigen-residual"):
-        principal_eigenpair(assemble_laplacian(build_grid(shape, n)), tol=1e-10)
+        linearized_at_one(shape, n)
 
 
 @pytest.mark.parametrize("n", [8, 32])
@@ -150,7 +157,7 @@ def test_lobpcg_non_convergence_is_typed(monkeypatch, n):
 
     monkeypatch.setattr(scipy.sparse.linalg, "lobpcg", stalled)
     with pytest.raises(EigenNonConvergenceError, match="eigen-residual"):
-        principal_eigenpair(assemble_laplacian(build_grid(rectangle(1.0, 1.0), n)))
+        linearized_at_one(rectangle(1.0, 1.0), n)
 
 
 def test_lobpcg_breakdown_is_typed(monkeypatch):
@@ -159,7 +166,7 @@ def test_lobpcg_breakdown_is_typed(monkeypatch):
 
     monkeypatch.setattr(scipy.sparse.linalg, "lobpcg", broken)
     with pytest.raises(EigenNonConvergenceError, match="LOBPCG"):
-        principal_eigenpair(assemble_laplacian(build_grid(rectangle(1.0, 1.0), 8)))
+        linearized_at_one(rectangle(1.0, 1.0), 8)
 
 
 def test_sign_changing_eigenvector_is_a_non_convergence():
