@@ -19,6 +19,7 @@ from .analysis import (
     fit_gradient_exponent,
     gradient_field,
     h1_membership,
+    increment_ratios,
     q_bar_from_sigma,
     regularity_report,
     sobolev_integral,

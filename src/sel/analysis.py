@@ -2,13 +2,17 @@
 
 Boundary exponent t (u ~ d^t), gradient blow-up exponent sigma
 (|grad u| ~ d^sigma), the critical Sobolev threshold q_bar with
-int |grad u|^q < infinity exactly for q < q_bar, H^1 membership by
-refinement ratios, and the two-solution uniqueness integrand.  The values
-the theory predicts for t, sigma and q_bar come from
-barriers.resolve_regime; this module measures them.
+int |grad u|^q < infinity exactly for q < q_bar, H^1 membership, and the
+two-solution uniqueness integrand.  The values the theory predicts for t,
+sigma and q_bar come from barriers.resolve_regime; this module measures them.
 
-Exponents are log-log regression slopes over one distance band,
-asymptotic_window, on every grid and for every caller.  On a
+On a ladder of 3 or more levels sigma, q_bar = -1/sigma and the H^1 verdict
+come from one estimator: the ratio of successive refinement increments of
+the q=2 integral int |grad_h u|^2, which tends to 2^-(1 + 2 sigma) as h
+halves (increment_ratios).  H^1 membership is that ratio below 1.
+
+t, and sigma on fewer levels, are log-log regression slopes over one
+distance band, asymptotic_window, on every grid and for every caller.  On a
 uniform grid the nodes are linearly dense in d, which would overweight the
 top of the band where the boundary asymptotics have not fully set in, so
 the regressions weight nodes by 1/d (log-uniform density).  In 2D only
@@ -33,10 +37,6 @@ Level = tuple[Grid, np.ndarray]
 class WindowTooThinError(ValueError):
     """Fewer than 8 usable nodes, or fewer than 4 distance layers, in the
     fitting band."""
-
-
-class InconsistentClassificationError(RuntimeError):
-    """Slope-based and integral-based q_bar estimates disagree by > 20%."""
 
 
 @dataclass(frozen=True)
@@ -151,104 +151,55 @@ def sobolev_integral(grid: Grid, u: np.ndarray, q: float) -> float:
 
 
 def q_bar_from_sigma(sigma_fit: float) -> float:
-    """Slope-based threshold -1/sigma_fit; +inf when the gradient exponent is
-    too close to 0 (sigma_fit >= -0.01) to predict a threshold."""
+    """Threshold -1/sigma_fit; +inf when the gradient exponent is too close
+    to 0 (sigma_fit >= -0.01) to predict a threshold."""
     return -1.0 / sigma_fit if sigma_fit < -0.01 else math.inf
 
 
-# A q is classified divergent when the finest refinement ratio of its
-# Sobolev integral stays at least this far above 1.  Reliable only for q
-# at least 20% away from the critical threshold, which is why the
-# cross-check below never consults q inside that band.
-DIVERGENCE_RATIO = 1.05
+def increment_ratios(energies: list[float]) -> list[float]:
+    """rho_k = (E_{k+2} - E_{k+1}) / (E_{k+1} - E_k) of the q=2 integrals E_k
+    on a ladder whose h halves per level; nan where an increment is 0.
+
+    With |grad u| ~ d^sigma the quadrature misses the layer d < h, so
+    E(h) ~ E - C h^(1 + 2 sigma) and rho tends to 2^-(1 + 2 sigma)
+    (Richardson's reasoning, whether E converges or not).
+    """
+    steps = [fine - coarse for coarse, fine in zip(energies, energies[1:])]
+    return [b / a if a else math.nan for a, b in zip(steps, steps[1:])]
 
 
-def _integral_diverges(gradients: list[Level], q: float) -> bool:
-    coarse, fine = (gradient_integral(grid, grad, q) for grid, grad in gradients[-2:])
-    if coarse == 0.0:
-        raise ValueError(f"zero q={q} integral at n={gradients[-2][0].n}: no refinement ratio")
-    return fine / coarse >= DIVERGENCE_RATIO
+def sigma_from_increment(rho: float) -> float | None:
+    """sigma_est = (-log2 rho - 1) / 2; None unless rho > 0, as increments
+    that are not monotone carry no exponent."""
+    return (-math.log2(rho) - 1.0) / 2.0 if rho > 0 else None
+
+
+def _h1_verdict(rhos: list[float]) -> str:
+    # E_k converges exactly when rho < 1; inconclusive on increments that
+    # are not monotone or on ratios on both sides of 1
+    sides = {rho < 1.0 for rho in rhos}
+    if not all(rho > 0 for rho in rhos) or len(sides) != 1:
+        return "inconclusive"
+    return "member" if sides.pop() else "non-member"
 
 
 def estimate_critical_q(levels: list[Level]) -> float:
-    """q_bar from the gradient exponent, cross-checked by divergence tests.
-
-    Primary estimate: q_bar_from_sigma at the finest level over its
-    asymptotic_window.  Cross-check on the q-grid 0.6, 0.8, 1.2,
-    1.4 times q_bar (2, 4, 8 when no threshold is predicted); direct
-    divergence detection is ill-conditioned near q_bar itself, hence the
-    20% exclusion band.  The classification, shared with regularity_report
-    (which may pass its own q-grid), is:
-
-    * divergence at q <= 0.8 q_bar, or any convergent q above a divergent
-      one, contradicts the slope estimate by more than 20% and raises
-      InconsistentClassificationError;
-    * no divergence on a grid that never reaches 1.2 q_bar cannot confirm
-      the threshold either way and raises InconsistentClassificationError;
-    * no divergence on a grid that does reach it means no threshold is
-      detectable: the gradient is effectively bounded (a slowly decaying
-      near-boundary cusp can drag sigma_fit slightly negative on any
-      affordable grid) and the estimate resolves to +inf;
-    * otherwise the divergence must start inside (0.8, 1.2) q_bar, which
-      confirms q_bar = -1/sigma_fit.
-    """
-    if len(levels) < 2:
-        raise ValueError("need at least 2 refinement levels for the cross-check")
-    gradients = [(grid, gradient_field(grid, u)) for grid, u in levels[-2:]]
-    grid, grad = gradients[-1]
-    sigma, _ = _fit_loglog(grid, grad)
-    return _cross_checked_q(gradients, sigma, None)
-
-
-def _cross_checked_q(gradients: list[Level], sigma: float, q_grid: list[float] | None) -> float:
-    # estimate_critical_q's classification, from the finest level's sigma_fit
-    # and the (grid, gradient_field) of at least the two finest levels
-    q_bar = q_bar_from_sigma(sigma)
-    if math.isinf(q_bar):
-        qs = q_grid if q_grid is not None else [2.0, 4.0, 8.0]
-        for q in qs:
-            if _integral_diverges(gradients, q):
-                raise InconsistentClassificationError(
-                    f"sigma_fit={sigma:.3f} predicts no threshold but the q={q} "
-                    "integral diverges under refinement"
-                )
-        return math.inf
-    qs = q_grid if q_grid is not None else [f * q_bar for f in (0.6, 0.8, 1.2, 1.4)]
-    qs = sorted(q for q in qs if q >= 1.0)
-    flags = [_integral_diverges(gradients, q) for q in qs]
-    divergent = [q for q, f in zip(qs, flags) if f]
-    if not divergent:
-        if max(qs, default=0.0) < 1.2 * q_bar:
-            raise InconsistentClassificationError(
-                f"no q of the grid reaches 1.2 q_bar_est={q_bar:.3f}; the grid "
-                "cannot confirm the threshold"
-            )
-        return math.inf
-    first = divergent[0]
-    if first <= 0.8 * q_bar:
-        raise InconsistentClassificationError(
-            f"q={first:.3f} <= 0.8 q_bar_est diverges; integral threshold "
-            f"disagrees with q_bar_est={q_bar:.3f} by > 20%"
-        )
-    convergent_above = [q for q, f in zip(qs, flags) if not f and q > first]
-    if convergent_above:
-        raise InconsistentClassificationError(
-            f"q={convergent_above[0]:.3f} converges above divergent q={first:.3f}; "
-            "refinement data is not monotone in q"
-        )
-    below = [q for q, f in zip(qs, flags) if not f and q < first]
-    if below and below[-1] >= 1.2 * q_bar:
-        # the integral threshold is bracketed entirely above 1.2 q_bar
-        raise InconsistentClassificationError(
-            f"integral threshold lies in ({below[-1]:.3f}, {first:.3f}], "
-            f"disagreeing with q_bar_est={q_bar:.3f} by > 20%"
-        )
-    return q_bar
+    """q_bar_from_sigma of the sigma_est of the last increment ratio over at
+    least 3 levels; ValueError with fewer, or on increments that are not
+    monotone."""
+    if len(levels) < 3:
+        raise ValueError("need at least 3 refinement levels for an increment ratio")
+    rho = increment_ratios([sobolev_integral(g, u, 2.0) for g, u in levels])[-1]
+    sigma = sigma_from_increment(rho)
+    if sigma is None:
+        raise ValueError(f"refinement increments are not monotone (rho = {rho:.3g})")
+    return q_bar_from_sigma(sigma)
 
 
 @dataclass
 class H1Report:
-    """Dirichlet-energy refinement classification."""
+    """H^1 verdict from the increment ratios of the q=2 integrals (values)
+    over the levels; ratios are the plain refinement ratios E_{k+1} / E_k."""
 
     verdict: str
     values: list[float]
@@ -256,29 +207,16 @@ class H1Report:
 
 
 def h1_membership(levels: list[Level]) -> H1Report:
-    """Classify H^1 membership from refinement ratios of int |grad u|^2.
-
-    member: every successive ratio within 10% of 1; non-member: every ratio
-    >= 1.1 (persistent growth); anything in between is inconclusive and
-    needs refinement.
-    """
+    """member when every increment ratio rho of int |grad u|^2 is below 1,
+    non-member when every one is at least 1, else inconclusive; needs >= 3
+    levels."""
     if len(levels) < 3:
         raise ValueError("need solutions at >= 3 refinement levels")
-    return _classify_h1([sobolev_integral(grid, u, 2.0) for grid, u in levels])
-
-
-def _classify_h1(values: list[float]) -> H1Report:
-    # h1_membership's verdict from the q=2 integrals of the ladder's levels
+    values = [sobolev_integral(grid, u, 2.0) for grid, u in levels]
     if 0.0 in values[:-1]:
         raise ValueError("zero Dirichlet energy on a coarse level: no refinement ratio")
-    ratios = [values[i + 1] / values[i] for i in range(len(values) - 1)]
-    if all(abs(r - 1.0) <= 0.1 for r in ratios):
-        verdict = "member"
-    elif all(r >= 1.1 for r in ratios):
-        verdict = "non-member"
-    else:
-        verdict = "inconclusive"
-    return H1Report(verdict=verdict, values=values, ratios=ratios)
+    ratios = [fine / coarse for coarse, fine in zip(values, values[1:])]
+    return H1Report(_h1_verdict(increment_ratios(values)), values, ratios)
 
 
 def uniqueness_identity(
@@ -302,11 +240,13 @@ def uniqueness_identity(
 @dataclass
 class RegularityReport:
     """Fitted exponents and threshold estimates beside the Regime's theory
-    values (t_theory, sigma_theory, q_bar_theory), and per-check verdicts."""
+    values (t_theory, sigma_theory, q_bar_theory), and per-check verdicts;
+    sigma_fit and q_bar_est are None where the increments give no
+    exponent."""
 
     t_fit: float
-    sigma_fit: float
-    q_bar_est: float
+    sigma_fit: float | None
+    q_bar_est: float | None
     q_bar_theory: float
     t_theory: float
     sigma_theory: float | None
@@ -314,57 +254,49 @@ class RegularityReport:
     verdicts: dict[str, object] = field(default_factory=dict)
 
 
-def regularity_report(
-    levels: list[Level],
-    alpha: float,
-    beta: float,
-    q_grid: list[float] | None = None,
-) -> RegularityReport:
+def regularity_report(levels: list[Level], alpha: float, beta: float) -> RegularityReport:
     """Full regularity extraction on a ladder of solved levels.
 
-    Exponents come from the finest level over its asymptotic_window.  With
-    >= 2 levels q_bar_est is estimate_critical_q's cross-checked value, on
-    q_grid when one is given; an inconsistent classification keeps the
-    slope estimate and sets verdicts["q_bar_consistency"] to False.  H^1
-    classification needs >= 3 levels and is reported as such when fewer
-    are supplied.  Each level's gradient_field is computed once, for the
-    sigma fit and every Sobolev integral.
+    t_fit comes from the finest level over its asymptotic_window.  With >= 3
+    levels sigma_fit is the sigma_est of the last increment ratio of the q=2
+    integrals, h1 is their verdict, and with >= 4 levels q_bar_consistency
+    says whether the last two sigma_est agree within 0.05.  With fewer
+    levels sigma_fit is the finest level's log-log slope and no H^1 or
+    consistency verdict exists.  Each level's gradient_field and q=2
+    integral are computed once, for every estimate and h1_norms.
     """
     regime = resolve_regime(alpha, beta)
     grid, u = levels[-1]
     t_fit, _ = fit_boundary_exponent(grid, u)
     gradients = [(g, gradient_field(g, f)) for g, f in levels]
-    sigma_fit, _ = _fit_loglog(grid, gradients[-1][1])
-    verdicts: dict[str, object] = {}
-    if len(levels) >= 2:
-        try:
-            q_est = _cross_checked_q(gradients, sigma_fit, q_grid)
-            verdicts["q_bar_consistency"] = True
-        except InconsistentClassificationError:
-            # coarse ladders routinely trip the divergence classifier; keep
-            # the slope-based estimate and flag it instead of failing
-            q_est = q_bar_from_sigma(sigma_fit)
-            verdicts["q_bar_consistency"] = False
-    else:
-        q_est = q_bar_from_sigma(sigma_fit)
     energies = [gradient_integral(g, grad, 2.0) for g, grad in gradients]
-
-    if math.isfinite(regime.q_bar):
-        # q_bar is finite exactly above the regime split
-        verdicts["exponent_consistency"] = bool(abs(t_fit - 1.0 - sigma_fit) <= 0.05)
+    verdicts: dict[str, object] = {}
     if len(levels) >= 3:
-        h1 = _classify_h1(energies)
-        verdicts["h1"] = h1.verdict
+        rhos = increment_ratios(energies)
+        sigmas = [sigma_from_increment(rho) for rho in rhos]
+        sigma_fit = sigmas[-1]
+        verdicts["h1"] = _h1_verdict(rhos)
         theory_member = 2.0 < regime.q_bar
         verdicts["h1_matches_theory"] = (
-            h1.verdict == ("member" if theory_member else "non-member")
+            verdicts["h1"] == ("member" if theory_member else "non-member")
         )
+        if len(levels) >= 4:
+            last, prev = sigmas[-1], sigmas[-2]
+            verdicts["q_bar_consistency"] = (
+                None not in (last, prev) and abs(last - prev) <= 0.05
+            )
     else:
+        sigma_fit, _ = _fit_loglog(grid, gradients[-1][1])
         verdicts["h1"] = "needs >= 3 levels"
+    if math.isfinite(regime.q_bar):
+        # q_bar is finite exactly above the regime split
+        verdicts["exponent_consistency"] = (
+            sigma_fit is not None and abs(t_fit - 1.0 - sigma_fit) <= 0.05
+        )
     return RegularityReport(
         t_fit=t_fit,
         sigma_fit=sigma_fit,
-        q_bar_est=q_est,
+        q_bar_est=None if sigma_fit is None else q_bar_from_sigma(sigma_fit),
         q_bar_theory=regime.q_bar,
         t_theory=regime.t,
         sigma_theory=regime.sigma,

@@ -14,10 +14,12 @@ a level that runs out of --max-iter is an IterationLimitError, one of them.
 No command makes its output path before its checks and its solve pass;
 solve's unconverged report, written before it raises, is the one partial
 output.  A sweep cell records a ValueError or SolverFailure as a skipped row.
-Every command's exponents come from regularity_report over
-asymptotic_window, the one fit band: sweep and regularity refuse a grid too
-coarse for it (exit 1) before solving, and solve writes null t_fit,
-sigma_fit and q_bar_est there.
+Every command's exponents come from regularity_report: t_fit over
+asymptotic_window, the one fit band, and on a ladder of >= 3 levels
+sigma_fit, q_bar_est and the H^1 verdict from the refinement increments of
+int |grad u|^2.  sweep and regularity refuse a grid too coarse for the band
+(exit 1) before solving, and solve writes null t_fit, sigma_fit and
+q_bar_est there.
 Stopping defaults (--tol, --max-iter) are SolveConfig's.
 Everything is deterministic: identical flags give byte-identical
 report/CSV files.  A manifest.json with versions and a timestamp is
@@ -89,6 +91,8 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _fmt(x) -> str:
+    if x is None:
+        return ""
     return f"{x:.17g}" if isinstance(x, float) else str(x)
 
 
@@ -299,16 +303,14 @@ def _sweep_cell(cell) -> dict:
     except (ValueError, SolverFailure) as exc:  # the failures main maps; the sweep goes on
         row["h1_verdict"] = f"skipped: {type(exc).__name__}: {exc}"
         return row
+    # on three levels the estimates are None, written blank, exactly when
+    # the increments are not monotone and h1 reads inconclusive
     row.update(
         t_fit=reg.t_fit,
         sigma_fit=reg.sigma_fit,
         q_bar_est=reg.q_bar_est,
-        h1_verdict=reg.verdicts.get("h1", ""),
+        h1_verdict=reg.verdicts["h1"],
     )
-    if reg.verdicts.get("q_bar_consistency") is False:
-        # no certified estimate at this resolution; the JSON report from
-        # the regularity command carries the full verdict detail
-        row["q_bar_est"] = ""
     return row
 
 
@@ -385,7 +387,7 @@ def cmd_regularity(args) -> None:
     ladder = _ladder(args.alpha, args.beta, args.domain, level_ns, config)
     levels = [(level.grid, level.report.upper) for level in ladder]
 
-    reg = regularity_report(levels, args.alpha, args.beta, q_grid=q_grid)
+    reg = regularity_report(levels, args.alpha, args.beta)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -440,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in (p_spec, p_reg):
         p.add_argument("--levels", required=True, help="comma list of n values")
-    p_reg.add_argument("--q-grid", default=None, help="comma list of q values")
+    p_reg.add_argument("--q-grid", default=None, help="comma list of q values for sobolev.csv")
     return parser
 
 

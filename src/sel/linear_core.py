@@ -16,7 +16,7 @@ grid), which takes a handful of iterations at any resolution and also
 preconditions mu_1's LOBPCG.  A bare CSR matrix (SPDFactor(A), behind solve_spd and
 principal_eigenpair) has no grid: a tridiagonal one (is_tridiagonal) gets
 the LDL^T factor, any other one direct splu level; no program path takes
-it, and it goes with those two callers (ROADMAP item 4).
+it, and it goes with those two callers (ROADMAP item 2).
 extended_residual evaluates f - A x as one scipy CSR product in
 np.longdouble, rounded to double once; a banded residual (_banded_residual)
 is the factor's own two diagonals summed in CSR row order, bitwise the
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import functools
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +71,6 @@ class ComparisonPrincipleViolationError(SolverFailure):
 class SolveStats:
     iterations: int
     relative_residual: float
-    wall_time: float
 
 
 def extended_residual(A: sp.csr_array, f: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -249,10 +247,9 @@ class SPDFactor:
         if not np.isfinite(f).all():
             raise ValueError("right-hand side has a NaN or inf entry")
         m = f.shape[0]
-        t_start = time.perf_counter()
         norm_f = float(np.linalg.norm(f))
         if norm_f == 0.0:
-            return np.zeros(m), SolveStats(0, 0.0, time.perf_counter() - t_start)
+            return np.zeros(m), SolveStats(0, 0.0)
         target = tol * norm_f
         if self._ldl is None:
             x, iters = self._pcg(f, target)
@@ -277,7 +274,7 @@ class SPDFactor:
                 raise ComparisonPrincipleViolationError(
                     f"f >= 0 but min(u) = {x.min():.3e} < {floor:.3e}"
                 )
-        return x, SolveStats(iters, rel, time.perf_counter() - t_start)
+        return x, SolveStats(iters, rel)
 
     def precondition(self, r: np.ndarray, level: int = 0) -> np.ndarray:
         """One symmetric V-cycle from x = 0 on A_level x = r: about A^(-1) r.

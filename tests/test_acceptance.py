@@ -15,9 +15,10 @@ from sel.analysis import (
     fit_boundary_exponent,
     fit_gradient_exponent,
     h1_membership,
+    regularity_report,
     uniqueness_identity,
 )
-from sel.barriers import build_barrier_pair, verify_barrier
+from sel.barriers import build_barrier_pair, resolve_regime, verify_barrier
 from sel.grid import assemble_laplacian, build_grid, interval, power_weight, rectangle
 from sel.linear_core import solve_spd
 from sel.monotone import CHAIN_TOL, monotone_shift, solve_ladder, solve_monotone, uniqueness_gap
@@ -134,13 +135,13 @@ def test_criterion_6_gradient_blowup_and_qbar(lab):
     assert -0.37 <= sigma <= -0.30, sigma
     levels = [
         (lab.solved(2.0, 0.0, n, tol=FINE_TOL)[0], lab.solved(2.0, 0.0, n, tol=FINE_TOL)[2].upper)
-        for n in (2048, 4096)
+        for n in (1024, 2048, 4096)
     ]
     q20 = estimate_critical_q(levels)
     assert 2.7 <= q20 <= 3.3, q20
     levels21 = [
         (lab.solved(2.0, 1.0, n, tol=FINE_TOL)[0], lab.solved(2.0, 1.0, n, tol=FINE_TOL)[2].upper)
-        for n in (2048, 4096)
+        for n in (1024, 2048, 4096)
     ]
     q21 = estimate_critical_q(levels21)
     assert 1.35 <= q21 <= 1.65, q21
@@ -182,6 +183,31 @@ def test_criterion_7_h1_threshold(lab):
         f"[criterion 7] PASS: alpha=2.5 member (ratios {[f'{r:.3f}' for r in member.ratios]}), "
         f"alpha=3.5 non-member (ratios {[f'{r:.3f}' for r in non.ratios]})"
     )
+
+
+# The H^1 frontier q_bar = 2 on the 64/128/256 ladder of sel sweep --n 256:
+# every interval cell of alpha {0.5, 2, 2.5, 3.5} x beta {0, 0.7, 1.5}, and
+# the unit-square cells nearest the frontier ((2, 0), (2.5, 0), (3.5, 0)) or
+# with the weakest blow-up ((0.5, 0.7), sigma = -2/15).
+H1_CELLS = [(interval(1.0), a, b) for a in (0.5, 2.0, 2.5, 3.5) for b in (0.0, 0.7, 1.5)]
+H1_CELLS += [(SQUARE, a, b) for a, b in ((0.5, 0.7), (2.0, 0.0), (2.5, 0.0), (3.5, 0.0))]
+
+
+@pytest.mark.parametrize(
+    "shape, alpha, beta",
+    H1_CELLS,
+    ids=[f"{'interval' if s.dim == 1 else 'square'}-{a}-{b}" for s, a, b in H1_CELLS],
+)
+def test_h1_verdict_matches_the_frontier(shape, alpha, beta):
+    ladder = solve_ladder(alpha, beta, shape, (64, 128, 256), SolveConfig(tol=1e-8))
+    assert ladder[-1].report.converged
+    rep = regularity_report([(lv.grid, lv.report.upper) for lv in ladder], alpha, beta)
+    regime = resolve_regime(alpha, beta)
+    assert rep.verdicts["h1"] == ("member" if regime.q_bar > 2.0 else "non-member"), rep
+    assert rep.verdicts["h1_matches_theory"] is True
+    if regime.sigma is not None and regime.sigma <= -1.0 / 3.0 + 1e-12:
+        # measured at most 0.032 here (unit square, alpha 2, beta 0)
+        assert abs(rep.sigma_fit - regime.sigma) <= 0.035, (rep.sigma_fit, regime.sigma)
 
 
 def test_criterion_8_stability(lab):

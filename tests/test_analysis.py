@@ -6,7 +6,6 @@ import pytest
 from sel import analysis
 from sel.analysis import (
     FitWindow,
-    InconsistentClassificationError,
     WindowTooThinError,
     asymptotic_window,
     estimate_critical_q,
@@ -15,7 +14,9 @@ from sel.analysis import (
     gradient_field,
     gradient_integral,
     h1_membership,
+    increment_ratios,
     regularity_report,
+    sigma_from_increment,
     sobolev_integral,
     uniqueness_identity,
 )
@@ -121,57 +122,48 @@ def test_estimate_critical_q_synthetic(lab):
     assert q == pytest.approx(3.0, rel=0.1)
     flat = [(lab.grid(n), lab.grid(n).d) for n in (1024, 2048, 4096)]
     assert estimate_critical_q(flat) == math.inf
-    with pytest.raises(ValueError, match="need at least 2 refinement levels"):
-        estimate_critical_q(levels[-1:])
+    with pytest.raises(ValueError, match="need at least 3 refinement levels"):
+        estimate_critical_q(levels[-2:])
 
 
-def test_estimate_critical_q_flags_contradiction(lab):
-    # flat gradient in the window but a hidden spike at the first node: the
-    # slope says "no threshold" while the q=2 integral diverges
-    levels = []
-    for n in (512, 1024, 2048):
-        g = lab.grid(n)
-        u = g.d.copy()
-        u[0] = 10.0
-        levels.append((g, u))
-    with pytest.raises(InconsistentClassificationError):
+def test_increment_ratio_tends_to_the_richardson_rate(lab):
+    # |grad d^(2/3)| = (2/3) d^(-1/3): the q=2 integral converges like
+    # h^(1 + 2 sigma), so successive increments shrink by 2^-(1 + 2 sigma)
+    sigma = -1.0 / 3.0
+    levels = [(lab.grid(n), lab.grid(n).d ** (2.0 / 3.0)) for n in (256, 512, 1024, 2048, 4096)]
+    rhos = increment_ratios([sobolev_integral(g, u, 2.0) for g, u in levels])
+    assert len(rhos) == 3
+    assert rhos == pytest.approx([2.0 ** -(1.0 + 2.0 * sigma)] * 3, rel=0.01)
+    assert sigma_from_increment(rhos[-1]) == pytest.approx(sigma, abs=0.005)
+    rep = regularity_report(levels, 2.0, 0.0)
+    assert rep.sigma_fit == sigma_from_increment(rhos[-1])
+    assert rep.verdicts["q_bar_consistency"] is True
+    assert increment_ratios([1.0, 2.0, 2.0]) == [0.0]
+    assert math.isnan(increment_ratios([1.0, 1.0, 2.0])[0])
+
+
+def test_non_monotone_increments_are_inconclusive(lab):
+    # halving the middle level's field quarters its energy: the increments
+    # change sign, rho < 0, and no exponent exists
+    levels = [(lab.grid(n), c * lab.grid(n).d ** 0.8) for n, c in ((512, 1.0), (1024, 0.5), (2048, 1.0))]
+    rho = increment_ratios([sobolev_integral(g, u, 2.0) for g, u in levels])[0]
+    assert rho < 0
+    assert sigma_from_increment(rho) is None
+    assert h1_membership(levels).verdict == "inconclusive"
+    rep = regularity_report(levels, 2.0, 0.0)
+    assert rep.verdicts["h1"] == "inconclusive"
+    assert rep.verdicts["h1_matches_theory"] is False
+    assert rep.sigma_fit is None and rep.q_bar_est is None
+    assert rep.verdicts["exponent_consistency"] is False
+    with pytest.raises(ValueError, match="not monotone"):
         estimate_critical_q(levels)
-
-
-# estimate_critical_q's classification on its default grid (0.6, 0.8, 1.2,
-# 1.4) q_bar, one case per outcome: the scripted divergence flags stand in
-# for the refinement ratios of the Sobolev integrals.
-CLASSIFICATIONS = [
-    ((False, False, True, True), "confirmed"),
-    ((False, False, False, False), "inf"),
-    ((False, True, True, True), "q=.* <= 0.8 q_bar_est diverges"),
-    ((False, False, True, False), "converges above divergent"),
-    ((False, False, False, True), "integral threshold lies in"),
-]
-
-
-@pytest.mark.parametrize("flags, outcome", CLASSIFICATIONS, ids=[c[1] for c in CLASSIFICATIONS])
-def test_critical_q_classification_table(lab, monkeypatch, flags, outcome):
-    levels = [(lab.grid(n), lab.grid(n).d ** (2.0 / 3.0)) for n in (1024, 2048)]
-    seen = []
-
-    def scripted(_gradients, q):
-        seen.append(q)
-        return flags[len(seen) - 1]
-
-    monkeypatch.setattr(analysis, "_integral_diverges", scripted)
-    if outcome in ("confirmed", "inf"):
-        q = estimate_critical_q(levels)
-    else:
-        with pytest.raises(InconsistentClassificationError, match=outcome):
-            estimate_critical_q(levels)
-    q_bar = seen[2] / 1.2
-    assert q_bar == pytest.approx(3.0, rel=0.1)
-    assert seen == pytest.approx([f * q_bar for f in (0.6, 0.8, 1.2, 1.4)])
-    if outcome == "confirmed":
-        assert q == pytest.approx(q_bar)
-    elif outcome == "inf":
-        assert q == math.inf
+    # a fourth level whose rho lands on the other side of 1: ratios that
+    # disagree on the verdict, and sigma_est that disagree by far more than 0.05
+    mixed = [(lab.grid(n), lab.grid(n).d ** 0.8) for n in (512, 1024, 2048)]
+    mixed.append((lab.grid(4096), lab.grid(4096).d ** 0.3))
+    rep = regularity_report(mixed, 2.0, 0.0)
+    assert rep.verdicts["h1"] == "inconclusive"
+    assert rep.verdicts["q_bar_consistency"] is False
 
 
 def test_low_regime_gradient_is_effectively_flat(lab):
@@ -212,10 +204,26 @@ def test_h1_membership_synthetic(lab):
     report = h1_membership(non)
     assert report.verdict == "non-member"
     assert all(r >= 1.1 for r in report.ratios)
-    mixed = member[:2] + non[1:2]
+    # increment ratios on both sides of 1 (0.66, then far above 1)
+    mixed = member + [(lab.grid(4096), lab.grid(4096).d ** 0.3)]
     assert h1_membership(mixed).verdict == "inconclusive"
     with pytest.raises(ValueError):
         h1_membership(member[:2])
+
+
+def test_h1_report_keeps_energies_and_plain_ratios(lab):
+    # the verdict is the increment ratio's, but values stay the q=2
+    # integrals and ratios E_{k+1} / E_k: a benchmark check reads both.
+    # alpha = 3.5 (sigma = -5/9) by Newton, as in acceptance criterion 7
+    levels = [lab.newton(3.5, 0.0, n, tol=1e-9) for n in (128, 256, 512)]
+    report = h1_membership(levels)
+    energies = [sobolev_integral(g, u, 2.0) for g, u in levels]
+    assert report.values == energies
+    assert report.ratios == [energies[1] / energies[0], energies[2] / energies[1]]
+    assert report.verdict == "non-member"
+    assert all(r >= 1.1 for r in report.ratios)
+    (rho,) = increment_ratios(energies)
+    assert rho == pytest.approx(2.0 ** (1.0 / 9.0), abs=0.01)
 
 
 def test_uniqueness_identity_values(lab):
@@ -258,20 +266,9 @@ def test_regularity_report_synthetic_ladder(lab):
     assert len(rep.h1_norms) == 3
 
 
-def test_regularity_report_q_grid_below_the_slope_estimate(lab):
-    # q = 1.5 < 1.2 q_bar converges, which cannot confirm a threshold near
-    # 3: the slope estimate is reported, flagged, rather than q_bar = inf.
-    levels = [(lab.grid(n), 1.3 * lab.grid(n).d ** (2.0 / 3.0)) for n in (512, 1024, 2048)]
-    rep = regularity_report(levels, 2.0, 0.0, q_grid=[1.5])
-    assert rep.q_bar_est == pytest.approx(-1.0 / rep.sigma_fit)
-    assert rep.q_bar_est == pytest.approx(3.0, rel=0.1)
-    assert rep.verdicts["q_bar_consistency"] is False
-
-
 def test_regularity_report_fits_sigma_and_integrates_q2_once(lab, monkeypatch):
-    # one gradient field per level serves the sigma fit, the q_bar
-    # cross-check and the q=2 integrals, which the h1 verdict and h1_norms
-    # share; the cross-check reuses the report's sigma_fit
+    # one gradient field and one q=2 integral per level serve sigma_fit,
+    # q_bar_est, the h1 verdict and h1_norms
     gradients, energies = [], []
 
     def counted_gradient(grid, u):
@@ -290,7 +287,8 @@ def test_regularity_report_fits_sigma_and_integrates_q2_once(lab, monkeypatch):
     assert gradients == [512, 1024, 2048]
     assert energies == [512, 1024, 2048]
     monkeypatch.undo()
-    assert rep.sigma_fit == fit_gradient_exponent(*levels[-1])
+    energies = [sobolev_integral(g, u, 2.0) for g, u in levels]
+    assert rep.sigma_fit == sigma_from_increment(increment_ratios(energies)[-1])
     assert rep.q_bar_est == estimate_critical_q(levels)
     h1 = h1_membership(levels)
     assert rep.verdicts["h1"] == h1.verdict
@@ -305,7 +303,7 @@ def test_an_n2_level_has_no_refinement_ratio(lab):
     assert sobolev_integral(*levels[0], 2.0) == 0.0
     with pytest.raises(ValueError, match="zero Dirichlet energy on a coarse level"):
         h1_membership(levels)
-    with pytest.raises(ValueError, match="zero q=.* integral at n=2"):
+    with pytest.raises(ValueError, match="need at least 3 refinement levels"):
         estimate_critical_q(levels[:2])
 
 

@@ -444,10 +444,30 @@ def test_sweep_is_deterministic(tmp_path, monkeypatch):
         assert main(args) == 0
         outs.append(out)
     assert outs[0].read_bytes() == outs[1].read_bytes()
-    # q_bar estimates are only reported when the cross-check certifies them
+    # q_bar_est is blank exactly on an inconclusive H^1 verdict
     rows = {float(r["alpha"]): r for r in csv.DictReader(outs[0].read_text().splitlines())}
     for row in rows.values():
+        assert (row["q_bar_est"] == "") == (row["h1_verdict"] == "inconclusive")
         assert row["q_bar_est"] == "" or float(row["q_bar_est"]) > 1.0
+
+
+def test_sweep_blanks_the_estimates_of_non_monotone_increments(tmp_path, monkeypatch):
+    # an inconclusive ladder has no sigma_est: its estimates are written blank
+    def non_monotone(levels, alpha, beta):
+        # the middle level's field halved: its energy drops to a quarter
+        scales = iter((1.0, 0.5, 1.0))
+        return analysis.regularity_report(
+            [(g, next(scales) * g.d ** 0.8) for g, _ in levels], alpha, beta
+        )
+
+    monkeypatch.setattr(cli, "regularity_report", non_monotone)
+    out = tmp_path / "s.csv"
+    argv = ["sweep", "--alpha-list", "2", "--beta-list", "0", "--n", "128", "--out", str(out)]
+    assert main(argv) == 0
+    (row,) = csv.DictReader(out.read_text().splitlines())
+    assert row["h1_verdict"] == "inconclusive"
+    assert row["sigma_fit"] == "" and row["q_bar_est"] == ""
+    assert float(row["t_fit"]) > 0.4
 
 
 def test_sweep_serial_and_parallel_paths_agree(tmp_path, monkeypatch):
@@ -692,10 +712,11 @@ def test_regularity_on_two_levels_reports_no_h1_verdict(tmp_path):
     out = tmp_path / "reg"
     assert main(["regularity", "--alpha", "2", "--levels", "128,256", "--out", str(out)]) == 0
     report = json.loads((out / "regularity.json").read_text())["report"]
+    # two levels give no increment ratio: the pointwise slope, and neither
+    # an H^1 nor a q_bar consistency verdict
     assert report["verdicts"] == {
         "exponent_consistency": False,
         "h1": "needs >= 3 levels",
-        "q_bar_consistency": False,
     }
     rows = list(csv.DictReader((out / "sobolev.csv").read_text().splitlines()))
     assert [(r["n"], r["q"]) for r in rows] == [
