@@ -7,9 +7,11 @@ two-solution uniqueness integrand.  The values the theory predicts for t,
 sigma and q_bar come from barriers.resolve_regime; this module measures them.
 
 On a ladder of 3 or more levels sigma, q_bar = -1/sigma and the H^1 verdict
-come from one estimator: the ratio of successive refinement increments of
-the q=2 integral int |grad_h u|^2, which tends to 2^-(1 + 2 sigma) as h
-halves (increment_ratios).  H^1 membership is that ratio below 1.
+come from one estimator: the ratio rho of successive refinement increments
+of the q=2 integral int |grad_h u|^2 (increment_ratios), which tends to
+(h_2^p - h_3^p) / (h_1^p - h_2^p) with p = 1 + 2 sigma on levels of any
+spacing h_1 > h_2 > h_3, and to 2^-p where h halves.  H^1 membership is
+p > 0, which is rho < 1 only where h halves.
 
 t, and sigma on fewer levels, are log-log regression slopes over one
 distance band, asymptotic_window, on every grid and for every caller.  On a
@@ -158,26 +160,67 @@ def q_bar_from_sigma(sigma_fit: float) -> float:
 
 def increment_ratios(energies: list[float]) -> list[float]:
     """rho_k = (E_{k+2} - E_{k+1}) / (E_{k+1} - E_k) of the q=2 integrals E_k
-    on a ladder whose h halves per level; nan where an increment is 0.
+    on a ladder of any spacing; nan where an increment is 0.
 
     With |grad u| ~ d^sigma the quadrature misses the layer d < h, so
-    E(h) ~ E - C h^(1 + 2 sigma) and rho tends to 2^-(1 + 2 sigma)
+    E(h) ~ E - C h^p, p = 1 + 2 sigma, and rho_k tends to
+    (h_{k+1}^p - h_{k+2}^p) / (h_k^p - h_{k+1}^p), 2^-p where h halves
     (Richardson's reasoning, whether E converges or not).
     """
     steps = [fine - coarse for coarse, fine in zip(energies, energies[1:])]
     return [b / a if a else math.nan for a, b in zip(steps, steps[1:])]
 
 
-def sigma_from_increment(rho: float) -> float | None:
-    """sigma_est = (-log2 rho - 1) / 2; None unless rho > 0, as increments
-    that are not monotone carry no exponent."""
-    return (-math.log2(rho) - 1.0) / 2.0 if rho > 0 else None
+def _spacings(levels: list[Level]) -> list[tuple[float, float, float]]:
+    # (h_k, h_{k+1}, h_{k+2}) of each increment ratio of levels, coarse to fine
+    hs = [grid.h[0] for grid, _ in levels]
+    return list(zip(hs, hs[1:], hs[2:]))
 
 
-def _h1_verdict(rhos: list[float]) -> str:
-    # E_k converges exactly when rho < 1; inconclusive on increments that
-    # are not monotone or on ratios on both sides of 1
-    sides = {rho < 1.0 for rho in rhos}
+def _log_ratio(p: float, hs: tuple[float, float, float]) -> float:
+    # log of (h2^p - h3^p) / (h1^p - h2^p), which falls from +inf to -inf as p
+    # grows, in a form free of overflow: expm1 sees only arguments <= 0
+    h1, h2, h3 = hs
+    a, b = math.log(h2 / h3), math.log(h1 / h2)
+    s = abs(p)
+    if s == 0.0:
+        return math.log(a / b)
+    return (a if p < 0 else -b) * s + math.log(math.expm1(-a * s) / math.expm1(-b * s))
+
+
+def sigma_from_increment(
+    rho: float, hs: tuple[float, float, float] | None = None
+) -> float | None:
+    """sigma_est = (p - 1) / 2 for the p with rho = (h2^p - h3^p) / (h1^p - h2^p),
+    hs = (h1, h2, h3) the spacings of the ratio's three levels, coarse to
+    fine (None: h halves per level).  Where h halves (or rho is inf),
+    p = -log2 rho in closed form; else p comes from bisection, as a
+    module-level scipy.optimize import would slow every import of sel.
+    None unless rho > 0, as increments that are not monotone carry no
+    exponent."""
+    if not rho > 0:
+        return None
+    if hs is None or hs[0] == 2.0 * hs[1] == 4.0 * hs[2] or math.isinf(rho):
+        return (-math.log2(rho) - 1.0) / 2.0
+    target = math.log(rho)
+    lo, hi = -1.0, 1.0
+    while _log_ratio(lo, hs) < target:
+        lo *= 2.0
+    while _log_ratio(hi, hs) > target:
+        hi *= 2.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _log_ratio(mid, hs) > target else (lo, mid)
+    return (0.5 * (lo + hi) - 1.0) / 2.0
+
+
+def _h1_verdict(rhos: list[float], spacings: list[tuple[float, float, float]]) -> str:
+    # E_k converges exactly when p > 0, i.e. when rho is below its p -> 0
+    # limit log(h2/h3) / log(h1/h2), which is 1 where h halves; inconclusive
+    # on increments that are not monotone or on ratios on both sides of it
+    sides = {
+        rho < math.log(h2 / h3) / math.log(h1 / h2) for rho, (h1, h2, h3) in zip(rhos, spacings)
+    }
     if not all(rho > 0 for rho in rhos) or len(sides) != 1:
         return "inconclusive"
     return "member" if sides.pop() else "non-member"
@@ -190,7 +233,7 @@ def estimate_critical_q(levels: list[Level]) -> float:
     if len(levels) < 3:
         raise ValueError("need at least 3 refinement levels for an increment ratio")
     rho = increment_ratios([sobolev_integral(g, u, 2.0) for g, u in levels])[-1]
-    sigma = sigma_from_increment(rho)
+    sigma = sigma_from_increment(rho, _spacings(levels)[-1])
     if sigma is None:
         raise ValueError(f"refinement increments are not monotone (rho = {rho:.3g})")
     return q_bar_from_sigma(sigma)
@@ -207,16 +250,16 @@ class H1Report:
 
 
 def h1_membership(levels: list[Level]) -> H1Report:
-    """member when every increment ratio rho of int |grad u|^2 is below 1,
-    non-member when every one is at least 1, else inconclusive; needs >= 3
-    levels."""
+    """member when every increment ratio rho of int |grad u|^2 gives p > 0
+    (rho < 1 where h halves), non-member when every one gives p <= 0, else
+    inconclusive; needs >= 3 levels."""
     if len(levels) < 3:
         raise ValueError("need solutions at >= 3 refinement levels")
     values = [sobolev_integral(grid, u, 2.0) for grid, u in levels]
     if 0.0 in values[:-1]:
         raise ValueError("zero Dirichlet energy on a coarse level: no refinement ratio")
     ratios = [fine / coarse for coarse, fine in zip(values, values[1:])]
-    return H1Report(_h1_verdict(increment_ratios(values)), values, ratios)
+    return H1Report(_h1_verdict(increment_ratios(values), _spacings(levels)), values, ratios)
 
 
 def uniqueness_identity(
@@ -272,10 +315,10 @@ def regularity_report(levels: list[Level], alpha: float, beta: float) -> Regular
     energies = [gradient_integral(g, grad, 2.0) for g, grad in gradients]
     verdicts: dict[str, object] = {}
     if len(levels) >= 3:
-        rhos = increment_ratios(energies)
-        sigmas = [sigma_from_increment(rho) for rho in rhos]
+        rhos, spacings = increment_ratios(energies), _spacings(levels)
+        sigmas = [sigma_from_increment(rho, hs) for rho, hs in zip(rhos, spacings)]
         sigma_fit = sigmas[-1]
-        verdicts["h1"] = _h1_verdict(rhos)
+        verdicts["h1"] = _h1_verdict(rhos, spacings)
         theory_member = 2.0 < regime.q_bar
         verdicts["h1_matches_theory"] = (
             verdicts["h1"] == ("member" if theory_member else "non-member")

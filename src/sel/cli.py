@@ -25,12 +25,16 @@ Everything is deterministic: identical flags give byte-identical
 report/CSV files.  A manifest.json with versions and a timestamp is
 written next to each report; the timestamp lives only there.
 SEL_THREADS, an integer >= 1, caps the sweep worker pool.
+The argument parser is built on the first main call and kept for the
+process: later calls parse with the same parser, and main looks up the
+command function at call time.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -408,16 +412,16 @@ def cmd_regularity(args) -> None:
     _write_manifest(out_dir, payload["spec"], ["regularity.json", "sobolev.csv"])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The sel parser, built once per process; parse_args keeps no state in
+    it, so every call starts from the same defaults."""
     parser = _Parser(prog="sel", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     p_solve = sub.add_parser("solve", help="solve one instance")
     p_sweep = sub.add_parser("sweep", help="run an (alpha, beta) table")
     p_spec = sub.add_parser("spectrum", help="lambda1/mu1 per refinement level")
     p_reg = sub.add_parser("regularity", help="regularity report over a ladder")
-    for p, run in ((p_solve, cmd_solve), (p_sweep, cmd_sweep), (p_spec, cmd_spectrum),
-                   (p_reg, cmd_regularity)):
-        p.set_defaults(run=run)
 
     # the common flags; only solve takes --n, the ladder commands --levels
     for p in (p_solve, p_spec, p_reg):
@@ -448,8 +452,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    run = {"solve": cmd_solve, "sweep": cmd_sweep, "spectrum": cmd_spectrum,
+           "regularity": cmd_regularity}[args.command]
     try:
-        args.run(args)
+        run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

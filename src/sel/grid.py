@@ -16,7 +16,11 @@ operators -lap_h + diag(m) reuse its CSR pattern (shifted_laplacian).
 An interval also caches the Laplacian's two diagonals (Grid._tridiagonal),
 from which linear_core.SPDFactor.on_grid factors -lap_h + diag(m) without
 building a matrix.  No long-double copy is kept: linear_core's residuals
-take the double values and convert them inside the call.
+take the double values and convert them inside the call.  The singular
+weights d^(-gamma) are grid facts too: power_weight computes each exponent's
+on its first call for a grid and caches it there, read-only, so the forcing,
+the monotone shift, the barriers and the norms of one grid share one array
+per exponent.
 """
 
 from __future__ import annotations
@@ -83,8 +87,9 @@ class Grid:
            lexicographic (first-axis-major) order.
 
     The grid also caches its Laplacian once assembled (assemble_laplacian),
-    and an interval grid the Laplacian's two diagonals, so they live
-    exactly as long as the grid.
+    an interval grid the Laplacian's two diagonals, and every weight
+    d^(-gamma) once computed (power_weight), so they live exactly as long
+    as the grid.
     """
 
     shape: DomainShape
@@ -147,6 +152,11 @@ class Grid:
         for arr in (diag, off):
             arr.setflags(write=False)
         return diag, off
+
+    @functools.cached_property
+    def _weights(self) -> dict[float, np.ndarray]:
+        # power_weight's arrays, by exponent
+        return {}
 
     @functools.cached_property
     def _diagonal_positions(self) -> np.ndarray:
@@ -231,8 +241,17 @@ def shifted_laplacian(grid: Grid, m: np.ndarray) -> sp.csr_array:
 
 
 def power_weight(grid: Grid, gamma: float) -> np.ndarray:
-    """Nodal weight d(x)^(-gamma); finite and positive at interior nodes."""
-    return grid.d ** (-float(gamma))
+    """Nodal weight d(x)^(-gamma); finite and positive at interior nodes.
+
+    Computed on the first call for a grid and exponent and cached on the
+    grid: later calls return the same read-only array.
+    """
+    gamma = float(gamma)
+    weight = grid._weights.get(gamma)
+    if weight is None:
+        weight = grid._weights[gamma] = grid.d ** (-gamma)
+        weight.setflags(write=False)
+    return weight
 
 
 def gradient_components(grid: Grid, u: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -14,9 +14,9 @@ gradients preconditioned with a geometric multigrid V-cycle (Galerkin
 coarse operators, damped-Jacobi smoothing, a direct solve on the coarsest
 grid), which takes a handful of iterations at any resolution and also
 preconditions mu_1's LOBPCG.  A bare CSR matrix (SPDFactor(A), behind solve_spd and
-principal_eigenpair) has no grid: a tridiagonal one (is_tridiagonal) gets
-the LDL^T factor, any other one direct splu level; no program path takes
-it, and it goes with those two callers (ROADMAP item 2).
+a non-tridiagonal principal_eigenpair) has no grid: a tridiagonal one
+(is_tridiagonal) gets the LDL^T factor, any other one direct splu level; no
+program path takes it, and it goes with those two callers (ROADMAP item 2).
 extended_residual evaluates f - A x as one scipy CSR product in
 np.longdouble, rounded to double once; a banded residual (_banded_residual)
 is the factor's own two diagonals summed in CSR row order, bitwise the
@@ -91,13 +91,18 @@ def _banded_residual(
 ) -> np.ndarray:
     """extended_residual(A, f, x), bitwise, for the symmetric tridiagonal A
     with diagonal diag and off-diagonal off, without a matrix: every product
-    in np.longdouble, each row summed left, diagonal, right as scipy's CSR
-    product sums it (two terms commute), and rounded once."""
-    x = x.astype(np.longdouble, copy=False)
+    in np.longdouble (_tridiagonal_product), rounded once."""
+    return (f - _tridiagonal_product(diag, off, x.astype(np.longdouble, copy=False))).astype(float)
+
+
+def _tridiagonal_product(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A @ x, bitwise, for the symmetric tridiagonal A with diagonal diag and
+    off-diagonal off: each row summed left, diagonal, right as scipy's CSR
+    product sums it (two terms commute)."""
     ax = diag * x
     ax[1:] += off * x[:-1]
     ax[:-1] += off * x[1:]
-    return (f - ax).astype(float)
+    return ax
 
 
 def is_tridiagonal(A: sp.csr_array) -> bool:
@@ -143,9 +148,10 @@ class SPDFactor:
     -lap_h + diag(m) that the monotone and Newton steps use, routes by
     grid.dim: an interval's two diagonals come from the grid (no matrix is
     built), a rectangle's multigrid takes n from the grid, and so does mu_1's
-    V-cycle.  SPDFactor(A), behind solve_spd and principal_eigenpair, has a
-    bare matrix and no grid to coarsen: a tridiagonal A (is_tridiagonal) is
-    factored as L D L^T, any other is one direct splu level.  A NaN or inf
+    V-cycle.  SPDFactor(A), behind solve_spd and a non-tridiagonal
+    principal_eigenpair, has a bare matrix and no grid to coarsen: a
+    tridiagonal A (is_tridiagonal) is factored as L D L^T, any other is one
+    direct splu level.  A NaN or inf
     entry is a ValueError on either route, and so is a tridiagonal A that is
     not symmetric.
 

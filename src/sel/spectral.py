@@ -4,7 +4,8 @@ forcing is the one evaluation of F(u) = d^(-beta) u^(-alpha), monotone_shift
 of m = -F'(u).  The principal eigenpair of -lap_h on the uniform tensor grid
 is in closed form (dirichlet_eigenpair); -lap_h + m has none, and
 its smallest eigenvalue mu_1 comes from a library eigensolver chosen by
-grid.dim: scipy.linalg.eigh_tridiagonal (LAPACK) on intervals, lobpcg with
+grid.dim: scipy.linalg.eigh_tridiagonal (LAPACK) on an interval's two
+diagonals (the grid's cached ones plus m, no matrix built), lobpcg with
 the V-cycle of linear_core.SPDFactor.on_grid on rectangles (a bare matrix,
 principal_eigenpair, by its pattern).
 The operators are SPD M-matrices, so the principal eigenvector is positive
@@ -13,6 +14,7 @@ The operators are SPD M-matrices, so the principal eigenvector is positive
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -21,8 +23,8 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from .grid import Grid, assemble_laplacian, power_weight, shifted_laplacian
-from .linear_core import SPDFactor, SolverFailure, is_tridiagonal
+from .grid import Grid, assemble_laplacian, power_weight
+from .linear_core import SPDFactor, SolverFailure, _tridiagonal_product, is_tridiagonal
 
 # An eigenpair exact to rounding still has a 2-norm residual of a few
 # eps * ||A||_inf (which grows like n^2); the residual check allows this many.
@@ -63,30 +65,46 @@ def dirichlet_eigenpair(grid: Grid) -> EigenPair:
 
 def principal_eigenpair(A: sp.spmatrix, tol: float = 1e-10) -> EigenPair:
     """_eigenpair of a bare SPD M-matrix, routed by pattern as SPDFactor(A) is:
-    any non-tridiagonal A gets one direct splu level (see the README)."""
+    a tridiagonal A by its two diagonals (ValueError unless symmetric), any
+    other A with one direct splu level (see the README)."""
     A = A.tocsr()
-    return _eigenpair(A, tol, None if is_tridiagonal(A) else SPDFactor(A).precondition)
+    if not is_tridiagonal(A):
+        return _eigenpair(A, tol, SPDFactor(A).precondition)
+    if not np.array_equal(A.diagonal(-1), A.diagonal(1)):
+        raise ValueError("tridiagonal matrix is not symmetric")
+    return _eigenpair((A.diagonal(), A.diagonal(1)), tol)
 
 
-def _eigenpair(A: sp.csr_array, tol: float, vcycle) -> EigenPair:
-    """Smallest eigenvalue and positive eigenvector of an SPD M-matrix A.
+def _eigenpair(op, tol: float, vcycle=None) -> EigenPair:
+    """Smallest eigenvalue and positive eigenvector of an SPD M-matrix.
 
-    vcycle None (A tridiagonal): scipy.linalg.eigh_tridiagonal.  Else
-    scipy.sparse.linalg.lobpcg from the constant vector (so results are
-    deterministic), preconditioned by vcycle(r) ~ A^(-1) r.  LOBPCG stops on
-    an absolute residual, so it runs twice: to the gate below at the
-    Rayleigh quotient of the constant vector (an upper bound of lambda),
-    then, from the vector it returned, to half the gate at the eigenvalue
-    it returned.  The value is the Rayleigh quotient of the sup-normalized
-    eigenvector phi.  Unless ||A phi - lambda phi||_2 / ||phi||_2 <=
-    max(tol * lambda, ROUNDOFF_UNITS * eps * ||A||_inf) and phi > 0:
-    EigenNonConvergenceError.
+    op is (diag, off), the two diagonals of a symmetric tridiagonal matrix,
+    without vcycle: scipy.linalg.eigh_tridiagonal, and no matrix is built.
+    Else op is a CSR matrix A, and scipy.sparse.linalg.lobpcg runs from the
+    constant vector (so results are deterministic), preconditioned by
+    vcycle(r) ~ A^(-1) r.  LOBPCG stops on an absolute residual, so it runs
+    twice: to the gate below at the Rayleigh quotient of the constant vector
+    (an upper bound of lambda), then, from the vector it returned, to half
+    the gate at the eigenvalue it returned.  The value is the Rayleigh
+    quotient of the sup-normalized eigenvector phi.  Unless
+    ||A phi - lambda phi||_2 / ||phi||_2 <= max(tol * lambda,
+    ROUNDOFF_UNITS * eps * ||A||_inf) and phi > 0: EigenNonConvergenceError.
     """
-    floor = ROUNDOFF_UNITS * np.finfo(float).eps * scipy.sparse.linalg.norm(A, np.inf)
+    eps = np.finfo(float).eps
     if vcycle is None:
-        d, e = A.diagonal(), A.diagonal(1)
-        _, vecs = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
+        diag, off = op
+        # ||A||_inf from the diagonals: each row's |entries| summed left,
+        # diagonal, right, as scipy.sparse.linalg.norm sums them
+        rows, abs_off = np.abs(diag), np.abs(off)
+        rows[1:] += abs_off
+        rows[:-1] += abs_off
+        floor = ROUNDOFF_UNITS * eps * rows.max()
+        _, vecs = scipy.linalg.eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
+        apply = functools.partial(_tridiagonal_product, diag, off)
     else:
+        A = op
+        floor = ROUNDOFF_UNITS * eps * scipy.sparse.linalg.norm(A, np.inf)
+        apply = A.__matmul__
         precond = scipy.sparse.linalg.LinearOperator(
             A.shape, matvec=lambda r: vcycle(r.ravel()), dtype=float
         )
@@ -110,8 +128,9 @@ def _eigenpair(A: sp.csr_array, tol: float, vcycle) -> EigenPair:
     x = vecs[:, 0] / vecs[np.argmax(np.abs(vecs[:, 0])), 0]
     # The Rayleigh quotient squares the eigenvector error; bisection alone is
     # off by up to eps * ||A||, 2.7e-9 relative at interval n=8192.
-    lam = float(x @ (A @ x)) / float(x @ x)
-    resid = float(np.linalg.norm(A @ x - lam * x)) / float(np.linalg.norm(x))
+    ax = apply(x)
+    lam = float(x @ ax) / float(x @ x)
+    resid = float(np.linalg.norm(ax - lam * x)) / float(np.linalg.norm(x))
     limit = max(tol * lam, floor)
     if not resid <= limit:
         raise EigenNonConvergenceError(f"eigen-residual {resid:.3e} > {limit:.3e}")
@@ -161,6 +180,7 @@ def linearized_smallest_eigenvalue(
     """
     potential = monotone_shift(grid, u, alpha, beta)
     if grid.dim == 1:
-        return _eigenpair(shifted_laplacian(grid, potential), tol, None)
+        diag, off = grid._tridiagonal
+        return _eigenpair((diag + grid.check_field(potential), off), tol)
     factor = SPDFactor.on_grid(grid, potential)
     return _eigenpair(factor.A, tol, factor.precondition)

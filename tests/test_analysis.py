@@ -142,6 +142,24 @@ def test_increment_ratio_tends_to_the_richardson_rate(lab):
     assert math.isnan(increment_ratios([1.0, 1.0, 2.0])[0])
 
 
+def test_increment_ratio_on_a_ladder_whose_n_does_not_double(lab):
+    # rho tends to (h2^p - h3^p) / (h1^p - h2^p), p = 1 + 2 sigma: inverted on
+    # the levels' spacings it gives sigma, where -log2 rho would not
+    for s, verdict in ((2.0 / 3.0, "member"), (0.3, "non-member")):
+        levels = [(lab.grid(n), lab.grid(n).d ** s) for n in (1536, 2048, 3072)]
+        (rho,) = increment_ratios([sobolev_integral(g, u, 2.0) for g, u in levels])
+        hs = tuple(g.h[0] for g, _ in levels)
+        assert sigma_from_increment(rho, hs) == pytest.approx(s - 1.0, abs=0.01)
+        assert abs(sigma_from_increment(rho) - (s - 1.0)) > 0.05
+        assert h1_membership(levels).verdict == verdict
+        assert regularity_report(levels, 2.0, 0.0).sigma_fit == sigma_from_increment(rho, hs)
+    # where h halves the closed form stands, bitwise
+    assert sigma_from_increment(0.7, (1 / 64, 1 / 128, 1 / 256)) == sigma_from_increment(0.7)
+    # p = 0 splits H^1 membership at log(h2/h3) / log(h1/h2), not at rho = 1
+    assert sigma_from_increment(1.2, (1 / 96, 1 / 128, 1 / 192)) > -0.5
+    assert sigma_from_increment(1.2) < -0.5
+
+
 def test_non_monotone_increments_are_inconclusive(lab):
     # halving the middle level's field quarters its energy: the increments
     # change sign, rho < 0, and no exponent exists

@@ -51,6 +51,26 @@ def test_solve_reports_are_deterministic(tmp_path, domain):
     assert (outs[0] / "solution.csv").read_bytes() == (outs[1] / "solution.csv").read_bytes()
 
 
+def test_the_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize("domain", ["interval", "rectangle"])
+def test_the_shared_parser_carries_no_flag_into_the_next_run(tmp_path, domain):
+    # a run with other flags between two identical ones: the second of
+    # those writes the bytes of the first, and its spec has the defaults
+    args = ["solve", "--domain", domain, "--alpha", "0.5", "--n", "32"]
+    assert main([*args, "--out", str(tmp_path / "r1")]) == 0
+    other = ["solve", "--domain", domain, "--alpha", "2", "--beta", "0.5", "--n", "16",
+             "--tol", "1e-6", "--method", "regularized", "--eps", "1e-3"]
+    assert main([*other, "--out", str(tmp_path / "other")]) == 0
+    assert main([*args, "--out", str(tmp_path / "r2")]) == 0
+    for name in ("report.json", "solution.csv"):
+        assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
+    spec = read_report(tmp_path / "r2")["spec"]
+    assert (spec["beta"], spec["method"], spec["tol"]) == (0.0, "monotone", SolveConfig.tol)
+
+
 @pytest.mark.parametrize("domain, n", [("interval", 64), ("rectangle", 16)])
 def test_solution_csv_rendering(tmp_path, domain, n):
     out = tmp_path / domain
@@ -451,6 +471,17 @@ def test_sweep_is_deterministic(tmp_path, monkeypatch):
         assert row["q_bar_est"] == "" or float(row["q_bar_est"]) > 1.0
 
 
+def test_in_process_sweeps_write_identical_bytes(tmp_path, monkeypatch):
+    # serial cells run in this process, with a solve of other flags between
+    monkeypatch.setenv("SEL_THREADS", "1")
+    args = ["sweep", "--alpha-list", "0.5,2", "--beta-list", "0,0.3", "--n", "128"]
+    assert main([*args, "--out", str(tmp_path / "s1.csv")]) == 0
+    assert main(["solve", "--alpha", "2", "--beta", "0.3", "--n", "128",
+                 "--out", str(tmp_path / "solve")]) == 0
+    assert main([*args, "--out", str(tmp_path / "s2.csv")]) == 0
+    assert (tmp_path / "s1.csv").read_bytes() == (tmp_path / "s2.csv").read_bytes()
+
+
 def test_sweep_blanks_the_estimates_of_non_monotone_increments(tmp_path, monkeypatch):
     # an inconclusive ladder has no sigma_est: its estimates are written blank
     def non_monotone(levels, alpha, beta):
@@ -706,6 +737,19 @@ def test_regularity_command(tmp_path, monkeypatch):
     rows = list(csv.DictReader((out / "sobolev.csv").read_text().splitlines()))
     assert len(rows) == 9
     assert {r["q"] for r in rows} == {"1.5", "2", "4"}
+
+
+@pytest.mark.parametrize("levels", ["128,192,256", "96,128,192"])
+def test_regularity_reads_ladders_whose_n_does_not_double(tmp_path, levels):
+    # the increment ratio is inverted on the levels' own spacings: sigma near
+    # -1/3 and H^1 membership (q_bar = 3) at alpha = 2, as on 128,256,512
+    out = tmp_path / "reg"
+    assert main(["regularity", "--alpha", "2", "--levels", levels, "--out", str(out)]) == 0
+    report = json.loads((out / "regularity.json").read_text())["report"]
+    assert report["sigma_fit"] == pytest.approx(-1.0 / 3.0, abs=0.02)
+    assert report["q_bar_est"] == pytest.approx(3.0, abs=0.2)
+    assert report["verdicts"]["h1"] == "member"
+    assert report["verdicts"]["h1_matches_theory"] is True
 
 
 def test_regularity_on_two_levels_reports_no_h1_verdict(tmp_path):

@@ -156,6 +156,20 @@ def test_power_weight_examples():
     assert power_weight(g, 1.5)[0] == pytest.approx(8.0, rel=1e-14)
 
 
+def test_power_weight_is_cached_on_the_grid_read_only():
+    g = build_grid(rectangle(1.0, 2.0), 8)
+    w = power_weight(g, 1.5)
+    assert power_weight(g, 1.5) is w
+    assert power_weight(g, 2) is power_weight(g, 2.0)
+    assert power_weight(g, 0.5) is not w
+    np.testing.assert_array_equal(w, g.d ** -1.5)
+    with pytest.raises(ValueError, match="read-only"):
+        w[0] = 0.0
+    other = build_grid(rectangle(1.0, 2.0), 8)
+    assert power_weight(other, 1.5) is not w
+    np.testing.assert_array_equal(power_weight(other, 1.5), w)
+
+
 def test_cell_volumes_tile_domain_within_h():
     for shape, vol in ((interval(2.0), 2.0), (rectangle(1.0, 3.0), 3.0)):
         for n in (8, 16, 32):

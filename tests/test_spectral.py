@@ -3,13 +3,21 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
-from sel.grid import assemble_laplacian, build_grid, interval, rectangle, power_weight
+from sel.grid import (
+    assemble_laplacian,
+    build_grid,
+    interval,
+    power_weight,
+    rectangle,
+    shifted_laplacian,
+)
 from sel.monotone import solve_ladder
 from sel.problem import SolveConfig
 from sel.spectral import (
     EigenNonConvergenceError,
     dirichlet_eigenpair,
     linearized_smallest_eigenvalue,
+    monotone_shift,
     principal_eigenpair,
 )
 
@@ -173,3 +181,27 @@ def test_sign_changing_eigenvector_is_a_non_convergence():
     # the lowest eigenvector of [[2, 1], [1, 2]] is (1, -1): no principal pair
     with pytest.raises(EigenNonConvergenceError, match="not strictly positive"):
         principal_eigenpair(scipy.sparse.csr_array(np.array([[2.0, 1.0], [1.0, 2.0]])))
+
+
+def test_interval_mu1_builds_no_matrix_and_matches_its_csr_operator(monkeypatch):
+    # the grid's two diagonals plus m: no shifted CSR matrix, no sparse norm,
+    # and the products summed in CSR row order, so mu_1 is bitwise the CSR one
+    g = build_grid(interval(1.0), 4096)
+    u = g.d ** (2.0 / 3.0)
+    A = shifted_laplacian(g, monotone_shift(g, u, 2.0, 0.3))
+
+    def fail(*args, **kwargs):
+        raise AssertionError("interval mu_1 built or measured a matrix")
+
+    monkeypatch.setattr(scipy.sparse, "csr_array", fail)
+    monkeypatch.setattr(scipy.sparse.linalg, "norm", fail)
+    eig = linearized_smallest_eigenvalue(g, u, 2.0, 0.3)
+    x = eig.field
+    assert eig.value == float(x @ (A @ x)) / float(x @ x)
+    assert eig.residual == float(np.linalg.norm(A @ x - eig.value * x)) / float(np.linalg.norm(x))
+
+
+def test_principal_pair_rejects_a_non_symmetric_tridiagonal_matrix():
+    a = scipy.sparse.csr_array(np.array([[2.0, -1.0], [-0.5, 2.0]]))
+    with pytest.raises(ValueError, match="not symmetric"):
+        principal_eigenpair(a)
