@@ -246,6 +246,9 @@ class SPDFactor:
         result is checked against the discrete comparison principle.
         SolveStats.iterations counts banded solves or PCG steps.  A refined
         banded x is judged and returned in np.longdouble; callers round once.
+        Every residual is a double vector r, and its 2-norm is taken as
+        math.sqrt(r @ r): the bits of np.linalg.norm(r), which computes
+        sqrt(r.dot(r)) for a real vector, without its per-call overhead.
         """
         if not (math.isfinite(tol) and tol > 0):
             raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -253,30 +256,33 @@ class SPDFactor:
         if not np.isfinite(f).all():
             raise ValueError("right-hand side has a NaN or inf entry")
         m = f.shape[0]
-        norm_f = float(np.linalg.norm(f))
+        norm_f = math.sqrt(f @ f)
         if norm_f == 0.0:
             return np.zeros(m), SolveStats(0, 0.0)
         target = tol * norm_f
         if self._ldl is None:
             x, iters = self._pcg(f, target)
             r = extended_residual(self.A, f, x)
+            norm_r = math.sqrt(r @ r)
         else:
-            x, iters, r = np.zeros(m), 0, f  # the residual at x = 0 is f itself
-            while np.linalg.norm(r) > target and iters <= MAX_REFINEMENTS:
+            # the residual at x = 0 is f itself
+            x, iters, r, norm_r = np.zeros(m), 0, f, norm_f
+            while norm_r > target and iters <= MAX_REFINEMENTS:
                 dx, _ = dpttrs(*self._ldl, r)
                 # the first solve is x itself; each refinement adds in long double
                 x = dx if iters == 0 else np.add(x, dx, dtype=np.longdouble)
                 iters += 1
                 r = _banded_residual(*self._band, f, x)
+                norm_r = math.sqrt(r @ r)
 
-        rel = float(np.linalg.norm(r)) / norm_f
+        rel = norm_r / norm_f
         if not rel <= tol:
             raise SolverStagnationError(
                 f"solve stagnated: residual {rel:.3e} > tol {tol:.3e} after {iters} iterations"
             )
-        if np.all(f >= 0.0):
-            floor = -tol * float(np.max(np.abs(x), initial=0.0))
-            if float(x.min(initial=0.0)) < floor:
+        if f.min() >= 0.0:  # x is not empty: f != 0
+            floor = -tol * float(np.abs(x).max())
+            if float(x.min()) < floor:
                 raise ComparisonPrincipleViolationError(
                     f"f >= 0 but min(u) = {x.min():.3e} < {floor:.3e}"
                 )
@@ -306,7 +312,7 @@ class SPDFactor:
         x = np.zeros(f.shape[0])
         r = f.copy()
         iters = 0
-        while np.linalg.norm(r) > target and iters < MAX_PCG_ITERS:
+        while math.sqrt(r @ r) > target and iters < MAX_PCG_ITERS:
             z = self.precondition(r)
             rz_new = float(r @ z)
             p = z if iters == 0 else z + (rz_new / rz) * p
@@ -329,5 +335,9 @@ def solve_spd(A: sp.spmatrix, f: np.ndarray, tol: float = 1e-12) -> tuple[np.nda
 
 def weighted_norm(u: np.ndarray, grid: Grid, gamma: float) -> float:
     """Discrete L2(Omega, d^(-gamma)) norm by the midpoint rule."""
-    u = grid.check_field(u)
-    return float(np.sqrt(np.sum(u * u * power_weight(grid, gamma)) * grid.cell_volume))
+    return _weighted_norm(grid.check_field(u), grid, gamma)
+
+
+def _weighted_norm(u: np.ndarray, grid: Grid, gamma: float) -> float:
+    # weighted_norm without its check, for a double field that already passed one
+    return math.sqrt((u * u * power_weight(grid, gamma)).sum() * grid.cell_volume)

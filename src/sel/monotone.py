@@ -19,8 +19,9 @@ difference of the sequences, not by two solves agreeing to round-off.
 The upper sequence descends, the lower one ascends, and they pinch the
 extremal solutions.  The full chain
 sub <= lower_k <= lower_{k+1} <= upper_{k+1} <= upper_k <= super is
-asserted at round-off scale on every step; a violation means the shift is
-too small or the inner solves too loose, and aborts the run.
+asserted at round-off scale on every step, a NaN counting as a break; a
+violation means the shift is too small or the inner solves too loose, and
+aborts the run.
 
 Convergence is declared on the relative two-sided gap in the weighted
 L2(Omega, d^(-gamma)) norm, gamma from resolve_regime; the sup-norm gap is
@@ -43,9 +44,9 @@ import numpy as np
 
 from .barriers import BarrierPair, build_barrier_pair, resolve_regime, verify_barrier
 from .grid import DomainShape, Grid, assemble_laplacian
-from .linear_core import SPDFactor, SolverFailure, SolveStats, extended_residual, weighted_norm
+from .linear_core import SPDFactor, SolverFailure, SolveStats, _weighted_norm, extended_residual
 from .problem import ProblemSpec, SolveConfig
-from .spectral import EigenPair, dirichlet_eigenpair, forcing, monotone_shift
+from .spectral import EigenPair, _forcing, dirichlet_eigenpair, forcing, monotone_shift
 
 __all__ = [
     "SolveConfig",
@@ -109,17 +110,32 @@ def iterate_step(
     the iteration, so round-off cannot smear the monotone ordering.
 
     Raises ValueError, before any arithmetic, unless prev passes
-    grid.check_positive (positive and finite at every node).
+    grid.check_positive (positive and finite at every node), and
+    OrderingViolationError unless u is.
     """
-    prev = grid.check_positive(prev)
+    return _step(grid, factor, grid.check_positive(prev), alpha, beta)
+
+
+def _step(
+    grid: Grid, factor: SPDFactor, prev: np.ndarray, alpha: float, beta: float
+) -> tuple[np.ndarray, SolveStats]:
+    # iterate_step of a prev that passed grid.check_positive
     # in double, outcomes hold but ordering violations of exactly 0.0 become ~1e-17
-    rhs = forcing(grid, prev.astype(np.longdouble), alpha, beta)
-    defect = extended_residual(assemble_laplacian(grid), rhs, prev)
+    wide = prev.astype(np.longdouble)
+    defect = extended_residual(assemble_laplacian(grid), _forcing(grid, wide, alpha, beta), wide)
     delta, stats = factor.solve(defect, tol=INNER_TOL)
     u = (prev + delta).astype(float)  # delta may be long double: round once
-    if u.min() <= 0.0:
-        raise OrderingViolationError("iterate lost positivity; inner tolerance too loose")
-    return u, stats
+    return _check_iterate(u, "lower"), stats
+
+
+def _check_iterate(u: np.ndarray, side: str) -> np.ndarray:
+    """u, a new iterate, unless an entry is <= 0 or not finite: the one check
+    of each iterate, where it is made.  A NaN fails both comparisons."""
+    if not (u.min() > 0.0 and u.max() < np.inf):
+        raise OrderingViolationError(
+            f"{side} iterate lost positivity or finiteness; inner tolerance too loose"
+        )
+    return u
 
 
 def solve_monotone(spec: ProblemSpec, pair: BarrierPair) -> SolveReport:
@@ -128,7 +144,13 @@ def solve_monotone(spec: ProblemSpec, pair: BarrierPair) -> SolveReport:
     Returns a converged report once the weighted relative gap drops below
     spec.config.tol, or an unconverged report (converged=False, final gap in
     gap_history) when spec.config.max_iter runs out.  Raises
-    OrderingViolationError if the chain breaks beyond 1e-12 * ||super||_inf.
+    OrderingViolationError if the chain breaks beyond 1e-12 * ||super||_inf
+    or a NaN enters it, and if a new iterate has an entry that is <= 0 or
+    not finite.
+
+    Each iterate is validated once, where it is made (_check_iterate), and
+    the step's shift checks lower again as monotone_shift's input; F and the
+    weighted gap are evaluated on those arrays without another check.
     """
     config = spec.config
     grid = spec.make_grid()
@@ -143,6 +165,7 @@ def solve_monotone(spec: ProblemSpec, pair: BarrierPair) -> SolveReport:
 
     lower = pair.sub.copy()
     upper = pair.super.copy()
+    width = upper - lower
     chain_tol = CHAIN_TOL * float(np.max(np.abs(pair.super)))
     worst_violation = 0.0
     gap_history: list[float] = []
@@ -153,27 +176,34 @@ def solve_monotone(spec: ProblemSpec, pair: BarrierPair) -> SolveReport:
     for iterations in range(1, config.max_iter + 1):
         shift = monotone_shift(grid, lower, alpha, beta)
         factor = SPDFactor.on_grid(grid, shift)
-        new_lower, lower_stats = iterate_step(grid, factor, lower, alpha, beta)
+        new_lower, lower_stats = _step(grid, factor, lower, alpha, beta)
         # the upper step minus the lower one (module docstring)
-        rhs = forcing(grid, upper, alpha, beta) - forcing(grid, lower, alpha, beta)
-        gap, gap_stats = factor.solve(rhs + shift * (upper - lower), tol=INNER_TOL)
-        new_upper = (new_lower + gap).astype(float)  # gap may be long double: round once
+        rhs = _forcing(grid, upper, alpha, beta) - _forcing(grid, lower, alpha, beta)
+        gap, gap_stats = factor.solve(rhs + shift * width, tol=INNER_TOL)
+        # gap may be long double: round once
+        new_upper = _check_iterate((new_lower + gap).astype(float), "upper")
         inner_iterations.append((lower_stats.iterations, gap_stats.iterations))
         del factor  # free its multigrid hierarchy before the next step builds one
-        violation = max(
-            float(np.max(pair.sub - new_lower)),
-            float(np.max(lower - new_lower)),
-            float(np.max(new_lower - new_upper)),
-            float(np.max(new_upper - upper)),
-            float(np.max(new_upper - pair.super)),
+        new_width = new_upper - new_lower
+        # np.maximum carries a NaN through, where the builtin max may drop it
+        violation = float(
+            np.maximum.reduce(
+                [
+                    (pair.sub - new_lower).max(),
+                    (lower - new_lower).max(),
+                    -new_width.min(),
+                    (new_upper - upper).max(),
+                    (new_upper - pair.super).max(),
+                ]
+            )
         )
         worst_violation = max(worst_violation, violation)
-        if violation > chain_tol:
+        if not violation <= chain_tol:
             raise OrderingViolationError(
                 f"chain violation {violation:.3e} > {chain_tol:.3e} at iteration {iterations}"
             )
-        lower, upper = new_lower, new_upper
-        gap = weighted_norm(upper - lower, grid, gamma) / weighted_norm(upper, grid, gamma)
+        lower, upper, width = new_lower, new_upper, new_width
+        gap = _weighted_norm(width, grid, gamma) / _weighted_norm(upper, grid, gamma)
         gap_history.append(gap)
         if gap <= config.tol:
             converged = True

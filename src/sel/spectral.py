@@ -149,9 +149,15 @@ def forcing(grid: Grid, u: np.ndarray, alpha: float, beta: float) -> np.ndarray:
     grid.check_positive.
     """
     checked = grid.check_positive(u)
-    if getattr(u, "dtype", None) != np.longdouble:
-        u = checked
-    elif not (float(alpha).is_integer() and alpha < 4):
+    wide = getattr(u, "dtype", None) == np.longdouble
+    return _forcing(grid, u if wide else checked, alpha, beta)
+
+
+def _forcing(grid: Grid, u: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+    """forcing without its check, for a double or long-double u that already
+    passed grid.check_positive: the monotone loop's iterates, each checked
+    once where it is made."""
+    if u.dtype == np.longdouble and not (float(alpha).is_integer() and alpha < 4):
         return power_weight(grid, beta) * np.exp(-alpha * np.log(u))
     return power_weight(grid, beta) * u ** (-alpha)
 

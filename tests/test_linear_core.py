@@ -448,6 +448,22 @@ def test_factor_on_grid_is_bitwise_the_matrix_factor(rng, shape, n, tol):
         assert stats.iterations == expected_stats.iterations
 
 
+@pytest.mark.parametrize(
+    "shape, n", ON_GRID, ids=[f"{'interval' if s.dim == 1 else 'square'}-n{n}" for s, n in ON_GRID]
+)
+def test_relative_residual_is_bitwise_the_np_linalg_norm_ratio(rng, shape, n):
+    # solve takes each 2-norm as math.sqrt(r @ r), which must stay the bits
+    # of np.linalg.norm(r): the refinement's stopping test and the reported
+    # residual depend on them
+    g = build_grid(shape, n)
+    m = 3.0 * power_weight(g, 1.7)
+    factor = SPDFactor.on_grid(g, m)
+    for f in (rng.random(g.num_interior), rng.standard_normal(g.num_interior)):
+        x, stats = factor.solve(f, 1e-10)
+        r = extended_residual(shifted_laplacian(g, m), f, x)
+        assert stats.relative_residual == float(np.linalg.norm(r)) / float(np.linalg.norm(f))
+
+
 @pytest.mark.parametrize("wide", [False, True], ids=["double", "longdouble"])
 @pytest.mark.parametrize("n", [2, 3, 64, 256, 4096])
 def test_banded_residual_is_bitwise_the_csr_residual(rng, n, wide):

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from sel import grid as grid_module
-from sel import linear_core, monotone, oracle
+from sel import cli, linear_core, monotone, oracle
 from sel.barriers import BORDERLINE_WARNING, build_barrier_pair, resolve_regime
 from sel.grid import assemble_laplacian, build_grid, interval, power_weight, rectangle
 from sel.linear_core import MAX_REFINEMENTS, SPDFactor, solve_spd
@@ -399,3 +399,81 @@ def test_step_that_loses_positivity_is_an_ordering_violation(lab):
     assert pair.super.max() < 3.0
     with pytest.raises(OrderingViolationError, match="iterate lost positivity"):
         iterate_step(grid, _NegativeFactor(), pair.super, 0.5, 0.0)
+
+
+class _NaNSolve(SPDFactor):
+    """A factor whose solve number `poisoned` (1: the lower step's increment,
+    2: the gap) returns a NaN at one node."""
+
+    poisoned = 2
+
+    def solve(self, f, tol=1e-12):
+        x, stats = super().solve(f, tol)
+        self.solves = getattr(self, "solves", 0) + 1
+        if self.solves == self.poisoned:
+            x = x.copy()
+            x[x.size // 2] = np.nan
+        return x, stats
+
+
+NAN_RUNS = [(interval(), 64), (rectangle(), 32)]
+
+
+@pytest.mark.parametrize("poisoned", [1, 2], ids=["lower", "gap"])
+@pytest.mark.parametrize("shape, n", NAN_RUNS, ids=["interval", "square"])
+def test_nan_iterate_is_an_ordering_violation(monkeypatch, shape, n, poisoned):
+    # a NaN from an inner solve is a solver failure on valid input, caught
+    # where the iterate is made, not an invalid-input ValueError downstream
+    poisoned_factor = type("Poisoned", (_NaNSolve,), {"poisoned": poisoned})
+    monkeypatch.setattr(monotone, "SPDFactor", poisoned_factor)
+    spec = ProblemSpec(0.5, 0.0, shape, n, SolveConfig(tol=1e-8))
+    side = "lower" if poisoned == 1 else "upper"
+    match = f"{side} iterate lost positivity or finiteness"
+    with pytest.raises(OrderingViolationError, match=match):
+        solve_monotone(spec, build_barrier_pair(spec.make_grid(), 0.5, 0.0))
+
+
+@pytest.mark.parametrize("shape, n", NAN_RUNS, ids=["interval", "square"])
+def test_chain_gate_carries_a_nan_through(monkeypatch, shape, n):
+    # with the iterate check out of the way, the chain gate itself rejects
+    # the NaN: its maximum propagates it and the test is `not <= tol`
+    monkeypatch.setattr(monotone, "SPDFactor", _NaNSolve)
+    monkeypatch.setattr(monotone, "_check_iterate", lambda u, side: u)
+    spec = ProblemSpec(0.5, 0.0, shape, n, SolveConfig(tol=1e-8))
+    with pytest.raises(OrderingViolationError, match="chain violation nan"):
+        solve_monotone(spec, build_barrier_pair(spec.make_grid(), 0.5, 0.0))
+
+
+def test_nan_iterate_exits_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(monotone, "SPDFactor", _NaNSolve)
+    assert cli.main(["solve", "--alpha", "0.5", "--n", "64", "--out", str(tmp_path / "nan")]) == 2
+    assert "upper iterate lost positivity or finiteness" in capsys.readouterr().err
+
+
+def test_each_outer_step_validates_two_fields(monkeypatch):
+    # the step's shift checks lower (monotone_shift) and SPDFactor.on_grid
+    # checks the shift; each iterate is checked once where it is made, and F
+    # and the weighted gap take those arrays as they are
+    spec = ProblemSpec(0.5, 0.0, interval(), 256, SolveConfig(tol=1e-8))
+    pair = build_barrier_pair(spec.make_grid(), 0.5, 0.0)
+    calls = {"check_field": 0, "check_positive": 0}
+    for name in calls:
+        original = getattr(grid_module.Grid, name)
+
+        def counted(self, u, original=original, name=name):
+            calls[name] += 1
+            return original(self, u)
+
+        monkeypatch.setattr(grid_module.Grid, name, counted)
+
+    def checks(max_iter):
+        for name in calls:
+            calls[name] = 0
+        config = SolveConfig(tol=1e-8, max_iter=max_iter)
+        report = solve_monotone(dataclasses.replace(spec, config=config), pair)
+        assert report.iterations == max_iter and not report.converged
+        # check_positive runs check_field: count the bare ones
+        return calls["check_positive"], calls["check_field"] - calls["check_positive"]
+
+    (positive_1, bare_1), (positive_2, bare_2) = checks(1), checks(2)
+    assert (positive_2 - positive_1, bare_2 - bare_1) == (1, 1)
