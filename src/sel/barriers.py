@@ -38,7 +38,11 @@ it grows like n^2, from about 1e-12 to 2e-11 relative at interval n = 64
 to 5e-9 to 1e-7 at n = 4096.  verify_barrier, the one barrier rule, then
 certifies each side by the sign of its worst defect, with no tolerance; a
 failure raises BarrierConstructionError.  The order sub <= super is
-c <= C on the one positive profile.
+c <= C on the one positive profile.  The pair records the grid object and
+the (alpha, beta) it was certified for (BarrierPair.certified_for), and its
+sides are read-only, so solve_monotone certifies each ladder level's pair
+once: it re-verifies only a pair certified for another grid or
+(alpha, beta), or not by build_barrier_pair at all.
 
 The borderline s = 1 is where the regime split degenerates: both exponent
 formulas give t = 1, but no existence theory covers the case and sandwich
@@ -50,8 +54,9 @@ refuses it except at alpha = 1, beta = 0.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,6 +81,7 @@ ALPHA_ONE_WARNING = (
     "alpha=1, beta=0 sits between the two regimes and is not covered by the "
     "existence theorems; proceeding with the t=1 limit"
 )
+REGIME_CACHE_SIZE = 256  # (alpha, beta) pairs whose Regime resolve_regime keeps
 
 
 @dataclass(frozen=True)
@@ -113,7 +119,10 @@ class BarrierPair:
 
     sub = c * base and super = C * base for the pair's one positive profile
     (psi when t = 1, H^t when t < 1); c1, c2 are the sandwich constants in
-    c1 d^t <= sub <= super <= c2 d^t.
+    c1 d^t <= sub <= super <= c2 d^t.  certified_for is (grid, alpha, beta)
+    on a pair build_barrier_pair certified, whose sub and super are then
+    read-only, and None on any other pair, hand-built or made by
+    dataclasses.replace (it is not an __init__ argument).
     """
 
     sub: np.ndarray
@@ -123,6 +132,13 @@ class BarrierPair:
     t: float
     c1: float
     c2: float
+    certified_for: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def certified_on(self, grid: Grid, alpha: float, beta: float) -> bool:
+        """True iff build_barrier_pair certified both sides on this very grid
+        object for this (alpha, beta)."""
+        cert = self.certified_for
+        return cert is not None and cert[0] is grid and cert[1:] == (alpha, beta)
 
 
 def resolve_regime(alpha: float, beta: float) -> Regime:
@@ -132,12 +148,20 @@ def resolve_regime(alpha: float, beta: float) -> Regime:
     Above it: t = (2-beta)/(1+alpha), sigma = t - 1,
     q_bar = (1+alpha)/(alpha+beta-1), gamma = 2.  The borderline
     alpha+beta = 1 resolves to the common limit t = 1 with gamma = 2 and a
-    warning attached.
+    warning attached.  Input is checked on every call; a valid (alpha, beta)
+    seen before returns the same Regime while it is among the
+    REGIME_CACHE_SIZE most recent.
     """
     if not (math.isfinite(alpha) and alpha >= 0):
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     if not 0 <= beta < 2:
         raise ValueError(f"beta must satisfy 0 <= beta < 2, got {beta}")
+    return _regime(float(alpha), float(beta))
+
+
+@functools.lru_cache(maxsize=REGIME_CACHE_SIZE)
+def _regime(alpha: float, beta: float) -> Regime:
+    # resolve_regime past its checks
     s = alpha + beta
     if s < 1:
         return Regime(t=1.0, sigma=0.0, q_bar=math.inf, gamma=1.0 + alpha)
@@ -218,7 +242,8 @@ def build_barrier_pair(
     no C is finite), and verify_barrier certifies each side
     (BarrierConstructionError if one fails); c1 and c2 always refer to d^t.
     eig, read only when t < 1, defaults to the closed-form principal
-    eigenpair of the grid.
+    eigenpair of the grid.  The pair comes back read-only and records the
+    grid and (alpha, beta) it was certified for (BarrierPair.certified_for).
     """
     regime = resolve_regime(alpha, beta)
     A0 = assemble_laplacian(grid)
@@ -245,8 +270,10 @@ def build_barrier_pair(
                 f"{side}solution inequality fails in floating point; "
                 f"worst violation {cert.worst_violation:.3e}"
             )
-    dt = grid.d**regime.t
-    return BarrierPair(
+    dt = power_weight(grid, -regime.t)
+    for fld in (sub, sup):
+        fld.setflags(write=False)
+    pair = BarrierPair(
         sub=sub,
         super=sup,
         c=c,
@@ -255,3 +282,5 @@ def build_barrier_pair(
         c1=float(np.min(sub / dt)),
         c2=float(np.max(sup / dt)),
     )
+    object.__setattr__(pair, "certified_for", (grid, alpha, beta))  # frozen: set once, here
+    return pair

@@ -144,7 +144,10 @@ def _fit_exponents_best_effort(grid: Grid, u) -> tuple[float | None, float | Non
 
 
 def _check_fit_window(domain: str, n: int) -> None:
-    """ValueError (exit 1) if the n grid cannot host regularity_report's fits."""
+    """ValueError (exit 1) if the n grid cannot host regularity_report's fits.
+
+    The grid is the process's shared one of (domain, n), the finest level of
+    the ladder that follows, so the check builds no grid of its own."""
     grid = build_grid(_domain(domain), n)
     try:
         fit_boundary_exponent(grid, grid.d)

@@ -7,20 +7,27 @@ by the exact formula of the continuous domain, never by nearest-node search,
 so singular weights d^(-gamma) are well defined at every node where a field
 has a value.
 
-The Dirichlet Laplacian is a fact of the grid: assemble_laplacian builds it
-on the first call for a grid, straight from index arithmetic (each row's
-entries in column order), and caches it on that Grid, read-only, so every
-layer working on one grid (eigenpair, barriers, their certificates, the
-monotone iteration, mu_1, the residual) shares one matrix.  Shifted
-operators -lap_h + diag(m) reuse its CSR pattern (shifted_laplacian).
-An interval also caches the Laplacian's two diagonals (Grid._tridiagonal),
-from which linear_core.SPDFactor.on_grid factors -lap_h + diag(m) without
-building a matrix.  No long-double copy is kept: linear_core's residuals
-take the double values and convert them inside the call.  The singular
-weights d^(-gamma) are grid facts too: power_weight computes each exponent's
-on its first call for a grid and caches it there, read-only, so the forcing,
-the monotone shift, the barriers and the norms of one grid share one array
-per exponent.
+Grid facts live per (shape, n) per process: build_grid hands every caller
+of one (shape, n) the same immutable Grid, from a small least-recently-used
+store of GRID_CACHE_SIZE grids, so every sweep cell, ladder level, command
+and API loop of a process that asks for that grid shares what it caches.
+The Dirichlet Laplacian is such a fact: assemble_laplacian builds it on the
+first call for a grid, straight from index arithmetic (each row's entries
+in column order), and caches it on that Grid, read-only, so every layer
+working on one grid (eigenpair, barriers, their certificates, the monotone
+iteration, mu_1, the residual) shares one matrix.  Shifted operators
+-lap_h + diag(m) reuse its CSR pattern (shifted_laplacian).  An interval
+also caches the Laplacian's two diagonals (Grid._tridiagonal), from which
+linear_core.SPDFactor.on_grid factors -lap_h + diag(m) without building a
+matrix.  No long-double copy is kept: linear_core's residuals take the
+double values and convert them inside the call.  The singular weights
+d^(-gamma) are grid facts too: power_weight computes each exponent's on its
+first call for a grid and caches it there, read-only, keeping the
+WEIGHT_CACHE_SIZE most recent exponents, so the forcing, the monotone
+shift, the barriers and the norms of one grid share one array per
+exponent.  spectral.dirichlet_eigenpair caches the closed-form eigenpair
+on the grid as well (Grid._facts).  Every array a grid hands out is
+read-only, so no caller can change what the next one is given.
 """
 
 from __future__ import annotations
@@ -32,6 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+
+GRID_CACHE_SIZE = 8  # shared grids kept per process, least recently used dropped first
+WEIGHT_CACHE_SIZE = 16  # exponents of d^(-gamma) kept per grid, oldest dropped first
 
 
 class InvalidResolutionError(ValueError):
@@ -86,10 +96,13 @@ class Grid:
         d: exact distance to the boundary at each interior node, in
            lexicographic (first-axis-major) order.
 
-    The grid also caches its Laplacian once assembled (assemble_laplacian),
-    an interval grid the Laplacian's two diagonals, and every weight
-    d^(-gamma) once computed (power_weight), so they live exactly as long
-    as the grid.
+    build_grid shares one Grid per (shape, n) per process (module
+    docstring), and the grid caches its Laplacian once assembled
+    (assemble_laplacian), an interval grid the Laplacian's two diagonals,
+    the most recent weights d^(-gamma) (power_weight) and the closed-form
+    eigenpair (spectral.dirichlet_eigenpair), so each is computed once per
+    (shape, n) while the grid is held.  Every array it hands out, axes and
+    d included, is read-only.
     """
 
     shape: DomainShape
@@ -155,7 +168,13 @@ class Grid:
 
     @functools.cached_property
     def _weights(self) -> dict[float, np.ndarray]:
-        # power_weight's arrays, by exponent
+        # power_weight's arrays, by exponent, oldest first
+        return {}
+
+    @functools.cached_property
+    def _facts(self) -> dict:
+        # what other layers derive from the grid alone, by name: "eigenpair",
+        # spectral.dirichlet_eigenpair's closed form
         return {}
 
     @functools.cached_property
@@ -176,19 +195,28 @@ def build_grid(shape: DomainShape, n: int) -> Grid:
     """Uniform grid with n subdivisions (n-1 interior nodes) per axis.
 
     Raises InvalidResolutionError for an n that is not an integer (a float
-    such as 64.9 or 64.0 included) and for n < 2.
+    such as 64.9 or 64.0 included) and for n < 2, before any lookup.  A
+    valid (shape, n) requested before in the process returns the same Grid
+    while it is among the GRID_CACHE_SIZE most recently requested.
     """
     if not isinstance(n, numbers.Integral):
         raise InvalidResolutionError(f"n must be an integer, got {n!r}")
     n = int(n)
     if n < 2:
         raise InvalidResolutionError(f"need n >= 2 subdivisions, got n={n}")
+    return _shared_grid(shape, n)
+
+
+@functools.lru_cache(maxsize=GRID_CACHE_SIZE)
+def _shared_grid(shape: DomainShape, n: int) -> Grid:
+    # build_grid past its checks, n a plain int
     h = tuple(e / n for e in shape.extents)
     axes = tuple(hi * np.arange(1, n) for hi in h)
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.column_stack([m.ravel() for m in mesh])
     d = _distance(shape, pts)
-    d.setflags(write=False)
+    for arr in (*axes, d):
+        arr.setflags(write=False)
     return Grid(shape=shape, n=n, h=h, axes=axes, d=d)
 
 
@@ -244,12 +272,17 @@ def power_weight(grid: Grid, gamma: float) -> np.ndarray:
     """Nodal weight d(x)^(-gamma); finite and positive at interior nodes.
 
     Computed on the first call for a grid and exponent and cached on the
-    grid: later calls return the same read-only array.
+    grid: later calls return the same read-only array while the exponent is
+    among the grid's WEIGHT_CACHE_SIZE most recent ones, and an equal one
+    after.
     """
     gamma = float(gamma)
-    weight = grid._weights.get(gamma)
+    weights = grid._weights
+    weight = weights.get(gamma)
     if weight is None:
-        weight = grid._weights[gamma] = grid.d ** (-gamma)
+        if len(weights) >= WEIGHT_CACHE_SIZE:
+            del weights[next(iter(weights))]
+        weight = weights[gamma] = grid.d ** (-gamma)
         weight.setflags(write=False)
     return weight
 

@@ -27,13 +27,16 @@ Convergence is declared on the relative two-sided gap in the weighted
 L2(Omega, d^(-gamma)) norm, gamma from resolve_regime; the sup-norm gap is
 reported but not used for stopping.
 
-Every operator of a run comes from the one grid of its ProblemSpec:
--lap_h is assembled once for that grid (grid.assemble_laplacian) and each
-step factors -lap_h + m_k by the grid (linear_core.SPDFactor.on_grid): from
+Every operator of a run comes from the one grid of its ProblemSpec, the
+process's shared grid of its (shape, n) (grid.build_grid): -lap_h is
+assembled once for that grid (grid.assemble_laplacian) and each step
+factors -lap_h + m_k by the grid (linear_core.SPDFactor.on_grid): from
 the Laplacian's two cached diagonals on an interval, as a diagonal shift on
-its pattern (grid.shifted_laplacian) on a rectangle.  solve_ladder builds
-one grid per level, and the eigenpair, the barriers, their certificates
-and solve_monotone share it.
+its pattern (grid.shifted_laplacian) on a rectangle.  Each level of
+solve_ladder takes that grid, and the eigenpair, the barriers, their
+certificate and solve_monotone share it; the pair is certified once, by
+build_barrier_pair, and solve_monotone re-verifies only a pair not
+certified for its grid and (alpha, beta).
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .barriers import BarrierPair, build_barrier_pair, resolve_regime, verify_barrier
-from .grid import DomainShape, Grid, assemble_laplacian
+from .grid import DomainShape, Grid, assemble_laplacian, power_weight
 from .linear_core import SPDFactor, SolverFailure, SolveStats, _weighted_norm, extended_residual
 from .problem import ProblemSpec, SolveConfig
 from .spectral import EigenPair, _forcing, dirichlet_eigenpair, forcing, monotone_shift
@@ -151,16 +154,21 @@ def solve_monotone(spec: ProblemSpec, pair: BarrierPair) -> SolveReport:
     Each iterate is validated once, where it is made (_check_iterate), and
     the step's shift checks lower again as monotone_shift's input; F and the
     weighted gap are evaluated on those arrays without another check.
+
+    A pair that build_barrier_pair certified for spec's grid and
+    (alpha, beta) (BarrierPair.certified_on) is not certified again; any
+    other pair is verified here, and a side that fails is a ValueError.
     """
     config = spec.config
     grid = spec.make_grid()
-    for side, fld in (("sub", pair.sub), ("super", pair.super)):
-        cert = verify_barrier(grid, fld, spec.alpha, spec.beta, side)
-        if not cert.passed:
-            raise ValueError(
-                f"{side}solution fails certification: violation {cert.worst_violation:.3e} > 0"
-            )
     alpha, beta = spec.alpha, spec.beta
+    if not pair.certified_on(grid, alpha, beta):
+        for side, fld in (("sub", pair.sub), ("super", pair.super)):
+            cert = verify_barrier(grid, fld, alpha, beta, side)
+            if not cert.passed:
+                raise ValueError(
+                    f"{side}solution fails certification: violation {cert.worst_violation:.3e} > 0"
+                )
     gamma = resolve_regime(alpha, beta).gamma
 
     lower = pair.sub.copy()
@@ -236,8 +244,9 @@ def solve_ladder(
 ) -> list[LadderLevel]:
     """Monotone solves over the refinement levels ns, coarse to fine.
 
-    Each level builds its grid, the closed-form principal eigenpair of
-    -lap_h, the barrier pair from it, and runs solve_monotone.  The ladder
+    Each level takes the shared grid of (shape, n), its closed-form
+    principal eigenpair, builds the barrier pair from it, and runs
+    solve_monotone, which does not certify that pair again.  The ladder
     stops at the first level that does not converge; that level is the last
     entry, so callers check levels[-1].report.converged.
     """
@@ -264,7 +273,7 @@ def residual(grid: Grid, u: np.ndarray, alpha: float, beta: float) -> float:
     u = grid.check_positive(u)
     t = resolve_regime(alpha, beta).t
     defect = assemble_laplacian(grid) @ u - forcing(grid, u, alpha, beta)
-    return float(np.max(np.abs(defect * grid.d ** (beta + t * alpha))))
+    return float(np.max(np.abs(defect * power_weight(grid, -(beta + t * alpha)))))
 
 
 def uniqueness_gap(report: SolveReport) -> float:

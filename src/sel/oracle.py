@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .barriers import build_barrier_pair, resolve_regime
-from .grid import Grid, assemble_laplacian
+from .grid import Grid, assemble_laplacian, power_weight
 from .linear_core import SPDFactor, SolverFailure
 from .monotone import INNER_TOL
 from .problem import ProblemSpec
@@ -62,7 +62,7 @@ def newton_solve(
         raise ValueError(f"eps must be finite and >= 0, got {eps}")
     init = grid.check_field(init)
     grid.check_positive(init + eps)
-    weight = grid.d ** (beta + resolve_regime(alpha, beta).t * alpha)
+    weight = power_weight(grid, -(beta + resolve_regime(alpha, beta).t * alpha))
     A0 = assemble_laplacian(grid)
     if dense and grid.n > DENSE_N_CAP:
         raise ValueError(f"dense oracle is limited to n <= {DENSE_N_CAP}, got n={grid.n}")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -45,10 +44,8 @@ class ProblemSpec:
         resolve_regime(self.alpha, self.beta)  # ValueError outside the admitted range
 
     def make_grid(self) -> Grid:
-        """The instance's grid: built on the first call, the same Grid after,
-        so every layer solving this spec shares its cached Laplacian."""
-        return self._grid
-
-    @functools.cached_property
-    def _grid(self) -> Grid:
+        """The instance's grid, build_grid(shape, n): the process's shared
+        Grid of that (shape, n), so every layer solving this spec, and every
+        other spec and command of the process on the same grid, shares its
+        cached Laplacian, weights and eigenpair."""
         return build_grid(self.shape, self.n)

@@ -37,7 +37,7 @@ class EigenNonConvergenceError(SolverFailure):
     or positivity check."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class EigenPair:
     """Eigenvalue, sup-normalized positive eigenvector, and 2-norm residual."""
 
@@ -52,7 +52,16 @@ def dirichlet_eigenpair(grid: Grid) -> EigenPair:
     The operator separates by axis, and sin(pi x/L) sampled at the nodes is
     an exact eigenvector of each 1D factor: phi = prod sin(pi x_i/L_i)
     (sup-normalized) and lambda_1 = sum 4/h_i^2 sin^2(pi h_i/(2 L_i)).
+    Computed on the first call for a grid and cached on it: later calls
+    return the same EigenPair, whose field is read-only.
     """
+    eig = grid._facts.get("eigenpair")
+    if eig is None:
+        eig = grid._facts["eigenpair"] = _closed_form_eigenpair(grid)
+    return eig
+
+
+def _closed_form_eigenpair(grid: Grid) -> EigenPair:
     extents = grid.shape.extents
     phi = np.ones(1)
     for ax, length in zip(grid.axes, extents):
@@ -60,6 +69,7 @@ def dirichlet_eigenpair(grid: Grid) -> EigenPair:
     phi /= phi.max()
     lam = sum(4.0 / h**2 * np.sin(np.pi * h / (2.0 * L)) ** 2 for h, L in zip(grid.h, extents))
     resid = np.linalg.norm(assemble_laplacian(grid) @ phi - lam * phi) / np.linalg.norm(phi)
+    phi.setflags(write=False)
     return EigenPair(value=float(lam), field=phi, residual=float(resid))
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sel import grid as grid_module
 from sel.barriers import build_barrier_pair
 from sel.grid import build_grid, interval
 from sel.monotone import solve_monotone
@@ -66,6 +67,13 @@ class Lab:
             u = newton_solve(grid, alpha, beta, pair.super, tol=tol)
             self._newtons[key] = (grid, u)
         return self._newtons[key]
+
+
+@pytest.fixture(autouse=True)
+def fresh_grids():
+    """Every test starts with no shared grid, so a test that patches or
+    counts grid._assemble sees the grids it builds, whatever ran before."""
+    grid_module._shared_grid.cache_clear()
 
 
 @pytest.fixture(scope="session")

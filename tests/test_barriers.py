@@ -55,6 +55,34 @@ def test_resolve_regime_rejects_non_finite(bad):
         resolve_regime(0.5, bad)
 
 
+def test_resolve_regime_returns_one_regime_per_pair():
+    assert resolve_regime(2.0, 0.5) is resolve_regime(2.0, 0.5)
+    assert resolve_regime(2, 0) is resolve_regime(2.0, 0.0)
+    assert resolve_regime(np.float64(0.3), 0.4) is resolve_regime(0.3, 0.4)
+    assert resolve_regime(0.5, 0.0) is not resolve_regime(2.0, 0.0)
+
+
+@pytest.mark.parametrize("alpha, beta", [(-0.5, 0.0), (0.5, 2.0), (0.5, -0.1), (math.nan, 0.0), (0.5, math.nan)])
+def test_out_of_range_regime_raises_on_every_call(alpha, beta):
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            resolve_regime(alpha, beta)
+
+
+@pytest.mark.parametrize("shape, n", [(interval(1.0), 32), (rectangle(1.0, 1.0), 16)])
+@pytest.mark.parametrize("alpha, beta", [(0.5, 0.2), (2.0, 0.0)])
+def test_built_pair_records_its_certificate_read_only(shape, n, alpha, beta):
+    grid = build_grid(shape, n)
+    pair = build_barrier_pair(grid, alpha, beta)
+    assert pair.certified_for[0] is grid and pair.certified_for[1:] == (alpha, beta)
+    assert pair.certified_on(grid, alpha, beta)
+    assert not pair.certified_on(grid, alpha + 0.1, beta)
+    assert not pair.certified_on(build_grid(shape, 2 * n), alpha, beta)
+    for fld in (pair.sub, pair.super):
+        with pytest.raises(ValueError, match="read-only"):
+            fld[0] = 1.0
+
+
 def test_resolve_regime_borderline_goes_through_t1_with_warning():
     r = resolve_regime(0.5, 0.5)
     assert r.t == 1.0 and r.gamma == 2.0

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from sel import analysis, cli, linear_core, oracle
+from sel import grid as grid_module
 from sel.analysis import gradient_field
 from sel.barriers import ALPHA_ONE_WARNING, build_barrier_pair
 from sel.cli import main
@@ -480,6 +481,30 @@ def test_in_process_sweeps_write_identical_bytes(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "solve")]) == 0
     assert main([*args, "--out", str(tmp_path / "s2.csv")]) == 0
     assert (tmp_path / "s1.csv").read_bytes() == (tmp_path / "s2.csv").read_bytes()
+
+
+def test_in_process_sweep_assembles_each_ladder_grid_once(tmp_path, monkeypatch):
+    # four cells share the n=128 ladder's three grids, the fit-window check its finest
+    calls, assemble = [], grid_module._assemble
+    monkeypatch.setattr(grid_module, "_assemble", lambda g: calls.append(g.n) or assemble(g))
+    monkeypatch.setenv("SEL_THREADS", "1")
+    out = tmp_path / "s.csv"
+    argv = ["sweep", "--alpha-list", "0.5,2", "--beta-list", "0,1.5", "--n", "128", "--out", str(out)]
+    assert main(argv) == 0
+    assert "skipped" not in out.read_text()
+    assert sorted(calls) == [32, 64, 128]
+
+
+def test_long_in_process_sweep_keeps_its_caches_bounded(tmp_path, monkeypatch):
+    # every cell adds its own exponents to the shared grids; the bounds hold
+    monkeypatch.setenv("SEL_THREADS", "1")
+    argv = ["sweep", "--alpha-list", "0.25,0.5,2,2.5,3.5", "--beta-list", "0,0.3,1.5",
+            "--n", "128", "--out", str(tmp_path / "s.csv")]
+    assert main(argv) == 0
+    assert grid_module._shared_grid.cache_info().currsize == 3
+    grids = [build_grid(interval(), n) for n in (32, 64, 128)]
+    assert grid_module._shared_grid.cache_info().misses == 3
+    assert all(len(g._weights) <= grid_module.WEIGHT_CACHE_SIZE for g in grids)
 
 
 def test_sweep_blanks_the_estimates_of_non_monotone_increments(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+from sel import grid as grid_module
 from sel.analysis import (
     fit_boundary_exponent,
     fit_gradient_exponent,
@@ -12,8 +14,10 @@ from sel.analysis import (
     sobolev_integral,
     uniqueness_identity,
 )
-from sel.barriers import verify_barrier
+from sel.barriers import build_barrier_pair, resolve_regime, verify_barrier
 from sel.grid import (
+    GRID_CACHE_SIZE,
+    WEIGHT_CACHE_SIZE,
     DomainShape,
     InvalidResolutionError,
     assemble_laplacian,
@@ -27,7 +31,7 @@ from sel.grid import (
 from sel.linear_core import SPDFactor, weighted_norm
 from sel.monotone import iterate_step, residual
 from sel.oracle import newton_solve
-from sel.spectral import linearized_smallest_eigenvalue, monotone_shift
+from sel.spectral import dirichlet_eigenpair, forcing, linearized_smallest_eigenvalue, monotone_shift
 
 
 def test_interval_grid_basics():
@@ -165,9 +169,9 @@ def test_power_weight_is_cached_on_the_grid_read_only():
     np.testing.assert_array_equal(w, g.d ** -1.5)
     with pytest.raises(ValueError, match="read-only"):
         w[0] = 0.0
-    other = build_grid(rectangle(1.0, 2.0), 8)
-    assert power_weight(other, 1.5) is not w
-    np.testing.assert_array_equal(power_weight(other, 1.5), w)
+    # one grid per (shape, n): the same array; another n, another grid's
+    assert power_weight(build_grid(rectangle(1.0, 2.0), 8), 1.5) is w
+    assert power_weight(build_grid(rectangle(1.0, 2.0), 16), 1.5) is not w
 
 
 def test_cell_volumes_tile_domain_within_h():
@@ -217,7 +221,69 @@ def test_gradient_components_quadratic_exact():
 def test_laplacian_is_assembled_once_per_grid(shape, n):
     g = build_grid(shape, n)
     assert assemble_laplacian(g) is assemble_laplacian(g)
-    assert assemble_laplacian(build_grid(shape, n)) is not assemble_laplacian(g)
+    # one grid per (shape, n) per process; another n or shape, another matrix
+    assert build_grid(shape, n) is g
+    assert assemble_laplacian(build_grid(shape, n)) is assemble_laplacian(g)
+    assert assemble_laplacian(build_grid(shape, n + 1)) is not assemble_laplacian(g)
+    wider = DomainShape(tuple(2.0 * e for e in shape.extents))
+    assert assemble_laplacian(build_grid(wider, n)) is not assemble_laplacian(g)
+
+
+@pytest.mark.parametrize("n", [64.0, np.float64(64)], ids=["float", "np.float64"])
+def test_float_n_is_rejected_after_its_grid_is_shared(n):
+    # n is checked before the lookup: 64.0 == 64 would find the cached grid
+    for shape in (interval(1.0), rectangle(1.0, 1.0)):
+        build_grid(shape, 64)
+        with pytest.raises(InvalidResolutionError, match="n must be an integer"):
+            build_grid(shape, n)
+    assert build_grid(interval(1.0), np.int64(64)) is build_grid(interval(1.0), 64)
+
+
+@pytest.mark.parametrize("shape, n", [(interval(1.0), 16), (rectangle(2.0, 0.5), 6)])
+def test_every_array_of_a_shared_grid_is_read_only(shape, n):
+    g = build_grid(shape, n)
+    lap = assemble_laplacian(g)
+    eig = dirichlet_eigenpair(g)
+    arrays = [*g.axes, g.d, lap.data, lap.indices, lap.indptr, g._diagonal_positions,
+              power_weight(g, 1.5), eig.field]
+    if g.dim == 1:
+        arrays += list(g._tridiagonal)
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        eig.value = 0.0
+    assert dirichlet_eigenpair(build_grid(shape, n)) is eig
+
+
+def test_shared_grids_and_their_weights_are_bounded():
+    grids = [build_grid(interval(1.0), n) for n in range(2, GRID_CACHE_SIZE + 5)]
+    assert grid_module._shared_grid.cache_info().currsize == GRID_CACHE_SIZE
+    assert build_grid(interval(1.0), grids[-1].n) is grids[-1]
+    assert build_grid(interval(1.0), 2) is not grids[0]  # least recently used: rebuilt
+    g = grids[-1]
+    first = power_weight(g, 0.25)
+    for k in range(WEIGHT_CACHE_SIZE + 3):
+        power_weight(g, 1.0 + k / 8)
+    assert len(g._weights) == WEIGHT_CACHE_SIZE
+    again = power_weight(g, 0.25)  # dropped, then computed again to the same bits
+    assert again is not first and again.tobytes() == first.tobytes()
+
+
+@pytest.mark.parametrize("shape, n", [(interval(1.0), 64), (rectangle(2.0, 0.5), 12)])
+@pytest.mark.parametrize("alpha, beta", [(0.5, 0.0), (2.0, 0.7), (3.3, 1.5)])
+def test_negated_power_weight_is_bitwise_the_distance_power(shape, n, alpha, beta):
+    # residual's and newton_solve's weight d^(beta + t alpha), the barriers' d^t
+    g = build_grid(shape, n)
+    t = resolve_regime(alpha, beta).t
+    for x in (beta + t * alpha, t):
+        assert power_weight(g, -x).tobytes() == (g.d**x).tobytes()
+    pair = build_barrier_pair(g, alpha, beta)
+    assert pair.c1 == float(np.min(pair.sub / g.d**t))
+    assert pair.c2 == float(np.max(pair.super / g.d**t))
+    u = pair.super
+    defect = assemble_laplacian(g) @ u - forcing(g, u, alpha, beta)
+    assert residual(g, u, alpha, beta) == float(np.max(np.abs(defect * g.d ** (beta + t * alpha))))
 
 
 def test_cached_laplacian_is_read_only():

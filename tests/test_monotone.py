@@ -5,8 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from sel import grid as grid_module
-from sel import cli, linear_core, monotone, oracle
-from sel.barriers import BORDERLINE_WARNING, build_barrier_pair, resolve_regime
+from sel import barriers, cli, linear_core, monotone, oracle
+from sel.barriers import BORDERLINE_WARNING, BarrierPair, build_barrier_pair, resolve_regime
 from sel.grid import assemble_laplacian, build_grid, interval, power_weight, rectangle
 from sel.linear_core import MAX_REFINEMENTS, SPDFactor, solve_spd
 from sel.monotone import (
@@ -330,6 +330,59 @@ def test_ladder_level_assembles_its_laplacian_once(monkeypatch, shape, axes):
     assert calls == [axes, axes]
 
 
+def _counted_verify(monkeypatch) -> list:
+    # verify_barrier, as barriers and monotone call it, recording (alpha, beta, side)
+    calls, verify = [], barriers.verify_barrier
+
+    def counted(grid, field, alpha, beta, side):
+        calls.append((alpha, beta, side))
+        return verify(grid, field, alpha, beta, side)
+
+    for module in (barriers, monotone):
+        monkeypatch.setattr(module, "verify_barrier", counted)
+    return calls
+
+
+@pytest.mark.parametrize("shape", [interval(1.0), rectangle(1.0, 1.0)], ids=["interval", "square"])
+def test_each_ladder_level_certifies_its_pair_once(monkeypatch, shape):
+    # build_barrier_pair certifies both sides; solve_monotone does not repeat it
+    calls = _counted_verify(monkeypatch)
+    levels = solve_ladder(2.0, 0.0, shape, (16, 32), SolveConfig(tol=1e-8))
+    assert all(level.report.converged for level in levels)
+    assert calls == [(2.0, 0.0, "sub"), (2.0, 0.0, "super")] * 2
+
+
+@pytest.mark.parametrize("alpha, beta, failing", [(0.5, 0.0, "sub"), (2.0, 0.5, "super")])
+def test_pair_certified_for_another_instance_is_verified_again(monkeypatch, alpha, beta, failing):
+    grid = build_grid(interval(1.0), 32)
+    pair = build_barrier_pair(grid, 2.0, 0.0)
+    calls = _counted_verify(monkeypatch)
+    spec = ProblemSpec(alpha=alpha, beta=beta, n=32)
+    assert spec.make_grid() is grid
+    with pytest.raises(ValueError, match=f"{failing}solution fails certification"):
+        solve_monotone(spec, pair)
+    assert calls[-1] == (alpha, beta, failing)
+
+
+def test_pair_certified_on_another_grid_object_is_verified_again(monkeypatch):
+    pair = build_barrier_pair(build_grid(interval(1.0), 32), 2.0, 0.0)
+    grid_module._shared_grid.cache_clear()  # the spec's grid: equal, but another object
+    calls = _counted_verify(monkeypatch)
+    assert solve_monotone(ProblemSpec(alpha=2.0, beta=0.0, n=32), pair).converged
+    assert calls == [(2.0, 0.0, "sub"), (2.0, 0.0, "super")]
+
+
+def test_hand_built_pair_is_verified(monkeypatch):
+    spec = ProblemSpec(alpha=2.0, beta=0.0, n=32)
+    built = build_barrier_pair(spec.make_grid(), 2.0, 0.0)
+    fields = {f.name: getattr(built, f.name) for f in dataclasses.fields(built) if f.init}
+    calls = _counted_verify(monkeypatch)
+    for pair in (BarrierPair(**fields), dataclasses.replace(built)):
+        assert pair.certified_for is None
+        assert solve_monotone(spec, pair).converged
+    assert calls == [(2.0, 0.0, "sub"), (2.0, 0.0, "super")] * 2
+
+
 @pytest.mark.parametrize(
     "shape, n", [(interval(1.0), 256), (rectangle(1.0, 1.0), 32)], ids=["interval", "square"]
 )
@@ -359,7 +412,10 @@ def test_non_integer_max_iter_rejected(max_iter):
 def test_spec_grid_is_built_once():
     spec = ProblemSpec(alpha=2.0, beta=0.0, n=32)
     assert spec.make_grid() is spec.make_grid()
-    assert ProblemSpec(alpha=2.0, beta=0.0, n=32).make_grid() is not spec.make_grid()
+    # one grid per (shape, n) per process, whatever spec asks for it
+    assert ProblemSpec(alpha=0.5, beta=1.0, n=32).make_grid() is spec.make_grid()
+    assert ProblemSpec(alpha=2.0, beta=0.0, n=64).make_grid() is not spec.make_grid()
+    assert ProblemSpec(alpha=2.0, beta=0.0, shape=rectangle(), n=32).make_grid() is not spec.make_grid()
 
 
 @pytest.mark.parametrize(
