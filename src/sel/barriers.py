@@ -211,6 +211,19 @@ def _corner_profile(grid: Grid, phi: np.ndarray) -> np.ndarray:
     return phi / sum(np.prod(np.delete(psi, i, axis=1), axis=1) for i in range(grid.dim))
 
 
+def _profile_of(grid: Grid, eig: EigenPair | None) -> np.ndarray:
+    # H of eig; for the grid's own closed-form eigenpair (eig None or that
+    # very EigenPair) the read-only H cached on the grid (Grid._facts)
+    own = dirichlet_eigenpair(grid)
+    if eig is not None and eig is not own:
+        return _corner_profile(grid, eig.field)
+    profile = grid._facts.get("corner_profile")
+    if profile is None:
+        profile = grid._facts["corner_profile"] = _corner_profile(grid, own.field)
+        profile.setflags(write=False)
+    return profile
+
+
 def verify_barrier(
     grid: Grid, field: np.ndarray, alpha: float, beta: float, side: str
 ) -> CertReport:
@@ -242,7 +255,8 @@ def build_barrier_pair(
     no C is finite), and verify_barrier certifies each side
     (BarrierConstructionError if one fails); c1 and c2 always refer to d^t.
     eig, read only when t < 1, defaults to the closed-form principal
-    eigenpair of the grid.  The pair comes back read-only and records the
+    eigenpair of the grid; the H of that eigenpair is computed once per grid
+    and cached on it.  The pair comes back read-only and records the
     grid and (alpha, beta) it was certified for (BarrierPair.certified_for).
     """
     regime = resolve_regime(alpha, beta)
@@ -253,9 +267,7 @@ def build_barrier_pair(
         psi, _ = factor.solve(power_weight(grid, alpha + beta), tol=1e-9)
         base = psi.astype(float)
     else:
-        if eig is None:
-            eig = dirichlet_eigenpair(grid)
-        base = _corner_profile(grid, eig.field) ** regime.t
+        base = _profile_of(grid, eig) ** regime.t
     c, C = _exact_scale(A0, forcing(grid, base, alpha, beta), base, alpha)
     if not math.isfinite(C):
         raise HopfViolationError(

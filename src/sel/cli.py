@@ -13,7 +13,10 @@ certificate failed on valid input, printed as "error: <Type>: <message>");
 a level that runs out of --max-iter is an IterationLimitError, one of them.
 No command makes its output path before its checks and its solve pass;
 solve's unconverged report, written before it raises, is the one partial
-output.  A sweep cell records a ValueError or SolverFailure as a skipped row.
+output.  An --out that cannot be written (a file where solve or regularity
+puts a directory, a directory where sweep or spectrum puts a file) is
+invalid input, refused before anything is solved.  A sweep cell records a
+ValueError or SolverFailure as a skipped row.
 Every command's exponents come from regularity_report: t_fit over
 asymptotic_window, the one fit band, and on a ladder of >= 3 levels
 sigma_fit, q_bar_est and the H^1 verdict from the refinement increments of
@@ -100,18 +103,36 @@ def _fmt(x) -> str:
     return f"{x:.17g}" if isinstance(x, float) else str(x)
 
 
-def _write_solution_csv(path: Path, grid: Grid, table: np.ndarray) -> None:
-    """Header line, then one CRLF row of table per node, each value as %.17g:
-    the bytes of np.savetxt(fmt="%.17g", delimiter=",", newline="\\r\\n").
-    One % over a row template repeated along a grid line replaces savetxt's
-    per-row loop and keeps the strings held at once to one line's worth."""
-    header = ("x," if grid.dim == 1 else "x,y,") + "d,u,grad_u"
-    lines = table.reshape(-1, grid.interior_shape[-1], table.shape[1])
-    template = (",".join(["%.17g"] * table.shape[1]) + "\r\n") * lines.shape[1]
+def _csv_templates(grid: Grid) -> tuple[str, ...]:
+    """solution.csv's row templates, one per grid line (last axis fastest):
+    the grid's constant columns x[, y], d already rendered as %.17g, then
+    two %.17g slots for u and grad_u.  Each distinct constant value is
+    formatted once.  Built on the first call for a grid and cached on it
+    (Grid._facts), about 40 bytes per node."""
+    templates = grid._facts.get("csv_templates")
+    if templates is None:
+        consts = np.column_stack([grid.points(), grid.d])
+        values, index = np.unique(consts, return_inverse=True)
+        rendered = np.array([f"{v:.17g}" for v in values.tolist()], dtype=object)
+        per_line = grid.interior_shape[-1]
+        cells = rendered[index].reshape(-1, per_line * consts.shape[1])
+        line = ("%s," * consts.shape[1] + "%%.17g,%%.17g\r\n") * per_line
+        templates = grid._facts["csv_templates"] = tuple(line % tuple(c) for c in cells.tolist())
+    return templates
+
+
+def _write_solution_csv(path: Path, grid: Grid, u: np.ndarray, grad: np.ndarray) -> None:
+    """Header line, then one CRLF row x[, y], d, u, grad_u per node, each value
+    as %.17g: the bytes of np.savetxt(fmt="%.17g", delimiter=",",
+    newline="\\r\\n").  The constant columns come from the grid's cached row
+    templates (_csv_templates), which are held for as long as the grid is;
+    each write formats only u and grad_u, one grid line at a time."""
+    header = ("x," if grid.dim == 1 else "x,y,") + "d,u,grad_u\r\n"
+    lines = np.column_stack([u, grad]).reshape(-1, 2 * grid.interior_shape[-1])
     with open(path, "w", newline="") as fh:
-        fh.write(header + "\r\n")
-        for line in lines:
-            fh.write(template % tuple(line.ravel().tolist()))
+        fh.write(header)
+        for template, values in zip(_csv_templates(grid), lines.tolist()):
+            fh.write(template % tuple(values))
 
 
 def _write_manifest(out_dir: Path, args_echo: dict, outputs: list[str]) -> None:
@@ -153,6 +174,24 @@ def _check_fit_window(domain: str, n: int) -> None:
         fit_boundary_exponent(grid, grid.d)
     except WindowTooThinError as exc:
         raise ValueError(f"n={n} is too coarse for the boundary fit: {exc}") from exc
+
+
+def _check_out(out_dir: Path, outputs: list[str]) -> None:
+    """ValueError (exit 1) unless the outputs and manifest.json can be written
+    in out_dir: none is a directory, the nearest existing path above them
+    is a directory, not a file, and each file (if it exists) or that
+    directory is writable.  It only checks, so it makes nothing."""
+    for path in (out_dir / name for name in (*outputs, "manifest.json")):
+        if path.is_dir():
+            raise ValueError(f"--out: {path} is a directory")
+        above = path.parent
+        while not above.exists():  # False under a file too (ENOTDIR)
+            above = above.parent
+        if not above.is_dir():
+            raise ValueError(f"--out: {above} is not a directory")
+        target = path if path.exists() else above
+        if not os.access(target, os.W_OK):
+            raise ValueError(f"--out: {target} is not writable")
 
 
 def _admitted_regime(alpha: float, beta: float) -> Regime:
@@ -220,6 +259,9 @@ def cmd_solve(args) -> None:
         raise ValueError(f"--method dense requires --n <= {DENSE_N_CAP}")
     if args.method == "regularized" and not (math.isfinite(args.eps) and args.eps > 0):
         raise ValueError(f"--eps must be positive and finite, got {args.eps}")
+    out_dir = Path(args.out)
+    outputs = ["report.json", "solution.csv"]
+    _check_out(out_dir, outputs)
 
     config = SolveConfig(tol=args.tol, max_iter=args.max_iter)
     if args.method == "monotone":
@@ -277,16 +319,11 @@ def cmd_solve(args) -> None:
         "regularity": regularity,
         "residuals": {"solution": residual(grid, u, args.alpha, args.beta)},
     }
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "report.json", report)
 
-    _write_solution_csv(
-        out_dir / "solution.csv",
-        grid,
-        np.column_stack([grid.points(), grid.d, u, gradient_field(grid, u)]),
-    )
-    _write_manifest(out_dir, report["spec"], ["report.json", "solution.csv"])
+    _write_solution_csv(out_dir / "solution.csv", grid, u, gradient_field(grid, u))
+    _write_manifest(out_dir, report["spec"], outputs)
     if not converged:  # only a monotone level can end unconverged
         raise _iteration_limit(level, args.tol)
 
@@ -334,6 +371,8 @@ def cmd_sweep(args) -> None:
     for alpha, beta, *_ in cells:
         resolve_regime(alpha, beta)
     _check_fit_window(args.domain, args.n)
+    out = Path(args.out)
+    _check_out(out.parent, [out.name])
     threads = os.environ.get("SEL_THREADS", str(os.cpu_count() or 1))
     if not (threads.strip().isdecimal() and int(threads) >= 1):
         raise ValueError(f"SEL_THREADS must be an integer >= 1, got '{threads}'")
@@ -344,7 +383,6 @@ def cmd_sweep(args) -> None:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_cell, cells))
 
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -358,6 +396,8 @@ def cmd_sweep(args) -> None:
 def cmd_spectrum(args) -> None:
     regime = _admitted_regime(args.alpha, args.beta)
     level_ns = _parse_levels(args.levels, 1)
+    out = Path(args.out)
+    _check_out(out.parent, [out.name])
     config = SolveConfig(tol=args.tol, max_iter=args.max_iter)
     levels = _ladder(args.alpha, args.beta, args.domain, level_ns, config)
     rows = []
@@ -371,7 +411,6 @@ def cmd_spectrum(args) -> None:
         "stable": all(r["mu1"] > 0.0 for r in rows),
         "ordered": all(r["mu1"] >= r["lambda1"] for r in rows),
     }
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     _write_json(out, payload)
     _write_manifest(out.parent, payload["spec"], [out.name])
@@ -389,13 +428,15 @@ def cmd_regularity(args) -> None:
     if q_grid is not None and not (q_grid and all(math.isfinite(q) and q >= 1.0 for q in q_grid)):
         raise ValueError(f"--q-grid needs finite values >= 1, got {args.q_grid!r}")
     _check_fit_window(args.domain, level_ns[-1])
+    out_dir = Path(args.out)
+    outputs = ["regularity.json", "sobolev.csv"]
+    _check_out(out_dir, outputs)
 
     config = SolveConfig(tol=args.tol, max_iter=args.max_iter)
     ladder = _ladder(args.alpha, args.beta, args.domain, level_ns, config)
     levels = [(level.grid, level.report.upper) for level in ladder]
 
     reg = regularity_report(levels, args.alpha, args.beta)
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
         "spec": _spec_echo(args, levels=level_ns),
@@ -412,7 +453,7 @@ def cmd_regularity(args) -> None:
             grad = gradient_field(grid, u)
             for q in qs:
                 writer.writerow([grid.n, _fmt(float(q)), _fmt(gradient_integral(grid, grad, q))])
-    _write_manifest(out_dir, payload["spec"], ["regularity.json", "sobolev.csv"])
+    _write_manifest(out_dir, payload["spec"], outputs)
 
 
 @functools.cache

@@ -25,9 +25,13 @@ d^(-gamma) are grid facts too: power_weight computes each exponent's on its
 first call for a grid and caches it there, read-only, keeping the
 WEIGHT_CACHE_SIZE most recent exponents, so the forcing, the monotone
 shift, the barriers and the norms of one grid share one array per
-exponent.  spectral.dirichlet_eigenpair caches the closed-form eigenpair
-on the grid as well (Grid._facts).  Every array a grid hands out is
-read-only, so no caller can change what the next one is given.
+exponent.  Other layers keep what they derive from the grid alone in
+Grid._facts: spectral.dirichlet_eigenpair's closed-form eigenpair, the
+barriers' corner profile H of that eigenpair (one float per node) and the
+CLI's solution.csv row templates, the constant columns x[, y], d rendered
+as %.17g (about 40 bytes per node, against 40 to 64 for the Laplacian's
+CSR arrays).  Every array a grid hands out is read-only, so no caller can
+change what the next one is given.
 """
 
 from __future__ import annotations
@@ -99,10 +103,11 @@ class Grid:
     build_grid shares one Grid per (shape, n) per process (module
     docstring), and the grid caches its Laplacian once assembled
     (assemble_laplacian), an interval grid the Laplacian's two diagonals,
-    the most recent weights d^(-gamma) (power_weight) and the closed-form
-    eigenpair (spectral.dirichlet_eigenpair), so each is computed once per
-    (shape, n) while the grid is held.  Every array it hands out, axes and
-    d included, is read-only.
+    the most recent weights d^(-gamma) (power_weight), and in _facts the
+    closed-form eigenpair (spectral.dirichlet_eigenpair), its barrier
+    corner profile and the solution.csv row templates, so each is computed
+    once per (shape, n) while the grid is held.  Every array it hands out,
+    axes and d included, is read-only.
     """
 
     shape: DomainShape
@@ -173,8 +178,9 @@ class Grid:
 
     @functools.cached_property
     def _facts(self) -> dict:
-        # what other layers derive from the grid alone, by name: "eigenpair",
-        # spectral.dirichlet_eigenpair's closed form
+        # what other layers derive from the grid alone, by name: "eigenpair"
+        # (spectral.dirichlet_eigenpair), "corner_profile" (barriers, read-only)
+        # and "csv_templates" (cli's solution.csv rows)
         return {}
 
     @functools.cached_property

@@ -421,3 +421,35 @@ def test_psi_is_factored_by_the_grid(monkeypatch, shape, n):
                     monkeypatch.setattr(module, attr, fail)
     pair = build_barrier_pair(build_grid(shape, n), 0.5, 0.0)
     assert pair.t == 1.0 and 0.0 < pair.c <= pair.C < math.inf
+
+
+@pytest.mark.parametrize(
+    "shape, n", [(interval(1.0), 256), (rectangle(1.0, 1.0), 64), (rectangle(2.0, 0.5), 16)]
+)
+@pytest.mark.parametrize("alpha, beta", [(2.0, 0.0), (0.5, 1.2)])
+def test_second_build_reuses_the_grid_profile_bit_for_bit(monkeypatch, shape, n, alpha, beta):
+    # H of the grid's own eigenpair is computed once per grid, read-only,
+    # and the pairs built on it are those of a fresh H, bit for bit
+    grid = build_grid(shape, n)
+    fresh = barriers._corner_profile(grid, dirichlet_eigenpair(grid).field)
+    calls, profile = [], barriers._corner_profile
+    monkeypatch.setattr(barriers, "_corner_profile", lambda *a: calls.append(a) or profile(*a))
+    first = build_barrier_pair(grid, alpha, beta)
+    second = build_barrier_pair(grid, alpha, beta, dirichlet_eigenpair(grid))
+    assert len(calls) == 1
+    t = resolve_regime(alpha, beta).t
+    for pair in (first, second):
+        np.testing.assert_array_equal(pair.sub, first.c * fresh**t)
+        np.testing.assert_array_equal(pair.super, first.C * fresh**t)
+    assert grid._facts["corner_profile"].flags.writeable is False
+
+
+def test_a_foreign_eigenpair_is_not_cached():
+    # only the grid's own eigenpair reads the cached profile
+    grid = build_grid(rectangle(1.0, 1.0), 16)
+    own = dirichlet_eigenpair(grid)
+    foreign = EigenPair(value=own.value, field=own.field**1.01, residual=own.residual)
+    pair = build_barrier_pair(grid, 2.0, 0.0, foreign)
+    base = barriers._corner_profile(grid, foreign.field) ** pair.t
+    np.testing.assert_array_equal(pair.super, pair.C * base)
+    assert "corner_profile" not in grid._facts

@@ -86,19 +86,54 @@ def test_solution_csv_rendering(tmp_path, domain, n):
     assert rows == [[f"{float(v):.17g}" for v in row] for row in expected]
 
 
-@pytest.mark.parametrize("shape, n", [(interval(1.0), 64), (rectangle(2.0, 0.5), 12)])
-def test_solution_csv_writer_matches_savetxt(tmp_path, shape, n):
-    grid = build_grid(shape, n)
-    u = np.prod(np.sin(np.pi * grid.points() / shape.extents), axis=1) / 3.0
-    # signed first-axis difference quotient: negative on the far half
-    grad = gradient_components(grid, u)[0]
-    assert grad.min() < 0.0 < grad.max()
+def savetxt_bytes(path: Path, grid, u, grad) -> bytes:
+    """np.savetxt's bytes of the full solution.csv table, header included."""
     table = np.column_stack([grid.points(), grid.d, u, grad])
     header = ("x," if grid.dim == 1 else "x,y,") + "d,u,grad_u"
-    with open(tmp_path / "savetxt.csv", "w", newline="") as fh:
+    with open(path, "w", newline="") as fh:
         np.savetxt(fh, table, fmt="%.17g", delimiter=",", newline="\r\n", header=header, comments="")
-    cli._write_solution_csv(tmp_path / "solution.csv", grid, table)
-    assert (tmp_path / "solution.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+    return path.read_bytes()
+
+
+def sine_field(grid):
+    """A positive field and its signed first-axis difference quotient."""
+    u = np.prod(np.sin(np.pi * grid.points() / grid.shape.extents), axis=1) / 3.0
+    return u, gradient_components(grid, u)[0]
+
+
+# n=2 has one node; at 3000 and odd n the d values are not all x values
+# (1 - x is not a grid coordinate), and odd unit squares tie in d
+@pytest.mark.parametrize(
+    "shape, n",
+    [(interval(1.0), 64), (rectangle(2.0, 0.5), 12), (interval(1.0), 2), (interval(1.0), 3000),
+     (rectangle(1.0, 1.0), 3), (rectangle(1.0, 1.0), 17)],
+)
+def test_solution_csv_writer_matches_savetxt(tmp_path, shape, n):
+    grid = build_grid(shape, n)
+    u, grad = sine_field(grid)
+    if n > 2:  # negative on the far half
+        assert grad.min() < 0.0 < grad.max()
+    cli._write_solution_csv(tmp_path / "solution.csv", grid, u, grad)
+    expected = savetxt_bytes(tmp_path / "savetxt.csv", grid, u, grad)
+    assert (tmp_path / "solution.csv").read_bytes() == expected
+
+
+@pytest.mark.parametrize("shape, n", [(interval(1.0), 256), (rectangle(1.0, 1.0), 17)])
+def test_solution_csv_bytes_survive_the_grid_cache(tmp_path, shape, n):
+    # the row templates cached on the grid write the same bytes twice, and
+    # again on the grid rebuilt after GRID_CACHE_SIZE others pushed it out
+    grid = build_grid(shape, n)
+    u, grad = sine_field(grid)
+    paths = [tmp_path / f"w{i}.csv" for i in range(3)]
+    cli._write_solution_csv(paths[0], grid, u, grad)
+    cli._write_solution_csv(paths[1], grid, u, grad)
+    for m in range(2, grid_module.GRID_CACHE_SIZE + 2):
+        build_grid(interval(1.0), 1000 + m)
+    rebuilt = build_grid(shape, n)
+    assert rebuilt is not grid and "csv_templates" not in rebuilt._facts
+    cli._write_solution_csv(paths[2], rebuilt, u, grad)
+    expected = savetxt_bytes(tmp_path / "savetxt.csv", grid, u, grad)
+    assert [p.read_bytes() for p in paths] == [expected] * 3
 
 
 def test_solve_singular_case_schema_and_spectral(tmp_path):
@@ -361,6 +396,60 @@ def test_invalid_input_exits_one_with_one_error_line(tmp_path, capsys, argv, mes
     assert main([*argv, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+# --out paths that cannot be written, one case per command and kind, as
+# (argv, the blocker to make under tmp_path, the --out under tmp_path, and
+# the path the error names); each is refused before solving
+UNWRITABLE_OUT = [
+    (["solve", "--alpha", "2", "--n", "64"], "file", "file", "file"),
+    (["solve", "--alpha", "2", "--n", "64"], "file", "file/sub", "file"),
+    (["solve", "--alpha", "2", "--n", "64"], "dir/report.json/", "dir", "dir/report.json"),
+    (["sweep", "--alpha-list", "0.5", "--beta-list", "0", "--n", "128"], "dir/", "dir", "dir"),
+    (["sweep", "--alpha-list", "0.5", "--beta-list", "0", "--n", "128"], "file", "file/s.csv",
+     "file"),
+    (["spectrum", "--alpha", "2", "--levels", "16,32"], "dir/", "dir", "dir"),
+    (["spectrum", "--alpha", "2", "--levels", "16,32"], "dir/manifest.json/", "dir/s.json",
+     "dir/manifest.json"),
+    (["regularity", "--alpha", "2", "--levels", "128,256"], "file", "file", "file"),
+    (["regularity", "--alpha", "2", "--levels", "128,256"], "file", "file/a/b", "file"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, blocker, out, named", UNWRITABLE_OUT,
+    ids=[f"{c[0][0]} {c[1]} {c[2]}" for c in UNWRITABLE_OUT],
+)
+def test_unwritable_out_exits_one_before_solving(tmp_path, capsys, monkeypatch, argv, blocker,
+                                                 out, named):
+    monkeypatch.setattr(cli, "solve_ladder", lambda *_: pytest.fail("solved before the check"))
+    target = tmp_path / blocker
+    if blocker.endswith("/"):
+        target.mkdir(parents=True)
+    else:
+        target.write_text("kept")
+    before = sorted(tmp_path.rglob("*"))
+    assert main([*argv, "--out", str(tmp_path / out)]) == 1
+    kind = "a directory" if blocker.endswith("/") else "not a directory"
+    assert capsys.readouterr().err == f"error: --out: {tmp_path / named} is {kind}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+    if target.is_file():
+        assert target.read_text() == "kept"
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep", "spectrum", "regularity"])
+def test_out_without_write_permission_exits_one(tmp_path, capsys, monkeypatch, command):
+    # the nearest existing directory must be writable (root writes anywhere,
+    # so the permission check is stood in for)
+    argv = {"solve": ["solve", "--alpha", "2"],
+            "sweep": ["sweep", "--alpha-list", "0.5", "--beta-list", "0", "--n", "128"],
+            "spectrum": ["spectrum", "--alpha", "2", "--levels", "16,32"],
+            "regularity": ["regularity", "--alpha", "2", "--levels", "128,256"]}[command]
+    monkeypatch.setattr(cli, "solve_ladder", lambda *_: pytest.fail("solved before the check"))
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: Path(path) != tmp_path)
+    assert main([*argv, "--out", str(tmp_path / "new" / "out")]) == 1
+    assert capsys.readouterr().err == f"error: --out: {tmp_path} is not writable\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_solve_method_dense_and_regularized_agree(tmp_path):
