@@ -16,11 +16,11 @@ from sel import (
     SolveConfig,
     build_barrier_pair,
     build_grid,
-    estimate_critical_q,
     h1_membership,
     increment_ratios,
     interval,
     newton_solve,
+    regularity_report,
     resolve_regime,
     sobolev_integral,
     solve_ladder,
@@ -31,7 +31,7 @@ print(f"--- q_bar for alpha={ALPHA}, beta={BETA}")
 ladder = solve_ladder(ALPHA, BETA, interval(), (512, 1024, 2048), SolveConfig(tol=1e-7, max_iter=2000))
 levels = [(level.grid, level.report.upper) for level in ladder]
 
-q_est = estimate_critical_q(levels)
+q_est = regularity_report(levels, ALPHA, BETA).q_bar_est
 print(f"q_bar estimate = {q_est:.3f}   theory (1+alpha)/(alpha+beta-1) = {resolve_regime(ALPHA, BETA).q_bar:.3f}")
 
 print("\nincrement ratios rho = (I(2048) - I(1024)) / (I(1024) - I(512)) of int |grad u|^q,")

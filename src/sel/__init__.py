@@ -14,7 +14,6 @@ from .analysis import (
     H1Report,
     RegularityReport,
     asymptotic_window,
-    estimate_critical_q,
     fit_boundary_exponent,
     fit_gradient_exponent,
     gradient_field,

@@ -226,19 +226,6 @@ def _h1_verdict(rhos: list[float], spacings: list[tuple[float, float, float]]) -
     return "member" if sides.pop() else "non-member"
 
 
-def estimate_critical_q(levels: list[Level]) -> float:
-    """q_bar_from_sigma of the sigma_est of the last increment ratio over at
-    least 3 levels; ValueError with fewer, or on increments that are not
-    monotone."""
-    if len(levels) < 3:
-        raise ValueError("need at least 3 refinement levels for an increment ratio")
-    rho = increment_ratios([sobolev_integral(g, u, 2.0) for g, u in levels])[-1]
-    sigma = sigma_from_increment(rho, _spacings(levels)[-1])
-    if sigma is None:
-        raise ValueError(f"refinement increments are not monotone (rho = {rho:.3g})")
-    return q_bar_from_sigma(sigma)
-
-
 @dataclass
 class H1Report:
     """H^1 verdict from the increment ratios of the q=2 integrals (values)

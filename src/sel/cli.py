@@ -15,8 +15,10 @@ No command makes its output path before its checks and its solve pass;
 solve's unconverged report, written before it raises, is the one partial
 output.  An --out that cannot be written (a file where solve or regularity
 puts a directory, a directory where sweep or spectrum puts a file) is
-invalid input, refused before anything is solved.  A sweep cell records a
-ValueError or SolverFailure as a skipped row.
+invalid input, refused before anything is solved.  sweep runs its cells
+one after another in its own process, where they share the grids that
+build_grid caches; a cell records a ValueError or SolverFailure as a
+skipped row.
 Every command's exponents come from regularity_report: t_fit over
 asymptotic_window, the one fit band, and on a ladder of >= 3 levels
 sigma_fit, q_bar_est and the H^1 verdict from the refinement increments of
@@ -27,7 +29,6 @@ Stopping defaults (--tol, --max-iter) are SolveConfig's.
 Everything is deterministic: identical flags give byte-identical
 report/CSV files.  A manifest.json with versions and a timestamp is
 written next to each report; the timestamp lives only there.
-SEL_THREADS, an integer >= 1, caps the sweep worker pool.
 The argument parser is built on the first main call and kept for the
 process: later calls parse with the same parser, and main looks up the
 command function at call time.
@@ -42,7 +43,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
@@ -332,8 +332,7 @@ SWEEP_FIELDS = ("alpha", "beta", "t_theory", "t_fit", "sigma_theory", "sigma_fit
                 "q_bar_theory", "q_bar_est", "h1_verdict")
 
 
-def _sweep_cell(cell) -> dict:
-    alpha, beta, domain, n, config = cell
+def _sweep_cell(alpha, beta, domain, n, config) -> dict:
     row = {**dict.fromkeys(SWEEP_FIELDS, ""), "alpha": alpha, "beta": beta}
     regime = resolve_regime(alpha, beta)
     if regime.warnings:
@@ -367,21 +366,13 @@ def cmd_sweep(args) -> None:
         raise ValueError("sweep needs --n divisible by 4")
     # out-of-range (alpha, beta) or --tol: ValueError, exit 1, before any cell runs
     config = SolveConfig(tol=args.tol)
-    cells = [(a, b, args.domain, args.n, config) for a in alphas for b in betas]
-    for alpha, beta, *_ in cells:
+    cells = [(a, b) for a in alphas for b in betas]
+    for alpha, beta in cells:
         resolve_regime(alpha, beta)
     _check_fit_window(args.domain, args.n)
     out = Path(args.out)
     _check_out(out.parent, [out.name])
-    threads = os.environ.get("SEL_THREADS", str(os.cpu_count() or 1))
-    if not (threads.strip().isdecimal() and int(threads) >= 1):
-        raise ValueError(f"SEL_THREADS must be an integer >= 1, got '{threads}'")
-    workers = min(int(threads), len(cells))
-    if workers == 1:
-        rows = [_sweep_cell(c) for c in cells]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_cell, cells))
+    rows = [_sweep_cell(a, b, args.domain, args.n, config) for a, b in cells]
 
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="") as fh:

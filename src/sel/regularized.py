@@ -59,7 +59,11 @@ def epsilon_continuation(
     The first rung starts from the supersolution barrier, which keeps the
     Jacobian SPD territory on the way down; each later rung starts from the
     previous one.  deltas measures each rung against u_ref in sup norm.
+    ValueError, before any solve, unless eps_start is positive and finite,
+    0 < eps_factor < 1 and steps >= 1.
     """
+    if not (math.isfinite(eps_start) and eps_start > 0):
+        raise ValueError(f"eps_start must be positive and finite, got {eps_start}")
     if not 0 < eps_factor < 1:
         raise ValueError("eps_factor must lie in (0, 1)")
     if steps < 1:

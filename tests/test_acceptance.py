@@ -11,7 +11,6 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from sel.analysis import (
-    estimate_critical_q,
     fit_boundary_exponent,
     fit_gradient_exponent,
     h1_membership,
@@ -137,13 +136,13 @@ def test_criterion_6_gradient_blowup_and_qbar(lab):
         (lab.solved(2.0, 0.0, n, tol=FINE_TOL)[0], lab.solved(2.0, 0.0, n, tol=FINE_TOL)[2].upper)
         for n in (1024, 2048, 4096)
     ]
-    q20 = estimate_critical_q(levels)
+    q20 = regularity_report(levels, 2.0, 0.0).q_bar_est
     assert 2.7 <= q20 <= 3.3, q20
     levels21 = [
         (lab.solved(2.0, 1.0, n, tol=FINE_TOL)[0], lab.solved(2.0, 1.0, n, tol=FINE_TOL)[2].upper)
         for n in (1024, 2048, 4096)
     ]
-    q21 = estimate_critical_q(levels21)
+    q21 = regularity_report(levels21, 2.0, 1.0).q_bar_est
     assert 1.35 <= q21 <= 1.65, q21
     # consistency triangle: the gradient of d^t scales as d^(t-1)
     t_fit, _ = fit_boundary_exponent(grid, report.upper)

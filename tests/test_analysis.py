@@ -8,7 +8,6 @@ from sel.analysis import (
     FitWindow,
     WindowTooThinError,
     asymptotic_window,
-    estimate_critical_q,
     fit_boundary_exponent,
     fit_gradient_exponent,
     gradient_field,
@@ -117,13 +116,11 @@ def test_q_bar_theory_values():
 
 
 def test_estimate_critical_q_synthetic(lab):
+    # q_bar_est of regularity_report, from the last increment ratio
     levels = [(lab.grid(n), lab.grid(n).d ** (2.0 / 3.0)) for n in (1024, 2048, 4096)]
-    q = estimate_critical_q(levels)
-    assert q == pytest.approx(3.0, rel=0.1)
+    assert regularity_report(levels, 2.0, 0.0).q_bar_est == pytest.approx(3.0, rel=0.1)
     flat = [(lab.grid(n), lab.grid(n).d) for n in (1024, 2048, 4096)]
-    assert estimate_critical_q(flat) == math.inf
-    with pytest.raises(ValueError, match="need at least 3 refinement levels"):
-        estimate_critical_q(levels[-2:])
+    assert regularity_report(flat, 2.0, 0.0).q_bar_est == math.inf
 
 
 def test_increment_ratio_tends_to_the_richardson_rate(lab):
@@ -173,8 +170,6 @@ def test_non_monotone_increments_are_inconclusive(lab):
     assert rep.verdicts["h1_matches_theory"] is False
     assert rep.sigma_fit is None and rep.q_bar_est is None
     assert rep.verdicts["exponent_consistency"] is False
-    with pytest.raises(ValueError, match="not monotone"):
-        estimate_critical_q(levels)
     # a fourth level whose rho lands on the other side of 1: ratios that
     # disagree on the verdict, and sigma_est that disagree by far more than 0.05
     mixed = [(lab.grid(n), lab.grid(n).d ** 0.8) for n in (512, 1024, 2048)]
@@ -307,7 +302,7 @@ def test_regularity_report_fits_sigma_and_integrates_q2_once(lab, monkeypatch):
     monkeypatch.undo()
     energies = [sobolev_integral(g, u, 2.0) for g, u in levels]
     assert rep.sigma_fit == sigma_from_increment(increment_ratios(energies)[-1])
-    assert rep.q_bar_est == estimate_critical_q(levels)
+    assert rep.q_bar_est == analysis.q_bar_from_sigma(rep.sigma_fit)
     h1 = h1_membership(levels)
     assert rep.verdicts["h1"] == h1.verdict
     assert rep.h1_norms == [math.sqrt(v) for v in h1.values]
@@ -321,8 +316,6 @@ def test_an_n2_level_has_no_refinement_ratio(lab):
     assert sobolev_integral(*levels[0], 2.0) == 0.0
     with pytest.raises(ValueError, match="zero Dirichlet energy on a coarse level"):
         h1_membership(levels)
-    with pytest.raises(ValueError, match="need at least 3 refinement levels"):
-        estimate_critical_q(levels[:2])
 
 
 def test_regularity_report_on_one_level_keeps_the_slope_estimate(lab):

@@ -40,6 +40,18 @@ def test_solve_linear_case(tmp_path):
     assert (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("n", [18, 24, 33, 40])
+@pytest.mark.parametrize("beta", ["1.5", "1.9"])
+def test_rectangle_linear_case_above_the_split_keeps_its_chain(tmp_path, beta, n):
+    # sizes at which this command once ended in OrderingViolationError (exit 2)
+    out = tmp_path / "lin"
+    argv = ["solve", "--domain", "rectangle", "--alpha", "0", "--beta", beta, "--n", str(n)]
+    assert main([*argv, "--out", str(out)]) == 0
+    solve = read_report(out)["solve"]
+    assert solve["converged"]
+    assert solve["ordering_violation"] == 0.0
+
+
 @pytest.mark.parametrize("domain", ["interval", "rectangle"])
 def test_solve_reports_are_deterministic(tmp_path, domain):
     outs = []
@@ -516,8 +528,7 @@ def test_rectangle_solve_any_n(tmp_path, capsys, n):
     assert report["spectral"]["mu1"] >= report["spectral"]["lambda1"] > 0.0
 
 
-def test_sweep_table(tmp_path, monkeypatch):
-    monkeypatch.setenv("SEL_THREADS", "2")
+def test_sweep_table(tmp_path):
     out = tmp_path / "sweep.csv"
     code = main(
         [
@@ -544,8 +555,7 @@ def test_sweep_table(tmp_path, monkeypatch):
     assert float(rows[(0.5, 0.0)]["t_theory"]) == 1.0
 
 
-def test_sweep_is_deterministic(tmp_path, monkeypatch):
-    monkeypatch.setenv("SEL_THREADS", "2")
+def test_sweep_is_deterministic(tmp_path):
     outs = []
     for tag in ("s1", "s2"):
         out = tmp_path / f"{tag}.csv"
@@ -561,9 +571,8 @@ def test_sweep_is_deterministic(tmp_path, monkeypatch):
         assert row["q_bar_est"] == "" or float(row["q_bar_est"]) > 1.0
 
 
-def test_in_process_sweeps_write_identical_bytes(tmp_path, monkeypatch):
-    # serial cells run in this process, with a solve of other flags between
-    monkeypatch.setenv("SEL_THREADS", "1")
+def test_in_process_sweeps_write_identical_bytes(tmp_path):
+    # two sweeps in this process, with a solve of other flags between
     args = ["sweep", "--alpha-list", "0.5,2", "--beta-list", "0,0.3", "--n", "128"]
     assert main([*args, "--out", str(tmp_path / "s1.csv")]) == 0
     assert main(["solve", "--alpha", "2", "--beta", "0.3", "--n", "128",
@@ -576,7 +585,6 @@ def test_in_process_sweep_assembles_each_ladder_grid_once(tmp_path, monkeypatch)
     # four cells share the n=128 ladder's three grids, the fit-window check its finest
     calls, assemble = [], grid_module._assemble
     monkeypatch.setattr(grid_module, "_assemble", lambda g: calls.append(g.n) or assemble(g))
-    monkeypatch.setenv("SEL_THREADS", "1")
     out = tmp_path / "s.csv"
     argv = ["sweep", "--alpha-list", "0.5,2", "--beta-list", "0,1.5", "--n", "128", "--out", str(out)]
     assert main(argv) == 0
@@ -584,9 +592,8 @@ def test_in_process_sweep_assembles_each_ladder_grid_once(tmp_path, monkeypatch)
     assert sorted(calls) == [32, 64, 128]
 
 
-def test_long_in_process_sweep_keeps_its_caches_bounded(tmp_path, monkeypatch):
+def test_long_in_process_sweep_keeps_its_caches_bounded(tmp_path):
     # every cell adds its own exponents to the shared grids; the bounds hold
-    monkeypatch.setenv("SEL_THREADS", "1")
     argv = ["sweep", "--alpha-list", "0.25,0.5,2,2.5,3.5", "--beta-list", "0,0.3,1.5",
             "--n", "128", "--out", str(tmp_path / "s.csv")]
     assert main(argv) == 0
@@ -615,26 +622,29 @@ def test_sweep_blanks_the_estimates_of_non_monotone_increments(tmp_path, monkeyp
     assert float(row["t_fit"]) > 0.4
 
 
-def test_sweep_serial_and_parallel_paths_agree(tmp_path, monkeypatch):
-    # SEL_THREADS=1 runs the cells in this process, 2 in a worker pool
-    calls, serial_cell = [], cli._sweep_cell
+def test_sweep_runs_every_cell_in_this_process(tmp_path, monkeypatch):
+    # one path whatever the environment: a leftover SEL_THREADS, even an
+    # invalid one, changes nothing
+    calls, sweep_cell = [], cli._sweep_cell
 
-    def counted(cell):
-        calls.append(cell)
-        return serial_cell(cell)
+    def counted(*cell):
+        calls.append(cell[:2])
+        return sweep_cell(*cell)
 
+    monkeypatch.setattr(cli, "_sweep_cell", counted)
     outs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"t{threads}.csv"
+    for threads in (None, "abc"):
+        out = tmp_path / f"{threads}.csv"
         with monkeypatch.context() as patch:
-            patch.setenv("SEL_THREADS", threads)
-            if threads == "1":
-                patch.setattr(cli, "_sweep_cell", counted)
+            if threads is None:
+                patch.delenv("SEL_THREADS", raising=False)
+            else:
+                patch.setenv("SEL_THREADS", threads)
             argv = ["sweep", "--alpha-list", "0.5,2", "--beta-list", "0", "--n", "128",
                     "--out", str(out)]
             assert main(argv) == 0
         outs.append(out)
-    assert len(calls) == 2
+    assert calls == [(0.5, 0.0), (2.0, 0.0)] * 2
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
@@ -732,19 +742,6 @@ def test_sweep_rejects_invalid_tol(tmp_path, capsys, monkeypatch, tol):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("threads", ["abc", "0", "-2"])
-def test_sweep_rejects_invalid_sel_threads(tmp_path, capsys, monkeypatch, threads):
-    # named in the error, before any cell runs or any output path is made
-    monkeypatch.setenv("SEL_THREADS", threads)
-    monkeypatch.setattr(cli, "solve_ladder", lambda *_: pytest.fail("solved before the check"))
-    out = tmp_path / "sweep" / "s.csv"
-    argv = ["sweep", "--alpha-list", "0.5,2", "--beta-list", "0", "--n", "128", "--out", str(out)]
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err == f"error: SEL_THREADS must be an integer >= 1, got '{threads}'\n"
-    assert not out.parent.exists()
-
-
 GRID_ROUTED = [
     "solve --alpha 2 --n 64",
     "solve --domain rectangle --alpha 2 --n 33",
@@ -767,7 +764,6 @@ def test_every_command_factors_by_the_grid(tmp_path, monkeypatch, command):
         if (name == "sel" or name.startswith("sel.")) and hasattr(module, "is_tridiagonal"):
             monkeypatch.setattr(module, "is_tridiagonal", fail)
     monkeypatch.setattr(linear_core.SPDFactor, "__init__", fail)
-    monkeypatch.setenv("SEL_THREADS", "1")  # the sweep cells run in this process
     assert main(command.split() + ["--out", str(tmp_path / "out")]) == 0
 
 

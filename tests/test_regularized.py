@@ -50,8 +50,10 @@ def test_input_validation(lab):
     # a continuation rung needs eps > 0
     with pytest.raises(ValueError):
         solve_regularized(spec, 0.0, np.ones(grid.num_interior))
-    with pytest.raises(ValueError):
-        epsilon_continuation(spec, 0.0, 0.1, 3, np.zeros(grid.num_interior))
+    # checked before any solve, not by the first rung
+    for eps_start in (0.0, -1e-3, np.nan, np.inf):
+        with pytest.raises(ValueError, match="eps_start must be positive and finite"):
+            epsilon_continuation(spec, eps_start, 0.1, 3, np.zeros(grid.num_interior))
     with pytest.raises(ValueError):
         epsilon_continuation(spec, 0.1, 1.5, 3, np.zeros(grid.num_interior))
     with pytest.raises(ValueError):
