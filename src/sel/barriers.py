@@ -54,7 +54,6 @@ refuses it except at alpha = 1, beta = 0.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -81,7 +80,6 @@ ALPHA_ONE_WARNING = (
     "alpha=1, beta=0 sits between the two regimes and is not covered by the "
     "existence theorems; proceeding with the t=1 limit"
 )
-REGIME_CACHE_SIZE = 256  # (alpha, beta) pairs whose Regime resolve_regime keeps
 
 
 @dataclass(frozen=True)
@@ -148,20 +146,13 @@ def resolve_regime(alpha: float, beta: float) -> Regime:
     Above it: t = (2-beta)/(1+alpha), sigma = t - 1,
     q_bar = (1+alpha)/(alpha+beta-1), gamma = 2.  The borderline
     alpha+beta = 1 resolves to the common limit t = 1 with gamma = 2 and a
-    warning attached.  Input is checked on every call; a valid (alpha, beta)
-    seen before returns the same Regime while it is among the
-    REGIME_CACHE_SIZE most recent.
+    warning attached.  The fields are plain floats for any real input.
     """
     if not (math.isfinite(alpha) and alpha >= 0):
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     if not 0 <= beta < 2:
         raise ValueError(f"beta must satisfy 0 <= beta < 2, got {beta}")
-    return _regime(float(alpha), float(beta))
-
-
-@functools.lru_cache(maxsize=REGIME_CACHE_SIZE)
-def _regime(alpha: float, beta: float) -> Regime:
-    # resolve_regime past its checks
+    alpha, beta = float(alpha), float(beta)
     s = alpha + beta
     if s < 1:
         return Regime(t=1.0, sigma=0.0, q_bar=math.inf, gamma=1.0 + alpha)
@@ -176,10 +167,23 @@ def _regime(alpha: float, beta: float) -> Regime:
     return Regime(t=1.0, sigma=None, q_bar=math.inf, gamma=2.0, warnings=(warning,))
 
 
-def _defect(grid: Grid, field: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    # Strong-form defect -lap_h(field) - F(field); <= 0 for a subsolution,
-    # >= 0 for a supersolution.
-    return assemble_laplacian(grid) @ field - forcing(grid, field, alpha, beta)
+def _defect(
+    grid: Grid, field: np.ndarray, alpha: float, beta: float, eps: float = 0.0
+) -> np.ndarray:
+    # Strong-form defect -lap_h(field) - F(field + eps), the one defect: the
+    # certificate's (eps = 0; <= 0 for a subsolution, >= 0 for a
+    # supersolution), the residual's and Newton's (_weighted_defect).
+    return assemble_laplacian(grid) @ field - forcing(grid, field + eps, alpha, beta)
+
+
+def _weighted_defect(
+    grid: Grid, field: np.ndarray, alpha: float, beta: float, eps: float = 0.0
+) -> tuple[np.ndarray, float]:
+    # (_defect, its sup norm weighted by d^(beta + t alpha)): the weight
+    # cancels the singular scales of both terms near the boundary.
+    t = resolve_regime(alpha, beta).t
+    defect = _defect(grid, field, alpha, beta, eps)
+    return defect, float(np.max(np.abs(defect * power_weight(grid, -(beta + t * alpha)))))
 
 
 def _exact_scale(A0, f_base, base, alpha) -> tuple[float, float]:

@@ -15,7 +15,10 @@ No command makes its output path before its checks and its solve pass;
 solve's unconverged report, written before it raises, is the one partial
 output.  An --out that cannot be written (a file where solve or regularity
 puts a directory, a directory where sweep or spectrum puts a file) is
-invalid input, refused before anything is solved.  sweep runs its cells
+invalid input, refused before anything is solved; an OSError while the
+outputs are written after those checks pass (a full disk, a path changed
+during the solve) is exit 1 too, printed as "error: <message>", and the
+files written before it stay.  sweep runs its cells
 one after another in its own process, where they share the grids that
 build_grid caches; a cell records a ValueError or SolverFailure as a
 skipped row.
@@ -491,7 +494,7 @@ def main(argv=None) -> int:
            "regularity": cmd_regularity}[args.command]
     try:
         run(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except SolverFailure as exc:

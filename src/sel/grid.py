@@ -19,7 +19,8 @@ iteration, mu_1, the residual) shares one matrix.  Shifted operators
 -lap_h + diag(m) reuse its CSR pattern (shifted_laplacian).  An interval
 also caches the Laplacian's two diagonals (Grid._tridiagonal), from which
 linear_core.SPDFactor.on_grid factors -lap_h + diag(m) without building a
-matrix.  No long-double copy is kept: linear_core's residuals take the
+matrix, for the monotone and Newton steps and for mu_1 (its eigensolver
+reads the factor's diagonals).  No long-double copy is kept: linear_core's residuals take the
 double values and convert them inside the call.  The singular weights
 d^(-gamma) are grid facts too: power_weight computes each exponent's on its
 first call for a grid and caches it there, read-only, keeping the

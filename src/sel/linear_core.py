@@ -12,9 +12,9 @@ diagonals, without a matrix; a rectangle's operator (grid.shifted_laplacian,
 on the pattern of the grid's cached Laplacian) is solved by conjugate
 gradients preconditioned with a geometric multigrid V-cycle (Galerkin
 coarse operators, damped-Jacobi smoothing, a direct solve on the coarsest
-grid), which takes a handful of iterations at any resolution and also
-preconditions mu_1's LOBPCG.  A bare CSR matrix (SPDFactor(A), behind solve_spd and
-a non-tridiagonal principal_eigenpair) has no grid: a tridiagonal one
+grid), which takes a handful of iterations at any resolution; mu_1 takes the
+same factor and route (spectral).  A bare CSR matrix (SPDFactor(A), behind
+solve_spd and principal_eigenpair) has no grid: a tridiagonal one
 (is_tridiagonal) gets the LDL^T factor, any other one direct splu level; no
 program path takes it, and it goes with those two callers (ROADMAP item 2).
 extended_residual evaluates f - A x as one scipy CSR product in
@@ -147,13 +147,13 @@ class SPDFactor:
     and share solve.  SPDFactor.on_grid(grid, m), the factor of
     -lap_h + diag(m) that the monotone and Newton steps use, routes by
     grid.dim: an interval's two diagonals come from the grid (no matrix is
-    built), a rectangle's multigrid takes n from the grid, and so does mu_1's
-    V-cycle.  SPDFactor(A), behind solve_spd and a non-tridiagonal
-    principal_eigenpair, has a bare matrix and no grid to coarsen: a
-    tridiagonal A (is_tridiagonal) is factored as L D L^T, any other is one
-    direct splu level.  A NaN or inf
-    entry is a ValueError on either route, and so is a tridiagonal A that is
-    not symmetric.
+    built), a rectangle's multigrid takes n from the grid.  SPDFactor(A),
+    behind solve_spd and principal_eigenpair, has a bare matrix and no grid
+    to coarsen: a tridiagonal A (is_tridiagonal) is factored as L D L^T, any
+    other is one direct splu level.  A NaN or inf entry is a ValueError on
+    either route, and so is a tridiagonal A that is not symmetric.  The
+    eigenpairs of spectral take the route: diagonals (None on the multigrid
+    route), or A and precondition.
 
     A tridiagonal operator (every interval grid) is factored as L D L^T by
     LAPACK dpttrf, which fails (info != 0) unless the matrix is positive
@@ -180,7 +180,7 @@ class SPDFactor:
     non-tridiagonal matrix, are a one-level hierarchy: splu alone.  Its
     residuals pass the double operator self.A to extended_residual, and keep
     no long-double copy of it; the banded route keeps its two diagonals in
-    np.longdouble, 32 bytes a row.
+    np.longdouble, 32 bytes a row, next to the double ones it was given.
     """
 
     def __init__(self, A: sp.spmatrix):
@@ -212,6 +212,7 @@ class SPDFactor:
         return self
 
     def _init_banded(self, diag: np.ndarray, off: np.ndarray) -> None:
+        self.diagonals = (diag, off)
         # the residual's operands, converted once (exactly): numpy's mixed
         # double-by-long-double products are slower than scipy's CSR product
         self._band = (diag.astype(np.longdouble), off.astype(np.longdouble))
@@ -224,7 +225,7 @@ class SPDFactor:
     def _init_multigrid(self, A: sp.csr_array, n: int) -> None:
         # n: subdivisions per axis of A's grid, or 0 (no grid) for a one-level hierarchy
         self.A = A
-        self._ldl = None
+        self.diagonals = self._ldl = None
         # (A_l, JACOBI_WEIGHT / diag(A_l), P, P^T) for every level above the coarsest
         self._levels = []
         while n > COARSEST_N:

@@ -45,11 +45,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .barriers import BarrierPair, build_barrier_pair, resolve_regime, verify_barrier
-from .grid import DomainShape, Grid, assemble_laplacian, power_weight
+from .barriers import (
+    BarrierPair, _weighted_defect, build_barrier_pair, resolve_regime, verify_barrier
+)
+from .grid import DomainShape, Grid, assemble_laplacian
 from .linear_core import SPDFactor, SolverFailure, SolveStats, _weighted_norm, extended_residual
 from .problem import ProblemSpec, SolveConfig
-from .spectral import EigenPair, _forcing, dirichlet_eigenpair, forcing, monotone_shift
+from .spectral import EigenPair, _forcing, dirichlet_eigenpair, monotone_shift
 
 __all__ = [
     "SolveConfig",
@@ -263,17 +265,15 @@ def solve_ladder(
 
 
 def residual(grid: Grid, u: np.ndarray, alpha: float, beta: float) -> float:
-    """Sup norm of the strong-form defect, weighted by d^(beta + t alpha).
+    """Sup norm of the strong-form defect, weighted by d^(beta + t alpha)
+    (barriers._weighted_defect: the certificate's defect, Newton's test).
 
     The weight cancels the singular scales of both terms near the boundary,
     so the value is comparable across nodes; it vanishes at the exact
     discrete fixed point.  Raises ValueError unless u passes
     grid.check_positive.
     """
-    u = grid.check_positive(u)
-    t = resolve_regime(alpha, beta).t
-    defect = assemble_laplacian(grid) @ u - forcing(grid, u, alpha, beta)
-    return float(np.max(np.abs(defect * power_weight(grid, -(beta + t * alpha)))))
+    return _weighted_defect(grid, grid.check_positive(u), alpha, beta)[1]
 
 
 def uniqueness_gap(report: SolveReport) -> float:

@@ -15,12 +15,12 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .barriers import build_barrier_pair, resolve_regime
-from .grid import Grid, assemble_laplacian, power_weight
+from .barriers import _weighted_defect, build_barrier_pair
+from .grid import Grid, assemble_laplacian
 from .linear_core import SPDFactor, SolverFailure
 from .monotone import INNER_TOL
 from .problem import ProblemSpec
-from .spectral import forcing, monotone_shift
+from .spectral import monotone_shift
 
 DENSE_N_CAP = 64
 # Newton's step cap, and the step halvings allowed within one step.
@@ -47,33 +47,26 @@ def newton_solve(
     eps = 0 is the singular problem itself, eps > 0 its regularization
     along the continuation path.  Each step is halved until u+eps stays
     above 0.1 times its current minimum (the floor keeps iterates off the
-    singularity) and the d^(beta + t alpha)-weighted sup defect decreases or
-    meets tol; that weighted defect is also the stopping test.  Each step
-    solves its Jacobian -lap_h + monotone_shift(grid, u + eps, alpha, beta)
-    once through a fresh SPDFactor.on_grid (tridiagonal LDL^T from the
-    grid's diagonals on intervals, multigrid-preconditioned CG on
-    rectangles), or by dense Cholesky with dense=True, the independent
-    oracle path.  Raises ValueError unless init + eps passes
-    grid.check_positive and, with dense=True, grid.n <= DENSE_N_CAP, and
-    NewtonStagnationError when the MAX_HALVINGS halvings of a step or the
-    MAX_NEWTON_STEPS cap run out.
+    singularity) and the d^(beta + t alpha)-weighted sup defect of
+    barriers._weighted_defect (monotone.residual's) decreases or meets tol;
+    that weighted defect is also the stopping test.  Each step solves its
+    Jacobian -lap_h + monotone_shift(grid, u + eps, alpha, beta) once
+    through a fresh SPDFactor.on_grid (tridiagonal LDL^T from the grid's
+    diagonals on intervals, multigrid-preconditioned CG on rectangles), or
+    by dense Cholesky with dense=True, the independent oracle path.  Raises
+    ValueError unless init + eps passes grid.check_positive and, with
+    dense=True, grid.n <= DENSE_N_CAP, and NewtonStagnationError when the
+    MAX_HALVINGS halvings of a step or the MAX_NEWTON_STEPS cap run out.
     """
     if not (math.isfinite(eps) and eps >= 0.0):
         raise ValueError(f"eps must be finite and >= 0, got {eps}")
     init = grid.check_field(init)
     grid.check_positive(init + eps)
-    weight = power_weight(grid, -(beta + resolve_regime(alpha, beta).t * alpha))
-    A0 = assemble_laplacian(grid)
     if dense and grid.n > DENSE_N_CAP:
         raise ValueError(f"dense oracle is limited to n <= {DENSE_N_CAP}, got n={grid.n}")
-    A0_dense = A0.toarray() if dense else None
-
-    def defect_norm(u):
-        defect = A0 @ u - forcing(grid, u + eps, alpha, beta)
-        return defect, float(np.max(np.abs(defect * weight)))
-
+    A0_dense = assemble_laplacian(grid).toarray() if dense else None
     u = init.copy()
-    defect, res = defect_norm(u)
+    defect, res = _weighted_defect(grid, u, alpha, beta, eps)
     for _ in range(MAX_NEWTON_STEPS):
         if res <= tol:
             return u
@@ -89,7 +82,7 @@ def newton_solve(
         for _halving in range(MAX_HALVINGS):
             candidate = u + step * delta
             if float((candidate + eps).min()) >= floor:
-                new_defect, new_res = defect_norm(candidate)
+                new_defect, new_res = _weighted_defect(grid, candidate, alpha, beta, eps)
                 if new_res < res or new_res <= tol:
                     u, defect, res = candidate, new_defect, new_res
                     break

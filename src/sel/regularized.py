@@ -11,6 +11,7 @@ with eps > 0.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -60,12 +61,14 @@ def epsilon_continuation(
     Jacobian SPD territory on the way down; each later rung starts from the
     previous one.  deltas measures each rung against u_ref in sup norm.
     ValueError, before any solve, unless eps_start is positive and finite,
-    0 < eps_factor < 1 and steps >= 1.
+    0 < eps_factor < 1 and steps is an integer >= 1.
     """
     if not (math.isfinite(eps_start) and eps_start > 0):
         raise ValueError(f"eps_start must be positive and finite, got {eps_start}")
     if not 0 < eps_factor < 1:
         raise ValueError("eps_factor must lie in (0, 1)")
+    if not isinstance(steps, numbers.Integral):
+        raise ValueError(f"steps must be an integer, got {steps!r}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     grid = spec.make_grid()

@@ -3,11 +3,10 @@
 forcing is the one evaluation of F(u) = d^(-beta) u^(-alpha), monotone_shift
 of m = -F'(u).  The principal eigenpair of -lap_h on the uniform tensor grid
 is in closed form (dirichlet_eigenpair); -lap_h + m has none, and
-its smallest eigenvalue mu_1 comes from a library eigensolver chosen by
-grid.dim: scipy.linalg.eigh_tridiagonal (LAPACK) on an interval's two
-diagonals (the grid's cached ones plus m, no matrix built), lobpcg with
-the V-cycle of linear_core.SPDFactor.on_grid on rectangles (a bare matrix,
-principal_eigenpair, by its pattern).
+its smallest eigenvalue mu_1 comes from a library eigensolver on the
+factor linear_core.SPDFactor.on_grid, by its route: eigh_tridiagonal
+(LAPACK) on an interval's two diagonals, lobpcg with the factor's V-cycle
+on rectangles (a bare matrix, principal_eigenpair: SPDFactor(A)'s route).
 The operators are SPD M-matrices, so the principal eigenvector is positive
 (discrete Perron-Frobenius), which is checked.
 """
@@ -24,7 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from .grid import Grid, assemble_laplacian, power_weight
-from .linear_core import SPDFactor, SolverFailure, _tridiagonal_product, is_tridiagonal
+from .linear_core import SPDFactor, SolverFailure, _tridiagonal_product
 
 # An eigenpair exact to rounding still has a 2-norm residual of a few
 # eps * ||A||_inf (which grows like n^2); the residual check allows this many.
@@ -74,25 +73,20 @@ def _closed_form_eigenpair(grid: Grid) -> EigenPair:
 
 
 def principal_eigenpair(A: sp.spmatrix, tol: float = 1e-10) -> EigenPair:
-    """_eigenpair of a bare SPD M-matrix, routed by pattern as SPDFactor(A) is:
-    a tridiagonal A by its two diagonals (ValueError unless symmetric), any
-    other A with one direct splu level (see the README)."""
-    A = A.tocsr()
-    if not is_tridiagonal(A):
-        return _eigenpair(A, tol, SPDFactor(A).precondition)
-    if not np.array_equal(A.diagonal(-1), A.diagonal(1)):
-        raise ValueError("tridiagonal matrix is not symmetric")
-    return _eigenpair((A.diagonal(), A.diagonal(1)), tol)
+    """_eigenpair of a bare SPD M-matrix through SPDFactor(A), its checks (a
+    ValueError for a NaN or inf entry or an asymmetric tridiagonal A) and its
+    route: a tridiagonal A by its two diagonals, else one splu level (README)."""
+    return _eigenpair(SPDFactor(A), tol)
 
 
-def _eigenpair(op, tol: float, vcycle=None) -> EigenPair:
-    """Smallest eigenvalue and positive eigenvector of an SPD M-matrix.
+def _eigenpair(factor: SPDFactor, tol: float) -> EigenPair:
+    """Smallest eigenvalue and positive eigenvector of factor's SPD M-matrix.
 
-    op is (diag, off), the two diagonals of a symmetric tridiagonal matrix,
-    without vcycle: scipy.linalg.eigh_tridiagonal, and no matrix is built.
-    Else op is a CSR matrix A, and scipy.sparse.linalg.lobpcg runs from the
-    constant vector (so results are deterministic), preconditioned by
-    vcycle(r) ~ A^(-1) r.  LOBPCG stops on an absolute residual, so it runs
+    A banded factor's two diagonals (factor.diagonals) go to
+    scipy.linalg.eigh_tridiagonal, and no matrix is built.  Else
+    scipy.sparse.linalg.lobpcg runs on factor.A from the constant vector (so
+    results are deterministic), preconditioned by factor.precondition, one
+    V-cycle ~ A^(-1) r.  LOBPCG stops on an absolute residual, so it runs
     twice: to the gate below at the Rayleigh quotient of the constant vector
     (an upper bound of lambda), then, from the vector it returned, to half
     the gate at the eigenvalue it returned.  The value is the Rayleigh
@@ -101,8 +95,8 @@ def _eigenpair(op, tol: float, vcycle=None) -> EigenPair:
     ROUNDOFF_UNITS * eps * ||A||_inf) and phi > 0: EigenNonConvergenceError.
     """
     eps = np.finfo(float).eps
-    if vcycle is None:
-        diag, off = op
+    if factor.diagonals is not None:
+        diag, off = factor.diagonals
         # ||A||_inf from the diagonals: each row's |entries| summed left,
         # diagonal, right, as scipy.sparse.linalg.norm sums them
         rows, abs_off = np.abs(diag), np.abs(off)
@@ -112,11 +106,11 @@ def _eigenpair(op, tol: float, vcycle=None) -> EigenPair:
         _, vecs = scipy.linalg.eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
         apply = functools.partial(_tridiagonal_product, diag, off)
     else:
-        A = op
+        A = factor.A
         floor = ROUNDOFF_UNITS * eps * scipy.sparse.linalg.norm(A, np.inf)
         apply = A.__matmul__
         precond = scipy.sparse.linalg.LinearOperator(
-            A.shape, matvec=lambda r: vcycle(r.ravel()), dtype=float
+            A.shape, matvec=lambda r: factor.precondition(r.ravel()), dtype=float
         )
 
         def lobpcg(x0: np.ndarray, gate: float) -> tuple[float, np.ndarray]:
@@ -190,13 +184,8 @@ def linearized_smallest_eigenvalue(
 
     The potential is nonnegative for u > 0, so mu_1 >= lambda_1 > 0: the
     converged solutions of the nonlinear problem are linearly stable, and
-    this is the quantity that certifies it.  A rectangle's LOBPCG runs on the
-    operator of SPDFactor.on_grid, with its V-cycle.  ValueError unless u
-    passes grid.check_positive.
+    this is the quantity that certifies it.  The operator and its route are
+    those of SPDFactor.on_grid (an interval's two diagonals, a rectangle's
+    matrix and V-cycle).  ValueError unless u passes grid.check_positive.
     """
-    potential = monotone_shift(grid, u, alpha, beta)
-    if grid.dim == 1:
-        diag, off = grid._tridiagonal
-        return _eigenpair((diag + grid.check_field(potential), off), tol)
-    factor = SPDFactor.on_grid(grid, potential)
-    return _eigenpair(factor.A, tol, factor.precondition)
+    return _eigenpair(SPDFactor.on_grid(grid, monotone_shift(grid, u, alpha, beta)), tol)

@@ -56,10 +56,44 @@ def test_resolve_regime_rejects_non_finite(bad):
 
 
 def test_resolve_regime_returns_one_regime_per_pair():
-    assert resolve_regime(2.0, 0.5) is resolve_regime(2.0, 0.5)
-    assert resolve_regime(2, 0) is resolve_regime(2.0, 0.0)
-    assert resolve_regime(np.float64(0.3), 0.4) is resolve_regime(0.3, 0.4)
-    assert resolve_regime(0.5, 0.0) is not resolve_regime(2.0, 0.0)
+    # equal, not cached: int and np.float64 input give the same plain-float fields
+    assert resolve_regime(2.0, 0.5) == resolve_regime(2.0, 0.5)
+    assert resolve_regime(2, 0) == resolve_regime(2.0, 0.0)
+    assert resolve_regime(np.float64(0.3), 0.4) == resolve_regime(0.3, 0.4)
+    assert resolve_regime(0.5, 0.0) != resolve_regime(2.0, 0.0)
+    for alpha, beta in ((2, 0), (np.float64(0.3), np.float64(0.4)), (1, 0), (0, 1.5)):
+        regime = resolve_regime(alpha, beta)
+        fields = (regime.t, regime.q_bar, regime.gamma, regime.sigma)
+        assert all(type(v) is float for v in fields if v is not None), (alpha, beta, regime)
+
+
+@pytest.mark.parametrize(
+    "shape, n", [(interval(1.0), 32), (rectangle(1.0, 1.0), 8)], ids=["interval", "rectangle"]
+)
+def test_certificate_residual_and_newton_share_one_defect(monkeypatch, shape, n):
+    # barriers._defect is the one strong-form defect: the certificate, the
+    # weighted residual and Newton's stopping test all evaluate it
+    from sel.monotone import residual
+    from sel.oracle import newton_solve
+
+    calls = []
+    defect = barriers._defect
+
+    def counted(grid, field, alpha, beta, eps=0.0):
+        calls.append(eps)
+        return defect(grid, field, alpha, beta, eps)
+
+    grid = build_grid(shape, n)
+    pair = build_barrier_pair(grid, 2.0, 0.0)
+    monkeypatch.setattr(barriers, "_defect", counted)
+    assert verify_barrier(grid, pair.super, 2.0, 0.0, "super").passed and calls == [0.0]
+    weighted = residual(grid, pair.super, 2.0, 0.0)
+    assert calls == [0.0, 0.0]
+    assert weighted == float(np.max(np.abs(
+        defect(grid, pair.super, 2.0, 0.0) * power_weight(grid, -(2.0 / 3.0) * 2.0)
+    )))
+    newton_solve(grid, 2.0, 0.0, pair.super, tol=1e-8, eps=1e-3)
+    assert len(calls) > 3 and set(calls[2:]) == {1e-3}
 
 
 @pytest.mark.parametrize("alpha, beta", [(-0.5, 0.0), (0.5, 2.0), (0.5, -0.1), (math.nan, 0.0), (0.5, math.nan)])

@@ -1,6 +1,8 @@
 import csv
+import errno
 import json
 import math
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -462,6 +464,25 @@ def test_out_without_write_permission_exits_one(tmp_path, capsys, monkeypatch, c
     assert main([*argv, "--out", str(tmp_path / "new" / "out")]) == 1
     assert capsys.readouterr().err == f"error: --out: {tmp_path} is not writable\n"
     assert list(tmp_path.iterdir()) == []
+
+
+# a writer per command that fails after _check_out passed, as a full disk would
+FAILING_WRITERS = [
+    (["solve", "--alpha", "2", "--n", "16"], "_write_solution_csv", "out"),
+    (["spectrum", "--alpha", "2", "--levels", "16"], "_write_json", "out/s.json"),
+    (["sweep", "--alpha-list", "0.5", "--beta-list", "0", "--n", "128"], "_write_manifest",
+     "out/s.csv"),
+]
+
+
+@pytest.mark.parametrize("argv, writer, out", FAILING_WRITERS, ids=[c[0][0] for c in FAILING_WRITERS])
+def test_oserror_while_writing_outputs_exits_one(tmp_path, capsys, monkeypatch, argv, writer, out):
+    def full(*_):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, writer, full)
+    assert main([*argv, "--out", str(tmp_path / out)]) == 1
+    assert capsys.readouterr().err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
 
 
 def test_solve_method_dense_and_regularized_agree(tmp_path):

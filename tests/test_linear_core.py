@@ -342,13 +342,19 @@ def test_tridiagonal_matrix_with_a_nan_or_inf_entry_is_invalid_input(bad):
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_rectangle_matrix_with_a_nan_or_inf_entry_is_invalid_input(bad):
     # the multigrid route rejects it before building its hierarchy, as the
-    # banded route does before dpttrf; LOBPCG's V-cycle comes from the same factor
-    a = assemble_laplacian(build_grid(rectangle(1.0, 1.0), 8)).copy()
-    a.data[4] = bad
-    with pytest.raises(ValueError, match="matrix has a NaN or inf entry"):
-        SPDFactor(a)
-    with pytest.raises(ValueError, match="matrix has a NaN or inf entry"):
-        principal_eigenpair(a)
+    # banded route does before dpttrf, and principal_eigenpair takes either
+    # route through SPDFactor: an off-diagonal or diagonal entry of an
+    # interval's or a rectangle's Laplacian is the same ValueError
+    for shape in (rectangle(1.0, 1.0), interval(1.0)):
+        lap = assemble_laplacian(build_grid(shape, 8))
+        on_diagonal = lap.indices == np.repeat(np.arange(lap.shape[0]), np.diff(lap.indptr))
+        for entries in (~on_diagonal, on_diagonal):
+            a = lap.copy()
+            a.data[np.flatnonzero(entries)[2]] = bad
+            with pytest.raises(ValueError, match="matrix has a NaN or inf entry"):
+                SPDFactor(a)
+            with pytest.raises(ValueError, match="matrix has a NaN or inf entry"):
+                principal_eigenpair(a)
 
 
 @pytest.mark.parametrize("shape", [interval(1.0), rectangle(1.0, 1.0)], ids=["banded", "pcg"])

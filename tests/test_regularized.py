@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sel import regularized
 from sel.grid import assemble_laplacian, power_weight
 from sel.linear_core import solve_spd
 from sel.oracle import NewtonStagnationError, newton_solve
@@ -58,6 +59,16 @@ def test_input_validation(lab):
         epsilon_continuation(spec, 0.1, 1.5, 3, np.zeros(grid.num_interior))
     with pytest.raises(ValueError):
         epsilon_continuation(spec, 0.1, 0.1, 0, np.zeros(grid.num_interior))
+
+
+@pytest.mark.parametrize("steps", [2.0, 1.5, np.float64(3.0), "3"])
+def test_non_integer_steps_is_rejected_before_any_solve(lab, monkeypatch, steps):
+    # as SolveConfig.max_iter: a float count fails here, not in np.empty after the barriers
+    grid = lab.grid(32)
+    spec = ProblemSpec(alpha=0.5, beta=0.0, n=32)
+    monkeypatch.setattr(regularized, "build_barrier_pair", lambda *_: pytest.fail("solved first"))
+    with pytest.raises(ValueError, match="steps must be an integer"):
+        epsilon_continuation(spec, 0.1, 0.1, steps, np.zeros(grid.num_interior))
 
 
 def test_unreachable_tolerance_stagnates(lab):
