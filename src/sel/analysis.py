@@ -141,9 +141,10 @@ def fit_gradient_exponent(grid: Grid, u: np.ndarray) -> float:
 
 def gradient_integral(grid: Grid, grad: np.ndarray, q: float) -> float:
     """Midpoint-rule value of int grad^q over the domain, for grad the nodal
-    |grad_h u| of gradient_field: one gradient serves every q."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
+    |grad_h u| of gradient_field: one gradient serves every q.  ValueError
+    unless q is finite and >= 1."""
+    if not (math.isfinite(q) and q >= 1):
+        raise ValueError(f"q must be finite and >= 1, got {q}")
     return float(np.sum(grid.check_field(grad) ** q) * grid.cell_volume)
 
 
@@ -293,8 +294,11 @@ def regularity_report(levels: list[Level], alpha: float, beta: float) -> Regular
     says whether the last two sigma_est agree within 0.05.  With fewer
     levels sigma_fit is the finest level's log-log slope and no H^1 or
     consistency verdict exists.  Each level's gradient_field and q=2
-    integral are computed once, for every estimate and h1_norms.
+    integral are computed once, for every estimate and h1_norms.  ValueError
+    on an empty ladder.
     """
+    if not levels:
+        raise ValueError("need at least 1 level")
     regime = resolve_regime(alpha, beta)
     grid, u = levels[-1]
     t_fit, _ = fit_boundary_exponent(grid, u)

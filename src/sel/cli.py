@@ -1,7 +1,8 @@
 """Command-line laboratory: solve, sweep, spectrum, regularity.
 
 Subcommands
-    solve       one instance; writes report.json + solution.csv
+    solve       one instance, its monotone enclosure (one solve_ladder
+                level); writes report.json + solution.csv
     sweep       (alpha, beta) table of exponents and verdicts; writes CSV
     spectrum    lambda_1 / mu_1 per refinement level + stability verdict
     regularity  full regularity report over a refinement ladder
@@ -29,6 +30,10 @@ int |grad u|^2.  sweep and regularity refuse a grid too coarse for the band
 (exit 1) before solving, and solve writes null t_fit, sigma_fit and
 q_bar_est there.
 Stopping defaults (--tol, --max-iter) are SolveConfig's.
+Every command answers with the monotone enclosure between certified
+barriers or with a typed failure: the Newton and eps-continuation paths
+(oracle.newton_solve, regularized.epsilon_continuation) are library
+cross-checks, not commands.
 Everything is deterministic: identical flags give byte-identical
 report/CSV files.  A manifest.json with versions and a timestamp is
 written next to each report; the timestamp lives only there.
@@ -62,13 +67,12 @@ from .analysis import (
     gradient_integral,
     regularity_report,
 )
-from .barriers import BORDERLINE_WARNING, Regime, build_barrier_pair, resolve_regime
+from .barriers import BORDERLINE_WARNING, Regime, resolve_regime
 from .grid import Grid, build_grid, interval, rectangle
 from .linear_core import SolverFailure
 from .monotone import residual, solve_ladder, uniqueness_gap
-from .oracle import DENSE_N_CAP, newton_solve
 from .problem import SolveConfig
-from .spectral import dirichlet_eigenpair, linearized_smallest_eigenvalue
+from .spectral import linearized_smallest_eigenvalue
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -207,7 +211,7 @@ def _admitted_regime(alpha: float, beta: float) -> Regime:
     return regime
 
 
-def _spec_echo(args, method: str | None = None, levels: list[int] | None = None) -> dict:
+def _spec_echo(args, levels: list[int] | None = None) -> dict:
     """The common flags of a report, with --n for solve; a ladder command
     gives its levels instead, as it has no --n."""
     echo = {
@@ -221,9 +225,6 @@ def _spec_echo(args, method: str | None = None, levels: list[int] | None = None)
         echo["n"] = args.n
     else:
         echo["levels"] = levels
-    if method is not None:
-        echo["method"] = method
-        echo["eps"] = getattr(args, "eps", None)
     return echo
 
 
@@ -258,45 +259,22 @@ def _ladder(alpha: float, beta: float, domain: str, ns, config: SolveConfig):
 
 def cmd_solve(args) -> None:
     regime = _admitted_regime(args.alpha, args.beta)
-    if args.method == "dense" and args.n > DENSE_N_CAP:
-        raise ValueError(f"--method dense requires --n <= {DENSE_N_CAP}")
-    if args.method == "regularized" and not (math.isfinite(args.eps) and args.eps > 0):
-        raise ValueError(f"--eps must be positive and finite, got {args.eps}")
     out_dir = Path(args.out)
     outputs = ["report.json", "solution.csv"]
     _check_out(out_dir, outputs)
 
     config = SolveConfig(tol=args.tol, max_iter=args.max_iter)
-    if args.method == "monotone":
-        (level,) = solve_ladder(args.alpha, args.beta, _domain(args.domain), [args.n], config)
-        grid, eig, pair, rep = level.grid, level.eig, level.pair, level.report
-        u, converged = rep.upper, rep.converged
-        solve_block = {
-            "method": args.method,
-            "iterations": rep.iterations,
-            "gap_history": rep.gap_history,
-            "converged": converged,
-            "ordering_violation": rep.ordering_violation,
-            "uniqueness_gap": uniqueness_gap(rep) if converged else None,
-        }
-    else:
-        grid = build_grid(_domain(args.domain), args.n)
-        eig = dirichlet_eigenpair(grid)
-        pair = build_barrier_pair(grid, args.alpha, args.beta, eig)
-        converged = True
-        solve_block = {
-            "method": args.method,
-            "iterations": None,
-            "gap_history": [],
-            "converged": True,
-        }
-        if args.method == "regularized":
-            u = newton_solve(grid, args.alpha, args.beta, pair.super, tol=args.tol, eps=args.eps)
-            solve_block["eps"] = args.eps
-        else:
-            u = newton_solve(
-                grid, args.alpha, args.beta, pair.super, tol=min(args.tol, 1e-12), dense=True
-            )
+    (level,) = solve_ladder(args.alpha, args.beta, _domain(args.domain), [args.n], config)
+    grid, eig, pair, rep = level.grid, level.eig, level.pair, level.report
+    u, converged = rep.upper, rep.converged
+    solve_block = {
+        "method": "monotone",
+        "iterations": rep.iterations,
+        "gap_history": rep.gap_history,
+        "converged": converged,
+        "ordering_violation": rep.ordering_violation,
+        "uniqueness_gap": uniqueness_gap(rep) if converged else None,
+    }
     mu = linearized_smallest_eigenvalue(grid, u, args.alpha, args.beta)
     regularity = {"t_fit": None, "sigma_fit": None, "q_bar_est": None,
                   "q_bar_theory": regime.q_bar, "h1_verdict": "needs >= 3 levels"}
@@ -308,7 +286,7 @@ def cmd_solve(args) -> None:
         regularity.update(t_fit=reg.t_fit, sigma_fit=reg.sigma_fit, q_bar_est=reg.q_bar_est,
                           q_bar_theory=reg.q_bar_theory, h1_verdict=reg.verdicts["h1"])
     report = {
-        "spec": _spec_echo(args, args.method),
+        "spec": {**_spec_echo(args), "method": "monotone"},
         "warnings": regime.warnings,
         "barrier": {
             "c": pair.c,
@@ -327,7 +305,7 @@ def cmd_solve(args) -> None:
 
     _write_solution_csv(out_dir / "solution.csv", grid, u, gradient_field(grid, u))
     _write_manifest(out_dir, report["spec"], outputs)
-    if not converged:  # only a monotone level can end unconverged
+    if not converged:
         raise _iteration_limit(level, args.tol)
 
 
@@ -471,9 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=SolveConfig.tol)
         p.add_argument("--max-iter", type=int, default=SolveConfig.max_iter)
         p.add_argument("--out", required=True)
-
-    p_solve.add_argument("--method", choices=["monotone", "regularized", "dense"], default="monotone")
-    p_solve.add_argument("--eps", type=float, default=1e-5, help="regularization for --method regularized")
 
     p_sweep.add_argument("--alpha-list", required=True)
     p_sweep.add_argument("--beta-list", required=True)

@@ -67,6 +67,14 @@ class ComparisonPrincipleViolationError(SolverFailure):
     """
 
 
+def check_tol(tol: float) -> None:
+    """ValueError unless tol is finite and > 0: the one check of every
+    stopping tolerance (SolveConfig, SPDFactor.solve, the eigensolves and
+    Newton), made before any arithmetic uses it."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+
+
 @dataclass
 class SolveStats:
     iterations: int
@@ -251,8 +259,7 @@ class SPDFactor:
         math.sqrt(r @ r): the bits of np.linalg.norm(r), which computes
         sqrt(r.dot(r)) for a real vector, without its per-call overhead.
         """
-        if not (math.isfinite(tol) and tol > 0):
-            raise ValueError(f"tol must be positive and finite, got {tol}")
+        check_tol(tol)
         f = np.asarray(f, dtype=float)
         if not np.isfinite(f).all():
             raise ValueError("right-hand side has a NaN or inf entry")

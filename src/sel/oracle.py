@@ -17,7 +17,7 @@ import scipy.linalg
 
 from .barriers import _weighted_defect, build_barrier_pair
 from .grid import Grid, assemble_laplacian
-from .linear_core import SPDFactor, SolverFailure
+from .linear_core import SPDFactor, SolverFailure, check_tol
 from .monotone import INNER_TOL
 from .problem import ProblemSpec
 from .spectral import monotone_shift
@@ -54,10 +54,12 @@ def newton_solve(
     through a fresh SPDFactor.on_grid (tridiagonal LDL^T from the grid's
     diagonals on intervals, multigrid-preconditioned CG on rectangles), or
     by dense Cholesky with dense=True, the independent oracle path.  Raises
-    ValueError unless init + eps passes grid.check_positive and, with
-    dense=True, grid.n <= DENSE_N_CAP, and NewtonStagnationError when the
+    ValueError, before any arithmetic, unless tol is finite and > 0, eps is
+    finite and >= 0, init + eps passes grid.check_positive and, with
+    dense=True, grid.n <= DENSE_N_CAP; NewtonStagnationError when the
     MAX_HALVINGS halvings of a step or the MAX_NEWTON_STEPS cap run out.
     """
+    check_tol(tol)
     if not (math.isfinite(eps) and eps >= 0.0):
         raise ValueError(f"eps must be finite and >= 0, got {eps}")
     init = grid.check_field(init)

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, field
 
 from .barriers import resolve_regime
 from .grid import DomainShape, Grid, build_grid, interval
+from .linear_core import check_tol
 
 
 @dataclass(frozen=True)
@@ -22,8 +22,7 @@ class SolveConfig:
     max_iter: int = 500
 
     def __post_init__(self):
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        check_tol(self.tol)
         if not isinstance(self.max_iter, numbers.Integral):
             raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barriers import build_barrier_pair
+from .linear_core import check_tol
 from .oracle import newton_solve
 from .problem import ProblemSpec
 
@@ -60,9 +61,10 @@ def epsilon_continuation(
     The first rung starts from the supersolution barrier, which keeps the
     Jacobian SPD territory on the way down; each later rung starts from the
     previous one.  deltas measures each rung against u_ref in sup norm.
-    ValueError, before any solve, unless eps_start is positive and finite,
-    0 < eps_factor < 1 and steps is an integer >= 1.
+    ValueError, before any solve, unless eps_start and tol are positive and
+    finite, 0 < eps_factor < 1 and steps is an integer >= 1.
     """
+    check_tol(tol)
     if not (math.isfinite(eps_start) and eps_start > 0):
         raise ValueError(f"eps_start must be positive and finite, got {eps_start}")
     if not 0 < eps_factor < 1:

@@ -23,7 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from .grid import Grid, assemble_laplacian, power_weight
-from .linear_core import SPDFactor, SolverFailure, _tridiagonal_product
+from .linear_core import SPDFactor, SolverFailure, _tridiagonal_product, check_tol
 
 # An eigenpair exact to rounding still has a 2-norm residual of a few
 # eps * ||A||_inf (which grows like n^2); the residual check allows this many.
@@ -93,7 +93,9 @@ def _eigenpair(factor: SPDFactor, tol: float) -> EigenPair:
     quotient of the sup-normalized eigenvector phi.  Unless
     ||A phi - lambda phi||_2 / ||phi||_2 <= max(tol * lambda,
     ROUNDOFF_UNITS * eps * ||A||_inf) and phi > 0: EigenNonConvergenceError.
+    ValueError, before any eigensolve, unless tol is finite and > 0.
     """
+    check_tol(tol)
     eps = np.finfo(float).eps
     if factor.diagonals is not None:
         diag, off = factor.diagonals

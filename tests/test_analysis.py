@@ -102,6 +102,21 @@ def test_sobolev_integral_smooth_case():
         sobolev_integral(g, u, 0.5)
 
 
+@pytest.mark.parametrize("q", [math.nan, math.inf])
+def test_non_finite_q_is_invalid_input(q):
+    g = build_grid(interval(1.0), 64)
+    u = g.axes[0] * (1 - g.axes[0]) / 2
+    with pytest.raises(ValueError, match="q must be finite and >= 1"):
+        gradient_integral(g, gradient_field(g, u), q)
+    with pytest.raises(ValueError, match="q must be finite and >= 1"):
+        sobolev_integral(g, u, q)
+
+
+def test_regularity_report_of_an_empty_ladder_is_invalid_input():
+    with pytest.raises(ValueError, match="need at least 1 level"):
+        regularity_report([], 2.0, 0.0)
+
+
 def test_sobolev_integral_diverges_past_threshold(lab):
     # u ~ d^(2/3) has q_bar = 3; q = 4 must blow up under refinement
     vals = [sobolev_integral(lab.grid(n), lab.grid(n).d ** (2.0 / 3.0), 4.0) for n in (1024, 2048)]

@@ -11,10 +11,10 @@ import jsonschema
 import numpy as np
 import pytest
 
-from sel import analysis, cli, linear_core, oracle
+from sel import analysis, cli, linear_core
 from sel import grid as grid_module
 from sel.analysis import gradient_field
-from sel.barriers import ALPHA_ONE_WARNING, build_barrier_pair
+from sel.barriers import ALPHA_ONE_WARNING
 from sel.cli import main
 from sel.grid import build_grid, gradient_components, interval, rectangle
 from sel.linear_core import ComparisonPrincipleViolationError, SolverFailure
@@ -77,13 +77,14 @@ def test_the_shared_parser_carries_no_flag_into_the_next_run(tmp_path, domain):
     args = ["solve", "--domain", domain, "--alpha", "0.5", "--n", "32"]
     assert main([*args, "--out", str(tmp_path / "r1")]) == 0
     other = ["solve", "--domain", domain, "--alpha", "2", "--beta", "0.5", "--n", "16",
-             "--tol", "1e-6", "--method", "regularized", "--eps", "1e-3"]
+             "--tol", "1e-6", "--max-iter", "300"]
     assert main([*other, "--out", str(tmp_path / "other")]) == 0
     assert main([*args, "--out", str(tmp_path / "r2")]) == 0
     for name in ("report.json", "solution.csv"):
         assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
     spec = read_report(tmp_path / "r2")["spec"]
-    assert (spec["beta"], spec["method"], spec["tol"]) == (0.0, "monotone", SolveConfig.tol)
+    assert (spec["beta"], spec["tol"], spec["max_iter"]) == (
+        0.0, SolveConfig.tol, SolveConfig.max_iter)
 
 
 @pytest.mark.parametrize("domain, n", [("interval", 64), ("rectangle", 16)])
@@ -156,10 +157,24 @@ def test_solve_singular_case_schema_and_spectral(tmp_path):
     assert code == 0
     report = read_report(out)
     jsonschema.validate(report, SCHEMA)
+    assert report["spec"]["method"] == report["solve"]["method"] == "monotone"
+    assert "eps" not in report["spec"] and "eps" not in report["solve"]
     assert report["solve"]["converged"]
     assert report["spectral"]["mu1"] >= report["spectral"]["lambda1"] > 0
     assert report["regularity"]["q_bar_theory"] == 3.0
     assert report["barrier"]["t"] == pytest.approx(2.0 / 3.0)
+
+
+@pytest.mark.parametrize("block", ["spec", "solve"])
+@pytest.mark.parametrize("method", ["regularized", "dense"])
+def test_report_schema_admits_only_the_monotone_method(tmp_path, block, method):
+    # every sel solve report is the monotone enclosure or a typed failure
+    assert main(["solve", "--alpha", "2", "--n", "16", "--out", str(tmp_path)]) == 0
+    report = read_report(tmp_path)
+    jsonschema.validate(report, SCHEMA)
+    report[block]["method"] = method
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(report, SCHEMA)
 
 
 @pytest.mark.parametrize(
@@ -218,12 +233,6 @@ def test_solve_borderline_is_invalid_input(tmp_path, capsys):
 
 def test_invalid_inputs_exit_one(tmp_path):
     assert main(["solve", "--alpha", "0.5", "--n", "1", "--out", str(tmp_path)]) == 1
-    assert (
-        main(
-            ["solve", "--alpha", "0.5", "--n", "128", "--method", "dense", "--out", str(tmp_path)]
-        )
-        == 1
-    )
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--out", str(tmp_path)])  # missing --alpha
     assert exc.value.code == 1
@@ -245,17 +254,16 @@ def test_non_finite_inputs_exit_one(tmp_path, capsys, flags):
 @pytest.mark.parametrize(
     "flags",
     [
-        ["--alpha", "0.5", "--n", "16", "--method", "dense", "--tol", "1e-30"],
-        ["--alpha", "0.5", "--n", "16", "--method", "regularized", "--tol", "1e-30"],
-        ["--alpha", "0.5", "--domain", "rectangle", "--n", "4", "--method", "dense",
-         "--tol", "1e-30"],
-        ["--alpha", "0.5", "--domain", "rectangle", "--n", "8", "--method", "regularized",
-         "--tol", "1e-30"],
+        ["--alpha", "2", "--n", "64", "--tol", "1e-10", "--max-iter", "3"],
+        ["--alpha", "0.5", "--beta", "1.5", "--n", "256", "--max-iter", "1"],
+        ["--alpha", "2", "--domain", "rectangle", "--n", "32", "--tol", "1e-10", "--max-iter", "3"],
+        ["--alpha", "0.5", "--domain", "rectangle", "--n", "17", "--max-iter", "1"],
     ],
 )
 def test_solver_failures_exit_two(tmp_path, capsys, flags):
+    # a monotone level that runs out of --max-iter on either domain
     assert main(["solve", *flags, "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    assert capsys.readouterr().err.startswith("error: IterationLimitError: no convergence")
 
 
 @pytest.mark.parametrize(
@@ -298,10 +306,16 @@ def test_fine_interval_certifies(tmp_path):
 
 
 @pytest.mark.parametrize("eps", ["nan", "inf", "0", "-1"])
-def test_regularized_rejects_bad_eps(tmp_path, capsys, eps):
-    argv = ["solve", "--alpha", "0.5", "--n", "16", "--method", "regularized", "--eps", eps]
-    assert main([*argv, "--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err.startswith("error: --eps")
+def test_regularized_rejects_bad_eps(tmp_path, capsys, monkeypatch, eps):
+    # the regularization is a library path (regularized.solve_regularized);
+    # sel solve has no --eps, so any value is a usage error and nothing is solved
+    monkeypatch.setattr(cli, "solve_ladder", lambda *_: pytest.fail("solved a rejected command"))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--alpha", "0.5", "--n", "16", "--eps", eps, "--out", str(out)])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == f"sel: error: unrecognized arguments: --eps {eps}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("error", SolverFailure.__subclasses__(), ids=lambda e: e.__name__)
@@ -349,16 +363,18 @@ def test_ladder_non_convergence_exits_two(tmp_path, capsys, command):
 
 
 # Every invalid-input path of the four commands and its one stderr line; no
-# command makes its output path before its checks pass.
+# command makes its output path before its checks pass.  A usage error is
+# argparse's "sel: error:" line (solve has no --method or --eps), the rest
+# main's "error:" line.
 INVALID_INPUTS = [
     (["solve", "--alpha", "0.6", "--beta", "0.4"],
      "alpha+beta=1 is the excluded borderline regime"),
     (["solve", "--alpha", "-1"], "alpha must be finite and >= 0, got -1.0"),
     (["solve", "--alpha", "0.5", "--beta", "2"], "beta must satisfy 0 <= beta < 2, got 2.0"),
     (["solve", "--alpha", "0.5", "--n", "128", "--method", "dense"],
-     "--method dense requires --n <= 64"),
+     "unrecognized arguments: --method dense"),
     (["solve", "--alpha", "0.5", "--method", "regularized", "--eps", "nan"],
-     "--eps must be positive and finite, got nan"),
+     "unrecognized arguments: --method regularized --eps nan"),
     (["solve", "--alpha", "0.5", "--n", "1"], "need n >= 2 subdivisions, got n=1"),
     (["solve", "--alpha", "0.5", "--tol", "nan"], "tol must be positive and finite, got nan"),
     (["solve", "--alpha", "0.5", "--max-iter", "0"], "max_iter must be >= 1"),
@@ -407,8 +423,12 @@ INVALID_INPUTS = [
 )
 def test_invalid_input_exits_one_with_one_error_line(tmp_path, capsys, argv, message):
     out = tmp_path / ("s.csv" if argv[0] == "sweep" else "out")
-    assert main([*argv, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    try:
+        code, line = main([*argv, "--out", str(out)]), f"error: {message}\n"
+    except SystemExit as exc:
+        code, line = exc.code, f"sel: error: {message}\n"
+    assert code == 1
+    assert capsys.readouterr().err == line
     assert not out.exists()
 
 
@@ -483,37 +503,6 @@ def test_oserror_while_writing_outputs_exits_one(tmp_path, capsys, monkeypatch, 
     monkeypatch.setattr(cli, writer, full)
     assert main([*argv, "--out", str(tmp_path / out)]) == 1
     assert capsys.readouterr().err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
-
-
-def test_solve_method_dense_and_regularized_agree(tmp_path):
-    outs = {}
-    for method in ("monotone", "dense", "regularized"):
-        out = tmp_path / method
-        args = ["solve", "--alpha", "0.5", "--n", "32", "--tol", "1e-10", "--out", str(out),
-                "--method", method]
-        if method == "regularized":
-            args += ["--eps", "1e-8"]
-        assert main(args) == 0
-        rows = list(csv.DictReader((out / "solution.csv").read_text().splitlines()))
-        outs[method] = [float(r["u"]) for r in rows]
-    for method in ("dense", "regularized"):
-        diffs = [abs(a - b) for a, b in zip(outs["monotone"], outs[method])]
-        assert max(diffs) <= 1e-6 * max(outs["monotone"])
-
-
-def test_solve_dense_builds_one_barrier_pair(tmp_path, monkeypatch):
-    # the dense Newton starts from the pair the report's barrier block shows
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return build_barrier_pair(*args)
-
-    for module in (cli, oracle):
-        monkeypatch.setattr(module, "build_barrier_pair", counted)
-    args = ["solve", "--alpha", "2", "--n", "32", "--method", "dense", "--out", str(tmp_path)]
-    assert main(args) == 0
-    assert len(calls) == 1
 
 
 def test_rectangle_solve_and_regularity(tmp_path):
@@ -766,8 +755,6 @@ def test_sweep_rejects_invalid_tol(tmp_path, capsys, monkeypatch, tol):
 GRID_ROUTED = [
     "solve --alpha 2 --n 64",
     "solve --domain rectangle --alpha 2 --n 33",
-    "solve --method regularized --alpha 0.5 --n 64",
-    "solve --method dense --domain rectangle --alpha 2 --n 17",
     "spectrum --domain rectangle --alpha 0.5 --levels 17,33",
     "sweep --alpha-list 0.5,2 --beta-list 0 --n 128",
     "regularity --domain rectangle --alpha 2 --levels 17,33,64",

@@ -143,6 +143,17 @@ def test_mms_sine_forcing_second_order():
     assert order == pytest.approx(2.0, abs=0.2)
 
 
+@pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+@pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0, np.inf])
+def test_newton_tol_must_be_positive_and_finite(lab, monkeypatch, dense, tol):
+    # invalid input before any arithmetic: not a NewtonStagnationError after
+    # 50 halvings (nan, 0, -1), nor init returned unsolved (inf)
+    grid, init = lab.grid(32), lab.pair(2.0, 0.0, 32).super
+    monkeypatch.setattr(oracle, "_weighted_defect", lambda *_: pytest.fail("evaluated first"))
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        newton_solve(grid, 2.0, 0.0, init, tol=tol, dense=dense)
+
+
 def test_newton_step_cap_is_a_stagnation(lab, monkeypatch):
     monkeypatch.setattr(oracle, "MAX_NEWTON_STEPS", 1)
     with pytest.raises(NewtonStagnationError, match="Newton did not reach tol=1.0e-12"):

@@ -1,9 +1,13 @@
+import sys
+
 import numpy as np
 import pytest
 
-from sel import regularized
-from sel.grid import assemble_laplacian, power_weight
+from sel import linear_core, regularized
+from sel.barriers import build_barrier_pair
+from sel.grid import assemble_laplacian, interval, power_weight, rectangle
 from sel.linear_core import solve_spd
+from sel.monotone import residual
 from sel.oracle import NewtonStagnationError, newton_solve
 from sel.problem import ProblemSpec
 from sel.regularized import epsilon_continuation, solve_regularized
@@ -69,6 +73,44 @@ def test_non_integer_steps_is_rejected_before_any_solve(lab, monkeypatch, steps)
     monkeypatch.setattr(regularized, "build_barrier_pair", lambda *_: pytest.fail("solved first"))
     with pytest.raises(ValueError, match="steps must be an integer"):
         epsilon_continuation(spec, 0.1, 0.1, steps, np.zeros(grid.num_interior))
+
+
+@pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0, np.inf])
+def test_tol_must_be_positive_and_finite(lab, monkeypatch, tol):
+    # both checked before any solve or barrier construction
+    grid = lab.grid(32)
+    spec = ProblemSpec(alpha=0.5, beta=0.0, n=32)
+    monkeypatch.setattr(regularized, "build_barrier_pair", lambda *_: pytest.fail("solved first"))
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        solve_regularized(spec, 1e-3, lab.pair(0.5, 0.0, 32).super, tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        epsilon_continuation(spec, 0.1, 0.1, 2, np.ones(grid.num_interior), tol=tol)
+
+
+@pytest.mark.parametrize(
+    "shape, n, alpha", [(interval(), 64, 0.5), (rectangle(), 17, 2.0)], ids=["interval", "square"]
+)
+def test_newton_and_continuation_factor_by_the_grid(monkeypatch, shape, n, alpha):
+    # every sparse Newton step, eps = 0 or > 0, and every continuation rung
+    # factors through SPDFactor.on_grid, never by matrix pattern
+    spec = ProblemSpec(alpha=alpha, beta=0.0, shape=shape, n=n)
+    grid = spec.make_grid()
+    init = build_barrier_pair(grid, alpha, 0.0).super
+
+    def fail(*_args, **_kwargs):
+        pytest.fail("factored by matrix pattern")
+
+    for name, module in list(sys.modules.items()):
+        if (name == "sel" or name.startswith("sel.")) and hasattr(module, "is_tridiagonal"):
+            monkeypatch.setattr(module, "is_tridiagonal", fail)
+    monkeypatch.setattr(linear_core.SPDFactor, "__init__", fail)
+    u = newton_solve(grid, alpha, 0.0, init, tol=1e-9)
+    assert residual(grid, u, alpha, 0.0) <= 1e-9
+    u_eps = newton_solve(grid, alpha, 0.0, init, tol=1e-9, eps=1e-3)
+    assert np.all(u_eps <= u + 1e-10 * u.max())
+    report = epsilon_continuation(spec, 1e-2, 0.1, 2, u)
+    assert report.deltas_monotone
+    assert np.max(np.abs(report.fields[-1] - u_eps)) <= 1e-6 * u.max()
 
 
 def test_unreachable_tolerance_stagnates(lab):

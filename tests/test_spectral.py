@@ -154,6 +154,20 @@ def test_residual_check_rejects_perturbed_eigenvector(monkeypatch, shape, n, sol
         linearized_at_one(shape, n)
 
 
+@pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0, np.inf])
+@pytest.mark.parametrize("shape", [interval(1.0), rectangle(1.0, 1.0)], ids=["interval", "square"])
+def test_eigen_tol_must_be_positive_and_finite(monkeypatch, shape, tol):
+    # invalid input on both routes, checked before either eigensolver runs
+    g = build_grid(shape, 16)
+    u = dirichlet_eigenpair(g).field
+    for module, name in ((scipy.linalg, "eigh_tridiagonal"), (scipy.sparse.linalg, "lobpcg")):
+        monkeypatch.setattr(module, name, lambda *_a, **_k: pytest.fail("solved before the check"))
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        linearized_smallest_eigenvalue(g, u, 2.0, 0.0, tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        principal_eigenpair(assemble_laplacian(g), tol=tol)
+
+
 @pytest.mark.parametrize("n", [8, 32])
 def test_lobpcg_non_convergence_is_typed(monkeypatch, n):
     # One LOBPCG iteration per run cannot reach the residual gate, and LOBPCG
