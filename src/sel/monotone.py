@@ -30,9 +30,8 @@ reported but not used for stopping.
 Every operator of a run comes from the one grid of its ProblemSpec, the
 process's shared grid of its (shape, n) (grid.build_grid): -lap_h is
 assembled once for that grid (grid.assemble_laplacian) and each step
-factors -lap_h + m_k by the grid (linear_core.SPDFactor.on_grid): from
-the Laplacian's two cached diagonals on an interval, as a diagonal shift on
-its pattern (grid.shifted_laplacian) on a rectangle.  Each level of
+factors -lap_h + m_k by the grid (linear_core.SPDFactor.on_grid), a
+diagonal shift on its pattern (grid.shifted_laplacian).  Each level of
 solve_ladder takes that grid, and the eigenpair, the barriers, their
 certificate and solve_monotone share it; the pair is certified once, by
 build_barrier_pair, and solve_monotone re-verifies only a pair not

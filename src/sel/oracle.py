@@ -51,8 +51,8 @@ def newton_solve(
     barriers._weighted_defect (monotone.residual's) decreases or meets tol;
     that weighted defect is also the stopping test.  Each step solves its
     Jacobian -lap_h + monotone_shift(grid, u + eps, alpha, beta) once
-    through a fresh SPDFactor.on_grid (tridiagonal LDL^T from the grid's
-    diagonals on intervals, multigrid-preconditioned CG on rectangles), or
+    through a fresh SPDFactor.on_grid (tridiagonal LDL^T on intervals,
+    multigrid-preconditioned CG on rectangles), or
     by dense Cholesky with dense=True, the independent oracle path.  Raises
     ValueError, before any arithmetic, unless tol is finite and > 0, eps is
     finite and >= 0, init + eps passes grid.check_positive and, with

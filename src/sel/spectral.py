@@ -5,15 +5,16 @@ of m = -F'(u).  The principal eigenpair of -lap_h on the uniform tensor grid
 is in closed form (dirichlet_eigenpair); -lap_h + m has none, and
 its smallest eigenvalue mu_1 comes from a library eigensolver on the
 factor linear_core.SPDFactor.on_grid, by its route: eigh_tridiagonal
-(LAPACK) on an interval's two diagonals, lobpcg with the factor's V-cycle
-on rectangles (a bare matrix, principal_eigenpair: SPDFactor(A)'s route).
+(LAPACK) on the two diagonals of an interval's factor, lobpcg with the
+factor's V-cycle on rectangles (a bare matrix, principal_eigenpair:
+SPDFactor(A)'s route).  Either eigenvector is judged on the factor's CSR
+operator.
 The operators are SPD M-matrices, so the principal eigenvector is positive
 (discrete Perron-Frobenius), which is checked.
 """
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 
@@ -23,7 +24,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from .grid import Grid, assemble_laplacian, power_weight
-from .linear_core import SPDFactor, SolverFailure, _tridiagonal_product, check_tol
+from .linear_core import SPDFactor, SolverFailure, check_tol
 
 # An eigenpair exact to rounding still has a 2-norm residual of a few
 # eps * ||A||_inf (which grows like n^2); the residual check allows this many.
@@ -80,37 +81,30 @@ def principal_eigenpair(A: sp.spmatrix, tol: float = 1e-10) -> EigenPair:
 
 
 def _eigenpair(factor: SPDFactor, tol: float) -> EigenPair:
-    """Smallest eigenvalue and positive eigenvector of factor's SPD M-matrix.
+    """Smallest eigenvalue and positive eigenvector of factor's SPD M-matrix A.
 
     A banded factor's two diagonals (factor.diagonals) go to
-    scipy.linalg.eigh_tridiagonal, and no matrix is built.  Else
-    scipy.sparse.linalg.lobpcg runs on factor.A from the constant vector (so
-    results are deterministic), preconditioned by factor.precondition, one
-    V-cycle ~ A^(-1) r.  LOBPCG stops on an absolute residual, so it runs
-    twice: to the gate below at the Rayleigh quotient of the constant vector
-    (an upper bound of lambda), then, from the vector it returned, to half
-    the gate at the eigenvalue it returned.  The value is the Rayleigh
-    quotient of the sup-normalized eigenvector phi.  Unless
+    scipy.linalg.eigh_tridiagonal.  Else scipy.sparse.linalg.lobpcg runs
+    on A from the constant vector (so results are deterministic),
+    preconditioned by factor.precondition, one V-cycle ~ A^(-1) r.  LOBPCG
+    stops on an absolute residual, so it runs twice: to the gate below at
+    the Rayleigh quotient of the constant vector (an upper bound of
+    lambda), then, from the vector it returned, to half the gate at the
+    eigenvalue it returned.  The value is the Rayleigh quotient of the
+    sup-normalized eigenvector phi.  Unless
     ||A phi - lambda phi||_2 / ||phi||_2 <= max(tol * lambda,
     ROUNDOFF_UNITS * eps * ||A||_inf) and phi > 0: EigenNonConvergenceError.
     ValueError, before any eigensolve, unless tol is finite and > 0.
     """
     check_tol(tol)
-    eps = np.finfo(float).eps
+    A = factor.A
+    # ||A||_inf: each row's |entries| summed in stored order, the bits of
+    # scipy.sparse.linalg.norm(A, np.inf) at a quarter of its cost
+    row_sums = np.add.reduceat(np.abs(A.data), A.indptr[:-1])
+    floor = ROUNDOFF_UNITS * np.finfo(float).eps * row_sums.max()
     if factor.diagonals is not None:
-        diag, off = factor.diagonals
-        # ||A||_inf from the diagonals: each row's |entries| summed left,
-        # diagonal, right, as scipy.sparse.linalg.norm sums them
-        rows, abs_off = np.abs(diag), np.abs(off)
-        rows[1:] += abs_off
-        rows[:-1] += abs_off
-        floor = ROUNDOFF_UNITS * eps * rows.max()
-        _, vecs = scipy.linalg.eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
-        apply = functools.partial(_tridiagonal_product, diag, off)
+        _, vecs = scipy.linalg.eigh_tridiagonal(*factor.diagonals, select="i", select_range=(0, 0))
     else:
-        A = factor.A
-        floor = ROUNDOFF_UNITS * eps * scipy.sparse.linalg.norm(A, np.inf)
-        apply = A.__matmul__
         precond = scipy.sparse.linalg.LinearOperator(
             A.shape, matvec=lambda r: factor.precondition(r.ravel()), dtype=float
         )
@@ -134,7 +128,7 @@ def _eigenpair(factor: SPDFactor, tol: float) -> EigenPair:
     x = vecs[:, 0] / vecs[np.argmax(np.abs(vecs[:, 0])), 0]
     # The Rayleigh quotient squares the eigenvector error; bisection alone is
     # off by up to eps * ||A||, 2.7e-9 relative at interval n=8192.
-    ax = apply(x)
+    ax = A @ x
     lam = float(x @ ax) / float(x @ x)
     resid = float(np.linalg.norm(ax - lam * x)) / float(np.linalg.norm(x))
     limit = max(tol * lam, floor)
@@ -187,7 +181,7 @@ def linearized_smallest_eigenvalue(
     The potential is nonnegative for u > 0, so mu_1 >= lambda_1 > 0: the
     converged solutions of the nonlinear problem are linearly stable, and
     this is the quantity that certifies it.  The operator and its route are
-    those of SPDFactor.on_grid (an interval's two diagonals, a rectangle's
-    matrix and V-cycle).  ValueError unless u passes grid.check_positive.
+    those of SPDFactor.on_grid (eigh_tridiagonal on an interval, LOBPCG with
+    the V-cycle on a rectangle).  ValueError unless u passes grid.check_positive.
     """
     return _eigenpair(SPDFactor.on_grid(grid, monotone_shift(grid, u, alpha, beta)), tol)

@@ -112,6 +112,17 @@ def test_non_finite_q_is_invalid_input(q):
         sobolev_integral(g, u, q)
 
 
+@pytest.mark.parametrize("shape, n", [(interval(1.0), 64), (rectangle(1.0, 1.0), 16)])
+def test_an_overflowing_integral_is_invalid_input(shape, n):
+    # every term 10^400 is past double: a ValueError, not inf, and no
+    # RuntimeWarning on the way (the suite makes one an error)
+    g = build_grid(shape, n)
+    grad = np.full(g.num_interior, 10.0)
+    with pytest.raises(ValueError, match="overflows double at q=400.0"):
+        gradient_integral(g, grad, 400.0)
+    assert math.isfinite(gradient_integral(g, grad, 300.0))
+
+
 def test_regularity_report_of_an_empty_ladder_is_invalid_input():
     with pytest.raises(ValueError, match="need at least 1 level"):
         regularity_report([], 2.0, 0.0)

@@ -177,6 +177,18 @@ def test_report_schema_admits_only_the_monotone_method(tmp_path, block, method):
         jsonschema.validate(report, SCHEMA)
 
 
+@pytest.mark.parametrize("domain", ["interval", "rectangle"])
+@pytest.mark.parametrize("block", ["spec", "barrier", "solve", "spectral", "regularity", "residuals"])
+def test_report_schema_rejects_a_stray_key(tmp_path, domain, block):
+    # a report carries exactly the keys the schema lists, an eps echo included
+    assert main(["solve", "--domain", domain, "--alpha", "2", "--n", "16", "--out", str(tmp_path)]) == 0
+    report = read_report(tmp_path)
+    jsonschema.validate(report, SCHEMA)
+    report[block]["eps"] = 0.0
+    with pytest.raises(jsonschema.ValidationError, match="Additional properties"):
+        jsonschema.validate(report, SCHEMA)
+
+
 @pytest.mark.parametrize(
     "domain, alpha, n",
     [("interval", "0.5", 16), ("rectangle", "2", 32), ("rectangle", "2", 33),
@@ -884,6 +896,16 @@ def test_regularity_on_two_levels_reports_no_h1_verdict(tmp_path):
     assert [(r["n"], r["q"]) for r in rows] == [
         (n, q) for n in ("128", "256") for q in ("1.5", "2", "3")
     ]
+
+
+def test_regularity_writes_nothing_when_an_integral_overflows(tmp_path, capfd):
+    # |grad u|^400 is past double on these levels: exit 1 before any file,
+    # not inf rows in sobolev.csv, and no RuntimeWarning on stderr
+    out = tmp_path / "reg"
+    argv = ["regularity", "--alpha", "2", "--levels", "256,512", "--q-grid", "400", "--out", str(out)]
+    assert main(argv) == 1
+    assert capfd.readouterr().err == "error: int |grad u|^q overflows double at q=400.0, n=256\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -246,8 +246,6 @@ def test_every_array_of_a_shared_grid_is_read_only(shape, n):
     eig = dirichlet_eigenpair(g)
     arrays = [*g.axes, g.d, lap.data, lap.indices, lap.indptr, g._diagonal_positions,
               power_weight(g, 1.5), eig.field]
-    if g.dim == 1:
-        arrays += list(g._tridiagonal)
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = arr[0]
@@ -293,15 +291,6 @@ def test_cached_laplacian_is_read_only():
             arr[0] = arr[0]
     with pytest.raises(ValueError):
         a.data *= 2.0
-
-
-@pytest.mark.parametrize("n", [2, 3, 64])
-def test_interval_diagonals_are_the_laplacians_and_read_only(n):
-    g = build_grid(interval(2.0), n)
-    lap = assemble_laplacian(g)
-    for cached, expected in zip(g._tridiagonal, (lap.diagonal(), lap.diagonal(1))):
-        assert cached.tobytes() == expected.tobytes()
-        assert not cached.flags.writeable
 
 
 @pytest.mark.parametrize("shape, n", [(interval(1.0), 32), (rectangle(1.0, 1.0), 9), (rectangle(2.0, 0.5), 6)])

@@ -141,9 +141,9 @@ def test_banded_solve_evaluates_one_residual_per_iteration(monkeypatch):
     # the residual at x = 0 is f itself, so a banded solve never evaluates it
     g = build_grid(interval(1.0), 512)
     calls = []
-    residual = linear_core._banded_residual
+    residual = linear_core.extended_residual
     monkeypatch.setattr(
-        linear_core, "_banded_residual", lambda *args: calls.append(1) or residual(*args)
+        linear_core, "extended_residual", lambda *args: calls.append(1) or residual(*args)
     )
     _, stats = SPDFactor(assemble_laplacian(g)).solve(np.ones(g.num_interior), tol=1e-13)
     assert len(calls) == stats.iterations >= 2
@@ -368,6 +368,33 @@ def test_solve_rejects_a_nan_or_inf_right_hand_side(shape, bad):
 
 
 @pytest.mark.parametrize("shape", [interval(1.0), rectangle(1.0, 1.0)], ids=["banded", "pcg"])
+def test_every_factor_holds_its_csr_operator(shape):
+    # one representation per operator: the banded route keeps no second copy
+    g = build_grid(shape, 24)
+    m = power_weight(g, 1.0)
+    expected = shifted_laplacian(g, m)
+    for factor in (SPDFactor.on_grid(g, m), SPDFactor(expected)):
+        assert factor.A.format == "csr"
+        for got, want in zip((factor.A.data, factor.A.indices, factor.A.indptr),
+                             (expected.data, expected.indices, expected.indptr)):
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [interval(1.0), rectangle(1.0, 1.0)], ids=["banded", "pcg"])
+@pytest.mark.parametrize("shift", [-3, 3, "2-D"])
+def test_solve_rejects_a_right_hand_side_of_the_wrong_shape(capfd, shape, shift):
+    # checked before any arithmetic: LAPACK is never handed a wrong length,
+    # so it prints nothing to stderr
+    g = build_grid(shape, 24)
+    factor = SPDFactor.on_grid(g, power_weight(g, 1.0))
+    m = g.num_interior
+    f = np.ones((m, 1)) if shift == "2-D" else np.ones(m + shift)
+    with pytest.raises(ValueError, match=rf"right-hand side has shape \({f.shape[0]},.*expected \({m},\)"):
+        factor.solve(f)
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("shape", [interval(1.0), rectangle(1.0, 1.0)], ids=["banded", "pcg"])
 @pytest.mark.parametrize("tol", [np.nan, np.inf], ids=["nan", "inf"])
 def test_solve_rejects_a_non_finite_tolerance(shape, tol):
     g = build_grid(shape, 8)
@@ -468,20 +495,6 @@ def test_relative_residual_is_bitwise_the_np_linalg_norm_ratio(rng, shape, n):
         x, stats = factor.solve(f, 1e-10)
         r = extended_residual(shifted_laplacian(g, m), f, x)
         assert stats.relative_residual == float(np.linalg.norm(r)) / float(np.linalg.norm(f))
-
-
-@pytest.mark.parametrize("wide", [False, True], ids=["double", "longdouble"])
-@pytest.mark.parametrize("n", [2, 3, 64, 256, 4096])
-def test_banded_residual_is_bitwise_the_csr_residual(rng, n, wide):
-    g = build_grid(interval(1.0), n)
-    for _ in range(8):
-        m = rng.uniform(0.0, 10.0) * power_weight(g, rng.uniform(0.0, 2.0))
-        f, x = rng.standard_normal(g.num_interior), 0.5 + rng.random(g.num_interior)
-        if wide:  # every bit of the wider mantissa in use
-            f, x = f.astype(np.longdouble) / 3, x.astype(np.longdouble) / 3
-        banded = linear_core._banded_residual(*SPDFactor.on_grid(g, m)._band, f, x)
-        expected = extended_residual(shifted_laplacian(g, m), f, x)
-        assert banded.tobytes() == expected.tobytes()
 
 
 def longdouble_reference(a, f, x):
