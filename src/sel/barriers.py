@@ -111,7 +111,7 @@ class CertReport:
     passed: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BarrierPair:
     """Ordered pair 0 < sub <= super: c and C scale one profile.
 
@@ -130,7 +130,7 @@ class BarrierPair:
     t: float
     c1: float
     c2: float
-    certified_for: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    certified_for: tuple | None = field(default=None, init=False, repr=False)
 
     def certified_on(self, grid: Grid, alpha: float, beta: float) -> bool:
         """True iff build_barrier_pair certified both sides on this very grid

@@ -5,21 +5,22 @@ the interior nodes only, in lexicographic order; the homogeneous Dirichlet
 boundary value is implicit.  The distance d(x) to the boundary is evaluated
 by the exact formula of the continuous domain, never by nearest-node search,
 so singular weights d^(-gamma) are well defined at every node where a field
-has a value.
+has a value: per axis the wall distance min(x_i, L_i - x_i) of the interior
+coordinates, and d the nearest of them over the tensor grid.
 
 Grid facts live per (shape, n) per process: build_grid hands every caller
 of one (shape, n) the same immutable Grid, from a small least-recently-used
 store of GRID_CACHE_SIZE grids, so every sweep cell, ladder level, command
 and API loop of a process that asks for that grid shares what it caches.
 The Dirichlet Laplacian is such a fact: assemble_laplacian builds it on the
-first call for a grid, straight from index arithmetic (each row's entries
-in column order), and caches it on that Grid, read-only, so every layer
-working on one grid (eigenpair, barriers, their certificates, the monotone
-iteration, mu_1, the residual) shares one matrix.  Shifted operators
--lap_h + diag(m), the one operator of every linear_core.SPDFactor.on_grid
-on either domain, reuse its CSR pattern (shifted_laplacian).  No
-long-double copy is kept: linear_core's residuals take the double values
-and convert them inside the call.  The singular weights d^(-gamma) are
+first call for a grid, as the kron sum of each axis' tridiag(-1, 2, -1)/h^2
+(first axis slowest, no explicit zero), and caches it on that Grid,
+read-only, so every layer working on one grid (eigenpair, barriers, their
+certificates, the monotone iteration, mu_1, the residual) shares one
+matrix.  Shifted operators -lap_h + diag(m), the one operator of every
+linear_core.SPDFactor.on_grid on either domain, reuse its CSR pattern
+(shifted_laplacian).  No long-double copy is kept: linear_core's residuals
+take the double values and convert them inside the call.  The singular weights d^(-gamma) are
 grid facts too: power_weight computes each exponent's on its first call
 for a grid and caches it there, read-only, keeping the WEIGHT_CACHE_SIZE
 most recent exponents, so the forcing, the monotone shift, the barriers
@@ -88,7 +89,7 @@ def rectangle(width: float = 1.0, height: float = 1.0) -> DomainShape:
     return DomainShape((float(width), float(height)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid:
     """Uniform tensor grid over a DomainShape.
 
@@ -101,13 +102,13 @@ class Grid:
            lexicographic (first-axis-major) order.
 
     build_grid shares one Grid per (shape, n) per process (module
-    docstring), and the grid caches its Laplacian once assembled
-    (assemble_laplacian) with its diagonal positions, the most recent
-    weights d^(-gamma) (power_weight), and in _facts the closed-form
-    eigenpair (spectral.dirichlet_eigenpair), its barrier
-    corner profile and the solution.csv row templates, so each is computed
-    once per (shape, n) while the grid is held.  Every array it hands out,
-    axes and d included, is read-only.
+    docstring), so grids compare and hash by identity.  The grid caches its
+    Laplacian once assembled (assemble_laplacian) with its diagonal
+    positions, the most recent weights d^(-gamma) (power_weight), and in
+    _facts the closed-form eigenpair (spectral.dirichlet_eigenpair), its
+    barrier corner profile and the solution.csv row templates, so each is
+    computed once per (shape, n) while the grid is held.  Every array it
+    hands out, axes and d included, is read-only.
     """
 
     shape: DomainShape
@@ -185,10 +186,6 @@ class Grid:
         return pos
 
 
-def _distance(shape: DomainShape, points: np.ndarray) -> np.ndarray:
-    return np.min(np.minimum(points, np.subtract(shape.extents, points)), axis=1)
-
-
 def build_grid(shape: DomainShape, n: int) -> Grid:
     """Uniform grid with n subdivisions (n-1 interior nodes) per axis.
 
@@ -210,34 +207,26 @@ def _shared_grid(shape: DomainShape, n: int) -> Grid:
     # build_grid past its checks, n a plain int
     h = tuple(e / n for e in shape.extents)
     axes = tuple(hi * np.arange(1, n) for hi in h)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.column_stack([m.ravel() for m in mesh])
-    d = _distance(shape, pts)
+    # d is the nearest of the per-axis wall distances, first axis slowest
+    walls = [np.minimum(ax, length - ax) for ax, length in zip(axes, shape.extents)]
+    d = np.minimum.reduce(np.meshgrid(*walls, indexing="ij")).ravel()
     for arr in (*axes, d):
         arr.setflags(write=False)
     return Grid(shape=shape, n=n, h=h, axes=axes, d=d)
 
 
 def _assemble(grid: Grid) -> sp.csr_array:
-    # -lap_h in CSR straight from index arithmetic.  Each row stores, in column
-    # order, its minus neighbours (slowest axis first), itself, and its plus
-    # neighbours (fastest axis first): -1/h_a^2 off the diagonal and the sum of
-    # 2/h_a^2 on it, the entries of the kron sum of tridiag(-1, 2, -1)/h_a^2.
-    ms = grid.interior_shape
-    rows = np.arange(grid.num_interior, dtype=np.int32)
-    coords = np.unravel_index(rows, ms)
-    stride = [math.prod(ms[a + 1 :]) for a in range(grid.dim)]
-    coupling = [-1.0 / h**2 for h in grid.h]
-    minus = [(-stride[a], coupling[a], coords[a] > 0) for a in range(grid.dim)]
-    plus = [(stride[a], coupling[a], coords[a] < ms[a] - 1) for a in range(grid.dim)]
-    centre = (0, sum(2.0 / h**2 for h in grid.h), np.ones(rows.size, dtype=bool))
-    offsets, values, present = zip(*minus, centre, *reversed(plus))
-    present = np.array(present)  # one row per stencil entry
-    stored = present.T.ravel()  # row-major: entry k of node r at r * len(offsets) + k
-    indices = (rows[:, None] + np.array(offsets, dtype=np.int32)).ravel()[stored]
-    indptr = np.concatenate([[0], np.cumsum(present.sum(axis=0))]).astype(np.int32)
-    data = np.tile(values, rows.size)[stored]
-    return sp.csr_array((data, indices, indptr), shape=(rows.size, rows.size))
+    # -lap_h as the kron sum of each axis' tridiag(-1, 2, -1)/h_a^2, first axis
+    # slowest, without the explicit zeros the sum stores on the unit square at n=3
+    t = [sp.diags_array([-1.0, 2.0, -1.0], offsets=[-1, 0, 1], shape=(m, m), format="csr") / h**2
+         for m, h in zip(grid.interior_shape, grid.h)]
+    if grid.dim == 1:
+        return t[0]
+    tx, ty = t
+    lap = (sp.kron(tx, sp.eye_array(ty.shape[0]), format="csr")
+           + sp.kron(sp.eye_array(tx.shape[0]), ty, format="csr"))
+    lap.eliminate_zeros()
+    return lap
 
 
 def assemble_laplacian(grid: Grid) -> sp.csr_array:

@@ -52,19 +52,6 @@ from .linear_core import SPDFactor, SolverFailure, SolveStats, _weighted_norm, e
 from .problem import ProblemSpec, SolveConfig
 from .spectral import EigenPair, _forcing, dirichlet_eigenpair, monotone_shift
 
-__all__ = [
-    "SolveConfig",
-    "SolveReport",
-    "LadderLevel",
-    "OrderingViolationError",
-    "iterate_step",
-    "monotone_shift",
-    "solve_monotone",
-    "solve_ladder",
-    "residual",
-    "uniqueness_gap",
-]
-
 CHAIN_TOL = 1e-12  # ordering slack, relative to ||super||_inf
 # Relative residual of each inner solve, applied to the increment (correction
 # form).  It is fixed rather than tied to the outer tol, which measures only
@@ -77,7 +64,7 @@ class OrderingViolationError(SolverFailure):
     """The monotone chain broke beyond round-off: shift too small or solves too loose."""
 
 
-@dataclass
+@dataclass(eq=False)
 class SolveReport:
     """Two-sided iteration record.
 
@@ -229,7 +216,7 @@ def solve_monotone(spec: ProblemSpec, pair: BarrierPair) -> SolveReport:
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class LadderLevel:
     """One refinement level of solve_ladder: its grid, principal eigenpair,
     certified barrier pair and monotone solve."""

@@ -23,7 +23,7 @@ from .oracle import newton_solve
 from .problem import ProblemSpec
 
 
-@dataclass
+@dataclass(eq=False)
 class ContinuationReport:
     """Ladder of regularized solves with distances to a reference field.
 

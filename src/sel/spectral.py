@@ -37,7 +37,7 @@ class EigenNonConvergenceError(SolverFailure):
     or positivity check."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenPair:
     """Eigenvalue, sup-normalized positive eigenvector, and 2-norm residual."""
 

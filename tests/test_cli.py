@@ -206,12 +206,15 @@ def test_solve_too_coarse_for_fits_reports_null(tmp_path, domain, alpha, n):
     report = read_report(out)
     jsonschema.validate(report, SCHEMA)
     assert report["solve"]["converged"]
-    assert report["regularity"]["t_fit"] is None
-    assert report["regularity"]["q_bar_est"] is None
+    assert [report["regularity"][k] for k in ("t_fit", "sigma_fit", "q_bar_est")] == [None] * 3
 
 
-@pytest.mark.parametrize("domain, n", [("interval", 256), ("rectangle", 64)])
+@pytest.mark.parametrize(
+    "domain, n", [("interval", 256), ("interval", 4096), ("rectangle", 64), ("rectangle", 128)]
+)
 def test_solve_regularity_block_is_the_one_level_report(tmp_path, domain, n):
+    # solve fits through cli._fit_exponents_best_effort, the values of the
+    # one-level regularity_report
     out = tmp_path / domain
     assert main(["solve", "--domain", domain, "--alpha", "2", "--n", str(n), "--out", str(out)]) == 0
     block = read_report(out)["regularity"]

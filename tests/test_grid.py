@@ -337,6 +337,9 @@ ASSEMBLY_GRIDS = (
     ids=[f"{'x'.join(map(str, s.extents))}-n{n}" for s, n in ASSEMBLY_GRIDS],
 )
 def test_laplacian_is_the_kron_sum_entry_for_entry(shape, n):
+    # kron_laplacian builds the matrix as _assemble does: this pins the CSR
+    # pattern and its int32 indices; test_laplacian_is_the_stencil_bit_for_bit
+    # checks the values against an independent reference
     g = build_grid(shape, n)
     lap, expected = assemble_laplacian(g), kron_laplacian(g)
     assert lap.shape == expected.shape
@@ -344,6 +347,41 @@ def test_laplacian_is_the_kron_sum_entry_for_entry(shape, n):
         assert getattr(lap, name).dtype == getattr(expected, name).dtype == np.int32
         np.testing.assert_array_equal(getattr(lap, name), getattr(expected, name))
     assert lap.data.tobytes() == expected.data.tobytes()
+
+
+def stencil_laplacian(g):
+    """Dense -lap_h written node by node: the 3-point (1D) or 5-point (2D)
+    stencil, 2/h_a^2 per axis on the diagonal and -1/h_a^2 at each interior
+    neighbour along axis a."""
+    ms = g.interior_shape
+    dense = np.zeros((g.num_interior, g.num_interior))
+    for node in np.ndindex(*ms):
+        row = np.ravel_multi_index(node, ms)
+        dense[row, row] = sum(2.0 / h**2 for h in g.h)
+        for axis, h in enumerate(g.h):
+            for step in (-1, 1):
+                neighbour = list(node)
+                neighbour[axis] += step
+                if 0 <= neighbour[axis] < ms[axis]:
+                    dense[row, np.ravel_multi_index(neighbour, ms)] = -1.0 / h**2
+    return dense
+
+
+STENCIL_GRIDS = [
+    (shape, n)
+    for shape in (interval(1.0), rectangle(1.0, 1.0), rectangle(2.0, 0.5))
+    for n in (2, 3, 4, 5, 8, 16, 17)
+]
+
+
+@pytest.mark.parametrize(
+    "shape, n",
+    STENCIL_GRIDS,
+    ids=[f"{'x'.join(map(str, s.extents))}-n{n}" for s, n in STENCIL_GRIDS],
+)
+def test_laplacian_is_the_stencil_bit_for_bit(shape, n):
+    g = build_grid(shape, n)
+    assert assemble_laplacian(g).toarray().tobytes() == stencil_laplacian(g).tobytes()
 
 
 def test_unit_square_at_n3_stores_no_zero():

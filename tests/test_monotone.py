@@ -20,6 +20,7 @@ from sel.monotone import (
 )
 from sel.oracle import newton_solve
 from sel.problem import ProblemSpec, SolveConfig
+from sel.regularized import epsilon_continuation
 from sel.spectral import dirichlet_eigenpair, forcing, linearized_smallest_eigenvalue
 
 
@@ -531,3 +532,37 @@ def test_each_outer_step_validates_two_fields(monkeypatch):
 
     (positive_1, bare_1), (positive_2, bare_2) = checks(1), checks(2)
     assert (positive_2 - positive_1, bare_2 - bare_1) == (1, 1)
+
+
+def _fresh_grid():
+    # a second Grid of one (shape, n), as build_grid makes after LRU eviction
+    return grid_module._shared_grid.__wrapped__(interval(), 16)
+
+
+def _level():
+    return solve_ladder(2.0, 0.0, interval(), [16], SolveConfig())[0]
+
+
+IDENTITY_BUILDS = {
+    "Grid": _fresh_grid,
+    "EigenPair": lambda: dirichlet_eigenpair(_fresh_grid()),
+    "BarrierPair": lambda: build_barrier_pair(build_grid(interval(), 16), 2.0, 0.0),
+    "SolveReport": lambda: _level().report,
+    "LadderLevel": _level,
+    "ContinuationReport": lambda: epsilon_continuation(
+        ProblemSpec(2.0, 0.0, interval(), 16), 0.1, 0.1, 1, build_grid(interval(), 16).d
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY_BUILDS))
+def test_array_holding_dataclasses_compare_by_identity(name):
+    # a generated __eq__ would compare their arrays and raise on the truth
+    # value of an array, and a frozen one would hash them
+    first, second = IDENTITY_BUILDS[name](), IDENTITY_BUILDS[name]()
+    assert type(first).__name__ == name
+    assert first is not second
+    assert first != second and not first == second
+    assert first == first
+    if type(first).__dataclass_params__.frozen:
+        assert hash(first) == hash(first) and len({first, second}) == 2
