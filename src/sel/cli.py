@@ -23,9 +23,8 @@ files written before it stay.  sweep runs its cells
 one after another in its own process, where they share the grids that
 build_grid caches; a cell records a ValueError or SolverFailure as a
 skipped row.
-Every exponent is fitted over asymptotic_window, the one fit band: solve's
-t_fit and sigma_fit come through _fit_exponents_best_effort, the ladder
-commands' through regularity_report, which on a ladder of >= 3 levels takes
+Every command's exponents come from regularity_report: t_fit over
+asymptotic_window, the one fit band, and on a ladder of >= 3 levels
 sigma_fit, q_bar_est and the H^1 verdict from the refinement increments of
 int |grad u|^2.  sweep and regularity refuse a grid too coarse for the band
 (exit 1) before solving, and solve writes null t_fit, sigma_fit and
@@ -66,7 +65,6 @@ from .analysis import (
     fit_gradient_exponent,
     gradient_field,
     gradient_integral,
-    q_bar_from_sigma,
     regularity_report,
 )
 from .barriers import BORDERLINE_WARNING, Regime, resolve_regime
@@ -165,9 +163,8 @@ def _domain(name: str):
 
 
 def _fit_exponents_best_effort(grid: Grid, u) -> tuple[float | None, float | None]:
-    # (t_fit, sigma_fit) of solve's regularity block, the one-level fits of
-    # regularity_report over asymptotic_window; (None, None) on a grid too
-    # coarse for the window, which sweep and regularity refuse
+    # (t_fit, sigma_fit) of solve's regularity block, (None, None) on a grid
+    # too coarse for asymptotic_window; perfbench/record_reference.py reads it
     try:
         return fit_boundary_exponent(grid, u)[0], fit_gradient_exponent(grid, u)
     except WindowTooThinError:
@@ -279,10 +276,15 @@ def cmd_solve(args) -> None:
         "uniqueness_gap": uniqueness_gap(rep) if converged else None,
     }
     mu = linearized_smallest_eigenvalue(grid, u, args.alpha, args.beta)
-    t_fit, sigma_fit = _fit_exponents_best_effort(grid, u)
-    regularity = {"t_fit": t_fit, "sigma_fit": sigma_fit,
-                  "q_bar_est": None if sigma_fit is None else q_bar_from_sigma(sigma_fit),
+    regularity = {"t_fit": None, "sigma_fit": None, "q_bar_est": None,
                   "q_bar_theory": regime.q_bar, "h1_verdict": "needs >= 3 levels"}
+    try:
+        reg = regularity_report([(grid, u)], args.alpha, args.beta)
+    except WindowTooThinError:  # the grids sweep and regularity refuse: null fits
+        pass
+    else:
+        regularity.update(t_fit=reg.t_fit, sigma_fit=reg.sigma_fit, q_bar_est=reg.q_bar_est,
+                          q_bar_theory=reg.q_bar_theory, h1_verdict=reg.verdicts["h1"])
     report = {
         "spec": {**_spec_echo(args), "method": "monotone"},
         "warnings": regime.warnings,

@@ -220,11 +220,7 @@ def _assemble(grid: Grid) -> sp.csr_array:
     # slowest, without the explicit zeros the sum stores on the unit square at n=3
     t = [sp.diags_array([-1.0, 2.0, -1.0], offsets=[-1, 0, 1], shape=(m, m), format="csr") / h**2
          for m, h in zip(grid.interior_shape, grid.h)]
-    if grid.dim == 1:
-        return t[0]
-    tx, ty = t
-    lap = (sp.kron(tx, sp.eye_array(ty.shape[0]), format="csr")
-           + sp.kron(sp.eye_array(tx.shape[0]), ty, format="csr"))
+    lap = functools.reduce(lambda a, b: sp.kronsum(b, a, format="csr"), t)
     lap.eliminate_zeros()
     return lap
 

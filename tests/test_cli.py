@@ -213,8 +213,8 @@ def test_solve_too_coarse_for_fits_reports_null(tmp_path, domain, alpha, n):
     "domain, n", [("interval", 256), ("interval", 4096), ("rectangle", 64), ("rectangle", 128)]
 )
 def test_solve_regularity_block_is_the_one_level_report(tmp_path, domain, n):
-    # solve fits through cli._fit_exponents_best_effort, the values of the
-    # one-level regularity_report
+    # solve's block is the one-level regularity_report, and its fits are the
+    # ones perfbench/record_reference.py reads through the cli helper
     out = tmp_path / domain
     assert main(["solve", "--domain", domain, "--alpha", "2", "--n", str(n), "--out", str(out)]) == 0
     block = read_report(out)["regularity"]
@@ -227,6 +227,8 @@ def test_solve_regularity_block_is_the_one_level_report(tmp_path, domain, n):
         "q_bar_theory": reg.q_bar_theory,
         "h1_verdict": reg.verdicts["h1"],
     }
+    assert cli._fit_exponents_best_effort(level.grid, level.report.upper) == (
+        reg.t_fit, reg.sigma_fit)
 
 
 def test_solve_alpha_one_warns_but_runs(tmp_path):
