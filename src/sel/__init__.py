@@ -51,7 +51,6 @@ from .linear_core import (
     SolveStats,
     extended_residual,
     solve_spd,
-    weighted_norm,
 )
 from .monotone import (
     LadderLevel,

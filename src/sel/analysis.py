@@ -284,7 +284,7 @@ class RegularityReport:
     q_bar_est: float | None
     q_bar_theory: float
     t_theory: float
-    sigma_theory: float | None
+    sigma_theory: float
     h1_norms: list[float]
     verdicts: dict[str, object] = field(default_factory=dict)
 

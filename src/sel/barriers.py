@@ -3,11 +3,12 @@
 build_barrier_pair builds and scales the pair; verify_barrier
 certifies either side nodewise.  Two regimes, split by s = alpha + beta:
 
-* s < 1 (low): both barriers are multiples of psi, where psi solves
+* s <= 1 (low): both barriers are multiples of psi, where psi solves
   -lap_h psi = d^(-(alpha+beta)) through SPDFactor.on_grid (factored by the
-  grid, no pattern scan); it behaves like d, and the weight of the
-  monotone iteration's gap norm is d^(-gamma) with gamma = 1 + alpha.  At
-  alpha = 0 psi solves the linear problem itself, so c and C bracket 1.
+  grid, no pattern scan); it behaves like d (like d log(1/d) at s = 1), and
+  the weight of the monotone iteration's gap norm is d^(-gamma) with
+  gamma = 1 + alpha.  At alpha = 0 psi solves the linear problem itself, so
+  c and C bracket 1.
 * s > 1 (high): both barriers are multiples of H^t with boundary exponent
   t = (2-beta)/(1+alpha), and gamma = 2.  The profile
   H = phi_1 / sum_i prod_{j != i} psi_j, with psi_i = (L_i/pi) sin(pi x_i/L_i)
@@ -44,12 +45,13 @@ sides are read-only, so solve_monotone certifies each ladder level's pair
 once: it re-verifies only a pair certified for another grid or
 (alpha, beta), or not by build_barrier_pair at all.
 
-The borderline s = 1 is where the regime split degenerates: both exponent
-formulas give t = 1, but no existence theory covers the case and sandwich
-constants may drift under refinement.  resolve_regime attaches a warning
-there and build_barrier_pair proceeds through the common t = 1 limit, so
-the borderline can still be solved and cross-checked deliberately; the CLI
-refuses it except at alpha = 1, beta = 0.
+The borderline s = 1 belongs to the low regime: existence, uniqueness and
+stability hold for every alpha >= 0, 0 <= beta < 2, and t, sigma and q_bar
+are continuous across the split.  Only the boundary law differs: u behaves
+like d (log 1/d)^(1/(1+alpha)) (Crandall, Rabinowitz & Tartar 1977), not a
+power of d.  Each n certifies, but c falls with n (like (ln n)^(-1/2) at
+alpha = 1, beta = 0) and the power-law fits are biased, which
+BORDERLINE_WARNING says.
 """
 
 from __future__ import annotations
@@ -73,12 +75,9 @@ class BarrierConstructionError(SolverFailure):
 
 
 BORDERLINE_WARNING = (
-    "alpha+beta=1 is the borderline between regimes; proceeding with the "
-    "common t=1 limit, outside the covered existence theory"
-)
-ALPHA_ONE_WARNING = (
-    "alpha=1, beta=0 sits between the two regimes and is not covered by the "
-    "existence theorems; proceeding with the t=1 limit"
+    "alpha+beta=1: the boundary law is d (log 1/d)^(1/(1+alpha)), not a power "
+    "of d, so the barrier constant c drifts with n and the power-law fits "
+    "(t_fit, sigma_fit, q_bar_est) are biased"
 )
 
 
@@ -87,15 +86,16 @@ class Regime:
     """Everything (alpha, beta) fixes through the split at alpha + beta = 1.
 
     t is the boundary exponent (u ~ d^t) and sigma the gradient exponent
-    (|grad u| ~ d^sigma), None on the borderline, where no gradient law is
-    known.  q_bar is the critical threshold with int |grad u|^q finite
-    exactly for q < q_bar, +inf unless the gradient blows up.  gamma is the
-    weight exponent of the monotone iteration's gap norm.  warnings is
-    nonempty exactly on the borderline.
+    (|grad u| ~ d^sigma); sigma = 0 means no power-law blow-up, not a
+    bounded gradient, since on the borderline |grad u| grows like a power
+    of log(1/d).  q_bar is the critical threshold with int |grad u|^q
+    finite exactly for q < q_bar, +inf unless the gradient blows up like a
+    power.  gamma is the weight exponent of the monotone iteration's gap
+    norm.  warnings is (BORDERLINE_WARNING,) exactly on the borderline.
     """
 
     t: float
-    sigma: float | None
+    sigma: float
     q_bar: float
     gamma: float
     warnings: tuple[str, ...] = ()
@@ -142,11 +142,11 @@ class BarrierPair:
 def resolve_regime(alpha: float, beta: float) -> Regime:
     """The Regime of (alpha, beta); ValueError outside alpha >= 0, 0 <= beta < 2.
 
-    Below the split: t = 1, sigma = 0 (gradient bounded), gamma = 1 + alpha.
-    Above it: t = (2-beta)/(1+alpha), sigma = t - 1,
-    q_bar = (1+alpha)/(alpha+beta-1), gamma = 2.  The borderline
-    alpha+beta = 1 resolves to the common limit t = 1 with gamma = 2 and a
-    warning attached.  The fields are plain floats for any real input.
+    Above the split: t = (2-beta)/(1+alpha), sigma = t - 1,
+    q_bar = (1+alpha)/(alpha+beta-1), gamma = 2.  At or below it: t = 1,
+    sigma = 0 and q_bar = inf, the limits of those formulas at
+    alpha+beta = 1, and gamma = 1 + alpha; alpha+beta = 1 also carries
+    BORDERLINE_WARNING.  The fields are plain floats for any real input.
     """
     if not (math.isfinite(alpha) and alpha >= 0):
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
@@ -154,8 +154,6 @@ def resolve_regime(alpha: float, beta: float) -> Regime:
         raise ValueError(f"beta must satisfy 0 <= beta < 2, got {beta}")
     alpha, beta = float(alpha), float(beta)
     s = alpha + beta
-    if s < 1:
-        return Regime(t=1.0, sigma=0.0, q_bar=math.inf, gamma=1.0 + alpha)
     if s > 1:
         return Regime(
             t=(2.0 - beta) / (1.0 + alpha),
@@ -163,8 +161,8 @@ def resolve_regime(alpha: float, beta: float) -> Regime:
             q_bar=(1.0 + alpha) / (alpha + beta - 1.0),
             gamma=2.0,
         )
-    warning = ALPHA_ONE_WARNING if alpha == 1 else BORDERLINE_WARNING
-    return Regime(t=1.0, sigma=None, q_bar=math.inf, gamma=2.0, warnings=(warning,))
+    warnings = (BORDERLINE_WARNING,) if s == 1 else ()
+    return Regime(t=1.0, sigma=0.0, q_bar=math.inf, gamma=1.0 + alpha, warnings=warnings)
 
 
 def _defect(

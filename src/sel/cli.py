@@ -30,6 +30,10 @@ int |grad u|^2.  sweep and regularity refuse a grid too coarse for the band
 (exit 1) before solving, and solve writes null t_fit, sigma_fit and
 q_bar_est there.
 Stopping defaults (--tol, --max-iter) are SolveConfig's.
+Every command takes its regime from resolve_regime as it stands: every
+alpha >= 0, 0 <= beta < 2 is valid input, and the borderline alpha+beta = 1
+is solved like any other instance; solve, spectrum and regularity write its
+one warning (BORDERLINE_WARNING) in their JSON's warnings.
 Every command answers with the monotone enclosure between certified
 barriers or with a typed failure: the Newton and eps-continuation paths
 (oracle.newton_solve, regularized.epsilon_continuation) are library
@@ -67,7 +71,7 @@ from .analysis import (
     gradient_integral,
     regularity_report,
 )
-from .barriers import BORDERLINE_WARNING, Regime, resolve_regime
+from .barriers import resolve_regime
 from .grid import Grid, build_grid, interval, rectangle
 from .linear_core import SolverFailure
 from .monotone import residual, solve_ladder, uniqueness_gap
@@ -201,16 +205,6 @@ def _check_out(out_dir: Path, outputs: list[str]) -> None:
             raise ValueError(f"--out: {target} is not writable")
 
 
-def _admitted_regime(alpha: float, beta: float) -> Regime:
-    """resolve_regime under the CLI's borderline policy: alpha+beta = 1 is
-    invalid input (ValueError, exit 1) except the documented alpha=1, beta=0
-    case, which proceeds through the t=1 limit with its warning."""
-    regime = resolve_regime(alpha, beta)
-    if BORDERLINE_WARNING in regime.warnings:
-        raise ValueError("alpha+beta=1 is the excluded borderline regime")
-    return regime
-
-
 def _spec_echo(args, levels: list[int] | None = None) -> dict:
     """The common flags of a report, with --n for solve; a ladder command
     gives its levels instead, as it has no --n."""
@@ -258,7 +252,7 @@ def _ladder(alpha: float, beta: float, domain: str, ns, config: SolveConfig):
 
 
 def cmd_solve(args) -> None:
-    regime = _admitted_regime(args.alpha, args.beta)
+    regime = resolve_regime(args.alpha, args.beta)
     out_dir = Path(args.out)
     outputs = ["report.json", "solution.csv"]
     _check_out(out_dir, outputs)
@@ -316,9 +310,6 @@ SWEEP_FIELDS = ("alpha", "beta", "t_theory", "t_fit", "sigma_theory", "sigma_fit
 def _sweep_cell(alpha, beta, domain, n, config) -> dict:
     row = {**dict.fromkeys(SWEEP_FIELDS, ""), "alpha": alpha, "beta": beta}
     regime = resolve_regime(alpha, beta)
-    if regime.warnings:
-        row["h1_verdict"] = "skipped: borderline alpha+beta=1"
-        return row
     # theory columns never need a solve
     row.update(t_theory=regime.t, sigma_theory=regime.sigma, q_bar_theory=regime.q_bar)
     try:
@@ -366,7 +357,7 @@ def cmd_sweep(args) -> None:
 
 
 def cmd_spectrum(args) -> None:
-    regime = _admitted_regime(args.alpha, args.beta)
+    regime = resolve_regime(args.alpha, args.beta)
     level_ns = _parse_levels(args.levels, 1)
     out = Path(args.out)
     _check_out(out.parent, [out.name])
@@ -389,7 +380,7 @@ def cmd_spectrum(args) -> None:
 
 
 def cmd_regularity(args) -> None:
-    regime = _admitted_regime(args.alpha, args.beta)
+    regime = resolve_regime(args.alpha, args.beta)
     level_ns = _parse_levels(args.levels, 2)
     if level_ns[0] < 3:
         raise ValueError(

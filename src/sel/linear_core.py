@@ -318,11 +318,7 @@ def solve_spd(A: sp.spmatrix, f: np.ndarray, tol: float = 1e-12) -> tuple[np.nda
     return SPDFactor(A).solve(f, tol)
 
 
-def weighted_norm(u: np.ndarray, grid: Grid, gamma: float) -> float:
-    """Discrete L2(Omega, d^(-gamma)) norm by the midpoint rule."""
-    return _weighted_norm(grid.check_field(u), grid, gamma)
-
-
 def _weighted_norm(u: np.ndarray, grid: Grid, gamma: float) -> float:
-    # weighted_norm without its check, for a double field that already passed one
+    # discrete L2(Omega, d^(-gamma)) norm by the midpoint rule, of a double
+    # field that already passed grid.check_field
     return math.sqrt((u * u * power_weight(grid, gamma)).sum() * grid.cell_volume)

@@ -204,7 +204,7 @@ def test_h1_verdict_matches_the_frontier(shape, alpha, beta):
     regime = resolve_regime(alpha, beta)
     assert rep.verdicts["h1"] == ("member" if regime.q_bar > 2.0 else "non-member"), rep
     assert rep.verdicts["h1_matches_theory"] is True
-    if regime.sigma is not None and regime.sigma <= -1.0 / 3.0 + 1e-12:
+    if regime.sigma <= -1.0 / 3.0 + 1e-12:
         # measured at most 0.032 here (unit square, alpha 2, beta 0)
         assert abs(rep.sigma_fit - regime.sigma) <= 0.035, (rep.sigma_fit, regime.sigma)
 

@@ -6,10 +6,10 @@ import pytest
 
 from sel import barriers
 from sel.barriers import (
-    ALPHA_ONE_WARNING,
     BORDERLINE_WARNING,
     BarrierConstructionError,
     HopfViolationError,
+    Regime,
     build_barrier_pair,
     resolve_regime,
     verify_barrier,
@@ -42,9 +42,11 @@ def test_regime_matches_closed_forms_exactly(alpha, beta):
         assert r.sigma == (1.0 - alpha - beta) / (1.0 + alpha)
         assert r.q_bar == (1.0 + alpha) / (alpha + beta - 1.0)
     else:
+        # at alpha + beta = 1 these are the limits of the formulas above
         assert r.t == 1.0
-        assert r.sigma == (0.0 if alpha + beta < 1 else None)
+        assert r.sigma == 0.0
         assert r.q_bar == math.inf
+        assert r.gamma == 1.0 + alpha
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -64,7 +66,7 @@ def test_resolve_regime_returns_one_regime_per_pair():
     for alpha, beta in ((2, 0), (np.float64(0.3), np.float64(0.4)), (1, 0), (0, 1.5)):
         regime = resolve_regime(alpha, beta)
         fields = (regime.t, regime.q_bar, regime.gamma, regime.sigma)
-        assert all(type(v) is float for v in fields if v is not None), (alpha, beta, regime)
+        assert all(type(v) is float for v in fields), (alpha, beta, regime)
 
 
 @pytest.mark.parametrize(
@@ -118,12 +120,13 @@ def test_built_pair_records_its_certificate_read_only(shape, n, alpha, beta):
 
 
 def test_resolve_regime_borderline_goes_through_t1_with_warning():
+    # the borderline is the low regime with its one warning, (1, 0) included
     r = resolve_regime(0.5, 0.5)
-    assert r.t == 1.0 and r.gamma == 2.0
+    assert r.t == 1.0 and r.gamma == 1.5
     assert r.warnings == (BORDERLINE_WARNING,)
-    r1 = resolve_regime(1.0, 0.0)
-    assert r1.t == 1.0
-    assert r1.warnings == (ALPHA_ONE_WARNING,)
+    assert resolve_regime(1.0, 0.0) == Regime(
+        t=1.0, sigma=0.0, q_bar=math.inf, gamma=2.0, warnings=(BORDERLINE_WARNING,)
+    )
     assert resolve_regime(0.3, 0.0).gamma == 1.3
     with pytest.raises(ValueError):
         resolve_regime(0.5, 2.0)
@@ -347,6 +350,17 @@ def test_borderline_pair_builds_with_warning(lab):
     grid = lab.grid(64)
     for side, field in (("sub", pair.sub), ("super", pair.super)):
         assert verify_barrier(grid, field, 0.5, 0.5, side).passed
+
+
+def test_borderline_barrier_constant_drifts_like_the_log_law():
+    # at (1, 0) u ~ d (log 1/d)^(1/2) while the barriers scale psi ~ d, so
+    # the subsolution constant c falls with n like (ln n)^(-1/2): each n
+    # certifies, but not uniformly (1.0106, 1.0085, 1.0070, 1.0060 below)
+    ns = (256, 1024, 4096, 16384)
+    cs = [build_barrier_pair(build_grid(interval(1.0), n), 1.0, 0.0).c for n in ns]
+    assert all(fine < coarse for coarse, fine in zip(cs, cs[1:])), cs
+    for n, c in zip(ns, cs):
+        assert 1.0 <= c * math.sqrt(math.log(n)) <= 1.02, (n, c)
 
 
 @pytest.mark.parametrize("alpha, beta", [(10.0, 0.0), (2.0, 1.9), (2.0, 1.99), (50.0, 0.0)])

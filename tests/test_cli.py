@@ -14,11 +14,12 @@ import pytest
 from sel import analysis, cli, linear_core
 from sel import grid as grid_module
 from sel.analysis import gradient_field
-from sel.barriers import ALPHA_ONE_WARNING
+from sel.barriers import BORDERLINE_WARNING
 from sel.cli import main
 from sel.grid import build_grid, gradient_components, interval, rectangle
 from sel.linear_core import ComparisonPrincipleViolationError, SolverFailure
 from sel.monotone import solve_ladder
+from sel.oracle import observed_order
 from sel.problem import SolveConfig
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "docs" / "report_schema.json").read_text())
@@ -236,16 +237,53 @@ def test_solve_alpha_one_warns_but_runs(tmp_path):
     code = main(["solve", "--alpha", "1", "--beta", "0", "--n", "64", "--out", str(out)])
     assert code == 0
     report = read_report(out)
-    assert report["warnings"] == [ALPHA_ONE_WARNING]
+    assert report["warnings"] == [BORDERLINE_WARNING]
     spectrum = tmp_path / "s.json"
     assert main(["spectrum", "--alpha", "1", "--levels", "16,32", "--out", str(spectrum)]) == 0
-    assert json.loads(spectrum.read_text())["warnings"] == [ALPHA_ONE_WARNING]
+    assert json.loads(spectrum.read_text())["warnings"] == [BORDERLINE_WARNING]
 
 
-def test_solve_borderline_is_invalid_input(tmp_path, capsys):
-    code = main(["solve", "--alpha", "0.6", "--beta", "0.4", "--n", "32", "--out", str(tmp_path)])
-    assert code == 1
-    assert "borderline" in capsys.readouterr().err
+def test_solve_borderline_matches_the_exact_solution(tmp_path):
+    # (0, 1) is linear with the exact solution u = d (1 - log 2d): the
+    # borderline's log law, certified and first order in h
+    errors, hs = [], []
+    for n in (256, 512, 1024):
+        out = tmp_path / str(n)
+        assert main(["solve", "--alpha", "0", "--beta", "1", "--n", str(n), "--out", str(out)]) == 0
+        assert read_report(out)["warnings"] == [BORDERLINE_WARNING]
+        rows = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1)
+        d, u = rows[:, 1], rows[:, 2]
+        exact = d * (1.0 - np.log(2.0 * d))
+        errors.append(float(np.max(np.abs(u - exact)) / np.max(exact)))
+        hs.append(1.0 / n)
+        assert errors[-1] * n == pytest.approx(1.0, rel=1e-3), (n, errors[-1])
+    order, reliable = observed_order(errors, hs)
+    assert reliable
+    assert order == pytest.approx(1.0, abs=0.01)
+
+
+# the borderline argv that solve, spectrum and regularity once refused, with
+# its --out and the JSON it writes; sweep's borderline cell is in test_sweep_table
+BORDERLINE_RUNS = {
+    "solve": (["solve", "--alpha", "0.6", "--beta", "0.4"], "out", "out/report.json"),
+    "spectrum": (["spectrum", "--alpha", "0.6", "--beta", "0.4", "--levels", "16"],
+                 "s.json", "s.json"),
+    "regularity": (["regularity", "--alpha", "0.6", "--beta", "0.4", "--levels", "64,128,256"],
+                   "out", "out/regularity.json"),
+}
+
+
+@pytest.mark.parametrize("domain", ["interval", "rectangle"])
+@pytest.mark.parametrize("command", sorted(BORDERLINE_RUNS))
+def test_every_command_admits_the_borderline(tmp_path, command, domain):
+    argv, out, written = BORDERLINE_RUNS[command]
+    assert main([*argv, "--domain", domain, "--out", str(tmp_path / out)]) == 0
+    payload = json.loads((tmp_path / written).read_text())
+    assert payload["warnings"] == [BORDERLINE_WARNING]
+    if command == "regularity":
+        report = payload["report"]
+        assert (report["t_theory"], report["sigma_theory"]) == (1.0, 0.0)
+        assert report["verdicts"]["h1"] == "member" and report["verdicts"]["h1_matches_theory"]
 
 
 def test_invalid_inputs_exit_one(tmp_path):
@@ -384,8 +422,6 @@ def test_ladder_non_convergence_exits_two(tmp_path, capsys, command):
 # argparse's "sel: error:" line (solve has no --method or --eps), the rest
 # main's "error:" line.
 INVALID_INPUTS = [
-    (["solve", "--alpha", "0.6", "--beta", "0.4"],
-     "alpha+beta=1 is the excluded borderline regime"),
     (["solve", "--alpha", "-1"], "alpha must be finite and >= 0, got -1.0"),
     (["solve", "--alpha", "0.5", "--beta", "2"], "beta must satisfy 0 <= beta < 2, got 2.0"),
     (["solve", "--alpha", "0.5", "--n", "128", "--method", "dense"],
@@ -406,8 +442,6 @@ INVALID_INPUTS = [
     (["sweep", "--alpha-list", "0.5", "--beta-list", "0", "--n", "64"],
      "n=64 is too coarse for the boundary fit: only 2 usable nodes on 1 distance layers"
      " in d-band [0.0938, 0.1]"),
-    (["spectrum", "--alpha", "0.6", "--beta", "0.4", "--levels", "16"],
-     "alpha+beta=1 is the excluded borderline regime"),
     (["spectrum", "--alpha", "2", "--levels", ","], "need at least 1 refinement level"),
     (["spectrum", "--alpha", "2", "--levels", "32,16"],
      "--levels must strictly increase, got '32,16'"),
@@ -418,8 +452,6 @@ INVALID_INPUTS = [
      "tol must be positive and finite, got nan"),
     (["spectrum", "--alpha", "2", "--levels", "16", "--max-iter", "0"],
      "max_iter must be >= 1"),
-    (["regularity", "--alpha", "0.6", "--beta", "0.4", "--levels", "256,512"],
-     "alpha+beta=1 is the excluded borderline regime"),
     (["regularity", "--alpha", "2", "--levels", "256"], "need at least 2 refinement levels"),
     (["regularity", "--alpha", "2", "--levels", "512,256"],
      "--levels must strictly increase, got '512,256'"),
@@ -574,7 +606,9 @@ def test_sweep_table(tmp_path):
     assert float(rows[(2.0, 0.5)]["q_bar_theory"]) == 2.0
     assert rows[(0.5, 0.2)]["q_bar_theory"] == "inf"
     assert rows[(0.5, 0.2)]["h1_verdict"] == "member"
-    assert rows[(0.5, 0.5)]["h1_verdict"].startswith("skipped: borderline")
+    # the borderline is solved like any cell, with the low regime's theory values
+    assert (rows[(0.5, 0.5)]["sigma_theory"], rows[(0.5, 0.5)]["q_bar_theory"]) == ("0", "inf")
+    assert rows[(0.5, 0.5)]["h1_verdict"] == "member"
     # the coarse sweep ladder is qualitative: the verdict only needs to be defined
     verdict = rows[(2.0, 0.0)]["h1_verdict"]
     assert any(verdict.startswith(v) for v in ("member", "non-member", "inconclusive"))
@@ -676,8 +710,8 @@ def test_sweep_runs_every_cell_in_this_process(tmp_path, monkeypatch):
 
 
 def test_sweep_manifest_echoes_its_flags(tmp_path, monkeypatch):
-    # a borderline cell is never solved, so the rectangle sweep is instant
-    monkeypatch.setattr(cli, "solve_ladder", lambda *_: pytest.fail("solved a borderline cell"))
+    # the cells are stubbed, so the rectangle sweep solves nothing
+    monkeypatch.setattr(cli, "_sweep_cell", lambda *_: dict.fromkeys(cli.SWEEP_FIELDS, ""))
     argv = ["sweep", "--domain", "rectangle", "--alpha-list", "0.5", "--beta-list", "0.5",
             "--n", "64", "--tol", "1e-6", "--out", str(tmp_path / "s.csv")]
     assert main(argv) == 0

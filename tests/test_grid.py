@@ -28,7 +28,7 @@ from sel.grid import (
     rectangle,
     shifted_laplacian,
 )
-from sel.linear_core import SPDFactor, weighted_norm
+from sel.linear_core import SPDFactor
 from sel.monotone import iterate_step, residual
 from sel.oracle import newton_solve
 from sel.spectral import dirichlet_eigenpair, forcing, linearized_smallest_eigenvalue, monotone_shift
@@ -399,7 +399,6 @@ FIELD_FUNCTIONS = {
     "check_positive": lambda g, u: g.check_positive(u),
     "shifted_laplacian": shifted_laplacian,
     "gradient_components": gradient_components,
-    "weighted_norm": lambda g, u: weighted_norm(u, g, 2.0),
     "residual": lambda g, u: residual(g, u, 2.0, 0.0),
     "iterate_step": lambda g, u: iterate_step(g, None, u, 2.0, 0.0),
     "verify_barrier": lambda g, u: verify_barrier(g, u, 2.0, 0.0, "sub"),

@@ -18,10 +18,10 @@ from sel.linear_core import (
     SolverStagnationError,
     SPDFactor,
     _prolongation,
+    _weighted_norm,
     extended_residual,
     is_tridiagonal,
     solve_spd,
-    weighted_norm,
 )
 from sel.spectral import principal_eigenpair
 
@@ -289,10 +289,10 @@ def test_comparison_principle_check_flags_non_m_matrix():
 
 def test_weighted_norm_values():
     g = build_grid(interval(1.0), 4)
-    assert weighted_norm(np.zeros(3), g, 2.0) == 0.0
-    assert weighted_norm(g.d, g, 2.0) == pytest.approx(np.sqrt(0.75), rel=1e-14)
+    assert _weighted_norm(np.zeros(3), g, 2.0) == 0.0
+    assert _weighted_norm(g.d, g, 2.0) == pytest.approx(np.sqrt(0.75), rel=1e-14)
     fine = build_grid(interval(1.0), 2048)
-    assert weighted_norm(np.ones(fine.num_interior), fine, 0.0) == pytest.approx(1.0, rel=1e-3)
+    assert _weighted_norm(np.ones(fine.num_interior), fine, 0.0) == pytest.approx(1.0, rel=1e-3)
 
 
 @pytest.mark.parametrize("shape, n", [(interval(1.0), 512), (rectangle(1.0, 1.0), 32)])

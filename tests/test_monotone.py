@@ -297,6 +297,13 @@ def test_borderline_solves_through_t1_path(lab):
     assert report.converged
     assert resolve_regime(0.5, 0.5).warnings == (BORDERLINE_WARNING,)
     assert uniqueness_gap(report) <= 1e-7
+    # every borderline cell on both domains: certified t = 1 barriers, an ordered chain
+    for alpha, beta in ((0, 1), (1, 0), (0.2, 0.8), (0.9, 0.1), (0.3, 0.7), (0.75, 0.25)):
+        for shape, n in ((interval(1.0), 256), (rectangle(1.0, 1.0), 32)):
+            (level,) = solve_ladder(alpha, beta, shape, [n], SolveConfig())
+            assert level.pair.t == 1.0
+            assert level.report.converged, (alpha, beta, n)
+            assert level.report.ordering_violation == 0.0, (alpha, beta, n)
 
 
 def test_ladder_stops_at_first_unconverged_level(lab):
