@@ -262,8 +262,8 @@ def test_solve_borderline_matches_the_exact_solution(tmp_path):
     assert order == pytest.approx(1.0, abs=0.01)
 
 
-# the borderline argv that solve, spectrum and regularity once refused, with
-# its --out and the JSON it writes; sweep's borderline cell is in test_sweep_table
+# a borderline run of each command that writes JSON, with its --out and the
+# JSON it writes; sweep's borderline cell is in test_sweep_table
 BORDERLINE_RUNS = {
     "solve": (["solve", "--alpha", "0.6", "--beta", "0.4"], "out", "out/report.json"),
     "spectrum": (["spectrum", "--alpha", "0.6", "--beta", "0.4", "--levels", "16"],
