@@ -15,6 +15,7 @@ from sel import (
     SolveConfig,
     build_barrier_pair,
     dense_newton_solve,
+    dirichlet_eigenpair,
     epsilon_continuation,
     interval,
     linearized_smallest_eigenvalue,
@@ -48,8 +49,9 @@ print("\n--- linearized stability across resolutions")
 config = SolveConfig(tol=1e-9, max_iter=1000)
 for level in solve_ladder(ALPHA, BETA, interval(), (64, 128, 256), config):
     assert level.report.converged
+    lam = dirichlet_eigenpair(level.grid)
     mu = linearized_smallest_eigenvalue(level.grid, level.report.upper, ALPHA, BETA, tol=1e-10)
-    print(f"  n = {level.grid.n:4d}: lambda_1 = {level.eig.value:.6f}   mu_1 = {mu.value:.6f}   "
+    print(f"  n = {level.grid.n:4d}: lambda_1 = {lam.value:.6f}   mu_1 = {mu.value:.6f}   "
           f"stable (mu_1 > 0): {mu.value > 0}")
 print(f"(lambda_1 climbs toward pi^2 = {np.pi**2:.6f}; mu_1 >= lambda_1 since the "
       "linearization adds a nonnegative potential)")

@@ -78,20 +78,15 @@ def asymptotic_window(grid: Grid) -> FitWindow:
 
 def _edge_interior_mask(grid: Grid) -> np.ndarray:
     # Nodes whose nearest boundary point lies on an edge at >= 0.2 of that
-    # edge's length from its corners.  Trivially all nodes in 1D.
+    # edge's length from its corners, per axis; a tie goes to the x walls.
+    # Trivially all nodes in 1D.
     if grid.dim == 1:
         return np.ones(grid.num_interior, dtype=bool)
-    width, height = grid.shape.extents
-    pts = grid.points()
-    x, y = pts[:, 0], pts[:, 1]
-    edge_dists = np.stack([x, width - x, y, height - y])
-    nearest = np.argmin(edge_dists, axis=0)
-    on_vertical = nearest < 2
-    return np.where(
-        on_vertical,
-        (y >= 0.2 * height) & (y <= 0.8 * height),
-        (x >= 0.2 * width) & (x <= 0.8 * width),
-    )
+    (x, y), (width, height) = grid.axes, grid.shape.extents
+    near_x = np.minimum(x, width - x)[:, None] <= np.minimum(y, height - y)[None, :]
+    mid_y = (y >= 0.2 * height) & (y <= 0.8 * height)
+    mid_x = (x >= 0.2 * width) & (x <= 0.8 * width)
+    return np.where(near_x, mid_y[None, :], mid_x[:, None]).ravel()
 
 
 def _fit_loglog(grid: Grid, values: np.ndarray) -> tuple[float, float]:

@@ -207,23 +207,14 @@ def _exact_scale(A0, f_base, base, alpha) -> tuple[float, float]:
 def _corner_profile(grid: Grid, phi: np.ndarray) -> np.ndarray:
     # H = 1 / sum_i 1/psi_i with psi_i = (L_i/pi) sin(pi x_i/L_i), written as
     # phi / sum_i prod_{j != i} psi_j for phi = prod_i psi_i up to a constant
-    # factor; on an interval the sum is one empty product, 1.0, so H is phi.
-    extents = np.asarray(grid.shape.extents)
-    psi = extents / np.pi * np.sin(np.pi * grid.points() / extents)
-    return phi / sum(np.prod(np.delete(psi, i, axis=1), axis=1) for i in range(grid.dim))
-
-
-def _profile_of(grid: Grid, eig: EigenPair | None) -> np.ndarray:
-    # H of eig; for the grid's own closed-form eigenpair (eig None or that
-    # very EigenPair) the read-only H cached on the grid (Grid._facts)
-    own = dirichlet_eigenpair(grid)
-    if eig is not None and eig is not own:
-        return _corner_profile(grid, eig.field)
-    profile = grid._facts.get("corner_profile")
-    if profile is None:
-        profile = grid._facts["corner_profile"] = _corner_profile(grid, own.field)
-        profile.setflags(write=False)
-    return profile
+    # factor, per axis: on an interval the sum is one empty product, so H is
+    # phi; on a rectangle it is psi_x + psi_y over the tensor grid.
+    if grid.dim == 1:
+        return phi
+    psi_x, psi_y = (
+        L / np.pi * np.sin(np.pi * ax / L) for ax, L in zip(grid.axes, grid.shape.extents)
+    )
+    return phi / np.add.outer(psi_x, psi_y).ravel()
 
 
 def verify_barrier(
@@ -257,8 +248,8 @@ def build_barrier_pair(
     no C is finite), and verify_barrier certifies each side
     (BarrierConstructionError if one fails); c1 and c2 always refer to d^t.
     eig, read only when t < 1, defaults to the closed-form principal
-    eigenpair of the grid; the H of that eigenpair is computed once per grid
-    and cached on it.  The pair comes back read-only and records the
+    eigenpair of the grid (cached on it), and H is built per axis from its
+    field on every call.  The pair comes back read-only and records the
     grid and (alpha, beta) it was certified for (BarrierPair.certified_for).
     """
     regime = resolve_regime(alpha, beta)
@@ -269,7 +260,8 @@ def build_barrier_pair(
         psi, _ = factor.solve(power_weight(grid, alpha + beta), tol=1e-9)
         base = psi.astype(float)
     else:
-        base = _profile_of(grid, eig) ** regime.t
+        phi = (dirichlet_eigenpair(grid) if eig is None else eig).field
+        base = _corner_profile(grid, phi) ** regime.t
     c, C = _exact_scale(A0, forcing(grid, base, alpha, beta), base, alpha)
     if not math.isfinite(C):
         raise HopfViolationError(

@@ -26,12 +26,13 @@ for a grid and caches it there, read-only, keeping the WEIGHT_CACHE_SIZE
 most recent exponents, so the forcing, the monotone shift, the barriers
 and the norms of one grid share one array per exponent.  Other layers
 keep what they derive from the grid alone in Grid._facts:
-spectral.dirichlet_eigenpair's closed-form eigenpair, the barriers' corner
-profile H of that eigenpair (one float per node) and the CLI's
+spectral.dirichlet_eigenpair's closed-form eigenpair and the CLI's
 solution.csv row templates, the constant columns x[, y], d rendered as
 %.17g (about 40 bytes per node, against 40 to 64 for the Laplacian's
-CSR arrays).  Every array a grid hands out is read-only, so no caller can
-change what the next one is given.
+CSR arrays).  The barriers' corner profile H is not cached: it is built
+per axis from the eigenpair on each call, as the fits' edge mask is.
+Every array a grid hands out is read-only, so no caller can change what
+the next one is given.
 """
 
 from __future__ import annotations
@@ -105,10 +106,10 @@ class Grid:
     docstring), so grids compare and hash by identity.  The grid caches its
     Laplacian once assembled (assemble_laplacian) with its diagonal
     positions, the most recent weights d^(-gamma) (power_weight), and in
-    _facts the closed-form eigenpair (spectral.dirichlet_eigenpair), its
-    barrier corner profile and the solution.csv row templates, so each is
-    computed once per (shape, n) while the grid is held.  Every array it
-    hands out, axes and d included, is read-only.
+    _facts the closed-form eigenpair (spectral.dirichlet_eigenpair) and the
+    solution.csv row templates, so each is computed once per (shape, n)
+    while the grid is held.  Every array it hands out, axes and d included,
+    is read-only.
     """
 
     shape: DomainShape
@@ -172,8 +173,8 @@ class Grid:
     @functools.cached_property
     def _facts(self) -> dict:
         # what other layers derive from the grid alone, by name: "eigenpair"
-        # (spectral.dirichlet_eigenpair), "corner_profile" (barriers, read-only)
-        # and "csv_templates" (cli's solution.csv rows)
+        # (spectral.dirichlet_eigenpair) and "csv_templates" (cli's
+        # solution.csv rows)
         return {}
 
     @functools.cached_property

@@ -50,7 +50,7 @@ from .barriers import (
 from .grid import DomainShape, Grid, assemble_laplacian
 from .linear_core import SPDFactor, SolverFailure, SolveStats, _weighted_norm, extended_residual
 from .problem import ProblemSpec, SolveConfig
-from .spectral import EigenPair, _forcing, dirichlet_eigenpair, monotone_shift
+from .spectral import _forcing, monotone_shift
 
 CHAIN_TOL = 1e-12  # ordering slack, relative to ||super||_inf
 # Relative residual of each inner solve, applied to the increment (correction
@@ -218,11 +218,11 @@ def solve_monotone(spec: ProblemSpec, pair: BarrierPair) -> SolveReport:
 
 @dataclass(eq=False)
 class LadderLevel:
-    """One refinement level of solve_ladder: its grid, principal eigenpair,
-    certified barrier pair and monotone solve."""
+    """One refinement level of solve_ladder: its grid, certified barrier
+    pair and monotone solve.  Its principal eigenpair is
+    spectral.dirichlet_eigenpair(grid), cached on the grid."""
 
     grid: Grid
-    eig: EigenPair
     pair: BarrierPair
     report: SolveReport
 
@@ -232,8 +232,8 @@ def solve_ladder(
 ) -> list[LadderLevel]:
     """Monotone solves over the refinement levels ns, coarse to fine.
 
-    Each level takes the shared grid of (shape, n), its closed-form
-    principal eigenpair, builds the barrier pair from it, and runs
+    Each level takes the shared grid of (shape, n), builds its barrier pair
+    (build_barrier_pair, on the grid's own eigenpair), and runs
     solve_monotone, which does not certify that pair again.  The ladder
     stops at the first level that does not converge; that level is the last
     entry, so callers check levels[-1].report.converged.
@@ -242,9 +242,8 @@ def solve_ladder(
     for n in ns:
         spec = ProblemSpec(alpha=alpha, beta=beta, shape=shape, n=n, config=config)
         grid = spec.make_grid()
-        eig = dirichlet_eigenpair(grid)
-        pair = build_barrier_pair(grid, alpha, beta, eig)
-        levels.append(LadderLevel(grid, eig, pair, solve_monotone(spec, pair)))
+        pair = build_barrier_pair(grid, alpha, beta)
+        levels.append(LadderLevel(grid, pair, solve_monotone(spec, pair)))
         if not levels[-1].report.converged:
             break
     return levels

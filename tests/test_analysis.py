@@ -294,6 +294,28 @@ def test_2d_fits_mask_out_corners(n, field):
     assert t_fit == pytest.approx(2.0 / 3.0, abs=0.02)
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 16, 17, 64, 255, 256, 1024])
+@pytest.mark.parametrize(
+    "shape",
+    [interval(1.0), interval(3.0), rectangle(1.0, 1.0), rectangle(2.0, 0.5), rectangle(8.0, 0.125)],
+)
+def test_edge_interior_mask_is_the_node_formula(shape, n):
+    # the per-axis mask is the nearest-wall rule over the node table, node by
+    # node, with argmin's tie-break towards the x walls
+    g = build_grid(shape, n)
+    if g.dim == 1:
+        expected = np.ones(g.num_interior, dtype=bool)
+    else:
+        (width, height), (x, y) = shape.extents, g.points().T
+        nearest = np.argmin(np.stack([x, width - x, y, height - y]), axis=0)
+        expected = np.where(
+            nearest < 2,
+            (y >= 0.2 * height) & (y <= 0.8 * height),
+            (x >= 0.2 * width) & (x <= 0.8 * width),
+        )
+    np.testing.assert_array_equal(analysis._edge_interior_mask(g), expected)
+
+
 def test_regularity_report_synthetic_ladder(lab):
     levels = [(lab.grid(n), 1.3 * lab.grid(n).d ** (2.0 / 3.0)) for n in (512, 1024, 2048)]
     rep = regularity_report(levels, 2.0, 0.0)

@@ -471,33 +471,35 @@ def test_psi_is_factored_by_the_grid(monkeypatch, shape, n):
     assert pair.t == 1.0 and 0.0 < pair.c <= pair.C < math.inf
 
 
-@pytest.mark.parametrize(
-    "shape, n", [(interval(1.0), 256), (rectangle(1.0, 1.0), 64), (rectangle(2.0, 0.5), 16)]
-)
-@pytest.mark.parametrize("alpha, beta", [(2.0, 0.0), (0.5, 1.2)])
-def test_second_build_reuses_the_grid_profile_bit_for_bit(monkeypatch, shape, n, alpha, beta):
-    # H of the grid's own eigenpair is computed once per grid, read-only,
-    # and the pairs built on it are those of a fresh H, bit for bit
+PROFILE_SHAPES = [
+    interval(1.0), interval(3.0), rectangle(1.0, 1.0), rectangle(2.0, 0.5), rectangle(8.0, 0.125)
+]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 16, 17, 64, 255, 256])
+@pytest.mark.parametrize("shape", PROFILE_SHAPES)
+def test_corner_profile_is_the_node_formula_bit_for_bit(shape, n):
+    # the per-axis H is phi / sum_i prod_{j != i} psi_j over the node table,
+    # bit for bit, and the default eigenpair builds the pair of that
+    # eigenpair passed by hand
     grid = build_grid(shape, n)
-    fresh = barriers._corner_profile(grid, dirichlet_eigenpair(grid).field)
-    calls, profile = [], barriers._corner_profile
-    monkeypatch.setattr(barriers, "_corner_profile", lambda *a: calls.append(a) or profile(*a))
-    first = build_barrier_pair(grid, alpha, beta)
-    second = build_barrier_pair(grid, alpha, beta, dirichlet_eigenpair(grid))
-    assert len(calls) == 1
-    t = resolve_regime(alpha, beta).t
-    for pair in (first, second):
-        np.testing.assert_array_equal(pair.sub, first.c * fresh**t)
-        np.testing.assert_array_equal(pair.super, first.C * fresh**t)
-    assert grid._facts["corner_profile"].flags.writeable is False
+    phi = dirichlet_eigenpair(grid).field
+    extents = np.asarray(shape.extents)
+    psi = extents / np.pi * np.sin(np.pi * grid.points() / extents)
+    nodes = phi / sum(np.prod(np.delete(psi, i, axis=1), axis=1) for i in range(grid.dim))
+    np.testing.assert_array_equal(barriers._corner_profile(grid, phi), nodes)
+    for alpha, beta in ((2.0, 0.0), (0.5, 1.2)):
+        default = build_barrier_pair(grid, alpha, beta)
+        explicit = build_barrier_pair(grid, alpha, beta, dirichlet_eigenpair(grid))
+        np.testing.assert_array_equal(default.sub, explicit.sub)
+        np.testing.assert_array_equal(default.super, explicit.super)
 
 
-def test_a_foreign_eigenpair_is_not_cached():
-    # only the grid's own eigenpair reads the cached profile
+def test_a_foreign_eigenpair_field_is_used():
+    # a passed eigenpair's field, not the grid's own, gives H
     grid = build_grid(rectangle(1.0, 1.0), 16)
     own = dirichlet_eigenpair(grid)
     foreign = EigenPair(value=own.value, field=own.field**1.01, residual=own.residual)
     pair = build_barrier_pair(grid, 2.0, 0.0, foreign)
     base = barriers._corner_profile(grid, foreign.field) ** pair.t
     np.testing.assert_array_equal(pair.super, pair.C * base)
-    assert "corner_profile" not in grid._facts

@@ -875,6 +875,21 @@ def test_spectrum_levels(tmp_path):
     assert payload["stable"] and payload["ordered"]
 
 
+@pytest.mark.parametrize(
+    "domain, levels", [("interval", "16,64,4096"), ("rectangle", "17,64,128")]
+)
+def test_spectrum_of_the_linear_problem_is_ordered(tmp_path, domain, levels):
+    # mu_1 = lambda_1 exactly at alpha = 0, where the computed mu_1 may fall
+    # below lambda_1 by round-off; ordered judges each within its residual
+    out = tmp_path / "spectrum.json"
+    argv = ["spectrum", "--domain", domain, "--alpha", "0", "--levels", levels]
+    assert main([*argv, "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    for row in payload["levels"]:
+        assert row["mu1"] == pytest.approx(row["lambda1"], rel=1e-10)
+    assert payload["stable"] and payload["ordered"]
+
+
 def test_regularity_command(tmp_path, monkeypatch):
     # one gradient field per level in regularity_report, and one per level
     # for sobolev.csv, whatever the number of q values
