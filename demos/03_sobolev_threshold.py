@@ -7,19 +7,17 @@ The demo estimates q_bar from the refinement increments of the Sobolev
 integrals on three levels, and reads from the same increments that the
 integrals converge below the threshold and grow without bound above it.
 It then crosses the classical H^1 frontier (q_bar = 2, i.e. alpha = 3 at
-beta = 0): alpha = 2.5 is a member, alpha = 3.5 is not.  Solutions past
-alpha = 3 come from the Newton path, since the monotone existence theory
-stops where H^1 does.
+beta = 0): alpha = 2.5 is a member, alpha = 3.5 is not.  Both come from
+the certified monotone ladder: sub- and supersolutions give a solution for
+every alpha > 0 (Crandall, Rabinowitz & Tartar 1977); only membership in
+H^1_0 stops at alpha = 3 (Lazer & McKenna 1991).
 """
 
 from sel import (
     SolveConfig,
-    build_barrier_pair,
-    build_grid,
     h1_membership,
     increment_ratios,
     interval,
-    newton_solve,
     regularity_report,
     resolve_regime,
     sobolev_integral,
@@ -44,17 +42,10 @@ for q in (1.5, 2.0, 2.5, 3.5, 4.0):
           f"I(2048) = {vals[2]:9.4f}  rho = {rho:.4f}  -> {tag}")
 
 print("\n--- H^1 membership across alpha = 3 (beta = 0), levels n = 256..1024")
+config = SolveConfig(tol=1e-7, max_iter=3000)
 for alpha in (2.5, 3.5):
-    if alpha < 3:
-        config = SolveConfig(tol=1e-7, max_iter=3000)
-        ladder = [(lv.grid, lv.report.upper)
-                  for lv in solve_ladder(alpha, 0.0, interval(), (256, 512, 1024), config)]
-    else:
-        ladder = []
-        for n in (256, 512, 1024):
-            grid = build_grid(interval(), n)
-            pair = build_barrier_pair(grid, alpha, 0.0)
-            ladder.append((grid, newton_solve(grid, alpha, 0.0, pair.super, tol=1e-9)))
+    ladder = [(lv.grid, lv.report.upper)
+              for lv in solve_ladder(alpha, 0.0, interval(), (256, 512, 1024), config)]
     verdict = h1_membership(ladder)
     ratios = ", ".join(f"{r:.4f}" for r in verdict.ratios)
     (rho,) = increment_ratios(verdict.values)

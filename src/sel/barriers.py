@@ -63,7 +63,7 @@ import numpy as np
 
 from .grid import Grid, assemble_laplacian, power_weight
 from .linear_core import SPDFactor, SolverFailure
-from .spectral import EigenPair, dirichlet_eigenpair, forcing
+from .spectral import EigenPair, _forcing, dirichlet_eigenpair
 
 
 class HopfViolationError(SolverFailure):
@@ -170,8 +170,10 @@ def _defect(
 ) -> np.ndarray:
     # Strong-form defect -lap_h(field) - F(field + eps), the one defect: the
     # certificate's (eps = 0; <= 0 for a subsolution, >= 0 for a
-    # supersolution), the residual's and Newton's (_weighted_defect).
-    return assemble_laplacian(grid) @ field - forcing(grid, field + eps, alpha, beta)
+    # supersolution), the residual's and Newton's (_weighted_defect).  Each
+    # caller has checked field + eps > 0 (grid.check_positive or Newton's
+    # floor), so F is the unchecked _forcing.
+    return assemble_laplacian(grid) @ field - _forcing(grid, field + eps, alpha, beta)
 
 
 def _weighted_defect(
@@ -249,8 +251,9 @@ def build_barrier_pair(
     (BarrierConstructionError if one fails); c1 and c2 always refer to d^t.
     eig, read only when t < 1, defaults to the closed-form principal
     eigenpair of the grid (cached on it), and H is built per axis from its
-    field on every call.  The pair comes back read-only and records the
-    grid and (alpha, beta) it was certified for (BarrierPair.certified_for).
+    field on every call; a passed eig's field must pass grid.check_positive
+    (ValueError).  The pair comes back read-only and records the grid and
+    (alpha, beta) it was certified for (BarrierPair.certified_for).
     """
     regime = resolve_regime(alpha, beta)
     A0 = assemble_laplacian(grid)
@@ -260,9 +263,9 @@ def build_barrier_pair(
         psi, _ = factor.solve(power_weight(grid, alpha + beta), tol=1e-9)
         base = psi.astype(float)
     else:
-        phi = (dirichlet_eigenpair(grid) if eig is None else eig).field
+        phi = dirichlet_eigenpair(grid).field if eig is None else grid.check_positive(eig.field)
         base = _corner_profile(grid, phi) ** regime.t
-    c, C = _exact_scale(A0, forcing(grid, base, alpha, beta), base, alpha)
+    c, C = _exact_scale(A0, _forcing(grid, base, alpha, beta), base, alpha)
     if not math.isfinite(C):
         raise HopfViolationError(
             "nonpositive -lap_h of the barrier profile: no boundary slope "

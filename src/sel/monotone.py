@@ -1,6 +1,6 @@
 """Two-sided monotone iteration between certified barriers.
 
-With F(u) = d^(-beta) u^(-alpha) (spectral.forcing), each outer step takes
+With F(u) = d^(-beta) u^(-alpha) (spectral._forcing), each outer step takes
 the nodal shift m_k = alpha d^(-beta) lower_k^(-(1+alpha)) at the current
 lower iterate (spectral.monotone_shift) and solves, with one operator,
 
@@ -95,8 +95,8 @@ def iterate_step(
     factor holds -lap_h + m for the step's shift m, and A0 = -lap_h is the
     grid's cached Laplacian.  Solved in correction form, u = prev + delta with
     (A0 + m) delta = F(prev) - A0 prev: the shift cancels from the
-    right-hand side, which is evaluated in long double (spectral.forcing of
-    a long-double field, then extended_residual), and the inner relative
+    right-hand side, which is evaluated in long double (spectral._forcing
+    of a long-double field, then extended_residual), and the inner relative
     tolerance INNER_TOL applies to the increment, whose scale shrinks with
     the iteration, so round-off cannot smear the monotone ordering.
 

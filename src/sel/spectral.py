@@ -1,6 +1,6 @@
 """The nonlinearity, its slope, and the principal eigenpairs.
 
-forcing is the one evaluation of F(u) = d^(-beta) u^(-alpha), monotone_shift
+_forcing is the one evaluation of F(u) = d^(-beta) u^(-alpha), monotone_shift
 of m = -F'(u).  The principal eigenpair of -lap_h on the uniform tensor grid
 is in closed form (dirichlet_eigenpair); -lap_h + m has none, and
 its smallest eigenvalue mu_1 comes from a library eigensolver on the
@@ -139,24 +139,16 @@ def _eigenpair(factor: SPDFactor, tol: float) -> EigenPair:
     return EigenPair(value=lam, field=x, residual=resid)
 
 
-def forcing(grid: Grid, u: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    """Nodal nonlinearity F(u) = d^(-beta) u^(-alpha), the one evaluation of
-    the right-hand side.  A long-double u stays in long double: there powl
-    takes 30-55 ns per node at alpha = 0, 1, 2, 3 and about 410 ns at any
-    other alpha, where exp(-alpha log u) takes about 110 ns within
-    4 eps (1 + alpha |ln u|) of it, eps the long-double epsilon (timeit at
-    4095 nodes, 2-vCPU Xeon VM).  ValueError unless u passes
-    grid.check_positive.
-    """
-    checked = grid.check_positive(u)
-    wide = getattr(u, "dtype", None) == np.longdouble
-    return _forcing(grid, u if wide else checked, alpha, beta)
-
-
 def _forcing(grid: Grid, u: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    """forcing without its check, for a double or long-double u that already
-    passed grid.check_positive: the monotone loop's iterates, each checked
-    once where it is made."""
+    """Nodal nonlinearity F(u) = d^(-beta) u^(-alpha), the one evaluation of
+    the right-hand side, for a double or long-double u that already passed
+    grid.check_positive: each caller checks its field once, where it is made
+    or taken in.  A long-double u stays in long double: there powl takes
+    30-55 ns per node at alpha = 0, 1, 2, 3 and about 410 ns at any other
+    alpha, where exp(-alpha log u) takes about 110 ns within
+    4 eps (1 + alpha |ln u|) of it, eps the long-double epsilon (timeit at
+    4095 nodes, 2-vCPU Xeon VM).
+    """
     if u.dtype == np.longdouble and not (float(alpha).is_integer() and alpha < 4):
         return power_weight(grid, beta) * np.exp(-alpha * np.log(u))
     return power_weight(grid, beta) * u ** (-alpha)

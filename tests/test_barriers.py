@@ -18,7 +18,7 @@ from sel.grid import assemble_laplacian, build_grid, interval, power_weight, rec
 from sel.linear_core import SPDFactor
 from sel.monotone import monotone_shift, solve_monotone
 from sel.problem import ProblemSpec, SolveConfig
-from sel.spectral import EigenPair, dirichlet_eigenpair, forcing
+from sel.spectral import EigenPair, _forcing, dirichlet_eigenpair
 
 
 def test_boundary_exponent_regimes():
@@ -237,7 +237,7 @@ def test_supersolution_profile_without_boundary_slope_is_a_hopf_violation(lab):
     # no scale makes it a supersolution
     grid, eig = lab.grid(32), lab.eig(32)
     convex = 2 * eig.field.max() - eig.field
-    _, C = barriers._exact_scale(assemble_laplacian(grid), forcing(grid, convex, 2.0, 0.0), convex, 2.0)
+    _, C = barriers._exact_scale(assemble_laplacian(grid), _forcing(grid, convex, 2.0, 0.0), convex, 2.0)
     assert C == math.inf
     # on an interval H is phi_1 itself, so this eigenvector makes H^t convex mid-interval
     with pytest.raises(HopfViolationError, match="nonpositive -lap_h"):
@@ -503,3 +503,14 @@ def test_a_foreign_eigenpair_field_is_used():
     pair = build_barrier_pair(grid, 2.0, 0.0, foreign)
     base = barriers._corner_profile(grid, foreign.field) ** pair.t
     np.testing.assert_array_equal(pair.super, pair.C * base)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.1, np.nan])
+def test_a_foreign_eigenpair_field_must_be_positive(bad):
+    # the profile's F is unchecked, so a passed field is checked where it is taken in
+    grid = build_grid(interval(), 16)
+    own = dirichlet_eigenpair(grid)
+    field = own.field.copy()
+    field[3] = bad
+    with pytest.raises(ValueError, match="field must be positive|NaN or inf"):
+        build_barrier_pair(grid, 2.0, 0.0, EigenPair(own.value, field, own.residual))

@@ -31,7 +31,7 @@ from sel.grid import (
 from sel.linear_core import SPDFactor
 from sel.monotone import iterate_step, residual
 from sel.oracle import newton_solve
-from sel.spectral import dirichlet_eigenpair, forcing, linearized_smallest_eigenvalue, monotone_shift
+from sel.spectral import dirichlet_eigenpair, linearized_smallest_eigenvalue, monotone_shift
 
 
 def test_interval_grid_basics():
@@ -280,7 +280,8 @@ def test_negated_power_weight_is_bitwise_the_distance_power(shape, n, alpha, bet
     assert pair.c1 == float(np.min(pair.sub / g.d**t))
     assert pair.c2 == float(np.max(pair.super / g.d**t))
     u = pair.super
-    defect = assemble_laplacian(g) @ u - forcing(g, u, alpha, beta)
+    # F from its formula, not from sel's evaluation of it: an independent reference
+    defect = assemble_laplacian(g) @ u - power_weight(g, beta) * u ** (-alpha)
     assert residual(g, u, alpha, beta) == float(np.max(np.abs(defect * g.d ** (beta + t * alpha))))
 
 

@@ -21,7 +21,7 @@ from sel.monotone import (
 from sel.oracle import newton_solve
 from sel.problem import ProblemSpec, SolveConfig
 from sel.regularized import epsilon_continuation
-from sel.spectral import dirichlet_eigenpair, forcing, linearized_smallest_eigenvalue
+from sel.spectral import _forcing, dirichlet_eigenpair, linearized_smallest_eigenvalue
 
 
 def step(grid, lower, prev, alpha, beta):
@@ -83,8 +83,8 @@ def _log_uniform_long_double(rng):
 
 
 def _forcing_power(s, alpha):
-    # forcing of a long-double field at beta = 0, where the weight d^0 is 1.0
-    return forcing(build_grid(interval(1.0), s.size + 1), s, alpha, 0.0)
+    # _forcing of a long-double field at beta = 0, where the weight d^0 is 1.0
+    return _forcing(build_grid(interval(1.0), s.size + 1), s, alpha, 0.0)
 
 
 @pytest.mark.parametrize("alpha", [0.05, 0.5, 2.5, 4.0, 7.3, 12.0, 12.5, 50.0])
@@ -538,6 +538,33 @@ def test_each_outer_step_validates_two_fields(monkeypatch):
 
     (positive_1, bare_1), (positive_2, bare_2) = checks(1), checks(2)
     assert (positive_2 - positive_1, bare_2 - bare_1) == (1, 1)
+
+
+@pytest.mark.parametrize("shape, n", [(interval(), 64), (rectangle(1.0, 1.0), 16)])
+@pytest.mark.parametrize("alpha, beta", [(0.5, 0.0), (2.0, 0.5)])
+def test_each_entry_checks_its_field_once(monkeypatch, shape, n, alpha, beta):
+    # verify_barrier and residual check the field they are given, and
+    # build_barrier_pair each scaled side through verify_barrier; F and the
+    # defect take those fields as they are
+    grid = build_grid(shape, n)
+    pair = build_barrier_pair(grid, alpha, beta)
+    calls = []
+    original = grid_module.Grid.check_positive
+
+    def counted(self, u):
+        calls.append(u)
+        return original(self, u)
+
+    monkeypatch.setattr(grid_module.Grid, "check_positive", counted)
+
+    def checks(entry):
+        calls.clear()
+        entry()
+        return len(calls)
+
+    assert checks(lambda: barriers.verify_barrier(grid, pair.sub, alpha, beta, "sub")) == 1
+    assert checks(lambda: residual(grid, pair.super, alpha, beta)) == 1
+    assert checks(lambda: build_barrier_pair(grid, alpha, beta)) == 2
 
 
 def _fresh_grid():
