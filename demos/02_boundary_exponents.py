@@ -28,14 +28,14 @@ for alpha, beta in CASES:
     assert level.report.converged
 
     grid = level.grid
-    t_fit, _ = fit_boundary_exponent(grid, level.report.upper)
+    t_fit = fit_boundary_exponent(grid, level.report.upper)
     sigma_fit = fit_gradient_exponent(grid, level.report.upper)
 
     regime = resolve_regime(alpha, beta)
     print(f"{alpha:5.1f} {beta:5.1f} | {regime.t:8.4f} {t_fit:8.4f} "
           f"| {regime.sigma:12.4f} {sigma_fit:9.4f}")
 
-window = asymptotic_window(grid)
-print(f"\nfits over asymptotic_window, d in [{window.d_min:.4g}, {window.d_max:.4g}] at n={N};")
+d_min, d_max = asymptotic_window(grid)
+print(f"\nfits over asymptotic_window, d in [{d_min:.4g}, {d_max:.4g}] at n={N};")
 print("the power law carries slowly decaying corrections, so residual bias of a")
 print("few hundredths is expected.")

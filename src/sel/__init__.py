@@ -10,7 +10,6 @@ linearized stability of the computed solutions.
 __version__ = "0.1.0"
 
 from .analysis import (
-    FitWindow,
     H1Report,
     RegularityReport,
     asymptotic_window,
@@ -38,7 +37,6 @@ from .grid import (
     InvalidResolutionError,
     assemble_laplacian,
     build_grid,
-    gradient_components,
     interval,
     power_weight,
     rectangle,

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .barriers import resolve_regime
-from .grid import Grid, gradient_components, power_weight
+from .grid import Grid, power_weight
 
 Level = tuple[Grid, np.ndarray]
 
@@ -41,20 +41,8 @@ class WindowTooThinError(ValueError):
     fitting band."""
 
 
-@dataclass(frozen=True)
-class FitWindow:
-    """Distance band [d_min, d_max] used for log-log regression."""
-
-    d_min: float
-    d_max: float
-
-    def __post_init__(self):
-        if not 0 < self.d_min < self.d_max:
-            raise ValueError(f"need 0 < d_min < d_max, got [{self.d_min}, {self.d_max}]")
-
-
-def asymptotic_window(grid: Grid) -> FitWindow:
-    """The one distance band of every exponent fit on grid.
+def asymptotic_window(grid: Grid) -> tuple[float, float]:
+    """The one distance band (d_min, d_max) of every exponent fit on grid.
 
     The boundary power law carries slowly decaying corrections, so the band
     top sits at 1% of the diameter; the bottom skips six node layers, where
@@ -73,7 +61,7 @@ def asymptotic_window(grid: Grid) -> FitWindow:
         raise WindowTooThinError(
             f"grid too coarse for a boundary window: 6h = {d_min:.3g} >= {d_max:.3g}"
         )
-    return FitWindow(d_min, d_max)
+    return d_min, d_max
 
 
 def _edge_interior_mask(grid: Grid) -> np.ndarray:
@@ -89,10 +77,11 @@ def _edge_interior_mask(grid: Grid) -> np.ndarray:
     return np.where(near_x, mid_y[None, :], mid_x[:, None]).ravel()
 
 
-def _fit_loglog(grid: Grid, values: np.ndarray) -> tuple[float, float]:
-    # weighted log-log regression of values against d over asymptotic_window
-    window = asymptotic_window(grid)
-    mask = (grid.d >= window.d_min) & (grid.d <= window.d_max) & (values > 0)
+def _fit_loglog(grid: Grid, values: np.ndarray) -> float:
+    # slope of the weighted log-log regression of values against d over
+    # asymptotic_window
+    d_min, d_max = asymptotic_window(grid)
+    mask = (grid.d >= d_min) & (grid.d <= d_max) & (values > 0)
     mask &= _edge_interior_mask(grid)
     # A rectangle's edge layer holds many nodes at one distance, so the node
     # count alone admits bands too thin in d to regress over.
@@ -101,7 +90,7 @@ def _fit_loglog(grid: Grid, values: np.ndarray) -> tuple[float, float]:
     if nodes < 8 or layers < 4:
         raise WindowTooThinError(
             f"only {nodes} usable nodes on {layers} distance layers in d-band"
-            f" [{window.d_min:.3g}, {window.d_max:.3g}]"
+            f" [{d_min:.3g}, {d_max:.3g}]"
         )
     x = np.log(grid.d[mask])
     y = np.log(values[mask])
@@ -109,29 +98,30 @@ def _fit_loglog(grid: Grid, values: np.ndarray) -> tuple[float, float]:
     w = w / w.sum()
     xb = float((w * x).sum())
     yb = float((w * y).sum())
-    slope = float((w * (x - xb) * (y - yb)).sum() / (w * (x - xb) ** 2).sum())
-    intercept = yb - slope * xb
-    return slope, math.exp(intercept)
+    return float((w * (x - xb) * (y - yb)).sum() / (w * (x - xb) ** 2).sum())
 
 
-def fit_boundary_exponent(grid: Grid, u: np.ndarray) -> tuple[float, float]:
-    """(t_fit, c_fit) with u ~ c_fit d^t_fit over asymptotic_window; ValueError
+def fit_boundary_exponent(grid: Grid, u: np.ndarray) -> float:
+    """Log-log slope t_fit of u versus d over asymptotic_window; ValueError
     unless u passes grid.check_positive, WindowTooThinError on a grid too
     coarse for the window."""
     return _fit_loglog(grid, grid.check_positive(u))
 
 
 def gradient_field(grid: Grid, u: np.ndarray) -> np.ndarray:
-    """|grad_h u| per node: central differences with the implicit zero
-    boundary value, exact for quadratics at every interior node."""
-    comps = gradient_components(grid, u)
-    return np.sqrt(sum(g * g for g in comps))
+    """|grad_h u| per node: per-axis central differences with the implicit
+    zero boundary value supplying the missing neighbour, exact for
+    quadratics at every interior node."""
+    grads = np.gradient(np.pad(grid.check_field(u).reshape(grid.interior_shape), 1), *grid.h)
+    if grid.dim == 1:
+        grads = [grads]
+    interior = (slice(1, -1),) * grid.dim
+    return np.sqrt(sum(g[interior] * g[interior] for g in grads)).reshape(-1)
 
 
 def fit_gradient_exponent(grid: Grid, u: np.ndarray) -> float:
     """Log-log slope sigma_fit of |grad_h u| versus d over asymptotic_window."""
-    slope, _ = _fit_loglog(grid, gradient_field(grid, u))
-    return slope
+    return _fit_loglog(grid, gradient_field(grid, u))
 
 
 def gradient_integral(grid: Grid, grad: np.ndarray, q: float) -> float:
@@ -300,7 +290,7 @@ def regularity_report(levels: list[Level], alpha: float, beta: float) -> Regular
         raise ValueError("need at least 1 level")
     regime = resolve_regime(alpha, beta)
     grid, u = levels[-1]
-    t_fit, _ = fit_boundary_exponent(grid, u)
+    t_fit = fit_boundary_exponent(grid, u)
     gradients = [(g, gradient_field(g, f)) for g, f in levels]
     energies = [gradient_integral(g, grad, 2.0) for g, grad in gradients]
     verdicts: dict[str, object] = {}
@@ -319,7 +309,7 @@ def regularity_report(levels: list[Level], alpha: float, beta: float) -> Regular
                 None not in (last, prev) and abs(last - prev) <= 0.05
             )
     else:
-        sigma_fit, _ = _fit_loglog(grid, gradients[-1][1])
+        sigma_fit = _fit_loglog(grid, gradients[-1][1])
         verdicts["h1"] = "needs >= 3 levels"
     if math.isfinite(regime.q_bar):
         # q_bar is finite exactly above the regime split

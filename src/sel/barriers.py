@@ -36,7 +36,9 @@ ordered to round-off.  For the inequality to hold in floating point too,
 each constant then moves (c down, C up) by one a-priori round-off margin,
 built on the forward error bound of the product A0 @ base (_exact_scale);
 it grows like n^2, from about 1e-12 to 2e-11 relative at interval n = 64
-to 5e-9 to 1e-7 at n = 4096.  verify_barrier, the one barrier rule, then
+to 5e-9 to 1e-7 at n = 4096.  As t falls to 0 (beta near 2) the margin
+passes 1 (at (0, 2 - 1e-10), n = 1024), and a c that is not positive is a
+BarrierConstructionError.  verify_barrier, the one barrier rule, then
 certifies each side by the sign of its worst defect, with no tolerance; a
 failure raises BarrierConstructionError.  The order sub <= super is
 c <= C on the one positive profile.  The pair records the grid object and
@@ -246,9 +248,10 @@ def build_barrier_pair(
     """Construct the barrier pair of the instance, ordered by construction.
 
     Both sides scale one profile (module docstring): psi when t = 1, H^t
-    when t < 1.  One _exact_scale pass gives c <= C (HopfViolationError if
-    no C is finite), and verify_barrier certifies each side
-    (BarrierConstructionError if one fails); c1 and c2 always refer to d^t.
+    when t < 1.  One _exact_scale pass gives c <= C (BarrierConstructionError
+    unless c > 0, HopfViolationError if no C is finite), and verify_barrier
+    certifies each side (BarrierConstructionError if one fails); c1 and c2
+    always refer to d^t.
     eig, read only when t < 1, defaults to the closed-form principal
     eigenpair of the grid (cached on it), and H is built per axis from its
     field on every call; a passed eig's field must pass grid.check_positive
@@ -266,6 +269,10 @@ def build_barrier_pair(
         phi = dirichlet_eigenpair(grid).field if eig is None else grid.check_positive(eig.field)
         base = _corner_profile(grid, phi) ** regime.t
     c, C = _exact_scale(A0, _forcing(grid, base, alpha, beta), base, alpha)
+    if not c > 0.0:  # a margin delta >= 1, or NaN
+        raise BarrierConstructionError(
+            f"round-off margin exceeds the subsolution scale (c = {c:.3g})"
+        )
     if not math.isfinite(C):
         raise HopfViolationError(
             "nonpositive -lap_h of the barrier profile: no boundary slope "

@@ -12,6 +12,8 @@ picks the exit code: 0 success, 1 invalid input (ValueError, printed as
 "error: <message>"), 2 any linear_core.SolverFailure (a solver or
 certificate failed on valid input, printed as "error: <Type>: <message>");
 a level that runs out of --max-iter is an IterationLimitError, one of them.
+A valid n whose arrays do not fit in memory is exit 2 too, printed as
+"error: MemoryError: <message>".
 No command makes its output path before its checks and its solve pass;
 solve's unconverged report, written before it raises, is the one partial
 output.  An --out that cannot be written (a file where solve or regularity
@@ -170,7 +172,7 @@ def _fit_exponents_best_effort(grid: Grid, u) -> tuple[float | None, float | Non
     # (t_fit, sigma_fit) of solve's regularity block, (None, None) on a grid
     # too coarse for asymptotic_window; perfbench/record_reference.py reads it
     try:
-        return fit_boundary_exponent(grid, u)[0], fit_gradient_exponent(grid, u)
+        return fit_boundary_exponent(grid, u), fit_gradient_exponent(grid, u)
     except WindowTooThinError:
         return None, None
 
@@ -473,6 +475,9 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     except SolverFailure as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_SOLVER_FAILURE
+    except MemoryError as exc:  # numpy raises a private subclass
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
         return EXIT_SOLVER_FAILURE
     return EXIT_OK
 

@@ -272,16 +272,3 @@ def power_weight(grid: Grid, gamma: float) -> np.ndarray:
         weight.setflags(write=False)
     return weight
 
-
-def gradient_components(grid: Grid, u: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per-axis central difference quotients of a field with implicit zero boundary.
-
-    The known boundary value 0 supplies the missing neighbor, so quadratics
-    are differentiated exactly.
-    """
-    u = grid.check_field(u).reshape(grid.interior_shape)
-    grads = np.gradient(np.pad(u, 1), *grid.h)
-    if grid.dim == 1:
-        grads = [grads]
-    interior = (slice(1, -1),) * grid.dim
-    return tuple(g[interior].reshape(-1) for g in grads)

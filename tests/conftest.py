@@ -39,7 +39,7 @@ class Lab:
 
     def pair(self, alpha, beta, n, shape=INTERVAL):
         grid = self.grid(n, shape)
-        return build_barrier_pair(grid, alpha, beta, self.eig(n, shape))
+        return build_barrier_pair(grid, alpha, beta)
 
     def solved(self, alpha, beta, n, tol=1e-8, max_iter=2000, shape=INTERVAL):
         """(grid, pair, report) for a converged monotone run."""

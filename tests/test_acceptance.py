@@ -8,7 +8,6 @@ lab fixture, so the whole suite stays at desk scale.
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse as sp
 
 from sel.analysis import (
     fit_boundary_exponent,
@@ -19,7 +18,7 @@ from sel.analysis import (
 )
 from sel.barriers import build_barrier_pair, resolve_regime, verify_barrier
 from sel.grid import assemble_laplacian, build_grid, interval, power_weight, rectangle
-from sel.linear_core import solve_spd
+from sel.linear_core import SPDFactor
 from sel.monotone import CHAIN_TOL, monotone_shift, solve_ladder, solve_monotone, uniqueness_gap
 from sel.oracle import dense_newton_solve, observed_order
 from sel.problem import ProblemSpec, SolveConfig
@@ -109,7 +108,7 @@ def test_criterion_5_boundary_exponent(lab):
     bands = {(2.0, 0.0): (0.63, 0.70), (2.0, 1.0): (0.28, 0.38)}
     for (alpha, beta), (lo, hi) in bands.items():
         grid, _, report = lab.solved(alpha, beta, 4096, tol=FINE_TOL)
-        t_fit, _ = fit_boundary_exponent(grid, report.upper)
+        t_fit = fit_boundary_exponent(grid, report.upper)
         assert lo <= t_fit <= hi, (alpha, beta, t_fit)
         print(f"[criterion 5] PASS: ({alpha},{beta}) n=4096 t_fit={t_fit:.4f} in [{lo},{hi}]")
 
@@ -123,7 +122,7 @@ def test_criterion_5_boundary_exponent_rectangle():
     report = solve_monotone(spec, build_barrier_pair(grid, 2.0, 0.0))
     assert report.converged
     assert report.ordering_violation == 0.0
-    t_fit, _ = fit_boundary_exponent(grid, report.upper)
+    t_fit = fit_boundary_exponent(grid, report.upper)
     assert 0.59 <= t_fit <= 0.615, t_fit
     print(f"[criterion 5] PASS: rectangle (2.0,0.0) n=256 t_fit={t_fit:.4f} in [0.59,0.615]")
 
@@ -145,7 +144,7 @@ def test_criterion_6_gradient_blowup_and_qbar(lab):
     q21 = regularity_report(levels21, 2.0, 1.0).q_bar_est
     assert 1.35 <= q21 <= 1.65, q21
     # consistency triangle: the gradient of d^t scales as d^(t-1)
-    t_fit, _ = fit_boundary_exponent(grid, report.upper)
+    t_fit = fit_boundary_exponent(grid, report.upper)
     assert abs(t_fit - 1.0 - sigma) <= 0.05
     # sharpness dichotomy around q_bar = 3: marginal (non-)divergence is
     # ill-conditioned near the threshold, and just below it the integrals
@@ -248,14 +247,16 @@ def test_criterion_10_smooth_case_convergence():
     for n in (16, 32, 64):
         g = build_grid(interval(1.0), n)
         x = g.axes[0]
-        u, _ = solve_spd(assemble_laplacian(g), np.pi**2 * np.sin(np.pi * x), tol=1e-13)
+        u, _ = SPDFactor.on_grid(g, np.zeros(g.num_interior)).solve(
+            np.pi**2 * np.sin(np.pi * x), tol=1e-13
+        )
         errors.append(float(np.max(np.abs(u - np.sin(np.pi * x)))))
         hs.append(g.h[0])
     order, reliable = observed_order(errors, hs)
     assert reliable
     assert order == pytest.approx(2.0, abs=0.2)
     g = build_grid(interval(1.0), 64)
-    u, _ = solve_spd(assemble_laplacian(g), np.ones(g.num_interior), tol=1e-13)
+    u, _ = SPDFactor.on_grid(g, np.zeros(g.num_interior)).solve(np.ones(g.num_interior), tol=1e-13)
     mid = float(u[np.where(g.axes[0] == 0.5)[0][0]])
     assert mid == pytest.approx(0.125, abs=1e-12)
     print(f"[criterion 10] PASS: MMS order {order:.3f} (target 2.0 +/- 0.2), u(0.5)={mid!r}")
@@ -264,10 +265,10 @@ def test_criterion_10_smooth_case_convergence():
 def test_criterion_11_property_suites(lab, rng):
     # linear_core positivity on 100 random nonnegative loads
     g32 = lab.grid(32)
-    a = (assemble_laplacian(g32) + sp.diags_array(power_weight(g32, 1.5))).tocsr()
+    factor = SPDFactor.on_grid(g32, power_weight(g32, 1.5))
     for _ in range(100):
         f = rng.random(g32.num_interior)
-        u, _ = solve_spd(a, f, tol=1e-12)
+        u, _ = factor.solve(f, tol=1e-12)
         assert u.min() >= -1e-12 * np.abs(u).max()
     # monotonized barrier map on random nodes and ordered samples
     grid = lab.grid(128)
@@ -282,7 +283,7 @@ def test_criterion_11_property_suites(lab, rng):
     # synthetic power-law recovery at n=4096
     fine = lab.grid(4096)
     for s in (1.0 / 3.0, 0.5, 2.0 / 3.0, 1.0):
-        t_fit, _ = fit_boundary_exponent(fine, fine.d**s)
+        t_fit = fit_boundary_exponent(fine, fine.d**s)
         assert abs(t_fit - s) <= 0.01
     print("[criterion 11] PASS: positivity x100, monotonized map x100, power-law recovery x4")
 

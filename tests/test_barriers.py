@@ -244,6 +244,23 @@ def test_supersolution_profile_without_boundary_slope_is_a_hopf_violation(lab):
         build_barrier_pair(grid, 2.0, 0.0, EigenPair(eig.value, convex, eig.residual))
 
 
+# t near 1e-10: the profile is nearly flat, so the round-off margin of
+# _exact_scale exceeds 1 and the sub constant would be negative
+NEAR_BETA_TWO = [(0.0, 1.9999999999, 1024), (0.5, 1.99999999999, 256)]
+
+
+@pytest.mark.parametrize("alpha, beta, n", NEAR_BETA_TWO)
+def test_margin_past_the_subsolution_scale_is_a_construction_error(alpha, beta, n):
+    with pytest.raises(BarrierConstructionError, match="round-off margin exceeds the subsolution scale"):
+        build_barrier_pair(build_grid(interval(1.0), n), alpha, beta)
+
+
+def test_nan_subsolution_scale_is_a_construction_error(lab, monkeypatch):
+    monkeypatch.setattr(barriers, "_exact_scale", lambda *_: (math.nan, 1.0))
+    with pytest.raises(BarrierConstructionError, match=r"\(c = nan\)"):
+        build_barrier_pair(lab.grid(64), 2.0, 0.0)
+
+
 def test_constructed_barriers_certify(lab):
     for alpha, beta in ((0.5, 0.0), (2.0, 0.0), (2.0, 0.5)):
         grid = lab.grid(256)

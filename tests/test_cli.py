@@ -3,6 +3,8 @@ import errno
 import json
 import math
 import os
+import resource
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -16,7 +18,7 @@ from sel import grid as grid_module
 from sel.analysis import gradient_field
 from sel.barriers import BORDERLINE_WARNING
 from sel.cli import main
-from sel.grid import build_grid, gradient_components, interval, rectangle
+from sel.grid import build_grid, interval, rectangle
 from sel.linear_core import ComparisonPrincipleViolationError, SolverFailure
 from sel.monotone import solve_ladder
 from sel.oracle import observed_order
@@ -112,9 +114,10 @@ def savetxt_bytes(path: Path, grid, u, grad) -> bytes:
 
 
 def sine_field(grid):
-    """A positive field and its signed first-axis difference quotient."""
-    u = np.prod(np.sin(np.pi * grid.points() / grid.shape.extents), axis=1) / 3.0
-    return u, gradient_components(grid, u)[0]
+    """A positive field and a signed one for the grad_u column, which the
+    writer takes as it comes."""
+    x = grid.points() / grid.shape.extents
+    return np.prod(np.sin(np.pi * x), axis=1) / 3.0, np.cos(np.pi * x[:, 0]) / 3.0
 
 
 # n=2 has one node; at 3000 and odd n the d values are not all x values
@@ -382,6 +385,65 @@ def test_every_solver_failure_maps_to_exit_two(tmp_path, capsys, monkeypatch, er
     out = tmp_path / "out"
     assert main(["solve", "--alpha", "0.5", "--n", "16", "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {error.__name__}: injected\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--alpha", "0", "--beta", "1.9999999999", "--n", "1024"],
+        ["solve", "--alpha", "0.5", "--beta", "1.99999999999", "--n", "256"],
+        ["spectrum", "--alpha", "0.5", "--beta", "1.99999999999", "--levels", "256"],
+    ],
+    ids=["solve-0", "solve-0.5", "spectrum-0.5"],
+)
+def test_margin_past_the_subsolution_scale_exits_two(tmp_path, capsys, argv):
+    # valid input near beta = 2, where no positive sub constant survives the
+    # round-off margin: a typed barrier failure, not invalid input
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out / "s.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: BarrierConstructionError: round-off margin exceeds the subsolution scale")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_sweep_records_the_margin_failure_as_a_skipped_cell(tmp_path):
+    out = tmp_path / "s.csv"
+    argv = ["sweep", "--alpha-list", "0.5", "--beta-list", "1.99999999999", "--n", "256"]
+    assert main([*argv, "--out", str(out)]) == 0
+    (row,) = csv.DictReader(out.read_text().splitlines())
+    assert row["h1_verdict"].startswith(
+        "skipped: BarrierConstructionError: round-off margin exceeds the subsolution scale"
+    )
+
+
+# Valid sizes whose arrays exceed a 1.5 GB address space: the grid's axes
+# (interval, and a sweep's fit-window check) and the kron sum (unit square).
+# Run only under the limit; without it the kernel may kill the process first.
+OUT_OF_MEMORY = {
+    "solve-interval": ["solve", "--alpha", "2", "--n", "400000000"],
+    "solve-rectangle": ["solve", "--domain", "rectangle", "--alpha", "2", "--n", "4096"],
+    "sweep": ["sweep", "--alpha-list", "2", "--beta-list", "0", "--n", "400000000"],
+}
+
+
+@pytest.mark.parametrize("argv", OUT_OF_MEMORY.values(), ids=OUT_OF_MEMORY.keys())
+def test_out_of_memory_exits_two(tmp_path, argv):
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "sel.cli", *argv, "--out", str(out / "s.csv")],
+        env=env, preexec_fn=limit_address_space, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: MemoryError: ")
+    assert proc.stderr.count("\n") == 1
     assert not out.exists()
 
 

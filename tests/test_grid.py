@@ -10,6 +10,7 @@ from sel import grid as grid_module
 from sel.analysis import (
     fit_boundary_exponent,
     fit_gradient_exponent,
+    gradient_field,
     gradient_integral,
     sobolev_integral,
     uniqueness_identity,
@@ -22,7 +23,6 @@ from sel.grid import (
     InvalidResolutionError,
     assemble_laplacian,
     build_grid,
-    gradient_components,
     interval,
     power_weight,
     rectangle,
@@ -209,12 +209,11 @@ def test_distance_reflection_symmetry():
     np.testing.assert_array_equal(w, w[::-1, :])
 
 
-def test_gradient_components_quadratic_exact():
+def test_gradient_field_quadratic_exact():
     g = build_grid(interval(1.0), 16)
     x = g.axes[0]
     u = x * (1 - x) / 2
-    (gx,) = gradient_components(g, u)
-    np.testing.assert_allclose(gx, 0.5 - x, atol=1e-13)
+    np.testing.assert_allclose(gradient_field(g, u), np.abs(0.5 - x), atol=1e-13)
 
 
 @pytest.mark.parametrize("shape, n", [(interval(1.0), 32), (rectangle(1.0, 1.0), 9), (rectangle(2.0, 0.5), 6)])
@@ -399,7 +398,7 @@ FIELD_FUNCTIONS = {
     "check_field": lambda g, u: g.check_field(u),
     "check_positive": lambda g, u: g.check_positive(u),
     "shifted_laplacian": shifted_laplacian,
-    "gradient_components": gradient_components,
+    "gradient_field": gradient_field,
     "residual": lambda g, u: residual(g, u, 2.0, 0.0),
     "iterate_step": lambda g, u: iterate_step(g, None, u, 2.0, 0.0),
     "verify_barrier": lambda g, u: verify_barrier(g, u, 2.0, 0.0, "sub"),
