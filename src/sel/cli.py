@@ -46,6 +46,8 @@ written next to each report; the timestamp lives only there.
 The argument parser is built on the first main call and kept for the
 process: later calls parse with the same parser, and main looks up the
 command function at call time.
+Importing this module freezes the garbage collector's objects (gc.freeze),
+so that no full collection rescans the numpy and scipy imports mid-solve.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import gc
 import json
 import math
 import os
@@ -83,6 +86,12 @@ from .spectral import dirichlet_eigenpair, linearized_smallest_eigenvalue
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_SOLVER_FAILURE = 2
+
+# The ~40k objects of the numpy and scipy imports live as long as the
+# process.  Unfrozen, every full collection rescans them: a 12-27 ms pause
+# (2-vCPU VM) inside whichever solve the allocation count happens to reach.
+# Frozen, they are never scanned, and a full collection takes < 1 ms.
+gc.freeze()
 
 
 class IterationLimitError(SolverFailure):

@@ -12,7 +12,8 @@ with iterative refinement; a rectangle's is solved by conjugate gradients
 preconditioned with a geometric multigrid V-cycle (Galerkin coarse
 operators, damped-Jacobi smoothing, a direct solve on the coarsest grid),
 which takes a handful of iterations at any resolution; mu_1 takes the same
-factor and route (spectral).  A bare CSR matrix (SPDFactor(A), behind
+factor and route (spectral: inverse iteration on the LDL^T kernel, LOBPCG
+with the V-cycle).  A bare CSR matrix (SPDFactor(A), behind
 solve_spd and principal_eigenpair) has no grid: a tridiagonal one
 (is_tridiagonal) gets the LDL^T factor, any other one direct splu level; no
 program path takes it, and it goes with those two callers (ROADMAP item 2).
@@ -136,8 +137,8 @@ class SPDFactor:
     tridiagonal A (is_tridiagonal) is factored as L D L^T, any other is one
     direct splu level.  A NaN or inf entry is a ValueError on either route,
     and so is a tridiagonal A that is not symmetric.  The eigenpairs of
-    spectral take the route: diagonals (None on the multigrid route) for
-    eigh_tridiagonal, or precondition for lobpcg.
+    spectral take the route: diagonals and the LDL^T factor (None on the
+    multigrid route) for inverse iteration, or precondition for lobpcg.
 
     A tridiagonal operator (every interval grid) is factored as L D L^T by
     LAPACK dpttrf, which fails (info != 0) unless the matrix is positive

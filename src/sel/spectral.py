@@ -3,25 +3,26 @@
 _forcing is the one evaluation of F(u) = d^(-beta) u^(-alpha), monotone_shift
 of m = -F'(u).  The principal eigenpair of -lap_h on the uniform tensor grid
 is in closed form (dirichlet_eigenpair); -lap_h + m has none, and
-its smallest eigenvalue mu_1 comes from a library eigensolver on the
-factor linear_core.SPDFactor.on_grid, by its route: eigh_tridiagonal
-(LAPACK) on the two diagonals of an interval's factor, lobpcg with the
+its smallest eigenvalue mu_1 comes from the factor
+linear_core.SPDFactor.on_grid, by its route: shifted inverse iteration on
+an interval's LDL^T kernel (LAPACK dpttrf/dpttrs), lobpcg with the
 factor's V-cycle on rectangles (a bare matrix, principal_eigenpair:
 SPDFactor(A)'s route).  Either eigenvector is judged on the factor's CSR
-operator.
+operator, with NumPy's pairwise sums in place of BLAS dot products.
 The operators are SPD M-matrices, so the principal eigenvector is positive
 (discrete Perron-Frobenius), which is checked.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .grid import Grid, assemble_laplacian, power_weight
 from .linear_core import SPDFactor, SolverFailure, check_tol
@@ -30,6 +31,7 @@ from .linear_core import SPDFactor, SolverFailure, check_tol
 # eps * ||A||_inf (which grows like n^2); the residual check allows this many.
 ROUNDOFF_UNITS = 16
 MAX_LOBPCG_ITERS = 100  # per LOBPCG run; a V-cycle keeps runs near a dozen
+MAX_INVERSE_ITERS = 50  # shifted solves per interval mu_1; 0-10 reach the rounding floor
 
 
 class EigenNonConvergenceError(SolverFailure):
@@ -68,7 +70,9 @@ def _closed_form_eigenpair(grid: Grid) -> EigenPair:
         phi = np.multiply.outer(phi, np.sin(np.pi * ax / length)).reshape(-1)
     phi /= phi.max()
     lam = sum(4.0 / h**2 * np.sin(np.pi * h / (2.0 * L)) ** 2 for h, L in zip(grid.h, extents))
-    resid = np.linalg.norm(assemble_laplacian(grid) @ phi - lam * phi) / np.linalg.norm(phi)
+    r = assemble_laplacian(grid) @ phi - lam * phi
+    # pairwise sums, not BLAS ddot, as in _rayleigh
+    resid = math.sqrt(np.add.reduce(r * r)) / math.sqrt(np.add.reduce(phi * phi))
     phi.setflags(write=False)
     return EigenPair(value=float(lam), field=phi, residual=float(resid))
 
@@ -76,22 +80,23 @@ def _closed_form_eigenpair(grid: Grid) -> EigenPair:
 def principal_eigenpair(A: sp.spmatrix, tol: float = 1e-10) -> EigenPair:
     """_eigenpair of a bare SPD M-matrix through SPDFactor(A), its checks (a
     ValueError for a NaN or inf entry or an asymmetric tridiagonal A) and its
-    route: a tridiagonal A by its two diagonals, else one splu level (README)."""
+    route: a tridiagonal A by inverse iteration on its LDL^T, else one splu
+    level (README)."""
     return _eigenpair(SPDFactor(A), tol)
 
 
 def _eigenpair(factor: SPDFactor, tol: float) -> EigenPair:
     """Smallest eigenvalue and positive eigenvector of factor's SPD M-matrix A.
 
-    A banded factor's two diagonals (factor.diagonals) go to
-    scipy.linalg.eigh_tridiagonal.  Else scipy.sparse.linalg.lobpcg runs
-    on A from the constant vector (so results are deterministic),
-    preconditioned by factor.precondition, one V-cycle ~ A^(-1) r.  LOBPCG
-    stops on an absolute residual, so it runs twice: to the gate below at
-    the Rayleigh quotient of the constant vector (an upper bound of
-    lambda), then, from the vector it returned, to half the gate at the
-    eigenvalue it returned.  The value is the Rayleigh quotient of the
-    sup-normalized eigenvector phi.  Unless
+    A banded factor (factor.diagonals) is solved by _inverse_iteration on
+    its LDL^T kernel.  Else scipy.sparse.linalg.lobpcg runs on A from the
+    constant vector (so results are deterministic), preconditioned by
+    factor.precondition, one V-cycle ~ A^(-1) r.  LOBPCG stops on an
+    absolute residual, so it runs twice: to the gate below at the Rayleigh
+    quotient of the constant vector (an upper bound of lambda), then, from
+    the vector it returned, to half the gate at the eigenvalue it returned.
+    The value is the Rayleigh quotient of the sup-normalized eigenvector
+    phi on A (_rayleigh).  Unless
     ||A phi - lambda phi||_2 / ||phi||_2 <= max(tol * lambda,
     ROUNDOFF_UNITS * eps * ||A||_inf) and phi > 0: EigenNonConvergenceError.
     ValueError, before any eigensolve, unless tol is finite and > 0.
@@ -103,7 +108,7 @@ def _eigenpair(factor: SPDFactor, tol: float) -> EigenPair:
     row_sums = np.add.reduceat(np.abs(A.data), A.indptr[:-1])
     floor = ROUNDOFF_UNITS * np.finfo(float).eps * row_sums.max()
     if factor.diagonals is not None:
-        _, vecs = scipy.linalg.eigh_tridiagonal(*factor.diagonals, select="i", select_range=(0, 0))
+        x = _inverse_iteration(factor, tol, floor)
     else:
         precond = scipy.sparse.linalg.LinearOperator(
             A.shape, matvec=lambda r: factor.precondition(r.ravel()), dtype=float
@@ -125,18 +130,76 @@ def _eigenpair(factor: SPDFactor, tol: float) -> EigenPair:
                 _, vecs = lobpcg(vecs, 0.5 * max(tol * lam, floor))
             except np.linalg.LinAlgError as exc:
                 raise EigenNonConvergenceError(f"LOBPCG broke down: {exc}") from exc
-    x = vecs[:, 0] / vecs[np.argmax(np.abs(vecs[:, 0])), 0]
-    # The Rayleigh quotient squares the eigenvector error; bisection alone is
-    # off by up to eps * ||A||, 2.7e-9 relative at interval n=8192.
-    ax = A @ x
-    lam = float(x @ ax) / float(x @ x)
-    resid = float(np.linalg.norm(ax - lam * x)) / float(np.linalg.norm(x))
+        x = vecs[:, 0] / vecs[np.argmax(np.abs(vecs[:, 0])), 0]
+    # the Rayleigh quotient squares the eigenvector's error
+    lam, resid = _rayleigh(A, x)
     limit = max(tol * lam, floor)
     if not resid <= limit:
         raise EigenNonConvergenceError(f"eigen-residual {resid:.3e} > {limit:.3e}")
     if x.min() <= 0.0:
         raise EigenNonConvergenceError("principal eigenvector is not strictly positive")
     return EigenPair(value=lam, field=x, residual=resid)
+
+
+def _rayleigh(A: sp.csr_array, x: np.ndarray) -> tuple[float, float]:
+    """Rayleigh quotient of x on A, and ||A x - lambda x||_2 / ||x||_2.
+
+    Every inner product is np.add.reduce of elementwise products, NumPy's
+    pairwise sum: BLAS ddot splits long vectors across its threads, so its
+    bits would depend on the thread count.
+    """
+    ax = A @ x
+    xx = np.add.reduce(x * x)
+    lam = float(np.add.reduce(x * ax) / xx)
+    r = ax - lam * x
+    return lam, math.sqrt(np.add.reduce(r * r)) / math.sqrt(xx)
+
+
+def _inverse_iteration(factor: SPDFactor, tol: float, floor: float) -> np.ndarray:
+    """Sup-normalized principal eigenvector of a banded factor's A by shifted
+    inverse iteration.
+
+    A symmetric tridiagonal A has a strictly positive principal eigenvector
+    exactly when every off-diagonal is < 0; else EigenNonConvergenceError
+    before any solve (from the constant vector, inverse iteration could
+    return another eigenvector that is positive, e.g. that of the largest
+    eigenvalue of [[2, 1], [1, 2]]).  Then A is an irreducible M-matrix and
+    A^(-1) > 0, so each solve x = A^(-1) y of a positive y brackets lambda:
+    min y/x <= lambda <= max y/x (Collatz-Wielandt; Varga, Matrix Iterative
+    Analysis, ch. 2).  Two solves with factor's LDL^T from the constant
+    vector give the shift sigma, that lower bound (0.94-0.97 lambda on the
+    cases measured); the shifted solves x <- (A - sigma I)^(-1) x, each
+    sup-normalized, then converge at the rate
+    (lambda - sigma) / (lambda_2 - sigma) (Ipsen, SIAM Review 39, 1997).
+    They stop once the residual (_rayleigh) is within the gate of _eigenpair
+    and has stopped halving, i.e. has reached its rounding floor, or after
+    MAX_INVERSE_ITERS solves; _eigenpair judges the vector returned.
+    """
+    diag, off = factor.diagonals
+    if (off >= 0.0).any():
+        raise EigenNonConvergenceError("principal eigenvector is not strictly positive")
+    x = np.ones(diag.size)
+    for _ in range(2):
+        y = x
+        x = dpttrs(*factor._ldl, y)[0]
+        sigma = float((y / x).min())
+        x /= x.max()
+    # the f2py wrappers reject an empty off-diagonal: one unknown gets a dummy 0
+    d, e, info = dpttrf(diag - sigma, off if off.size else np.zeros(1))
+    # sigma is a lower bound of lambda in exact arithmetic only: A - sigma I
+    # may fail to factor, and then the unshifted LDL^T iterates
+    ldl = (d, e) if info == 0 else factor._ldl
+    lam, resid = _rayleigh(factor.A, x)
+    prev = math.inf
+    for _ in range(MAX_INVERSE_ITERS):
+        # a zero residual is exact
+        if resid <= max(tol * lam, floor) and not 0.0 < resid < 0.5 * prev:
+            break
+        prev = resid
+        x = dpttrs(*ldl, x)[0]
+        x /= x.max()
+        lam, resid = _rayleigh(factor.A, x)
+    return x
 
 
 def _forcing(grid: Grid, u: np.ndarray, alpha: float, beta: float) -> np.ndarray:
@@ -173,7 +236,8 @@ def linearized_smallest_eigenvalue(
     The potential is nonnegative for u > 0, so mu_1 >= lambda_1 > 0: the
     converged solutions of the nonlinear problem are linearly stable, and
     this is the quantity that certifies it.  The operator and its route are
-    those of SPDFactor.on_grid (eigh_tridiagonal on an interval, LOBPCG with
-    the V-cycle on a rectangle).  ValueError unless u passes grid.check_positive.
+    those of SPDFactor.on_grid (inverse iteration on the LDL^T kernel of an
+    interval, LOBPCG with the V-cycle on a rectangle).  ValueError unless u
+    passes grid.check_positive.
     """
     return _eigenpair(SPDFactor.on_grid(grid, monotone_shift(grid, u, alpha, beta)), tol)

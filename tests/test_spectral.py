@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
+from sel import spectral
 from sel.grid import (
     assemble_laplacian,
     build_grid,
@@ -47,7 +50,8 @@ def test_principal_pair_tiny_grid_closed_form():
         (interval(1.0), 4096),
         (rectangle(1.0, 1.0), 24),
         (rectangle(2.0, 0.5), 16),
-        (interval(1.0), 8192),  # bisection alone is off by 2.7e-9 here
+        # eps * ||A||_inf is 6.0e-9 of lambda here: only a Rayleigh quotient holds rel 1e-10
+        (interval(1.0), 8192),
     ],
 )
 def test_closed_form_pair_matches_library_eigensolver(shape, n):
@@ -138,16 +142,19 @@ def test_linearized_matches_dense_eigensolve():
 
 @pytest.mark.parametrize(
     "shape, n, solver",
-    [(interval(1.0), 64, (scipy.linalg, "eigh_tridiagonal")),
+    [(interval(1.0), 64, (spectral, "_inverse_iteration")),
      (rectangle(1.0, 1.0), 16, (scipy.sparse.linalg, "lobpcg"))],
 )
 def test_residual_check_rejects_perturbed_eigenvector(monkeypatch, shape, n, solver):
     module, name = solver
     library = getattr(module, name)
+    wobble = 1.0 + 1e-3 * np.cos(np.arange(build_grid(shape, n).num_interior))
 
     def perturbed(*args, **kwargs):
-        values, vectors = library(*args, **kwargs)
-        return values, vectors * (1.0 + 1e-3 * np.cos(np.arange(vectors.shape[0])))[:, None]
+        out = library(*args, **kwargs)
+        if isinstance(out, tuple):  # LOBPCG's (values, vectors)
+            return out[0], out[1] * wobble[:, None]
+        return out * wobble  # the interval kernel's vector
 
     monkeypatch.setattr(module, name, perturbed)
     with pytest.raises(EigenNonConvergenceError, match="eigen-residual"):
@@ -160,7 +167,7 @@ def test_eigen_tol_must_be_positive_and_finite(monkeypatch, shape, tol):
     # invalid input on both routes, checked before either eigensolver runs
     g = build_grid(shape, 16)
     u = dirichlet_eigenpair(g).field
-    for module, name in ((scipy.linalg, "eigh_tridiagonal"), (scipy.sparse.linalg, "lobpcg")):
+    for module, name in ((spectral, "_inverse_iteration"), (scipy.sparse.linalg, "lobpcg")):
         monkeypatch.setattr(module, name, lambda *_a, **_k: pytest.fail("solved before the check"))
     with pytest.raises(ValueError, match="tol must be positive and finite"):
         linearized_smallest_eigenvalue(g, u, 2.0, 0.0, tol=tol)
@@ -198,18 +205,66 @@ def test_sign_changing_eigenvector_is_a_non_convergence():
 
 
 def test_interval_mu1_builds_no_matrix_and_matches_its_csr_operator():
-    # eigh_tridiagonal's eigenvector is judged on the factor's CSR operator,
-    # so mu_1 and its residual are bitwise those of shifted_laplacian
-    g = build_grid(interval(1.0), 4096)
-    u = g.d ** (2.0 / 3.0)
-    A = shifted_laplacian(g, monotone_shift(g, u, 2.0, 0.3))
-    eig = linearized_smallest_eigenvalue(g, u, 2.0, 0.3)
-    x = eig.field
-    assert eig.value == float(x @ (A @ x)) / float(x @ x)
-    assert eig.residual == float(np.linalg.norm(A @ x - eig.value * x)) / float(np.linalg.norm(x))
+    # the kernel's eigenvector is judged on the factor's CSR operator, so
+    # mu_1 and its residual are bitwise those of shifted_laplacian, every
+    # inner product a pairwise np.add.reduce (no BLAS ddot, whose bits
+    # differ from it at n = 65536 and depend on the thread count)
+    for n in (4096, 65536):
+        g = build_grid(interval(1.0), n)
+        u = g.d ** (2.0 / 3.0)
+        A = shifted_laplacian(g, monotone_shift(g, u, 2.0, 0.3))
+        eig = linearized_smallest_eigenvalue(g, u, 2.0, 0.3)
+        x = eig.field
+        ax = A @ x
+        xx = np.add.reduce(x * x)
+        assert eig.value == float(np.add.reduce(x * ax) / xx)
+        r = ax - eig.value * x
+        assert eig.residual == math.sqrt(np.add.reduce(r * r)) / math.sqrt(xx)
 
 
 def test_principal_pair_rejects_a_non_symmetric_tridiagonal_matrix():
     a = scipy.sparse.csr_array(np.array([[2.0, -1.0], [-0.5, 2.0]]))
     with pytest.raises(ValueError, match="not symmetric"):
+        principal_eigenpair(a)
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 257, 1024])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0, 10.0, 50.0])
+@pytest.mark.parametrize("beta", [0.0, 0.7, 1.99])
+def test_interval_mu1_matches_dense_eigvalsh(n, alpha, beta):
+    (level,) = solve_ladder(alpha, beta, interval(1.0), [n], SolveConfig(tol=1e-6))
+    grid, u = level.grid, level.report.upper
+    mu = linearized_smallest_eigenvalue(grid, u, alpha, beta)
+    dense = assemble_laplacian(grid).toarray() + np.diag(monotone_shift(grid, u, alpha, beta))
+    mu_dense = scipy.linalg.eigvalsh(dense, subset_by_index=[0, 0])[0]
+    # eigvalsh is exact only for a matrix within about eps * ||A|| of A
+    # (Weyl): at n = 1024 it is off by up to 1.6e-10 of mu_1, while the
+    # long-double Rayleigh quotient of mu.field agrees with mu.value to 3e-13
+    dense_error = np.finfo(float).eps * np.abs(dense).sum(axis=1).max()
+    assert mu.value == pytest.approx(mu_dense, rel=1e-10, abs=dense_error)
+    assert mu.field.min() > 0.0 and mu.field.max() == 1.0
+
+
+@pytest.mark.parametrize("n", [4096, 65536])
+@pytest.mark.parametrize("alpha", [0.5, 2.0, 10.0])
+def test_interval_mu1_takes_at_most_ten_ldlt_solves(monkeypatch, n, alpha):
+    (level,) = solve_ladder(alpha, 0.0, interval(1.0), [n], SolveConfig(tol=1e-6))
+    solves = []
+    kernel = spectral.dpttrs
+
+    def counted(*args):
+        solves.append(args[0].size)
+        return kernel(*args)
+
+    monkeypatch.setattr(spectral, "dpttrs", counted)
+    mu = linearized_smallest_eigenvalue(level.grid, level.report.upper, alpha, 0.0)
+    assert 2 < len(solves) <= 10 and set(solves) == {n - 1}
+    assert mu.field.min() > 0.0
+
+
+def test_tridiagonal_with_a_positive_off_diagonal_fails_before_any_solve(monkeypatch):
+    # SPD, but its principal eigenvector changes sign: (0.63, 0.71, -0.32)
+    a = scipy.sparse.csr_array(np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, 0.5], [0.0, 0.5, 2.0]]))
+    monkeypatch.setattr(spectral, "dpttrs", lambda *_a: pytest.fail("solved before the sign rule"))
+    with pytest.raises(EigenNonConvergenceError, match="not strictly positive"):
         principal_eigenpair(a)
