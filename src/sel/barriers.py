@@ -4,8 +4,9 @@ build_barrier_pair builds and scales the pair; verify_barrier
 certifies either side nodewise.  Two regimes, split by s = alpha + beta:
 
 * s <= 1 (low): both barriers are multiples of psi, where psi solves
-  -lap_h psi = d^(-(alpha+beta)) through SPDFactor.on_grid (factored by the
-  grid, no pattern scan); it behaves like d (like d log(1/d) at s = 1), and
+  -lap_h psi = d^(-(alpha+beta)) on the grid's mirror cell through
+  SPDFactor.on_cell (factored by the grid, no pattern scan); it behaves
+  like d (like d log(1/d) at s = 1), and
   the weight of the monotone iteration's gap norm is d^(-gamma) with
   gamma = 1 + alpha.  At alpha = 0 psi solves the linear problem itself, so
   c and C bracket 1.
@@ -22,7 +23,12 @@ certifies either side nodewise.  Two regimes, split by s = alpha + beta:
   psi_i), so -lap_h(H^t) > 0 at every node.
 
 Each pair is one positive profile, base, at two scales c <= C that one
-pass (_exact_scale) gives.  The defect of s*base is
+pass (_exact_scale) gives.  The base is mirrored from the grid's symmetry
+cell first (grid.mirror_fold: psi is solved there, H^t taken at the cell's
+nodes, since the closed-form phi rounds differently at x and L - x), so
+both sides are mirror-symmetric to the bit and solve_monotone starts its
+cell iteration from their cell values; the certificates stay on the full
+grid.  The defect of s*base is
 s*lap - d^(-beta) base^(-alpha) s^(-alpha) with lap = -lap_h(base), so
 
     c = min over {lap > 0} of (d^(-beta) base^(-alpha) / lap)^(1/(1+alpha))
@@ -63,7 +69,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, assemble_laplacian, power_weight
+from .grid import Grid, assemble_laplacian, mirror_fold, power_weight
 from .linear_core import SPDFactor, SolverFailure
 from .spectral import EigenPair, _forcing, dirichlet_eigenpair
 
@@ -255,19 +261,26 @@ def build_barrier_pair(
     eig, read only when t < 1, defaults to the closed-form principal
     eigenpair of the grid (cached on it), and H is built per axis from its
     field on every call; a passed eig's field must pass grid.check_positive
-    (ValueError).  The pair comes back read-only and records the grid and
-    (alpha, beta) it was certified for (BarrierPair.certified_for).
+    (ValueError).  Either profile is mirrored from the grid's symmetry cell
+    before it is scaled, so the pair is mirror-symmetric for any eig.  The
+    pair comes back read-only and records the grid and (alpha, beta) it was
+    certified for (BarrierPair.certified_for).
     """
     regime = resolve_regime(alpha, beta)
     A0 = assemble_laplacian(grid)
+    # the base is mirrored from the cell: both sides are mirror-symmetric to
+    # the bit, so solve_monotone starts its cell iteration from their cell
+    # values
+    fold = mirror_fold(grid)
     if regime.t == 1.0:
-        # psi need not be accurate: c and C are scaled from A0 @ psi itself
-        factor = SPDFactor.on_grid(grid, np.zeros(grid.num_interior))
-        psi, _ = factor.solve(power_weight(grid, alpha + beta), tol=1e-9)
-        base = psi.astype(float)
+        # psi need not be accurate: c and C are scaled from A0 @ psi itself.
+        # On the cell, -lap_h psi = d^(-(alpha+beta)) is K psi = w d^(-(alpha+beta))
+        factor = SPDFactor.on_cell(grid, np.zeros(fold.w.size))
+        psi, _ = factor.solve(fold.w * power_weight(grid, alpha + beta)[fold.rep], tol=1e-9)
+        base = psi.astype(float)[fold.idx]
     else:
         phi = dirichlet_eigenpair(grid).field if eig is None else grid.check_positive(eig.field)
-        base = _corner_profile(grid, phi) ** regime.t
+        base = (_corner_profile(grid, phi) ** regime.t)[fold.rep][fold.idx]
     c, C = _exact_scale(A0, _forcing(grid, base, alpha, beta), base, alpha)
     if not c > 0.0:  # a margin delta >= 1, or NaN
         raise BarrierConstructionError(

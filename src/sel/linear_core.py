@@ -4,9 +4,11 @@ A nonnegative diagonal keeps the M-matrix structure of the Laplacian:
 solutions of systems with nonnegative right-hand sides are nonnegative
 (discrete comparison principle), which is checked after every solve.
 SPDFactor prepares one CSR operator (SPDFactor.A) once for all the
-right-hand sides it will see.  The monotone and Newton steps factor by the
-grid (SPDFactor.on_grid(grid, m): grid.shifted_laplacian, -lap_h + diag(m)
-on the pattern of the grid's cached Laplacian), routed by grid.dim: an
+right-hand sides it will see.  Newton's steps and mu_1 factor by the grid
+(SPDFactor.on_grid(grid, m): grid.shifted_laplacian, -lap_h + diag(m)
+on the pattern of the grid's cached Laplacian), and the monotone steps by
+its mirror cell (SPDFactor.on_cell(grid, m): K + diag(m) on the pattern of
+the fold's K, grid.mirror_fold), both routed by grid.dim: an
 interval's tridiagonal operator gets an LDL^T factor (LAPACK ?pttrf/?pttrs)
 with iterative refinement; a rectangle's is solved by conjugate gradients
 preconditioned with a geometric multigrid V-cycle (Galerkin coarse
@@ -43,7 +45,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .grid import Grid, power_weight, shifted_laplacian
+from .grid import Grid, axis_mirror, mirror_fold, shifted_laplacian
 
 
 class SolverFailure(RuntimeError):
@@ -103,15 +105,11 @@ JACOBI_WEIGHT = 0.8  # damping of the Jacobi smoother
 SMOOTHING_SWEEPS = 2  # Jacobi sweeps before and after each coarse correction
 
 
-@functools.lru_cache(maxsize=8)
-def _prolongation(n: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """(P, P^T): linear interpolation from ceil(n/2) to n subdivisions per axis.
-
-    The coarse nodes need not be fine nodes (odd n), so each fine node
-    interpolates between the two coarse nodes around it, the boundary
-    value 0 standing in for a missing one.  P = kron(P1, P1) on the square
-    interior of a rectangle grid.
-    """
+def _interpolation(n: int) -> sp.csr_matrix:
+    # P1: linear interpolation on one axis from ceil(n/2) to n subdivisions.
+    # The coarse nodes need not be fine nodes (odd n), so each fine node
+    # interpolates between the two coarse nodes around it, the boundary
+    # value 0 standing in for a missing one.
     nc = -(-n // 2)
     pos = np.arange(1, n) * (nc / n)  # fine interior nodes in coarse spacings
     left = np.floor(pos).astype(int)
@@ -120,7 +118,29 @@ def _prolongation(n: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     cols = np.concatenate([left, left + 1])
     vals = np.concatenate([1.0 - frac, frac])
     keep = (cols >= 1) & (cols <= nc - 1) & (vals > 0.0)
-    P1 = sp.csr_matrix((vals[keep], (rows[keep], cols[keep] - 1)), shape=(n - 1, nc - 1))
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep] - 1)), shape=(n - 1, nc - 1))
+
+
+@functools.lru_cache(maxsize=8)
+def _prolongation(n: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """(P, P^T): linear interpolation from ceil(n/2) to n subdivisions per
+    axis, P = kron(P1, P1) on the square interior of a rectangle grid."""
+    P1 = _interpolation(n)
+    P = sp.kron(P1, P1, format="csr")
+    return P, P.T.tocsr()
+
+
+@functools.lru_cache(maxsize=8)
+def _cell_prolongation(n: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """(P_c, P_c^T): _prolongation between the mirror cells (grid.MirrorFold)
+    of n and ceil(n/2) subdivisions, P_c = P[rep_f] E_c per axis: a fine cell
+    node interpolates from the coarse nodes around it, a node beyond the
+    coarse cell read at its cell node.  P E_c = E_f P_c holds to the bit at
+    even n, where every weight is 0, 1/2 or 1, and to rounding at odd n."""
+    nc = -(-n // 2)
+    idx_c, w_c = axis_mirror(nc)
+    E_c = sp.csr_matrix((np.ones(nc - 1), (np.arange(nc - 1), idx_c)), shape=(nc - 1, w_c.size))
+    P1 = (_interpolation(n)[: n // 2] @ E_c).tocsr()
     P = sp.kron(P1, P1, format="csr")
     return P, P.T.tocsr()
 
@@ -128,11 +148,13 @@ def _prolongation(n: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
 class SPDFactor:
     """An SPD M-matrix A (self.A, in CSR) prepared once for many solves.
 
-    Two constructors route to one tridiagonal init and one multigrid init,
+    Three constructors route to one tridiagonal init and one multigrid init,
     and share solve.  SPDFactor.on_grid(grid, m), the factor of
-    -lap_h + diag(m) that the monotone and Newton steps use, routes by
-    grid.dim: an interval's operator is tridiagonal, a rectangle's
-    multigrid takes n from the grid.  SPDFactor(A), behind solve_spd and
+    -lap_h + diag(m) that Newton and mu_1 use, and SPDFactor.on_cell(grid,
+    m), that of the mirror cell's K + diag(m) that the monotone steps use,
+    route by grid.dim: an interval's operator is tridiagonal, a rectangle's
+    multigrid takes n from the grid, and its prolongations from the full
+    grid's or the cell's interpolation.  SPDFactor(A), behind solve_spd and
     principal_eigenpair, has a bare matrix and no grid to coarsen: a
     tridiagonal A (is_tridiagonal) is factored as L D L^T, any other is one
     direct splu level.  A NaN or inf entry is a ValueError on either route,
@@ -157,7 +179,9 @@ class SPDFactor:
     iteration: a solve of SolveStats.iterations steps applies that many
     V-cycles.
     The hierarchy is built here, once per operator: linear interpolation P
-    from n to ceil(n/2) subdivisions per axis, Galerkin coarse operators
+    from n to ceil(n/2) subdivisions per axis (between the mirror cells of
+    the two grids on the cell, P_c = P[rep_f] E_c, so the cell's Galerkin
+    operators are the folds of the full grid's), Galerkin coarse operators
     P^T A P (the nodal shift needs no rediscretization), SMOOTHING_SWEEPS
     damped-Jacobi sweeps before and after each coarse correction, and splu
     at the coarsest level, n <= COARSEST_N.  Smaller grids, and every bare
@@ -176,7 +200,7 @@ class SPDFactor:
                 raise ValueError("tridiagonal matrix is not symmetric")
             self._init_banded(A, A.diagonal(), off)
         else:
-            self._init_multigrid(A, 0)
+            self._init_multigrid(A, 0, None)
 
     @classmethod
     def on_grid(cls, grid: Grid, m: np.ndarray) -> SPDFactor:
@@ -184,15 +208,31 @@ class SPDFactor:
 
         ValueError unless m passes grid.check_field.
         """
-        self = cls.__new__(cls)
         A = shifted_laplacian(grid, m)
+        return cls._routed(grid, A, grid._diagonal_positions, _prolongation)
+
+    @classmethod
+    def on_cell(cls, grid: Grid, m: np.ndarray) -> SPDFactor:
+        """The factor of K + diag(m) on the grid's mirror cell
+        (grid.mirror_fold), routed by grid.dim as on_grid: the cell's
+        operator is tridiagonal on an interval, and a rectangle's multigrid
+        interpolates between the cells of its levels (_cell_prolongation).
+
+        ValueError unless m is a finite cell field.
+        """
+        fold = mirror_fold(grid)
+        return cls._routed(grid, fold.shifted(m), fold.diagonal_positions, _cell_prolongation)
+
+    @classmethod
+    def _routed(cls, grid: Grid, A: sp.csr_array, pos: np.ndarray, prolongation) -> SPDFactor:
+        # pos: A's diagonal positions; prolongation: n -> (P, P^T) of A's levels
+        self = cls.__new__(cls)
         if grid.dim == 1:
             # each row's diagonal entry, and its right neighbour stored next
             # (rows in column order): a third of the cost of A.diagonal(k)
-            pos = grid._diagonal_positions
             self._init_banded(A, A.data[pos], A.data[pos[:-1] + 1])
         else:
-            self._init_multigrid(A, grid.n)
+            self._init_multigrid(A, grid.n, prolongation)
         return self
 
     def _init_banded(self, A: sp.csr_array, diag: np.ndarray, off: np.ndarray) -> None:
@@ -205,14 +245,15 @@ class SPDFactor:
             raise SolverStagnationError("matrix is not positive definite")
         self._ldl = (d, e)
 
-    def _init_multigrid(self, A: sp.csr_array, n: int) -> None:
-        # n: subdivisions per axis of A's grid, or 0 (no grid) for a one-level hierarchy
+    def _init_multigrid(self, A: sp.csr_array, n: int, prolongation) -> None:
+        # n: subdivisions per axis of A's grid, or 0 (no grid) for a one-level
+        # hierarchy; prolongation(n): (P, P^T) from A's next coarser level
         self.A = A
         self.diagonals = self._ldl = None
         # (A_l, JACOBI_WEIGHT / diag(A_l), P, P^T) for every level above the coarsest
         self._levels = []
         while n > COARSEST_N:
-            P, PT = _prolongation(n)
+            P, PT = prolongation(n)
             self._levels.append((A, JACOBI_WEIGHT / A.diagonal(), P, PT))
             A = (PT @ A @ P).tocsr()
             n = -(-n // 2)
@@ -231,9 +272,10 @@ class SPDFactor:
         discrete comparison principle.
         SolveStats.iterations counts banded solves or PCG steps.  A refined
         banded x is judged and returned in np.longdouble; callers round once.
-        Every residual is a double vector r, and its 2-norm is taken as
-        math.sqrt(r @ r): the bits of np.linalg.norm(r), which computes
-        sqrt(r.dot(r)) for a real vector, without its per-call overhead.
+        Every residual is a double vector r, and its 2-norm, like every
+        inner product of PCG, is np.add.reduce of elementwise products
+        (_norm, _dot): NumPy's pairwise sum, whose bits do not depend on the
+        BLAS thread count, where BLAS ddot splits long vectors across threads.
         """
         check_tol(tol)
         f = np.asarray(f, dtype=float)
@@ -242,14 +284,14 @@ class SPDFactor:
             raise ValueError(f"right-hand side has shape {f.shape}, expected ({m},)")
         if not np.isfinite(f).all():
             raise ValueError("right-hand side has a NaN or inf entry")
-        norm_f = math.sqrt(f @ f)
+        norm_f = _norm(f)
         if norm_f == 0.0:
             return np.zeros(m), SolveStats(0, 0.0)
         target = tol * norm_f
         if self._ldl is None:
             x, iters = self._pcg(f, target)
             r = extended_residual(self.A, f, x)
-            norm_r = math.sqrt(r @ r)
+            norm_r = _norm(r)
         else:
             # the residual at x = 0 is f itself
             x, iters, r, norm_r = np.zeros(m), 0, f, norm_f
@@ -259,7 +301,7 @@ class SPDFactor:
                 x = dx if iters == 0 else np.add(x, dx, dtype=np.longdouble)
                 iters += 1
                 r = extended_residual(self.A, f, x)
-                norm_r = math.sqrt(r @ r)
+                norm_r = _norm(r)
 
         rel = norm_r / norm_f
         if not rel <= tol:
@@ -298,13 +340,13 @@ class SPDFactor:
         x = np.zeros(f.shape[0])
         r = f.copy()
         iters = 0
-        while math.sqrt(r @ r) > target and iters < MAX_PCG_ITERS:
+        while _norm(r) > target and iters < MAX_PCG_ITERS:
             z = self.precondition(r)
-            rz_new = float(r @ z)
+            rz_new = _dot(r, z)
             p = z if iters == 0 else z + (rz_new / rz) * p
             rz = rz_new
             Ap = A @ p
-            pAp = float(p @ Ap)
+            pAp = _dot(p, Ap)
             if pAp <= 0.0:
                 raise SolverStagnationError("matrix is not positive definite")
             alpha = rz / pAp
@@ -314,12 +356,21 @@ class SPDFactor:
         return x, iters
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    # inner product by NumPy's pairwise sum, as spectral._rayleigh: no BLAS
+    return float(np.add.reduce(a * b))
+
+
+def _norm(r: np.ndarray) -> float:
+    return math.sqrt(_dot(r, r))
+
+
 def solve_spd(A: sp.spmatrix, f: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, SolveStats]:
     """One solve of A x = f through a fresh SPDFactor; see SPDFactor.solve."""
     return SPDFactor(A).solve(f, tol)
 
 
-def _weighted_norm(u: np.ndarray, grid: Grid, gamma: float) -> float:
-    # discrete L2(Omega, d^(-gamma)) norm by the midpoint rule, of a double
-    # field that already passed grid.check_field
-    return math.sqrt((u * u * power_weight(grid, gamma)).sum() * grid.cell_volume)
+def _weighted_norm(u: np.ndarray, weight: np.ndarray) -> float:
+    # discrete L2 norm of a double field with nodal quadrature weights, e.g.
+    # d^(-gamma) h^dim for L2(Omega, d^(-gamma)) by the midpoint rule
+    return math.sqrt((u * u * weight).sum())

@@ -27,13 +27,26 @@ Convergence is declared on the relative two-sided gap in the weighted
 L2(Omega, d^(-gamma)) norm, gamma from resolve_regime; the sup-norm gap is
 reported but not used for stopping.
 
+The iteration runs on the grid's mirror-symmetry cell (grid.mirror_fold):
+the problem and its solution are symmetric about every midline, and on
+symmetric fields u = E v the scheme above is the same scheme for
+K = E^T (-lap_h) E with F and m times the orbit sizes w, K v = w F(v)
+(Bossavit, Comput. Methods Appl. Mech. Engrg. 56, 1986).  Each step factors
+K + diag(w m_k) (linear_core.SPDFactor.on_cell), its long-double defect is
+w F(lower_k) - K lower_k, the gap's right-hand side is w times the one
+above, and the chain check and the weighted gap (weights w d^(-gamma)) run
+on the cell; SolveReport.lower and upper are mirrored once at the end.  The
+defect is folded too: on the full grid, long-double rounding breaks the
+symmetry by about eps |A0| |u|, which passes INNER_TOL ||f|| once the
+corrections are small.  The barrier certificates, mu_1 and Newton stay on
+the full grid.
+
 Every operator of a run comes from the one grid of its ProblemSpec, the
-process's shared grid of its (shape, n) (grid.build_grid): -lap_h is
-assembled once for that grid (grid.assemble_laplacian) and each step
-factors -lap_h + m_k by the grid (linear_core.SPDFactor.on_grid), a
-diagonal shift on its pattern (grid.shifted_laplacian).  Each level of
-solve_ladder takes that grid, and the eigenpair, the barriers, their
-certificate and solve_monotone share it; the pair is certified once, by
+process's shared grid of its (shape, n) (grid.build_grid): the fold's K is
+built once for that grid and each step factors K + diag(w m_k) by the grid,
+a diagonal shift on its pattern.  Each level of solve_ladder takes that
+grid, and the eigenpair, the barriers, their certificate and
+solve_monotone share it; the pair is certified once, by
 build_barrier_pair, and solve_monotone re-verifies only a pair not
 certified for its grid and (alpha, beta).
 """
@@ -43,14 +56,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .barriers import (
     BarrierPair, _weighted_defect, build_barrier_pair, resolve_regime, verify_barrier
 )
-from .grid import DomainShape, Grid, assemble_laplacian
+from .grid import DomainShape, Grid, assemble_laplacian, mirror_fold, power_weight
 from .linear_core import SPDFactor, SolverFailure, SolveStats, _weighted_norm, extended_residual
 from .problem import ProblemSpec, SolveConfig
-from .spectral import _forcing, monotone_shift
+from .spectral import _scaled_forcing, _scaled_shift
 
 CHAIN_TOL = 1e-12  # ordering slack, relative to ||super||_inf
 # Relative residual of each inner solve, applied to the increment (correction
@@ -92,28 +106,33 @@ def iterate_step(
 ) -> tuple[np.ndarray, SolveStats]:
     """One shifted linear solve of the scheme from prev, and its SolveStats.
 
-    factor holds -lap_h + m for the step's shift m, and A0 = -lap_h is the
-    grid's cached Laplacian.  Solved in correction form, u = prev + delta with
-    (A0 + m) delta = F(prev) - A0 prev: the shift cancels from the
-    right-hand side, which is evaluated in long double (spectral._forcing
-    of a long-double field, then extended_residual), and the inner relative
-    tolerance INNER_TOL applies to the increment, whose scale shrinks with
-    the iteration, so round-off cannot smear the monotone ordering.
+    factor holds -lap_h + m for the step's shift m on the full grid, and
+    A0 = -lap_h is the grid's cached Laplacian (solve_monotone takes the
+    same step on the grid's mirror cell).  Solved in correction form,
+    u = prev + delta with (A0 + m) delta = F(prev) - A0 prev: the shift
+    cancels from the right-hand side, which is evaluated in long double
+    (spectral._forcing of a long-double field, then extended_residual), and
+    the inner relative tolerance INNER_TOL applies to the increment, whose
+    scale shrinks with the iteration, so round-off cannot smear the
+    monotone ordering.
 
     Raises ValueError, before any arithmetic, unless prev passes
     grid.check_positive (positive and finite at every node), and
     OrderingViolationError unless u is.
     """
-    return _step(grid, factor, grid.check_positive(prev), alpha, beta)
+    prev = grid.check_positive(prev)
+    return _step(assemble_laplacian(grid), power_weight(grid, beta), factor, prev, alpha)
 
 
 def _step(
-    grid: Grid, factor: SPDFactor, prev: np.ndarray, alpha: float, beta: float
+    A: sp.csr_array, weight: np.ndarray, factor: SPDFactor, prev: np.ndarray, alpha: float
 ) -> tuple[np.ndarray, SolveStats]:
-    # iterate_step of a prev that passed grid.check_positive
-    # in double, outcomes hold but ordering violations of exactly 0.0 become ~1e-17
+    # iterate_step of a positive prev with A = -lap_h and weight d^(-beta),
+    # or on a mirror cell with A = K and weight w d^(-beta): the defect
+    # w F(prev) - K prev.  In double, outcomes hold but ordering violations
+    # of exactly 0.0 become ~1e-17
     wide = prev.astype(np.longdouble)
-    defect = extended_residual(assemble_laplacian(grid), _forcing(grid, wide, alpha, beta), wide)
+    defect = extended_residual(A, _scaled_forcing(weight, wide, alpha), wide)
     delta, stats = factor.solve(defect, tol=INNER_TOL)
     u = (prev + delta).astype(float)  # delta may be long double: round once
     return _check_iterate(u, "lower"), stats
@@ -139,9 +158,15 @@ def solve_monotone(spec: ProblemSpec, pair: BarrierPair) -> SolveReport:
     or a NaN enters it, and if a new iterate has an entry that is <= 0 or
     not finite.
 
-    Each iterate is validated once, where it is made (_check_iterate), and
-    the step's shift checks lower again as monotone_shift's input; F and the
-    weighted gap are evaluated on those arrays without another check.
+    The iteration runs on the grid's mirror cell (module docstring) and
+    starts from the orbit max of pair.sub and the orbit min of pair.super
+    (MirrorFold.orbit_reduce): their cell values for the mirror-symmetric
+    sides of build_barrier_pair, and for any other pair a subsolution and a
+    supersolution inside it, since a max of subsolutions is a subsolution
+    and a min of supersolutions a supersolution.  Each iterate is validated
+    once, where it is made (_check_iterate), and each step's shift is
+    checked finite (MirrorFold.shifted); F and the weighted gap are
+    evaluated on those arrays without another check.
 
     A pair that build_barrier_pair certified for spec's grid and
     (alpha, beta) (BarrierPair.certified_on) is not certified again; any
@@ -158,9 +183,17 @@ def solve_monotone(spec: ProblemSpec, pair: BarrierPair) -> SolveReport:
                     f"{side}solution fails certification: violation {cert.worst_violation:.3e} > 0"
                 )
     gamma = resolve_regime(alpha, beta).gamma
+    fold = mirror_fold(grid)
+    # each cell node stands for its orbit of w nodes: w F, w m and the gap
+    # norm's quadrature weight w d^(-gamma) (the cell volume cancels in the
+    # ratio)
+    weight = fold.w * power_weight(grid, beta)[fold.rep]
+    norm_weight = fold.w * power_weight(grid, gamma)[fold.rep]
+    # the cell's start, inside the given pair (docstring)
+    sub = fold.orbit_reduce(pair.sub, np.maximum)
+    sup = fold.orbit_reduce(pair.super, np.minimum)
 
-    lower = pair.sub.copy()
-    upper = pair.super.copy()
+    lower, upper = sub, sup
     width = upper - lower
     chain_tol = CHAIN_TOL * float(np.max(np.abs(pair.super)))
     worst_violation = 0.0
@@ -170,11 +203,11 @@ def solve_monotone(spec: ProblemSpec, pair: BarrierPair) -> SolveReport:
     iterations = 0
 
     for iterations in range(1, config.max_iter + 1):
-        shift = monotone_shift(grid, lower, alpha, beta)
-        factor = SPDFactor.on_grid(grid, shift)
-        new_lower, lower_stats = _step(grid, factor, lower, alpha, beta)
+        shift = _scaled_shift(weight, lower, alpha)
+        factor = SPDFactor.on_cell(grid, shift)
+        new_lower, lower_stats = _step(fold.K, weight, factor, lower, alpha)
         # the upper step minus the lower one (module docstring)
-        rhs = _forcing(grid, upper, alpha, beta) - _forcing(grid, lower, alpha, beta)
+        rhs = _scaled_forcing(weight, upper, alpha) - _scaled_forcing(weight, lower, alpha)
         gap, gap_stats = factor.solve(rhs + shift * width, tol=INNER_TOL)
         # gap may be long double: round once
         new_upper = _check_iterate((new_lower + gap).astype(float), "upper")
@@ -185,11 +218,11 @@ def solve_monotone(spec: ProblemSpec, pair: BarrierPair) -> SolveReport:
         violation = float(
             np.maximum.reduce(
                 [
-                    (pair.sub - new_lower).max(),
+                    (sub - new_lower).max(),
                     (lower - new_lower).max(),
                     -new_width.min(),
                     (new_upper - upper).max(),
-                    (new_upper - pair.super).max(),
+                    (new_upper - sup).max(),
                 ]
             )
         )
@@ -199,15 +232,15 @@ def solve_monotone(spec: ProblemSpec, pair: BarrierPair) -> SolveReport:
                 f"chain violation {violation:.3e} > {chain_tol:.3e} at iteration {iterations}"
             )
         lower, upper, width = new_lower, new_upper, new_width
-        gap = _weighted_norm(width, grid, gamma) / _weighted_norm(upper, grid, gamma)
+        gap = _weighted_norm(width, norm_weight) / _weighted_norm(upper, norm_weight)
         gap_history.append(gap)
         if gap <= config.tol:
             converged = True
             break
 
     return SolveReport(
-        lower=lower,
-        upper=upper,
+        lower=lower[fold.idx],
+        upper=upper[fold.idx],
         iterations=iterations,
         gap_history=gap_history,
         converged=converged,

@@ -104,10 +104,15 @@ def _eigenpair(factor: SPDFactor, tol: float) -> EigenPair:
     check_tol(tol)
     A = factor.A
     # ||A||_inf: each row's |entries| summed in stored order, the bits of
-    # scipy.sparse.linalg.norm(A, np.inf) at a quarter of its cost
-    row_sums = np.add.reduceat(np.abs(A.data), A.indptr[:-1])
-    floor = ROUNDOFF_UNITS * np.finfo(float).eps * row_sums.max()
-    if factor.diagonals is not None:
+    # scipy.sparse.linalg.norm(A, np.inf) at a quarter of its cost; a banded
+    # factor sums its diagonals in that order
+    banded = factor.diagonals is not None
+    if banded:
+        norm_inf = _banded_inf_norm(*factor.diagonals)
+    else:
+        norm_inf = float(np.add.reduceat(np.abs(A.data), A.indptr[:-1]).max())
+    floor = ROUNDOFF_UNITS * np.finfo(float).eps * norm_inf
+    if banded:
         x = _inverse_iteration(factor, tol, floor)
     else:
         precond = scipy.sparse.linalg.LinearOperator(
@@ -139,6 +144,17 @@ def _eigenpair(factor: SPDFactor, tol: float) -> EigenPair:
     if x.min() <= 0.0:
         raise EigenNonConvergenceError("principal eigenvector is not strictly positive")
     return EigenPair(value=lam, field=x, residual=resid)
+
+
+def _banded_inf_norm(diag: np.ndarray, off: np.ndarray) -> float:
+    """||A||_inf of the symmetric tridiagonal A = (diag, off), each row
+    summed in CSR stored order, (|e_(i-1)| + |d_i|) + |e_i|: the bits of
+    np.add.reduceat over A's rows, without A's index arrays."""
+    rows = np.abs(diag)
+    e = np.abs(off)
+    rows[1:] = e + rows[1:]
+    rows[:-1] += e
+    return float(rows.max())
 
 
 def _rayleigh(A: sp.csr_array, x: np.ndarray) -> tuple[float, float]:
@@ -204,28 +220,42 @@ def _inverse_iteration(factor: SPDFactor, tol: float, floor: float) -> np.ndarra
 
 def _forcing(grid: Grid, u: np.ndarray, alpha: float, beta: float) -> np.ndarray:
     """Nodal nonlinearity F(u) = d^(-beta) u^(-alpha), the one evaluation of
-    the right-hand side, for a double or long-double u that already passed
-    grid.check_positive: each caller checks its field once, where it is made
-    or taken in.  A long-double u stays in long double: there powl takes
-    30-55 ns per node at alpha = 0, 1, 2, 3 and about 410 ns at any other
-    alpha, where exp(-alpha log u) takes about 110 ns within
+    the right-hand side (_scaled_forcing with the weight d^(-beta)), for a
+    double or long-double u that already passed grid.check_positive: each
+    caller checks its field once, where it is made or taken in.
+    """
+    return _scaled_forcing(power_weight(grid, beta), u, alpha)
+
+
+def _scaled_forcing(weight: np.ndarray, u: np.ndarray, alpha: float) -> np.ndarray:
+    """weight * u^(-alpha): F on the grid (weight d^(-beta)), and w F on a
+    mirror cell (weight w d^(-beta), w a power of 2, so the product is w
+    times F to the bit).  A long-double u stays in long double: there powl
+    takes 30-55 ns per node at alpha = 0, 1, 2, 3 and about 410 ns at any
+    other alpha, where exp(-alpha log u) takes about 110 ns within
     4 eps (1 + alpha |ln u|) of it, eps the long-double epsilon (timeit at
     4095 nodes, 2-vCPU Xeon VM).
     """
     if u.dtype == np.longdouble and not (float(alpha).is_integer() and alpha < 4):
-        return power_weight(grid, beta) * np.exp(-alpha * np.log(u))
-    return power_weight(grid, beta) * u ** (-alpha)
+        return weight * np.exp(-alpha * np.log(u))
+    return weight * u ** (-alpha)
 
 
 def monotone_shift(grid: Grid, u: np.ndarray, alpha: float, beta: float) -> np.ndarray:
     """Nodal potential m = alpha d^(-beta) u^(-(1+alpha)) of the linearized
     operator -lap_h + diag(m): the one linearization, of mu_1, Newton's
-    Jacobian and the monotone steps.  The smallest m for which
-    s -> d^(-beta) s^(-alpha) + m s is nondecreasing for s >= u at every
-    node.  ValueError unless u passes grid.check_positive.
+    Jacobian and the monotone steps (_scaled_shift with the weight
+    d^(-beta)).  The smallest m for which s -> d^(-beta) s^(-alpha) + m s
+    is nondecreasing for s >= u at every node.  ValueError unless u passes
+    grid.check_positive.
     """
     u = grid.check_positive(u)
-    return alpha * power_weight(grid, beta) * u ** (-(1.0 + alpha))
+    return _scaled_shift(power_weight(grid, beta), u, alpha)
+
+
+def _scaled_shift(weight: np.ndarray, u: np.ndarray, alpha: float) -> np.ndarray:
+    # alpha weight u^(-(1+alpha)), as _scaled_forcing: w m on a mirror cell
+    return alpha * weight * u ** (-(1.0 + alpha))
 
 
 def linearized_smallest_eigenvalue(

@@ -19,11 +19,11 @@ from sel.analysis import (
 from sel.barriers import build_barrier_pair, resolve_regime, verify_barrier
 from sel.grid import assemble_laplacian, build_grid, interval, power_weight, rectangle
 from sel.linear_core import SPDFactor
-from sel.monotone import CHAIN_TOL, monotone_shift, solve_ladder, solve_monotone, uniqueness_gap
+from sel.monotone import CHAIN_TOL, solve_ladder, solve_monotone, uniqueness_gap
 from sel.oracle import dense_newton_solve, observed_order
 from sel.problem import ProblemSpec, SolveConfig
 from sel.regularized import epsilon_continuation
-from sel.spectral import linearized_smallest_eigenvalue
+from sel.spectral import linearized_smallest_eigenvalue, monotone_shift
 
 FINE_TOL = 1e-9  # gap tolerance for n >= 512 ladders
 

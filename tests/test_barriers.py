@@ -14,11 +14,11 @@ from sel.barriers import (
     resolve_regime,
     verify_barrier,
 )
-from sel.grid import assemble_laplacian, build_grid, interval, power_weight, rectangle
+from sel.grid import assemble_laplacian, build_grid, interval, mirror_fold, power_weight, rectangle
 from sel.linear_core import SPDFactor
-from sel.monotone import monotone_shift, solve_monotone
+from sel.monotone import solve_monotone
 from sel.problem import ProblemSpec, SolveConfig
-from sel.spectral import EigenPair, _forcing, dirichlet_eigenpair
+from sel.spectral import EigenPair, _forcing, dirichlet_eigenpair, monotone_shift
 
 
 def test_boundary_exponent_regimes():
@@ -431,12 +431,19 @@ def test_rectangle_scale_constants_do_not_drift():
 @pytest.mark.parametrize("alpha, beta", HIGH_REGIME_SAMPLES)
 @pytest.mark.parametrize("n", [2, 3, 64, 1000])
 def test_interval_pair_is_exactly_scaled_phi_power(n, alpha, beta):
+    # phi^t mirrored from the half interval, at the two scales
     grid = build_grid(interval(1.0), n)
     eig = dirichlet_eigenpair(grid)
     pair = build_barrier_pair(grid, alpha, beta, eig)
-    phi_t = eig.field ** resolve_regime(alpha, beta).t
+    phi_t = mirrored(grid, eig.field ** resolve_regime(alpha, beta).t)
     np.testing.assert_array_equal(pair.sub, pair.c * phi_t)
     np.testing.assert_array_equal(pair.super, pair.C * phi_t)
+
+
+def mirrored(grid, u):
+    """u's values on the mirror cell, mirrored over the grid."""
+    fold = mirror_fold(grid)
+    return u[fold.rep][fold.idx]
 
 
 PAIR_CASES = [
@@ -461,20 +468,27 @@ def test_pair_is_one_profile_at_two_scales(shape, n, alpha, beta):
     "shape, n", [(interval(1.0), 1000), (rectangle(1.0, 1.0), 33)], ids=["interval", "square"]
 )
 def test_low_regime_pair_is_exactly_scaled_psi(shape, n, alpha, beta):
-    # when t = 1 both sides scale psi, -lap_h psi = d^(-(alpha+beta)), as built
+    # when t = 1 both sides scale psi, -lap_h psi = d^(-(alpha+beta)), as
+    # built on the mirror cell, K psi = w d^(-(alpha+beta)), and mirrored
     grid = build_grid(shape, n)
-    zero = np.zeros(grid.num_interior)
-    psi, _ = SPDFactor.on_grid(grid, zero).solve(power_weight(grid, alpha + beta), tol=1e-9)
+    fold = mirror_fold(grid)
+    zero = np.zeros(fold.w.size)
+    f = fold.w * power_weight(grid, alpha + beta)[fold.rep]
+    psi, _ = SPDFactor.on_cell(grid, zero).solve(f, tol=1e-9)
+    psi = psi.astype(float)[fold.idx]
+    # psi solves the full system to the tolerance it was asked for
+    full = assemble_laplacian(grid) @ psi - power_weight(grid, alpha + beta)
+    assert np.linalg.norm(full) <= 2e-9 * np.linalg.norm(power_weight(grid, alpha + beta))
     pair = build_barrier_pair(grid, alpha, beta)
-    np.testing.assert_array_equal(pair.sub, pair.c * psi.astype(float))
-    np.testing.assert_array_equal(pair.super, pair.C * psi.astype(float))
+    np.testing.assert_array_equal(pair.sub, pair.c * psi)
+    np.testing.assert_array_equal(pair.super, pair.C * psi)
 
 
 @pytest.mark.parametrize(
     "shape, n", [(interval(1.0), 1000), (rectangle(1.0, 1.0), 33)], ids=["interval", "square"]
 )
 def test_psi_is_factored_by_the_grid(monkeypatch, shape, n):
-    # the t = 1 pair solves for psi through SPDFactor.on_grid, which routes
+    # the t = 1 pair solves for psi through SPDFactor.on_cell, which routes
     # by grid.dim: no pattern scan, and no bare-matrix solve_spd
     def fail(*_args, **_kwargs):
         pytest.fail("psi solved by matrix pattern")
@@ -518,7 +532,7 @@ def test_a_foreign_eigenpair_field_is_used():
     own = dirichlet_eigenpair(grid)
     foreign = EigenPair(value=own.value, field=own.field**1.01, residual=own.residual)
     pair = build_barrier_pair(grid, 2.0, 0.0, foreign)
-    base = barriers._corner_profile(grid, foreign.field) ** pair.t
+    base = mirrored(grid, barriers._corner_profile(grid, foreign.field) ** pair.t)
     np.testing.assert_array_equal(pair.super, pair.C * base)
 
 
@@ -531,3 +545,32 @@ def test_a_foreign_eigenpair_field_must_be_positive(bad):
     field[3] = bad
     with pytest.raises(ValueError, match="field must be positive|NaN or inf"):
         build_barrier_pair(grid, 2.0, 0.0, EigenPair(own.value, field, own.residual))
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (0.5, 0.0), (2.0, 0.0), (3.5, 1.5)])
+@pytest.mark.parametrize(
+    "shape, n",
+    [(interval(1.0), 1000), (interval(1.0), 1001), (rectangle(1.0, 1.0), 32),
+     (rectangle(1.0, 1.0), 33), (rectangle(2.0, 0.5), 33)],
+)
+def test_every_pair_is_mirror_symmetric(shape, n, alpha, beta):
+    # the base is mirrored from the cell before it is scaled, so each side
+    # takes one value per orbit, to the bit: psi and the closed-form phi
+    # (sin(pi x / L) rounds differently at x and L - x) alike
+    grid = build_grid(shape, n)
+    pair = build_barrier_pair(grid, alpha, beta)
+    for side in (pair.sub, pair.super):
+        np.testing.assert_array_equal(side, mirrored(grid, side))
+
+
+def test_a_foreign_eigenpair_gives_a_mirror_symmetric_pair():
+    # a field with no symmetry of its own: the pair takes its cell values
+    grid = build_grid(rectangle(2.0, 0.5), 33)
+    own = dirichlet_eigenpair(grid)
+    tilt = 1.0 + 0.1 * np.linspace(0.0, 1.0, grid.num_interior)
+    foreign = EigenPair(value=own.value, field=own.field * tilt, residual=own.residual)
+    pair = build_barrier_pair(grid, 2.0, 0.0, foreign)
+    np.testing.assert_array_equal(pair.super, mirrored(grid, pair.super))
+    base = barriers._corner_profile(grid, foreign.field) ** pair.t
+    fold = mirror_fold(grid)
+    np.testing.assert_array_equal(pair.sub[fold.rep], pair.c * base[fold.rep])

@@ -196,13 +196,15 @@ def test_report_schema_rejects_a_stray_key(tmp_path, domain, block):
 @pytest.mark.parametrize(
     "domain, alpha, n",
     [("interval", "0.5", 16), ("rectangle", "2", 32), ("rectangle", "2", 33),
-     ("interval", "2", 80), ("interval", "2", 99), ("rectangle", "2", 56)],
+     ("interval", "2", 80), ("interval", "2", 89), ("rectangle", "2", 56)],
 )
 def test_solve_too_coarse_for_fits_reports_null(tmp_path, domain, alpha, n):
     # Rectangle bands at n 32 and 33 hold enough nodes but too few distance
-    # layers to regress over.  Intervals at n 80 and 99 and the rectangle at
+    # layers to regress over.  Intervals at n 80 and 89 and the rectangle at
     # 56 are the grids sweep and regularity refuse: too few nodes or layers
     # in asymptotic_window, the one fit band, so no exponent is written.
+    # n = 89 is the finest such interval: from n = 90 the band holds 4
+    # layers of 2 nodes, one per wall.
     out = tmp_path / "coarse"
     argv = ["solve", "--domain", domain, "--alpha", alpha, "--n", str(n), "--out", str(out)]
     code = main(argv)

@@ -24,6 +24,7 @@ from sel.grid import (
     assemble_laplacian,
     build_grid,
     interval,
+    mirror_fold,
     power_weight,
     rectangle,
     shifted_laplacian,
@@ -56,17 +57,25 @@ def test_rectangle_distance_is_min_over_edges():
     ids=lambda s: "x".join(f"{e:g}" for e in s.extents),
 )
 def test_distance_matches_per_dimension_formula(shape, n):
-    # the distance to the nearest end (1D) or edge (2D), written out per dimension
+    # the distance to the nearest end (1D) or edge (2D), written out per
+    # dimension as h min(i, n - i), mirror-symmetric to the bit; L - x rounds
+    # differently where h is not a power of 2, and agrees to the rounding of
+    # the coordinates
     g = build_grid(shape, n)
     pts = g.points()
+    i = np.arange(1, n)
+    walls = [h * np.minimum(i, n - i) for h in g.h]
     if shape.dim == 1:
         (length,) = shape.extents
-        expected = np.minimum(pts[:, 0], length - pts[:, 0])
+        expected = walls[0]
+        geometric = np.minimum(pts[:, 0], length - pts[:, 0])
     else:
         width, height = shape.extents
         x, y = pts[:, 0], pts[:, 1]
-        expected = np.minimum.reduce([x, width - x, y, height - y])
+        expected = np.minimum.outer(*walls).ravel()
+        geometric = np.minimum.reduce([x, width - x, y, height - y])
     assert np.array_equal(g.d, expected)
+    np.testing.assert_allclose(g.d, geometric, rtol=0, atol=4 * np.finfo(float).eps * max(shape.extents))
 
 
 def test_degenerate_resolution_rejected():
@@ -448,3 +457,60 @@ def test_field_with_a_nonpositive_entry_is_invalid_input(name, bad):
     u[10] = bad
     with pytest.raises(ValueError, match="field must be positive nodewise"):
         FIELD_FUNCTIONS[name](g, u)
+
+
+FOLD_SHAPES = [interval(1.0), rectangle(1.0, 1.0), rectangle(2.0, 0.5)]
+
+
+def expansion(grid):
+    """E: the 0/1 matrix that mirrors a cell field over the grid, E v = v[idx]."""
+    idx = mirror_fold(grid).idx
+    return sp.csr_array((np.ones(idx.size), (np.arange(idx.size), idx)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 17, 64, 65])
+@pytest.mark.parametrize("shape", FOLD_SHAPES, ids=["interval", "square", "2x0.5"])
+def test_fold_is_the_stencils_fold_entry_for_entry(shape, n):
+    # K, built per axis in closed form, is E^T (-lap_h) E with the same
+    # pattern and bits; w counts each orbit (E^T E = diag(w)); rep is the
+    # lower-left member of its orbit, and d takes one value per orbit
+    g = build_grid(shape, n)
+    fold = mirror_fold(g)
+    E = expansion(g)
+    folded = (E.T @ assemble_laplacian(g) @ E).tocsr()
+    folded.sort_indices()
+    assert fold.K.nnz == folded.nnz
+    np.testing.assert_array_equal(fold.K.indptr, folded.indptr)
+    np.testing.assert_array_equal(fold.K.indices, folded.indices)
+    np.testing.assert_array_equal(fold.K.data, folded.data)
+    np.testing.assert_array_equal(E.T @ np.ones(g.num_interior), fold.w)
+    np.testing.assert_array_equal(fold.idx[fold.rep], np.arange(fold.w.size))
+    cell = np.stack(np.unravel_index(fold.rep, g.interior_shape))
+    assert cell.max() == n // 2 - 1  # 0-based: i <= n/2 - 1 on every axis
+    np.testing.assert_array_equal(g.d, g.d[fold.rep][fold.idx])
+    for arr in (fold.idx, fold.rep, fold.w, fold.K.data, fold.diagonal_positions):
+        assert not arr.flags.writeable
+    assert mirror_fold(g) is fold and fold.K is fold.K
+
+
+@pytest.mark.parametrize("shape", FOLD_SHAPES, ids=["interval", "square", "2x0.5"])
+def test_orbit_reduce_takes_the_extreme_member(shape, rng):
+    g = build_grid(shape, 17)
+    fold = mirror_fold(g)
+    u = rng.random(g.num_interior)
+    E = expansion(g).toarray().astype(bool)
+    for ufunc, pick in ((np.maximum, np.max), (np.minimum, np.min)):
+        expected = [pick(u[E[:, j]]) for j in range(fold.w.size)]
+        np.testing.assert_array_equal(fold.orbit_reduce(u, ufunc), expected)
+    np.testing.assert_array_equal(fold.orbit_reduce(g.d, np.maximum), g.d[fold.rep])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_folded_shift_must_be_a_finite_cell_field(bad):
+    fold = mirror_fold(build_grid(rectangle(1.0, 1.0), 17))
+    m = np.ones(fold.w.size)
+    with pytest.raises(ValueError, match="expected"):
+        fold.shifted(np.ones(fold.w.size + 1))
+    m[3] = bad
+    with pytest.raises(ValueError, match="field has a NaN or inf entry"):
+        fold.shifted(m)

@@ -8,6 +8,7 @@ from sel.grid import (
     assemble_laplacian,
     build_grid,
     interval,
+    mirror_fold,
     power_weight,
     rectangle,
     shifted_laplacian,
@@ -17,6 +18,7 @@ from sel.linear_core import (
     ComparisonPrincipleViolationError,
     SolverStagnationError,
     SPDFactor,
+    _cell_prolongation,
     _prolongation,
     _weighted_norm,
     extended_residual,
@@ -278,6 +280,44 @@ def test_prolongation_interpolates_linearly(n):
     assert np.max(np.abs(P @ coarse - fine)) <= 2 * np.pi**2 / (8 * nc**2)
 
 
+@pytest.mark.parametrize("n", [17, 18, 33, 34, 64, 65, 128])
+def test_cell_prolongation_commutes_with_the_fold(n):
+    # P E_c = E_f P_c: interpolating a mirrored coarse cell field is
+    # mirroring the interpolated fine cell field; to the bit at even n,
+    # where every interpolation weight is 0, 1/2 or 1, and to rounding at odd
+    # n, enough for a preconditioner
+    square = rectangle(1.0, 1.0)
+    nc = -(-n // 2)
+
+    def expansion(m):
+        idx = mirror_fold(build_grid(square, m)).idx
+        return sp.csr_array((np.ones(idx.size), (np.arange(idx.size), idx)))
+
+    P, _ = _prolongation(n)
+    P_c, PT_c = _cell_prolongation(n)
+    assert _cell_prolongation(n)[0] is P_c and (PT_c != P_c.T).nnz == 0
+    left = (P @ expansion(nc)).toarray()
+    right = (expansion(n) @ P_c).toarray()
+    if n % 2 == 0:
+        np.testing.assert_array_equal(left, right)
+    else:
+        np.testing.assert_allclose(left, right, rtol=0, atol=64 * np.finfo(float).eps)
+
+
+def test_cell_factor_solves_the_folded_system(rng):
+    # on_cell factors K + diag(m) by the grid's route; a symmetric solution
+    # of the full system is the mirrored cell solution
+    for shape, n in ((interval(1.0), 255), (rectangle(1.0, 1.0), 65), (rectangle(2.0, 0.5), 64)):
+        g = build_grid(shape, n)
+        fold = mirror_fold(g)
+        m = power_weight(g, 1.5)
+        f = power_weight(g, 0.5)
+        cell, stats = SPDFactor.on_cell(g, fold.w * m[fold.rep]).solve(fold.w * f[fold.rep], 1e-12)
+        full, _ = SPDFactor.on_grid(g, m).solve(f, 1e-12)
+        assert stats.relative_residual <= 1e-12
+        np.testing.assert_allclose(cell.astype(float)[fold.idx], full.astype(float), rtol=1e-10)
+
+
 def test_comparison_principle_check_flags_non_m_matrix():
     # SPD but with positive off-diagonal entries: f >= 0 can produce a
     # genuinely negative component, which must be reported as an assembly bug.
@@ -288,11 +328,14 @@ def test_comparison_principle_check_flags_non_m_matrix():
 
 
 def test_weighted_norm_values():
+    # the L2(Omega, d^(-gamma)) norm with the midpoint rule's weights
     g = build_grid(interval(1.0), 4)
-    assert _weighted_norm(np.zeros(3), g, 2.0) == 0.0
-    assert _weighted_norm(g.d, g, 2.0) == pytest.approx(np.sqrt(0.75), rel=1e-14)
+    weight = power_weight(g, 2.0) * g.cell_volume
+    assert _weighted_norm(np.zeros(3), weight) == 0.0
+    assert _weighted_norm(g.d, weight) == pytest.approx(np.sqrt(0.75), rel=1e-14)
     fine = build_grid(interval(1.0), 2048)
-    assert _weighted_norm(np.ones(fine.num_interior), fine, 0.0) == pytest.approx(1.0, rel=1e-3)
+    ones = np.ones(fine.num_interior)
+    assert _weighted_norm(ones, ones * fine.cell_volume) == pytest.approx(1.0, rel=1e-3)
 
 
 @pytest.mark.parametrize("shape, n", [(interval(1.0), 512), (rectangle(1.0, 1.0), 32)])
@@ -485,16 +528,18 @@ def test_factor_on_grid_is_bitwise_the_matrix_factor(rng, shape, n, tol):
     "shape, n", ON_GRID, ids=[f"{'interval' if s.dim == 1 else 'square'}-n{n}" for s, n in ON_GRID]
 )
 def test_relative_residual_is_bitwise_the_np_linalg_norm_ratio(rng, shape, n):
-    # solve takes each 2-norm as math.sqrt(r @ r), which must stay the bits
-    # of np.linalg.norm(r): the refinement's stopping test and the reported
-    # residual depend on them
+    # solve takes each 2-norm as the square root of np.add.reduce(r * r),
+    # NumPy's pairwise sum and no BLAS, which must stay the bits of
+    # np.linalg.norm(r, axis=0) (that form reduces with np.add.reduce): the
+    # refinement's stopping test and the reported residual depend on them
     g = build_grid(shape, n)
     m = 3.0 * power_weight(g, 1.7)
     factor = SPDFactor.on_grid(g, m)
     for f in (rng.random(g.num_interior), rng.standard_normal(g.num_interior)):
         x, stats = factor.solve(f, 1e-10)
         r = extended_residual(shifted_laplacian(g, m), f, x)
-        assert stats.relative_residual == float(np.linalg.norm(r)) / float(np.linalg.norm(f))
+        norm_r, norm_f = np.linalg.norm(r, axis=0), np.linalg.norm(f, axis=0)
+        assert stats.relative_residual == float(norm_r) / float(norm_f)
 
 
 def longdouble_reference(a, f, x):

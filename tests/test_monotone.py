@@ -6,22 +6,23 @@ import scipy.sparse as sp
 
 from sel import grid as grid_module
 from sel import barriers, cli, linear_core, monotone, oracle
-from sel.barriers import BORDERLINE_WARNING, BarrierPair, build_barrier_pair, resolve_regime
-from sel.grid import assemble_laplacian, build_grid, interval, power_weight, rectangle
+from sel.barriers import (
+    BORDERLINE_WARNING, BarrierPair, build_barrier_pair, resolve_regime, verify_barrier
+)
+from sel.grid import assemble_laplacian, build_grid, interval, mirror_fold, power_weight, rectangle
 from sel.linear_core import MAX_REFINEMENTS, SPDFactor, solve_spd
 from sel.monotone import (
     OrderingViolationError,
     iterate_step,
-    monotone_shift,
     residual,
     solve_ladder,
     solve_monotone,
     uniqueness_gap,
 )
-from sel.oracle import newton_solve
+from sel.oracle import dense_newton_solve, newton_solve
 from sel.problem import ProblemSpec, SolveConfig
 from sel.regularized import epsilon_continuation
-from sel.spectral import _forcing, dirichlet_eigenpair, linearized_smallest_eigenvalue
+from sel.spectral import _forcing, dirichlet_eigenpair, linearized_smallest_eigenvalue, monotone_shift
 
 
 def step(grid, lower, prev, alpha, beta):
@@ -260,7 +261,7 @@ def test_rectangle_inner_solves_take_few_pcg_iterations():
 
 
 def test_too_small_shift_breaks_ordering(lab, monkeypatch):
-    monkeypatch.setattr(monotone, "monotone_shift", lambda grid, lower, a, b: 0.0 * lower)
+    monkeypatch.setattr(monotone, "_scaled_shift", lambda weight, lower, a: 0.0 * lower)
     spec = ProblemSpec(alpha=2.0, beta=0.0, n=64, config=SolveConfig(tol=1e-10, max_iter=200))
     with pytest.raises(OrderingViolationError):
         solve_monotone(spec, lab.pair(2.0, 0.0, 64))
@@ -512,20 +513,29 @@ def test_nan_iterate_exits_two(tmp_path, capsys, monkeypatch):
 
 
 def test_each_outer_step_validates_two_fields(monkeypatch):
-    # the step's shift checks lower (monotone_shift) and SPDFactor.on_grid
-    # checks the shift; each iterate is checked once where it is made, and F
-    # and the weighted gap take those arrays as they are
+    # the step's two iterates are each checked once where they are made
+    # (_check_iterate), on the cell; the shift is checked finite by
+    # MirrorFold.shifted, and F and the weighted gap take those arrays as
+    # they are: no grid-field check runs inside the loop
     spec = ProblemSpec(0.5, 0.0, interval(), 256, SolveConfig(tol=1e-8))
     pair = build_barrier_pair(spec.make_grid(), 0.5, 0.0)
-    calls = {"check_field": 0, "check_positive": 0}
+    calls = {"check_field": 0, "check_positive": 0, "_check_iterate": 0}
     for name in calls:
-        original = getattr(grid_module.Grid, name)
+        owner = monotone if name == "_check_iterate" else grid_module.Grid
+        original = getattr(owner, name)
+        if owner is monotone:
 
-        def counted(self, u, original=original, name=name):
-            calls[name] += 1
-            return original(self, u)
+            def counted(*args, original=original, name=name):
+                calls[name] += 1
+                return original(*args)
 
-        monkeypatch.setattr(grid_module.Grid, name, counted)
+        else:
+
+            def counted(self, u, original=original, name=name):
+                calls[name] += 1
+                return original(self, u)
+
+        monkeypatch.setattr(owner, name, counted)
 
     def checks(max_iter):
         for name in calls:
@@ -533,11 +543,10 @@ def test_each_outer_step_validates_two_fields(monkeypatch):
         config = SolveConfig(tol=1e-8, max_iter=max_iter)
         report = solve_monotone(dataclasses.replace(spec, config=config), pair)
         assert report.iterations == max_iter and not report.converged
-        # check_positive runs check_field: count the bare ones
-        return calls["check_positive"], calls["check_field"] - calls["check_positive"]
+        return tuple(calls.values())
 
-    (positive_1, bare_1), (positive_2, bare_2) = checks(1), checks(2)
-    assert (positive_2 - positive_1, bare_2 - bare_1) == (1, 1)
+    once, twice = checks(1), checks(2)
+    assert tuple(b - a for a, b in zip(once, twice)) == (0, 0, 2)
 
 
 @pytest.mark.parametrize("shape, n", [(interval(), 64), (rectangle(1.0, 1.0), 16)])
@@ -599,3 +608,70 @@ def test_array_holding_dataclasses_compare_by_identity(name):
     assert first == first
     if type(first).__dataclass_params__.frozen:
         assert hash(first) == hash(first) and len({first, second}) == 2
+
+
+CELL_CASES = [(0.5, 0.0), (2.0, 0.5), (3.5, 1.5)]
+
+
+@pytest.mark.parametrize("alpha, beta", CELL_CASES)
+@pytest.mark.parametrize(
+    "shape, n",
+    [(interval(), 31), (interval(), 32), (rectangle(), 16), (rectangle(), 17), (rectangle(2.0, 0.5), 32)],
+)
+def test_cell_limits_match_the_dense_oracle(shape, n, alpha, beta):
+    # the monotone loop runs on the mirror cell; its mirrored limits are the
+    # full grid's discrete solution, which dense-Cholesky Newton finds on
+    # the full grid
+    spec = ProblemSpec(alpha, beta, shape, n, SolveConfig(tol=1e-11, max_iter=2000))
+    report = solve_monotone(spec, build_barrier_pair(spec.make_grid(), alpha, beta))
+    assert report.converged and report.ordering_violation == 0.0
+    oracle = dense_newton_solve(spec)
+    for side in (report.lower, report.upper):
+        assert np.max(np.abs(side - oracle)) <= 1e-10 * np.max(oracle)
+
+
+@pytest.mark.parametrize("alpha, beta", CELL_CASES)
+@pytest.mark.parametrize(
+    "shape, n, tol", [(interval(), 4095, 1e-8), (rectangle(), 33, 1e-11)], ids=["interval", "square"]
+)
+def test_cell_limits_match_full_grid_newton_at_odd_n(shape, n, tol, alpha, beta):
+    # at odd n the midlines fall between nodes: every cell node stands for
+    # two per axis, and the two beside a midline couple in K
+    spec = ProblemSpec(alpha, beta, shape, n, SolveConfig(tol=1e-11, max_iter=2000))
+    grid = spec.make_grid()
+    pair = build_barrier_pair(grid, alpha, beta)
+    report = solve_monotone(spec, pair)
+    assert report.converged and report.ordering_violation == 0.0
+    u = newton_solve(grid, alpha, beta, pair.super, tol=tol)
+    for side in (report.lower, report.upper):
+        assert np.max(np.abs(side - u)) <= 1e-10 * np.max(u)
+
+
+@pytest.mark.parametrize("shape, n", [(interval(), 64), (rectangle(), 17)], ids=["interval", "square"])
+def test_an_asymmetric_pair_folds_inside_itself(shape, n):
+    # A hand-built certified pair with no mirror symmetry: solve_monotone
+    # starts the cell from the orbit max of sub and the orbit min of super.
+    # A max of subsolutions is a subsolution and a min of supersolutions a
+    # supersolution (the operator is an M-matrix and F depends on the node
+    # alone), and each side's mirror images are sides too, so the folded
+    # pair certifies, lies inside the given one, and leads to the solution.
+    alpha, beta = 2.0, 0.0
+    grid = build_grid(shape, n)
+    x = np.meshgrid(*grid.axes, indexing="ij")[0].ravel()
+    phi = dirichlet_eigenpair(grid).field * (1.0 + 0.2 * x)
+    base = barriers._corner_profile(grid, phi) ** resolve_regime(alpha, beta).t
+    c, C = barriers._exact_scale(assemble_laplacian(grid), _forcing(grid, base, alpha, beta), base, alpha)
+    pair = BarrierPair(sub=c * base, super=C * base, c=c, C=C, t=2.0 / 3.0, c1=c, c2=C)
+    fold = mirror_fold(grid)
+    assert not np.array_equal(pair.sub, pair.sub[fold.rep][fold.idx])
+    sub = fold.orbit_reduce(pair.sub, np.maximum)[fold.idx]
+    sup = fold.orbit_reduce(pair.super, np.minimum)[fold.idx]
+    for side, fld in (("sub", pair.sub), ("super", pair.super), ("sub", sub), ("super", sup)):
+        assert verify_barrier(grid, fld, alpha, beta, side).passed
+    assert np.all(pair.sub <= sub) and np.all(sub <= sup) and np.all(sup <= pair.super)
+    spec = ProblemSpec(alpha, beta, shape, n, SolveConfig(tol=1e-11))
+    report = solve_monotone(spec, pair)
+    assert report.converged and report.ordering_violation == 0.0
+    assert np.all(sub <= report.lower) and np.all(report.upper <= sup)
+    symmetric = solve_monotone(spec, build_barrier_pair(grid, alpha, beta))
+    np.testing.assert_allclose(report.upper, symmetric.upper, rtol=1e-12)

@@ -14,6 +14,7 @@ from sel.grid import (
     rectangle,
     shifted_laplacian,
 )
+from sel.linear_core import SPDFactor
 from sel.monotone import solve_ladder
 from sel.problem import SolveConfig
 from sel.spectral import (
@@ -268,3 +269,16 @@ def test_tridiagonal_with_a_positive_off_diagonal_fails_before_any_solve(monkeyp
     monkeypatch.setattr(spectral, "dpttrs", lambda *_a: pytest.fail("solved before the sign rule"))
     with pytest.raises(EigenNonConvergenceError, match="not strictly positive"):
         principal_eigenpair(a)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 17, 4096])
+def test_banded_inf_norm_is_the_csr_row_sum(rng, n):
+    # the banded route reads ||A||_inf from the factor's diagonals, summed
+    # per row in CSR stored order, (|e_(i-1)| + |d_i|) + |e_i|: the bits of
+    # np.add.reduceat over A's stored entries
+    g = build_grid(interval(1.0), n)
+    for scale in (1e-3, 1.0, 1e5, 1e9):
+        factor = SPDFactor.on_grid(g, scale * rng.random(g.num_interior))
+        A = factor.A
+        rows = np.add.reduceat(np.abs(A.data), A.indptr[:-1])
+        assert spectral._banded_inf_norm(*factor.diagonals) == float(rows.max())
