@@ -86,6 +86,7 @@ from .spectral import dirichlet_eigenpair, linearized_smallest_eigenvalue
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_SOLVER_FAILURE = 2
+CSV_BLOCK_ROWS = 256  # solution.csv rows per template: bounds each write's string
 
 # The ~40k objects of the numpy and scipy imports live as long as the
 # process.  Unfrozen, every full collection rescans them: a 12-27 ms pause
@@ -126,35 +127,49 @@ def _fmt(x) -> str:
 
 
 def _csv_templates(grid: Grid) -> tuple[str, ...]:
-    """solution.csv's row templates, one per grid line (last axis fastest):
-    the grid's constant columns x[, y], d already rendered as %.17g, then
-    two %.17g slots for u and grad_u.  Each distinct constant value is
-    formatted once.  Built on the first call for a grid and cached on it
-    (Grid._facts), about 40 bytes per node."""
+    """solution.csv's row templates, one per block of CSV_BLOCK_ROWS rows
+    (_csv_blocks): the grid's constant columns x[, y], d already rendered
+    as %.17g, then two %s slots for u and grad_u, rendered by the writer.
+    Each distinct constant value is formatted once.  Built on the first
+    call for a grid and cached on it (Grid._facts), about 40 bytes per
+    node."""
     templates = grid._facts.get("csv_templates")
     if templates is None:
         consts = np.column_stack([grid.points(), grid.d])
         values, index = np.unique(consts, return_inverse=True)
         rendered = np.array([f"{v:.17g}" for v in values.tolist()], dtype=object)
-        per_line = grid.interior_shape[-1]
-        cells = rendered[index].reshape(-1, per_line * consts.shape[1])
-        line = ("%s," * consts.shape[1] + "%%.17g,%%.17g\r\n") * per_line
-        templates = grid._facts["csv_templates"] = tuple(line % tuple(c) for c in cells.tolist())
+        row = "%s," * consts.shape[1] + "%%s,%%s\r\n"
+        templates = grid._facts["csv_templates"] = tuple(
+            (row * len(block)) % tuple(block.ravel().tolist())
+            for block in _csv_blocks(rendered[index].reshape(consts.shape))
+        )
     return templates
+
+
+def _csv_blocks(table: np.ndarray) -> list[np.ndarray]:
+    # the table's consecutive blocks of CSV_BLOCK_ROWS rows, the last one shorter
+    return [table[i : i + CSV_BLOCK_ROWS] for i in range(0, len(table), CSV_BLOCK_ROWS)]
 
 
 def _write_solution_csv(path: Path, grid: Grid, u: np.ndarray, grad: np.ndarray) -> None:
     """Header line, then one CRLF row x[, y], d, u, grad_u per node, each value
     as %.17g: the bytes of np.savetxt(fmt="%.17g", delimiter=",",
     newline="\\r\\n").  The constant columns come from the grid's cached row
-    templates (_csv_templates), which are held for as long as the grid is;
-    each write formats only u and grad_u, one grid line at a time."""
+    templates (_csv_templates), which are held for as long as the grid is.
+    Each distinct u or grad_u value is formatted once, a quarter of them on
+    a square and half on an interval for a mirror-symmetric solution; the
+    values are told apart by their bits, so -0.0 stays "-0" where a float
+    comparison would merge it with 0.0.  Each write fills one template, so
+    no string longer than a block is built."""
     header = ("x," if grid.dim == 1 else "x,y,") + "d,u,grad_u\r\n"
-    lines = np.column_stack([u, grad]).reshape(-1, 2 * grid.interior_shape[-1])
+    table = np.column_stack([u, grad])
+    bits, index = np.unique(table.view(np.uint64), return_inverse=True)
+    rendered = np.array([f"{v:.17g}" for v in bits.view(float).tolist()], dtype=object)
     with open(path, "w", newline="") as fh:
         fh.write(header)
-        for template, values in zip(_csv_templates(grid), lines.tolist()):
-            fh.write(template % tuple(values))
+        blocks = _csv_blocks(rendered[index].reshape(table.shape))
+        for template, block in zip(_csv_templates(grid), blocks):
+            fh.write(template % tuple(block.ravel().tolist()))
 
 
 def _write_manifest(out_dir: Path, args_echo: dict, outputs: list[str]) -> None:

@@ -21,8 +21,8 @@ first call for a grid, as the kron sum of each axis' tridiag(-1, 2, -1)/h^2
 read-only, so every layer working on one grid (eigenpair, barriers, their
 certificates, the monotone iteration, mu_1, the residual) shares one
 matrix.  Shifted operators -lap_h + diag(m), the one operator of every
-linear_core.SPDFactor.on_grid on either domain, reuse its CSR pattern
-(shifted_laplacian).  No long-double copy is kept: linear_core's residuals
+linear_core.SPDFactor.on_grid on either domain and the one mu_1 is judged
+on, reuse its CSR pattern (shifted_laplacian).  No long-double copy is kept: linear_core's residuals
 take the double values and convert them inside the call.  The singular weights d^(-gamma) are
 grid facts too: power_weight computes each exponent's on its first call
 for a grid and caches it there, read-only, keeping the WEIGHT_CACHE_SIZE
@@ -40,10 +40,12 @@ the next one is given.
 The mirror fold (mirror_fold) is a grid fact too: the symmetry cell of
 the grid (half an interval, a quarter of a rectangle), its index maps and
 orbit sizes, and the folded Laplacian K = E^T (-lap_h) E, built per axis
-in closed form.  The monotone loop runs on the cell (monotone.solve_monotone,
+in closed form.  The monotone loop and mu_1 run on the cell
+(monotone.solve_monotone, spectral.linearized_smallest_eigenvalue,
 linear_core.SPDFactor.on_cell), and the barriers mirror their profile
-from it; the certificates, mu_1, Newton, the fits and the outputs stay on
-the full grid.
+from it; the certificates, mu_1's judgement, Newton, the fits and the
+outputs stay on the full grid, and solution.csv formats only the
+distinct values of a mirror-symmetric solution.
 """
 
 from __future__ import annotations

@@ -4,18 +4,19 @@ A nonnegative diagonal keeps the M-matrix structure of the Laplacian:
 solutions of systems with nonnegative right-hand sides are nonnegative
 (discrete comparison principle), which is checked after every solve.
 SPDFactor prepares one CSR operator (SPDFactor.A) once for all the
-right-hand sides it will see.  Newton's steps and mu_1 factor by the grid
+right-hand sides it will see.  Newton's steps factor by the grid
 (SPDFactor.on_grid(grid, m): grid.shifted_laplacian, -lap_h + diag(m)
-on the pattern of the grid's cached Laplacian), and the monotone steps by
-its mirror cell (SPDFactor.on_cell(grid, m): K + diag(m) on the pattern of
-the fold's K, grid.mirror_fold), both routed by grid.dim: an
+on the pattern of the grid's cached Laplacian), and the monotone steps and
+mu_1 by its mirror cell (SPDFactor.on_cell(grid, m): K + diag(m) on the
+pattern of the fold's K, grid.mirror_fold; mu_1 of a potential that is not
+mirror-symmetric by the grid), both routed by grid.dim: an
 interval's tridiagonal operator gets an LDL^T factor (LAPACK ?pttrf/?pttrs)
 with iterative refinement; a rectangle's is solved by conjugate gradients
 preconditioned with a geometric multigrid V-cycle (Galerkin coarse
 operators, damped-Jacobi smoothing, a direct solve on the coarsest grid),
 which takes a handful of iterations at any resolution; mu_1 takes the same
 factor and route (spectral: inverse iteration on the LDL^T kernel, LOBPCG
-with the V-cycle).  A bare CSR matrix (SPDFactor(A), behind
+with the V-cycle, both W-weighted on the cell).  A bare CSR matrix (SPDFactor(A), behind
 solve_spd and principal_eigenpair) has no grid: a tridiagonal one
 (is_tridiagonal) gets the LDL^T factor, any other one direct splu level; no
 program path takes it, and it goes with those two callers (ROADMAP item 2).
@@ -150,9 +151,10 @@ class SPDFactor:
 
     Three constructors route to one tridiagonal init and one multigrid init,
     and share solve.  SPDFactor.on_grid(grid, m), the factor of
-    -lap_h + diag(m) that Newton and mu_1 use, and SPDFactor.on_cell(grid,
-    m), that of the mirror cell's K + diag(m) that the monotone steps use,
-    route by grid.dim: an interval's operator is tridiagonal, a rectangle's
+    -lap_h + diag(m) that Newton uses (and mu_1 of a potential that is not
+    mirror-symmetric), and SPDFactor.on_cell(grid, m), that of the mirror
+    cell's K + diag(m) that the monotone steps and mu_1 use, route by
+    grid.dim: an interval's operator is tridiagonal, a rectangle's
     multigrid takes n from the grid, and its prolongations from the full
     grid's or the cell's interpolation.  SPDFactor(A), behind solve_spd and
     principal_eigenpair, has a bare matrix and no grid to coarsen: a

@@ -38,8 +38,10 @@ above, and the chain check and the weighted gap (weights w d^(-gamma)) run
 on the cell; SolveReport.lower and upper are mirrored once at the end.  The
 defect is folded too: on the full grid, long-double rounding breaks the
 symmetry by about eps |A0| |u|, which passes INNER_TOL ||f|| once the
-corrections are small.  The barrier certificates, mu_1 and Newton stay on
-the full grid.
+corrections are small.  The limits are mirrored from the cell, so they are
+mirror-symmetric to the bit, and mu_1 at them is solved on the cell too
+(spectral.linearized_smallest_eigenvalue).  The barrier certificates and
+Newton stay on the full grid.
 
 Every operator of a run comes from the one grid of its ProblemSpec, the
 process's shared grid of its (shape, n) (grid.build_grid): the fold's K is

@@ -2,13 +2,17 @@
 
 _forcing is the one evaluation of F(u) = d^(-beta) u^(-alpha), monotone_shift
 of m = -F'(u).  The principal eigenpair of -lap_h on the uniform tensor grid
-is in closed form (dirichlet_eigenpair); -lap_h + m has none, and
-its smallest eigenvalue mu_1 comes from the factor
-linear_core.SPDFactor.on_grid, by its route: shifted inverse iteration on
-an interval's LDL^T kernel (LAPACK dpttrf/dpttrs), lobpcg with the
-factor's V-cycle on rectangles (a bare matrix, principal_eigenpair:
-SPDFactor(A)'s route).  Either eigenvector is judged on the factor's CSR
-operator, with NumPy's pairwise sums in place of BLAS dot products.
+is in closed form (dirichlet_eigenpair); -lap_h + m has none.  For a
+mirror-symmetric m, as every solve_monotone limit's is, its smallest
+eigenvalue mu_1 is that of the mirror cell's generalized problem
+(K + diag(w m_c)) x = mu diag(w) x (linearized_smallest_eigenvalue), from
+linear_core.SPDFactor.on_cell by its route: W-weighted shifted inverse
+iteration on an interval's LDL^T kernel (LAPACK dpttrf/dpttrs), lobpcg with
+B = diag(w) and the cell's V-cycle on rectangles.  Any other m is solved on
+the full grid, from SPDFactor.on_grid by the same routes unweighted, and
+so is a bare matrix (principal_eigenpair: SPDFactor(A)'s route).  Every
+eigenvector is judged on the full grid's (or the bare) CSR operator, with NumPy's
+pairwise sums in place of BLAS dot products.
 The operators are SPD M-matrices, so the principal eigenvector is positive
 (discrete Perron-Frobenius), which is checked.
 """
@@ -24,7 +28,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .grid import Grid, assemble_laplacian, power_weight
+from .grid import Grid, assemble_laplacian, mirror_fold, power_weight, shifted_laplacian
 from .linear_core import SPDFactor, SolverFailure, check_tol
 
 # An eigenpair exact to rounding still has a 2-norm residual of a few
@@ -88,55 +92,72 @@ def principal_eigenpair(A: sp.spmatrix, tol: float = 1e-10) -> EigenPair:
 def _eigenpair(factor: SPDFactor, tol: float) -> EigenPair:
     """Smallest eigenvalue and positive eigenvector of factor's SPD M-matrix A.
 
-    A banded factor (factor.diagonals) is solved by _inverse_iteration on
-    its LDL^T kernel.  Else scipy.sparse.linalg.lobpcg runs on A from the
-    constant vector (so results are deterministic), preconditioned by
-    factor.precondition, one V-cycle ~ A^(-1) r.  LOBPCG stops on an
-    absolute residual, so it runs twice: to the gate below at the Rayleigh
-    quotient of the constant vector (an upper bound of lambda), then, from
-    the vector it returned, to half the gate at the eigenvalue it returned.
-    The value is the Rayleigh quotient of the sup-normalized eigenvector
-    phi on A (_rayleigh).  Unless
-    ||A phi - lambda phi||_2 / ||phi||_2 <= max(tol * lambda,
-    ROUNDOFF_UNITS * eps * ||A||_inf) and phi > 0: EigenNonConvergenceError.
-    ValueError, before any eigensolve, unless tol is finite and > 0.
+    The eigenvector comes from _eigenvector on factor's route, and is judged
+    on A itself (_judged).  The floor of the gate is
+    ROUNDOFF_UNITS * eps * ||A||_inf: each row's |entries| summed in stored
+    order (_inf_norm), the bits of scipy.sparse.linalg.norm(A, np.inf) at a
+    quarter of its cost; a banded factor sums its diagonals in that order
+    (_banded_inf_norm).  ValueError, before any eigensolve, unless tol is
+    finite and > 0.
     """
     check_tol(tol)
-    A = factor.A
-    # ||A||_inf: each row's |entries| summed in stored order, the bits of
-    # scipy.sparse.linalg.norm(A, np.inf) at a quarter of its cost; a banded
-    # factor sums its diagonals in that order
     banded = factor.diagonals is not None
-    if banded:
-        norm_inf = _banded_inf_norm(*factor.diagonals)
-    else:
-        norm_inf = float(np.add.reduceat(np.abs(A.data), A.indptr[:-1]).max())
+    norm_inf = _banded_inf_norm(*factor.diagonals) if banded else _inf_norm(factor.A)
     floor = ROUNDOFF_UNITS * np.finfo(float).eps * norm_inf
-    if banded:
-        x = _inverse_iteration(factor, tol, floor)
-    else:
-        precond = scipy.sparse.linalg.LinearOperator(
-            A.shape, matvec=lambda r: factor.precondition(r.ravel()), dtype=float
+    return _judged(factor.A, _eigenvector(factor, tol, floor), tol, floor)
+
+
+def _eigenvector(
+    factor: SPDFactor, tol: float, floor: float, w: np.ndarray | None = None
+) -> np.ndarray:
+    """Sup-normalized principal eigenvector of A x = lambda x, factor's A, or
+    with w of the generalized A x = lambda diag(w) x, w > 0.
+
+    A banded factor (factor.diagonals) is solved by _inverse_iteration on
+    its LDL^T kernel.  Else scipy.sparse.linalg.lobpcg runs on A (with
+    B = diag(w)) from the constant vector (so results are deterministic),
+    preconditioned by factor.precondition, one V-cycle ~ A^(-1) r.  LOBPCG
+    stops on an absolute residual, so it runs twice: to the gate
+    max(tol * lambda, floor) at the Rayleigh quotient of the constant
+    vector (an upper bound of lambda), then, from the vector it returned,
+    to half the gate at the eigenvalue it returned.  With w its residual,
+    ||A x - lambda W x||_2 at x^T W x = 1, is at least
+    ||W^(-1) A x - lambda x||_W as w >= 1: on a mirror cell
+    (linearized_smallest_eigenvalue) the full grid's 2-norm residual of the
+    expanded vector, which so meets the gate too.
+    """
+    if factor.diagonals is not None:
+        return _inverse_iteration(factor, tol, floor, w)
+    A = factor.A
+    precond = scipy.sparse.linalg.LinearOperator(
+        A.shape, matvec=lambda r: factor.precondition(r.ravel()), dtype=float
+    )
+    B = None if w is None else sp.diags_array(w)
+
+    def lobpcg(x0: np.ndarray, gate: float) -> tuple[float, np.ndarray]:
+        vals, vecs = scipy.sparse.linalg.lobpcg(
+            A, x0, B=B, M=precond, tol=gate, maxiter=MAX_LOBPCG_ITERS, largest=False
         )
+        return float(vals[0]), vecs
 
-        def lobpcg(x0: np.ndarray, gate: float) -> tuple[float, np.ndarray]:
-            vals, vecs = scipy.sparse.linalg.lobpcg(
-                A, x0, M=precond, tol=gate, maxiter=MAX_LOBPCG_ITERS, largest=False
-            )
-            return float(vals[0]), vecs
+    # Tiny problems (fewer than 5 unknowns) make LOBPCG warn and fall back
+    # to a dense solver, and a stall only warns; the checks below judge.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            rq_ones = float(A.sum()) / (A.shape[0] if w is None else w.sum())
+            lam, vecs = lobpcg(np.ones((A.shape[0], 1)), max(tol * rq_ones, floor))
+            _, vecs = lobpcg(vecs, 0.5 * max(tol * lam, floor))
+        except np.linalg.LinAlgError as exc:
+            raise EigenNonConvergenceError(f"LOBPCG broke down: {exc}") from exc
+    return vecs[:, 0] / vecs[np.argmax(np.abs(vecs[:, 0])), 0]
 
-        # Tiny problems (fewer than 5 unknowns) make LOBPCG warn and fall back
-        # to a dense solver, and a stall only warns; the checks below judge.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            try:
-                rq_ones = float(A.sum()) / A.shape[0]
-                lam, vecs = lobpcg(np.ones((A.shape[0], 1)), max(tol * rq_ones, floor))
-                _, vecs = lobpcg(vecs, 0.5 * max(tol * lam, floor))
-            except np.linalg.LinAlgError as exc:
-                raise EigenNonConvergenceError(f"LOBPCG broke down: {exc}") from exc
-        x = vecs[:, 0] / vecs[np.argmax(np.abs(vecs[:, 0])), 0]
-    # the Rayleigh quotient squares the eigenvector's error
+
+def _judged(A: sp.csr_array, x: np.ndarray, tol: float, floor: float) -> EigenPair:
+    """The EigenPair of A's eigenvector x: its value is the Rayleigh quotient
+    of x on A (_rayleigh), which squares the eigenvector's error.  Unless
+    ||A x - lambda x||_2 / ||x||_2 <= max(tol * lambda, floor) and x > 0:
+    EigenNonConvergenceError."""
     lam, resid = _rayleigh(A, x)
     limit = max(tol * lam, floor)
     if not resid <= limit:
@@ -144,6 +165,11 @@ def _eigenpair(factor: SPDFactor, tol: float) -> EigenPair:
     if x.min() <= 0.0:
         raise EigenNonConvergenceError("principal eigenvector is not strictly positive")
     return EigenPair(value=lam, field=x, residual=resid)
+
+
+def _inf_norm(A: sp.csr_array) -> float:
+    # ||A||_inf: each row's |entries| summed in stored order
+    return float(np.add.reduceat(np.abs(A.data), A.indptr[:-1]).max())
 
 
 def _banded_inf_norm(diag: np.ndarray, off: np.ndarray) -> float:
@@ -157,23 +183,38 @@ def _banded_inf_norm(diag: np.ndarray, off: np.ndarray) -> float:
     return float(rows.max())
 
 
-def _rayleigh(A: sp.csr_array, x: np.ndarray) -> tuple[float, float]:
+def _rayleigh(
+    A: sp.csr_array, x: np.ndarray, w: np.ndarray | None = None
+) -> tuple[float, float]:
     """Rayleigh quotient of x on A, and ||A x - lambda x||_2 / ||x||_2.
+
+    With w, those of the generalized A x = lambda diag(w) x in the W-norm:
+    x^T A x / x^T W x and ||W^(-1) A x - lambda x||_W / ||x||_W.  On a
+    mirror cell (A = K + diag(w m), w the orbit sizes) they are the full
+    grid's of the expanded vector E x, in exact arithmetic.
 
     Every inner product is np.add.reduce of elementwise products, NumPy's
     pairwise sum: BLAS ddot splits long vectors across its threads, so its
     bits would depend on the thread count.
     """
     ax = A @ x
-    xx = np.add.reduce(x * x)
+    if w is None:
+        xx = np.add.reduce(x * x)
+        lam = float(np.add.reduce(x * ax) / xx)
+        r = ax - lam * x
+        return lam, math.sqrt(np.add.reduce(r * r)) / math.sqrt(xx)
+    wx = w * x
+    xx = np.add.reduce(x * wx)
     lam = float(np.add.reduce(x * ax) / xx)
-    r = ax - lam * x
-    return lam, math.sqrt(np.add.reduce(r * r)) / math.sqrt(xx)
+    r = ax - lam * wx
+    return lam, math.sqrt(np.add.reduce(r * r / w)) / math.sqrt(xx)
 
 
-def _inverse_iteration(factor: SPDFactor, tol: float, floor: float) -> np.ndarray:
+def _inverse_iteration(
+    factor: SPDFactor, tol: float, floor: float, w: np.ndarray | None = None
+) -> np.ndarray:
     """Sup-normalized principal eigenvector of a banded factor's A by shifted
-    inverse iteration.
+    inverse iteration; with w, of A x = lambda diag(w) x (_eigenvector).
 
     A symmetric tridiagonal A has a strictly positive principal eigenvector
     exactly when every off-diagonal is < 0; else EigenNonConvergenceError
@@ -187,9 +228,13 @@ def _inverse_iteration(factor: SPDFactor, tol: float, floor: float) -> np.ndarra
     cases measured); the shifted solves x <- (A - sigma I)^(-1) x, each
     sup-normalized, then converge at the rate
     (lambda - sigma) / (lambda_2 - sigma) (Ipsen, SIAM Review 39, 1997).
-    They stop once the residual (_rayleigh) is within the gate of _eigenpair
-    and has stopped halving, i.e. has reached its rounding floor, or after
-    MAX_INVERSE_ITERS solves; _eigenpair judges the vector returned.
+    They stop once the residual (_rayleigh) is within the gate
+    max(tol * lambda, floor) and has stopped halving, i.e. has reached its
+    rounding floor, or after MAX_INVERSE_ITERS solves; the caller judges
+    the vector returned (_judged).
+    With w every solve takes W y for y, x <- (A - sigma W)^(-1) W x, the
+    residual is _rayleigh's in the W-norm, and the bracket holds for
+    W^(-1) A, whose inverse A^(-1) W is positive too.
     """
     diag, off = factor.diagonals
     if (off >= 0.0).any():
@@ -197,24 +242,25 @@ def _inverse_iteration(factor: SPDFactor, tol: float, floor: float) -> np.ndarra
     x = np.ones(diag.size)
     for _ in range(2):
         y = x
-        x = dpttrs(*factor._ldl, y)[0]
+        x = dpttrs(*factor._ldl, y if w is None else w * y)[0]
         sigma = float((y / x).min())
         x /= x.max()
+    shifted = diag - (sigma if w is None else sigma * w)
     # the f2py wrappers reject an empty off-diagonal: one unknown gets a dummy 0
-    d, e, info = dpttrf(diag - sigma, off if off.size else np.zeros(1))
+    d, e, info = dpttrf(shifted, off if off.size else np.zeros(1))
     # sigma is a lower bound of lambda in exact arithmetic only: A - sigma I
-    # may fail to factor, and then the unshifted LDL^T iterates
+    # (or W) may fail to factor, and then the unshifted LDL^T iterates
     ldl = (d, e) if info == 0 else factor._ldl
-    lam, resid = _rayleigh(factor.A, x)
+    lam, resid = _rayleigh(factor.A, x, w)
     prev = math.inf
     for _ in range(MAX_INVERSE_ITERS):
         # a zero residual is exact
         if resid <= max(tol * lam, floor) and not 0.0 < resid < 0.5 * prev:
             break
         prev = resid
-        x = dpttrs(*ldl, x)[0]
+        x = dpttrs(*ldl, x if w is None else w * x)[0]
         x /= x.max()
-        lam, resid = _rayleigh(factor.A, x)
+        lam, resid = _rayleigh(factor.A, x, w)
     return x
 
 
@@ -261,13 +307,39 @@ def _scaled_shift(weight: np.ndarray, u: np.ndarray, alpha: float) -> np.ndarray
 def linearized_smallest_eigenvalue(
     grid: Grid, u: np.ndarray, alpha: float, beta: float, tol: float = 1e-10
 ) -> EigenPair:
-    """Smallest eigenvalue mu_1 of -lap_h + monotone_shift(grid, u, alpha, beta).
+    """Smallest eigenvalue mu_1 of A = -lap_h + diag(m), m =
+    monotone_shift(grid, u, alpha, beta).
 
     The potential is nonnegative for u > 0, so mu_1 >= lambda_1 > 0: the
     converged solutions of the nonlinear problem are linearly stable, and
-    this is the quantity that certifies it.  The operator and its route are
-    those of SPDFactor.on_grid (inverse iteration on the LDL^T kernel of an
-    interval, LOBPCG with the V-cycle on a rectangle).  ValueError unless u
-    passes grid.check_positive.
+    this is the quantity that certifies it.
+
+    A mirror-symmetric m (to the bit, as that of every solve_monotone
+    limit) is solved on the grid's mirror cell (grid.mirror_fold): A is an
+    irreducible M-matrix that commutes with the midline mirrors, so its
+    principal eigenvector is simple and symmetric, E x, and mu_1 is the
+    smallest eigenvalue of the cell's (K + diag(w m_c)) x = mu diag(w) x,
+    m_c = m[rep].  _eigenvector solves it on SPDFactor.on_cell's route
+    (W-weighted inverse iteration on an interval's LDL^T kernel, LOBPCG
+    with B = diag(w) and the cell V-cycle on a rectangle), and E x is
+    judged on the full grid's A as _eigenpair judges (_judged, the floor
+    from A's ||A||_inf): the value, residual and field are A's.  Any other
+    m is solved on the full grid, _eigenpair of SPDFactor.on_grid.
+    ValueError unless u passes grid.check_positive, and, before any
+    eigensolve, unless tol is finite and > 0.
     """
-    return _eigenpair(SPDFactor.on_grid(grid, monotone_shift(grid, u, alpha, beta)), tol)
+    m = monotone_shift(grid, u, alpha, beta)
+    fold = mirror_fold(grid)
+    m_c = m[fold.rep]
+    if not np.array_equal(m_c[fold.idx], m):
+        return _eigenpair(SPDFactor.on_grid(grid, m), tol)
+    check_tol(tol)
+    A = shifted_laplacian(grid, m)
+    if grid.dim == 1:  # the banded sum, as on the full grid's banded route
+        pos = grid._diagonal_positions
+        norm_inf = _banded_inf_norm(A.data[pos], A.data[pos[:-1] + 1])
+    else:
+        norm_inf = _inf_norm(A)
+    floor = ROUNDOFF_UNITS * np.finfo(float).eps * norm_inf
+    x = _eigenvector(SPDFactor.on_cell(grid, fold.w * m_c), tol, floor, fold.w)
+    return _judged(A, x[fold.idx], tol, floor)

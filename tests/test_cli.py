@@ -132,9 +132,14 @@ def test_solution_csv_writer_matches_savetxt(tmp_path, shape, n):
     u, grad = sine_field(grid)
     if n > 2:  # negative on the far half
         assert grad.min() < 0.0 < grad.max()
-    cli._write_solution_csv(tmp_path / "solution.csv", grid, u, grad)
-    expected = savetxt_bytes(tmp_path / "savetxt.csv", grid, u, grad)
-    assert (tmp_path / "solution.csv").read_bytes() == expected
+    # the writer formats each distinct value once: -0.0 and 0.0 compare equal
+    # but print as "-0" and "0", and a repeated value shares one rendering
+    zeros = np.resize([-0.0, 0.0, u[0], -0.0, 1.0 / 3.0], grid.num_interior)
+    for column in (grad, zeros):
+        cli._write_solution_csv(tmp_path / "solution.csv", grid, u, column)
+        expected = savetxt_bytes(tmp_path / "savetxt.csv", grid, u, column)
+        assert (tmp_path / "solution.csv").read_bytes() == expected
+    assert b",-0\r\n" in expected
 
 
 @pytest.mark.parametrize("shape, n", [(interval(1.0), 256), (rectangle(1.0, 1.0), 17)])
@@ -878,8 +883,9 @@ GRID_ROUTED = [
 
 @pytest.mark.parametrize("command", GRID_ROUTED)
 def test_every_command_factors_by_the_grid(tmp_path, monkeypatch, command):
-    # no program path hands a bare matrix to the pattern route: every factor,
-    # mu_1's V-cycle included, comes from SPDFactor.on_grid
+    # no program path hands a bare matrix to the pattern route: every factor
+    # comes from the grid, the monotone steps' and mu_1's from
+    # SPDFactor.on_cell, on the grid's mirror cell
     def fail(*_args, **_kwargs):
         pytest.fail("factored by matrix pattern")
 
@@ -887,6 +893,22 @@ def test_every_command_factors_by_the_grid(tmp_path, monkeypatch, command):
         if (name == "sel" or name.startswith("sel.")) and hasattr(module, "is_tridiagonal"):
             monkeypatch.setattr(module, "is_tridiagonal", fail)
     monkeypatch.setattr(linear_core.SPDFactor, "__init__", fail)
+    assert main(command.split() + ["--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["solve --domain rectangle --alpha 2 --n 64",
+     "spectrum --domain rectangle --alpha 0.5 --levels 17,33,64"],
+)
+def test_rectangle_commands_build_no_full_grid_factor(tmp_path, monkeypatch, command):
+    # the monotone loop and mu_1 both run on the mirror cell: no full-grid
+    # factor, and no full-grid multigrid level, is built
+    def fail(*_args, **_kwargs):
+        pytest.fail("built a full-grid factor")
+
+    monkeypatch.setattr(linear_core.SPDFactor, "on_grid", fail)
+    monkeypatch.setattr(linear_core, "_prolongation", fail)
     assert main(command.split() + ["--out", str(tmp_path / "out")]) == 0
 
 

@@ -142,6 +142,58 @@ def test_linearized_matches_dense_eigensolve():
 
 
 @pytest.mark.parametrize(
+    "shape, n", [(interval(1.0), 64), (rectangle(1.0, 1.0), 17), (rectangle(2.0, 0.5), 16)]
+)
+def test_asymmetric_potential_takes_the_full_grid_route(monkeypatch, shape, n):
+    # only the API can pass a u that is not mirror-symmetric: its mu_1 is
+    # solved on the full grid, never on the mirror cell
+    g = build_grid(shape, n)
+    u = dirichlet_eigenpair(g).field * (1.0 + 0.2 * g.points()[:, 0])
+    monkeypatch.setattr(SPDFactor, "on_cell", lambda *_a: pytest.fail("solved on the cell"))
+    mu = linearized_smallest_eigenvalue(g, u, 2.0, 0.0)
+    dense = assemble_laplacian(g).toarray() + np.diag(monotone_shift(g, u, 2.0, 0.0))
+    dense_error = np.finfo(float).eps * np.abs(dense).sum(axis=1).max()
+    assert mu.value == pytest.approx(scipy.linalg.eigvalsh(dense)[0], rel=1e-10, abs=dense_error)
+    assert mu.field.min() > 0.0 and mu.field.max() == 1.0
+
+
+def long_double_rayleigh(A, x):
+    xl = x.astype(np.longdouble)
+    return float(xl @ (A @ xl) / (xl @ xl))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2.0])
+@pytest.mark.parametrize(
+    "shape, n",
+    [(interval(1.0), 2), (interval(1.0), 3), (interval(1.0), 4095),
+     (rectangle(1.0, 1.0), 3), (rectangle(1.0, 1.0), 17), (rectangle(1.0, 1.0), 33),
+     (rectangle(2.0, 0.5), 16), (rectangle(2.0, 0.5), 17)],
+)
+def test_cell_mu1_matches_the_full_grid_route(monkeypatch, shape, n, alpha):
+    # a solve_monotone limit is mirror-symmetric, so mu_1 is solved on the
+    # cell; the full grid's route, on the same potential, finds the same pair
+    (level,) = solve_ladder(alpha, 0.0, shape, [n], SolveConfig(tol=1e-8))
+    grid, u = level.grid, level.report.upper
+    m = monotone_shift(grid, u, alpha, 0.0)
+    A = shifted_laplacian(grid, m)
+    full = spectral._eigenpair(SPDFactor.on_grid(grid, m), 1e-10)
+    monkeypatch.setattr(SPDFactor, "on_grid", lambda *_a: pytest.fail("solved on the full grid"))
+    cell = linearized_smallest_eigenvalue(grid, u, alpha, 0.0)
+    # each double Rayleigh quotient rounds A x at about eps * ||A||_inf: on
+    # the interval at n = 4095 the two differed by up to 7.6e-12 of mu_1
+    # over alpha and beta, while the long-double quotients of their fields
+    # agree to 1e-15
+    rounding = np.finfo(float).eps * spectral._inf_norm(A)
+    assert cell.value == pytest.approx(full.value, rel=1e-12, abs=rounding)
+    assert long_double_rayleigh(A, cell.field) == pytest.approx(
+        long_double_rayleigh(A, full.field), rel=1e-12
+    )
+    np.testing.assert_allclose(cell.field, full.field, rtol=0.0, atol=1e-8)
+    assert cell.field.min() > 0.0 and cell.field.max() == 1.0
+    assert cell.residual <= max(1e-10 * cell.value, 16 * rounding)
+
+
+@pytest.mark.parametrize(
     "shape, n, solver",
     [(interval(1.0), 64, (spectral, "_inverse_iteration")),
      (rectangle(1.0, 1.0), 16, (scipy.sparse.linalg, "lobpcg"))],
@@ -149,10 +201,12 @@ def test_linearized_matches_dense_eigensolve():
 def test_residual_check_rejects_perturbed_eigenvector(monkeypatch, shape, n, solver):
     module, name = solver
     library = getattr(module, name)
-    wobble = 1.0 + 1e-3 * np.cos(np.arange(build_grid(shape, n).num_interior))
 
     def perturbed(*args, **kwargs):
         out = library(*args, **kwargs)
+        # sized from the vector returned: the mirror cell's, not the grid's
+        vec = out[1] if isinstance(out, tuple) else out
+        wobble = 1.0 + 1e-3 * np.cos(np.arange(len(vec)))
         if isinstance(out, tuple):  # LOBPCG's (values, vectors)
             return out[0], out[1] * wobble[:, None]
         return out * wobble  # the interval kernel's vector
@@ -259,7 +313,8 @@ def test_interval_mu1_takes_at_most_ten_ldlt_solves(monkeypatch, n, alpha):
 
     monkeypatch.setattr(spectral, "dpttrs", counted)
     mu = linearized_smallest_eigenvalue(level.grid, level.report.upper, alpha, 0.0)
-    assert 2 < len(solves) <= 10 and set(solves) == {n - 1}
+    # a solve_monotone limit is mirror-symmetric: every solve is on the cell
+    assert 2 < len(solves) <= 10 and set(solves) == {n // 2}
     assert mu.field.min() > 0.0
 
 
