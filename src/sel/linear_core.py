@@ -15,8 +15,8 @@ with iterative refinement; a rectangle's is solved by conjugate gradients
 preconditioned with a geometric multigrid V-cycle (Galerkin coarse
 operators, damped-Jacobi smoothing, a direct solve on the coarsest grid),
 which takes a handful of iterations at any resolution; mu_1 takes the same
-factor and route (spectral: inverse iteration on the LDL^T kernel, LOBPCG
-with the V-cycle, both W-weighted on the cell).  A bare CSR matrix (SPDFactor(A), behind
+factor and route (spectral: inverse iteration on the LDL^T kernel, its own
+LOBPCG with the V-cycle, both W-weighted on the cell).  A bare CSR matrix (SPDFactor(A), behind
 solve_spd and principal_eigenpair) has no grid: a tridiagonal one
 (is_tridiagonal) gets the LDL^T factor, any other one direct splu level; no
 program path takes it, and it goes with those two callers (ROADMAP item 2).
@@ -101,7 +101,9 @@ def is_tridiagonal(A: sp.csr_array) -> bool:
 
 MAX_REFINEMENTS = 3  # refinement steps after the first banded solve
 MAX_PCG_ITERS = 100  # PCG iteration cap; a V-cycle keeps solves near 7 at any n
-COARSEST_N = 16  # subdivisions per axis at and below which splu solves directly
+# subdivisions per axis at and below which splu solves directly: at most
+# 16x16 = 256 unknowns on the mirror cell (31x31 on the full grid)
+COARSEST_N = 32
 JACOBI_WEIGHT = 0.8  # damping of the Jacobi smoother
 SMOOTHING_SWEEPS = 2  # Jacobi sweeps before and after each coarse correction
 
@@ -162,7 +164,7 @@ class SPDFactor:
     direct splu level.  A NaN or inf entry is a ValueError on either route,
     and so is a tridiagonal A that is not symmetric.  The eigenpairs of
     spectral take the route: diagonals and the LDL^T factor (None on the
-    multigrid route) for inverse iteration, or precondition for lobpcg.
+    multigrid route) for inverse iteration, or precondition for LOBPCG.
 
     A tridiagonal operator (every interval grid) is factored as L D L^T by
     LAPACK dpttrf, which fails (info != 0) unless the matrix is positive
@@ -186,8 +188,9 @@ class SPDFactor:
     operators are the folds of the full grid's), Galerkin coarse operators
     P^T A P (the nodal shift needs no rediscretization), SMOOTHING_SWEEPS
     damped-Jacobi sweeps before and after each coarse correction, and splu
-    at the coarsest level, n <= COARSEST_N.  Smaller grids, and every bare
-    non-tridiagonal matrix, are a one-level hierarchy: splu alone.
+    at the coarsest level, n <= COARSEST_N: at most 16x16 = 256 unknowns on
+    the cell.  Smaller grids, and every bare non-tridiagonal matrix, are a
+    one-level hierarchy: splu alone.
     """
 
     def __init__(self, A: sp.spmatrix):

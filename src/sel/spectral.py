@@ -7,12 +7,14 @@ mirror-symmetric m, as every solve_monotone limit's is, its smallest
 eigenvalue mu_1 is that of the mirror cell's generalized problem
 (K + diag(w m_c)) x = mu diag(w) x (linearized_smallest_eigenvalue), from
 linear_core.SPDFactor.on_cell by its route: W-weighted shifted inverse
-iteration on an interval's LDL^T kernel (LAPACK dpttrf/dpttrs), lobpcg with
-B = diag(w) and the cell's V-cycle on rectangles.  Any other m is solved on
-the full grid, from SPDFactor.on_grid by the same routes unweighted, and
-so is a bare matrix (principal_eigenpair: SPDFactor(A)'s route).  Every
-eigenvector is judged on the full grid's (or the bare) CSR operator, with NumPy's
-pairwise sums in place of BLAS dot products.
+iteration on an interval's LDL^T kernel (LAPACK dpttrf/dpttrs), and on
+rectangles a single-vector LOBPCG of our own (_lobpcg) with B = diag(w) and
+the cell's V-cycle.  Any other m is solved on the full grid, from
+SPDFactor.on_grid by the same routes unweighted, and so is a bare matrix
+(principal_eigenpair: SPDFactor(A)'s route).  Every eigenvector is judged
+on the full grid's (or the bare) CSR operator.  Every inner product, in
+the kernels and the judge, is a NumPy pairwise sum in place of a BLAS dot
+product, so no eigenpair's bits depend on the BLAS thread count.
 The operators are SPD M-matrices, so the principal eigenvector is positive
 (discrete Perron-Frobenius), which is checked.
 """
@@ -20,21 +22,19 @@ The operators are SPD M-matrices, so the principal eigenvector is positive
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .grid import Grid, assemble_laplacian, mirror_fold, power_weight, shifted_laplacian
-from .linear_core import SPDFactor, SolverFailure, check_tol
+from .linear_core import SPDFactor, SolverFailure, _dot, check_tol
 
 # An eigenpair exact to rounding still has a 2-norm residual of a few
 # eps * ||A||_inf (which grows like n^2); the residual check allows this many.
 ROUNDOFF_UNITS = 16
-MAX_LOBPCG_ITERS = 100  # per LOBPCG run; a V-cycle keeps runs near a dozen
+MAX_LOBPCG_ITERS = 100  # LOBPCG steps per eigenvector; a V-cycle keeps them at 10-12
 MAX_INVERSE_ITERS = 50  # shifted solves per interval mu_1; 0-10 reach the rounding floor
 
 
@@ -111,46 +111,84 @@ def _eigenvector(
     factor: SPDFactor, tol: float, floor: float, w: np.ndarray | None = None
 ) -> np.ndarray:
     """Sup-normalized principal eigenvector of A x = lambda x, factor's A, or
-    with w of the generalized A x = lambda diag(w) x, w > 0.
-
-    A banded factor (factor.diagonals) is solved by _inverse_iteration on
-    its LDL^T kernel.  Else scipy.sparse.linalg.lobpcg runs on A (with
-    B = diag(w)) from the constant vector (so results are deterministic),
-    preconditioned by factor.precondition, one V-cycle ~ A^(-1) r.  LOBPCG
-    stops on an absolute residual, so it runs twice: to the gate
-    max(tol * lambda, floor) at the Rayleigh quotient of the constant
-    vector (an upper bound of lambda), then, from the vector it returned,
-    to half the gate at the eigenvalue it returned.  With w its residual,
-    ||A x - lambda W x||_2 at x^T W x = 1, is at least
-    ||W^(-1) A x - lambda x||_W as w >= 1: on a mirror cell
-    (linearized_smallest_eigenvalue) the full grid's 2-norm residual of the
-    expanded vector, which so meets the gate too.
-    """
+    with w of the generalized A x = lambda diag(w) x, w > 0: a banded factor
+    (factor.diagonals) by _inverse_iteration on its LDL^T kernel, any other
+    by _lobpcg with factor.precondition."""
     if factor.diagonals is not None:
         return _inverse_iteration(factor, tol, floor, w)
+    return _lobpcg(factor, tol, floor, w)
+
+
+def _lobpcg(
+    factor: SPDFactor, tol: float, floor: float, w: np.ndarray | None = None
+) -> np.ndarray:
+    """Sup-normalized principal eigenvector of A x = lambda W x, factor's A
+    and W = diag(w) (the identity without w), by single-vector LOBPCG
+    (Knyazev, SIAM J. Sci. Comput. 23, 2001) from the constant vector, so
+    results are deterministic.
+
+    Each step is a Rayleigh-Ritz (_ritz) on the basis [x, T r, p]: T is
+    factor.precondition, one V-cycle ~ A^(-1) r (or the one-level splu),
+    r = A x - lambda W x at the Rayleigh quotient lambda, and p the part of
+    the last update outside x.  Each new direction is W-orthonormalized
+    against x.  A x is a fresh product every step; A p is carried along.
+    The steps stop once ||r||_2 / ||x||_W <= half of max(tol * lambda,
+    floor), or after MAX_LOBPCG_ITERS of them; the caller judges the vector
+    returned (_judged).  With w that residual is at least
+    ||W^(-1) A x - lambda x||_W / ||x||_W as w >= 1: on a mirror cell
+    (linearized_smallest_eigenvalue) the full grid's 2-norm residual of the
+    expanded vector, which so meets the gate too.  A cell of one unknown
+    has r = 0 and returns at once.
+    """
     A = factor.A
-    precond = scipy.sparse.linalg.LinearOperator(
-        A.shape, matvec=lambda r: factor.precondition(r.ravel()), dtype=float
-    )
-    B = None if w is None else sp.diags_array(w)
+    x = np.ones(A.shape[0])
+    p = ap = None
+    for _ in range(MAX_LOBPCG_ITERS):
+        ax = A @ x
+        wx = x if w is None else w * x
+        xwx = _dot(x, wx)
+        lam = _dot(x, ax) / xwx
+        r = ax - lam * wx
+        if math.sqrt(_dot(r, r) / xwx) <= 0.5 * max(tol * lam, floor):
+            break
+        z = factor.precondition(r)
+        basis = [(x, ax, wx)]  # each vector with its A- and W-images
+        for v, av in [(z, A @ z)] if p is None else [(z, A @ z), (p, ap)]:
+            c = _dot(wx, v) / xwx
+            v, av = v - c * x, av - c * ax
+            wv = v if w is None else w * v
+            s = 1.0 / math.sqrt(_dot(v, wv))
+            basis.append((s * v, s * av, s * wv))
+        y = _ritz(basis)  # 2 coefficients where p was dropped
+        p = sum(c * v for c, (v, _, _) in zip(y[1:], basis[1:]))
+        ap = sum(c * av for c, (_, av, _) in zip(y[1:], basis[1:]))
+        x = y[0] * x + p
+    return x / x[np.argmax(np.abs(x))]
 
-    def lobpcg(x0: np.ndarray, gate: float) -> tuple[float, np.ndarray]:
-        vals, vecs = scipy.sparse.linalg.lobpcg(
-            A, x0, B=B, M=precond, tol=gate, maxiter=MAX_LOBPCG_ITERS, largest=False
-        )
-        return float(vals[0]), vecs
 
-    # Tiny problems (fewer than 5 unknowns) make LOBPCG warn and fall back
-    # to a dense solver, and a stall only warns; the checks below judge.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            rq_ones = float(A.sum()) / (A.shape[0] if w is None else w.sum())
-            lam, vecs = lobpcg(np.ones((A.shape[0], 1)), max(tol * rq_ones, floor))
-            _, vecs = lobpcg(vecs, 0.5 * max(tol * lam, floor))
-        except np.linalg.LinAlgError as exc:
-            raise EigenNonConvergenceError(f"LOBPCG broke down: {exc}") from exc
-    return vecs[:, 0] / vecs[np.argmax(np.abs(vecs[:, 0])), 0]
+def _ritz(basis: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Coefficients y, y^T G_W y = 1, of the smallest Ritz pair of
+    G_A y = theta G_W y on the basis's 2 or 3 (vector, A-image, W-image)
+    triples: G_A = S^T A S and G_W = S^T W S by pairwise sums (_dot), the
+    pencil reduced by np.linalg.cholesky of G_W and solved by
+    np.linalg.eigh.  A G_W that is not positive definite drops the third
+    vector (p); without it, EigenNonConvergenceError."""
+    k = len(basis)
+    gram_a = np.empty((k, k))
+    gram_w = np.empty((k, k))
+    for i, (v, _, _) in enumerate(basis):
+        for j in range(i, k):
+            _, av, wv = basis[j]
+            gram_a[i, j] = gram_a[j, i] = _dot(v, av)
+            gram_w[i, j] = gram_w[j, i] = _dot(v, wv)
+    try:
+        inv_l = np.linalg.inv(np.linalg.cholesky(gram_w))
+    except np.linalg.LinAlgError as exc:
+        if k == 3:
+            return _ritz(basis[:2])
+        raise EigenNonConvergenceError(f"LOBPCG broke down: {exc}") from exc
+    _, vecs = np.linalg.eigh(inv_l @ gram_a @ inv_l.T)
+    return inv_l.T @ vecs[:, 0]
 
 
 def _judged(A: sp.csr_array, x: np.ndarray, tol: float, floor: float) -> EigenPair:
@@ -320,7 +358,7 @@ def linearized_smallest_eigenvalue(
     principal eigenvector is simple and symmetric, E x, and mu_1 is the
     smallest eigenvalue of the cell's (K + diag(w m_c)) x = mu diag(w) x,
     m_c = m[rep].  _eigenvector solves it on SPDFactor.on_cell's route
-    (W-weighted inverse iteration on an interval's LDL^T kernel, LOBPCG
+    (W-weighted inverse iteration on an interval's LDL^T kernel, _lobpcg
     with B = diag(w) and the cell V-cycle on a rectangle), and E x is
     judged on the full grid's A as _eigenpair judges (_judged, the floor
     from A's ||A||_inf): the value, residual and field are A's.  Any other

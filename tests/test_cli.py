@@ -640,8 +640,8 @@ def test_rectangle_solve_and_regularity(tmp_path):
 
 @pytest.mark.parametrize("n", [3, 5, 17, 127])
 def test_rectangle_solve_any_n(tmp_path, capsys, n):
-    # tiny, prime and odd n, on one-level and multi-level hierarchies; LOBPCG
-    # warns on tiny problems, and no warning may reach the user
+    # tiny, prime and odd n, on one-level and multi-level hierarchies, mu_1
+    # on cells of 1 to 63x63 unknowns; no warning may reach the user
     out = tmp_path / f"r{n}"
     argv = ["solve", "--domain", "rectangle", "--alpha", "2", "--n", str(n), "--out", str(out)]
     with warnings.catch_warnings(record=True) as caught:

@@ -184,7 +184,7 @@ def test_refined_banded_solve_meets_a_tolerance_below_the_double_floor():
     assert np.linalg.norm(extended_residual(a, f, u)) <= 1e-9 * np.linalg.norm(f)
 
 
-@pytest.mark.parametrize("n", [17, 64, 127, 128])
+@pytest.mark.parametrize("n", [33, 64, 127, 128])
 def test_rectangle_operator_uses_multigrid_pcg(n):
     # A V-cycle preconditioner keeps the PCG count bounded independently of
     # n, odd and prime n included.
@@ -231,16 +231,20 @@ def test_pcg_flags_indefinite_rectangle_operator(sign_changing):
         factor.solve(f, tol=1e-10)
 
 
-@pytest.mark.parametrize("n", [3, 5, 16])
+@pytest.mark.parametrize("n", [3, 5, 16, 32])
 def test_small_rectangle_is_one_direct_level(n):
     # At n <= COARSEST_N the hierarchy is the direct coarsest solve alone,
-    # so PCG converges in one step.
+    # so PCG converges in one step, on the grid and on its mirror cell.
     g = build_grid(rectangle(1.0, 1.0), n)
     a = shifted(g, 1.0, 2.0)
     f = np.ones(g.num_interior)
     u, stats = SPDFactor(a).solve(f, tol=1e-12)
     assert n <= COARSEST_N and stats.iterations == 1
     assert np.linalg.norm(f - a @ u) <= 1e-12 * np.linalg.norm(f)
+    m = power_weight(g, 2.0)
+    fold = mirror_fold(g)
+    for factor in (SPDFactor.on_grid(g, m), SPDFactor.on_cell(g, fold.w * m[fold.rep])):
+        assert factor._levels == []
 
 
 @pytest.mark.parametrize("shape", [rectangle(1.0, 1.0), rectangle(2.0, 0.5)], ids=["square", "4:1"])

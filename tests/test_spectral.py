@@ -129,7 +129,7 @@ def test_linearized_matches_dense_eigensolve():
         (interval(1.0), 3),
         (rectangle(1.0, 1.0), 3),  # four unknowns: the smallest Lanczos case
         (rectangle(1.0, 1.0), 16),
-        (rectangle(1.0, 1.0), 33),  # LOBPCG on the grid's two-level V-cycle
+        (rectangle(1.0, 1.0), 33),  # the smallest multigrid n: LOBPCG on the cell's two levels
     ]
     for shape, n in cases:
         (level,) = solve_ladder(0.5, 0.0, shape, [n], SolveConfig(tol=1e-10))
@@ -196,20 +196,16 @@ def test_cell_mu1_matches_the_full_grid_route(monkeypatch, shape, n, alpha):
 @pytest.mark.parametrize(
     "shape, n, solver",
     [(interval(1.0), 64, (spectral, "_inverse_iteration")),
-     (rectangle(1.0, 1.0), 16, (scipy.sparse.linalg, "lobpcg"))],
+     (rectangle(1.0, 1.0), 16, (spectral, "_lobpcg"))],
 )
 def test_residual_check_rejects_perturbed_eigenvector(monkeypatch, shape, n, solver):
     module, name = solver
-    library = getattr(module, name)
+    kernel = getattr(module, name)
 
     def perturbed(*args, **kwargs):
-        out = library(*args, **kwargs)
+        vec = kernel(*args, **kwargs)
         # sized from the vector returned: the mirror cell's, not the grid's
-        vec = out[1] if isinstance(out, tuple) else out
-        wobble = 1.0 + 1e-3 * np.cos(np.arange(len(vec)))
-        if isinstance(out, tuple):  # LOBPCG's (values, vectors)
-            return out[0], out[1] * wobble[:, None]
-        return out * wobble  # the interval kernel's vector
+        return vec * (1.0 + 1e-3 * np.cos(np.arange(len(vec))))
 
     monkeypatch.setattr(module, name, perturbed)
     with pytest.raises(EigenNonConvergenceError, match="eigen-residual"):
@@ -222,8 +218,8 @@ def test_eigen_tol_must_be_positive_and_finite(monkeypatch, shape, tol):
     # invalid input on both routes, checked before either eigensolver runs
     g = build_grid(shape, 16)
     u = dirichlet_eigenpair(g).field
-    for module, name in ((spectral, "_inverse_iteration"), (scipy.sparse.linalg, "lobpcg")):
-        monkeypatch.setattr(module, name, lambda *_a, **_k: pytest.fail("solved before the check"))
+    for name in ("_inverse_iteration", "_lobpcg"):
+        monkeypatch.setattr(spectral, name, lambda *_a, **_k: pytest.fail("solved before the check"))
     with pytest.raises(ValueError, match="tol must be positive and finite"):
         linearized_smallest_eigenvalue(g, u, 2.0, 0.0, tol=tol)
     with pytest.raises(ValueError, match="tol must be positive and finite"):
@@ -232,25 +228,44 @@ def test_eigen_tol_must_be_positive_and_finite(monkeypatch, shape, tol):
 
 @pytest.mark.parametrize("n", [8, 32])
 def test_lobpcg_non_convergence_is_typed(monkeypatch, n):
-    # One LOBPCG iteration per run cannot reach the residual gate, and LOBPCG
-    # itself only warns; the stall must surface as the typed error.
-    library = scipy.sparse.linalg.lobpcg
-
-    def stalled(*args, **kwargs):
-        return library(*args, **{**kwargs, "maxiter": 1})
-
-    monkeypatch.setattr(scipy.sparse.linalg, "lobpcg", stalled)
+    # One LOBPCG step cannot reach the residual gate, and the kernel returns
+    # its last vector at the cap: the stall must surface as the typed error.
+    monkeypatch.setattr(spectral, "MAX_LOBPCG_ITERS", 1)
     with pytest.raises(EigenNonConvergenceError, match="eigen-residual"):
         linearized_at_one(rectangle(1.0, 1.0), n)
 
 
 def test_lobpcg_breakdown_is_typed(monkeypatch):
-    def broken(*args, **kwargs):
-        raise np.linalg.LinAlgError("Rayleigh-Ritz Gram matrix is not positive definite")
+    # every Gram matrix handed to the Cholesky factorization is made
+    # indefinite: without p to drop, the first step breaks down
+    cholesky = np.linalg.cholesky
+    sizes = []
 
-    monkeypatch.setattr(scipy.sparse.linalg, "lobpcg", broken)
-    with pytest.raises(EigenNonConvergenceError, match="LOBPCG"):
+    def indefinite(gram):
+        sizes.append(len(gram))
+        return cholesky(-gram)
+
+    monkeypatch.setattr(np.linalg, "cholesky", indefinite)
+    with pytest.raises(EigenNonConvergenceError, match="LOBPCG broke down"):
         linearized_at_one(rectangle(1.0, 1.0), 8)
+    assert sizes == [2]
+
+
+def test_lobpcg_drops_p_from_an_indefinite_gram_matrix(monkeypatch):
+    # a 3x3 Gram matrix that is not positive definite drops p: the 2x2 step
+    # is preconditioned steepest descent, which still reaches the gate
+    cholesky = np.linalg.cholesky
+    sizes = []
+
+    def indefinite_with_p(gram):
+        sizes.append(len(gram))
+        return cholesky(-gram if len(gram) == 3 else gram)
+
+    monkeypatch.setattr(np.linalg, "cholesky", indefinite_with_p)
+    g = build_grid(rectangle(1.0, 1.0), 64)
+    eig = linearized_smallest_eigenvalue(g, np.ones(g.num_interior), 0.0, 0.0)
+    assert eig.value == pytest.approx(dirichlet_eigenpair(g).value, rel=1e-10)
+    assert 3 in sizes and sizes.count(2) == sizes.count(3) + 1
 
 
 def test_sign_changing_eigenvector_is_a_non_convergence():
@@ -316,6 +331,53 @@ def test_interval_mu1_takes_at_most_ten_ldlt_solves(monkeypatch, n, alpha):
     # a solve_monotone limit is mirror-symmetric: every solve is on the cell
     assert 2 < len(solves) <= 10 and set(solves) == {n // 2}
     assert mu.field.min() > 0.0
+
+
+@pytest.mark.parametrize("n", [33, 64, 128])
+@pytest.mark.parametrize("alpha", [0.5, 2.0, 10.0])
+def test_rectangle_mu1_takes_at_most_fourteen_vcycles(monkeypatch, n, alpha):
+    (level,) = solve_ladder(alpha, 0.0, rectangle(1.0, 1.0), [n], SolveConfig(tol=1e-8))
+    sizes = []
+    vcycle = SPDFactor.precondition
+
+    def counted(self, r, level=0):
+        if level == 0:
+            sizes.append(r.size)
+        return vcycle(self, r, level)
+
+    monkeypatch.setattr(SPDFactor, "precondition", counted)
+    mu = linearized_smallest_eigenvalue(level.grid, level.report.upper, alpha, 0.0)
+    # one V-cycle per LOBPCG step, every one on the quarter cell
+    assert 2 < len(sizes) <= 14 and set(sizes) == {(n // 2) ** 2}
+    assert mu.field.min() > 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("shape", [rectangle(1.0, 1.0), rectangle(2.0, 0.5)], ids=["square", "4:1"])
+def test_tiny_rectangle_mu1_matches_dense_eigvalsh(monkeypatch, shape, n):
+    # cells of 1 or 4 unknowns and full grids of 1 to 16, where the basis
+    # [x, T r, p] soon spans the whole space: LOBPCG must stop at the gate
+    # (one unknown: at once, r = 0), on the cell and on the full grid
+    (level,) = solve_ladder(2.0, 0.0, shape, [n], SolveConfig(tol=1e-8))
+    g, u = level.grid, level.report.upper
+    steps = []
+    vcycle = SPDFactor.precondition
+    monkeypatch.setattr(SPDFactor, "precondition", lambda *a: steps.append(1) or vcycle(*a))
+    asymmetric = u * (1.0 + 0.2 * g.points()[:, 0])
+    for u, route in ((u, "cell"), (asymmetric, "grid")):
+        m = monotone_shift(g, u, 2.0, 0.0)
+        if route == "cell":
+            mu = linearized_smallest_eigenvalue(g, u, 2.0, 0.0)
+        else:
+            mu = spectral._eigenpair(SPDFactor.on_grid(g, m), 1e-10)
+        dense = assemble_laplacian(g).toarray() + np.diag(m)
+        dense_error = np.finfo(float).eps * np.abs(dense).sum(axis=1).max()
+        assert mu.value == pytest.approx(
+            scipy.linalg.eigvalsh(dense)[0], rel=1e-10, abs=dense_error
+        ), route
+        assert mu.field.min() > 0.0 and mu.field.max() == 1.0, route
+        if route == "cell" and n <= 3:
+            assert not steps  # the cell's one unknown
 
 
 def test_tridiagonal_with_a_positive_off_diagonal_fails_before_any_solve(monkeypatch):
