@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpttrf, dpttrs
 
@@ -170,9 +171,9 @@ def _ritz(basis: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> np.ndarray:
     """Coefficients y, y^T G_W y = 1, of the smallest Ritz pair of
     G_A y = theta G_W y on the basis's 2 or 3 (vector, A-image, W-image)
     triples: G_A = S^T A S and G_W = S^T W S by pairwise sums (_dot), the
-    pencil reduced by np.linalg.cholesky of G_W and solved by
-    np.linalg.eigh.  A G_W that is not positive definite drops the third
-    vector (p); without it, EigenNonConvergenceError."""
+    pencil solved by scipy.linalg.eigh (LAPACK dsygvd).  A G_W that is not
+    positive definite drops the third vector (p); without it,
+    EigenNonConvergenceError."""
     k = len(basis)
     gram_a = np.empty((k, k))
     gram_w = np.empty((k, k))
@@ -182,13 +183,13 @@ def _ritz(basis: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> np.ndarray:
             gram_a[i, j] = gram_a[j, i] = _dot(v, av)
             gram_w[i, j] = gram_w[j, i] = _dot(v, wv)
     try:
-        inv_l = np.linalg.inv(np.linalg.cholesky(gram_w))
+        # the entries are finite: A and W are checked where they are made
+        _, vecs = scipy.linalg.eigh(gram_a, gram_w, check_finite=False)
     except np.linalg.LinAlgError as exc:
         if k == 3:
             return _ritz(basis[:2])
         raise EigenNonConvergenceError(f"LOBPCG broke down: {exc}") from exc
-    _, vecs = np.linalg.eigh(inv_l @ gram_a @ inv_l.T)
-    return inv_l.T @ vecs[:, 0]
+    return vecs[:, 0]
 
 
 def _judged(A: sp.csr_array, x: np.ndarray, tol: float, floor: float) -> EigenPair:

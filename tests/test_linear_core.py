@@ -190,6 +190,7 @@ def test_rectangle_operator_uses_multigrid_pcg(n):
     # n, odd and prime n included.
     g = build_grid(rectangle(1.0, 1.0), n)
     factor = SPDFactor.on_grid(g, power_weight(g, 2.0))
+    assert factor._levels
     a = factor.A
     f = np.ones(g.num_interior)
     u, stats = factor.solve(f, tol=1e-10)
@@ -197,10 +198,13 @@ def test_rectangle_operator_uses_multigrid_pcg(n):
     assert np.linalg.norm(f - a @ u) <= 1e-10 * np.linalg.norm(f)
 
 
-@pytest.mark.parametrize("n", [17, 64])
+@pytest.mark.parametrize("n", [17, 33, 64])
 def test_pcg_applies_one_vcycle_per_iteration(monkeypatch, n):
+    # n = 17 is the direct level alone, whose splu solve preconditions;
+    # 33, the smallest multigrid n, and 64 apply V-cycles
     g = build_grid(rectangle(1.0, 1.0), n)
     factor = SPDFactor.on_grid(g, power_weight(g, 2.0))
+    assert bool(factor._levels) == (n != 17)
     calls = []
     vcycle = factor.precondition
     monkeypatch.setattr(
@@ -220,15 +224,18 @@ def test_pcg_iteration_cap_is_typed(monkeypatch):
 @pytest.mark.parametrize("sign_changing", [False, True])
 def test_pcg_flags_indefinite_rectangle_operator(sign_changing):
     # -lap_h - 30 on the unit square is indefinite (lambda_1 ~ 2 pi^2), and
-    # the multigrid path must say so rather than return a solution.  Both
-    # right-hand sides have a component along the principal mode.
-    g = build_grid(rectangle(1.0, 1.0), 32)
-    factor = SPDFactor.on_grid(g, np.full(g.num_interior, -30.0))
-    f = np.ones(g.num_interior)
-    if sign_changing:
-        f = np.sin(np.pi * g.points()[:, 0]) - 0.5
-    with pytest.raises(SolverStagnationError, match="not positive definite"):
-        factor.solve(f, tol=1e-10)
+    # the one-level path (n = 32) and the multigrid path (n = 33, 64) must
+    # say so rather than return a solution.  Both right-hand sides have a
+    # component along the principal mode.
+    for n, multigrid in [(32, False), (33, True), (64, True)]:
+        g = build_grid(rectangle(1.0, 1.0), n)
+        factor = SPDFactor.on_grid(g, np.full(g.num_interior, -30.0))
+        assert bool(factor._levels) == multigrid
+        f = np.ones(g.num_interior)
+        if sign_changing:
+            f = np.sin(np.pi * g.points()[:, 0]) - 0.5
+        with pytest.raises(SolverStagnationError, match="not positive definite"):
+            factor.solve(f, tol=1e-10)
 
 
 @pytest.mark.parametrize("n", [3, 5, 16, 32])

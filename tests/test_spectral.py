@@ -141,16 +141,37 @@ def test_linearized_matches_dense_eigensolve():
         assert mu.field.min() > 0.0 and mu.field.max() == 1.0
 
 
+def multigrid(factor):
+    # the factor preconditions with a V-cycle: not banded, and levels above
+    # the direct coarsest one
+    return factor.diagonals is None and bool(factor._levels)
+
+
+def recording(monkeypatch, constructor):
+    # every factor SPDFactor.<constructor> builds, in order
+    factors = []
+    build = getattr(SPDFactor, constructor)
+    monkeypatch.setattr(
+        SPDFactor, constructor, lambda *a: factors.append(build(*a)) or factors[-1]
+    )
+    return factors
+
+
 @pytest.mark.parametrize(
-    "shape, n", [(interval(1.0), 64), (rectangle(1.0, 1.0), 17), (rectangle(2.0, 0.5), 16)]
+    "shape, n",
+    [(interval(1.0), 64), (rectangle(1.0, 1.0), 17), (rectangle(2.0, 0.5), 16),
+     (rectangle(1.0, 1.0), 33)],
 )
 def test_asymmetric_potential_takes_the_full_grid_route(monkeypatch, shape, n):
     # only the API can pass a u that is not mirror-symmetric: its mu_1 is
-    # solved on the full grid, never on the mirror cell
+    # solved on the full grid, never on the mirror cell; at n = 33 by
+    # LOBPCG with the full grid's V-cycle
     g = build_grid(shape, n)
     u = dirichlet_eigenpair(g).field * (1.0 + 0.2 * g.points()[:, 0])
     monkeypatch.setattr(SPDFactor, "on_cell", lambda *_a: pytest.fail("solved on the cell"))
+    factors = recording(monkeypatch, "on_grid")
     mu = linearized_smallest_eigenvalue(g, u, 2.0, 0.0)
+    assert [multigrid(f) for f in factors] == [n == 33]
     dense = assemble_laplacian(g).toarray() + np.diag(monotone_shift(g, u, 2.0, 0.0))
     dense_error = np.finfo(float).eps * np.abs(dense).sum(axis=1).max()
     assert mu.value == pytest.approx(scipy.linalg.eigvalsh(dense)[0], rel=1e-10, abs=dense_error)
@@ -167,18 +188,22 @@ def long_double_rayleigh(A, x):
     "shape, n",
     [(interval(1.0), 2), (interval(1.0), 3), (interval(1.0), 4095),
      (rectangle(1.0, 1.0), 3), (rectangle(1.0, 1.0), 17), (rectangle(1.0, 1.0), 33),
-     (rectangle(2.0, 0.5), 16), (rectangle(2.0, 0.5), 17)],
+     (rectangle(2.0, 0.5), 16), (rectangle(2.0, 0.5), 17), (rectangle(2.0, 0.5), 33)],
 )
 def test_cell_mu1_matches_the_full_grid_route(monkeypatch, shape, n, alpha):
     # a solve_monotone limit is mirror-symmetric, so mu_1 is solved on the
-    # cell; the full grid's route, on the same potential, finds the same pair
+    # cell; the full grid's route, on the same potential, finds the same
+    # pair.  At n = 33 both routes are LOBPCG with a V-cycle.
     (level,) = solve_ladder(alpha, 0.0, shape, [n], SolveConfig(tol=1e-8))
     grid, u = level.grid, level.report.upper
     m = monotone_shift(grid, u, alpha, 0.0)
     A = shifted_laplacian(grid, m)
-    full = spectral._eigenpair(SPDFactor.on_grid(grid, m), 1e-10)
+    full_factor = SPDFactor.on_grid(grid, m)
+    full = spectral._eigenpair(full_factor, 1e-10)
     monkeypatch.setattr(SPDFactor, "on_grid", lambda *_a: pytest.fail("solved on the full grid"))
+    cells = recording(monkeypatch, "on_cell")
     cell = linearized_smallest_eigenvalue(grid, u, alpha, 0.0)
+    assert [multigrid(f) for f in [full_factor, *cells]] == [n == 33] * 2
     # each double Rayleigh quotient rounds A x at about eps * ||A||_inf: on
     # the interval at n = 4095 the two differed by up to 7.6e-12 of mu_1
     # over alpha and beta, while the long-double quotients of their fields
@@ -236,16 +261,16 @@ def test_lobpcg_non_convergence_is_typed(monkeypatch, n):
 
 
 def test_lobpcg_breakdown_is_typed(monkeypatch):
-    # every Gram matrix handed to the Cholesky factorization is made
-    # indefinite: without p to drop, the first step breaks down
-    cholesky = np.linalg.cholesky
+    # every Gram matrix G_W handed to the Ritz solve is made indefinite:
+    # without p to drop, the first step breaks down
+    eigh = scipy.linalg.eigh
     sizes = []
 
-    def indefinite(gram):
-        sizes.append(len(gram))
-        return cholesky(-gram)
+    def indefinite(gram_a, gram_w, **kwargs):
+        sizes.append(len(gram_w))
+        return eigh(gram_a, -gram_w, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "cholesky", indefinite)
+    monkeypatch.setattr(scipy.linalg, "eigh", indefinite)
     with pytest.raises(EigenNonConvergenceError, match="LOBPCG broke down"):
         linearized_at_one(rectangle(1.0, 1.0), 8)
     assert sizes == [2]
@@ -254,14 +279,14 @@ def test_lobpcg_breakdown_is_typed(monkeypatch):
 def test_lobpcg_drops_p_from_an_indefinite_gram_matrix(monkeypatch):
     # a 3x3 Gram matrix that is not positive definite drops p: the 2x2 step
     # is preconditioned steepest descent, which still reaches the gate
-    cholesky = np.linalg.cholesky
+    eigh = scipy.linalg.eigh
     sizes = []
 
-    def indefinite_with_p(gram):
-        sizes.append(len(gram))
-        return cholesky(-gram if len(gram) == 3 else gram)
+    def indefinite_with_p(gram_a, gram_w, **kwargs):
+        sizes.append(len(gram_w))
+        return eigh(gram_a, -gram_w if len(gram_w) == 3 else gram_w, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "cholesky", indefinite_with_p)
+    monkeypatch.setattr(scipy.linalg, "eigh", indefinite_with_p)
     g = build_grid(rectangle(1.0, 1.0), 64)
     eig = linearized_smallest_eigenvalue(g, np.ones(g.num_interior), 0.0, 0.0)
     assert eig.value == pytest.approx(dirichlet_eigenpair(g).value, rel=1e-10)
