@@ -85,8 +85,8 @@ def _closed_form_eigenpair(grid: Grid) -> EigenPair:
 def principal_eigenpair(A: sp.spmatrix, tol: float = 1e-10) -> EigenPair:
     """_eigenpair of a bare SPD M-matrix through SPDFactor(A), its checks (a
     ValueError for a NaN or inf entry or an asymmetric tridiagonal A) and its
-    route: a tridiagonal A by inverse iteration on its LDL^T, else one splu
-    level (README)."""
+    route: a tridiagonal A by inverse iteration on its LDL^T, else LOBPCG
+    with one direct banded Cholesky level in A's own bandwidth (README)."""
     return _eigenpair(SPDFactor(A), tol)
 
 
@@ -129,7 +129,8 @@ def _lobpcg(
     results are deterministic.
 
     Each step is a Rayleigh-Ritz (_ritz) on the basis [x, T r, p]: T is
-    factor.precondition, one V-cycle ~ A^(-1) r (or the one-level splu),
+    factor.precondition, one V-cycle ~ A^(-1) r (or, on a one-level
+    hierarchy, the exact banded Cholesky solve A^(-1) r),
     r = A x - lambda W x at the Rayleigh quotient lambda, and p the part of
     the last update outside x.  Each new direction is W-orthonormalized
     against x.  A x is a fresh product every step; A p is carried along.

@@ -1,3 +1,9 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,7 +20,7 @@ from sel.grid import (
     shifted_laplacian,
 )
 from sel.linear_core import (
-    COARSEST_N,
+    DIRECT_UNKNOWNS,
     ComparisonPrincipleViolationError,
     SolverStagnationError,
     SPDFactor,
@@ -26,6 +32,11 @@ from sel.linear_core import (
     solve_spd,
 )
 from sel.spectral import principal_eigenpair
+
+# the smallest n whose factor builds a hierarchy: the first whose full grid
+# ((n-1)^2 unknowns) or mirror cell ((n//2)^2) exceeds DIRECT_UNKNOWNS
+SIDE = math.isqrt(DIRECT_UNKNOWNS)
+GRID_MULTIGRID_N, CELL_MULTIGRID_N = SIDE + 2, 2 * (SIDE + 1)
 
 
 def shifted(g, M, gamma):
@@ -184,7 +195,7 @@ def test_refined_banded_solve_meets_a_tolerance_below_the_double_floor():
     assert np.linalg.norm(extended_residual(a, f, u)) <= 1e-9 * np.linalg.norm(f)
 
 
-@pytest.mark.parametrize("n", [33, 64, 127, 128])
+@pytest.mark.parametrize("n", [GRID_MULTIGRID_N, 64, 127, 128])
 def test_rectangle_operator_uses_multigrid_pcg(n):
     # A V-cycle preconditioner keeps the PCG count bounded independently of
     # n, odd and prime n included.
@@ -198,13 +209,14 @@ def test_rectangle_operator_uses_multigrid_pcg(n):
     assert np.linalg.norm(f - a @ u) <= 1e-10 * np.linalg.norm(f)
 
 
-@pytest.mark.parametrize("n", [17, 33, 64])
+@pytest.mark.parametrize("n", [17, 33, GRID_MULTIGRID_N, 64])
 def test_pcg_applies_one_vcycle_per_iteration(monkeypatch, n):
-    # n = 17 is the direct level alone, whose splu solve preconditions;
-    # 33, the smallest multigrid n, and 64 apply V-cycles
+    # n = 17 and 33 are the direct level alone, whose banded Cholesky solve
+    # preconditions; GRID_MULTIGRID_N, the smallest multigrid n, and 64
+    # apply V-cycles
     g = build_grid(rectangle(1.0, 1.0), n)
     factor = SPDFactor.on_grid(g, power_weight(g, 2.0))
-    assert bool(factor._levels) == (n != 17)
+    assert bool(factor._levels) == (n >= GRID_MULTIGRID_N)
     calls = []
     vcycle = factor.precondition
     monkeypatch.setattr(
@@ -224,29 +236,29 @@ def test_pcg_iteration_cap_is_typed(monkeypatch):
 @pytest.mark.parametrize("sign_changing", [False, True])
 def test_pcg_flags_indefinite_rectangle_operator(sign_changing):
     # -lap_h - 30 on the unit square is indefinite (lambda_1 ~ 2 pi^2), and
-    # the one-level path (n = 32) and the multigrid path (n = 33, 64) must
-    # say so rather than return a solution.  Both right-hand sides have a
-    # component along the principal mode.
-    for n, multigrid in [(32, False), (33, True), (64, True)]:
+    # the one-level path and the multigrid path must say so rather than
+    # return a solution: the banded Cholesky of the direct level, or of the
+    # Galerkin coarsest level, fails as the factor is built.  Both right-hand
+    # sides have a component along the principal mode.
+    for n, multigrid in [(GRID_MULTIGRID_N - 1, False), (GRID_MULTIGRID_N, True), (64, True)]:
         g = build_grid(rectangle(1.0, 1.0), n)
-        factor = SPDFactor.on_grid(g, np.full(g.num_interior, -30.0))
-        assert bool(factor._levels) == multigrid
+        assert bool(SPDFactor.on_grid(g, np.zeros(g.num_interior))._levels) == multigrid
         f = np.ones(g.num_interior)
         if sign_changing:
             f = np.sin(np.pi * g.points()[:, 0]) - 0.5
         with pytest.raises(SolverStagnationError, match="not positive definite"):
-            factor.solve(f, tol=1e-10)
+            SPDFactor.on_grid(g, np.full(g.num_interior, -30.0)).solve(f, tol=1e-10)
 
 
 @pytest.mark.parametrize("n", [3, 5, 16, 32])
 def test_small_rectangle_is_one_direct_level(n):
-    # At n <= COARSEST_N the hierarchy is the direct coarsest solve alone,
-    # so PCG converges in one step, on the grid and on its mirror cell.
+    # Below GRID_MULTIGRID_N the hierarchy is the direct coarsest solve
+    # alone, so PCG converges in one step, on the grid and on its mirror cell.
     g = build_grid(rectangle(1.0, 1.0), n)
     a = shifted(g, 1.0, 2.0)
     f = np.ones(g.num_interior)
     u, stats = SPDFactor(a).solve(f, tol=1e-12)
-    assert n <= COARSEST_N and stats.iterations == 1
+    assert n < GRID_MULTIGRID_N and stats.iterations == 1
     assert np.linalg.norm(f - a @ u) <= 1e-12 * np.linalg.norm(f)
     m = power_weight(g, 2.0)
     fold = mirror_fold(g)
@@ -254,11 +266,92 @@ def test_small_rectangle_is_one_direct_level(n):
         assert factor._levels == []
 
 
+def on_route(shape, n, route):
+    """(factor, A) of -lap_h + 2 d^-2 by SPDFactor.on_grid or on the mirror cell."""
+    g = build_grid(shape, n)
+    m = power_weight(g, 2.0)
+    if route == "on_grid":
+        return SPDFactor.on_grid(g, m), shifted_laplacian(g, m)
+    fold = mirror_fold(g)
+    m = fold.w * m[fold.rep]
+    return SPDFactor.on_cell(g, m), fold.shifted(m)
+
+
+@pytest.mark.parametrize(
+    "shape, n, route",
+    [
+        (rectangle(1.0, 1.0), CELL_MULTIGRID_N - 2, "on_cell"),
+        (rectangle(1.0, 1.0), CELL_MULTIGRID_N - 1, "on_cell"),
+        (rectangle(1.0, 1.0), GRID_MULTIGRID_N - 1, "on_grid"),
+        # the 4:1 rectangle, whose V-cycle takes 21-25 PCG steps
+        (rectangle(2.0, 0.5), CELL_MULTIGRID_N - 2, "on_cell"),
+    ],
+)
+def test_largest_direct_level_solves_in_one_step(shape, n, route):
+    # up to DIRECT_UNKNOWNS the whole operator is one banded Cholesky level,
+    # and PCG preconditioned by its exact solve stops after one step
+    factor, a = on_route(shape, n, route)
+    assert a.shape[0] <= DIRECT_UNKNOWNS and factor._levels == []
+    f = np.ones(a.shape[0])
+    u, stats = factor.solve(f, tol=1e-12)
+    assert stats.iterations == 1
+    assert np.linalg.norm(extended_residual(a, f, u)) <= 1e-12 * np.linalg.norm(f)
+
+
+def test_smallest_multigrid_cell_builds_a_hierarchy():
+    # one cell unknown per axis past DIRECT_UNKNOWNS: one V-cycle level above
+    # a direct level of at most DIRECT_UNKNOWNS (the full grid's smallest
+    # multigrid n is test_rectangle_operator_uses_multigrid_pcg's)
+    factor, a = on_route(rectangle(1.0, 1.0), CELL_MULTIGRID_N, "on_cell")
+    assert a.shape[0] > DIRECT_UNKNOWNS and len(factor._levels) == 1
+    assert factor._coarsest.shape[1] <= DIRECT_UNKNOWNS
+    f = np.ones(a.shape[0])
+    u, stats = factor.solve(f, tol=1e-10)
+    assert 2 <= stats.iterations <= 10
+    assert np.linalg.norm(extended_residual(a, f, u)) <= 1e-10 * np.linalg.norm(f)
+
+
+def test_direct_level_stores_the_upper_band_of_its_matrix(rng):
+    # bare SPD matrices whose bandwidth kd is not their grid's: random
+    # entries within 3 of the diagonal, and one off-diagonal 5 away with
+    # nothing between; the factor's band has kd + 1 rows, and its solve is
+    # exact to rounding
+    N = 40
+    d = sp.random_array((N, N), density=0.2, rng=rng)
+    d = sp.triu(sp.tril(d, 3), -3)
+    random = (d + d.T + sp.diags_array(np.full(N, 10.0))).tocsr()
+    ones = np.ones(N - 5)
+    gapped = sp.diags_array([ones, np.full(N, 4.0), ones], offsets=[-5, 0, 5]).tocsr()
+    # gapped's first diagonal entry stored as two duplicates, 2 + 2: CSR
+    # products sum them, and so must the band
+    data = np.concatenate([[2.0, 2.0], gapped.data[1:]])
+    indices = np.concatenate([[0, 0], gapped.indices[1:]])
+    split = sp.csr_array((data, indices, gapped.indptr + (np.arange(N + 1) > 0)), shape=(N, N))
+    assert not split.has_canonical_format
+    for matrix, kd in ((random, 3), (gapped, 5), (split, 5)):
+        factor = SPDFactor(matrix)
+        assert factor._coarsest.shape == (kd + 1, N)
+        f = rng.standard_normal(N)
+        x, stats = factor.solve(f, tol=1e-13)
+        np.testing.assert_allclose(x, np.linalg.solve(matrix.toarray(), f), rtol=1e-12)
+        assert stats.iterations == 1
+
+
+def test_sel_imports_no_sparse_linalg():
+    # the direct level is LAPACK's banded Cholesky: sel and its CLI import
+    # no scipy.sparse.linalg (SuperLU) at all
+    src = str(Path(linear_core.__file__).parents[1])
+    code = "import sys, sel, sel.cli; sys.exit('scipy.sparse.linalg' in sys.modules)"
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
 @pytest.mark.parametrize("shape", [rectangle(1.0, 1.0), rectangle(2.0, 0.5)], ids=["square", "4:1"])
 def test_every_multigrid_size_has_the_five_point_entry_count(shape):
     # a grid fact: the 5-point Laplacian stores (n-1)^2 rows and 5m^2 - 4m
     # entries, m = n-1, and no explicit zero (no factor reads these counts)
-    for n in range(COARSEST_N + 1, 129):
+    for n in range(GRID_MULTIGRID_N, 129):
         a = assemble_laplacian(build_grid(shape, n))
         m = n - 1
         assert a.shape[0] == m * m and a.nnz == 5 * m * m - 4 * m, n
@@ -505,7 +598,7 @@ def test_asymmetric_tridiagonal_matrix_is_invalid_input():
 
 
 ON_GRID = [(interval(1.0), n) for n in (2, 3, 64, 4096)] + [
-    (rectangle(1.0, 1.0), n) for n in (16, 33, 64)
+    (rectangle(1.0, 1.0), n) for n in (16, 33, GRID_MULTIGRID_N, 64)
 ]
 
 
@@ -519,7 +612,7 @@ def test_factor_on_grid_is_bitwise_the_matrix_factor(rng, shape, n, tol):
     g = build_grid(shape, n)
     m = 3.0 * power_weight(g, 1.7)
     factor = SPDFactor.on_grid(g, m)
-    hierarchy = shape.dim == 2 and n > COARSEST_N
+    hierarchy = shape.dim == 2 and n >= GRID_MULTIGRID_N
     if shape.dim == 2:
         assert bool(factor._levels) == hierarchy
     for f in (rng.random(g.num_interior), rng.standard_normal(g.num_interior)):

@@ -14,7 +14,7 @@ from sel.grid import (
     rectangle,
     shifted_laplacian,
 )
-from sel.linear_core import SPDFactor
+from sel.linear_core import DIRECT_UNKNOWNS, SPDFactor
 from sel.monotone import solve_ladder
 from sel.problem import SolveConfig
 from sel.spectral import (
@@ -24,6 +24,12 @@ from sel.spectral import (
     monotone_shift,
     principal_eigenpair,
 )
+
+
+# the smallest n whose factor builds a hierarchy: the first whose full grid
+# ((n-1)^2 unknowns) or mirror cell ((n//2)^2) exceeds DIRECT_UNKNOWNS
+SIDE = math.isqrt(DIRECT_UNKNOWNS)
+GRID_MULTIGRID_N, CELL_MULTIGRID_N = SIDE + 2, 2 * (SIDE + 1)
 
 
 def linearized_at_one(shape, n):
@@ -129,7 +135,7 @@ def test_linearized_matches_dense_eigensolve():
         (interval(1.0), 3),
         (rectangle(1.0, 1.0), 3),  # four unknowns: the smallest Lanczos case
         (rectangle(1.0, 1.0), 16),
-        (rectangle(1.0, 1.0), 33),  # the smallest multigrid n: LOBPCG on the cell's two levels
+        (rectangle(1.0, 1.0), 33),  # LOBPCG on the cell's direct banded level
     ]
     for shape, n in cases:
         (level,) = solve_ladder(0.5, 0.0, shape, [n], SolveConfig(tol=1e-10))
@@ -160,18 +166,19 @@ def recording(monkeypatch, constructor):
 @pytest.mark.parametrize(
     "shape, n",
     [(interval(1.0), 64), (rectangle(1.0, 1.0), 17), (rectangle(2.0, 0.5), 16),
-     (rectangle(1.0, 1.0), 33)],
+     (rectangle(1.0, 1.0), 33), (rectangle(1.0, 1.0), GRID_MULTIGRID_N)],
 )
 def test_asymmetric_potential_takes_the_full_grid_route(monkeypatch, shape, n):
     # only the API can pass a u that is not mirror-symmetric: its mu_1 is
-    # solved on the full grid, never on the mirror cell; at n = 33 by
-    # LOBPCG with the full grid's V-cycle
+    # solved on the full grid, never on the mirror cell; from
+    # GRID_MULTIGRID_N by LOBPCG with the full grid's V-cycle, at n = 33 with
+    # the direct level alone
     g = build_grid(shape, n)
     u = dirichlet_eigenpair(g).field * (1.0 + 0.2 * g.points()[:, 0])
     monkeypatch.setattr(SPDFactor, "on_cell", lambda *_a: pytest.fail("solved on the cell"))
     factors = recording(monkeypatch, "on_grid")
     mu = linearized_smallest_eigenvalue(g, u, 2.0, 0.0)
-    assert [multigrid(f) for f in factors] == [n == 33]
+    assert [multigrid(f) for f in factors] == [shape.dim == 2 and n >= GRID_MULTIGRID_N]
     dense = assemble_laplacian(g).toarray() + np.diag(monotone_shift(g, u, 2.0, 0.0))
     dense_error = np.finfo(float).eps * np.abs(dense).sum(axis=1).max()
     assert mu.value == pytest.approx(scipy.linalg.eigvalsh(dense)[0], rel=1e-10, abs=dense_error)
@@ -188,12 +195,14 @@ def long_double_rayleigh(A, x):
     "shape, n",
     [(interval(1.0), 2), (interval(1.0), 3), (interval(1.0), 4095),
      (rectangle(1.0, 1.0), 3), (rectangle(1.0, 1.0), 17), (rectangle(1.0, 1.0), 33),
-     (rectangle(2.0, 0.5), 16), (rectangle(2.0, 0.5), 17), (rectangle(2.0, 0.5), 33)],
+     (rectangle(2.0, 0.5), 16), (rectangle(2.0, 0.5), 17), (rectangle(2.0, 0.5), 33),
+     (rectangle(1.0, 1.0), CELL_MULTIGRID_N), (rectangle(2.0, 0.5), CELL_MULTIGRID_N)],
 )
 def test_cell_mu1_matches_the_full_grid_route(monkeypatch, shape, n, alpha):
     # a solve_monotone limit is mirror-symmetric, so mu_1 is solved on the
     # cell; the full grid's route, on the same potential, finds the same
-    # pair.  At n = 33 both routes are LOBPCG with a V-cycle.
+    # pair.  At n = 33 both routes are LOBPCG with the direct level alone,
+    # at CELL_MULTIGRID_N both with a V-cycle.
     (level,) = solve_ladder(alpha, 0.0, shape, [n], SolveConfig(tol=1e-8))
     grid, u = level.grid, level.report.upper
     m = monotone_shift(grid, u, alpha, 0.0)
@@ -203,7 +212,10 @@ def test_cell_mu1_matches_the_full_grid_route(monkeypatch, shape, n, alpha):
     monkeypatch.setattr(SPDFactor, "on_grid", lambda *_a: pytest.fail("solved on the full grid"))
     cells = recording(monkeypatch, "on_cell")
     cell = linearized_smallest_eigenvalue(grid, u, alpha, 0.0)
-    assert [multigrid(f) for f in [full_factor, *cells]] == [n == 33] * 2
+    rect = shape.dim == 2
+    assert [multigrid(f) for f in [full_factor, *cells]] == [
+        rect and n >= GRID_MULTIGRID_N, rect and n >= CELL_MULTIGRID_N
+    ]
     # each double Rayleigh quotient rounds A x at about eps * ||A||_inf: on
     # the interval at n = 4095 the two differed by up to 7.6e-12 of mu_1
     # over alpha and beta, while the long-double quotients of their fields
@@ -372,7 +384,8 @@ def test_rectangle_mu1_takes_at_most_fourteen_vcycles(monkeypatch, n, alpha):
 
     monkeypatch.setattr(SPDFactor, "precondition", counted)
     mu = linearized_smallest_eigenvalue(level.grid, level.report.upper, alpha, 0.0)
-    # one V-cycle per LOBPCG step, every one on the quarter cell
+    # one preconditioner per LOBPCG step, every one on the quarter cell: the
+    # direct level alone up to n = 65, a V-cycle at n = 128
     assert 2 < len(sizes) <= 14 and set(sizes) == {(n // 2) ** 2}
     assert mu.field.min() > 0.0
 
