@@ -156,10 +156,10 @@ def _write_solution_csv(path: Path, grid: Grid, u: np.ndarray, grad: np.ndarray)
     as %.17g: the bytes of np.savetxt(fmt="%.17g", delimiter=",",
     newline="\\r\\n").  The constant columns come from the grid's cached row
     templates (_csv_templates), which are held for as long as the grid is.
-    Each distinct u or grad_u value is formatted once, a quarter of them on
-    a square and half on an interval for a mirror-symmetric solution; the
-    values are told apart by their bits, so -0.0 stays "-0" where a float
-    comparison would merge it with 0.0.  Each write fills one template, so
+    Each distinct u or grad_u value is formatted once, an eighth of them on
+    a square, a quarter on another rectangle and half on an interval for a
+    mirror-symmetric solution; the values are told apart by their bits, so
+    -0.0 stays "-0" where a float comparison would merge it with 0.0.  Each write fills one template, so
     no string longer than a block is built."""
     header = ("x," if grid.dim == 1 else "x,y,") + "d,u,grad_u\r\n"
     table = np.column_stack([u, grad])

@@ -38,9 +38,10 @@ Every array a grid hands out is read-only, so no caller can change what
 the next one is given.
 
 The mirror fold (mirror_fold) is a grid fact too: the symmetry cell of
-the grid (half an interval, a quarter of a rectangle), its index maps and
-orbit sizes, and the folded Laplacian K = E^T (-lap_h) E, built per axis
-in closed form.  The monotone loop and mu_1 run on the cell
+the grid (half an interval, a quarter of a rectangle, an eighth of a
+square, whose diagonal is a mirror line too), its index maps and orbit
+sizes, and the folded Laplacian K = E^T (-lap_h) E, built in closed form
+as one triplet list.  The monotone loop and mu_1 run on the cell
 (monotone.solve_monotone, spectral.linearized_smallest_eigenvalue,
 linear_core.SPDFactor.on_cell), and the barriers mirror their profile
 from it; the certificates, mu_1's judgement, Newton, the fits and the
@@ -198,15 +199,19 @@ class Grid:
 class MirrorFold:
     """A grid's mirror-symmetry cell (mirror_fold): the interior nodes with
     index i <= n/2 on every axis (1-based), half an interval and the
-    lower-left quarter of a rectangle, in lexicographic order.
+    lower-left quarter of a rectangle, in lexicographic order.  On a square
+    (a 2D grid with h[0] == h[1]) the diagonal x <-> y is a mirror line too,
+    and the cell is the quarter's nodes with i <= j: c(c + 1)/2 nodes,
+    c = n // 2, an eighth of the grid.
 
     Attributes:
         idx: each interior node's cell node, the one its orbit under the
-            midline mirrors has in the cell.  The expansion E of a cell
-            field v is v[idx], and E^T E = diag(w).
+            mirrors has in the cell.  The expansion E of a cell field v is
+            v[idx], and E^T E = diag(w).
         rep: each cell node's lower-left representative, a grid index.
         w: the size of each cell node's orbit, a product of 1 or 2 per
-            axis (1 on a midline that falls on nodes, at even n).
+            axis (1 on a midline that falls on nodes, at even n), doubled
+            off the diagonal of a square: a power of 2 up to 8.
         n, h: the grid's subdivisions and spacings per axis.
 
     K, the folded Laplacian, is built on first use: the barriers mirror
@@ -219,6 +224,11 @@ class MirrorFold:
     n: int
     h: tuple[float, ...]
 
+    @property
+    def diagonal(self) -> bool:
+        """Whether the cell is folded by the diagonal too (a square)."""
+        return _is_square(self.h)
+
     @functools.cached_property
     def K(self) -> sp.csr_array:
         """E^T (-lap_h) E, a symmetric M-matrix: on mirror-symmetric fields
@@ -227,27 +237,57 @@ class MirrorFold:
         Per axis, the fold of tridiag(-1, 2, -1)/h^2 is
         tridiag(-2, 4, -2)/h^2 with 2 in its last diagonal entry at either
         parity (even n: the midline node is its own orbit; odd n: the two
-        nodes beside the midline couple), and the fold of the kron sum is
-        K_x (x) W_y + W_x (x) K_y, first axis slowest.  4/h^2 and -2/h^2 are
-        twice 2/h^2 and -1/h^2 in floating point too, so K holds the fold's
-        sums to the bit on intervals, squares and rectangle(2, 0.5); on
-        other aspect ratios a diagonal entry, rounded once here where the
-        triple product sums A's rounded diagonal, may differ in its last bit.
+        nodes beside the midline couple), and the quarter's K_q is the fold
+        of the kron sum, K_x (x) W_y + W_x (x) K_y, first axis slowest, each
+        entry rounded as scipy's kron sum of the per-axis folds rounds it.
+        On a square K = S^T K_q S, S the 0/1 expansion from the eighth to
+        the quarter: each entry sums one or two equal entries of K_q (the
+        five-point stencil couples no node to its own diagonal image), so
+        it is exact.  Both are one triplet-to-CSR build: the quarter's
+        entries with their rows and columns mapped to the cell.  4/h^2 and
+        -2/h^2 are twice 2/h^2 and -1/h^2 in floating point too, so K holds
+        the fold's sums to the bit on intervals, squares and
+        rectangle(2, 0.5); on other aspect ratios a diagonal entry, rounded
+        once here where the triple product sums A's rounded diagonal, may
+        differ in its last bit.
         """
         _, w1 = axis_mirror(self.n)
-        c = w1.size
-        off = np.full(c - 1, -2.0)
-        main = np.full(c, 4.0)
-        main[-1] = 2.0
-        K, w = None, np.ones(1)
-        for h in self.h:
-            k1 = sp.diags_array([off, main, off], offsets=[-1, 0, 1], shape=(c, c), format="csr")
-            k1 = k1 / h**2
-            if K is not None:
-                k1 = sp.kron(K, sp.diags_array(w1), format="csr") + sp.kron(
-                    sp.diags_array(w), k1, format="csr"
-                )
-            K, w = k1, np.multiply.outer(w, w1).ravel()
+        c, dim = w1.size, len(self.h)
+        nodes = np.arange(c**dim).reshape((c,) * dim)
+        weights = np.meshgrid(*[w1] * dim, indexing="ij")
+        diag, lows, highs, offs = 0.0, [], [], []
+        for axis, h in enumerate(self.h):
+            # scipy's sparse division by h^2 multiplies by its reciprocal
+            scale = 1 / h**2
+            main = np.full(c, 4.0)
+            main[-1] = 2.0
+            # the orbit sizes along the other axes, 1.0 on an interval
+            other = math.prod(weights[:axis] + weights[axis + 1 :]) * np.ones((c,) * dim)
+            shape = [1] * dim
+            shape[axis] = c
+            diag = diag + (main * scale).reshape(shape) * other
+            # each node and its successor along the axis
+            first = [slice(None)] * dim
+            second = [slice(None)] * dim
+            first[axis], second[axis] = slice(0, c - 1), slice(1, c)
+            lows.append(nodes[tuple(first)].ravel())
+            highs.append(nodes[tuple(second)].ravel())
+            offs.append((-2.0 * scale) * other[tuple(first)].ravel())
+        # the couplings by column offset, below the diagonal first axis first
+        # and above it last axis first, so that each row's columns come in
+        # order and the CSR build need not sort them.  int32 indices, as
+        # scipy's kron gave them: a cell with 2^31 nodes would not fit in
+        # memory anyway
+        rows = np.concatenate([*highs, nodes.ravel(), *lows[::-1]], dtype=np.int32)
+        cols = np.concatenate([*lows, nodes.ravel(), *highs[::-1]], dtype=np.int32)
+        vals = np.concatenate([*offs, np.ravel(diag), *offs[::-1]])
+        if self.diagonal:
+            # each quarter node's cell node, where the CSR build sums the
+            # pairs of equal entries that land on one cell entry
+            cell = self.idx[_quarter(self.n, dim)].astype(np.int32)
+            rows, cols = cell[rows], cell[cols]
+        size = self.w.size
+        K = sp.csr_array((vals, (rows, cols)), shape=(size, size))
         for arr in (K.data, K.indices, K.indptr):
             arr.setflags(write=False)
         return K
@@ -356,15 +396,44 @@ def axis_mirror(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(i, n - 2 - i), w
 
 
+def diagonal_mirror(c: int) -> tuple[np.ndarray, np.ndarray]:
+    """(idx, rep) of the diagonal mirror of a c x c quarter cell, in
+    lexicographic order: the eighth-cell node of each of its c * c nodes,
+    (a, b) -> (min(a, b), max(a, b)), and the quarter index of each of the
+    c(c + 1)/2 eighth-cell nodes (a, b), a <= b."""
+    a, b = np.divmod(np.arange(c * c), c)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    # the rows before lo hold c + (c - 1) + ... + (c - lo + 1) nodes
+    return lo * c - lo * (lo - 1) // 2 + hi - lo, np.flatnonzero(a <= b)
+
+
+def _is_square(h: tuple[float, ...]) -> bool:
+    # a 2D grid with equal spacings: its diagonal is a mirror line
+    return len(h) == 2 and h[0] == h[1]
+
+
+def _quarter(n: int, dim: int) -> np.ndarray:
+    # the grid index of each node of the midline fold's cell, first axis slowest
+    rep = np.zeros(1, dtype=np.intp)
+    for _ in range(dim):
+        rep = np.add.outer(rep * (n - 1), np.arange(n // 2)).ravel()
+    return rep
+
+
 def _build_fold(grid: Grid) -> MirrorFold:
-    # the cell's index maps, per axis, first axis slowest
+    # the midline fold's index maps, per axis, first axis slowest; on a
+    # square composed with the diagonal mirror
     n = grid.n
     idx1, w1 = axis_mirror(n)
-    idx, rep, w = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp), np.ones(1)
+    idx, w = np.zeros(1, dtype=np.intp), np.ones(1)
     for _ in grid.h:
         idx = np.add.outer(idx * w1.size, idx1).ravel()
-        rep = np.add.outer(rep * (n - 1), np.arange(w1.size)).ravel()
         w = np.multiply.outer(w, w1).ravel()
+    rep = _quarter(n, grid.dim)
+    if _is_square(grid.h):
+        idx_d, rep_d = diagonal_mirror(w1.size)
+        # an off-diagonal orbit joins the quarter orbit of the node's image
+        idx, rep, w = idx_d[idx], rep[rep_d], np.bincount(idx_d, weights=w)
     for arr in (idx, rep, w):
         arr.setflags(write=False)
     return MirrorFold(idx=idx, rep=rep, w=w, n=n, h=grid.h)
@@ -374,9 +443,10 @@ def mirror_fold(grid: Grid) -> MirrorFold:
     """The grid's mirror-symmetry cell and folded Laplacian (MirrorFold).
 
     d and every weight d^(-gamma) are mirror-symmetric to the bit
-    (build_grid), so F(E v) = E F(v) on the cell.  Built per axis on the
-    first call for a grid and cached on it, K on its first use: later calls
-    return the same MirrorFold.
+    (build_grid), and on a square symmetric about the diagonal too (d is a
+    minimum over identical per-axis wall distances), so F(E v) = E F(v) on
+    the cell.  Built on the first call for a grid and cached on it, K on
+    its first use: later calls return the same MirrorFold.
     """
     return grid._fold
 

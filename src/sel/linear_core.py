@@ -8,7 +8,8 @@ right-hand sides it will see.  Newton's steps factor by the grid
 (SPDFactor.on_grid(grid, m): grid.shifted_laplacian, -lap_h + diag(m)
 on the pattern of the grid's cached Laplacian), and the monotone steps and
 mu_1 by its mirror cell (SPDFactor.on_cell(grid, m): K + diag(m) on the
-pattern of the fold's K, grid.mirror_fold; mu_1 of a potential that is not
+pattern of the fold's K, grid.mirror_fold, half an interval, a quarter of
+a rectangle and an eighth of a square; mu_1 of a potential that is not
 mirror-symmetric by the grid), both routed by grid.dim: an
 interval's tridiagonal operator gets an LDL^T factor (LAPACK ?pttrf/?pttrs)
 with iterative refinement; a rectangle's is solved by conjugate gradients
@@ -47,7 +48,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dpttrf, dpttrs
 
-from .grid import Grid, axis_mirror, mirror_fold, shifted_laplacian
+from .grid import Grid, axis_mirror, diagonal_mirror, mirror_fold, shifted_laplacian
 
 
 class SolverFailure(RuntimeError):
@@ -103,7 +104,9 @@ def is_tridiagonal(A: sp.csr_array) -> bool:
 MAX_REFINEMENTS = 3  # refinement steps after the first banded solve
 MAX_PCG_ITERS = 100  # PCG iteration cap; a V-cycle keeps solves near 7 at any n
 # unknowns at and below which a level is solved directly (banded Cholesky):
-# the mirror cell up to n = 65, the full grid up to n = 33
+# the mirror cell up to n = 89 on a square (its eighth, c(c+1)/2 nodes for
+# c = n // 2) and up to n = 65 on other rectangles (a quarter, c^2), the
+# full grid up to n = 33
 DIRECT_UNKNOWNS = 32 * 32
 JACOBI_WEIGHT = 0.8  # damping of the Jacobi smoother
 SMOOTHING_SWEEPS = 2  # Jacobi sweeps before and after each coarse correction
@@ -135,17 +138,27 @@ def _prolongation(n: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
 
 
 @functools.lru_cache(maxsize=8)
-def _cell_prolongation(n: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+def _cell_prolongation(n: int, diagonal: bool) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """(P_c, P_c^T): _prolongation between the mirror cells (grid.MirrorFold)
-    of n and ceil(n/2) subdivisions, P_c = P[rep_f] E_c per axis: a fine cell
-    node interpolates from the coarse nodes around it, a node beyond the
-    coarse cell read at its cell node.  P E_c = E_f P_c holds to the bit at
-    even n, where every weight is 0, 1/2 or 1, and to rounding at odd n."""
+    of n and ceil(n/2) subdivisions, folded by the diagonal too if diagonal
+    (MirrorFold.diagonal, a square).  Between the midline folds' quarter
+    cells P_q = P[rep_f] E_c per axis: a fine cell node interpolates from
+    the coarse nodes around it, a node beyond the coarse cell read at its
+    cell node.  Between the eighth cells of a square P_c = P_q[rep_f] S_c,
+    rep_f the fine eighth's nodes in the quarter and S_c the coarse
+    eighth's 0/1 expansion to its quarter (grid.diagonal_mirror).
+    P E_c = E_f P_c holds to the bit at even n, where every weight is 0,
+    1/2 or 1, and to rounding at odd n."""
     nc = -(-n // 2)
     idx_c, w_c = axis_mirror(nc)
     E_c = sp.csr_matrix((np.ones(nc - 1), (np.arange(nc - 1), idx_c)), shape=(nc - 1, w_c.size))
     P1 = (_interpolation(n)[: n // 2] @ E_c).tocsr()
     P = sp.kron(P1, P1, format="csr")
+    if diagonal:
+        idx_d, _ = diagonal_mirror(w_c.size)
+        _, rep_f = diagonal_mirror(n // 2)
+        S_c = sp.csr_matrix((np.ones(idx_d.size), (np.arange(idx_d.size), idx_d)))
+        P = (P[rep_f] @ S_c).tocsr()
     return P, P.T.tocsr()
 
 
@@ -186,13 +199,15 @@ class SPDFactor:
     V-cycles.
     The hierarchy is built here, once per operator: linear interpolation P
     from n to ceil(n/2) subdivisions per axis (between the mirror cells of
-    the two grids on the cell, P_c = P[rep_f] E_c, so the cell's Galerkin
+    the two grids on the cell, _cell_prolongation, so the cell's Galerkin
     operators are the folds of the full grid's), Galerkin coarse operators
     P^T A P (the nodal shift needs no rediscretization), SMOOTHING_SWEEPS
     damped-Jacobi sweeps before and after each coarse correction, and a
     direct solve at the coarsest level, the first of at most DIRECT_UNKNOWNS
-    = 32x32 unknowns: the cell is direct up to n = 65, the full grid up to
-    n = 33.  Smaller operators, and every bare non-tridiagonal matrix, are a
+    = 32x32 unknowns: a square's eighth cell is direct up to n = 89 (990
+    unknowns; n = 90 has 1035, over a 253-unknown direct level), another
+    rectangle's quarter cell up to n = 65, the full grid up to n = 33.
+    Smaller operators, and every bare non-tridiagonal matrix, are a
     one-level hierarchy: the direct solve alone, so PCG takes one step.
     The direct level is factored by LAPACK's banded Cholesky dpbtrf on its
     upper band (bandwidth kd, the level's own: about its grid's row length
@@ -232,12 +247,14 @@ class SPDFactor:
         """The factor of K + diag(m) on the grid's mirror cell
         (grid.mirror_fold), routed by grid.dim as on_grid: the cell's
         operator is tridiagonal on an interval, and a rectangle's multigrid
-        interpolates between the cells of its levels (_cell_prolongation).
+        interpolates between the cells of its levels, eighths on a square
+        and quarters on another rectangle (_cell_prolongation).
 
         ValueError unless m is a finite cell field.
         """
         fold = mirror_fold(grid)
-        return cls._routed(grid, fold.shifted(m), fold.diagonal_positions, _cell_prolongation)
+        prolongation = functools.partial(_cell_prolongation, diagonal=fold.diagonal)
+        return cls._routed(grid, fold.shifted(m), fold.diagonal_positions, prolongation)
 
     @classmethod
     def _routed(cls, grid: Grid, A: sp.csr_array, pos: np.ndarray, prolongation) -> SPDFactor:

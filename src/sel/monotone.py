@@ -28,8 +28,10 @@ L2(Omega, d^(-gamma)) norm, gamma from resolve_regime; the sup-norm gap is
 reported but not used for stopping.
 
 The iteration runs on the grid's mirror-symmetry cell (grid.mirror_fold):
-the problem and its solution are symmetric about every midline, and on
-symmetric fields u = E v the scheme above is the same scheme for
+the problem and its solution are symmetric about every midline, and a
+square's about its diagonal too (its cell is an eighth of the grid, any
+other rectangle's a quarter, an interval's half), and on symmetric
+fields u = E v the scheme above is the same scheme for
 K = E^T (-lap_h) E with F and m times the orbit sizes w, K v = w F(v)
 (Bossavit, Comput. Methods Appl. Mech. Engrg. 56, 1986).  Each step factors
 K + diag(w m_k) (linear_core.SPDFactor.on_cell), its long-double defect is

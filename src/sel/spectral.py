@@ -355,8 +355,9 @@ def linearized_smallest_eigenvalue(
     this is the quantity that certifies it.
 
     A mirror-symmetric m (to the bit, as that of every solve_monotone
-    limit) is solved on the grid's mirror cell (grid.mirror_fold): A is an
-    irreducible M-matrix that commutes with the midline mirrors, so its
+    limit) is solved on the grid's mirror cell (grid.mirror_fold, an
+    eighth of a square): A is an irreducible M-matrix that commutes with
+    the cell's mirrors (the midlines, and a square's diagonal), so its
     principal eigenvector is simple and symmetric, E x, and mu_1 is the
     smallest eigenvalue of the cell's (K + diag(w m_c)) x = mu diag(w) x,
     m_c = m[rep].  _eigenvector solves it on SPDFactor.on_cell's route

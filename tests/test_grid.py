@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from sel.grid import (
     DomainShape,
     InvalidResolutionError,
     assemble_laplacian,
+    axis_mirror,
     build_grid,
     interval,
     mirror_fold,
@@ -468,11 +470,11 @@ def expansion(grid):
     return sp.csr_array((np.ones(idx.size), (np.arange(idx.size), idx)))
 
 
-@pytest.mark.parametrize("n", [2, 3, 16, 17, 64, 65])
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 16, 17, 64, 65])
 @pytest.mark.parametrize("shape", FOLD_SHAPES, ids=["interval", "square", "2x0.5"])
 def test_fold_is_the_stencils_fold_entry_for_entry(shape, n):
-    # K, built per axis in closed form, is E^T (-lap_h) E with the same
-    # pattern and bits; w counts each orbit (E^T E = diag(w)); rep is the
+    # K, built in closed form, is E^T (-lap_h) E with the same pattern and
+    # bits; w counts each orbit (E^T E = diag(w)); rep is the
     # lower-left member of its orbit, and d takes one value per orbit
     g = build_grid(shape, n)
     fold = mirror_fold(g)
@@ -491,6 +493,54 @@ def test_fold_is_the_stencils_fold_entry_for_entry(shape, n):
     for arr in (fold.idx, fold.rep, fold.w, fold.K.data, fold.diagonal_positions):
         assert not arr.flags.writeable
     assert mirror_fold(g) is fold and fold.K is fold.K
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 64, 65])
+def test_square_fold_is_the_eighth_cell(n):
+    # the square's diagonal is a mirror line too: the cell is the quarter
+    # cell's nodes (i, j) with i <= j, c(c+1)/2 of them, each orbit 1, 2, 4
+    # or 8 nodes (E^T E = diag(w)); test_fold_is_the_stencils_fold_entry_for_entry
+    # checks its K
+    g = build_grid(rectangle(1.0, 1.0), n)
+    fold = mirror_fold(g)
+    c = n // 2
+    assert fold.diagonal and fold.w.size == c * (c + 1) // 2
+    E = expansion(g)
+    np.testing.assert_array_equal((E.T @ E).toarray(), np.diag(fold.w))
+    assert fold.w.sum() == g.num_interior and set(fold.w.tolist()) <= {1.0, 2.0, 4.0, 8.0}
+    i, j = np.unravel_index(fold.rep, g.interior_shape)
+    assert np.all(i <= j) and np.all(np.diff(fold.rep) > 0)
+    _, w1 = axis_mirror(n)
+    np.testing.assert_array_equal(fold.w, w1[i] * w1[j] * np.where(i == j, 1.0, 2.0))
+
+
+def test_square_fold_rounds_no_further_from_the_exact_sum():
+    # at odd n the nodes beside a midline couple with their images, and the
+    # triple product sums eight rounded terms where K doubles one rounded
+    # sum: at n = 33 K's diagonal differs from it in the last bit, and is
+    # the closer of the two to the exact sum, a multiple of 1/h^2
+    g = build_grid(rectangle(1.0, 1.0), 33)
+    fold = mirror_fold(g)
+    E = expansion(g)
+    folded = (E.T @ assemble_laplacian(g) @ E).tocsr()
+    folded.sort_indices()
+    differ = np.flatnonzero(fold.K.data != folded.data)
+    assert differ.size > 0
+    s = Fraction(1 / g.h[0] ** 2)
+    for a, b in zip(fold.K.data[differ], folded.data[differ]):
+        assert abs(a - b) <= np.spacing(a)
+        exact = round(a / float(s)) * s
+        assert abs(Fraction(a) - exact) <= abs(Fraction(b) - exact)
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 17, 64, 65])
+def test_other_rectangles_keep_the_quarter_cell(n):
+    # only a square folds by its diagonal: rectangle(2, 0.5) keeps the
+    # midline fold's (n//2)^2 nodes, orbits of 1, 2 or 4
+    fold = mirror_fold(build_grid(rectangle(2.0, 0.5), n))
+    assert not fold.diagonal and fold.w.size == (n // 2) ** 2
+    assert set(fold.w.tolist()) <= {1.0, 2.0, 4.0}
+    assert not mirror_fold(build_grid(interval(1.0), n)).diagonal
 
 
 @pytest.mark.parametrize("shape", FOLD_SHAPES, ids=["interval", "square", "2x0.5"])

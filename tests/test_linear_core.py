@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -34,9 +35,12 @@ from sel.linear_core import (
 from sel.spectral import principal_eigenpair
 
 # the smallest n whose factor builds a hierarchy: the first whose full grid
-# ((n-1)^2 unknowns) or mirror cell ((n//2)^2) exceeds DIRECT_UNKNOWNS
+# ((n-1)^2 unknowns) or mirror cell exceeds DIRECT_UNKNOWNS, the quarter
+# cell ((n//2)^2) of rectangle(2, 0.5) or the eighth cell of a square
+# (c(c+1)/2, c = n//2)
 SIDE = math.isqrt(DIRECT_UNKNOWNS)
 GRID_MULTIGRID_N, CELL_MULTIGRID_N = SIDE + 2, 2 * (SIDE + 1)
+SQUARE_MULTIGRID_N = 2 * next(c for c in itertools.count() if c * (c + 1) // 2 > DIRECT_UNKNOWNS)
 
 
 def shifted(g, M, gamma):
@@ -285,6 +289,10 @@ def on_route(shape, n, route):
         (rectangle(1.0, 1.0), GRID_MULTIGRID_N - 1, "on_grid"),
         # the 4:1 rectangle, whose V-cycle takes 21-25 PCG steps
         (rectangle(2.0, 0.5), CELL_MULTIGRID_N - 2, "on_cell"),
+        (rectangle(2.0, 0.5), CELL_MULTIGRID_N - 1, "on_cell"),
+        # the square's largest eighth cells
+        (rectangle(1.0, 1.0), SQUARE_MULTIGRID_N - 2, "on_cell"),
+        (rectangle(1.0, 1.0), SQUARE_MULTIGRID_N - 1, "on_cell"),
     ],
 )
 def test_largest_direct_level_solves_in_one_step(shape, n, route):
@@ -299,15 +307,29 @@ def test_largest_direct_level_solves_in_one_step(shape, n, route):
 
 
 def test_smallest_multigrid_cell_builds_a_hierarchy():
-    # one cell unknown per axis past DIRECT_UNKNOWNS: one V-cycle level above
-    # a direct level of at most DIRECT_UNKNOWNS (the full grid's smallest
+    # one eighth-cell row past DIRECT_UNKNOWNS: one V-cycle level above a
+    # direct level of at most DIRECT_UNKNOWNS (the full grid's smallest
     # multigrid n is test_rectangle_operator_uses_multigrid_pcg's)
-    factor, a = on_route(rectangle(1.0, 1.0), CELL_MULTIGRID_N, "on_cell")
-    assert a.shape[0] > DIRECT_UNKNOWNS and len(factor._levels) == 1
+    factor, a = on_route(rectangle(1.0, 1.0), SQUARE_MULTIGRID_N, "on_cell")
+    c = SQUARE_MULTIGRID_N // 2
+    assert a.shape[0] == c * (c + 1) // 2 > DIRECT_UNKNOWNS and len(factor._levels) == 1
     assert factor._coarsest.shape[1] <= DIRECT_UNKNOWNS
     f = np.ones(a.shape[0])
     u, stats = factor.solve(f, tol=1e-10)
     assert 2 <= stats.iterations <= 10
+    assert np.linalg.norm(extended_residual(a, f, u)) <= 1e-10 * np.linalg.norm(f)
+
+
+def test_smallest_multigrid_quarter_cell_builds_a_hierarchy():
+    # rectangle(2, 0.5) keeps the midline fold: one quarter-cell unknown per
+    # axis past DIRECT_UNKNOWNS builds one V-cycle level, whose anisotropic
+    # operator takes 25 PCG steps
+    factor, a = on_route(rectangle(2.0, 0.5), CELL_MULTIGRID_N, "on_cell")
+    assert a.shape[0] == (CELL_MULTIGRID_N // 2) ** 2 > DIRECT_UNKNOWNS
+    assert len(factor._levels) == 1 and factor._coarsest.shape[1] <= DIRECT_UNKNOWNS
+    f = np.ones(a.shape[0])
+    u, stats = factor.solve(f, tol=1e-10)
+    assert 2 <= stats.iterations <= 30
     assert np.linalg.norm(extended_residual(a, f, u)) <= 1e-10 * np.linalg.norm(f)
 
 
@@ -384,28 +406,43 @@ def test_prolongation_interpolates_linearly(n):
     assert np.max(np.abs(P @ coarse - fine)) <= 2 * np.pi**2 / (8 * nc**2)
 
 
-@pytest.mark.parametrize("n", [17, 18, 33, 34, 64, 65, 128])
-def test_cell_prolongation_commutes_with_the_fold(n):
-    # P E_c = E_f P_c: interpolating a mirrored coarse cell field is
-    # mirroring the interpolated fine cell field; to the bit at even n,
-    # where every interpolation weight is 0, 1/2 or 1, and to rounding at odd
-    # n, enough for a preconditioner
-    square = rectangle(1.0, 1.0)
+def assert_cell_prolongation_commutes(shape, n):
+    """P E_c = E_f P_c for the mirror folds of shape at n and ceil(n/2)."""
     nc = -(-n // 2)
+    fine, coarse = (mirror_fold(build_grid(shape, m)) for m in (n, nc))
 
-    def expansion(m):
-        idx = mirror_fold(build_grid(square, m)).idx
-        return sp.csr_array((np.ones(idx.size), (np.arange(idx.size), idx)))
+    def expansion(fold):
+        return sp.csr_array((np.ones(fold.idx.size), (np.arange(fold.idx.size), fold.idx)))
 
     P, _ = _prolongation(n)
-    P_c, PT_c = _cell_prolongation(n)
-    assert _cell_prolongation(n)[0] is P_c and (PT_c != P_c.T).nnz == 0
-    left = (P @ expansion(nc)).toarray()
-    right = (expansion(n) @ P_c).toarray()
+    P_c, PT_c = _cell_prolongation(n, fine.diagonal)
+    assert _cell_prolongation(n, fine.diagonal)[0] is P_c and (PT_c != P_c.T).nnz == 0
+    assert P_c.shape == (fine.w.size, coarse.w.size)
+    left = (P @ expansion(coarse)).toarray()
+    right = (expansion(fine) @ P_c).toarray()
     if n % 2 == 0:
         np.testing.assert_array_equal(left, right)
     else:
         np.testing.assert_allclose(left, right, rtol=0, atol=64 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("n", [17, 18, 33, 34, 64, 65, 128])
+def test_cell_prolongation_commutes_with_the_fold(n):
+    # P E_c = E_f P_c: interpolating a mirrored coarse cell field is
+    # mirroring the interpolated fine cell field, between the eighth cells
+    # of a square and between the quarter cells of rectangle(2, 0.5); to the
+    # bit at even n, where every interpolation weight is 0, 1/2 or 1, and to
+    # rounding at odd n, enough for a preconditioner
+    for shape in (rectangle(1.0, 1.0), rectangle(2.0, 0.5)):
+        assert_cell_prolongation_commutes(shape, n)
+
+
+@pytest.mark.parametrize("n", [3, 8, 9, 64, 65])
+def test_eighth_cell_prolongation_commutes_with_the_fold(n):
+    # down to the smallest square with a coarse grid (n = 3, one cell node
+    # on either level)
+    assert _cell_prolongation(n, True)[0].shape[0] == (n // 2) * (n // 2 + 1) // 2
+    assert_cell_prolongation_commutes(rectangle(1.0, 1.0), n)
 
 
 def test_cell_factor_solves_the_folded_system(rng):

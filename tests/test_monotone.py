@@ -675,3 +675,25 @@ def test_an_asymmetric_pair_folds_inside_itself(shape, n):
     assert np.all(sub <= report.lower) and np.all(report.upper <= sup)
     symmetric = solve_monotone(spec, build_barrier_pair(grid, alpha, beta))
     np.testing.assert_allclose(report.upper, symmetric.upper, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", [8, 17, 64, 65, 90])
+def test_square_limits_are_symmetric_about_the_diagonal(monkeypatch, n):
+    # the square's cell is an eighth, so the limits are mirrored from it
+    # about the diagonal too, to the bit; mu_1 at them is solved on that
+    # cell alone: a fallback to the full grid fails here
+    alpha, beta = 2.0, 0.7
+    (level,) = solve_ladder(alpha, beta, rectangle(), [n], SolveConfig(tol=1e-8))
+    assert level.report.converged
+    for u in (level.report.lower, level.report.upper):
+        bits = u.view(np.uint64).reshape(n - 1, n - 1)
+        np.testing.assert_array_equal(bits, bits.T)
+    monkeypatch.setattr(SPDFactor, "on_grid", lambda *_a: pytest.fail("solved on the full grid"))
+    sizes = []
+    on_cell = SPDFactor.on_cell
+    monkeypatch.setattr(
+        SPDFactor, "on_cell", lambda *a: sizes.append(a[1].size) or on_cell(*a)
+    )
+    mu = linearized_smallest_eigenvalue(level.grid, level.report.upper, alpha, beta)
+    c = n // 2
+    assert sizes == [c * (c + 1) // 2] and mu.field.min() > 0.0

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -27,9 +28,18 @@ from sel.spectral import (
 
 
 # the smallest n whose factor builds a hierarchy: the first whose full grid
-# ((n-1)^2 unknowns) or mirror cell ((n//2)^2) exceeds DIRECT_UNKNOWNS
+# ((n-1)^2 unknowns) or mirror cell exceeds DIRECT_UNKNOWNS, the quarter
+# cell ((n//2)^2) of rectangle(2, 0.5) or the eighth cell of a square
+# (c(c+1)/2, c = n//2)
 SIDE = math.isqrt(DIRECT_UNKNOWNS)
 GRID_MULTIGRID_N, CELL_MULTIGRID_N = SIDE + 2, 2 * (SIDE + 1)
+SQUARE_MULTIGRID_N = 2 * next(c for c in itertools.count() if c * (c + 1) // 2 > DIRECT_UNKNOWNS)
+
+
+def cell_size(shape, n):
+    """The mirror cell's node count: an eighth of a square, else a quarter."""
+    c = n // 2
+    return c * (c + 1) // 2 if shape.extents[0] == shape.extents[1] else c * c
 
 
 def linearized_at_one(shape, n):
@@ -196,13 +206,16 @@ def long_double_rayleigh(A, x):
     [(interval(1.0), 2), (interval(1.0), 3), (interval(1.0), 4095),
      (rectangle(1.0, 1.0), 3), (rectangle(1.0, 1.0), 17), (rectangle(1.0, 1.0), 33),
      (rectangle(2.0, 0.5), 16), (rectangle(2.0, 0.5), 17), (rectangle(2.0, 0.5), 33),
-     (rectangle(1.0, 1.0), CELL_MULTIGRID_N), (rectangle(2.0, 0.5), CELL_MULTIGRID_N)],
+     (rectangle(1.0, 1.0), CELL_MULTIGRID_N), (rectangle(2.0, 0.5), CELL_MULTIGRID_N),
+     (rectangle(1.0, 1.0), SQUARE_MULTIGRID_N)],
 )
 def test_cell_mu1_matches_the_full_grid_route(monkeypatch, shape, n, alpha):
     # a solve_monotone limit is mirror-symmetric, so mu_1 is solved on the
     # cell; the full grid's route, on the same potential, finds the same
     # pair.  At n = 33 both routes are LOBPCG with the direct level alone,
-    # at CELL_MULTIGRID_N both with a V-cycle.
+    # at CELL_MULTIGRID_N both with a V-cycle on rectangle(2, 0.5), and on
+    # the square the full grid with a V-cycle and the eighth cell with the
+    # direct level alone; at SQUARE_MULTIGRID_N both with a V-cycle.
     (level,) = solve_ladder(alpha, 0.0, shape, [n], SolveConfig(tol=1e-8))
     grid, u = level.grid, level.report.upper
     m = monotone_shift(grid, u, alpha, 0.0)
@@ -214,7 +227,7 @@ def test_cell_mu1_matches_the_full_grid_route(monkeypatch, shape, n, alpha):
     cell = linearized_smallest_eigenvalue(grid, u, alpha, 0.0)
     rect = shape.dim == 2
     assert [multigrid(f) for f in [full_factor, *cells]] == [
-        rect and n >= GRID_MULTIGRID_N, rect and n >= CELL_MULTIGRID_N
+        rect and n >= GRID_MULTIGRID_N, rect and cell_size(shape, n) > DIRECT_UNKNOWNS
     ]
     # each double Rayleigh quotient rounds A x at about eps * ||A||_inf: on
     # the interval at n = 4095 the two differed by up to 7.6e-12 of mu_1
@@ -384,9 +397,28 @@ def test_rectangle_mu1_takes_at_most_fourteen_vcycles(monkeypatch, n, alpha):
 
     monkeypatch.setattr(SPDFactor, "precondition", counted)
     mu = linearized_smallest_eigenvalue(level.grid, level.report.upper, alpha, 0.0)
-    # one preconditioner per LOBPCG step, every one on the quarter cell: the
-    # direct level alone up to n = 65, a V-cycle at n = 128
-    assert 2 < len(sizes) <= 14 and set(sizes) == {(n // 2) ** 2}
+    # one preconditioner per LOBPCG step, every one on the eighth cell: the
+    # direct level alone up to n = 89, a V-cycle at n = 128
+    assert 2 < len(sizes) <= 14 and set(sizes) == {cell_size(rectangle(1.0, 1.0), n)}
+    assert mu.field.min() > 0.0
+
+
+@pytest.mark.parametrize("n", [33, 64, 128])
+def test_4_to_1_rectangle_mu1_runs_on_the_quarter_cell(monkeypatch, n):
+    # rectangle(2, 0.5) has no diagonal mirror: every LOBPCG step is on the
+    # (n//2)^2 quarter cell, 20 steps at n = 33 and 64 and 28 at n = 128
+    (level,) = solve_ladder(2.0, 0.0, rectangle(2.0, 0.5), [n], SolveConfig(tol=1e-8))
+    sizes = []
+    vcycle = SPDFactor.precondition
+
+    def counted(self, r, level=0):
+        if level == 0:
+            sizes.append(r.size)
+        return vcycle(self, r, level)
+
+    monkeypatch.setattr(SPDFactor, "precondition", counted)
+    mu = linearized_smallest_eigenvalue(level.grid, level.report.upper, 2.0, 0.0)
+    assert 2 < len(sizes) <= 30 and set(sizes) == {(n // 2) ** 2}
     assert mu.field.min() > 0.0
 
 
